@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -226,12 +225,10 @@ def load_document(path) -> Document:
 
 
 def _render_scalar(f: Field, v):
-    if isinstance(f, Rationals):
-        fr = Fraction(v)
-        if fr.denominator == 1:
-            return int(fr)
-        return str(fr)
-    return int(v)
+    """JSON form: integral scalars as numbers, other rationals as "n/d"."""
+    if type(v) is not int:
+        v = f.canon(v)
+    return v if type(v) is int else str(v)
 
 
 def _render_matrix(f: Field, m: Matrix):

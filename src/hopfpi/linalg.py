@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Scalars are `fractions.Fraction` (rationals) or plain ints in [0, p)
-(prime field F_p); nothing here ever rounds.  Conventions used by the
-whole package:
+Scalars over ℚ are ints when integral and `fractions.Fraction`
+otherwise; over the prime field F_p they are ints in [0, p).  Nothing
+here ever rounds, and every field operation returns the canonical form,
+so equal scalars are always stored alike.  Conventions used by the whole
+package:
 
 * vectors are tuples of scalars; matrices act on the left, w = m.apply(v);
 * tensor indices are row-major: e_i ⊗ e_j in k^a ⊗ k^b sits at flat
@@ -19,6 +21,7 @@ this package targets is small enough for that to be the fast path).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,35 +29,80 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, SingularMatrix
 
 
+# Miller–Rabin with the first 13 prime bases is deterministic below
+# ψ13 = 3 317 044 064 679 887 385 961 981 (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin; ValueError for n ≥ _MR_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to certify prime (limit {_MR_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+# Scalar strings: an integer or a fraction of integers, at most
+# _MAX_SCALAR_CHARS characters, so parsing stays linear and cheap.
+_SCALAR_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_MAX_SCALAR_CHARS = 1000
+
+
+def _parse_numeral(s: str) -> tuple[int, int]:
+    """(numerator, denominator) of a string "n" or "n/d"; ValueError otherwise."""
+    if len(s) > _MAX_SCALAR_CHARS:
+        raise ValueError(f"scalar string longer than {_MAX_SCALAR_CHARS} characters")
+    if not _SCALAR_RE.fullmatch(s):
+        raise ValueError(f"scalar string {s!r} is not an integer or n/d")
+    num, _, den = s.partition("/")
+    return int(num), int(den or 1)
 
 
 @dataclass(frozen=True)
 class Rationals:
-    """The field ℚ; scalars are Fraction."""
+    """The field ℚ; scalars are int when integral, Fraction otherwise.
+
+    Every operation returns that canonical form, so the common integral
+    case runs on plain ints and a Fraction appears only after a real
+    division.
+    """
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int or c.denominator != 1 else c.numerator
 
     def neg(self, a):
         return -a
@@ -62,31 +110,28 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        c = 1 / Fraction(a)
+        return c if c.denominator != 1 else c.numerator
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return int(n)
 
     def canon(self, v):
-        """Canonical stored form (Fraction); rejects inexact input."""
-        if isinstance(v, Fraction):
+        """Canonical stored form (int or non-integral Fraction); rejects inexact input."""
+        if type(v) is int:
             return v
+        if isinstance(v, Fraction):
+            return v if v.denominator != 1 else v.numerator
         if isinstance(v, bool) or isinstance(v, float):
             raise ValueError(f"inexact scalar {v!r}")
         if isinstance(v, int):
-            return Fraction(v)
+            return int(v)
         raise ValueError(f"cannot store scalar {v!r}")
 
     def parse(self, obj):
-        if isinstance(obj, bool) or isinstance(obj, float):
-            raise ValueError(f"inexact scalar {obj!r}")
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, Fraction):
-            return obj
         if isinstance(obj, str):
-            return Fraction(obj)
-        raise ValueError(f"cannot parse scalar {obj!r}")
+            obj = Fraction(*_parse_numeral(obj))
+        return self.canon(obj)
 
     def render(self, a) -> str:
         return str(a)
@@ -144,10 +189,8 @@ class PrimeField:
         if isinstance(obj, int):
             return obj % self.p
         if isinstance(obj, str):
-            if "/" in obj:
-                num, den = obj.split("/", 1)
-                return self.mul(int(num) % self.p, self.inv(int(den)))
-            return int(obj) % self.p
+            num, den = _parse_numeral(obj)
+            return self.mul(num % self.p, self.inv(den))
         raise ValueError(f"cannot parse scalar {obj!r}")
 
     def render(self, a) -> str:
@@ -228,6 +271,16 @@ class Matrix:
         self.entries = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _unchecked(cls, field: Field, rows: int, cols: int, entries: dict) -> "Matrix":
+        """Adopt `entries` as is: keys in range, values canonical and nonzero."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -360,7 +413,7 @@ class Matrix:
             for j, b in hits:
                 key = (i, j)
                 out[key] = f.add(out.get(key, zero), f.mul(a, b))
-        return Matrix(f, self.rows, other.cols, out)
+        return Matrix._unchecked(f, self.rows, other.cols, {k: v for k, v in out.items() if v})
 
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -375,7 +428,8 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        return Matrix._unchecked(self.field, self.cols, self.rows,
+                                 {(c, r): v for (r, c), v in self.entries.items()})
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Tensor product; index (i, j) ↦ i*dimB + j on rows and columns."""
@@ -384,7 +438,8 @@ class Matrix:
         for (i1, j1), a in self.entries.items():
             for (i2, j2), b in other.entries.items():
                 out[(i1 * other.rows + i2, j1 * other.cols + j2)] = f.mul(a, b)
-        return Matrix(f, self.rows * other.rows, self.cols * other.cols, out)
+        # a field has no zero divisors, so every product is nonzero
+        return Matrix._unchecked(f, self.rows * other.rows, self.cols * other.cols, out)
 
     def rank(self) -> int:
         _, pivots = rref(self.field, self.to_rows())

@@ -1,0 +1,68 @@
+"""Byte-identity of the CLI reports on every fixture.
+
+`golden_reports.json` holds the stdout and exit code of every
+subcommand (verify, calculus --universal, structure --universal,
+enumerate) on every fixture, in text and JSON.  Regenerate it only when
+a report is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from hopfpi.cli import main
+
+HERE = Path(__file__).resolve().parent
+FIXTURE_DIR = HERE.parent / "fixtures"
+GOLDEN = HERE / "golden_reports.json"
+
+COMMANDS = (
+    ("verify",),
+    ("calculus", "--universal"),
+    ("structure", "--universal"),
+    ("enumerate",),
+)
+FORMATS = ("text", "json")
+
+
+CASES = [
+    (f"{command[0]} {fixture} {fmt}",
+     [command[0], str(FIXTURE_DIR / fixture), *command[1:], "--format", fmt])
+    for fixture in sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+    for command in COMMANDS
+    for fmt in FORMATS
+]
+
+
+def run(argv: list[str]) -> dict:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit": code, "stdout": stdout.getvalue()}
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case():
+    assert sorted(load_golden()) == sorted(key for key, _ in CASES)
+
+
+@pytest.mark.parametrize("key,argv", CASES, ids=[key for key, _ in CASES])
+def test_report_matches_golden(key, argv):
+    assert run(argv) == load_golden()[key]
+
+
+if __name__ == "__main__":
+    golden = {key: run(argv) for key, argv in CASES}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(golden)} reports to {GOLDEN}")

@@ -20,7 +20,7 @@ F = Fraction
 
 def test_fixture_files_load_and_verify(fixture_dir):
     for name in ("kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json",
-                 "f7z3_constant_z2.json", "taft4_rational.json"):
+                 "f7z3_constant_z2.json", "taft4_rational.json", "q_z3_skew_basis.json"):
         doc = load_document(fixture_dir / name)
         assert verify_pi_coalgebra(doc.hopf).ok, name
         assert verify_hopf(doc.hopf).ok, name
@@ -42,6 +42,14 @@ def test_document_roundtrip(kz2_const):
     assert doc.ideal_generators["kerEps"] == [(F(1), F(-1))]
 
 
+def test_fractional_document_rewrites_identically(fixture_dir):
+    """Writing a loaded document back gives the file: integral rationals
+    as JSON numbers, the others as "n/d" strings."""
+    raw = json.loads((fixture_dir / "q_z3_skew_basis.json").read_text())
+    doc = document_from_json(raw)
+    assert document_to_json(doc.hopf, name=raw["name"]) == raw
+
+
 def test_rational_scalars_parse_exactly(kz2):
     data = document_to_json(kz2, name="scalars")
     data["counit"] = ["1/1", "3/3"]  # still the all-ones functional
@@ -54,6 +62,34 @@ def test_parse_rejects_floats(kz2):
     data["counit"] = [1.0, 1]
     with pytest.raises(ParseError):
         document_from_json(data)
+
+
+@pytest.mark.parametrize("scalar", ["1e10000000", "1.5", "+3", " 3", "1_000", "3/-7", "1" * 1001])
+def test_parse_accepts_only_integer_and_fraction_strings(kz2, scalar):
+    """Exponent and decimal forms and over-long numerals are rejected at once."""
+    data = document_to_json(kz2)
+    data["counit"] = [scalar, 1]
+    with pytest.raises(ParseError):
+        document_from_json(data)
+
+
+def test_cli_rejects_exponent_and_long_scalars(fixture_dir, tmp_path, capsys):
+    for scalar in ("1e10000000", "9" * 5000):
+        data = json.loads((fixture_dir / "kz2_rational.json").read_text())
+        data["counit"] = [scalar, 1]
+        p = tmp_path / "bad_scalar.json"
+        p.write_text(json.dumps(data))
+        code, out = run_cli(capsys, "verify", str(p))
+        assert (code, out) == (2, "")
+
+
+def test_cli_rejects_prime_beyond_certified_range(fixture_dir, tmp_path, capsys):
+    data = json.loads((fixture_dir / "f7_z3.json").read_text())
+    data["field"] = {"prime": 2**89 - 1}   # prime, but above the Miller–Rabin bound
+    p = tmp_path / "big_prime.json"
+    p.write_text(json.dumps(data))
+    assert main(["verify", str(p)]) == 2
+    assert "too large to certify prime" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_schema(kz2):

@@ -28,6 +28,7 @@ from hopfpi.linalg import (
     tensor,
     unit_vec,
     vec_kron,
+    _is_prime,
 )
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11)]
@@ -291,3 +292,149 @@ def test_raw_residues_through_membership_and_solve():
     assert membership((-1, 1), line)              # ≡ 6·(1, 6)
     assert line.coords((-1, 1)) == (6,)
     assert solve(Matrix.identity(f, 2), (-1, 9)) == (6, 2)
+
+
+# -- canonical scalar form --------------------------------------------------------
+
+
+def rational_strategy():
+    return st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                     st.fractions(max_denominator=12).map(QQ.canon))
+
+
+def assert_canonical_rational(v, expected: Fraction):
+    """int exactly when integral, otherwise a Fraction with denominator > 1."""
+    assert v == expected
+    if expected.denominator == 1:
+        assert type(v) is int
+    else:
+        assert type(v) is Fraction and v.denominator > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_strategy(), rational_strategy())
+def test_rational_operations_return_canonical_form(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert_canonical_rational(QQ.add(a, b), fa + fb)
+    assert_canonical_rational(QQ.sub(a, b), fa - fb)
+    assert_canonical_rational(QQ.mul(a, b), fa * fb)
+    assert_canonical_rational(QQ.neg(a), -fa)
+    if a != 0:
+        assert_canonical_rational(QQ.inv(a), 1 / fa)
+    assert_canonical_rational(QQ.canon(fa), fa)
+    assert_canonical_rational(QQ.canon(a), fa)
+    assert_canonical_rational(QQ.parse(str(fa)), fa)
+    assert_canonical_rational(QQ.parse(fa), fa)
+
+
+@given(st.integers())
+def test_rational_from_int_and_constants_are_ints(n):
+    assert_canonical_rational(QQ.from_int(n), Fraction(n))
+    assert_canonical_rational(QQ.parse(n), Fraction(n))
+    assert_canonical_rational(QQ.zero(), Fraction(0))
+    assert_canonical_rational(QQ.one(), Fraction(1))
+
+
+def test_rational_canon_rejects_bool_and_float():
+    for bad in (True, False, 0.5, 2.0):
+        with pytest.raises(ValueError):
+            QQ.canon(bad)
+        with pytest.raises(ValueError):
+            QQ.parse(bad)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1.5", "0x10", "+3", "3/ 4", "1" * 1001])
+def test_scalar_strings_are_integer_or_fraction_only(text):
+    for f in (QQ, PrimeField(7)):
+        with pytest.raises(ValueError):
+            f.parse(text)
+
+
+def test_scalar_strings_parse_exactly():
+    assert QQ.parse("-6/4") == Fraction(-3, 2)
+    assert type(QQ.parse("6/3")) is int and QQ.parse("6/3") == 2
+    assert QQ.parse("9" * 1000) == int("9" * 1000)
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse("1/0")
+
+
+def stored(m: Matrix) -> dict:
+    """Entries with their exact types, so Fraction(2) and 2 differ."""
+    return {k: (type(v), v) for k, v in m.entries.items()}
+
+
+@st.composite
+def scalar_matrix_pair(draw, max_dim=3):
+    """A product-compatible pair over ℚ (with fractions) or a small F_p.
+
+    Entries come from a few values of both signs, so products often
+    cancel to zero and the result must drop them.
+    """
+    f = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+    values = ([1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)] if f == QQ
+              else [1, -1, 2, f.p - 2])
+    n, k, m = (draw(st.integers(min_value=0, max_value=max_dim)) for _ in range(3))
+
+    def entries(rows, cols):
+        out = {}
+        for i in range(rows):
+            for j in range(cols):
+                if draw(st.booleans()):
+                    out[(i, j)] = draw(st.sampled_from(values))
+        return out
+
+    return Matrix(f, n, k, entries(n, k)), Matrix(f, k, m, entries(k, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_matrix_pair())
+def test_internal_products_store_canonical_nonzero_entries(pair):
+    a, b = pair
+    f = a.field
+    for m in (a @ b, a.kron(b), a.transpose(), b.kron(a.transpose())):
+        assert all(v != f.zero() for v in m.entries.values())
+        assert stored(m) == stored(Matrix(f, m.rows, m.cols, m.entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_matrix_pair())
+def test_product_matches_dense_fraction_arithmetic(pair):
+    a, b = pair
+    f = a.field
+
+    def dense_entry(i, j):
+        total = sum(Fraction(a[(i, t)]) * Fraction(b[(t, j)]) for t in range(a.cols))
+        return total if f == QQ else int(total)
+
+    expected = Matrix(f, a.rows, b.cols, {(i, j): dense_entry(i, j)
+                                          for i in range(a.rows) for j in range(b.cols)})
+    assert stored(a @ b) == stored(expected)
+
+
+# -- primality ---------------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(20000) if _is_prime(n)] == [n for n in range(20000) if trial(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not _is_prime(3215031751)             # strong pseudoprime to 2, 3, 5, 7
+    assert not _is_prime(3825123056546413051)    # strong pseudoprime to 2 … 23
+    assert _is_prime(2**61 - 1) and _is_prime(10**12 - 11)
+
+
+def test_large_prime_field_constructs_quickly():
+    import time
+
+    started = time.perf_counter()
+    f = PrimeField(2**61 - 1)
+    assert time.perf_counter() - started < 0.5
+    assert f.mul(f.inv(3), 3) == 1
+    with pytest.raises(ValueError):
+        PrimeField(2**61 + 1)                    # divisible by 3
+    with pytest.raises(ValueError):
+        PrimeField(2**89 - 1)                    # prime, but beyond the certified range
