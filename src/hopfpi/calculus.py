@@ -47,7 +47,6 @@ from .linalg import (
     unit_vec,
     vec_kron,
 )
-from .util import parallel_map
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +303,7 @@ class Fodc:
         self.kernels = list(kernels)
         self.ideal = ideal
         self.side = side
+        self._covariance: dict = {}    # side -> (report, coactions or None)
         f = h.field
         g = h.group
 
@@ -367,7 +367,7 @@ class Fodc:
 
     # -- verifications -------------------------------------------------------
 
-    def to_bimodule(self, verify: bool = True):
+    def to_bimodule(self):
         """The covariant-bimodule view of Γ, with whichever coactions hold.
 
         Δ^l is attached iff the left containment Φ^l(N) ⊆ A⊗N holds,
@@ -375,12 +375,12 @@ class Fodc:
         """
         from .structure import CovariantBimodule
 
-        delta_l = _all_delta_l(self) if check_left_covariant(self).ok else None
-        delta_r = _all_delta_r(self) if check_right_covariant(self).ok else None
+        _, delta_l = _covariance(self, "left")
+        _, delta_r = _covariance(self, "right")
         if delta_l is None and delta_r is None:
             raise NotCovariant("calculus is neither left nor right covariant")
         return CovariantBimodule(self.h, self.gamma_dims, self.left, self.right,
-                                 delta_l=delta_l, delta_r=delta_r, verify=verify)
+                                 delta_l=delta_l, delta_r=delta_r)
 
     def leibniz_report(self) -> VerificationReport:
         """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
@@ -457,54 +457,65 @@ def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
 # covariance
 
 
-def check_left_covariant(calc: Fodc) -> VerificationReport:
-    """Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β; witnesses on failure."""
+def _covariance(calc: Fodc, side: str) -> tuple:
+    """(containment report, induced coactions) of one side, memoised on calc.
+
+    Left: Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β; right: Φ^r(N_{αβ}) ⊆
+    N_α ⊗ A_β.  When the containment holds, the coactions are the maps
+    Δ_{α,β} that Φ induces on the quotients, keyed by (α, β); else None.
+    Each Φ is built once and serves both the verdict and the coaction.
+    """
+    memo = calc._covariance.get(side)
+    if memo is not None:
+        return memo
     h = calc.h
     g = h.group
     f = h.field
-
-    def one_pair(pair):
-        a, b = pair
-        ab = g.mul(a, b)
-        amb = phi_l(h, a, b)
-        target = Subspace.full(f, h.n(a)).tensor(calc.kernels[b])
-        out = []
-        for j, w in enumerate(calc.kernels[ab].basis):
-            if not target.contains(amb.apply(w)):
-                out.append(Violation("left-covariance", (a, b), j,
-                                     "Φ^l maps an N basis vector outside A⊗N"))
-        return out
-
-    pairs = [(a, b) for a in g.elements() for b in g.elements()]
+    left = side == "left"
     report = VerificationReport()
-    for chunk in parallel_map(one_pair, pairs):
-        report.extend(chunk)
-    return report
+    phis = {}
+    for a in g.elements():
+        for b in g.elements():
+            ab = g.mul(a, b)
+            if left:
+                amb = phi_l(h, a, b)
+                target = Subspace.full(f, h.n(a)).tensor(calc.kernels[b])
+            else:
+                amb = phi_r(h, a, b)
+                target = calc.kernels[a].tensor(Subspace.full(f, h.n(b)))
+            for j, w in enumerate(calc.kernels[ab].basis):
+                if not target.contains(amb.apply(w)):
+                    report.extend([Violation(
+                        f"{side}-covariance", (a, b), j,
+                        "Φ^l maps an N basis vector outside A⊗N" if left
+                        else "Φ^r maps an N basis vector outside N⊗A")])
+            phis[(a, b)] = amb
+    coactions = None
+    if report.ok:
+        coactions = {}
+        for (a, b), amb in phis.items():
+            outer = (Matrix.identity(f, h.n(a)).kron(calc.drop[b]) if left
+                     else calc.drop[a].kron(Matrix.identity(f, h.n(b))))
+            coactions[(a, b)] = outer @ amb @ calc.lift[g.mul(a, b)]
+    memo = calc._covariance[side] = (report, coactions)
+    return memo
+
+
+def check_left_covariant(calc: Fodc) -> VerificationReport:
+    """Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β; witnesses on failure."""
+    return VerificationReport(_covariance(calc, "left")[0].violations)
 
 
 def check_right_covariant(calc: Fodc) -> VerificationReport:
     """Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β for all α, β; witnesses on failure."""
-    h = calc.h
-    g = h.group
-    f = h.field
+    return VerificationReport(_covariance(calc, "right")[0].violations)
 
-    def one_pair(pair):
-        a, b = pair
-        ab = g.mul(a, b)
-        amb = phi_r(h, a, b)
-        target = calc.kernels[a].tensor(Subspace.full(f, h.n(b)))
-        out = []
-        for j, w in enumerate(calc.kernels[ab].basis):
-            if not target.contains(amb.apply(w)):
-                out.append(Violation("right-covariance", (a, b), j,
-                                     "Φ^r maps an N basis vector outside N⊗A"))
-        return out
 
-    pairs = [(a, b) for a in g.elements() for b in g.elements()]
-    report = VerificationReport()
-    for chunk in parallel_map(one_pair, pairs):
-        report.extend(chunk)
-    return report
+def _induced(calc: Fodc, side: str, alpha: int, beta: int) -> Matrix:
+    report, coactions = _covariance(calc, side)
+    if coactions is None:
+        raise NotCovariant(f"not {side} covariant: {report.violations[0].render()}")
+    return coactions[(alpha, beta)]
 
 
 def induced_delta_l(calc: Fodc, alpha: int, beta: int) -> Matrix:
@@ -513,46 +524,12 @@ def induced_delta_l(calc: Fodc, alpha: int, beta: int) -> Matrix:
     Requires left covariance (else the map is not well defined on the
     quotient); raises NotCovariant with the witness report.
     """
-    report = check_left_covariant(calc)
-    if not report.ok:
-        raise NotCovariant(f"not left covariant: {report.violations[0].render()}")
-    h = calc.h
-    ab = h.group.mul(alpha, beta)
-    return (Matrix.identity(h.field, h.n(alpha)).kron(calc.drop[beta])
-            @ phi_l(h, alpha, beta) @ calc.lift[ab])
+    return _induced(calc, "left", alpha, beta)
 
 
 def induced_delta_r(calc: Fodc, alpha: int, beta: int) -> Matrix:
     """Δ^r_{α,β} : Γ_{αβ} → Γ_α ⊗ A_β descended from Φ^r."""
-    report = check_right_covariant(calc)
-    if not report.ok:
-        raise NotCovariant(f"not right covariant: {report.violations[0].render()}")
-    h = calc.h
-    ab = h.group.mul(alpha, beta)
-    return (calc.drop[alpha].kron(Matrix.identity(h.field, h.n(beta)))
-            @ phi_r(h, alpha, beta) @ calc.lift[ab])
-
-
-def _all_delta_l(calc: Fodc) -> dict:
-    h = calc.h
-    out = {}
-    for a in h.group.elements():
-        for b in h.group.elements():
-            ab = h.group.mul(a, b)
-            out[(a, b)] = (Matrix.identity(h.field, h.n(a)).kron(calc.drop[b])
-                           @ phi_l(h, a, b) @ calc.lift[ab])
-    return out
-
-
-def _all_delta_r(calc: Fodc) -> dict:
-    h = calc.h
-    out = {}
-    for a in h.group.elements():
-        for b in h.group.elements():
-            ab = h.group.mul(a, b)
-            out[(a, b)] = (calc.drop[a].kron(Matrix.identity(h.field, h.n(b)))
-                           @ phi_r(h, a, b) @ calc.lift[ab])
-    return out
+    return _induced(calc, "right", alpha, beta)
 
 
 def check_bicovariant(calc: Fodc) -> VerificationReport:
@@ -561,14 +538,14 @@ def check_bicovariant(calc: Fodc) -> VerificationReport:
     The compatibility (Δ^l⊗id)Δ^r = (id⊗Δ^r)Δ^l is checked on the
     induced maps for every grading triple once both containments hold.
     """
-    report = check_left_covariant(calc).merge(check_right_covariant(calc))
+    left, dl = _covariance(calc, "left")
+    right, dr = _covariance(calc, "right")
+    report = left.merge(right)
     if not report.ok:
         return report
     h = calc.h
     f = h.field
     g = h.group
-    dl = _all_delta_l(calc)
-    dr = _all_delta_r(calc)
     for a in g.elements():
         for b in g.elements():
             for c in g.elements():

@@ -19,10 +19,12 @@ from .docio import Document, load_document
 from .errors import (
     DimensionMismatch,
     HopfPiError,
+    IncompatibleData,
     NotAGroup,
     NotARightIdeal,
     NotInKernelOfCounit,
     ParseError,
+    StructureInconsistent,
     TooLarge,
     UnknownIdeal,
     UnsupportedField,
@@ -138,7 +140,12 @@ def cmd_structure(doc: Document, args) -> Report:
         output.notes.append("calculus is not bicovariant; no structure data")
         return output
     bim = calc.to_bimodule()
-    data = struct_mod.extract_structure(bim)
+    try:
+        data = struct_mod.extract_structure(bim)
+    except StructureInconsistent as exc:
+        if exc.data is None:
+            raise
+        data = exc.data
     output.dims["frame size"] = data.size
     f = h.field
     fvals: dict = {}
@@ -151,21 +158,39 @@ def cmd_structure(doc: Document, args) -> Report:
                 }
     output.values["f"] = fvals
     rvals: dict = {}
-    for b in grp.elements():
-        rvals[f"R in A_{grp.name(b)}"] = [
-            [h.render_element(b, data.R[b][j][i]) for i in range(data.size)]
-            for j in range(data.size)
-        ]
+    if data.R is not None:
+        for b in grp.elements():
+            rvals[f"R in A_{grp.name(b)}"] = [
+                [h.render_element(b, data.R[b][j][i]) for i in range(data.size)]
+                for j in range(data.size)
+            ]
     output.values["R"] = rvals
-    # extraction raises on any failed identity, so reaching here means pass
-    output.add_check("frame-multiplicativity", True)
-    output.add_check("frame-normalisation", True)
-    output.add_check("coaction-matrix-comultiplication", True)
-    output.add_check("coaction-matrix-counit", True)
-    output.add_check("intertwiner-identity", True)
-    rebuilt = struct_mod.reconstruct(h, data.f, data.R, data.size)
-    output.add_check("reconstruction-roundtrip",
-                     struct_mod.reconstruction_matches(bim, rebuilt))
+
+    report = data.report
+    not_run = dict(data.not_run)
+    rebuilt = None
+    if data.f is None or data.R is None:
+        not_run["reconstruction-roundtrip"] = "f or R was not extracted"
+    elif any(v.check == struct_mod.INTERTWINER for v in report.violations):
+        not_run["reconstruction-roundtrip"] = "the intertwiner identity fails"
+    else:
+        try:
+            rebuilt = struct_mod.reconstruct(h, data.f, data.R, data.size)
+        except IncompatibleData as exc:
+            if exc.report is None:
+                raise
+            report = report.merge(exc.report)
+            not_run["reconstruction-roundtrip"] = "the reconstruction data was rejected"
+    for name in struct_mod.CHECKS:
+        witnesses = [v.render(grp) for v in report.violations if v.check == name]
+        if witnesses or name not in not_run:
+            output.add_check(name, not witnesses, witnesses)
+            not_run.pop(name, None)
+    if rebuilt is not None:
+        output.add_check("reconstruction-roundtrip",
+                         struct_mod.reconstruction_matches(bim, rebuilt))
+    for name, reason in not_run.items():
+        output.notes.append(f"{name} not run: {reason}")
     return output
 
 

@@ -67,15 +67,35 @@ class MissingPsi(HopfPiError):
     """f_ij extraction needs the grading-collapse maps, none present."""
 
 
-class StructureInconsistent(HopfPiError):
-    """Extracted structure data fails one of its defining identities."""
+class ReportedFailure(HopfPiError):
+    """A failure backed by a VerificationReport of named violations.
+
+    `report` carries that report (None when the failure is not an
+    identity, e.g. a malformed shape).
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class StructureInconsistent(ReportedFailure):
+    """Extracted structure data fails one of its defining identities.
+
+    When `extract_structure` raises it, `data` carries the partial
+    StructureData: what could be extracted, and which checks could not run.
+    """
+
+    def __init__(self, message: str, report=None, data=None):
+        super().__init__(message, report)
+        self.data = data
 
 
 class DimensionVariesAcrossGrading(HopfPiError):
     """Invariant subspaces have different dimensions at different gradings."""
 
 
-class IncompatibleData(HopfPiError):
+class IncompatibleData(ReportedFailure):
     """Reconstruction input violates one of its required relations."""
 
 
@@ -91,15 +111,8 @@ class UnsupportedField(HopfPiError):
     """The operation needs a small prime field."""
 
 
-class VerificationFailed(HopfPiError):
-    """A construction requires a verified structure and got violations.
-
-    `report` carries the failing VerificationReport.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+class VerificationFailed(ReportedFailure):
+    """A construction requires a verified structure and got violations."""
 
 
 class ParseError(HopfPiError):

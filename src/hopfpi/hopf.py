@@ -34,7 +34,6 @@ from .linalg import (
     vec_is_zero,
     vec_kron,
 )
-from .util import parallel_map
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +266,7 @@ def verify_pi_coalgebra(c: PiCoalgebra) -> VerificationReport:
     f = c.field
     e = g.identity
 
-    def coassoc(triple):
-        a, b, cc = triple
+    def coassoc(a, b, cc):
         ab = g.mul(a, b)
         bc = g.mul(b, cc)
         abc = g.mul(ab, cc)
@@ -277,10 +275,11 @@ def verify_pi_coalgebra(c: PiCoalgebra) -> VerificationReport:
         return _diff_columns("coassociativity", (a, b, cc), lhs, rhs,
                              namer=lambda j: c.basis_name(abc, j))
 
-    triples = [(a, b, cc) for a in g.elements() for b in g.elements() for cc in g.elements()]
     report = VerificationReport()
-    for chunk in parallel_map(coassoc, triples):
-        report.extend(chunk)
+    for a in g.elements():
+        for b in g.elements():
+            for cc in g.elements():
+                report.extend(coassoc(a, b, cc))
 
     for a in g.elements():
         eye = Matrix.identity(f, c.n(a))
@@ -324,8 +323,7 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
                                  m @ eye.kron(h.unit_col(a)), eye, namer=named(a)))
         return out
 
-    def comult_checks(pair):
-        a, b = pair
+    def comult_checks(a, b):
         ab = g.mul(a, b)
         out = []
         lhs = h.comult[(a, b)] @ h.mult[ab]
@@ -367,8 +365,7 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
                                  f"S(1) = {h.render_element(ai, su)}"))
         return out
 
-    def antipode_comult(pair):
-        a, b = pair
+    def antipode_comult(a, b):
         ab = g.mul(a, b)
         lhs = h.comult[(g.inv(b), g.inv(a))] @ h.antipode[ab]
         rhs = (flip(f, h.n(g.inv(a)), h.n(g.inv(b)))
@@ -377,19 +374,19 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
 
     elements = list(g.elements())
     pairs = [(a, b) for a in elements for b in elements]
-    for chunk in parallel_map(algebra_checks, elements):
-        report.extend(chunk)
-    for chunk in parallel_map(comult_checks, pairs):
-        report.extend(chunk)
+    for a in elements:
+        report.extend(algebra_checks(a))
+    for a, b in pairs:
+        report.extend(comult_checks(a, b))
     report.extend(_diff_columns("counit-multiplicative", (), h.counit @ h.mult[e],
                                 h.counit.kron(h.counit), namer=pair_named(e, e)))
     eps1 = h.counit.apply(h.unit[e])
     if eps1 != (f.one(),):
         report.extend([Violation("counit-unital", (), None, f"ε(1) = {f.render(eps1[0])}")])
-    for chunk in parallel_map(antipode_checks, elements):
-        report.extend(chunk)
-    for chunk in parallel_map(antipode_comult, pairs):
-        report.extend(chunk)
+    for a in elements:
+        report.extend(antipode_checks(a))
+    for a, b in pairs:
+        report.extend(antipode_comult(a, b))
     report.extend(_diff_columns("antipode-counit", (), h.counit @ h.antipode[e], h.counit,
                                 namer=named(e)))
 

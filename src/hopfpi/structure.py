@@ -14,14 +14,30 @@ satisfying those relations reconstructs the bimodule on free modules.
 
 The extraction of f goes through the coefficient maps F_ij (ω_i b =
 Σ F_ij(b) ω_j) and the grading collapse Ψ: f_ij^α = ε ∘ Ψ_α ∘ F_ij^α.
-Nothing guarantees a priori that this f reproduces F by convolution;
-that identity is re-verified per instance and StructureInconsistent is
-raised when it fails.
+
+Each identity is stated once, as a matrix identity, by a check that
+returns a VerificationReport; extraction and reconstruction call the
+same checks.  Every violation carries one of five check names, and its
+witness names the exact identity:
+
+    frame-multiplicativity             f and g are characters, the
+                                       commutation rules F = f*· and
+                                       G = ·*g, the left-multiplication
+                                       rules of ω and η, the convolution
+                                       inverses of f
+    frame-normalisation                f(1) = δ and g(1) = δ
+    coaction-matrix-comultiplication   R independent of the complementary
+                                       grading, Δ(R) = Σ R⊗R,
+                                       Σ S(R)R = δ = Σ R S(R), and the
+                                       identities of the η frame
+    coaction-matrix-counit             ε(R) = δ
+    intertwiner-identity               f = g on A_1 and
+                                       Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DimensionMismatch,
@@ -30,6 +46,7 @@ from .errors import (
     MissingCoaction,
     MissingPsi,
     NotBicovariant,
+    SingularMatrix,
     StructureInconsistent,
     VerificationFailed,
 )
@@ -62,7 +79,7 @@ class CovariantBimodule:
     """
 
     def __init__(self, h: HopfPiCoalgebra, dims, left, right,
-                 delta_l=None, delta_r=None, verify: bool = True):
+                 delta_l=None, delta_r=None):
         self.h = h
         self.dims = [int(d) for d in dims]
         self.left = list(left)
@@ -71,12 +88,11 @@ class CovariantBimodule:
         self.delta_r = dict(delta_r) if delta_r is not None else None
         self._omega: dict[int, tuple] = {}
         self._decompose: dict[int, Matrix] = {}
-        if verify:
-            report = self.verify()
-            if not report.ok:
-                raise VerificationFailed(
-                    f"bimodule laws fail ({len(report)} violations): "
-                    f"{report.violations[0].render()}", report)
+        report = self.verify()
+        if not report.ok:
+            raise VerificationFailed(
+                f"bimodule laws fail ({len(report)} violations): "
+                f"{report.violations[0].render()}", report)
 
     def g(self, alpha: int) -> int:
         return self.dims[alpha]
@@ -171,18 +187,27 @@ class CovariantBimodule:
         return self._omega[alpha]
 
     def decompose_matrix(self, alpha: int) -> Matrix:
-        """Columns (i, m) ↦ e_m · ω_i; square and invertible iff Γ_α is
-        free on the frame."""
+        """The frame matrix of ω (columns (i, m) ↦ e_m · ω_i)."""
         if alpha not in self._decompose:
-            h = self.h
-            f = h.field
-            n = h.n(alpha)
-            cols = []
-            for w in self.omega(alpha):
-                for m in range(n):
-                    cols.append(self.left[alpha].apply(vec_kron(f, unit_vec(f, n, m), w)))
-            self._decompose[alpha] = Matrix.from_cols(f, cols)
+            self._decompose[alpha] = frame_matrix(self, alpha, self.omega(alpha))
         return self._decompose[alpha]
+
+
+def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -> Matrix:
+    """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
+    "right") for a frame w of Γ_α; square and invertible iff Γ_α is free
+    on the frame from that side."""
+    f = cb.h.field
+    n = cb.h.n(alpha)
+    cols = []
+    for w in frame:
+        for m in range(n):
+            e_m = unit_vec(f, n, m)
+            if side == "left":
+                cols.append(cb.left[alpha].apply(vec_kron(f, e_m, w)))
+            else:
+                cols.append(cb.right[alpha].apply(vec_kron(f, w, e_m)))
+    return Matrix.from_cols(f, cols)
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
@@ -221,11 +246,18 @@ def projection_P(cb: CovariantBimodule, alpha: int, rho) -> tuple:
 
 def decompose_left(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
     """Unique coefficients a_i ∈ A_α with ρ = Σ a_i ω_i."""
+    return _decompose(cb, alpha, cb.decompose_matrix(alpha), rho)
+
+
+def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
+    """Unique coefficients b_i ∈ A_α with ρ = Σ ω_i b_i."""
+    return _decompose(cb, alpha, frame_matrix(cb, alpha, cb.omega(alpha), "right"), rho)
+
+
+def _decompose(cb: CovariantBimodule, alpha: int, w: Matrix, rho) -> list[tuple]:
     n = cb.h.n(alpha)
-    w = cb.decompose_matrix(alpha)
     if w.rows != w.cols:
-        raise DimensionMismatch(
-            f"Γ_{alpha} (dim {cb.g(alpha)}) is not free of rank {w.cols // max(n,1) if n else 0}")
+        raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
     x = solve(w, tuple(rho))
     if x is None:
         raise StructureInconsistent("element does not decompose over the frame")
@@ -239,24 +271,6 @@ def recombine_left(cb: CovariantBimodule, alpha: int, coeffs) -> tuple:
     for a_i, w in zip(coeffs, cb.omega(alpha)):
         out = vec_add(f, out, cb.left[alpha].apply(vec_kron(f, a_i, w)))
     return out
-
-
-def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
-    """Unique coefficients b_i ∈ A_α with ρ = Σ ω_i b_i."""
-    h = cb.h
-    f = h.field
-    n = h.n(alpha)
-    cols = []
-    for w in cb.omega(alpha):
-        for m in range(n):
-            cols.append(cb.right[alpha].apply(vec_kron(f, w, unit_vec(f, n, m))))
-    wmat = Matrix.from_cols(f, cols)
-    if wmat.rows != wmat.cols:
-        raise DimensionMismatch("Γ is not free on the frame")
-    x = solve(wmat, tuple(rho))
-    if x is None:
-        raise StructureInconsistent("element does not decompose over the frame")
-    return [x[i * n:(i + 1) * n] for i in range(len(cb.omega(alpha)))]
 
 
 def _frame_size(cb: CovariantBimodule) -> int:
@@ -276,139 +290,293 @@ def _frame_size(cb: CovariantBimodule) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the coefficient maps F and the functionals f, g
+# named checks: each identity once, as a matrix identity with a report
+
+FRAME_MULT = "frame-multiplicativity"
+FRAME_NORM = "frame-normalisation"
+R_COMULT = "coaction-matrix-comultiplication"
+R_COUNIT = "coaction-matrix-counit"
+INTERTWINER = "intertwiner-identity"
+CHECKS = (FRAME_MULT, FRAME_NORM, R_COMULT, R_COUNIT, INTERTWINER)
+
+# convolution side -> (frame, functional): ω with f*·, η with ·*g
+_SIDES = {"left": ("ω", "f"), "right": ("η", "g")}
 
 
-def coefficient_maps(cb: CovariantBimodule) -> list[list[list[Matrix]]]:
-    """F[α][i][j] : A_α → A_α with ω_i b = Σ_j F[α][i][j](b) ω_j.
+def _compare(report: VerificationReport, check: str, grading, lhs, rhs, identity: str) -> None:
+    """Record `identity` as violated when two matrices (or two vectors)
+    differ, witnessed by the first column (or entry) on which they do."""
+    if lhs == rhs:
+        return
+    if isinstance(lhs, Matrix):
+        first = min(c for _, c in (lhs - rhs).entries)
+    else:
+        first = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    report.extend([Violation(check, tuple(grading), first, identity)])
 
-    Available without Ψ; the functionals f are E_α ∘ F when Ψ exists.
-    """
-    h = cb.h
+
+def _delta_violation(report, check, grading, what, val, want, f) -> None:
+    """Record `what` = δ as violated when its value `val` is not `want`."""
+    if val != want:
+        report.extend([Violation(check, tuple(grading), None,
+                                 f"{what} = {f.render(val)}, expected {f.render(want)}")])
+
+
+def _require(report: VerificationReport, what: str) -> None:
+    if not report.ok:
+        raise StructureInconsistent(
+            f"{what} fails {len(report)} identities; first: {report.violations[0].render()}",
+            report)
+
+
+def convolution_map(h: HopfPiCoalgebra, alpha: int, row, side: str) -> Matrix:
+    """φ*· = (id⊗φ)Δ_{α,1} (side "left") or ·*φ = (φ⊗id)Δ_{1,α} (side
+    "right") as a map A_α → A_α, for φ on A_1 given by its row."""
     f = h.field
-    size = _frame_size(cb)
-    out = []
+    e = h.group.identity
+    phi = Matrix.row_vector(f, row)
+    eye = Matrix.identity(f, h.n(alpha))
+    if side == "left":
+        return eye.kron(phi) @ h.comult[(alpha, e)]
+    return phi.kron(eye) @ h.comult[(e, alpha)]
+
+
+def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
+    """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α."""
+    f = h.field
+    report = VerificationReport()
     for a in h.group.elements():
-        n = h.n(a)
-        per_alpha = [[{} for _ in range(size)] for _ in range(size)]
-        for i, w in enumerate(cb.omega(a)):
-            for m in range(n):
-                prod = cb.right[a].apply(vec_kron(f, w, unit_vec(f, n, m)))
-                coeffs = decompose_left(cb, a, prod)
-                for j in range(size):
-                    for r, v in enumerate(coeffs[j]):
-                        per_alpha[i][j][(r, m)] = v
-        out.append([[Matrix(f, n, n, per_alpha[i][j]) for j in range(size)]
-                    for i in range(size)])
-    return out
+        rows = [[Matrix.row_vector(f, phi.component(a)) for phi in row] for row in funcs]
+        for i, row in enumerate(funcs):
+            for j, phi in enumerate(row):
+                rhs = Matrix.zero(f, 1, h.n(a) ** 2)
+                for k in range(len(funcs)):
+                    rhs = rhs + rows[i][k].kron(rows[k][j])
+                _compare(report, FRAME_MULT, (a,), rows[i][j] @ h.mult[a], rhs,
+                         f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")
+                _delta_violation(report, FRAME_NORM, (a,), f"{name}_{i}{j}(1)",
+                                 phi(a, h.unit[a]), f.one() if i == j else f.zero(), f)
+    return report
 
 
-def functionals_f(cb: CovariantBimodule, coeffs=None):
-    """The f_ij = Σ_α ε∘Ψ_α∘F_ij^α, verified against their identities.
+def check_commutation_rule(h: HopfPiCoalgebra, maps, funcs, side: str) -> VerificationReport:
+    """The coefficient maps are convolutions: M_ij = f_ij * · for ω
+    (side "left") and M_ij = · * g_ij for η (side "right"), on every A_α."""
+    e = h.group.identity
+    w, name = _SIDES[side]
+    conv = "{0}_{1}{2} * b" if side == "left" else "b * {0}_{1}{2}"
+    report = VerificationReport()
+    for a in h.group.elements():
+        for i, row in enumerate(funcs):
+            for j, phi in enumerate(row):
+                _compare(report, FRAME_MULT, (a,), maps[a][i][j],
+                         convolution_map(h, a, phi.component(e), side),
+                         f"commutation rule: the {w}_{j}-coefficient of {w}_{i} b "
+                         f"≠ {conv.format(name, i, j)}")
+    return report
 
-    Checks, and raises StructureInconsistent on failure: the convolution
-    form of the commutation rule (F_ij = f_ij * ·), multiplicativity
-    f_ij(ab) = Σ f_ik(a)f_kj(b), normalisation f_ij(1) = δ_ij, the
-    left-multiplication rule through f∘S_1^{-1}, and the convolution
-    inverse identities on A_1.
+
+def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
+                                   side: str) -> VerificationReport:
+    """a ω_i = Σ_j ω_j ((f_ij∘S_1^{-1}) * a) (side "left") or
+    a η_i = Σ_j η_j (a * (g_ij∘S_1^{-1})) (side "right"), as a matrix
+    identity A_α → Γ_α per α and i.
+
+    The η form presumes an involutive antipode family (it holds on every
+    group algebra); a failure is reported, not repaired.
     """
-    h = cb.h
-    if h.psi is None:
-        raise MissingPsi("f extraction needs the grading collapse maps Ψ_α")
-    f = h.field
-    grp = h.group
-    e = grp.identity
-    size = _frame_size(cb)
-    F = coeffs if coeffs is not None else coefficient_maps(cb)
-
-    funcs = [[GradedFunctional(h, {
-        a: (h.counit @ h.psi[a] @ F[a][i][j]).row(0) for a in grp.elements()})
-        for j in range(size)] for i in range(size)]
-
-    # commutation rule by substitution: F_ij^α = (id ⊗ f_ij)Δ_{α,1}
-    for a in grp.elements():
-        n = h.n(a)
-        for i in range(size):
-            for j in range(size):
-                row = Matrix.row_vector(f, funcs[i][j].component(e))
-                conv = Matrix.identity(f, n).kron(row) @ h.comult[(a, e)]
-                if conv != F[a][i][j]:
-                    raise StructureInconsistent(
-                        f"f_{i}{j} fails the commutation rule at grading {a} "
-                        f"(Ψ incompatible with the bimodule)")
-
-    for a in grp.elements():
-        n = h.n(a)
-        for i in range(size):
-            for j in range(size):
-                row = Matrix.row_vector(f, funcs[i][j].component(a))
-                lhs = row @ h.mult[a]
-                rhs = Matrix.zero(f, 1, n * n)
-                for k in range(size):
-                    rhs = rhs + Matrix.row_vector(f, vec_kron(
-                        f, funcs[i][k].component(a), funcs[k][j].component(a)))
-                if lhs != rhs:
-                    raise StructureInconsistent(
-                        f"f_{i}{j} not multiplicative at grading {a}")
-                val = funcs[i][j](a, h.unit[a])
-                want = f.one() if i == j else f.zero()
-                if val != want:
-                    raise StructureInconsistent(f"f_{i}{j}(1_{a}) = {f.render(val)}")
-
-    _check_left_multiplication_rule(cb, funcs)
-    _check_convolution_inverses(h, funcs)
-    return funcs
-
-
-def _check_left_multiplication_rule(cb: CovariantBimodule, funcs) -> None:
-    """a ω_i = Σ_j ω_j ((f_ij∘S_1^{-1}) * a) as a matrix identity per α, i."""
     h = cb.h
     f = h.field
     e = h.group.identity
     s1_inv = h.antipode_inv(e)
-    size = len(funcs)
+    w, name = _SIDES[side]
+    hint = ""
+    if side == "right" and h.antipode[e] @ h.antipode[e] != Matrix.identity(f, h.n(e)):
+        hint = "; this form needs an involutive antipode, and S_1² ≠ id"
+    report = VerificationReport()
     for a in h.group.elements():
-        n = h.n(a)
-        eye = Matrix.identity(f, n)
-        for i in range(size):
-            wcol = Matrix.column(f, cb.omega(a)[i])
-            lhs = cb.left[a] @ eye.kron(wcol)
-            rhs = Matrix.zero(f, cb.g(a), n)
-            for j in range(size):
-                row = Matrix.row_vector(f, funcs[i][j].component(e)) @ s1_inv
-                conv = eye.kron(row) @ h.comult[(a, e)]  # a ↦ (f∘S⁻¹)*a
-                wj = Matrix.column(f, cb.omega(a)[j])
-                rhs = rhs + cb.right[a] @ wj.kron(eye) @ conv
-            if lhs != rhs:
-                raise StructureInconsistent(
-                    f"left multiplication rule fails for ω_{i} at grading {a}")
+        eye = Matrix.identity(f, h.n(a))
+        cols = [Matrix.column(f, v) for v in frames[a]]
+        times = [cb.right[a] @ c.kron(eye) for c in cols]   # b ↦ w_j b
+        for i, row in enumerate(funcs):
+            rhs = Matrix.zero(f, cb.g(a), h.n(a))
+            for j, phi in enumerate(row):
+                twisted = (Matrix.row_vector(f, phi.component(e)) @ s1_inv).row(0)
+                rhs = rhs + times[j] @ convolution_map(h, a, twisted, side)
+            twist = f"{name}_{i}j∘S_1^{{-1}}"
+            conv = f"({twist}) * a" if side == "left" else f"a * ({twist})"
+            _compare(report, FRAME_MULT, (a,), cb.left[a] @ eye.kron(cols[i]), rhs,
+                     f"left multiplication rule a {w}_{i} = Σ_j {w}_j ({conv}) fails{hint}")
+    return report
 
 
-def _check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> None:
-    """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε and Σ_j (f_jh∘S_1^{-1})*f_ij = δ_hi ε on A_1."""
+def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
+    """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε = Σ_j (f_jh∘S_1^{-1})*f_ij on A_1."""
     f = h.field
     e = h.group.identity
     n1 = h.n(e)
     s1_inv = h.antipode_inv(e)
-    size = len(funcs)
     d11 = h.comult[(e, e)]
-    for i in range(size):
-        for hh in range(size):
+    rows = [[Matrix.row_vector(f, phi.component(e)) for phi in row] for row in funcs]
+    twisted = [[r @ s1_inv for r in row] for row in rows]
+    report = VerificationReport()
+    for i in range(len(funcs)):
+        for hh in range(len(funcs)):
             acc1 = Matrix.zero(f, 1, n1)
             acc2 = Matrix.zero(f, 1, n1)
-            for j in range(size):
-                fji = Matrix.row_vector(f, funcs[j][i].component(e))
-                fhj = Matrix.row_vector(f, funcs[hh][j].component(e)) @ s1_inv
-                acc1 = acc1 + fji.kron(fhj) @ d11
-                fjh = Matrix.row_vector(f, funcs[j][hh].component(e)) @ s1_inv
-                fij = Matrix.row_vector(f, funcs[i][j].component(e))
-                acc2 = acc2 + fjh.kron(fij) @ d11
+            for j in range(len(funcs)):
+                acc1 = acc1 + rows[j][i].kron(twisted[hh][j]) @ d11
+                acc2 = acc2 + twisted[j][hh].kron(rows[i][j]) @ d11
             target = h.counit if i == hh else Matrix.zero(f, 1, n1)
-            if acc1 != target:
-                raise StructureInconsistent(f"convolution inverse identity fails at ({i},{hh})")
-            if acc2 != target:
-                raise StructureInconsistent(
-                    f"reversed convolution inverse identity fails at ({hh},{i})")
+            _compare(report, FRAME_MULT, (e,), acc1, target,
+                     f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")
+            _compare(report, FRAME_MULT, (e,), acc2, target,
+                     f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε")
+    return report
+
+
+def check_corepresentation(h: HopfPiCoalgebra, R) -> VerificationReport:
+    """R is an invertible corepresentation: Δ_{β,γ}(R^{βγ}_ji) =
+    Σ_h R^β_jh ⊗ R^γ_hi, ε(R^1_ji) = δ_ji, and Σ_h S(R_ih)R_hj = δ_ij 1 =
+    Σ_h R_ih S(R_hj) with S = S_{α^{-1}} applied to R ∈ A_{α^{-1}}."""
+    f = h.field
+    grp = h.group
+    e = grp.identity
+    size = len(R[e])
+    report = VerificationReport()
+    for b in grp.elements():
+        for c in grp.elements():
+            bc = grp.mul(b, c)
+            for j in range(size):
+                for i in range(size):
+                    rhs = zero_vec(f, h.n(b) * h.n(c))
+                    for k in range(size):
+                        rhs = vec_add(f, rhs, vec_kron(f, R[b][j][k], R[c][k][i]))
+                    _compare(report, R_COMULT, (b, c), h.comult[(b, c)].apply(R[bc][j][i]), rhs,
+                             f"Δ(R_{j}{i}) ≠ Σ_h R_{j}h ⊗ R_h{i}")
+    for j in range(size):
+        for i in range(size):
+            _delta_violation(report, R_COUNIT, (e,), f"ε(R_{j}{i})",
+                             h.counit.apply(R[e][j][i])[0], f.one() if i == j else f.zero(), f)
+    for a in grp.elements():
+        ai = grp.inv(a)
+        s = h.antipode[ai]
+        for i in range(size):
+            for j in range(size):
+                acc1 = zero_vec(f, h.n(a))
+                acc2 = zero_vec(f, h.n(a))
+                for k in range(size):
+                    acc1 = vec_add(f, acc1, h.mult[a].apply(
+                        vec_kron(f, s.apply(R[ai][i][k]), R[a][k][j])))
+                    acc2 = vec_add(f, acc2, h.mult[a].apply(
+                        vec_kron(f, R[a][i][k], s.apply(R[ai][k][j]))))
+                want = tuple(h.unit[a]) if i == j else zero_vec(f, h.n(a))
+                _compare(report, R_COMULT, (a,), acc1, want, f"Σ_h S(R_{i}h) R_h{j} ≠ δ_{i}{j} 1")
+                _compare(report, R_COMULT, (a,), acc2, want, f"Σ_h R_{i}h S(R_h{j}) ≠ δ_{i}{j} 1")
+    return report
+
+
+def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
+                       names=("f", "g")) -> VerificationReport:
+    """Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi on A_α for α in `gradings`.
+
+    Stated as an n×n matrix identity per (α, j, h):
+    Σ_i L(R_ij)∘(·*f_ih) = Σ_i R(R_hi)∘(g_ji*·), with L(x), R(x) left
+    and right multiplication by x.
+    """
+    f = h.field
+    e = h.group.identity
+    size = len(funcs_f)
+    fn, gn = names
+    report = VerificationReport()
+    for a in gradings:
+        mult = h.mult[a]
+        eye = Matrix.identity(f, h.n(a))
+        col = [[Matrix.column(f, R[a][i][j]) for j in range(size)] for i in range(size)]
+        times_left = [[mult @ col[i][j].kron(eye) for j in range(size)]
+                      for i in range(size)]                        # x ↦ R_ij x
+        times_right = [[mult @ eye.kron(col[hh][i]) for i in range(size)]
+                       for hh in range(size)]                      # x ↦ x R_hi
+        star_f = [[convolution_map(h, a, funcs_f[i][hh].component(e), "right")
+                   for hh in range(size)] for i in range(size)]    # a ↦ a * f_ih
+        g_star = [[convolution_map(h, a, funcs_g[j][i].component(e), "left")
+                   for i in range(size)] for j in range(size)]     # a ↦ g_ji * a
+        for j in range(size):
+            for hh in range(size):
+                lhs = Matrix.zero(f, h.n(a), h.n(a))
+                rhs = Matrix.zero(f, h.n(a), h.n(a))
+                for i in range(size):
+                    lhs = lhs + times_left[i][j] @ star_f[i][hh]
+                    rhs = rhs + times_right[hh][i] @ g_star[j][i]
+                _compare(report, INTERTWINER, (a,), lhs, rhs,
+                         f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")
+    return report
+
+
+# ---------------------------------------------------------------------------
+# the coefficient maps F and the functionals f, g
+
+
+def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matrix]]]:
+    """M[α][i][j] : A_α → A_α with w_i b = Σ_j M[α][i][j](b) w_j.
+
+    The frame w defaults to ω (the maps F, available without Ψ; the
+    functionals f are E_α ∘ F when Ψ exists); functionals_g passes η.
+    """
+    h = cb.h
+    f = h.field
+    if frames is None:
+        _frame_size(cb)
+        frames = [cb.omega(a) for a in h.group.elements()]
+    out = []
+    for a in h.group.elements():
+        n = h.n(a)
+        w = frame_matrix(cb, a, frames[a])
+        if w.rows != w.cols:
+            raise DimensionMismatch(f"Γ_{a} is not free on the frame")
+        try:
+            winv = w.inverse()
+        except SingularMatrix:
+            raise StructureInconsistent(f"the frame does not span Γ_{a}") from None
+        eye = Matrix.identity(f, n)
+        per_alpha = []
+        for v in frames[a]:
+            # entry ((j, r), m) of x: coefficient r of the w_j term of v·e_m
+            x = winv @ cb.right[a] @ Matrix.column(f, v).kron(eye)
+            blocks = [{} for _ in frames[a]]
+            for (row, m), val in x.entries.items():
+                blocks[row // n][(row % n, m)] = val
+            per_alpha.append([Matrix(f, n, n, blk) for blk in blocks])
+        out.append(per_alpha)
+    return out
+
+
+def _collapse(h: HopfPiCoalgebra, maps) -> list:
+    """φ_ij with φ_ij^α = ε∘Ψ_α∘M_ij^α (the grading collapse)."""
+    size = len(maps[h.group.identity])
+    return [[GradedFunctional(h, {
+        a: (h.counit @ h.psi[a] @ maps[a][i][j]).row(0) for a in h.group.elements()})
+        for j in range(size)] for i in range(size)]
+
+
+def functionals_f(cb: CovariantBimodule, coeffs=None):
+    """The f_ij = Σ_α ε∘Ψ_α∘F_ij^α, checked against their identities.
+
+    Checks the commutation rule F_ij = f_ij * ·, the character identities,
+    the left-multiplication rule through f∘S_1^{-1} and the convolution
+    inverse identities on A_1; StructureInconsistent carries the report.
+    """
+    h = cb.h
+    if h.psi is None:
+        raise MissingPsi("f extraction needs the grading collapse maps Ψ_α")
+    F = coeffs if coeffs is not None else coefficient_maps(cb)
+    funcs = _collapse(h, F)
+    omega = [cb.omega(a) for a in h.group.elements()]
+    _require(check_commutation_rule(h, F, funcs, "left")
+             .merge(check_characters(h, funcs, "f"))
+             .merge(check_left_multiplication_rule(cb, omega, funcs, "left"))
+             .merge(check_convolution_inverses(h, funcs)), "f")
+    return funcs
 
 
 def functionals_g(cb: CovariantBimodule, eta=None):
@@ -423,94 +591,13 @@ def functionals_g(cb: CovariantBimodule, eta=None):
     h = cb.h
     if h.psi is None:
         raise MissingPsi("g extraction needs the grading collapse maps Ψ_α")
-    f = h.field
-    grp = h.group
-    e = grp.identity
     if eta is None:
-        eta = [invariant_subspace_right(cb, a).basis for a in grp.elements()]
-    size = len(eta[grp.identity]) if eta else 0
-
-    # left-coefficient decomposition over the η frame
-    def eta_solver(a):
-        n = h.n(a)
-        cols = []
-        for w in eta[a]:
-            for m in range(n):
-                cols.append(cb.left[a].apply(vec_kron(f, unit_vec(f, n, m), w)))
-        m = Matrix.from_cols(f, cols)
-        if m.rows != m.cols:
-            raise DimensionMismatch("Γ is not free on the right-invariant frame")
-        return m
-
-    G = []
-    for a in grp.elements():
-        n = h.n(a)
-        wmat = eta_solver(a)
-        per_alpha = [[{} for _ in range(size)] for _ in range(size)]
-        for i, w in enumerate(eta[a]):
-            for m in range(n):
-                prod = cb.right[a].apply(vec_kron(f, w, unit_vec(f, n, m)))
-                x = solve(wmat, prod)
-                if x is None:
-                    raise StructureInconsistent("η frame does not span Γ")
-                for j in range(size):
-                    for r in range(n):
-                        v = x[j * n + r]
-                        if v != f.zero():
-                            per_alpha[i][j][(r, m)] = v
-        G.append([[Matrix(f, n, n, per_alpha[i][j]) for j in range(size)]
-                  for i in range(size)])
-
-    funcs = [[GradedFunctional(h, {
-        a: (h.counit @ h.psi[a] @ G[a][i][j]).row(0) for a in grp.elements()})
-        for j in range(size)] for i in range(size)]
-
-    # commutation rule by substitution: G_ij^α = (g_ij ⊗ id)Δ_{1,α}
-    for a in grp.elements():
-        n = h.n(a)
-        for i in range(size):
-            for j in range(size):
-                row = Matrix.row_vector(f, funcs[i][j].component(e))
-                conv = row.kron(Matrix.identity(f, n)) @ h.comult[(e, a)]
-                if conv != G[a][i][j]:
-                    raise StructureInconsistent(
-                        f"g_{i}{j} fails the commutation rule at grading {a}")
-
-    for a in grp.elements():
-        n = h.n(a)
-        for i in range(size):
-            for j in range(size):
-                row = Matrix.row_vector(f, funcs[i][j].component(a))
-                lhs = row @ h.mult[a]
-                rhs = Matrix.zero(f, 1, n * n)
-                for k in range(size):
-                    rhs = rhs + Matrix.row_vector(f, vec_kron(
-                        f, funcs[i][k].component(a), funcs[k][j].component(a)))
-                if lhs != rhs:
-                    raise StructureInconsistent(f"g_{i}{j} not multiplicative at grading {a}")
-                val = funcs[i][j](a, h.unit[a])
-                want = f.one() if i == j else f.zero()
-                if val != want:
-                    raise StructureInconsistent(f"g_{i}{j}(1_{a}) = {f.render(val)}")
-
-    # left multiplication rule: a η_i = Σ_j η_j (a * (g_ij∘S_1^{-1})).
-    # This form presumes the antipode family is involutive (it is on every
-    # shipped group-algebra fixture); a failure is reported, not repaired.
-    s1_inv = h.antipode_inv(e)
-    for a in grp.elements():
-        n = h.n(a)
-        for m in range(n):
-            avec = unit_vec(f, n, m)
-            for i in range(size):
-                lhs = cb.left[a].apply(vec_kron(f, avec, eta[a][i]))
-                rhs = zero_vec(f, cb.g(a))
-                for j in range(size):
-                    coeff = funcs[i][j].precompose(s1_inv, e, e).element_star(a, avec)
-                    rhs = vec_add(f, rhs, cb.right[a].apply(vec_kron(f, eta[a][j], coeff)))
-                if lhs != rhs:
-                    raise StructureInconsistent(
-                        f"left multiplication rule fails for η_{i} at grading {a} "
-                        f"(non-involutive antipode)")
+        eta = [invariant_subspace_right(cb, a).basis for a in h.group.elements()]
+    G = coefficient_maps(cb, eta)
+    funcs = _collapse(h, G)
+    _require(check_commutation_rule(h, G, funcs, "right")
+             .merge(check_characters(h, funcs, "g"))
+             .merge(check_left_multiplication_rule(cb, eta, funcs, "right")), "g")
     return funcs
 
 
@@ -522,15 +609,13 @@ def matrix_R(cb: CovariantBimodule):
     """R[β][j][i] ∈ A_β with Δ^r_{α,β}(ω_i^{αβ}) = Σ_j ω_j^α ⊗ R_ji.
 
     Computed per grading pair and required to be independent of α;
-    verifies Δ(R_ji) = Σ R_jh⊗R_hi, ε(R_ji) = δ_ji and the antipode
-    inverse identities Σ S(R_ih)R_hj = δ_ij 1 = Σ R_ih S(R_hj).
+    check_corepresentation then verifies its identities.
     """
     if not cb.bicovariant:
         raise NotBicovariant("R extraction needs both coactions")
     h = cb.h
     f = h.field
     grp = h.group
-    e = grp.identity
     size = _frame_size(cb)
 
     per_pair: dict = {}
@@ -538,12 +623,7 @@ def matrix_R(cb: CovariantBimodule):
         for b in grp.elements():
             ab = grp.mul(a, b)
             nb = h.n(b)
-            cols = []
-            for j in range(size):
-                wj = cb.omega(a)[j]
-                for m in range(nb):
-                    cols.append(vec_kron(f, wj, unit_vec(f, nb, m)))
-            wmat = Matrix.from_cols(f, cols)
+            wmat = Matrix.from_cols(f, cb.omega(a)).kron(Matrix.identity(f, nb))  # ω_j ⊗ e_m
             rmat = [[None] * size for _ in range(size)]
             for i in range(size):
                 img = cb.delta_r[(a, b)].apply(cb.omega(ab)[i])
@@ -555,51 +635,16 @@ def matrix_R(cb: CovariantBimodule):
                     rmat[j][i] = x[j * nb:(j + 1) * nb]
             per_pair[(a, b)] = rmat
 
+    report = VerificationReport()
     R = []
     for b in grp.elements():
         ref = per_pair[(grp.identity, b)]
         for a in grp.elements():
             if per_pair[(a, b)] != ref:
-                raise StructureInconsistent(
-                    f"R matrix at grading {b} depends on the complementary grading")
+                report.extend([Violation(R_COMULT, (a, b), None,
+                                         "R depends on the complementary grading")])
         R.append(ref)
-
-    # Δ_{β,γ}(R^{βγ}_ji) = Σ_h R^β_jh ⊗ R^γ_hi
-    for b in grp.elements():
-        for c in grp.elements():
-            bc = grp.mul(b, c)
-            for j in range(size):
-                for i in range(size):
-                    lhs = h.comult[(b, c)].apply(R[bc][j][i])
-                    rhs = zero_vec(f, h.n(b) * h.n(c))
-                    for k in range(size):
-                        rhs = vec_add(f, rhs, vec_kron(f, R[b][j][k], R[c][k][i]))
-                    if lhs != rhs:
-                        raise StructureInconsistent(
-                            f"comultiplication of R fails at ({b},{c},{j},{i})")
-    for j in range(size):
-        for i in range(size):
-            val = h.counit.apply(R[e][j][i])[0]
-            want = f.one() if i == j else f.zero()
-            if val != want:
-                raise StructureInconsistent(f"ε(R_{j}{i}) = {f.render(val)}")
-    for a in grp.elements():
-        ai = grp.inv(a)
-        s = h.antipode[ai]
-        for i in range(size):
-            for j in range(size):
-                acc1 = zero_vec(f, h.n(a))
-                acc2 = zero_vec(f, h.n(a))
-                for k in range(size):
-                    acc1 = vec_add(f, acc1, h.mult[a].apply(
-                        vec_kron(f, s.apply(R[ai][i][k]), R[a][k][j])))
-                    acc2 = vec_add(f, acc2, h.mult[a].apply(
-                        vec_kron(f, R[a][i][k], s.apply(R[ai][k][j]))))
-                want = tuple(h.unit[a]) if i == j else zero_vec(f, h.n(a))
-                if acc1 != want:
-                    raise StructureInconsistent(f"Σ S(R_ih)R_hj ≠ δ at ({a},{i},{j})")
-                if acc2 != want:
-                    raise StructureInconsistent(f"Σ R_ih S(R_hj) ≠ δ at ({a},{i},{j})")
+    _require(report.merge(check_corepresentation(h, R)), "R")
     return R
 
 
@@ -614,6 +659,7 @@ def eta_basis(cb: CovariantBimodule, R=None):
     h = cb.h
     f = h.field
     grp = h.group
+    e = grp.identity
     size = _frame_size(cb)
     if R is None:
         R = matrix_R(cb)
@@ -630,22 +676,21 @@ def eta_basis(cb: CovariantBimodule, R=None):
             frame.append(acc)
         eta.append(frame)
 
+    report = VerificationReport()
     for a in grp.elements():
-        inv_right = invariant_subspace_right(cb, a)
         span = Subspace.from_spanning(f, cb.g(a), eta[a])
-        if span.dim != size or span != inv_right:
-            raise StructureInconsistent(
-                f"η frame at grading {a} does not span the right invariants")
+        if span.dim != size or span != invariant_subspace_right(cb, a):
+            report.extend([Violation(R_COMULT, (a,), None,
+                                     "the η frame does not span the right invariants")])
         for j in range(size):
-            img = cb.delta_r[(a, grp.identity)].apply(eta[a][j])
-            if img != vec_kron(f, eta[a][j], h.unit[grp.identity]):
-                raise StructureInconsistent(f"η_{j} at grading {a} is not right invariant")
+            _compare(report, R_COMULT, (a,), cb.delta_r[(a, e)].apply(eta[a][j]),
+                     vec_kron(f, eta[a][j], h.unit[e]), f"η_{j} is not right invariant")
         for i in range(size):
             acc = zero_vec(f, cb.g(a))
             for j in range(size):
                 acc = vec_add(f, acc, cb.right[a].apply(vec_kron(f, eta[a][j], R[a][j][i])))
-            if acc != cb.omega(a)[i]:
-                raise StructureInconsistent(f"ω_{i} ≠ Σ η_j R_ji at grading {a}")
+            _compare(report, R_COMULT, (a,), acc, cb.omega(a)[i], f"ω_{i} ≠ Σ_j η_j R_j{i}")
+    _require(report, "η")
     return eta
 
 
@@ -655,66 +700,32 @@ def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> None:
     f = h.field
     grp = h.group
     size = len(eta[grp.identity])
+    report = VerificationReport()
     for a in grp.elements():
         ai = grp.inv(a)
         s = h.antipode[ai]
         for b in grp.elements():
-            ab = grp.mul(a, b)
             for j in range(size):
-                lhs = cb.delta_l[(a, b)].apply(eta[ab][j])
                 rhs = zero_vec(f, h.n(a) * cb.g(b))
                 for i in range(size):
                     rhs = vec_add(f, rhs, vec_kron(f, s.apply(R[ai][i][j]), eta[b][i]))
-                if lhs != rhs:
-                    raise StructureInconsistent(
-                        f"left coaction of η_{j} fails at ({a},{b})")
+                lhs = cb.delta_l[(a, b)].apply(eta[grp.mul(a, b)][j])
+                _compare(report, R_COMULT, (a, b), lhs, rhs, f"Δ^l(η_{j}) ≠ Σ_i S(R_i{j}) ⊗ η_i")
+    _require(report, "η")
 
 
 def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
-    """Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi per grading, and its A_1
-    form with f on both sides (f = g on A_1 is also checked)."""
+    """f = g on A_1, and Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi on every
+    A_α (see intertwiner_report)."""
     h = cb.h
-    f = h.field
-    grp = h.group
-    e = grp.identity
-    size = len(funcs_f)
-    for i in range(size):
-        for j in range(size):
-            if funcs_f[i][j].component(e) != funcs_g[i][j].component(e):
-                raise StructureInconsistent(f"f_{i}{j} ≠ g_{i}{j} on A_1")
-    for a in grp.elements():
-        n = h.n(a)
-        for m in range(n):
-            avec = unit_vec(f, n, m)
-            for j in range(size):
-                for hh in range(size):
-                    lhs = zero_vec(f, n)
-                    rhs = zero_vec(f, n)
-                    for i in range(size):
-                        lhs = vec_add(f, lhs, h.mult[a].apply(vec_kron(
-                            f, R[a][i][j], funcs_f[i][hh].element_star(a, avec))))
-                        rhs = vec_add(f, rhs, h.mult[a].apply(vec_kron(
-                            f, funcs_g[j][i].star_element(a, avec), R[a][hh][i])))
-                    if lhs != rhs:
-                        raise StructureInconsistent(
-                            f"intertwiner identity fails at grading {a}, a={m}, "
-                            f"(j,h)=({j},{hh})")
-    # A_1 form with f replacing g
-    n1 = h.n(e)
-    for m in range(n1):
-        avec = unit_vec(f, n1, m)
-        for j in range(size):
-            for hh in range(size):
-                lhs = zero_vec(f, n1)
-                rhs = zero_vec(f, n1)
-                for i in range(size):
-                    lhs = vec_add(f, lhs, h.mult[e].apply(vec_kron(
-                        f, R[e][i][j], funcs_f[i][hh].element_star(e, avec))))
-                    rhs = vec_add(f, rhs, h.mult[e].apply(vec_kron(
-                        f, funcs_f[j][i].star_element(e, avec), R[e][hh][i])))
-                if lhs != rhs:
-                    raise StructureInconsistent(
-                        f"A_1 intertwiner identity fails at a={m}, (j,h)=({j},{hh})")
+    e = h.group.identity
+    report = VerificationReport()
+    for i, row in enumerate(funcs_f):
+        for j, phi in enumerate(row):
+            if phi.component(e) != funcs_g[i][j].component(e):
+                report.extend([Violation(INTERTWINER, (e,), None, f"f_{i}{j} ≠ g_{i}{j} on A_1")])
+    report = report.merge(intertwiner_report(h, funcs_f, funcs_g, R, h.group.elements()))
+    _require(report, "the intertwiner")
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +734,12 @@ def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
 
 @dataclass
 class StructureData:
-    """Invariant frames and the commutation data of a bicovariant bimodule."""
+    """Invariant frames and the commutation data of a bicovariant bimodule.
+
+    `report` holds every violation found; `not_run` maps each check that
+    could not run in full to the reason, and a field whose step did not
+    run or failed its identities is None.
+    """
 
     size: int                       # |I|
     omega: list                     # per α: tuple of frame vectors
@@ -732,26 +748,61 @@ class StructureData:
     f: list | None                  # size×size GradedFunctional (None without Ψ)
     g: list | None
     R: list | None                  # per β: size×size matrix of vectors in A_β
+    report: VerificationReport = field(default_factory=VerificationReport)
+    not_run: dict = field(default_factory=dict)
 
 
 def extract_structure(cb: CovariantBimodule) -> StructureData:
-    """Frames, functionals and R data, with every defining identity verified."""
-    size = _frame_size(cb)
-    omega = [cb.omega(a) for a in cb.h.group.elements()]
-    F = coefficient_maps(cb)
-    funcs = functionals_f(cb, coeffs=F) if cb.h.psi is not None else None
-    eta = None
-    R = None
-    funcs_g = None
-    if cb.bicovariant:
-        R = matrix_R(cb)
-        eta = eta_basis(cb, R)
-        check_eta_left_coaction(cb, R, eta)
-        if funcs is not None:
-            funcs_g = functionals_g(cb, eta=eta)
-            check_intertwiner(cb, funcs, funcs_g, R)
-    return StructureData(size=size, omega=omega, eta=eta, F=F, f=funcs,
-                         g=funcs_g, R=R)
+    """Frames, functionals and R data, with every defining identity checked.
+
+    Each step runs when its inputs exist, so the report covers every
+    identity that could be checked.  Raises StructureInconsistent when one
+    fails; the exception carries the report and this partial data.
+    """
+    h = cb.h
+    data = StructureData(size=_frame_size(cb), omega=[cb.omega(a) for a in h.group.elements()],
+                         eta=None, F=coefficient_maps(cb), f=None, g=None, R=None)
+
+    def attempt(step, *args):
+        try:
+            return step(*args)
+        except StructureInconsistent as exc:
+            if exc.report is None:
+                raise
+            data.report = data.report.merge(exc.report)
+            return None
+
+    def skip(reason, *checks):
+        for check in checks:
+            data.not_run.setdefault(check, reason)
+
+    if h.psi is None:
+        skip("no grading collapse maps Ψ", FRAME_MULT, FRAME_NORM, INTERTWINER)
+    else:
+        data.f = attempt(functionals_f, cb, data.F)
+    if not cb.bicovariant:
+        skip("the bimodule is not bicovariant", FRAME_MULT, FRAME_NORM, R_COMULT, R_COUNIT,
+             INTERTWINER)
+    else:
+        data.R = attempt(matrix_R, cb)
+    if data.R is not None:
+        data.eta = attempt(eta_basis, cb, data.R)
+    if data.eta is None:
+        skip("the η frame was not built", R_COMULT, FRAME_MULT, FRAME_NORM)
+    else:
+        attempt(check_eta_left_coaction, cb, data.R, data.eta)
+        if h.psi is not None:
+            data.g = attempt(functionals_g, cb, data.eta)
+    missing = [name for name, funcs in (("f", data.f), ("g", data.g)) if funcs is None]
+    if missing:
+        skip(f"{' and '.join(missing)} not extracted", INTERTWINER)
+    else:
+        attempt(check_intertwiner, cb, data.f, data.g, data.R)
+    if not data.report.ok:
+        raise StructureInconsistent(
+            f"structure identities fail ({len(data.report)} violations): "
+            f"{data.report.violations[0].render()}", data.report, data=data)
+    return data
 
 
 def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
@@ -759,14 +810,25 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
 
     Γ_α = k^size ⊗ A_α; the left action multiplies coefficients, the
     right action commutes through f, the coactions come from the
-    comultiplication and R.  Input relations are validated first
-    (IncompatibleData names the violated one); the resulting bimodule
-    passes the full covariant-bimodule law verification.
+    comultiplication and R.  The input must pass check_characters,
+    check_corepresentation and the intertwiner on A_1 with g := f
+    (IncompatibleData carries the report); the resulting bimodule passes
+    the full covariant-bimodule law verification.
     """
     f = h.field
     grp = h.group
     e = grp.identity
-    _validate_reconstruction_data(h, funcs, R, size)
+    if len(funcs) != size or any(len(row) != size for row in funcs):
+        raise IncompatibleData("f must be a size×size matrix of functionals")
+    if len(R) != grp.order:
+        raise IncompatibleData("R must provide a size×size matrix per grading")
+    report = (check_characters(h, funcs, "f")
+              .merge(check_corepresentation(h, R))
+              .merge(intertwiner_report(h, funcs, funcs, R, [e], names=("f", "f"))))
+    if not report.ok:
+        raise IncompatibleData(
+            f"reconstruction data fails {len(report)} identities; first: "
+            f"{report.violations[0].render()}", report)
 
     dims = [size * h.n(a) for a in grp.elements()]
     left = []
@@ -779,7 +841,7 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
         for i in range(size):
             for j in range(size):
                 slot = Matrix(f, size, size, {(j, i): f.one()})
-                conv = eye.kron(Matrix.row_vector(f, funcs[i][j].component(e))) @ h.comult[(a, e)]
+                conv = convolution_map(h, a, funcs[i][j].component(e), "left")
                 acc = acc + slot.kron(h.mult[a] @ eye.kron(conv))
         right.append(acc)
 
@@ -800,64 +862,6 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
             delta_r[(a, b)] = acc
 
     return CovariantBimodule(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
-
-
-def _validate_reconstruction_data(h: HopfPiCoalgebra, funcs, R, size: int) -> None:
-    f = h.field
-    grp = h.group
-    e = grp.identity
-    if len(funcs) != size or any(len(row) != size for row in funcs):
-        raise IncompatibleData("f must be a size×size matrix of functionals")
-    if len(R) != grp.order:
-        raise IncompatibleData("R must provide a size×size matrix per grading")
-    for a in grp.elements():
-        n = h.n(a)
-        for i in range(size):
-            for j in range(size):
-                row = Matrix.row_vector(f, funcs[i][j].component(a))
-                rhs = Matrix.zero(f, 1, n * n)
-                for k in range(size):
-                    rhs = rhs + Matrix.row_vector(f, vec_kron(
-                        f, funcs[i][k].component(a), funcs[k][j].component(a)))
-                if row @ h.mult[a] != rhs:
-                    raise IncompatibleData(
-                        f"f_{i}{j} violates multiplicativity at grading {a}")
-                val = funcs[i][j](a, h.unit[a])
-                if val != (f.one() if i == j else f.zero()):
-                    raise IncompatibleData(f"f_{i}{j}(1) ≠ δ at grading {a}")
-    for b in grp.elements():
-        for c in grp.elements():
-            bc = grp.mul(b, c)
-            for j in range(size):
-                for i in range(size):
-                    lhs = h.comult[(b, c)].apply(R[bc][j][i])
-                    rhs = zero_vec(f, h.n(b) * h.n(c))
-                    for k in range(size):
-                        rhs = vec_add(f, rhs, vec_kron(f, R[b][j][k], R[c][k][i]))
-                    if lhs != rhs:
-                        raise IncompatibleData(
-                            f"R violates its comultiplication rule at ({b},{c})")
-    for j in range(size):
-        for i in range(size):
-            val = h.counit.apply(R[e][j][i])[0]
-            if val != (f.one() if i == j else f.zero()):
-                raise IncompatibleData("R violates ε(R_ji) = δ_ji")
-    # A_1 intertwiner with f on both sides
-    n1 = h.n(e)
-    for m in range(n1):
-        avec = unit_vec(f, n1, m)
-        for j in range(size):
-            for hh in range(size):
-                lhs = zero_vec(f, n1)
-                rhs = zero_vec(f, n1)
-                for i in range(size):
-                    lhs = vec_add(f, lhs, h.mult[e].apply(vec_kron(
-                        f, R[e][i][j], funcs[i][hh].element_star(e, avec))))
-                    rhs = vec_add(f, rhs, h.mult[e].apply(vec_kron(
-                        f, funcs[j][i].star_element(e, avec), R[e][hh][i])))
-                if lhs != rhs:
-                    raise IncompatibleData(
-                        "R and f violate the A_1 intertwiner identity")
 
 
 def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) -> bool:

@@ -632,3 +632,37 @@ def test_taft_universal_calculus(taft):
     assert calc.surjectivity_report().ok
     assert check_bicovariant(calc).ok
     assert ad_map(taft, 0).rows == 16  # both ad routes agree (no mismatch raised)
+
+
+@pytest.mark.parametrize("first", ["left", "right", "bicovariant", "bimodule", "induced"])
+def test_covariance_decided_once_per_calculus(f7z3_const, monkeypatch, first):
+    """Each Φ^l_{α,β}/Φ^r_{α,β} is built once per calculus: after the first
+    decision of a side, no covariance query builds that side's Φ again."""
+    import hopfpi.calculus as calc_mod
+
+    builds = {"left": 0, "right": 0}
+
+    def counting(side, build):
+        def wrapper(*args):
+            builds[side] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(calc_mod, "phi_l", counting("left", calc_mod.phi_l))
+    monkeypatch.setattr(calc_mod, "phi_r", counting("right", calc_mod.phi_r))
+    h = f7z3_const
+    pairs = [(a, b) for a in h.group.elements() for b in h.group.elements()]
+    calc = calculus_from_ideal(h, right_ideal_from_generators(h, [(5, 6, 3)]))
+    queries = {
+        "left": lambda: check_left_covariant(calc),
+        "right": lambda: check_right_covariant(calc),
+        "bicovariant": lambda: check_bicovariant(calc),
+        "bimodule": lambda: calc.to_bimodule(),
+        "induced": lambda: (induced_delta_l(calc, 1, 1), induced_delta_r(calc, 0, 1)),
+    }
+    queries[first]()
+    for query in queries.values():
+        query()
+    ideal_from_calculus(calc)
+    assert builds == {"left": len(pairs), "right": len(pairs)}
+    assert check_bicovariant(calc).ok

@@ -6,6 +6,9 @@ enumerate) on every fixture, in text and JSON.  Regenerate it only when
 a report is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the key of every entry that changed, so a diff of the golden
+file can be checked against the reports that were meant to move.
 """
 
 from __future__ import annotations
@@ -62,7 +65,11 @@ def test_report_matches_golden(key, argv):
 
 
 if __name__ == "__main__":
+    old = load_golden() if GOLDEN.exists() else {}
     golden = {key: run(argv) for key, argv in CASES}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(golden)} reports to {GOLDEN}")
+    for key in sorted(old.keys() | golden.keys()):
+        if old.get(key) != golden.get(key):
+            print(f"changed: {key}")

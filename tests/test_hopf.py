@@ -230,27 +230,6 @@ def test_iterated_comult_all_triples_agree_with_pentagon(f7z3_const):
         assert left == right == h.comult_path(path)
 
 
-def test_parallel_verification_is_deterministic(f7z3_const, monkeypatch):
-    """HPC_THREADS caps worker threads; results are identical to serial."""
-    serial_pi = verify_pi_coalgebra(f7z3_const)
-    serial_hopf = verify_hopf(f7z3_const)
-    monkeypatch.setenv("HPC_THREADS", "4")
-    parallel_pi = verify_pi_coalgebra(f7z3_const)
-    parallel_hopf = verify_hopf(f7z3_const)
-    assert parallel_pi.violations == serial_pi.violations
-    assert parallel_hopf.violations == serial_hopf.violations
-
-    # and on a corrupted structure the witness lists agree too
-    one = Fraction(1)
-    bad = Matrix(QQ, 4, 2, {(0, 0): one, (2, 1): one})
-    broken = _with_comult(
-        group_algebra(cyclic(2), QQ, names=("e", "u")), {(0, 0): bad})
-    monkeypatch.setenv("HPC_THREADS", "1")
-    serial = verify_pi_coalgebra(broken).violations
-    monkeypatch.setenv("HPC_THREADS", "8")
-    assert verify_pi_coalgebra(broken).violations == serial
-
-
 def test_taft_algebra_verifies_with_order_four_antipode():
     from hopfpi import taft_hopf_algebra
     from hopfpi.hopf import verify_all

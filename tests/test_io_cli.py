@@ -285,11 +285,50 @@ def test_cli_calculus_taft_ideal(fixture_dir, capsys):
     assert "Gamma: [4]" in out
 
 
-def test_cli_output_identical_under_parallel_verification(fixture_dir, capsys, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HPC_THREADS", threads)
-        code, out = run_cli(capsys, "verify", str(fixture_dir / "f7z3_constant_z2.json"))
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_structure_failure_prints_full_report(fixture_dir, capsys, fmt):
+    """A failed identity still yields the whole report on stdout: every
+    check that ran, the failing one with its witness, and a note for each
+    check that could not run."""
+    code, out = run_cli(capsys, "structure", str(fixture_dir / "taft4_rational.json"),
+                        "--universal", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert "[fail] frame-multiplicativity" in out
+        assert "left multiplication rule a η_0" in out
+        assert "involutive antipode" in out
+        assert "note: intertwiner-identity not run" in out
+        assert out.endswith("result: FAIL\n")
+        return
+    payload = json.loads(out)
+    assert payload["result"] == "fail"
+    assert [(c["name"], c["status"]) for c in payload["checks"]] == [
+        ("bicovariant", "pass"),
+        ("frame-multiplicativity", "fail"),
+        ("frame-normalisation", "pass"),
+        ("coaction-matrix-comultiplication", "pass"),
+        ("coaction-matrix-counit", "pass"),
+        ("reconstruction-roundtrip", "pass"),
+    ]
+    [witness] = payload["checks"][1]["witnesses"]
+    assert "η" in witness and "involutive antipode" in witness
+    assert payload["dims"]["frame size"] == 3
+    assert set(payload["values"]) == {"f", "R"}
+    assert any(n.startswith("intertwiner-identity not run") for n in payload["notes"])
+
+
+def test_cli_structure_without_psi_notes_skipped_checks(fixture_dir, tmp_path, capsys):
+    """Without Ψ there are no functionals f, g: the checks that need them
+    are left out with a note instead of the run ending in a traceback."""
+    data = json.loads((fixture_dir / "f7_z3.json").read_text(encoding="utf-8"))
+    data.pop("psi", None)
+    path = tmp_path / "f7_z3_without_psi.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out = run_cli(capsys, "structure", str(path), "--universal", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["name"] for c in payload["checks"]] == [
+        "bicovariant", "coaction-matrix-comultiplication", "coaction-matrix-counit"]
+    assert [n.split(" not run")[0] for n in payload["notes"]] == [
+        "frame-multiplicativity", "frame-normalisation", "intertwiner-identity",
+        "reconstruction-roundtrip"]

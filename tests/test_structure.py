@@ -16,6 +16,7 @@ from hopfpi import (
     extract_structure,
     functionals_f,
     functionals_g,
+    induced_delta_l,
     invariant_subspace_left,
     invariant_subspace_right,
     matrix_R,
@@ -83,10 +84,10 @@ def test_zero_calculus_has_no_invariants(kz2):
 
 def test_missing_coaction_errors(kz2_const):
     calc = universal_calculus(kz2_const)
-    from hopfpi.calculus import _all_delta_l
-
+    pairs = [(a, b) for a in kz2_const.group.elements() for b in kz2_const.group.elements()]
     left_only = CovariantBimodule(kz2_const, calc.gamma_dims, calc.left, calc.right,
-                                  delta_l=_all_delta_l(calc), delta_r=None)
+                                  delta_l={p: induced_delta_l(calc, *p) for p in pairs},
+                                  delta_r=None)
     with pytest.raises(MissingCoaction):
         invariant_subspace_right(left_only, 0)
     with pytest.raises(NotBicovariant):
@@ -358,7 +359,7 @@ def test_frame_size_uniformity_guard(const_bim):
 
     cb = CovariantBimodule(const_bim.h, const_bim.dims, const_bim.left,
                            const_bim.right, delta_l=const_bim.delta_l,
-                           delta_r=const_bim.delta_r, verify=False)
+                           delta_r=const_bim.delta_r)
     cb._omega = {0: ((F(1), F(0)),), 1: ((F(1), F(0)), (F(0), F(1)))}
     with pytest.raises(DimensionVariesAcrossGrading):
         _frame_size(cb)
@@ -527,3 +528,258 @@ def test_convolution_inverse_identities_elementwise(all_fixtures):
                         want = avec if i == hh else zero_vec(f, n)
                         assert acc == want
                         assert acc_rev == want
+
+
+# -- matrix-form checks against the vector-at-a-time reference -----------------
+
+
+def _vector_commutation(h, maps, funcs, side):
+    """M_ij(b) = f_ij * b (left) or b * g_ij (right), one basis b at a time."""
+    from hopfpi.linalg import unit_vec
+
+    for a in h.group.elements():
+        for m in range(h.n(a)):
+            b = unit_vec(h.field, h.n(a), m)
+            for i, row in enumerate(funcs):
+                for j, phi in enumerate(row):
+                    want = phi.star_element(a, b) if side == "left" else phi.element_star(a, b)
+                    if maps[a][i][j].apply(b) != want:
+                        return False
+    return True
+
+
+def _vector_left_multiplication(cb, frames, funcs, side):
+    """a w_i = Σ_j w_j ((φ_ij∘S_1^{-1}) * a) or Σ_j w_j (a * (φ_ij∘S_1^{-1}))."""
+    from hopfpi.linalg import unit_vec, vec_add, zero_vec
+
+    h = cb.h
+    f = h.field
+    e = h.group.identity
+    s1_inv = h.antipode_inv(e)
+    for a in h.group.elements():
+        for m in range(h.n(a)):
+            avec = unit_vec(f, h.n(a), m)
+            for i, row in enumerate(funcs):
+                lhs = cb.left[a].apply(vec_kron(f, avec, frames[a][i]))
+                rhs = zero_vec(f, cb.g(a))
+                for j, phi in enumerate(row):
+                    twisted = phi.precompose(s1_inv, e, e)
+                    coeff = (twisted.star_element(a, avec) if side == "left"
+                             else twisted.element_star(a, avec))
+                    rhs = vec_add(f, rhs, cb.right[a].apply(vec_kron(f, frames[a][j], coeff)))
+                if lhs != rhs:
+                    return False
+    return True
+
+
+def _vector_intertwiner(h, funcs_f, funcs_g, R, gradings):
+    """Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi, one basis a at a time."""
+    from hopfpi.linalg import unit_vec, vec_add, zero_vec
+
+    f = h.field
+    size = len(funcs_f)
+    for a in gradings:
+        n = h.n(a)
+        for m in range(n):
+            avec = unit_vec(f, n, m)
+            for j in range(size):
+                for hh in range(size):
+                    lhs = zero_vec(f, n)
+                    rhs = zero_vec(f, n)
+                    for i in range(size):
+                        lhs = vec_add(f, lhs, h.mult[a].apply(vec_kron(
+                            f, R[a][i][j], funcs_f[i][hh].element_star(a, avec))))
+                        rhs = vec_add(f, rhs, h.mult[a].apply(vec_kron(
+                            f, funcs_g[j][i].star_element(a, avec), R[a][hh][i])))
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def _raw_structure(bim):
+    """F, f, R, η, G and g without running any identity on f or g."""
+    from hopfpi.structure import _collapse, coefficient_maps
+
+    h = bim.h
+    F = coefficient_maps(bim)
+    R = matrix_R(bim)
+    eta = eta_basis(bim, R)
+    G = coefficient_maps(bim, eta)
+    return F, _collapse(h, F), R, eta, G, _collapse(h, G)
+
+
+def _bump_functional(h, phi):
+    """φ + ε on A_1: a lawful-looking functional that breaks the identities."""
+    e = h.group.identity
+    comps = {a: phi.component(a) for a in h.group.elements()}
+    comps[e] = tuple(h.field.add(x, y) for x, y in zip(comps[e], h.counit.row(0)))
+    return GradedFunctional(h, comps)
+
+
+def _bump_R(h, R):
+    """R with the unit added to R^1_00."""
+    e = h.group.identity
+    bad = [[list(row) for row in Rb] for Rb in R]
+    bad[e][0][0] = tuple(h.field.add(x, y) for x, y in zip(R[e][0][0], h.unit[e]))
+    return bad
+
+
+def _oracle_bimodules(all_fixtures):
+    from hopfpi import taft_hopf_algebra
+
+    hs = dict(all_fixtures, taft=taft_hopf_algebra(QQ))
+    return {name: universal_calculus(h).to_bimodule() for name, h in hs.items()}
+
+
+def test_matrix_checks_agree_with_vector_reference(all_fixtures):
+    """Each matrix-form check gives the vector reference's verdict, on the
+    extracted data and on data with one functional or R entry bumped."""
+    from hopfpi.structure import (check_commutation_rule, check_left_multiplication_rule,
+                                  intertwiner_report)
+
+    verdicts = []
+    for name, bim in _oracle_bimodules(all_fixtures).items():
+        h = bim.h
+        F, f, R, eta, G, g = _raw_structure(bim)
+        omega = [bim.omega(a) for a in h.group.elements()]
+        bad_f = [[_bump_functional(h, f[0][0])] + f[0][1:]] + f[1:]
+        bad_g = [[_bump_functional(h, g[0][0])] + g[0][1:]] + g[1:]
+        bad_R = _bump_R(h, R)
+        grads = list(h.group.elements())
+        for funcs_f, funcs_g, R_ in ((f, g, R), (bad_f, bad_g, R), (f, g, bad_R)):
+            pairs = [
+                (check_commutation_rule(h, F, funcs_f, "left").ok,
+                 _vector_commutation(h, F, funcs_f, "left")),
+                (check_commutation_rule(h, G, funcs_g, "right").ok,
+                 _vector_commutation(h, G, funcs_g, "right")),
+                (check_left_multiplication_rule(bim, omega, funcs_f, "left").ok,
+                 _vector_left_multiplication(bim, omega, funcs_f, "left")),
+                (check_left_multiplication_rule(bim, eta, funcs_g, "right").ok,
+                 _vector_left_multiplication(bim, eta, funcs_g, "right")),
+                (intertwiner_report(h, funcs_f, funcs_g, R_, grads).ok,
+                 _vector_intertwiner(h, funcs_f, funcs_g, R_, grads)),
+                (intertwiner_report(h, funcs_f, funcs_f, R_, [h.group.identity]).ok,
+                 _vector_intertwiner(h, funcs_f, funcs_f, R_, [h.group.identity])),
+            ]
+            for k, (matrix_ok, vector_ok) in enumerate(pairs):
+                assert matrix_ok == vector_ok, (name, k)
+                verdicts.append(matrix_ok)
+    # both verdicts occur, so the agreement is not vacuous
+    assert True in verdicts and False in verdicts
+
+
+def test_taft_verdicts_match_reference():
+    """On the Taft algebra the η left-multiplication rule fails and every
+    other matrix-form identity holds, exactly as the vector reference says."""
+    from hopfpi import taft_hopf_algebra
+    from hopfpi.structure import check_left_multiplication_rule, intertwiner_report
+
+    bim = universal_calculus(taft_hopf_algebra(QQ)).to_bimodule()
+    F, f, R, eta, G, g = _raw_structure(bim)
+    assert not check_left_multiplication_rule(bim, eta, g, "right").ok
+    assert not _vector_left_multiplication(bim, eta, g, "right")
+    assert intertwiner_report(bim.h, f, f, R, [0]).ok
+    assert _vector_intertwiner(bim.h, f, f, R, [0])
+
+
+# -- one shared check, two callers -------------------------------------------
+
+
+def _checks_named(report):
+    return {v.check for v in report.violations}
+
+
+def test_corrupted_f_value_fails_extraction_and_reconstruction(kz2, kz2_bim):
+    """f_00(u) bumped by 1: f is no longer a character."""
+    from hopfpi.errors import StructureInconsistent
+    from hopfpi.structure import coefficient_maps
+
+    maps = coefficient_maps(kz2_bim)
+    bumped = maps[0][0][0] + Matrix(QQ, 2, 2, {(0, 1): F(1)})   # u ↦ u's coefficients + e
+    with pytest.raises(StructureInconsistent) as extraction:
+        functionals_f(kz2_bim, coeffs=[[[bumped]]])
+    data = extract_structure(kz2_bim)
+    bad_f = [[GradedFunctional(kz2, {0: (kz2.counit @ kz2.psi[0] @ bumped).row(0)})]]
+    with pytest.raises(IncompatibleData) as rebuild:
+        reconstruct(kz2, bad_f, data.R, data.size)
+    assert "frame-multiplicativity" in _checks_named(extraction.value.report)
+    assert "frame-multiplicativity" in _checks_named(rebuild.value.report)
+
+
+def test_corrupted_unit_fails_extraction_and_reconstruction(kz2, kz2_bim):
+    """The unit doubled: f(1) = δ no longer holds."""
+    import copy
+
+    from hopfpi.errors import StructureInconsistent
+
+    data = extract_structure(kz2_bim)
+    doubled = HopfPiCoalgebra(kz2.group, kz2.field, kz2.dims, kz2.comult, kz2.counit,
+                              kz2.mult, [(F(2), F(0))], kz2.antipode, psi=kz2.psi,
+                              basis_names=kz2.basis_names)
+    bad = copy.copy(kz2_bim)
+    bad.h = doubled
+    with pytest.raises(StructureInconsistent) as extraction:
+        functionals_f(bad)
+    with pytest.raises(IncompatibleData) as rebuild:
+        reconstruct(doubled, data.f, data.R, data.size)
+    assert "frame-normalisation" in _checks_named(extraction.value.report)
+    assert "frame-normalisation" in _checks_named(rebuild.value.report)
+
+
+def test_corrupted_R_fails_extraction_and_reconstruction(kz2_const, const_bim):
+    """Δ^r doubled, so R doubles: ε(R) = 2 and Δ(R) ≠ R⊗R."""
+    import copy
+
+    from hopfpi.errors import StructureInconsistent
+
+    data = extract_structure(const_bim)
+    bad = copy.copy(const_bim)
+    bad.delta_r = {k: m.scale(F(2)) for k, m in const_bim.delta_r.items()}
+    with pytest.raises(StructureInconsistent) as extraction:
+        extract_structure(bad)
+    assert extraction.value.data.R is None
+    double_R = [[[tuple(2 * x for x in r) for r in row] for row in Rb] for Rb in data.R]
+    with pytest.raises(IncompatibleData) as rebuild:
+        reconstruct(kz2_const, data.f, double_R, data.size)
+    for check in ("coaction-matrix-counit", "coaction-matrix-comultiplication"):
+        assert check in _checks_named(extraction.value.report)
+        assert check in _checks_named(rebuild.value.report)
+
+
+def test_corrupted_R_breaks_the_intertwiner_on_taft():
+    """On the non-commutative Taft algebra a bumped R entry breaks the
+    intertwiner, found by extraction and by reconstruction alike."""
+    from hopfpi import taft_hopf_algebra
+    from hopfpi.errors import StructureInconsistent
+    from hopfpi.structure import check_intertwiner
+
+    t = taft_hopf_algebra(QQ)
+    bim = universal_calculus(t).to_bimodule()
+    funcs = functionals_f(bim)
+    R = matrix_R(bim)
+    check_intertwiner(bim, funcs, funcs, R)           # lawful data passes
+    bad_R = [[list(row) for row in R[0]]]
+    bad_R[0][0][1] = tuple(x + y for x, y in zip(R[0][0][1], (F(0), F(0), F(1), F(0))))
+    with pytest.raises(StructureInconsistent) as extraction:
+        check_intertwiner(bim, funcs, funcs, bad_R)
+    with pytest.raises(IncompatibleData) as rebuild:
+        reconstruct(t, funcs, bad_R, 3)
+    assert "intertwiner-identity" in _checks_named(extraction.value.report)
+    assert "intertwiner-identity" in _checks_named(rebuild.value.report)
+
+
+def test_extraction_failure_keeps_partial_data():
+    """On Taft the failing g step leaves f, R and η in the data, and the
+    intertwiner (which needs g) is marked as not run."""
+    from hopfpi import taft_hopf_algebra
+    from hopfpi.errors import StructureInconsistent
+
+    bim = universal_calculus(taft_hopf_algebra(QQ)).to_bimodule()
+    with pytest.raises(StructureInconsistent) as exc:
+        extract_structure(bim)
+    data = exc.value.data
+    assert data.f is not None and data.R is not None and data.eta is not None
+    assert data.g is None
+    assert set(data.not_run) == {"intertwiner-identity"}
+    assert {v.check for v in data.report.violations} == {"frame-multiplicativity"}
+    assert exc.value.report is data.report
