@@ -18,9 +18,7 @@ from .linalg import (  # noqa: F401
     flip,
     image,
     kernel,
-    membership,
     quotient,
-    tensor,
 )
 from .hopf import (  # noqa: F401
     GradedFunctional,

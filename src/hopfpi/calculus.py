@@ -40,13 +40,12 @@ from .linalg import (
     Matrix,
     PrimeField,
     Subspace,
-    flip,
     kernel,
-    kron_all,
     quotient,
     unit_vec,
     vec_kron,
 )
+from .structure import CovariantBimodule, compatibility_report
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +91,21 @@ def universal_bimodule(h: HopfPiCoalgebra) -> UniversalBimodule:
 # the coactions Φ^l, Φ^r on A⊗A and the r/t translation maps
 
 
+def _paired_comult(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
+    """u⊗v ↦ u_(1,α) ⊗ v_(1,α) ⊗ u_(2,β) ⊗ v_(2,β)."""
+    na, nb = h.n(alpha), h.n(beta)
+    d = h.comult[(alpha, beta)]
+    return d.kron(d).permute_legs((na, nb, na, nb), (0, 2, 1, 3), 0)
+
+
 def phi_l(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     """Φ^l_{α,β} : A_{αβ}⊗A_{αβ} → A_α ⊗ A_β ⊗ A_β.
 
     u⊗v ↦ u_(1,α)v_(1,α) ⊗ u_(2,β) ⊗ v_(2,β); restricted to A²_{αβ} it
     lands in A_α ⊗ A²_β.
     """
-    f = h.field
-    na, nb = h.n(alpha), h.n(beta)
-    d = h.comult[(alpha, beta)]
-    swap = kron_all(Matrix.identity(f, na), flip(f, nb, na), Matrix.identity(f, nb))
-    return h.mult[alpha].kron(Matrix.identity(f, nb * nb)) @ swap @ d.kron(d)
+    nb = h.n(beta)
+    return h.mult[alpha].kron(Matrix.identity(h.field, nb * nb)) @ _paired_comult(h, alpha, beta)
 
 
 def phi_r(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
@@ -111,11 +114,8 @@ def phi_r(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     u⊗v ↦ u_(1,α) ⊗ v_(1,α) ⊗ u_(2,β)v_(2,β); restricted to A²_{αβ} it
     lands in A²_α ⊗ A_β.
     """
-    f = h.field
-    na, nb = h.n(alpha), h.n(beta)
-    d = h.comult[(alpha, beta)]
-    swap = kron_all(Matrix.identity(f, na), flip(f, nb, na), Matrix.identity(f, nb))
-    return Matrix.identity(f, na * na).kron(h.mult[beta]) @ swap @ d.kron(d)
+    na = h.n(alpha)
+    return Matrix.identity(h.field, na * na).kron(h.mult[beta]) @ _paired_comult(h, alpha, beta)
 
 
 def phi_l_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
@@ -172,9 +172,8 @@ def t_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     e = h.group.identity
     n = h.n(alpha)
     n1 = h.n(e)
-    return (Matrix.identity(f, n1).kron(h.mult[alpha])
-            @ flip(f, n, n1).kron(Matrix.identity(f, n))
-            @ Matrix.identity(f, n).kron(h.comult[(e, alpha)]))
+    spread = Matrix.identity(f, n).kron(h.comult[(e, alpha)])   # a ⊗ b_(1) ⊗ b_(2)
+    return Matrix.identity(f, n1).kron(h.mult[alpha]) @ spread.permute_legs((n, n1, n), (1, 0, 2), 0)
 
 
 def r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -194,14 +193,11 @@ def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     makes a two-sided inverse of t_α); S_{α^{-1}} itself works only when
     the antipode family is involutive.
     """
-    f = h.field
-    g = h.group
     n = h.n(alpha)
-    step1 = h.comult[(alpha, g.inv(alpha))].kron(Matrix.identity(f, n))
-    step2 = Matrix.identity(f, n).kron(h.antipode_inv(alpha).kron(Matrix.identity(f, n)))
-    perm = (Matrix.identity(f, n).kron(flip(f, n, n))) @ flip(f, n * n, n)
-    step4 = h.mult[alpha].kron(Matrix.identity(f, n))
-    return step4 @ perm @ step2 @ step1
+    eye = Matrix.identity(h.field, n)
+    split = h.comult[(alpha, h.group.inv(alpha))].kron(eye)          # a_(1) ⊗ a_(2) ⊗ b
+    twisted = eye.kron(h.antipode_inv(alpha).kron(eye)) @ split      # a_(1) ⊗ S^{-1}(a_(2)) ⊗ b
+    return h.mult[alpha].kron(eye) @ twisted.permute_legs((n, n, n), (2, 1, 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +369,6 @@ class Fodc:
         Δ^l is attached iff the left containment Φ^l(N) ⊆ A⊗N holds,
         Δ^r iff the right one does; NotCovariant if neither.
         """
-        from .structure import CovariantBimodule
-
         _, delta_l = _covariance(self, "left")
         _, delta_r = _covariance(self, "right")
         if delta_l is None and delta_r is None:
@@ -543,20 +537,7 @@ def check_bicovariant(calc: Fodc) -> VerificationReport:
     report = left.merge(right)
     if not report.ok:
         return report
-    h = calc.h
-    f = h.field
-    g = h.group
-    for a in g.elements():
-        for b in g.elements():
-            for c in g.elements():
-                ab = g.mul(a, b)
-                bc = g.mul(b, c)
-                lhs = dl[(a, b)].kron(Matrix.identity(f, h.n(c))) @ dr[(ab, c)]
-                rhs = Matrix.identity(f, h.n(a)).kron(dr[(b, c)]) @ dl[(a, bc)]
-                if lhs != rhs:
-                    report.extend([Violation("bicovariance-compatibility", (a, b, c), None,
-                                             "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")])
-    return report
+    return compatibility_report(calc.h, dl, dr)
 
 
 def spot_check_implication(calc: Fodc) -> VerificationReport:
@@ -609,9 +590,9 @@ def ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     composite = t_map(h, alpha) @ r_inv(h, alpha) @ insert
 
     legs = h.comult_path((ai, e, alpha))
-    applied = kron_all(h.antipode[ai], Matrix.identity(f, n1), Matrix.identity(f, na)) @ legs
-    perm = flip(f, na, n1).kron(Matrix.identity(f, na)) @ applied
-    sweedler = Matrix.identity(f, n1).kron(h.mult[alpha]) @ perm
+    applied = h.antipode[ai].kron(Matrix.identity(f, n1 * na)) @ legs
+    sweedler = (Matrix.identity(f, n1).kron(h.mult[alpha])
+                @ applied.permute_legs((na, n1, na), (1, 0, 2), 0))
 
     if composite != sweedler:
         raise InternalMismatch(f"ad_{alpha}: composite and Sweedler forms disagree")

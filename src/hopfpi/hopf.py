@@ -27,9 +27,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    flip,
     kernel,
-    kron_all,
     unit_vec,
     vec_is_zero,
     vec_kron,
@@ -238,7 +236,7 @@ class HopfPiCoalgebra(PiCoalgebra):
         key = (alpha, beta)
         if key not in self._pair_mult:
             self._pair_mult[key] = interchange_product(
-                self.field, self.mult[alpha], self.mult[beta],
+                self.mult[alpha], self.mult[beta],
                 self.n(alpha), self.n(beta), self.n(alpha), self.n(beta))
         return self._pair_mult[key]
 
@@ -246,14 +244,13 @@ class HopfPiCoalgebra(PiCoalgebra):
         return kernel(self.counit)
 
 
-def interchange_product(field, mul1: Matrix, mul2: Matrix, p: int, q: int, r: int, s: int) -> Matrix:
+def interchange_product(mul1: Matrix, mul2: Matrix, p: int, q: int, r: int, s: int) -> Matrix:
     """(x⊗y)·(x'⊗y') ↦ mul1(x⊗x') ⊗ mul2(y⊗y').
 
-    mul1 consumes k^p ⊗ k^r, mul2 consumes k^q ⊗ k^s; the middle swap
-    reorders (x,y,x',y') to (x,x',y,y').
+    mul1 consumes k^p ⊗ k^r, mul2 consumes k^q ⊗ k^s; the input legs
+    (x,y,x',y') are those of mul1⊗mul2, (x,x',y,y'), reordered.
     """
-    mid = kron_all(Matrix.identity(field, p), flip(field, q, r), Matrix.identity(field, s))
-    return mul1.kron(mul2) @ mid
+    return mul1.kron(mul2).permute_legs((p, r, q, s), (0, 2, 1, 3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +354,7 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
         # antimultiplicativity S(xy) = S(y)S(x)
         ni = h.n(ai)
         lhs = sa @ h.mult[a]
-        rhs = h.mult[ai] @ flip(f, ni, ni) @ sa.kron(sa)
+        rhs = h.mult[ai] @ sa.kron(sa).permute_legs((ni, ni), (1, 0), 0)
         out.extend(_diff_columns("antipode-antimultiplicative", (a,), lhs, rhs))
         su = sa.apply(h.unit[a])
         if su != tuple(h.unit[ai]):
@@ -368,8 +365,8 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
     def antipode_comult(a, b):
         ab = g.mul(a, b)
         lhs = h.comult[(g.inv(b), g.inv(a))] @ h.antipode[ab]
-        rhs = (flip(f, h.n(g.inv(a)), h.n(g.inv(b)))
-               @ h.antipode[a].kron(h.antipode[b]) @ h.comult[(a, b)])
+        rhs = (h.antipode[a].kron(h.antipode[b]) @ h.comult[(a, b)]).permute_legs(
+            (h.n(g.inv(a)), h.n(g.inv(b))), (1, 0), 0)
         return _diff_columns("antipode-comult", (a, b), lhs, rhs, namer=named(ab))
 
     elements = list(g.elements())

@@ -10,6 +10,10 @@ package:
 * tensor indices are row-major: e_i ⊗ e_j in k^a ⊗ k^b sits at flat
   index i*b + j, and matrix tensor products follow the same (Kronecker)
   convention, so (a ⊗ b)(x ⊗ y) = a(x) ⊗ b(y);
+* legs are reordered by index: m.permute_legs(dims, order, axis) splits
+  the row (axis 0) or column (axis 1) index into legs of sizes `dims`, and
+  leg k of the result is leg order[k] of the input.  It re-keys entries:
+  no product with a permutation matrix, no scalar arithmetic;
 * subspaces are reduced row echelon bases with lexicographically-first
   pivots.  RREF of a row space is unique, so two equal subspaces have
   bit-identical bases and every report built on them is reproducible.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -441,6 +446,29 @@ class Matrix:
         # a field has no zero divisors, so every product is nonzero
         return Matrix._unchecked(f, self.rows * other.rows, self.cols * other.cols, out)
 
+    def permute_legs(self, dims: Sequence[int], order: Sequence[int], axis: int) -> "Matrix":
+        """Reorder the tensor legs of the row (axis 0) or column (axis 1) index.
+
+        `dims` are the leg sizes of that index; leg k of the result is leg
+        order[k] of self.  The entries are re-keyed, never multiplied.
+        """
+        if prod(dims) != (self.rows, self.cols)[axis] or sorted(order) != list(range(len(dims))):
+            raise DimensionMismatch(f"legs {tuple(dims)} in order {tuple(order)} do not "
+                                    f"split axis {axis} of a {self.rows}x{self.cols} matrix")
+        stride = [0] * len(dims)      # stride of each input leg in the result
+        step = 1
+        for leg in reversed(order):
+            stride[leg] = step
+            step *= dims[leg]
+        new = [0]                     # the flat-index map: input index i goes to new[i]
+        for leg, d in enumerate(dims):
+            new = [x + i * stride[leg] for x in new for i in range(d)]
+        if axis == 0:
+            entries = {(new[r], c): v for (r, c), v in self.entries.items()}
+        else:
+            entries = {(r, new[c]): v for (r, c), v in self.entries.items()}
+        return Matrix._unchecked(self.field, self.rows, self.cols, entries)
+
     def rank(self) -> int:
         _, pivots = rref(self.field, self.to_rows())
         return len(pivots)
@@ -473,23 +501,9 @@ class Matrix:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
 
-def compose(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-def tensor(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-def kron_all(*mats: Matrix) -> Matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.kron(m)
-    return out
-
 def flip(field: Field, dim_a: int, dim_b: int) -> Matrix:
     """The swap x ⊗ y ↦ y ⊗ x : k^a ⊗ k^b → k^b ⊗ k^a."""
-    one = field.one()
-    entries = {(j * dim_a + i, i * dim_b + j): one for i in range(dim_a) for j in range(dim_b)}
-    return Matrix(field, dim_a * dim_b, dim_a * dim_b, entries)
+    return Matrix.identity(field, dim_a * dim_b).permute_legs((dim_a, dim_b), (1, 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +662,6 @@ def kernel(m: Matrix) -> Subspace:
 def image(m: Matrix) -> Subspace:
     """Column space, canonical basis."""
     return Subspace.from_spanning(m.field, m.rows, [m.col(j) for j in range(m.cols)])
-
-
-def membership(v: Sequence, s: Subspace) -> bool:
-    return s.contains(v)
 
 
 @dataclass(frozen=True)

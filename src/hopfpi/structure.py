@@ -60,7 +60,6 @@ from .hopf import (
 from .linalg import (
     Matrix,
     Subspace,
-    flip,
     kernel,
     solve,
     unit_vec,
@@ -86,7 +85,7 @@ class CovariantBimodule:
         self.right = list(right)
         self.delta_l = dict(delta_l) if delta_l is not None else None
         self.delta_r = dict(delta_r) if delta_r is not None else None
-        self._omega: dict[int, tuple] = {}
+        self._omega: dict[int, Subspace] = {}
         self._decompose: dict[int, Matrix] = {}
         report = self.verify()
         if not report.ok:
@@ -111,8 +110,7 @@ class CovariantBimodule:
         report = VerificationReport()
 
         def eq(check, grading, lhs, rhs):
-            if lhs != rhs:
-                report.extend([Violation(check, grading, None, "matrix identity fails")])
+            _compare(report, check, grading, lhs, rhs, "matrix identity fails")
 
         for a in grp.elements():
             n = h.n(a)
@@ -132,10 +130,10 @@ class CovariantBimodule:
                 ab = grp.mul(a, b)
                 dl = self.delta_l[(a, b)]
                 na, nb, gb = h.n(a), h.n(b), self.g(b)
-                prod_l = interchange_product(f, h.mult[a], self.left[b], na, nb, na, gb)
+                prod_l = interchange_product(h.mult[a], self.left[b], na, nb, na, gb)
                 eq("coaction-left-action", (a, b),
                    dl @ self.left[ab], prod_l @ h.comult[(a, b)].kron(dl))
-                prod_r = interchange_product(f, h.mult[a], self.right[b], na, gb, na, nb)
+                prod_r = interchange_product(h.mult[a], self.right[b], na, gb, na, nb)
                 eq("coaction-right-action", (a, b),
                    dl @ self.right[ab], prod_r @ dl.kron(h.comult[(a, b)]))
             for a, b in pairs:
@@ -153,10 +151,10 @@ class CovariantBimodule:
                 ab = grp.mul(a, b)
                 dr = self.delta_r[(a, b)]
                 na, nb, ga = h.n(a), h.n(b), self.g(a)
-                prod_l = interchange_product(f, self.left[a], h.mult[b], na, nb, ga, nb)
+                prod_l = interchange_product(self.left[a], h.mult[b], na, nb, ga, nb)
                 eq("right-coaction-left-action", (a, b),
                    dr @ self.left[ab], prod_l @ h.comult[(a, b)].kron(dr))
-                prod_r = interchange_product(f, self.right[a], h.mult[b], ga, nb, na, nb)
+                prod_r = interchange_product(self.right[a], h.mult[b], ga, nb, na, nb)
                 eq("right-coaction-right-action", (a, b),
                    dr @ self.right[ab], prod_r @ dr.kron(h.comult[(a, b)]))
             for a, b in pairs:
@@ -170,20 +168,19 @@ class CovariantBimodule:
                 eq("right-coaction-counit", (a,), lhs, Matrix.identity(f, self.g(a)))
 
         if self.bicovariant:
-            for a, b in pairs:
-                for c in grp.elements():
-                    ab, bc = grp.mul(a, b), grp.mul(b, c)
-                    lhs = self.delta_l[(a, b)].kron(Matrix.identity(f, h.n(c))) @ self.delta_r[(ab, c)]
-                    rhs = Matrix.identity(f, h.n(a)).kron(self.delta_r[(b, c)]) @ self.delta_l[(a, bc)]
-                    eq("bicovariance-compatibility", (a, b, c), lhs, rhs)
+            report.extend(compatibility_report(h, self.delta_l, self.delta_r).violations)
         return report
 
     # -- frames ---------------------------------------------------------------
 
     def omega(self, alpha: int) -> tuple:
         """Canonical left-invariant basis of Γ_α (echelon order)."""
+        return self.omega_space(alpha).basis
+
+    def omega_space(self, alpha: int) -> Subspace:
+        """The left-invariant subspace of Γ_α, with its echelon pivots."""
         if alpha not in self._omega:
-            self._omega[alpha] = invariant_subspace_left(self, alpha).basis
+            self._omega[alpha] = invariant_subspace_left(self, alpha)
         return self._omega[alpha]
 
     def decompose_matrix(self, alpha: int) -> Matrix:
@@ -313,6 +310,22 @@ def _compare(report: VerificationReport, check: str, grading, lhs, rhs, identity
     else:
         first = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
     report.extend([Violation(check, tuple(grading), first, identity)])
+
+
+def compatibility_report(h: HopfPiCoalgebra, delta_l, delta_r) -> VerificationReport:
+    """(Δ^l⊗id)Δ^r = (id⊗Δ^r)Δ^l on every grading triple, for coactions
+    keyed by grading pair (those of a bimodule or induced on a calculus)."""
+    f = h.field
+    grp = h.group
+    report = VerificationReport()
+    for a in grp.elements():
+        for b in grp.elements():
+            for c in grp.elements():
+                lhs = delta_l[(a, b)].kron(Matrix.identity(f, h.n(c))) @ delta_r[(grp.mul(a, b), c)]
+                rhs = Matrix.identity(f, h.n(a)).kron(delta_r[(b, c)]) @ delta_l[(a, grp.mul(b, c))]
+                _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
+                         "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
+    return report
 
 
 def _delta_violation(report, check, grading, what, val, want, f) -> None:
@@ -623,14 +636,15 @@ def matrix_R(cb: CovariantBimodule):
         for b in grp.elements():
             ab = grp.mul(a, b)
             nb = h.n(b)
-            wmat = Matrix.from_cols(f, cb.omega(a)).kron(Matrix.identity(f, nb))  # ω_j ⊗ e_m
+            # ω_j ⊗ e_m, echelon since both factors are; coords read off R
+            target = cb.omega_space(a).tensor(Subspace.full(f, nb))
             rmat = [[None] * size for _ in range(size)]
             for i in range(size):
                 img = cb.delta_r[(a, b)].apply(cb.omega(ab)[i])
-                x = solve(wmat, img)
-                if x is None:
+                if not target.contains(img):
                     raise StructureInconsistent(
                         f"Δ^r(ω) at ({a},{b}) is not in the invariant frame ⊗ A")
+                x = target.coords(img)
                 for j in range(size):
                     rmat[j][i] = x[j * nb:(j + 1) * nb]
             per_pair[(a, b)] = rmat
@@ -836,7 +850,7 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     for a in grp.elements():
         n = h.n(a)
         eye = Matrix.identity(f, n)
-        left.append(Matrix.identity(f, size).kron(h.mult[a]) @ flip(f, n, size).kron(eye))
+        left.append(Matrix.identity(f, size).kron(h.mult[a]).permute_legs((size, n, n), (1, 0, 2), 1))
         acc = Matrix.zero(f, size * n, size * n * n)
         for i in range(size):
             for j in range(size):
@@ -851,8 +865,8 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
         for b in grp.elements():
             ab = grp.mul(a, b)
             na, nb = h.n(a), h.n(b)
-            delta_l[(a, b)] = (flip(f, size, na).kron(Matrix.identity(f, nb))
-                               @ Matrix.identity(f, size).kron(h.comult[(a, b)]))
+            delta_l[(a, b)] = Matrix.identity(f, size).kron(h.comult[(a, b)]).permute_legs(
+                (size, na, nb), (1, 0, 2), 0)
             acc = Matrix.zero(f, size * na * nb, size * h.n(ab))
             for i in range(size):
                 for j in range(size):

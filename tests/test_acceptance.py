@@ -249,7 +249,7 @@ def test_criterion_8_adjoint_coaction_identities(all_fixtures, capsys):
                 na = h.n(a)
                 ai = g.inv(a)
                 tdim = n1 * na
-                mult2 = interchange_product(f, h.mult[e], h.mult[a], n1, na, n1, na)
+                mult2 = interchange_product(h.mult[e], h.mult[a], n1, na, n1, na)
                 mu3 = mult2 @ mult2.kron(Matrix.identity(f, tdim))
                 x_map = Matrix.column(f, h.unit[e]).kron(h.antipode[ai])
                 z_map = h.comult[(e, a)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,8 @@ from hopfpi.linalg import (
     flip,
     image,
     kernel,
-    membership,
     quotient,
     solve,
-    tensor,
     unit_vec,
     vec_kron,
     _is_prime,
@@ -90,8 +89,8 @@ def test_kernel_of_group_algebra_multiplication():
     assert len(ns) == k.dim
     for v in ns:
         vec = tuple(Fraction(x.p, x.q) for x in v)
-        assert membership(vec, k)
-    assert membership((Fraction(0), Fraction(1), Fraction(-1), Fraction(0)), k)
+        assert k.contains(vec)
+    assert k.contains((Fraction(0), Fraction(1), Fraction(-1), Fraction(0)))
 
 
 def test_quotient_examples():
@@ -108,7 +107,7 @@ def test_quotient_examples():
 
 
 def test_tensor_and_flip_examples():
-    assert tensor(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)) == Matrix.identity(QQ, 6)
+    assert Matrix.identity(QQ, 2).kron(Matrix.identity(QQ, 3)) == Matrix.identity(QQ, 6)
     # flip sends e⊗u (index 1) to u⊗e (index 2) in the 2x2 tensor square
     fl = flip(QQ, 2, 2)
     v = [Fraction(0)] * 4
@@ -202,7 +201,7 @@ def matrix_pair_strategy(draw, max_dim=3):
 def test_tensor_compatible_with_vectors(data):
     a, b, x, y = data
     f = a.field
-    lhs = tensor(a, b).apply(vec_kron(f, x, y))
+    lhs = a.kron(b).apply(vec_kron(f, x, y))
     rhs = vec_kron(f, a.apply(x), b.apply(y))
     assert lhs == rhs
 
@@ -234,6 +233,75 @@ def test_flip_is_involutive_swap(p, q, f):
             assert fl.apply(v) == vec_kron(f, unit_vec(f, q, j), unit_vec(f, p, i))
 
 
+def flip_permutation(f, dims, order):
+    """The permutation matrix of a leg reordering, built as a product of
+    adjacent swaps I ⊗ flip ⊗ I (bubble sort of `order`)."""
+    dims, legs = list(dims), list(range(len(dims)))
+    out = Matrix.identity(f, prod(dims))
+    target = list(order)
+    for _ in range(len(legs)):
+        for k in range(len(legs) - 1):
+            if target.index(legs[k]) > target.index(legs[k + 1]):
+                before = Matrix.identity(f, prod(dims[:k]))
+                after = Matrix.identity(f, prod(dims[k + 2:]))
+                out = before.kron(flip(f, dims[k], dims[k + 1])).kron(after) @ out
+                dims[k], dims[k + 1] = dims[k + 1], dims[k]
+                legs[k], legs[k + 1] = legs[k + 1], legs[k]
+    assert legs == target
+    return out
+
+
+@st.composite
+def legged_matrix(draw):
+    """A matrix, one of its axes split into 2–4 legs of sizes 1–3, and an order."""
+    f = draw(st.sampled_from([QQ, PrimeField(5)]))
+    dims = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4))
+    order = draw(st.permutations(range(len(dims))))
+    axis = draw(st.sampled_from([0, 1]))
+    other = draw(st.integers(min_value=1, max_value=3))
+    rows, cols = (prod(dims), other) if axis == 0 else (other, prod(dims))
+    values = [1, -1, 2, Fraction(1, 3)] if f == QQ else [1, 2, 4]
+    entries = {}
+    for i in range(rows):
+        for j in range(cols):
+            if draw(st.booleans()):
+                entries[(i, j)] = draw(st.sampled_from(values))
+    return Matrix(f, rows, cols, entries), tuple(dims), tuple(order), axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(legged_matrix())
+def test_permute_legs_matches_flip_products(data):
+    """Reordering legs by index equals the product with the permutation
+    matrix built from flip and identity Kronecker factors: P @ m along
+    rows, m @ Pᵀ along columns."""
+    m, dims, order, axis = data
+    f = m.field
+    perm = flip_permutation(f, dims, order)
+    expected = perm @ m if axis == 0 else m @ perm.transpose()
+    got = m.permute_legs(dims, order, axis)
+    assert got == expected
+    assert stored(got) == stored(expected)
+    if axis == 1:
+        # leg k of the result is leg order[k] of the input
+        vecs = [tuple(f.from_int(k + i + 1) for i in range(d)) for k, d in enumerate(dims)]
+        flat = vecs[0]
+        for v in vecs[1:]:
+            flat = vec_kron(f, flat, v)
+        reordered = vecs[order[0]]
+        for k in order[1:]:
+            reordered = vec_kron(f, reordered, vecs[k])
+        assert got.apply(reordered) == m.apply(flat)
+
+
+def test_permute_legs_rejects_mismatched_legs():
+    m = Matrix.identity(QQ, 6)
+    with pytest.raises(DimensionMismatch):
+        m.permute_legs((2, 2), (1, 0), 0)
+    with pytest.raises(DimensionMismatch):
+        m.permute_legs((2, 3), (0, 0), 1)
+
+
 def test_kernel_dimension_matches_bruteforce_over_f3():
     """Exhaustive solution count = p^(kernel dim), independent of RREF."""
     f = PrimeField(3)
@@ -258,8 +326,8 @@ def test_image_and_membership():
     m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     im = image(m)
     assert im.dim == 1
-    assert membership((Fraction(1), Fraction(2)), im)
-    assert not membership((Fraction(1), Fraction(0)), im)
+    assert im.contains((Fraction(1), Fraction(2)))
+    assert not im.contains((Fraction(1), Fraction(0)))
 
 
 def test_storage_is_canonical_over_prime_fields():
@@ -287,9 +355,9 @@ def test_storage_is_canonical_over_rationals():
 def test_raw_residues_through_membership_and_solve():
     f = PrimeField(7)
     zero_sub = Subspace.zero_space(f, 2)
-    assert membership((7, 14), zero_sub)          # ≡ (0, 0)
+    assert zero_sub.contains((7, 14))             # ≡ (0, 0)
     line = Subspace.from_spanning(f, 2, [(1, 6)])
-    assert membership((-1, 1), line)              # ≡ 6·(1, 6)
+    assert line.contains((-1, 1))                 # ≡ 6·(1, 6)
     assert line.coords((-1, 1)) == (6,)
     assert solve(Matrix.identity(f, 2), (-1, 9)) == (6, 2)
 

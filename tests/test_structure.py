@@ -9,7 +9,9 @@ import pytest
 
 from hopfpi import (
     GradedFunctional,
+    ad_map,
     calculus_from_ideal,
+    check_bicovariant,
     decompose_left,
     decompose_right,
     eta_basis,
@@ -19,13 +21,19 @@ from hopfpi import (
     induced_delta_l,
     invariant_subspace_left,
     invariant_subspace_right,
+    load_document,
     matrix_R,
+    phi_l,
+    phi_r,
     projection_P,
     projection_P_matrix,
     r_inv,
     reconstruct,
     reconstruction_matches,
     right_ideal_from_generators,
+    t_inv,
+    t_map,
+    taft_hopf_algebra,
     universal_calculus,
 )
 from hopfpi.errors import (
@@ -37,7 +45,7 @@ from hopfpi.errors import (
     VerificationFailed,
 )
 from hopfpi.hopf import HopfPiCoalgebra
-from hopfpi.linalg import Matrix, QQ, Subspace, vec_kron
+from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, flip, vec_kron
 from hopfpi.structure import CovariantBimodule, recombine_left
 
 F = Fraction
@@ -360,7 +368,7 @@ def test_frame_size_uniformity_guard(const_bim):
     cb = CovariantBimodule(const_bim.h, const_bim.dims, const_bim.left,
                            const_bim.right, delta_l=const_bim.delta_l,
                            delta_r=const_bim.delta_r)
-    cb._omega = {0: ((F(1), F(0)),), 1: ((F(1), F(0)), (F(0), F(1)))}
+    cb._omega = {0: Subspace.from_spanning(QQ, 2, [(F(1), F(0))]), 1: Subspace.full(QQ, 2)}
     with pytest.raises(DimensionVariesAcrossGrading):
         _frame_size(cb)
 
@@ -783,3 +791,125 @@ def test_extraction_failure_keeps_partial_data():
     assert set(data.not_run) == {"intertwiner-identity"}
     assert {v.check for v in data.report.violations} == {"frame-multiplicativity"}
     assert exc.value.report is data.report
+
+
+# -- witnesses of the bimodule laws --------------------------------------------
+
+
+def _bumped(m: Matrix, key) -> Matrix:
+    """m with 1 added to the entry at `key`."""
+    return m + Matrix(m.field, m.rows, m.cols, {key: m.field.one()})
+
+
+def test_bimodule_law_failures_name_the_law_and_a_basis_vector(kz2_bim):
+    """Bumping one entry of a lawful action or coaction fails the laws it
+    enters; each violation names its law and the first failing column."""
+    cb = kz2_bim
+    h = cb.h
+    left = [_bumped(cb.left[0], (0, 0))]              # 1·ρ_0 gains ρ_0
+    with pytest.raises(VerificationFailed) as err:
+        CovariantBimodule(h, cb.dims, left, cb.right, delta_l=cb.delta_l, delta_r=cb.delta_r)
+    report = err.value.report
+    assert ("module-left-unital", (0,), 0) in {(v.check, v.grading, v.basis_index)
+                                                for v in report.violations}
+    assert all(v.basis_index is not None for v in report.violations)
+
+    delta_l = dict(cb.delta_l)
+    delta_l[(0, 0)] = _bumped(cb.delta_l[(0, 0)], (0, 0))   # e ⊗ ρ_0 term of Δ^l(ρ_0)
+    with pytest.raises(VerificationFailed) as err:
+        CovariantBimodule(h, cb.dims, cb.left, cb.right, delta_l=delta_l, delta_r=cb.delta_r)
+    report = err.value.report
+    assert ("coaction-counit", (0,), 0) in {(v.check, v.grading, v.basis_index)
+                                            for v in report.violations}
+    assert all(v.basis_index is not None for v in report.violations)
+
+    delta_r = dict(cb.delta_r)
+    delta_r[(0, 0)] = _bumped(cb.delta_r[(0, 0)], (2, 0))   # ρ_1 ⊗ e term of Δ^r(ρ_0)
+    with pytest.raises(VerificationFailed) as err:
+        CovariantBimodule(h, cb.dims, cb.left, cb.right, delta_l=cb.delta_l, delta_r=delta_r)
+    report = err.value.report
+    assert ("bicovariance-compatibility", (0, 0, 0), 0) in {
+        (v.check, v.grading, v.basis_index) for v in report.violations}
+    assert all(v.basis_index is not None for v in report.violations)
+
+
+def test_bicovariance_compatibility_failure_has_a_witness(kz2):
+    """check_bicovariant names a failed compatibility law with the first
+    failing basis vector of Γ."""
+    calc = universal_calculus(kz2)
+    assert check_bicovariant(calc).ok
+    report, coactions = calc._covariance["right"]
+    bumped = dict(coactions)
+    bumped[(0, 0)] = _bumped(coactions[(0, 0)], (2, 0))
+    calc._covariance["right"] = (report, bumped)
+    violations = check_bicovariant(calc).violations
+    assert [(v.check, v.grading, v.basis_index) for v in violations] == [
+        ("bicovariance-compatibility", (0, 0, 0), 0)]
+
+
+# -- leg reorderings against their flip / Kronecker-product formulas -----------------
+
+
+def _kron_all(*mats: Matrix) -> Matrix:
+    out = mats[0]
+    for m in mats[1:]:
+        out = out.kron(m)
+    return out
+
+
+@pytest.fixture(scope="module", params=[
+    "kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
+    "taft4_rational.json", "q_z3_skew_basis.json", "taft over F7"])
+def lawful_structure(request, fixture_dir):
+    """Every fixture structure that verifies, and the Taft algebra over F_7."""
+    if request.param == "taft over F7":
+        return taft_hopf_algebra(PrimeField(7))
+    return load_document(fixture_dir / request.param).hopf
+
+
+def test_leg_reorderings_match_flip_formulas(lawful_structure):
+    """pair_mult, Φ^l, Φ^r, t, t^{-1}, ad and the left action and Δ^l of
+    reconstruct equal the products with permutation matrices built from
+    flip and identity Kronecker factors."""
+    h = lawful_structure
+    f = h.field
+    g = h.group
+    e = g.identity
+    n1 = h.n(e)
+
+    def eye(n):
+        return Matrix.identity(f, n)
+
+    for a in g.elements():
+        na, ai = h.n(a), g.inv(a)
+        for b in g.elements():
+            nb = h.n(b)
+            swap = _kron_all(eye(na), flip(f, nb, na), eye(nb))
+            d = h.comult[(a, b)]
+            assert h.pair_mult(a, b) == h.mult[a].kron(h.mult[b]) @ swap
+            assert phi_l(h, a, b) == h.mult[a].kron(eye(nb * nb)) @ swap @ d.kron(d)
+            assert phi_r(h, a, b) == eye(na * na).kron(h.mult[b]) @ swap @ d.kron(d)
+        assert t_map(h, a) == (eye(n1).kron(h.mult[a]) @ flip(f, na, n1).kron(eye(na))
+                               @ eye(na).kron(h.comult[(e, a)]))
+        step1 = h.comult[(a, ai)].kron(eye(na))
+        step2 = eye(na).kron(h.antipode_inv(a).kron(eye(na)))
+        perm = eye(na).kron(flip(f, na, na)) @ flip(f, na * na, na)
+        assert t_inv(h, a) == h.mult[a].kron(eye(na)) @ perm @ step2 @ step1
+        applied = _kron_all(h.antipode[ai], eye(n1), eye(na)) @ h.comult_path((ai, e, a))
+        sweedler = eye(n1).kron(h.mult[a]) @ flip(f, na, n1).kron(eye(na)) @ applied
+        assert ad_map(h, a) == sweedler
+
+    size = 2
+    character = GradedFunctional(h, {a: (h.counit @ h.psi[a]).row(0) for a in g.elements()})
+    zero = GradedFunctional(h, {})
+    funcs = [[character, zero], [zero, character]]
+    R = [[[tuple(h.unit[b]), (f.zero(),) * h.n(b)], [(f.zero(),) * h.n(b), tuple(h.unit[b])]]
+         for b in g.elements()]
+    rebuilt = reconstruct(h, funcs, R, size)
+    for a in g.elements():
+        na = h.n(a)
+        assert rebuilt.left[a] == eye(size).kron(h.mult[a]) @ flip(f, na, size).kron(eye(na))
+        for b in g.elements():
+            nb = h.n(b)
+            assert rebuilt.delta_l[(a, b)] == (flip(f, size, na).kron(eye(nb))
+                                               @ eye(size).kron(h.comult[(a, b)]))
