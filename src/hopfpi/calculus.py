@@ -14,6 +14,17 @@ ones.  Covariance itself is decided by the containments
 condition (and decidable by finite linear algebra); the implication form
 of the definition is spot-checked on a basis of N via the induced maps.
 
+Every containment is one sparse product.  The quotient projection P_α of
+A_α⊗A_α has kernel exactly N_α, so with ι the inclusion matrix of N,
+
+    Φ^l(N_{αβ}) ⊆ A_α⊗N_β   iff   (I ⊗ P_β) Φ^l ι_{αβ} = 0,
+    Φ^r(N_{αβ}) ⊆ N_α⊗A_β   iff   (P_α ⊗ I) Φ^r ι_{αβ} = 0,
+
+and column j of the product is nonzero exactly when basis vector j of
+N_{αβ} leaves; sub-bimodule closure and ad-invariance are tested the
+same way.  Φ^l and Φ^r depend only on the Hopf structure and are built
+once per structure.
+
 The adjoint coaction ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1⊗A_α
 characterises bicovariance: the r-route calculus of R is bicovariant iff
 ad_α(R) ⊆ R ⊗ A_α for all α.
@@ -40,6 +51,8 @@ from .linalg import (
     Matrix,
     PrimeField,
     Subspace,
+    differing_columns,
+    image,
     kernel,
     quotient,
     unit_vec,
@@ -116,6 +129,16 @@ def phi_r(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     """
     na = h.n(alpha)
     return Matrix.identity(h.field, na * na).kron(h.mult[beta]) @ _paired_comult(h, alpha, beta)
+
+
+def _phi(h: HopfPiCoalgebra, side: str, alpha: int, beta: int) -> Matrix:
+    """Φ^l_{α,β} (side "left") or Φ^r_{α,β} (side "right"), built once per
+    Hopf structure: it depends on nothing else, so every calculus on h
+    shares it."""
+    key = (side, alpha, beta)
+    if key not in h._phi:
+        h._phi[key] = (phi_l if side == "left" else phi_r)(h, alpha, beta)
+    return h._phi[key]
 
 
 def phi_l_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
@@ -310,6 +333,10 @@ class Fodc:
                 raise DimensionMismatch(f"kernel at {a} has wrong ambient dimension")
             if not self.kernels[a].le(self.asq.sub[a]):
                 raise CodomainViolation(f"N_{a} is not contained in A²_{a}")
+        # ι_α includes N_α into A_α⊗A_α and P_α has kernel exactly N_α, so
+        # v ∈ N_α ⇔ P_α v = 0: containments are decided by products with P
+        self.incl: list[Matrix] = [k.inclusion_matrix() for k in self.kernels]
+        self.proj: list[Matrix] = [quotient(k.ambient_dim, k).projection for k in self.kernels]
         if validate:
             self._check_sub_bimodule()
 
@@ -338,21 +365,24 @@ class Fodc:
             self.right.append(drop @ self.asq.right_action_ambient(a) @ lift.kron(eye))
 
     def _check_sub_bimodule(self):
+        """A_α·N_α ⊆ N_α ⊇ N_α·A_α; names the action that first fails,
+        scanning N's basis vectors w_k and, for each, A's basis e_i."""
         h = self.h
         f = h.field
         for a in h.group.elements():
             n = h.n(a)
-            la = self.asq.left_action_ambient(a)
-            ra = self.asq.right_action_ambient(a)
-            for w in self.kernels[a].basis:
-                for i in range(n):
-                    ei = unit_vec(f, n, i)
-                    if not self.kernels[a].contains(la.apply(vec_kron(f, ei, w))):
-                        raise CodomainViolation(
-                            f"N_{a} not closed under the left action")
-                    if not self.kernels[a].contains(ra.apply(vec_kron(f, w, ei))):
-                        raise CodomainViolation(
-                            f"N_{a} not closed under the right action")
+            eye = Matrix.identity(f, n)
+            incl = self.incl[a]
+            # column k·n + i holds e_i·w_k on the left and w_k·e_i on the right
+            left = self.proj[a] @ (self.asq.left_action_ambient(a)
+                                   @ eye.kron(incl).permute_legs((n, incl.cols), (1, 0), 1))
+            right = self.proj[a] @ (self.asq.right_action_ambient(a) @ incl.kron(eye))
+            first_left = min((c for _, c in left.entries), default=None)
+            first_right = min((c for _, c in right.entries), default=None)
+            if first_left is not None and (first_right is None or first_left <= first_right):
+                raise CodomainViolation(f"N_{a} not closed under the left action")
+            if first_right is not None:
+                raise CodomainViolation(f"N_{a} not closed under the right action")
 
     def dim(self, alpha: int) -> int:
         return self.quot[alpha].dim
@@ -386,10 +416,8 @@ class Fodc:
             eye = Matrix.identity(f, n)
             lhs = self.d[a] @ h.mult[a]
             rhs = self.right[a] @ self.d[a].kron(eye) + self.left[a] @ eye.kron(self.d[a])
-            if lhs != rhs:
-                for j in range(lhs.cols):
-                    if lhs.col(j) != rhs.col(j):
-                        report.extend([Violation("leibniz", (a,), j, "d(ab) ≠ d(a)b + a d(b)")])
+            for j, _, _ in differing_columns(lhs, rhs):
+                report.extend([Violation("leibniz", (a,), j, "d(ab) ≠ d(a)b + a d(b)")])
         return report
 
     def surjectivity_report(self) -> VerificationReport:
@@ -398,13 +426,8 @@ class Fodc:
         f = h.field
         report = VerificationReport()
         for a in h.group.elements():
-            n = h.n(a)
-            vecs = []
-            for i in range(n):
-                ei = unit_vec(f, n, i)
-                for j in range(n):
-                    vecs.append(self.left[a].apply(vec_kron(f, ei, self.d[a].col(j))))
-            span = Subspace.from_spanning(f, self.dim(a), vecs)
+            # column (i, j) is e_i · d(e_j)
+            span = image(self.left[a] @ Matrix.identity(f, h.n(a)).kron(self.d[a]))
             if span.dim != self.dim(a):
                 report.extend([Violation("surjectivity", (a,), None,
                                          f"span of a·d(b) has dim {span.dim} < {self.dim(a)}")])
@@ -454,10 +477,12 @@ def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
 def _covariance(calc: Fodc, side: str) -> tuple:
     """(containment report, induced coactions) of one side, memoised on calc.
 
-    Left: Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β; right: Φ^r(N_{αβ}) ⊆
-    N_α ⊗ A_β.  When the containment holds, the coactions are the maps
-    Δ_{α,β} that Φ induces on the quotients, keyed by (α, β); else None.
-    Each Φ is built once and serves both the verdict and the coaction.
+    Left: Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β, decided as
+    (I ⊗ P_β) Φ^l ι_{αβ} = 0; right: Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β, decided as
+    (P_α ⊗ I) Φ^r ι_{αβ} = 0.  A nonzero column j names the basis vector of
+    N_{αβ} that leaves.  When the containment holds, the coactions are the
+    maps Δ_{α,β} that Φ induces on the quotients, keyed by (α, β); else
+    None.  Each Φ serves both the verdict and the coaction.
     """
     memo = calc._covariance.get(side)
     if memo is not None:
@@ -466,33 +491,31 @@ def _covariance(calc: Fodc, side: str) -> tuple:
     g = h.group
     f = h.field
     left = side == "left"
+    detail = ("Φ^l maps an N basis vector outside A⊗N" if left
+              else "Φ^r maps an N basis vector outside N⊗A")
     report = VerificationReport()
-    phis = {}
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            if left:
-                amb = phi_l(h, a, b)
-                target = Subspace.full(f, h.n(a)).tensor(calc.kernels[b])
-            else:
-                amb = phi_r(h, a, b)
-                target = calc.kernels[a].tensor(Subspace.full(f, h.n(b)))
-            for j, w in enumerate(calc.kernels[ab].basis):
-                if not target.contains(amb.apply(w)):
-                    report.extend([Violation(
-                        f"{side}-covariance", (a, b), j,
-                        "Φ^l maps an N basis vector outside A⊗N" if left
-                        else "Φ^r maps an N basis vector outside N⊗A")])
-            phis[(a, b)] = amb
+    pairs = [(a, b) for a in g.elements() for b in g.elements()]
+    for a, b in pairs:
+        # right to left: Φ ι has dim N_{αβ} columns, none for the universal calculus
+        moved = _phi(h, side, a, b) @ calc.incl[g.mul(a, b)]
+        outside = (Matrix.identity(f, h.n(a)).kron(calc.proj[b]) if left
+                   else calc.proj[a].kron(Matrix.identity(f, h.n(b)))) @ moved
+        report.extend(Violation(f"{side}-covariance", (a, b), j, detail)
+                      for j in _nonzero_columns(outside))
     coactions = None
     if report.ok:
         coactions = {}
-        for (a, b), amb in phis.items():
+        for a, b in pairs:
             outer = (Matrix.identity(f, h.n(a)).kron(calc.drop[b]) if left
                      else calc.drop[a].kron(Matrix.identity(f, h.n(b))))
-            coactions[(a, b)] = outer @ amb @ calc.lift[g.mul(a, b)]
+            coactions[(a, b)] = outer @ (_phi(h, side, a, b) @ calc.lift[g.mul(a, b)])
     memo = calc._covariance[side] = (report, coactions)
     return memo
+
+
+def _nonzero_columns(m: Matrix) -> list[int]:
+    """Indices of the columns of m that are not zero, ascending."""
+    return sorted({c for _, c in m.entries})
 
 
 def check_left_covariant(calc: Fodc) -> VerificationReport:
@@ -554,8 +577,10 @@ def spot_check_implication(calc: Fodc) -> VerificationReport:
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
-            left_map = Matrix.identity(f, h.n(a)).kron(calc.drop[b]) @ phi_l(h, a, b)
-            right_map = calc.drop[a].kron(Matrix.identity(f, h.n(b))) @ phi_r(h, a, b)
+            left_map = (Matrix.identity(f, h.n(a)).kron(calc.drop[b])
+                        @ _phi(h, "left", a, b))
+            right_map = (calc.drop[a].kron(Matrix.identity(f, h.n(b)))
+                         @ _phi(h, "right", a, b))
             for j, w in enumerate(calc.kernels[ab].basis):
                 lv = left_map.apply(w)
                 if any(x != f.zero() for x in lv):
@@ -600,16 +625,19 @@ def ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
 
 
 def check_ad_invariant(h: HopfPiCoalgebra, ideal: RightIdeal) -> VerificationReport:
-    """ad_α(R) ⊆ R ⊗ A_α for every α, on basis images."""
+    """ad_α(R) ⊆ R ⊗ A_α for every α, decided as (P_R ⊗ I) ad_α ι_R = 0
+    with P_R a projection whose kernel is R; a nonzero column j names the
+    basis vector of R that leaves."""
     f = h.field
+    sub = ideal.subspace
+    incl = sub.inclusion_matrix()
+    proj = quotient(sub.ambient_dim, sub).projection
     report = VerificationReport()
     for a in h.group.elements():
-        ad = ad_map(h, a)
-        target = ideal.subspace.tensor(Subspace.full(f, h.n(a)))
-        for j, v in enumerate(ideal.subspace.basis):
-            if not target.contains(ad.apply(v)):
-                report.extend([Violation("ad-invariance", (a,), j,
-                                         "ad maps an ideal basis vector outside R⊗A")])
+        outside = proj.kron(Matrix.identity(f, h.n(a))) @ (ad_map(h, a) @ incl)
+        report.extend(Violation("ad-invariance", (a,), j,
+                                "ad maps an ideal basis vector outside R⊗A")
+                      for j in _nonzero_columns(outside))
     return report
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
+    differing_columns,
     kernel,
     unit_vec,
     vec_is_zero,
@@ -87,17 +88,13 @@ def _diff_columns(check: str, grading, lhs: Matrix, rhs: Matrix, namer=None):
         out.append(Violation(check, tuple(grading), None,
                              f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}"))
         return out
-    if lhs == rhs:
-        return out
     f = lhs.field
-    for j in range(lhs.cols):
-        lc, rc = lhs.col(j), rhs.col(j)
-        if lc != rc:
-            label = namer(j) if namer else str(j)
-            detail = (f"on basis {label}: lhs="
-                      f"({', '.join(f.render(x) for x in lc)}) rhs="
-                      f"({', '.join(f.render(x) for x in rc)})")
-            out.append(Violation(check, tuple(grading), j, detail))
+    for j, lc, rc in differing_columns(lhs, rhs):
+        label = namer(j) if namer else str(j)
+        detail = (f"on basis {label}: lhs="
+                  f"({', '.join(f.render(x) for x in lc)}) rhs="
+                  f"({', '.join(f.render(x) for x in rc)})")
+        out.append(Violation(check, tuple(grading), j, detail))
     return out
 
 
@@ -197,6 +194,7 @@ class HopfPiCoalgebra(PiCoalgebra):
         self.psi = list(psi) if psi is not None else None
         self._antipode_inv: dict[int, Matrix] = {}
         self._pair_mult: dict[tuple[int, int], Matrix] = {}
+        self._phi: dict[tuple[str, int, int], Matrix] = {}   # (side, α, β) -> Φ, see calculus
         self._validate_hopf_shapes()
 
     def _validate_hopf_shapes(self):

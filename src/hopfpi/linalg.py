@@ -351,6 +351,17 @@ class Matrix:
                 out[r] = v
         return tuple(out)
 
+    def columns(self) -> dict[int, tuple]:
+        """The nonzero columns as {j: column}, from one pass over the entries."""
+        z = self.field.zero()
+        out: dict[int, list] = {}
+        for (r, c), v in self.entries.items():
+            column = out.get(c)
+            if column is None:
+                column = out[c] = [z] * self.rows
+            column[r] = v
+        return {c: tuple(column) for c, column in out.items()}
+
     def to_rows(self) -> list[list]:
         z = self.field.zero()
         out = [[z] * self.cols for _ in range(self.rows)]
@@ -499,6 +510,19 @@ class Matrix:
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+def differing_columns(lhs: Matrix, rhs: Matrix):
+    """(j, lhs column j, rhs column j) for each j, ascending, on which two
+    matrices of one shape differ; the entries are grouped by column once."""
+    if lhs.entries == rhs.entries:
+        return
+    lcols, rcols = lhs.columns(), rhs.columns()
+    zero = (lhs.field.zero(),) * lhs.rows
+    for j in sorted(lcols.keys() | rcols.keys()):
+        lc, rc = lcols.get(j, zero), rcols.get(j, zero)
+        if lc != rc:
+            yield j, lc, rc
 
 
 def flip(field: Field, dim_a: int, dim_b: int) -> Matrix:
@@ -661,7 +685,7 @@ def kernel(m: Matrix) -> Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Column space, canonical basis."""
-    return Subspace.from_spanning(m.field, m.rows, [m.col(j) for j in range(m.cols)])
+    return Subspace.from_spanning(m.field, m.rows, m.columns().values())
 
 
 @dataclass(frozen=True)

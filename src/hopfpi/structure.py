@@ -61,7 +61,6 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel,
-    solve,
     unit_vec,
     vec_add,
     vec_kron,
@@ -87,6 +86,7 @@ class CovariantBimodule:
         self.delta_r = dict(delta_r) if delta_r is not None else None
         self._omega: dict[int, Subspace] = {}
         self._decompose: dict[int, Matrix] = {}
+        self._decompose_inv: dict[int, Matrix] = {}
         report = self.verify()
         if not report.ok:
             raise VerificationFailed(
@@ -189,6 +189,12 @@ class CovariantBimodule:
             self._decompose[alpha] = frame_matrix(self, alpha, self.omega(alpha))
         return self._decompose[alpha]
 
+    def decompose_inverse(self, alpha: int) -> Matrix:
+        """Inverse of the frame matrix of ω: ρ ↦ its coefficients over ω."""
+        if alpha not in self._decompose_inv:
+            self._decompose_inv[alpha] = _frame_inverse(self.decompose_matrix(alpha), alpha)
+        return self._decompose_inv[alpha]
+
 
 def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -> Matrix:
     """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
@@ -241,23 +247,30 @@ def projection_P(cb: CovariantBimodule, alpha: int, rho) -> tuple:
     return projection_P_matrix(cb, alpha).apply(rho)
 
 
+def _frame_inverse(w: Matrix, alpha: int) -> Matrix:
+    """Inverse of a frame matrix of Γ_α; an error unless Γ_α is free on the frame."""
+    if w.rows != w.cols:
+        raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
+    try:
+        return w.inverse()
+    except SingularMatrix:
+        raise StructureInconsistent(f"the frame does not span Γ_{alpha}") from None
+
+
 def decompose_left(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
     """Unique coefficients a_i ∈ A_α with ρ = Σ a_i ω_i."""
-    return _decompose(cb, alpha, cb.decompose_matrix(alpha), rho)
+    return _decompose(cb, alpha, cb.decompose_inverse(alpha), rho)
 
 
 def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
     """Unique coefficients b_i ∈ A_α with ρ = Σ ω_i b_i."""
-    return _decompose(cb, alpha, frame_matrix(cb, alpha, cb.omega(alpha), "right"), rho)
+    w = frame_matrix(cb, alpha, cb.omega(alpha), "right")
+    return _decompose(cb, alpha, _frame_inverse(w, alpha), rho)
 
 
-def _decompose(cb: CovariantBimodule, alpha: int, w: Matrix, rho) -> list[tuple]:
+def _decompose(cb: CovariantBimodule, alpha: int, winv: Matrix, rho) -> list[tuple]:
     n = cb.h.n(alpha)
-    if w.rows != w.cols:
-        raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
-    x = solve(w, tuple(rho))
-    if x is None:
-        raise StructureInconsistent("element does not decompose over the frame")
+    x = winv.apply(tuple(rho))
     return [x[i * n:(i + 1) * n] for i in range(len(cb.omega(alpha)))]
 
 
@@ -538,19 +551,15 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matri
     """
     h = cb.h
     f = h.field
-    if frames is None:
+    omega = frames is None
+    if omega:
         _frame_size(cb)
         frames = [cb.omega(a) for a in h.group.elements()]
     out = []
     for a in h.group.elements():
         n = h.n(a)
-        w = frame_matrix(cb, a, frames[a])
-        if w.rows != w.cols:
-            raise DimensionMismatch(f"Γ_{a} is not free on the frame")
-        try:
-            winv = w.inverse()
-        except SingularMatrix:
-            raise StructureInconsistent(f"the frame does not span Γ_{a}") from None
+        winv = (cb.decompose_inverse(a) if omega
+                else _frame_inverse(frame_matrix(cb, a, frames[a]), a))
         eye = Matrix.identity(f, n)
         per_alpha = []
         for v in frames[a]:
@@ -888,9 +897,7 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     h = cb.h
     f = h.field
     grp = h.group
-    iso = {}
-    for a in grp.elements():
-        iso[a] = cb.decompose_matrix(a).inverse()
+    iso = {a: cb.decompose_inverse(a) for a in grp.elements()}
     for a in grp.elements():
         n = h.n(a)
         eye = Matrix.identity(f, n)

@@ -16,6 +16,7 @@ from hopfpi import (
     check_bicovariant,
     check_left_covariant,
     check_right_covariant,
+    constant_family,
     cyclic,
     enumerate_right_ideals,
     group_algebra,
@@ -635,34 +636,43 @@ def test_taft_universal_calculus(taft):
 
 
 @pytest.mark.parametrize("first", ["left", "right", "bicovariant", "bimodule", "induced"])
-def test_covariance_decided_once_per_calculus(f7z3_const, monkeypatch, first):
-    """Each Φ^l_{α,β}/Φ^r_{α,β} is built once per calculus: after the first
-    decision of a side, no covariance query builds that side's Φ again."""
+def test_covariance_decided_once_per_calculus(monkeypatch, first):
+    """Each side's containments are decided once per calculus, whatever
+    covariance query comes first, and each Φ^l_{α,β}/Φ^r_{α,β} is built
+    once per Hopf structure, across two calculi on it."""
     import hopfpi.calculus as calc_mod
 
-    builds = {"left": 0, "right": 0}
+    builds = {}
+    products = []          # one containment product per (calculus, side, pair)
+    nonzero_columns = calc_mod._nonzero_columns
 
     def counting(side, build):
-        def wrapper(*args):
-            builds[side] += 1
-            return build(*args)
+        def wrapper(h, a, b):
+            builds[(side, a, b)] = builds.get((side, a, b), 0) + 1
+            return build(h, a, b)
         return wrapper
 
     monkeypatch.setattr(calc_mod, "phi_l", counting("left", calc_mod.phi_l))
     monkeypatch.setattr(calc_mod, "phi_r", counting("right", calc_mod.phi_r))
-    h = f7z3_const
+    monkeypatch.setattr(calc_mod, "_nonzero_columns",
+                        lambda m: products.append(m) or nonzero_columns(m))
+    # a fresh structure: one shared with other tests may already hold every Φ
+    h = constant_family(group_algebra(cyclic(3), PrimeField(7), names=("e", "g", "g2")),
+                        cyclic(2, names=("1", "s")))
     pairs = [(a, b) for a in h.group.elements() for b in h.group.elements()]
-    calc = calculus_from_ideal(h, right_ideal_from_generators(h, [(5, 6, 3)]))
-    queries = {
-        "left": lambda: check_left_covariant(calc),
-        "right": lambda: check_right_covariant(calc),
-        "bicovariant": lambda: check_bicovariant(calc),
-        "bimodule": lambda: calc.to_bimodule(),
-        "induced": lambda: (induced_delta_l(calc, 1, 1), induced_delta_r(calc, 0, 1)),
-    }
-    queries[first]()
-    for query in queries.values():
-        query()
-    ideal_from_calculus(calc)
-    assert builds == {"left": len(pairs), "right": len(pairs)}
-    assert check_bicovariant(calc).ok
+    ideal = right_ideal_from_generators(h, [(5, 6, 3)])
+    for calc in (calculus_from_ideal(h, ideal), calculus_from_ideal_right(h, ideal)):
+        queries = {
+            "left": lambda: check_left_covariant(calc),
+            "right": lambda: check_right_covariant(calc),
+            "bicovariant": lambda: check_bicovariant(calc),
+            "bimodule": lambda: calc.to_bimodule(),
+            "induced": lambda: (induced_delta_l(calc, 1, 1), induced_delta_r(calc, 0, 1)),
+        }
+        queries[first]()
+        for query in queries.values():
+            query()
+        ideal_from_calculus(calc)
+        assert check_bicovariant(calc).ok
+    assert builds == {(side, a, b): 1 for side in ("left", "right") for a, b in pairs}
+    assert len(products) == 2 * 2 * len(pairs)
