@@ -312,11 +312,13 @@ class Fodc:
     Holds, per grading α: the kernel N_α (ambient coordinates), the
     quotient Γ_α with its canonical section, d_α, and the two module
     actions on Γ_α.  `ideal`/`side` record how N was built, when it was.
+    N is proven closed under both actions at construction
+    (CodomainViolation otherwise), which `to_bimodule` relies on.
     """
 
     def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace],
                  ideal: RightIdeal | None = None, side: str | None = None,
-                 asq: UniversalBimodule | None = None, validate: bool = True):
+                 asq: UniversalBimodule | None = None):
         self.h = h
         self.asq = asq or universal_bimodule(h)
         self.kernels = list(kernels)
@@ -337,8 +339,7 @@ class Fodc:
         # v ∈ N_α ⇔ P_α v = 0: containments are decided by products with P
         self.incl: list[Matrix] = [k.inclusion_matrix() for k in self.kernels]
         self.proj: list[Matrix] = [quotient(k.ambient_dim, k).projection for k in self.kernels]
-        if validate:
-            self._check_sub_bimodule()
+        self._check_sub_bimodule()
 
         self.nsub: list[Subspace] = []
         self.quot = []
@@ -397,14 +398,17 @@ class Fodc:
         """The covariant-bimodule view of Γ, with whichever coactions hold.
 
         Δ^l is attached iff the left containment Φ^l(N) ⊆ A⊗N holds,
-        Δ^r iff the right one does; NotCovariant if neither.
+        Δ^r iff the right one does; NotCovariant if neither.  The laws
+        are a theorem here and are not re-verified (see
+        CovariantBimodule._trusted); VerificationFailed if h fails the
+        Hopf axioms.
         """
         _, delta_l = _covariance(self, "left")
         _, delta_r = _covariance(self, "right")
         if delta_l is None and delta_r is None:
             raise NotCovariant("calculus is neither left nor right covariant")
-        return CovariantBimodule(self.h, self.gamma_dims, self.left, self.right,
-                                 delta_l=delta_l, delta_r=delta_r)
+        return CovariantBimodule._trusted(self.h, self.gamma_dims, self.left, self.right,
+                                          delta_l=delta_l, delta_r=delta_r)
 
     def leibniz_report(self) -> VerificationReport:
         """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
@@ -438,7 +442,7 @@ def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
     """Γ = A² itself (N = 0), the universal calculus."""
     f = h.field
     kernels = [Subspace.zero_space(f, h.n(a) ** 2) for a in h.group.elements()]
-    return Fodc(h, kernels, ideal=zero_ideal(h), side="left", validate=False)
+    return Fodc(h, kernels, ideal=zero_ideal(h), side="left")
 
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:

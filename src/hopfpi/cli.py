@@ -29,7 +29,7 @@ from .errors import (
     UnknownIdeal,
     UnsupportedField,
 )
-from .hopf import verify_hopf, verify_pi_coalgebra
+from .hopf import verify_all
 from .reporting import Report
 
 _INPUT_ERRORS = (ParseError, UnknownIdeal, NotInKernelOfCounit, NotARightIdeal,
@@ -59,11 +59,10 @@ def _dims_table(h) -> dict:
 
 def _run_verification(doc: Document, output: Report) -> bool:
     h = doc.hopf
-    pi_report = verify_pi_coalgebra(h)
-    hopf_report = verify_hopf(h)
+    report = verify_all(h)
     names = list(PI_CHECKS) + list(HOPF_CHECKS) + (list(PSI_CHECKS) if h.psi is not None else [])
-    _bucket_violations(pi_report.merge(hopf_report), names, output, h.group)
-    return pi_report.ok and hopf_report.ok
+    _bucket_violations(report, names, output, h.group)
+    return report.ok
 
 
 def cmd_verify(doc: Document, args) -> Report:

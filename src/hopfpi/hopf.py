@@ -195,6 +195,7 @@ class HopfPiCoalgebra(PiCoalgebra):
         self._antipode_inv: dict[int, Matrix] = {}
         self._pair_mult: dict[tuple[int, int], Matrix] = {}
         self._phi: dict[tuple[str, int, int], Matrix] = {}   # (side, α, β) -> Φ, see calculus
+        self._verdict: VerificationReport | None = None      # see verify_all
         self._validate_hopf_shapes()
 
     def _validate_hopf_shapes(self):
@@ -398,7 +399,12 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
 
 
 def verify_all(h: HopfPiCoalgebra) -> VerificationReport:
-    return verify_pi_coalgebra(h).merge(verify_hopf(h))
+    """The π-coalgebra checks, then the Hopf checks, computed once per
+    structure: the verdict depends on h alone, so every later caller
+    (the CLI, each calculus's bimodule) reads the memo."""
+    if h._verdict is None:
+        h._verdict = verify_pi_coalgebra(h).merge(verify_hopf(h))
+    return VerificationReport(h._verdict.violations)
 
 
 # ---------------------------------------------------------------------------

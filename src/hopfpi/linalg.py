@@ -231,9 +231,6 @@ def vec_sub(field: Field, v: Sequence, w: Sequence) -> tuple:
         raise DimensionMismatch(f"vec_sub: {len(v)} vs {len(w)}")
     return tuple(field.sub(a, b) for a, b in zip(v, w))
 
-def vec_scale(field: Field, c, v: Sequence) -> tuple:
-    return tuple(field.mul(c, a) for a in v)
-
 def vec_kron(field: Field, v: Sequence, w: Sequence) -> tuple:
     """v ⊗ w with the row-major index convention."""
     return tuple(field.mul(a, b) for a in v for b in w)
@@ -241,12 +238,6 @@ def vec_kron(field: Field, v: Sequence, w: Sequence) -> tuple:
 def vec_is_zero(field: Field, v: Sequence) -> bool:
     z = field.zero()
     return all(a == z for a in v)
-
-def parse_vec(field: Field, entries: Sequence) -> tuple:
-    return tuple(field.parse(e) for e in entries)
-
-def render_vec(field: Field, v: Sequence) -> str:
-    return "(" + ", ".join(field.render(a) for a in v) + ")"
 
 
 # ---------------------------------------------------------------------------

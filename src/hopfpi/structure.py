@@ -56,6 +56,7 @@ from .hopf import (
     VerificationReport,
     Violation,
     interchange_product,
+    verify_all,
 )
 from .linalg import (
     Matrix,
@@ -69,15 +70,50 @@ from .linalg import (
 
 
 class CovariantBimodule:
-    """A π-graded bimodule with coaction(s), laws verified at construction.
+    """A π-graded bimodule with coaction(s).
 
     `left`/`right` are the module actions A_α⊗Γ_α → Γ_α and
     Γ_α⊗A_α → Γ_α; `delta_l` maps Γ_{αβ} → A_α⊗Γ_β and `delta_r` maps
     Γ_{αβ} → Γ_α⊗A_β (either family may be absent).
+
+    The constructor takes arbitrary maps, so it runs `verify()` and
+    raises VerificationFailed unless every law holds; `_trusted` builds
+    the bimodule of a calculus, whose laws are a theorem.
     """
 
     def __init__(self, h: HopfPiCoalgebra, dims, left, right,
                  delta_l=None, delta_r=None):
+        self._adopt(h, dims, left, right, delta_l, delta_r)
+        report = self.verify()
+        if not report.ok:
+            raise VerificationFailed(
+                f"bimodule laws fail ({len(report)} violations): "
+                f"{report.violations[0].render()}", report)
+
+    @classmethod
+    def _trusted(cls, h: HopfPiCoalgebra, dims, left, right,
+                 delta_l=None, delta_r=None) -> "CovariantBimodule":
+        """The bimodule Γ = A²/N of a calculus, its laws not re-verified.
+
+        On A⊗A the actions are multiplication on the outer legs and the
+        coactions are Φ^l, Φ^r; their laws follow from associativity,
+        unit, coassociativity, counit and Δ, ε being algebra maps.  With
+        N a sub-bimodule and Φ^l(N) ⊆ A⊗N, Φ^r(N) ⊆ N⊗A (both decided
+        before the calculus reaches here) the laws descend to Γ
+        (Woronowicz 1989, §1–2, graded).  What remains is the Hopf-axiom
+        verdict on h, read from its memo; VerificationFailed carries it
+        when an axiom fails.
+        """
+        report = verify_all(h)
+        if not report.ok:
+            raise VerificationFailed(
+                f"Hopf axioms fail ({len(report)} violations): "
+                f"{report.violations[0].render()}", report)
+        cb = cls.__new__(cls)
+        cb._adopt(h, dims, left, right, delta_l, delta_r)
+        return cb
+
+    def _adopt(self, h, dims, left, right, delta_l, delta_r) -> None:
         self.h = h
         self.dims = [int(d) for d in dims]
         self.left = list(left)
@@ -87,11 +123,6 @@ class CovariantBimodule:
         self._omega: dict[int, Subspace] = {}
         self._decompose: dict[int, Matrix] = {}
         self._decompose_inv: dict[int, Matrix] = {}
-        report = self.verify()
-        if not report.ok:
-            raise VerificationFailed(
-                f"bimodule laws fail ({len(report)} violations): "
-                f"{report.violations[0].render()}", report)
 
     def g(self, alpha: int) -> int:
         return self.dims[alpha]

@@ -226,6 +226,39 @@ def test_cli_structure_constant_family(fixture_dir, capsys):
     assert "frame size: 1" in out
 
 
+@pytest.mark.parametrize("name, which", [
+    *[(p, ("--universal",)) for p in ("kz2_rational.json", "f7_z3.json",
+                                      "kz2_constant_z2.json", "f7z3_constant_z2.json",
+                                      "taft4_rational.json", "q_z3_skew_basis.json",
+                                      "kz2_bad_antipode.json")],
+    ("f7z3_constant_z2.json", ("--ideal", "R1")),
+])
+def test_cli_structure_verifies_axioms_once(fixture_dir, capsys, monkeypatch, name, which):
+    """One structure job runs each axiom suite once: the CLI and the
+    calculus's bimodule share the verdict memoised on the structure.  The
+    bimodule laws are verified only on the reconstructed bimodule."""
+    import hopfpi.hopf as hopf_mod
+    import hopfpi.structure as struct_mod
+
+    calls = {"pi": 0, "hopf": 0, "laws": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(hopf_mod, "verify_pi_coalgebra",
+                        counting("pi", hopf_mod.verify_pi_coalgebra))
+    monkeypatch.setattr(hopf_mod, "verify_hopf", counting("hopf", hopf_mod.verify_hopf))
+    monkeypatch.setattr(struct_mod.CovariantBimodule, "verify",
+                        counting("laws", struct_mod.CovariantBimodule.verify))
+    code, out = run_cli(capsys, "structure", str(fixture_dir / name), *which)
+    assert code in (0, 1)
+    assert calls["pi"] == calls["hopf"] == 1
+    assert calls["laws"] == ("reconstruction-roundtrip" in out)
+
+
 def test_cli_enumerate_f7(fixture_dir, capsys):
     code, out = run_cli(capsys, "enumerate", str(fixture_dir / "f7_z3.json"))
     assert code == 0

@@ -913,3 +913,50 @@ def test_leg_reorderings_match_flip_formulas(lawful_structure):
             nb = h.n(b)
             assert rebuilt.delta_l[(a, b)] == (flip(f, size, na).kron(eye(nb))
                                                @ eye(size).kron(h.comult[(a, b)]))
+
+
+# -- the trusted bimodule of a calculus against the law verification ------------
+
+
+@pytest.mark.parametrize("name", [
+    "kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
+    "taft4_rational.json", "q_z3_skew_basis.json", "taft over F7", "taft over F11"])
+def test_calculus_bimodule_laws_hold(name, fixture_dir):
+    """`to_bimodule` adopts a calculus's actions and coactions unverified;
+    the full law verification must pass on every one of them: the
+    universal calculus and each named ideal of every fixture, and every
+    enumerable ideal, each on the left and on the right route."""
+    from hopfpi import calculus_from_ideal_right, enumerate_right_ideals
+
+    if name.startswith("taft over F"):
+        h, named = taft_hopf_algebra(PrimeField(int(name[len("taft over F"):]))), []
+    else:
+        doc = load_document(fixture_dir / name)
+        h = doc.hopf
+        named = [right_ideal_from_generators(h, gens) for gens in doc.ideal_generators.values()]
+    ideals = list(named)
+    f = h.field
+    if isinstance(f, PrimeField) and f.p <= 11 and h.counit_kernel().dim <= 3:
+        ideals += enumerate_right_ideals(h)
+    calcs = [universal_calculus(h)]
+    calcs += [route(h, ideal) for ideal in ideals
+              for route in (calculus_from_ideal, calculus_from_ideal_right)]
+    for calc in calcs:
+        report = calc.to_bimodule().verify()
+        assert report.ok, (name, calc.side, calc.ideal, str(report))
+
+
+def test_calculus_bimodule_needs_the_hopf_axioms():
+    """The laws of a calculus's bimodule descend from the Hopf axioms, so
+    a structure that fails them gets no bimodule, with the failing axioms
+    in the report."""
+    from hopfpi import cyclic, group_algebra
+
+    h = group_algebra(cyclic(3), QQ)
+    bad = HopfPiCoalgebra(h.group, h.field, h.dims, h.comult, h.counit, h.mult, h.unit,
+                          [Matrix.identity(QQ, 3)], psi=h.psi)
+    with pytest.raises(VerificationFailed) as err:
+        universal_calculus(bad).to_bimodule()
+    checks = {v.check for v in err.value.report.violations}
+    assert {"antipode-axiom-left", "antipode-axiom-right"} <= checks
+    assert "antipode-axiom" in str(err.value)
