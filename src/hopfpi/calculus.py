@@ -12,7 +12,7 @@ the first giving left covariant calculi, the second right covariant
 ones.  Covariance itself is decided by the containments
 Φ^l(N_{αβ}) ⊆ A_α⊗N_β and Φ^r(N_{αβ}) ⊆ N_α⊗A_β, which is the operative
 condition (and decidable by finite linear algebra); the implication form
-of the definition is spot-checked on a basis of N via the induced maps.
+of the definition follows from it.
 
 Every containment is one sparse product.  The quotient projection P_α of
 A_α⊗A_α has kernel exactly N_α, so with ι the inclusion matrix of N,
@@ -139,45 +139,6 @@ def _phi(h: HopfPiCoalgebra, side: str, alpha: int, beta: int) -> Matrix:
     if key not in h._phi:
         h._phi[key] = (phi_l if side == "left" else phi_r)(h, alpha, beta)
     return h._phi[key]
-
-
-def phi_l_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
-                     asq: UniversalBimodule | None = None) -> Matrix:
-    """Φ^l in A²-coordinates: A²_{αβ} → A_α ⊗ A²_β, with codomain check."""
-    asq = asq or universal_bimodule(h)
-    f = h.field
-    ab = h.group.mul(alpha, beta)
-    amb = phi_l(h, alpha, beta)
-    target = Subspace.full(f, h.n(alpha)).tensor(asq.sub[beta])
-    incl = asq.sub[ab].inclusion_matrix()
-    restricted = amb @ incl
-    for j in range(restricted.cols):
-        col = restricted.col(j)
-        if not target.contains(col):
-            raise CodomainViolation(
-                f"Φ^l image of A² basis vector {j} at ({alpha},{beta}) "
-                f"falls outside A⊗A²")
-    drop = Matrix.identity(f, h.n(alpha)).kron(asq.sub[beta].coords_matrix())
-    return drop @ restricted
-
-
-def phi_r_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
-                     asq: UniversalBimodule | None = None) -> Matrix:
-    """Φ^r in A²-coordinates: A²_{αβ} → A²_α ⊗ A_β, with codomain check."""
-    asq = asq or universal_bimodule(h)
-    f = h.field
-    ab = h.group.mul(alpha, beta)
-    amb = phi_r(h, alpha, beta)
-    target = asq.sub[alpha].tensor(Subspace.full(f, h.n(beta)))
-    incl = asq.sub[ab].inclusion_matrix()
-    restricted = amb @ incl
-    for j in range(restricted.cols):
-        if not target.contains(restricted.col(j)):
-            raise CodomainViolation(
-                f"Φ^r image of A² basis vector {j} at ({alpha},{beta}) "
-                f"falls outside A²⊗A")
-    drop = asq.sub[alpha].coords_matrix().kron(Matrix.identity(f, h.n(beta)))
-    return drop @ restricted
 
 
 def r_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -565,36 +526,6 @@ def check_bicovariant(calc: Fodc) -> VerificationReport:
     if not report.ok:
         return report
     return compatibility_report(calc.h, dl, dr)
-
-
-def spot_check_implication(calc: Fodc) -> VerificationReport:
-    """The literal implication form of covariance on a basis of N.
-
-    For q = Σ a_k⊗b_k ∈ N_{αβ} (so Σ a_k d b_k = 0) the image
-    Σ Δ(a_k)(id⊗d_β)Δ(b_k) — which is (id⊗Π_β)Φ^l(q) — must vanish,
-    and symmetrically for the right side.
-    """
-    h = calc.h
-    g = h.group
-    f = h.field
-    report = VerificationReport()
-    for a in g.elements():
-        for b in g.elements():
-            ab = g.mul(a, b)
-            left_map = (Matrix.identity(f, h.n(a)).kron(calc.drop[b])
-                        @ _phi(h, "left", a, b))
-            right_map = (calc.drop[a].kron(Matrix.identity(f, h.n(b)))
-                         @ _phi(h, "right", a, b))
-            for j, w in enumerate(calc.kernels[ab].basis):
-                lv = left_map.apply(w)
-                if any(x != f.zero() for x in lv):
-                    report.extend([Violation("left-covariance-implication", (a, b), j,
-                                             "Σ Δ(a_k)(id⊗d)Δ(b_k) ≠ 0 on N")])
-                rv = right_map.apply(w)
-                if any(x != f.zero() for x in rv):
-                    report.extend([Violation("right-covariance-implication", (a, b), j,
-                                             "Σ Δ(a_k)(d⊗id)Δ(b_k) ≠ 0 on N")])
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ def cmd_structure(doc: Document, args) -> Report:
     if data.R is not None:
         for b in grp.elements():
             rvals[f"R in A_{grp.name(b)}"] = [
-                [h.render_element(b, data.R[b][j][i]) for i in range(data.size)]
+                [h.render_element(b, struct_mod.r_block(data.R[b], h.n(b), j, i))
+                 for i in range(data.size)]
                 for j in range(data.size)
             ]
     output.values["R"] = rvals

@@ -424,14 +424,6 @@ def convolution(h: PiCoalgebra, alpha: int, f_map: Matrix, beta: int, g_map: Mat
     return target_mult @ f_map.kron(g_map) @ h.comult[(alpha, beta)]
 
 
-def convolution_unit(h: HopfPiCoalgebra, alpha: int, target_unit, target_dim: int) -> Matrix:
-    """ε(·)1_T on A_α (zero map unless α = 1)."""
-    f = h.field
-    if alpha != h.group.identity:
-        return Matrix.zero(f, target_dim, h.n(alpha))
-    return Matrix.column(f, target_unit) @ h.counit
-
-
 def iterated_comult(h: PiCoalgebra, path, source) -> tuple:
     """Apply the iterated comultiplication along `path` to `source`.
 
@@ -460,10 +452,6 @@ class GradedFunctional:
                 comp[a] = row
         self.components = comp
 
-    @classmethod
-    def counit_functional(cls, h: HopfPiCoalgebra) -> "GradedFunctional":
-        return cls(h, {h.group.identity: h.counit.row(0)})
-
     def component(self, alpha: int) -> tuple:
         got = self.components.get(alpha)
         if got is None:
@@ -491,43 +479,6 @@ class GradedFunctional:
                 else:
                     comp[gamma] = row
         return GradedFunctional(h, comp)
-
-    def precompose(self, m: Matrix, domain_alpha: int, component_alpha: int) -> "GradedFunctional":
-        """The functional u^{component_alpha} ∘ m, supported at domain_alpha."""
-        row = (Matrix.row_vector(self.h.field, self.component(component_alpha)) @ m).row(0)
-        return GradedFunctional(self.h, {domain_alpha: row})
-
-    def star_element(self, alpha: int, v) -> tuple:
-        """u*a = (id ⊗ u)Δ_{α,1}(a); evaluates the A_1 component."""
-        h = self.h
-        f = h.field
-        e = h.group.identity
-        w = h.comult[(alpha, e)].apply(v)
-        row = self.component(e)
-        n1 = h.n(e)
-        out = []
-        for i in range(h.n(alpha)):
-            s = f.zero()
-            for j in range(n1):
-                s = f.add(s, f.mul(w[i * n1 + j], row[j]))
-            out.append(s)
-        return tuple(out)
-
-    def element_star(self, alpha: int, v) -> tuple:
-        """a*u = (u ⊗ id)Δ_{1,α}(a); evaluates the A_1 component."""
-        h = self.h
-        f = h.field
-        e = h.group.identity
-        w = h.comult[(e, alpha)].apply(v)
-        row = self.component(e)
-        n = h.n(alpha)
-        out = []
-        for i in range(n):
-            s = f.zero()
-            for j in range(h.n(e)):
-                s = f.add(s, f.mul(w[j * n + i], row[j]))
-            out.append(s)
-        return tuple(out)
 
     def eq(self, other: "GradedFunctional") -> bool:
         return self.components == other.components

@@ -214,22 +214,9 @@ QQ = Rationals()
 # vectors (plain tuples)
 
 
-def zero_vec(field: Field, n: int) -> tuple:
-    return (field.zero(),) * n
-
 def unit_vec(field: Field, n: int, i: int) -> tuple:
     z = field.zero()
     return tuple(field.one() if j == i else z for j in range(n))
-
-def vec_add(field: Field, v: Sequence, w: Sequence) -> tuple:
-    if len(v) != len(w):
-        raise DimensionMismatch(f"vec_add: {len(v)} vs {len(w)}")
-    return tuple(field.add(a, b) for a, b in zip(v, w))
-
-def vec_sub(field: Field, v: Sequence, w: Sequence) -> tuple:
-    if len(v) != len(w):
-        raise DimensionMismatch(f"vec_sub: {len(v)} vs {len(w)}")
-    return tuple(field.sub(a, b) for a, b in zip(v, w))
 
 def vec_kron(field: Field, v: Sequence, w: Sequence) -> tuple:
     """v ⊗ w with the row-major index convention."""

@@ -6,29 +6,36 @@ commutation of the frame past the algebra is carried by functionals:
 
     ω_i b = Σ_j (f_ij * b) ω_j,          a ω_i = Σ_j ω_j ((f_ij∘S_1^{-1}) * a),
 
-with f_ij(ab) = Σ_k f_ik(a) f_kj(b) and f_ij(1) = δ_ij.  On a
-bicovariant bimodule the right coaction of the frame produces matrix
-elements R_ji ∈ A_β with Δ(R_ji) = Σ R_jh ⊗ R_hi, and the right
-invariant frame η_j = Σ_i ω_i S_{α^{-1}}(R_ij).  Conversely (f, R) data
-satisfying those relations reconstructs the bimodule on free modules.
+with f_ij(ab) = Σ_k f_ik(a) f_kj(b) and f_ij(1) = δ_ij, extracted through
+the coefficient maps F_ij (ω_i b = Σ F_ij(b) ω_j) and the grading
+collapse Ψ: f_ij^α = ε ∘ Ψ_α ∘ F_ij^α.
 
-The extraction of f goes through the coefficient maps F_ij (ω_i b =
-Σ F_ij(b) ω_j) and the grading collapse Ψ: f_ij^α = ε ∘ Ψ_α ∘ F_ij^α.
+On a bicovariant bimodule Δ^r_{α,β}(ω_i) = Σ_j ω_j ⊗ R_ji, and R is a
+matrix corepresentation (Woronowicz 1989, §2–3, graded).  R^β is one
+(|I|·n_β) × |I| matrix per grading, column i = Σ_j e_j ⊗ R_ji, and with
+Ŝ_α = (I⊗S_{α^{-1}}) R^{α^{-1}} its laws are four matrix identities:
+
+    (I⊗Δ_{β,γ}) R^{βγ} = (R^β⊗I) R^γ        Δ(R_ji) = Σ_h R_jh ⊗ R_hi
+    (I⊗ε) R^1 = I                            ε(R_ji) = δ_ji
+    (I⊗m_α)(Ŝ_α⊗I) R^α = I⊗1_α               Σ_h S(R_ih) R_hj = δ_ij 1
+    (I⊗m_α)(R^α⊗I) Ŝ_α = I⊗1_α               Σ_h R_ih S(R_hj) = δ_ij 1
+
+The right-invariant frame η_j = Σ_i ω_i S_{α^{-1}}(R_ij) is built from
+R; conversely (f, R) data satisfying those relations reconstructs the
+bimodule on free modules.
 
 Each identity is stated once, as a matrix identity, by a check that
 returns a VerificationReport; extraction and reconstruction call the
 same checks.  Every violation carries one of five check names, and its
 witness names the exact identity:
 
-    frame-multiplicativity             f and g are characters, the
-                                       commutation rules F = f*· and
-                                       G = ·*g, the left-multiplication
-                                       rules of ω and η, the convolution
-                                       inverses of f
+    frame-multiplicativity             f and g are characters, the rules
+                                       F = f*·, G = ·*g and the left-
+                                       multiplication rules of ω and η,
+                                       the convolution inverses of f
     frame-normalisation                f(1) = δ and g(1) = δ
     coaction-matrix-comultiplication   R independent of the complementary
-                                       grading, Δ(R) = Σ R⊗R,
-                                       Σ S(R)R = δ = Σ R S(R), and the
+                                       grading, the Δ and S laws of R, the
                                        identities of the η frame
     coaction-matrix-counit             ε(R) = δ
     intertwiner-identity               f = g on A_1 and
@@ -58,15 +65,7 @@ from .hopf import (
     interchange_product,
     verify_all,
 )
-from .linalg import (
-    Matrix,
-    Subspace,
-    kernel,
-    unit_vec,
-    vec_add,
-    vec_kron,
-    zero_vec,
-)
+from .linalg import Matrix, Subspace, kernel
 
 
 class CovariantBimodule:
@@ -229,19 +228,22 @@ class CovariantBimodule:
 
 def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -> Matrix:
     """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
-    "right") for a frame w of Γ_α; square and invertible iff Γ_α is free
-    on the frame from that side."""
+    "right") for a frame w of Γ_α, as left_α (I⊗W) re-keyed to (i, m) or
+    right_α (W⊗I), W the frame as columns; square and invertible iff Γ_α
+    is free on the frame from that side."""
     f = cb.h.field
     n = cb.h.n(alpha)
-    cols = []
-    for w in frame:
-        for m in range(n):
-            e_m = unit_vec(f, n, m)
-            if side == "left":
-                cols.append(cb.left[alpha].apply(vec_kron(f, e_m, w)))
-            else:
-                cols.append(cb.right[alpha].apply(vec_kron(f, w, e_m)))
-    return Matrix.from_cols(f, cols)
+    eye = Matrix.identity(f, n)
+    w = _frame_columns(cb, alpha, frame)
+    if side == "left":
+        return (cb.left[alpha] @ eye.kron(w)).permute_legs((n, w.cols), (1, 0), 1)
+    return cb.right[alpha] @ w.kron(eye)
+
+
+def _frame_columns(cb: CovariantBimodule, alpha: int, frame) -> Matrix:
+    """The g_α × |frame| matrix whose column k is frame vector k."""
+    return Matrix(cb.h.field, cb.g(alpha), len(frame),
+                  {(r, k): x for k, w in enumerate(frame) for r, x in enumerate(w)})
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
@@ -305,15 +307,6 @@ def _decompose(cb: CovariantBimodule, alpha: int, winv: Matrix, rho) -> list[tup
     return [x[i * n:(i + 1) * n] for i in range(len(cb.omega(alpha)))]
 
 
-def recombine_left(cb: CovariantBimodule, alpha: int, coeffs) -> tuple:
-    h = cb.h
-    f = h.field
-    out = zero_vec(f, cb.g(alpha))
-    for a_i, w in zip(coeffs, cb.omega(alpha)):
-        out = vec_add(f, out, cb.left[alpha].apply(vec_kron(f, a_i, w)))
-    return out
-
-
 def _frame_size(cb: CovariantBimodule) -> int:
     """The common rank |I|; uniform across gradings or an error."""
     sizes = {a: len(cb.omega(a)) for a in cb.h.group.elements()}
@@ -344,15 +337,13 @@ CHECKS = (FRAME_MULT, FRAME_NORM, R_COMULT, R_COUNIT, INTERTWINER)
 _SIDES = {"left": ("ω", "f"), "right": ("η", "g")}
 
 
-def _compare(report: VerificationReport, check: str, grading, lhs, rhs, identity: str) -> None:
-    """Record `identity` as violated when two matrices (or two vectors)
-    differ, witnessed by the first column (or entry) on which they do."""
+def _compare(report: VerificationReport, check: str, grading, lhs: Matrix, rhs: Matrix,
+             identity: str) -> None:
+    """Record `identity` as violated when two matrices differ, witnessed
+    by the first column on which they do."""
     if lhs == rhs:
         return
-    if isinstance(lhs, Matrix):
-        first = min(c for _, c in (lhs - rhs).entries)
-    else:
-        first = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    first = min(c for _, c in (lhs - rhs).entries)
     report.extend([Violation(check, tuple(grading), first, identity)])
 
 
@@ -370,13 +361,6 @@ def compatibility_report(h: HopfPiCoalgebra, delta_l, delta_r) -> VerificationRe
                 _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
                          "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
     return report
-
-
-def _delta_violation(report, check, grading, what, val, want, f) -> None:
-    """Record `what` = δ as violated when its value `val` is not `want`."""
-    if val != want:
-        report.extend([Violation(check, tuple(grading), None,
-                                 f"{what} = {f.render(val)}, expected {f.render(want)}")])
 
 
 def _require(report: VerificationReport, what: str) -> None:
@@ -411,8 +395,11 @@ def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> Verification
                     rhs = rhs + rows[i][k].kron(rows[k][j])
                 _compare(report, FRAME_MULT, (a,), rows[i][j] @ h.mult[a], rhs,
                          f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")
-                _delta_violation(report, FRAME_NORM, (a,), f"{name}_{i}{j}(1)",
-                                 phi(a, h.unit[a]), f.one() if i == j else f.zero(), f)
+                got = phi(a, h.unit[a])
+                want = f.one() if i == j else f.zero()
+                if got != want:
+                    report.extend([Violation(FRAME_NORM, (a,), None, f"{name}_{i}{j}(1) = "
+                                             f"{f.render(got)}, expected {f.render(want)}")])
     return report
 
 
@@ -492,44 +479,40 @@ def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     return report
 
 
+def r_block(rb: Matrix, n: int, j: int, i: int) -> tuple:
+    """R_ji ∈ A_β, read from rows j·n … j·n+n−1 of column i of R^β."""
+    return tuple(rb[(j * n + m, i)] for m in range(n))
+
+
+def _antipode_R(h: HopfPiCoalgebra, R, alpha: int) -> Matrix:
+    """Ŝ_α = (I⊗S_{α^{-1}}) R^{α^{-1}}: column j is Σ_i e_i ⊗ S(R_ij) ∈ k^I ⊗ A_α."""
+    ai = h.group.inv(alpha)
+    return Matrix.identity(h.field, R[ai].cols).kron(h.antipode[ai]) @ R[ai]
+
+
 def check_corepresentation(h: HopfPiCoalgebra, R) -> VerificationReport:
-    """R is an invertible corepresentation: Δ_{β,γ}(R^{βγ}_ji) =
-    Σ_h R^β_jh ⊗ R^γ_hi, ε(R^1_ji) = δ_ji, and Σ_h S(R_ih)R_hj = δ_ij 1 =
-    Σ_h R_ih S(R_hj) with S = S_{α^{-1}} applied to R ∈ A_{α^{-1}}."""
+    """R is an invertible matrix corepresentation: the four identities of
+    the module docstring, one sparse product each per grading (pair)."""
     f = h.field
     grp = h.group
     e = grp.identity
-    size = len(R[e])
+    eye = Matrix.identity(f, R[e].cols)
     report = VerificationReport()
     for b in grp.elements():
         for c in grp.elements():
-            bc = grp.mul(b, c)
-            for j in range(size):
-                for i in range(size):
-                    rhs = zero_vec(f, h.n(b) * h.n(c))
-                    for k in range(size):
-                        rhs = vec_add(f, rhs, vec_kron(f, R[b][j][k], R[c][k][i]))
-                    _compare(report, R_COMULT, (b, c), h.comult[(b, c)].apply(R[bc][j][i]), rhs,
-                             f"Δ(R_{j}{i}) ≠ Σ_h R_{j}h ⊗ R_h{i}")
-    for j in range(size):
-        for i in range(size):
-            _delta_violation(report, R_COUNIT, (e,), f"ε(R_{j}{i})",
-                             h.counit.apply(R[e][j][i])[0], f.one() if i == j else f.zero(), f)
+            lhs = eye.kron(h.comult[(b, c)]) @ R[grp.mul(b, c)]
+            rhs = R[b].kron(Matrix.identity(f, h.n(c))) @ R[c]
+            _compare(report, R_COMULT, (b, c), lhs, rhs, "Δ(R_ji) ≠ Σ_h R_jh ⊗ R_hi")
+    _compare(report, R_COUNIT, (e,), eye.kron(h.counit) @ R[e], eye, "ε(R_ji) ≠ δ_ji")
     for a in grp.elements():
-        ai = grp.inv(a)
-        s = h.antipode[ai]
-        for i in range(size):
-            for j in range(size):
-                acc1 = zero_vec(f, h.n(a))
-                acc2 = zero_vec(f, h.n(a))
-                for k in range(size):
-                    acc1 = vec_add(f, acc1, h.mult[a].apply(
-                        vec_kron(f, s.apply(R[ai][i][k]), R[a][k][j])))
-                    acc2 = vec_add(f, acc2, h.mult[a].apply(
-                        vec_kron(f, R[a][i][k], s.apply(R[ai][k][j]))))
-                want = tuple(h.unit[a]) if i == j else zero_vec(f, h.n(a))
-                _compare(report, R_COMULT, (a,), acc1, want, f"Σ_h S(R_{i}h) R_h{j} ≠ δ_{i}{j} 1")
-                _compare(report, R_COMULT, (a,), acc2, want, f"Σ_h R_{i}h S(R_h{j}) ≠ δ_{i}{j} 1")
+        shat = _antipode_R(h, R, a)
+        eye_a = Matrix.identity(f, h.n(a))
+        mult = eye.kron(h.mult[a])
+        ones = eye.kron(h.unit_col(a))
+        _compare(report, R_COMULT, (a,), mult @ (shat.kron(eye_a) @ R[a]), ones,
+                 "Σ_h S(R_ih) R_hj ≠ δ_ij 1")
+        _compare(report, R_COMULT, (a,), mult @ (R[a].kron(eye_a) @ shat), ones,
+                 "Σ_h R_ih S(R_hj) ≠ δ_ij 1")
     return report
 
 
@@ -547,21 +530,20 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
     fn, gn = names
     report = VerificationReport()
     for a in gradings:
-        mult = h.mult[a]
-        eye = Matrix.identity(f, h.n(a))
-        col = [[Matrix.column(f, R[a][i][j]) for j in range(size)] for i in range(size)]
-        times_left = [[mult @ col[i][j].kron(eye) for j in range(size)]
-                      for i in range(size)]                        # x ↦ R_ij x
-        times_right = [[mult @ eye.kron(col[hh][i]) for i in range(size)]
-                       for hh in range(size)]                      # x ↦ x R_hi
+        n = h.n(a)
+        eye = Matrix.identity(f, n)
+        col = [[Matrix.column(f, r_block(R[a], n, i, j)) for j in range(size)]
+               for i in range(size)]
+        times_left = [[h.mult[a] @ c.kron(eye) for c in row] for row in col]    # x ↦ R_ij x
+        times_right = [[h.mult[a] @ eye.kron(c) for c in row] for row in col]   # x ↦ x R_hi
         star_f = [[convolution_map(h, a, funcs_f[i][hh].component(e), "right")
                    for hh in range(size)] for i in range(size)]    # a ↦ a * f_ih
         g_star = [[convolution_map(h, a, funcs_g[j][i].component(e), "left")
                    for i in range(size)] for j in range(size)]     # a ↦ g_ji * a
         for j in range(size):
             for hh in range(size):
-                lhs = Matrix.zero(f, h.n(a), h.n(a))
-                rhs = Matrix.zero(f, h.n(a), h.n(a))
+                lhs = Matrix.zero(f, n, n)
+                rhs = Matrix.zero(f, n, n)
                 for i in range(size):
                     lhs = lhs + times_left[i][j] @ star_f[i][hh]
                     rhs = rhs + times_right[hh][i] @ g_star[j][i]
@@ -589,18 +571,15 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matri
     out = []
     for a in h.group.elements():
         n = h.n(a)
+        size = len(frames[a])
         winv = (cb.decompose_inverse(a) if omega
                 else _frame_inverse(frame_matrix(cb, a, frames[a]), a))
-        eye = Matrix.identity(f, n)
-        per_alpha = []
-        for v in frames[a]:
-            # entry ((j, r), m) of x: coefficient r of the w_j term of v·e_m
-            x = winv @ cb.right[a] @ Matrix.column(f, v).kron(eye)
-            blocks = [{} for _ in frames[a]]
-            for (row, m), val in x.entries.items():
-                blocks[row // n][(row % n, m)] = val
-            per_alpha.append([Matrix(f, n, n, blk) for blk in blocks])
-        out.append(per_alpha)
+        # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
+        x = winv @ frame_matrix(cb, a, frames[a], "right")
+        blocks = [[{} for _ in range(size)] for _ in range(size)]
+        for (row, col), val in x.entries.items():
+            blocks[col // n][row // n][(row % n, col % n)] = val
+        out.append([[Matrix(f, n, n, blk) for blk in row] for row in blocks])
     return out
 
 
@@ -658,113 +637,84 @@ def functionals_g(cb: CovariantBimodule, eta=None):
 # the right coaction matrix R and the η frame
 
 
-def matrix_R(cb: CovariantBimodule):
-    """R[β][j][i] ∈ A_β with Δ^r_{α,β}(ω_i^{αβ}) = Σ_j ω_j^α ⊗ R_ji.
+def matrix_R(cb: CovariantBimodule) -> list[Matrix]:
+    """R^β, the (|I|·n_β) × |I| matrix with column i = Σ_j e_j ⊗ R_ji for
+    Δ^r_{α,β}(ω_i^{αβ}) = Σ_j ω_j^α ⊗ R_ji.
 
-    Computed per grading pair and required to be independent of α;
-    check_corepresentation then verifies its identities.
+    Each grading pair gives R^β = coords(ω_α⊗A_β) · Δ^r_{α,β} Ω_{αβ},
+    checked to satisfy (Ω_α⊗I) R^β = Δ^r_{α,β} Ω_{αβ} and to be the same
+    for every α; check_corepresentation then verifies its identities.
     """
     if not cb.bicovariant:
         raise NotBicovariant("R extraction needs both coactions")
     h = cb.h
-    f = h.field
     grp = h.group
-    size = _frame_size(cb)
-
-    per_pair: dict = {}
-    for a in grp.elements():
-        for b in grp.elements():
-            ab = grp.mul(a, b)
-            nb = h.n(b)
-            # ω_j ⊗ e_m, echelon since both factors are; coords read off R
-            target = cb.omega_space(a).tensor(Subspace.full(f, nb))
-            rmat = [[None] * size for _ in range(size)]
-            for i in range(size):
-                img = cb.delta_r[(a, b)].apply(cb.omega(ab)[i])
-                if not target.contains(img):
-                    raise StructureInconsistent(
-                        f"Δ^r(ω) at ({a},{b}) is not in the invariant frame ⊗ A")
-                x = target.coords(img)
-                for j in range(size):
-                    rmat[j][i] = x[j * nb:(j + 1) * nb]
-            per_pair[(a, b)] = rmat
-
+    _frame_size(cb)
+    incl = [cb.omega_space(a).inclusion_matrix() for a in grp.elements()]
     report = VerificationReport()
     R = []
     for b in grp.elements():
-        ref = per_pair[(grp.identity, b)]
+        eye = Matrix.identity(h.field, h.n(b))
+        per_alpha = []
         for a in grp.elements():
-            if per_pair[(a, b)] != ref:
-                report.extend([Violation(R_COMULT, (a, b), None,
-                                         "R depends on the complementary grading")])
+            image = cb.delta_r[(a, b)] @ incl[grp.mul(a, b)]
+            rb = cb.omega_space(a).coords_matrix().kron(eye) @ image
+            _compare(report, R_COMULT, (a, b), incl[a].kron(eye) @ rb, image,
+                     "Δ^r(ω) is not in the invariant frame ⊗ A")
+            per_alpha.append(rb)
+        ref = per_alpha[grp.identity]
+        for a in grp.elements():
+            _compare(report, R_COMULT, (a, b), per_alpha[a], ref,
+                     "R depends on the complementary grading")
         R.append(ref)
     _require(report.merge(check_corepresentation(h, R)), "R")
     return R
 
 
-def eta_basis(cb: CovariantBimodule, R=None):
-    """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij) with R_ij ∈ A_{α^{-1}}.
+def eta_basis(cb: CovariantBimodule, R=None) -> list[list[tuple]]:
+    """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij), the columns of H_α = right_α (Ω_α⊗I) Ŝ_α.
 
-    Verifies right invariance, that the η span the right-invariant
-    subspace, and the recombination ω_i = Σ_j η_j R_ji.
+    Checks right invariance, Δ^r_{α,1} H_α = H_α⊗1, and ω_i = Σ_j η_j R_ji,
+    right_α (H_α⊗I) R^α = Ω_α.  On Γ_α free on ω the latter makes the |I|
+    vectors η generate Γ_α as a right module, so with right invariance they
+    are a basis of the right invariants (Woronowicz 1989, Thm 2.3, graded).
     """
     if not cb.bicovariant:
         raise NotBicovariant("η construction needs both coactions")
     h = cb.h
-    f = h.field
     grp = h.group
-    e = grp.identity
-    size = _frame_size(cb)
+    _frame_size(cb)
     if R is None:
         R = matrix_R(cb)
+    report = VerificationReport()
     eta = []
     for a in grp.elements():
-        ai = grp.inv(a)
-        s = h.antipode[ai]
-        frame = []
-        for j in range(size):
-            acc = zero_vec(f, cb.g(a))
-            for i in range(size):
-                acc = vec_add(f, acc, cb.right[a].apply(
-                    vec_kron(f, cb.omega(a)[i], s.apply(R[ai][i][j]))))
-            frame.append(acc)
-        eta.append(frame)
-
-    report = VerificationReport()
-    for a in grp.elements():
-        span = Subspace.from_spanning(f, cb.g(a), eta[a])
-        if span.dim != size or span != invariant_subspace_right(cb, a):
-            report.extend([Violation(R_COMULT, (a,), None,
-                                     "the η frame does not span the right invariants")])
-        for j in range(size):
-            _compare(report, R_COMULT, (a,), cb.delta_r[(a, e)].apply(eta[a][j]),
-                     vec_kron(f, eta[a][j], h.unit[e]), f"η_{j} is not right invariant")
-        for i in range(size):
-            acc = zero_vec(f, cb.g(a))
-            for j in range(size):
-                acc = vec_add(f, acc, cb.right[a].apply(vec_kron(f, eta[a][j], R[a][j][i])))
-            _compare(report, R_COMULT, (a,), acc, cb.omega(a)[i], f"ω_{i} ≠ Σ_j η_j R_j{i}")
+        eye = Matrix.identity(h.field, h.n(a))
+        incl = cb.omega_space(a).inclusion_matrix()
+        frame = cb.right[a] @ (incl.kron(eye) @ _antipode_R(h, R, a))
+        _compare(report, R_COMULT, (a,), cb.delta_r[(a, grp.identity)] @ frame,
+                 frame.kron(h.unit_col(grp.identity)), "η_j is not right invariant")
+        _compare(report, R_COMULT, (a,), cb.right[a] @ (frame.kron(eye) @ R[a]), incl,
+                 "ω_i ≠ Σ_j η_j R_ji")
+        eta.append([frame.col(j) for j in range(frame.cols)])
     _require(report, "η")
     return eta
 
 
 def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> None:
-    """Δ^l_{α,β}(η_j^{αβ}) = Σ_i S_{α^{-1}}(R_ij) ⊗ η_i^β, all gradings."""
+    """Δ^l_{α,β}(η_j^{αβ}) = Σ_i S_{α^{-1}}(R_ij) ⊗ η_i^β, all gradings:
+    Δ^l_{α,β} H_{αβ} = (I⊗H_β) Ŝ_α with the legs of Ŝ_α swapped."""
     h = cb.h
-    f = h.field
     grp = h.group
-    size = len(eta[grp.identity])
+    frames = [_frame_columns(cb, a, eta[a]) for a in grp.elements()]
     report = VerificationReport()
     for a in grp.elements():
-        ai = grp.inv(a)
-        s = h.antipode[ai]
+        eye = Matrix.identity(h.field, h.n(a))
+        # column j: Σ_i S(R_ij) ⊗ e_i
+        swapped = _antipode_R(h, R, a).permute_legs((R[a].cols, h.n(a)), (1, 0), 0)
         for b in grp.elements():
-            for j in range(size):
-                rhs = zero_vec(f, h.n(a) * cb.g(b))
-                for i in range(size):
-                    rhs = vec_add(f, rhs, vec_kron(f, s.apply(R[ai][i][j]), eta[b][i]))
-                lhs = cb.delta_l[(a, b)].apply(eta[grp.mul(a, b)][j])
-                _compare(report, R_COMULT, (a, b), lhs, rhs, f"Δ^l(η_{j}) ≠ Σ_i S(R_i{j}) ⊗ η_i")
+            _compare(report, R_COMULT, (a, b), cb.delta_l[(a, b)] @ frames[grp.mul(a, b)],
+                     eye.kron(frames[b]) @ swapped, "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
     _require(report, "η")
 
 
@@ -790,9 +740,11 @@ def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
 class StructureData:
     """Invariant frames and the commutation data of a bicovariant bimodule.
 
-    `report` holds every violation found; `not_run` maps each check that
-    could not run in full to the reason, and a field whose step did not
-    run or failed its identities is None.
+    R holds one matrix R^β per grading, of shape (size·n_β) × size, whose
+    column i is Σ_j e_j ⊗ R_ji (the layout of matrix_R).  `report` holds
+    every violation found; `not_run` maps each check that could not run
+    in full to the reason, and a field whose step did not run or failed
+    its identities is None.
     """
 
     size: int                       # |I|
@@ -801,7 +753,7 @@ class StructureData:
     F: list                         # per α: size×size coefficient maps A_α → A_α
     f: list | None                  # size×size GradedFunctional (None without Ψ)
     g: list | None
-    R: list | None                  # per β: size×size matrix of vectors in A_β
+    R: list | None                  # per β: the matrix R^β
     report: VerificationReport = field(default_factory=VerificationReport)
     not_run: dict = field(default_factory=dict)
 
@@ -864,18 +816,25 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
 
     Γ_α = k^size ⊗ A_α; the left action multiplies coefficients, the
     right action commutes through f, the coactions come from the
-    comultiplication and R.  The input must pass check_characters,
-    check_corepresentation and the intertwiner on A_1 with g := f
-    (IncompatibleData carries the report); the resulting bimodule passes
-    the full covariant-bimodule law verification.
+    comultiplication and R, laid out as in matrix_R: Δ^r(e_i ⊗ x) =
+    Σ_j e_j ⊗ x_(1) ⊗ x_(2) R_ji is (I⊗m_β) applied to R^β⊗Δ_{α,β} with
+    its row legs reordered.  The input must pass
+    check_characters, check_corepresentation and the intertwiner on A_1
+    with g := f (IncompatibleData carries the report; malformed R is
+    rejected before any product); the resulting bimodule passes the full
+    covariant-bimodule law verification.
     """
     f = h.field
     grp = h.group
     e = grp.identity
     if len(funcs) != size or any(len(row) != size for row in funcs):
         raise IncompatibleData("f must be a size×size matrix of functionals")
-    if len(R) != grp.order:
-        raise IncompatibleData("R must provide a size×size matrix per grading")
+    if not isinstance(R, (list, tuple)) or len(R) != grp.order:
+        raise IncompatibleData("R must provide one matrix per grading")
+    for b in grp.elements():
+        shape = (size * h.n(b), size)
+        if not (isinstance(R[b], Matrix) and R[b].field == f and (R[b].rows, R[b].cols) == shape):
+            raise IncompatibleData(f"R^{b} must be a {shape[0]}×{shape[1]} matrix over {f}")
     report = (check_characters(h, funcs, "f")
               .merge(check_corepresentation(h, R))
               .merge(intertwiner_report(h, funcs, funcs, R, [e], names=("f", "f"))))
@@ -884,37 +843,32 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
             f"reconstruction data fails {len(report)} identities; first: "
             f"{report.violations[0].render()}", report)
 
-    dims = [size * h.n(a) for a in grp.elements()]
+    n1 = h.n(e)
+    # (i, t) ↦ Σ_j f_ij(e_t) e_j, so (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2))
+    twist = Matrix(f, size, size * n1, {(j, i * n1 + t): x for i, row in enumerate(funcs)
+                                         for j, phi in enumerate(row)
+                                         for t, x in enumerate(phi.component(e))})
     left = []
     right = []
-    for a in grp.elements():
-        n = h.n(a)
-        eye = Matrix.identity(f, n)
-        left.append(Matrix.identity(f, size).kron(h.mult[a]).permute_legs((size, n, n), (1, 0, 2), 1))
-        acc = Matrix.zero(f, size * n, size * n * n)
-        for i in range(size):
-            for j in range(size):
-                slot = Matrix(f, size, size, {(j, i): f.one()})
-                conv = convolution_map(h, a, funcs[i][j].component(e), "left")
-                acc = acc + slot.kron(h.mult[a] @ eye.kron(conv))
-        right.append(acc)
-
     delta_l = {}
     delta_r = {}
     for a in grp.elements():
+        n = h.n(a)
+        times = Matrix.identity(f, size).kron(h.mult[a])
+        left.append(times.permute_legs((size, n, n), (1, 0, 2), 1))
+        spread = Matrix.identity(f, size * n).kron(h.comult[(a, e)]).permute_legs(
+            (size, n, n, n1), (1, 2, 0, 3), 0)
+        twisted = (Matrix.identity(f, n * n).kron(twist) @ spread).permute_legs(
+            (n, n, size), (2, 0, 1), 0)
+        right.append(times @ twisted)
         for b in grp.elements():
-            ab = grp.mul(a, b)
-            na, nb = h.n(a), h.n(b)
+            nb = h.n(b)
             delta_l[(a, b)] = Matrix.identity(f, size).kron(h.comult[(a, b)]).permute_legs(
-                (size, na, nb), (1, 0, 2), 0)
-            acc = Matrix.zero(f, size * na * nb, size * h.n(ab))
-            for i in range(size):
-                for j in range(size):
-                    slot = Matrix(f, size, size, {(j, i): f.one()})
-                    rmul = h.mult[b] @ Matrix.identity(f, nb).kron(Matrix.column(f, R[b][j][i]))
-                    acc = acc + slot.kron(Matrix.identity(f, na).kron(rmul) @ h.comult[(a, b)])
-            delta_r[(a, b)] = acc
+                (size, n, nb), (1, 0, 2), 0)
+            rolled = R[b].kron(h.comult[(a, b)]).permute_legs((size, nb, n, nb), (0, 2, 3, 1), 0)
+            delta_r[(a, b)] = Matrix.identity(f, size * n).kron(h.mult[b]) @ rolled
 
+    dims = [size * h.n(a) for a in grp.elements()]
     return CovariantBimodule(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
 
 

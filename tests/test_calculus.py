@@ -34,7 +34,6 @@ from hopfpi import (
     universal_calculus,
     zero_ideal,
 )
-from hopfpi.calculus import phi_l_restricted, phi_r_restricted, spot_check_implication
 from hopfpi.errors import (
     NotCovariant,
     NotInKernelOfCounit,
@@ -52,6 +51,7 @@ from hopfpi.linalg import (
     unit_vec,
     vec_kron,
 )
+from oracles import phi_l_restricted, phi_r_restricted, spot_check_implication
 
 F = Fraction
 
@@ -563,7 +563,6 @@ def test_n_dimension_formula(f7z3):
 def test_phi_restricted_codomain_violation(kz2):
     """A non-multiplicative comultiplication pushes Φ images out of the
     tensor-square codomain."""
-    from hopfpi.calculus import phi_l_restricted, phi_r_restricted
     from hopfpi.errors import CodomainViolation
     from hopfpi.hopf import HopfPiCoalgebra
 

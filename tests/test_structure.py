@@ -46,7 +46,17 @@ from hopfpi.errors import (
 )
 from hopfpi.hopf import HopfPiCoalgebra
 from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, flip, vec_kron
-from hopfpi.structure import CovariantBimodule, recombine_left
+from hopfpi.structure import CovariantBimodule
+from oracles import (
+    element_star,
+    precompose,
+    r_blocks,
+    r_matrices,
+    recombine_left,
+    star_element,
+    vec_add,
+    zero_vec,
+)
 
 F = Fraction
 
@@ -254,7 +264,7 @@ def test_g_canonical_frame(kz2_bim):
 
 
 def test_R_kz2(kz2, kz2_bim):
-    R = matrix_R(kz2_bim)
+    R = r_blocks(kz2, matrix_R(kz2_bim))
     assert R[0][0][0] == (F(1), F(0))  # R_00 = e
     assert kz2.counit.apply(R[0][0][0]) == (F(1),)
     s_r = kz2.antipode[0].apply(R[0][0][0])
@@ -263,7 +273,7 @@ def test_R_kz2(kz2, kz2_bim):
 
 
 def test_R_f7_comultiplication(f7z3, f7z3_bim):
-    R = matrix_R(f7z3_bim)
+    R = r_blocks(f7z3, matrix_R(f7z3_bim))
     f = f7z3.field
     for j in range(2):
         for i in range(2):
@@ -329,7 +339,7 @@ def test_reconstruction_trivial_rank_one(kz2, kz2_const):
         e = h.group.identity
         funcs = [[GradedFunctional(h, {
             a: (h.counit @ h.psi[a]).row(0) for a in h.group.elements()})]]
-        R = [[[tuple(h.unit[b])]] for b in h.group.elements()]
+        R = r_matrices(h, [[[tuple(h.unit[b])]] for b in h.group.elements()])
         bim = reconstruct(h, funcs, R, 1)
         assert bim.dims == [h.n(a) for a in h.group.elements()]
         # trivial twisting: right action equals left action through the flip
@@ -342,23 +352,55 @@ def test_reconstruction_trivial_rank_one(kz2, kz2_const):
 
 def test_reconstruction_rejects_bad_normalisation(kz2):
     zero_func = GradedFunctional(kz2, {})
-    R = [[[(F(1), F(0))]]]
+    R = r_matrices(kz2, [[[(F(1), F(0))]]])
     with pytest.raises(IncompatibleData):
         reconstruct(kz2, [[zero_func]], R, 1)
 
 
 def test_reconstruction_rejects_bad_R(kz2, kz2_bim):
     funcs = functionals_f(kz2_bim)
-    worse_R = [[[(F(2), F(0))]]]  # ε(R) = 2 ≠ 1
+    worse_R = r_matrices(kz2, [[[(F(2), F(0))]]])  # ε(R) = 2 ≠ 1
     with pytest.raises(IncompatibleData):
         reconstruct(kz2, funcs, worse_R, 1)
+
+
+def _malformed_R(name, h, R):
+    """One malformed variant of lawful R data for h, by name."""
+    blocks = r_blocks(h, R)
+    if name == "tuple form":
+        return blocks
+    if name == "ragged blocks":
+        return [[blocks[0][0][:1]] + blocks[0][1:]]
+    if name == "short entries":                                     # R_ji ∈ k^{n-1}
+        n, size = h.n(0) - 1, R[0].cols
+        return [Matrix(h.field, size * n, size, {
+            (j * n + m, i): r[m]
+            for j, row in enumerate(blocks[0]) for i, r in enumerate(row) for m in range(n)})]
+    if name == "row dropped":
+        return [Matrix(h.field, R[0].rows - 1, R[0].cols,
+                       {k: v for k, v in R[0].entries.items() if k[0] < R[0].rows - 1})]
+    if name == "column dropped":
+        return [Matrix(h.field, R[0].rows, R[0].cols - 1,
+                       {k: v for k, v in R[0].entries.items() if k[1] < R[0].cols - 1})]
+    if name == "other field":
+        return [Matrix(PrimeField(11), R[0].rows, R[0].cols, R[0].entries)]
+    return R + R                                                    # "one matrix too many"
+
+
+@pytest.mark.parametrize("name", ["tuple form", "ragged blocks", "short entries", "row dropped",
+                                  "column dropped", "other field", "one matrix too many"])
+def test_reconstruction_rejects_malformed_R(name, f7z3, f7z3_bim):
+    """Malformed R is rejected as IncompatibleData before any product."""
+    data = extract_structure(f7z3_bim)
+    with pytest.raises(IncompatibleData):
+        reconstruct(f7z3, data.f, _malformed_R(name, f7z3, data.R), data.size)
 
 
 def test_reconstruction_accepts_grouplike_twist(kz2, kz2_bim):
     """R_00 = u is admissible data (a different bicovariant structure on the
     free rank-one module) and must reconstruct to a lawful bimodule."""
     funcs = functionals_f(kz2_bim)
-    twisted = reconstruct(kz2, funcs, [[[(F(0), F(1))]]], 1)
+    twisted = reconstruct(kz2, funcs, r_matrices(kz2, [[[(F(0), F(1))]]]), 1)
     assert twisted.verify().ok
 
 
@@ -509,7 +551,7 @@ def test_convolution_inverse_identities_elementwise(all_fixtures):
     """Σ_j f_ji*((f_hj∘S_1^{-1})*a) = δ_ih·a and the reversed form, on a
     basis of every component (the action form of the inverse identities,
     meaningful at every grading)."""
-    from hopfpi.linalg import unit_vec, vec_add, zero_vec
+    from hopfpi.linalg import unit_vec
 
     for h in all_fixtures.values():
         bim = universal_calculus(h).to_bimodule()
@@ -527,12 +569,12 @@ def test_convolution_inverse_identities_elementwise(all_fixtures):
                         acc = zero_vec(f, n)
                         acc_rev = zero_vec(f, n)
                         for j in range(size):
-                            inner = funcs[hh][j].precompose(s1_inv, e, e).star_element(a, avec)
-                            acc = vec_add(f, acc, funcs[j][i].star_element(a, inner))
-                            inner_rev = funcs[i][j].star_element(a, avec)
+                            inner = star_element(precompose(funcs[hh][j], s1_inv, e, e), a, avec)
+                            acc = vec_add(f, acc, star_element(funcs[j][i], a, inner))
+                            inner_rev = star_element(funcs[i][j], a, avec)
                             acc_rev = vec_add(
                                 f, acc_rev,
-                                funcs[j][hh].precompose(s1_inv, e, e).star_element(a, inner_rev))
+                                star_element(precompose(funcs[j][hh], s1_inv, e, e), a, inner_rev))
                         want = avec if i == hh else zero_vec(f, n)
                         assert acc == want
                         assert acc_rev == want
@@ -550,7 +592,7 @@ def _vector_commutation(h, maps, funcs, side):
             b = unit_vec(h.field, h.n(a), m)
             for i, row in enumerate(funcs):
                 for j, phi in enumerate(row):
-                    want = phi.star_element(a, b) if side == "left" else phi.element_star(a, b)
+                    want = star_element(phi, a, b) if side == "left" else element_star(phi, a, b)
                     if maps[a][i][j].apply(b) != want:
                         return False
     return True
@@ -558,7 +600,7 @@ def _vector_commutation(h, maps, funcs, side):
 
 def _vector_left_multiplication(cb, frames, funcs, side):
     """a w_i = Σ_j w_j ((φ_ij∘S_1^{-1}) * a) or Σ_j w_j (a * (φ_ij∘S_1^{-1}))."""
-    from hopfpi.linalg import unit_vec, vec_add, zero_vec
+    from hopfpi.linalg import unit_vec
 
     h = cb.h
     f = h.field
@@ -571,9 +613,9 @@ def _vector_left_multiplication(cb, frames, funcs, side):
                 lhs = cb.left[a].apply(vec_kron(f, avec, frames[a][i]))
                 rhs = zero_vec(f, cb.g(a))
                 for j, phi in enumerate(row):
-                    twisted = phi.precompose(s1_inv, e, e)
-                    coeff = (twisted.star_element(a, avec) if side == "left"
-                             else twisted.element_star(a, avec))
+                    twisted = precompose(phi, s1_inv, e, e)
+                    coeff = (star_element(twisted, a, avec) if side == "left"
+                             else element_star(twisted, a, avec))
                     rhs = vec_add(f, rhs, cb.right[a].apply(vec_kron(f, frames[a][j], coeff)))
                 if lhs != rhs:
                     return False
@@ -582,8 +624,9 @@ def _vector_left_multiplication(cb, frames, funcs, side):
 
 def _vector_intertwiner(h, funcs_f, funcs_g, R, gradings):
     """Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi, one basis a at a time."""
-    from hopfpi.linalg import unit_vec, vec_add, zero_vec
+    from hopfpi.linalg import unit_vec
 
+    R = r_blocks(h, R)
     f = h.field
     size = len(funcs_f)
     for a in gradings:
@@ -596,9 +639,9 @@ def _vector_intertwiner(h, funcs_f, funcs_g, R, gradings):
                     rhs = zero_vec(f, n)
                     for i in range(size):
                         lhs = vec_add(f, lhs, h.mult[a].apply(vec_kron(
-                            f, R[a][i][j], funcs_f[i][hh].element_star(a, avec))))
+                            f, R[a][i][j], element_star(funcs_f[i][hh], a, avec))))
                         rhs = vec_add(f, rhs, h.mult[a].apply(vec_kron(
-                            f, funcs_g[j][i].star_element(a, avec), R[a][hh][i])))
+                            f, star_element(funcs_g[j][i], a, avec), R[a][hh][i])))
                     if lhs != rhs:
                         return False
     return True
@@ -627,9 +670,9 @@ def _bump_functional(h, phi):
 def _bump_R(h, R):
     """R with the unit added to R^1_00."""
     e = h.group.identity
-    bad = [[list(row) for row in Rb] for Rb in R]
-    bad[e][0][0] = tuple(h.field.add(x, y) for x, y in zip(R[e][0][0], h.unit[e]))
-    return bad
+    bad = r_blocks(h, R)
+    bad[e][0][0] = tuple(h.field.add(x, y) for x, y in zip(bad[e][0][0], h.unit[e]))
+    return r_matrices(h, bad)
 
 
 def _oracle_bimodules(all_fixtures):
@@ -746,7 +789,7 @@ def test_corrupted_R_fails_extraction_and_reconstruction(kz2_const, const_bim):
     with pytest.raises(StructureInconsistent) as extraction:
         extract_structure(bad)
     assert extraction.value.data.R is None
-    double_R = [[[tuple(2 * x for x in r) for r in row] for row in Rb] for Rb in data.R]
+    double_R = [rb.scale(F(2)) for rb in data.R]
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(kz2_const, data.f, double_R, data.size)
     for check in ("coaction-matrix-counit", "coaction-matrix-comultiplication"):
@@ -766,8 +809,9 @@ def test_corrupted_R_breaks_the_intertwiner_on_taft():
     funcs = functionals_f(bim)
     R = matrix_R(bim)
     check_intertwiner(bim, funcs, funcs, R)           # lawful data passes
-    bad_R = [[list(row) for row in R[0]]]
-    bad_R[0][0][1] = tuple(x + y for x, y in zip(R[0][0][1], (F(0), F(0), F(1), F(0))))
+    bad_R = r_blocks(t, R)
+    bad_R[0][0][1] = tuple(x + y for x, y in zip(bad_R[0][0][1], (F(0), F(0), F(1), F(0))))
+    bad_R = r_matrices(t, bad_R)
     with pytest.raises(StructureInconsistent) as extraction:
         check_intertwiner(bim, funcs, funcs, bad_R)
     with pytest.raises(IncompatibleData) as rebuild:
@@ -903,8 +947,8 @@ def test_leg_reorderings_match_flip_formulas(lawful_structure):
     character = GradedFunctional(h, {a: (h.counit @ h.psi[a]).row(0) for a in g.elements()})
     zero = GradedFunctional(h, {})
     funcs = [[character, zero], [zero, character]]
-    R = [[[tuple(h.unit[b]), (f.zero(),) * h.n(b)], [(f.zero(),) * h.n(b), tuple(h.unit[b])]]
-         for b in g.elements()]
+    R = r_matrices(h, [[[tuple(h.unit[b]), (f.zero(),) * h.n(b)],
+                        [(f.zero(),) * h.n(b), tuple(h.unit[b])]] for b in g.elements()])
     rebuilt = reconstruct(h, funcs, R, size)
     for a in g.elements():
         na = h.n(a)
