@@ -66,7 +66,9 @@ from .structure import CovariantBimodule, compatibility_report
 
 
 class UniversalBimodule:
-    """Per-grading kernels of multiplication with D and the A-actions."""
+    """Per-grading kernels of multiplication, with D.  The A-actions on
+    A_α⊗A_α multiply the outer legs: m_α on the first leg from the left,
+    on the second from the right."""
 
     def __init__(self, h: HopfPiCoalgebra):
         self.h = h
@@ -82,18 +84,6 @@ class UniversalBimodule:
 
     def dim(self, alpha: int) -> int:
         return self.sub[alpha].dim
-
-    def left_action_ambient(self, alpha: int) -> Matrix:
-        """A_α ⊗ (A_α⊗A_α) → A_α⊗A_α, c⊗(a⊗b) ↦ ca⊗b."""
-        h = self.h
-        n = h.n(alpha)
-        return h.mult[alpha].kron(Matrix.identity(h.field, n))
-
-    def right_action_ambient(self, alpha: int) -> Matrix:
-        """(A_α⊗A_α) ⊗ A_α → A_α⊗A_α, (a⊗b)⊗c ↦ a⊗bc."""
-        h = self.h
-        n = h.n(alpha)
-        return Matrix.identity(h.field, n).kron(h.mult[alpha])
 
 
 def universal_bimodule(h: HopfPiCoalgebra) -> UniversalBimodule:
@@ -118,7 +108,7 @@ def phi_l(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     lands in A_α ⊗ A²_β.
     """
     nb = h.n(beta)
-    return h.mult[alpha].kron(Matrix.identity(h.field, nb * nb)) @ _paired_comult(h, alpha, beta)
+    return _paired_comult(h, alpha, beta).on_leg(h.mult[alpha], 1, nb * nb, 0)
 
 
 def phi_r(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
@@ -128,7 +118,7 @@ def phi_r(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     lands in A²_α ⊗ A_β.
     """
     na = h.n(alpha)
-    return Matrix.identity(h.field, na * na).kron(h.mult[beta]) @ _paired_comult(h, alpha, beta)
+    return _paired_comult(h, alpha, beta).on_leg(h.mult[beta], na * na, 1, 0)
 
 
 def _phi(h: HopfPiCoalgebra, side: str, alpha: int, beta: int) -> Matrix:
@@ -143,11 +133,9 @@ def _phi(h: HopfPiCoalgebra, side: str, alpha: int, beta: int) -> Matrix:
 
 def r_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     """r_α : A_α⊗A_α → A_α⊗A_1, a⊗b ↦ (a⊗1_1)Δ_{α,1}(b) = a b_(1,α) ⊗ b_(2,1)."""
-    f = h.field
     e = h.group.identity
-    n = h.n(alpha)
-    return (h.mult[alpha].kron(Matrix.identity(f, h.n(e)))
-            @ Matrix.identity(f, n).kron(h.comult[(alpha, e)]))
+    spread = Matrix.identity(h.field, h.n(alpha)).kron(h.comult[(alpha, e)])   # a ⊗ b_(1) ⊗ b_(2)
+    return spread.on_leg(h.mult[alpha], 1, h.n(e), 0)
 
 
 def t_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -157,7 +145,7 @@ def t_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     n = h.n(alpha)
     n1 = h.n(e)
     spread = Matrix.identity(f, n).kron(h.comult[(e, alpha)])   # a ⊗ b_(1) ⊗ b_(2)
-    return Matrix.identity(f, n1).kron(h.mult[alpha]) @ spread.permute_legs((n, n1, n), (1, 0, 2), 0)
+    return spread.permute_legs((n, n1, n), (1, 0, 2), 0).on_leg(h.mult[alpha], n1, 1, 0)
 
 
 def r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -166,8 +154,8 @@ def r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     g = h.group
     n = h.n(alpha)
     ai = g.inv(alpha)
-    inner = h.antipode[ai].kron(Matrix.identity(f, n)) @ h.comult[(ai, alpha)]
-    return h.mult[alpha].kron(Matrix.identity(f, n)) @ Matrix.identity(f, n).kron(inner)
+    inner = h.comult[(ai, alpha)].on_leg(h.antipode[ai], 1, n, 0)   # S(b_(1)) ⊗ b_(2)
+    return Matrix.identity(f, n).kron(inner).on_leg(h.mult[alpha], 1, n, 0)
 
 
 def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -178,10 +166,9 @@ def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     the antipode family is involutive.
     """
     n = h.n(alpha)
-    eye = Matrix.identity(h.field, n)
-    split = h.comult[(alpha, h.group.inv(alpha))].kron(eye)          # a_(1) ⊗ a_(2) ⊗ b
-    twisted = eye.kron(h.antipode_inv(alpha).kron(eye)) @ split      # a_(1) ⊗ S^{-1}(a_(2)) ⊗ b
-    return h.mult[alpha].kron(eye) @ twisted.permute_legs((n, n, n), (2, 1, 0), 0)
+    split = h.comult[(alpha, h.group.inv(alpha))].kron(Matrix.identity(h.field, n))  # a_(1) ⊗ a_(2) ⊗ b
+    twisted = split.on_leg(h.antipode_inv(alpha), n, n, 0)          # a_(1) ⊗ S^{-1}(a_(2)) ⊗ b
+    return twisted.permute_legs((n, n, n), (2, 1, 0), 0).on_leg(h.mult[alpha], 1, n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +309,21 @@ class Fodc:
             self.lift.append(lift)
             self.drop.append(drop)
             self.d.append(drop @ self.asq.D[a])
-            eye = Matrix.identity(f, n)
-            self.left.append(drop @ self.asq.left_action_ambient(a) @ eye.kron(lift))
-            self.right.append(drop @ self.asq.right_action_ambient(a) @ lift.kron(eye))
+            # drop ∘ (m⊗I) ∘ (I⊗lift) and drop ∘ (I⊗m) ∘ (lift⊗I)
+            self.left.append(drop.on_leg(h.mult[a], 1, n, 1).on_leg(lift, n, 1, 1))
+            self.right.append(drop.on_leg(h.mult[a], n, 1, 1).on_leg(lift, 1, n, 1))
 
     def _check_sub_bimodule(self):
         """A_α·N_α ⊆ N_α ⊇ N_α·A_α; names the action that first fails,
         scanning N's basis vectors w_k and, for each, A's basis e_i."""
         h = self.h
-        f = h.field
         for a in h.group.elements():
             n = h.n(a)
-            eye = Matrix.identity(f, n)
-            incl = self.incl[a]
+            incl, proj = self.incl[a], self.proj[a]
             # column k·n + i holds e_i·w_k on the left and w_k·e_i on the right
-            left = self.proj[a] @ (self.asq.left_action_ambient(a)
-                                   @ eye.kron(incl).permute_legs((n, incl.cols), (1, 0), 1))
-            right = self.proj[a] @ (self.asq.right_action_ambient(a) @ incl.kron(eye))
+            left = proj.on_leg(h.mult[a], 1, n, 1).on_leg(incl, n, 1, 1).permute_legs(
+                (n, incl.cols), (1, 0), 1)
+            right = proj.on_leg(h.mult[a], n, 1, 1).on_leg(incl, 1, n, 1)
             first_left = min((c for _, c in left.entries), default=None)
             first_right = min((c for _, c in right.entries), default=None)
             if first_left is not None and (first_right is None or first_left <= first_right):
@@ -374,13 +359,11 @@ class Fodc:
     def leibniz_report(self) -> VerificationReport:
         """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
         h = self.h
-        f = h.field
         report = VerificationReport()
         for a in h.group.elements():
             n = h.n(a)
-            eye = Matrix.identity(f, n)
             lhs = self.d[a] @ h.mult[a]
-            rhs = self.right[a] @ self.d[a].kron(eye) + self.left[a] @ eye.kron(self.d[a])
+            rhs = self.right[a].on_leg(self.d[a], 1, n, 1) + self.left[a].on_leg(self.d[a], n, 1, 1)
             for j, _, _ in differing_columns(lhs, rhs):
                 report.extend([Violation("leibniz", (a,), j, "d(ab) ≠ d(a)b + a d(b)")])
         return report
@@ -388,11 +371,10 @@ class Fodc:
     def surjectivity_report(self) -> VerificationReport:
         """Every ρ ∈ Γ_α is a combination of a·d(b) over basis pairs."""
         h = self.h
-        f = h.field
         report = VerificationReport()
         for a in h.group.elements():
             # column (i, j) is e_i · d(e_j)
-            span = image(self.left[a] @ Matrix.identity(f, h.n(a)).kron(self.d[a]))
+            span = image(self.left[a].on_leg(self.d[a], h.n(a), 1, 1))
             if span.dim != self.dim(a):
                 report.extend([Violation("surjectivity", (a,), None,
                                          f"span of a·d(b) has dim {span.dim} < {self.dim(a)}")])
@@ -454,7 +436,6 @@ def _covariance(calc: Fodc, side: str) -> tuple:
         return memo
     h = calc.h
     g = h.group
-    f = h.field
     left = side == "left"
     detail = ("Φ^l maps an N basis vector outside A⊗N" if left
               else "Φ^r maps an N basis vector outside N⊗A")
@@ -463,17 +444,17 @@ def _covariance(calc: Fodc, side: str) -> tuple:
     for a, b in pairs:
         # right to left: Φ ι has dim N_{αβ} columns, none for the universal calculus
         moved = _phi(h, side, a, b) @ calc.incl[g.mul(a, b)]
-        outside = (Matrix.identity(f, h.n(a)).kron(calc.proj[b]) if left
-                   else calc.proj[a].kron(Matrix.identity(f, h.n(b)))) @ moved
+        outside = (moved.on_leg(calc.proj[b], h.n(a), 1, 0) if left
+                   else moved.on_leg(calc.proj[a], 1, h.n(b), 0))
         report.extend(Violation(f"{side}-covariance", (a, b), j, detail)
                       for j in _nonzero_columns(outside))
     coactions = None
     if report.ok:
         coactions = {}
         for a, b in pairs:
-            outer = (Matrix.identity(f, h.n(a)).kron(calc.drop[b]) if left
-                     else calc.drop[a].kron(Matrix.identity(f, h.n(b))))
-            coactions[(a, b)] = outer @ (_phi(h, side, a, b) @ calc.lift[g.mul(a, b)])
+            lifted = _phi(h, side, a, b) @ calc.lift[g.mul(a, b)]
+            coactions[(a, b)] = (lifted.on_leg(calc.drop[b], h.n(a), 1, 0) if left
+                                 else lifted.on_leg(calc.drop[a], 1, h.n(b), 0))
     memo = calc._covariance[side] = (report, coactions)
     return memo
 
@@ -539,20 +520,16 @@ def ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     a ↦ a_(2,1) ⊗ S_{α^{-1}}(a_(1,α^{-1})) a_(3,α); the two must agree
     bit-exactly (InternalMismatch flags an implementation bug).
     """
-    f = h.field
     g = h.group
     e = g.identity
     n1 = h.n(e)
     na = h.n(alpha)
     ai = g.inv(alpha)
 
-    insert = h.unit_col(alpha).kron(Matrix.identity(f, n1))
-    composite = t_map(h, alpha) @ r_inv(h, alpha) @ insert
+    composite = t_map(h, alpha) @ r_inv(h, alpha).on_leg(h.unit_col(alpha), 1, n1, 1)
 
-    legs = h.comult_path((ai, e, alpha))
-    applied = h.antipode[ai].kron(Matrix.identity(f, n1 * na)) @ legs
-    sweedler = (Matrix.identity(f, n1).kron(h.mult[alpha])
-                @ applied.permute_legs((na, n1, na), (1, 0, 2), 0))
+    applied = h.comult_path((ai, e, alpha)).on_leg(h.antipode[ai], 1, n1 * na, 0)
+    sweedler = applied.permute_legs((na, n1, na), (1, 0, 2), 0).on_leg(h.mult[alpha], n1, 1, 0)
 
     if composite != sweedler:
         raise InternalMismatch(f"ad_{alpha}: composite and Sweedler forms disagree")
@@ -563,13 +540,12 @@ def check_ad_invariant(h: HopfPiCoalgebra, ideal: RightIdeal) -> VerificationRep
     """ad_α(R) ⊆ R ⊗ A_α for every α, decided as (P_R ⊗ I) ad_α ι_R = 0
     with P_R a projection whose kernel is R; a nonzero column j names the
     basis vector of R that leaves."""
-    f = h.field
     sub = ideal.subspace
     incl = sub.inclusion_matrix()
     proj = quotient(sub.ambient_dim, sub).projection
     report = VerificationReport()
     for a in h.group.elements():
-        outside = proj.kron(Matrix.identity(f, h.n(a))) @ (ad_map(h, a) @ incl)
+        outside = (ad_map(h, a) @ incl).on_leg(proj, 1, h.n(a), 0)
         report.extend(Violation("ad-invariance", (a,), j,
                                 "ad maps an ideal basis vector outside R⊗A")
                       for j in _nonzero_columns(outside))

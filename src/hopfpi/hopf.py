@@ -176,8 +176,7 @@ class PiCoalgebra:
             rest = path[1:]
             rest_prod = self.group.product(rest)
             step = self.comult[(path[0], rest_prod)]
-            out = Matrix.identity(self.field, self.n(path[0])).kron(
-                self.comult_path(rest)) @ step
+            out = step.on_leg(self.comult_path(rest), self.n(path[0]), 1, 0)
         self._path_cache[path] = out
         return out
 
@@ -193,7 +192,6 @@ class HopfPiCoalgebra(PiCoalgebra):
         self.antipode = list(antipode)
         self.psi = list(psi) if psi is not None else None
         self._antipode_inv: dict[int, Matrix] = {}
-        self._pair_mult: dict[tuple[int, int], Matrix] = {}
         self._phi: dict[tuple[str, int, int], Matrix] = {}   # (side, α, β) -> Φ, see calculus
         self._verdict: VerificationReport | None = None      # see verify_all
         self._validate_hopf_shapes()
@@ -230,26 +228,22 @@ class HopfPiCoalgebra(PiCoalgebra):
             self._antipode_inv[alpha] = self.antipode[alpha].inverse()
         return self._antipode_inv[alpha]
 
-    def pair_mult(self, alpha: int, beta: int) -> Matrix:
-        """Componentwise multiplication on A_α ⊗ A_β."""
-        key = (alpha, beta)
-        if key not in self._pair_mult:
-            self._pair_mult[key] = interchange_product(
-                self.mult[alpha], self.mult[beta],
-                self.n(alpha), self.n(beta), self.n(alpha), self.n(beta))
-        return self._pair_mult[key]
-
     def counit_kernel(self) -> Subspace:
         return kernel(self.counit)
 
 
-def interchange_product(mul1: Matrix, mul2: Matrix, p: int, q: int, r: int, s: int) -> Matrix:
-    """(x⊗y)·(x'⊗y') ↦ mul1(x⊗x') ⊗ mul2(y⊗y').
+def act_on_pairs(x: Matrix, y: Matrix, legs, first: Matrix, second: Matrix) -> Matrix:
+    """(first ⊗ second) ∘ P ∘ (x ⊗ y), P swapping the two middle row legs.
 
-    mul1 consumes k^p ⊗ k^r, mul2 consumes k^q ⊗ k^s; the input legs
-    (x,y,x',y') are those of mul1⊗mul2, (x,x',y,y'), reordered.
+    The row legs of x ⊗ y are legs = (p, q, r, s); first consumes p⊗r and
+    second q⊗s.  This is the product side of an interchange law,
+    (u⊗v)(u'⊗v') = first(u⊗u') ⊗ second(v⊗v') after x⊗y.  The legs are
+    re-keyed, then each map acts on its own pair, so first⊗second is never
+    built.
     """
-    return mul1.kron(mul2).permute_legs((p, r, q, s), (0, 2, 1, 3), 1)
+    _, q, _, s = legs
+    paired = x.kron(y).permute_legs(legs, (0, 2, 1, 3), 0)
+    return paired.on_leg(first, 1, q * s, 0).on_leg(second, first.rows, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +260,8 @@ def verify_pi_coalgebra(c: PiCoalgebra) -> VerificationReport:
         ab = g.mul(a, b)
         bc = g.mul(b, cc)
         abc = g.mul(ab, cc)
-        lhs = c.comult[(a, b)].kron(Matrix.identity(f, c.n(cc))) @ c.comult[(ab, cc)]
-        rhs = Matrix.identity(f, c.n(a)).kron(c.comult[(b, cc)]) @ c.comult[(a, bc)]
+        lhs = c.comult[(ab, cc)].on_leg(c.comult[(a, b)], 1, c.n(cc), 0)
+        rhs = c.comult[(a, bc)].on_leg(c.comult[(b, cc)], c.n(a), 1, 0)
         return _diff_columns("coassociativity", (a, b, cc), lhs, rhs,
                              namer=lambda j: c.basis_name(abc, j))
 
@@ -279,10 +273,10 @@ def verify_pi_coalgebra(c: PiCoalgebra) -> VerificationReport:
 
     for a in g.elements():
         eye = Matrix.identity(f, c.n(a))
-        left = Matrix.identity(f, c.n(a)).kron(c.counit) @ c.comult[(a, e)]
+        left = c.comult[(a, e)].on_leg(c.counit, c.n(a), 1, 0)
         report.extend(_diff_columns("counit-left", (a,), left, eye,
                                     namer=lambda j, a=a: c.basis_name(a, j)))
-        right = c.counit.kron(Matrix.identity(f, c.n(a))) @ c.comult[(e, a)]
+        right = c.comult[(e, a)].on_leg(c.counit, 1, c.n(a), 0)
         report.extend(_diff_columns("counit-right", (a,), right, eye,
                                     namer=lambda j, a=a: c.basis_name(a, j)))
     return report
@@ -310,23 +304,22 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
         n = h.n(a)
         eye = Matrix.identity(f, n)
         m = h.mult[a]
-        lhs = m @ m.kron(eye)
-        rhs = m @ eye.kron(m)
-        out.extend(_diff_columns("algebra-associativity", (a,), lhs, rhs))
+        out.extend(_diff_columns("algebra-associativity", (a,),
+                                 m.on_leg(m, 1, n, 1), m.on_leg(m, n, 1, 1)))
         out.extend(_diff_columns("algebra-unit-left", (a,),
-                                 m @ h.unit_col(a).kron(eye), eye, namer=named(a)))
+                                 m.on_leg(h.unit_col(a), 1, n, 1), eye, namer=named(a)))
         out.extend(_diff_columns("algebra-unit-right", (a,),
-                                 m @ eye.kron(h.unit_col(a)), eye, namer=named(a)))
+                                 m.on_leg(h.unit_col(a), n, 1, 1), eye, namer=named(a)))
         return out
 
     def comult_checks(a, b):
         ab = g.mul(a, b)
         out = []
-        lhs = h.comult[(a, b)] @ h.mult[ab]
-        rhs = h.pair_mult(a, b) @ h.comult[(a, b)].kron(h.comult[(a, b)])
-        out.extend(_diff_columns("comult-multiplicative", (a, b), lhs, rhs,
+        d = h.comult[(a, b)]
+        rhs = act_on_pairs(d, d, (h.n(a), h.n(b), h.n(a), h.n(b)), h.mult[a], h.mult[b])
+        out.extend(_diff_columns("comult-multiplicative", (a, b), d @ h.mult[ab], rhs,
                                  namer=pair_named(ab, ab)))
-        img = h.comult[(a, b)].apply(h.unit[ab])
+        img = d.apply(h.unit[ab])
         want = vec_kron(f, h.unit[a], h.unit[b])
         if img != want:
             got = ", ".join(f.render(x) for x in img)
@@ -339,11 +332,10 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
         out = []
         ai = g.inv(a)
         n = h.n(a)
-        eye = Matrix.identity(f, n)
         s = h.antipode[ai]  # S_{α^{-1}} : A_{α^{-1}} → A_α
         target = h.unit_col(a) @ h.counit
-        left = h.mult[a] @ s.kron(eye) @ h.comult[(ai, a)]
-        right = h.mult[a] @ eye.kron(s) @ h.comult[(a, ai)]
+        left = h.mult[a] @ h.comult[(ai, a)].on_leg(s, 1, n, 0)
+        right = h.mult[a] @ h.comult[(a, ai)].on_leg(s, n, 1, 0)
         out.extend(_diff_columns("antipode-axiom-left", (a,), left, target, namer=named(e)))
         out.extend(_diff_columns("antipode-axiom-right", (a,), right, target, namer=named(e)))
         sa = h.antipode[a]

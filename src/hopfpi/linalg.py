@@ -14,6 +14,11 @@ package:
   the row (axis 0) or column (axis 1) index into legs of sizes `dims`, and
   leg k of the result is leg order[k] of the input.  It re-keys entries:
   no product with a permutation matrix, no scalar arithmetic;
+* one leg is acted on in place: x.on_leg(m, before, after, axis) is
+  (I_before ⊗ m ⊗ I_after)·x on axis 0 and x·(I_before ⊗ m ⊗ I_after) on
+  axis 1.  It walks the entries of x and never builds the identity
+  factors, so no product in the package has an identity Kronecker factor
+  as an operand; kron is kept for tensor products of two genuine maps;
 * subspaces are reduced row echelon bases with lexicographically-first
   pivots.  RREF of a row space is unique, so two equal subspaces have
   bit-identical bases and every report built on them is reproducible.
@@ -457,6 +462,43 @@ class Matrix:
         else:
             entries = {(r, new[c]): v for (r, c), v in self.entries.items()}
         return Matrix._unchecked(self.field, self.rows, self.cols, entries)
+
+    def on_leg(self, m: "Matrix", before: int, after: int, axis: int) -> "Matrix":
+        """(I_before ⊗ m ⊗ I_after) · self (axis 0) or self · (I_before ⊗ m ⊗ I_after) (axis 1).
+
+        The row (axis 0) or column (axis 1) index of self is split into
+        legs (before, inner, after), inner being the side of m it meets;
+        each entry of self is multiplied by the entries of m in the column
+        (axis 0) or row (axis 1) of its inner leg.  The identity factors are
+        never built.
+        """
+        if axis == 0:
+            inner, outer, length = m.cols, m.rows, self.rows
+        else:
+            inner, outer, length = m.rows, m.cols, self.cols
+        if before * inner * after != length:
+            raise DimensionMismatch(f"legs ({before}, {inner}, {after}) do not split axis {axis} "
+                                    f"of a {self.rows}x{self.cols} matrix")
+        f = self.field
+        mul, add = f.mul, f.add
+        # inner index k -> [(offset of the outer index in the result, m entry)]
+        hits: dict[int, list] = {}
+        for (r, c), v in m.entries.items():
+            k, o = (c, r) if axis == 0 else (r, c)
+            hits.setdefault(k, []).append((o * after, v))
+        span_in, span_out = inner * after, outer * after
+        out: dict = {}
+        for (r, c), v in self.entries.items():
+            i, rest = divmod(r if axis == 0 else c, span_in)
+            k, j = divmod(rest, after)
+            base = i * span_out + j
+            for offset, a in hits.get(k, ()):
+                key = (base + offset, c) if axis == 0 else (r, base + offset)
+                p = mul(a, v)
+                prev = out.get(key)
+                out[key] = p if prev is None else add(prev, p)
+        shape = (before * span_out, self.cols) if axis == 0 else (self.rows, before * span_out)
+        return Matrix._unchecked(f, *shape, {k: v for k, v in out.items() if v})
 
     def rank(self) -> int:
         _, pivots = rref(self.field, self.to_rows())

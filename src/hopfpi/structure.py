@@ -62,7 +62,7 @@ from .hopf import (
     HopfPiCoalgebra,
     VerificationReport,
     Violation,
-    interchange_product,
+    act_on_pairs,
     verify_all,
 )
 from .linalg import Matrix, Subspace, kernel
@@ -133,6 +133,18 @@ class CovariantBimodule:
     # -- law verification ----------------------------------------------------
 
     def verify(self) -> VerificationReport:
+        """Every law of a covariant bimodule, one matrix identity per grading
+        (pair, triple): the module laws of `left` and `right`; for each
+        coaction that is present, that it is a module map for both actions
+        (Δ^l(aρ) = Δ(a)Δ^l(ρ), Δ^l(ρa) = Δ^l(ρ)Δ(a) and their Δ^r forms),
+        coassociative and counital; and, when both are, their compatibility.
+
+        Each factor I⊗M acts leg-wise (Matrix.on_leg); the product sides of
+        the module-map laws re-key the legs of Δ⊗Δ^l (or Δ^l⊗Δ, …) so that the
+        two A-legs and the two remaining legs are adjacent, then multiply each
+        pair in place (act_on_pairs).  A violation names the law, its grading
+        and the first column on which the two sides differ.
+        """
         h = self.h
         f = h.field
         grp = h.group
@@ -145,56 +157,51 @@ class CovariantBimodule:
         for a in grp.elements():
             n = h.n(a)
             ga = self.g(a)
-            eye_n = Matrix.identity(f, n)
             eye_g = Matrix.identity(f, ga)
             L, R = self.left[a], self.right[a]
-            eq("module-left-associative", (a,), L @ eye_n.kron(L), L @ h.mult[a].kron(eye_g))
-            eq("module-left-unital", (a,), L @ h.unit_col(a).kron(eye_g), eye_g)
-            eq("module-right-associative", (a,), R @ R.kron(eye_n), R @ eye_g.kron(h.mult[a]))
-            eq("module-right-unital", (a,), R @ eye_g.kron(h.unit_col(a)), eye_g)
-            eq("module-actions-commute", (a,), R @ L.kron(eye_n), L @ eye_n.kron(R))
+            eq("module-left-associative", (a,), L.on_leg(L, n, 1, 1), L.on_leg(h.mult[a], 1, ga, 1))
+            eq("module-left-unital", (a,), L.on_leg(h.unit_col(a), 1, ga, 1), eye_g)
+            eq("module-right-associative", (a,), R.on_leg(R, 1, n, 1), R.on_leg(h.mult[a], ga, 1, 1))
+            eq("module-right-unital", (a,), R.on_leg(h.unit_col(a), ga, 1, 1), eye_g)
+            eq("module-actions-commute", (a,), R.on_leg(L, 1, n, 1), L.on_leg(R, n, 1, 1))
 
         pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
         if self.delta_l is not None:
             for a, b in pairs:
                 ab = grp.mul(a, b)
-                dl = self.delta_l[(a, b)]
+                d, dl = h.comult[(a, b)], self.delta_l[(a, b)]
                 na, nb, gb = h.n(a), h.n(b), self.g(b)
-                prod_l = interchange_product(h.mult[a], self.left[b], na, nb, na, gb)
-                eq("coaction-left-action", (a, b),
-                   dl @ self.left[ab], prod_l @ h.comult[(a, b)].kron(dl))
-                prod_r = interchange_product(h.mult[a], self.right[b], na, gb, na, nb)
-                eq("coaction-right-action", (a, b),
-                   dl @ self.right[ab], prod_r @ dl.kron(h.comult[(a, b)]))
+                eq("coaction-left-action", (a, b), dl @ self.left[ab],
+                   act_on_pairs(d, dl, (na, nb, na, gb), h.mult[a], self.left[b]))
+                eq("coaction-right-action", (a, b), dl @ self.right[ab],
+                   act_on_pairs(dl, d, (na, gb, na, nb), h.mult[a], self.right[b]))
             for a, b in pairs:
                 for c in grp.elements():
                     ab, bc = grp.mul(a, b), grp.mul(b, c)
-                    lhs = h.comult[(a, b)].kron(Matrix.identity(f, self.g(c))) @ self.delta_l[(ab, c)]
-                    rhs = Matrix.identity(f, h.n(a)).kron(self.delta_l[(b, c)]) @ self.delta_l[(a, bc)]
+                    lhs = self.delta_l[(ab, c)].on_leg(h.comult[(a, b)], 1, self.g(c), 0)
+                    rhs = self.delta_l[(a, bc)].on_leg(self.delta_l[(b, c)], h.n(a), 1, 0)
                     eq("coaction-coassociative", (a, b, c), lhs, rhs)
             for a in grp.elements():
-                lhs = h.counit.kron(Matrix.identity(f, self.g(a))) @ self.delta_l[(e, a)]
+                lhs = self.delta_l[(e, a)].on_leg(h.counit, 1, self.g(a), 0)
                 eq("coaction-counit", (a,), lhs, Matrix.identity(f, self.g(a)))
 
         if self.delta_r is not None:
             for a, b in pairs:
                 ab = grp.mul(a, b)
-                dr = self.delta_r[(a, b)]
+                d, dr = h.comult[(a, b)], self.delta_r[(a, b)]
                 na, nb, ga = h.n(a), h.n(b), self.g(a)
-                prod_l = interchange_product(self.left[a], h.mult[b], na, nb, ga, nb)
-                eq("right-coaction-left-action", (a, b),
-                   dr @ self.left[ab], prod_l @ h.comult[(a, b)].kron(dr))
-                prod_r = interchange_product(self.right[a], h.mult[b], ga, nb, na, nb)
-                eq("right-coaction-right-action", (a, b),
-                   dr @ self.right[ab], prod_r @ dr.kron(h.comult[(a, b)]))
+                eq("right-coaction-left-action", (a, b), dr @ self.left[ab],
+                   act_on_pairs(d, dr, (na, nb, ga, nb), self.left[a], h.mult[b]))
+                eq("right-coaction-right-action", (a, b), dr @ self.right[ab],
+                   act_on_pairs(dr, d, (ga, nb, na, nb), self.right[a], h.mult[b]))
             for a, b in pairs:
                 for c in grp.elements():
                     ab, bc = grp.mul(a, b), grp.mul(b, c)
-                    lhs = Matrix.identity(f, self.g(a)).kron(h.comult[(b, c)]) @ self.delta_r[(a, bc)]
-                    rhs = self.delta_r[(a, b)].kron(Matrix.identity(f, h.n(c))) @ self.delta_r[(ab, c)]
+                    lhs = self.delta_r[(a, bc)].on_leg(h.comult[(b, c)], self.g(a), 1, 0)
+                    rhs = self.delta_r[(ab, c)].on_leg(self.delta_r[(a, b)], 1, h.n(c), 0)
                     eq("right-coaction-coassociative", (a, b, c), lhs, rhs)
             for a in grp.elements():
-                lhs = Matrix.identity(f, self.g(a)).kron(h.counit) @ self.delta_r[(a, e)]
+                lhs = self.delta_r[(a, e)].on_leg(h.counit, self.g(a), 1, 0)
                 eq("right-coaction-counit", (a,), lhs, Matrix.identity(f, self.g(a)))
 
         if self.bicovariant:
@@ -231,13 +238,11 @@ def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -
     "right") for a frame w of Γ_α, as left_α (I⊗W) re-keyed to (i, m) or
     right_α (W⊗I), W the frame as columns; square and invertible iff Γ_α
     is free on the frame from that side."""
-    f = cb.h.field
     n = cb.h.n(alpha)
-    eye = Matrix.identity(f, n)
     w = _frame_columns(cb, alpha, frame)
     if side == "left":
-        return (cb.left[alpha] @ eye.kron(w)).permute_legs((n, w.cols), (1, 0), 1)
-    return cb.right[alpha] @ w.kron(eye)
+        return cb.left[alpha].on_leg(w, n, 1, 1).permute_legs((n, w.cols), (1, 0), 1)
+    return cb.right[alpha].on_leg(w, 1, n, 1)
 
 
 def _frame_columns(cb: CovariantBimodule, alpha: int, frame) -> Matrix:
@@ -273,7 +278,7 @@ def projection_P_matrix(cb: CovariantBimodule, alpha: int) -> Matrix:
     h = cb.h
     ai = h.group.inv(alpha)
     s = h.antipode[ai]  # A_{α^{-1}} → A_α
-    return cb.left[alpha] @ s.kron(Matrix.identity(h.field, cb.g(alpha))) @ cb.delta_l[(ai, alpha)]
+    return cb.left[alpha] @ cb.delta_l[(ai, alpha)].on_leg(s, 1, cb.g(alpha), 0)
 
 
 def projection_P(cb: CovariantBimodule, alpha: int, rho) -> tuple:
@@ -349,15 +354,18 @@ def _compare(report: VerificationReport, check: str, grading, lhs: Matrix, rhs: 
 
 def compatibility_report(h: HopfPiCoalgebra, delta_l, delta_r) -> VerificationReport:
     """(Δ^l⊗id)Δ^r = (id⊗Δ^r)Δ^l on every grading triple, for coactions
-    keyed by grading pair (those of a bimodule or induced on a calculus)."""
-    f = h.field
+    keyed by grading pair (those of a bimodule or induced on a calculus).
+
+    Each side applies its second coaction to one leg of the first
+    (Matrix.on_leg); a violation names the triple and the first column on
+    which the sides differ."""
     grp = h.group
     report = VerificationReport()
     for a in grp.elements():
         for b in grp.elements():
             for c in grp.elements():
-                lhs = delta_l[(a, b)].kron(Matrix.identity(f, h.n(c))) @ delta_r[(grp.mul(a, b), c)]
-                rhs = Matrix.identity(f, h.n(a)).kron(delta_r[(b, c)]) @ delta_l[(a, grp.mul(b, c))]
+                lhs = delta_r[(grp.mul(a, b), c)].on_leg(delta_l[(a, b)], 1, h.n(c), 0)
+                rhs = delta_l[(a, grp.mul(b, c))].on_leg(delta_r[(b, c)], h.n(a), 1, 0)
                 _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
                          "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
     return report
@@ -373,13 +381,11 @@ def _require(report: VerificationReport, what: str) -> None:
 def convolution_map(h: HopfPiCoalgebra, alpha: int, row, side: str) -> Matrix:
     """φ*· = (id⊗φ)Δ_{α,1} (side "left") or ·*φ = (φ⊗id)Δ_{1,α} (side
     "right") as a map A_α → A_α, for φ on A_1 given by its row."""
-    f = h.field
     e = h.group.identity
-    phi = Matrix.row_vector(f, row)
-    eye = Matrix.identity(f, h.n(alpha))
+    phi = Matrix.row_vector(h.field, row)
     if side == "left":
-        return eye.kron(phi) @ h.comult[(alpha, e)]
-    return phi.kron(eye) @ h.comult[(e, alpha)]
+        return h.comult[(alpha, e)].on_leg(phi, h.n(alpha), 1, 0)
+    return h.comult[(e, alpha)].on_leg(phi, 1, h.n(alpha), 0)
 
 
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
@@ -439,9 +445,9 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
         hint = "; this form needs an involutive antipode, and S_1² ≠ id"
     report = VerificationReport()
     for a in h.group.elements():
-        eye = Matrix.identity(f, h.n(a))
+        n = h.n(a)
         cols = [Matrix.column(f, v) for v in frames[a]]
-        times = [cb.right[a] @ c.kron(eye) for c in cols]   # b ↦ w_j b
+        times = [cb.right[a].on_leg(c, 1, n, 1) for c in cols]   # b ↦ w_j b
         for i, row in enumerate(funcs):
             rhs = Matrix.zero(f, cb.g(a), h.n(a))
             for j, phi in enumerate(row):
@@ -449,7 +455,7 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
                 rhs = rhs + times[j] @ convolution_map(h, a, twisted, side)
             twist = f"{name}_{i}j∘S_1^{{-1}}"
             conv = f"({twist}) * a" if side == "left" else f"a * ({twist})"
-            _compare(report, FRAME_MULT, (a,), cb.left[a] @ eye.kron(cols[i]), rhs,
+            _compare(report, FRAME_MULT, (a,), cb.left[a].on_leg(cols[i], n, 1, 1), rhs,
                      f"left multiplication rule a {w}_{i} = Σ_j {w}_j ({conv}) fails{hint}")
     return report
 
@@ -487,7 +493,7 @@ def r_block(rb: Matrix, n: int, j: int, i: int) -> tuple:
 def _antipode_R(h: HopfPiCoalgebra, R, alpha: int) -> Matrix:
     """Ŝ_α = (I⊗S_{α^{-1}}) R^{α^{-1}}: column j is Σ_i e_i ⊗ S(R_ij) ∈ k^I ⊗ A_α."""
     ai = h.group.inv(alpha)
-    return Matrix.identity(h.field, R[ai].cols).kron(h.antipode[ai]) @ R[ai]
+    return R[ai].on_leg(h.antipode[ai], R[ai].cols, 1, 0)
 
 
 def check_corepresentation(h: HopfPiCoalgebra, R) -> VerificationReport:
@@ -496,23 +502,23 @@ def check_corepresentation(h: HopfPiCoalgebra, R) -> VerificationReport:
     f = h.field
     grp = h.group
     e = grp.identity
-    eye = Matrix.identity(f, R[e].cols)
+    size = R[e].cols
+    eye = Matrix.identity(f, size)
     report = VerificationReport()
     for b in grp.elements():
         for c in grp.elements():
-            lhs = eye.kron(h.comult[(b, c)]) @ R[grp.mul(b, c)]
-            rhs = R[b].kron(Matrix.identity(f, h.n(c))) @ R[c]
+            lhs = R[grp.mul(b, c)].on_leg(h.comult[(b, c)], size, 1, 0)
+            rhs = R[c].on_leg(R[b], 1, h.n(c), 0)
             _compare(report, R_COMULT, (b, c), lhs, rhs, "Δ(R_ji) ≠ Σ_h R_jh ⊗ R_hi")
-    _compare(report, R_COUNIT, (e,), eye.kron(h.counit) @ R[e], eye, "ε(R_ji) ≠ δ_ji")
+    _compare(report, R_COUNIT, (e,), R[e].on_leg(h.counit, size, 1, 0), eye, "ε(R_ji) ≠ δ_ji")
     for a in grp.elements():
+        n = h.n(a)
         shat = _antipode_R(h, R, a)
-        eye_a = Matrix.identity(f, h.n(a))
-        mult = eye.kron(h.mult[a])
         ones = eye.kron(h.unit_col(a))
-        _compare(report, R_COMULT, (a,), mult @ (shat.kron(eye_a) @ R[a]), ones,
-                 "Σ_h S(R_ih) R_hj ≠ δ_ij 1")
-        _compare(report, R_COMULT, (a,), mult @ (R[a].kron(eye_a) @ shat), ones,
-                 "Σ_h R_ih S(R_hj) ≠ δ_ij 1")
+        _compare(report, R_COMULT, (a,), R[a].on_leg(shat, 1, n, 0).on_leg(h.mult[a], size, 1, 0),
+                 ones, "Σ_h S(R_ih) R_hj ≠ δ_ij 1")
+        _compare(report, R_COMULT, (a,), shat.on_leg(R[a], 1, n, 0).on_leg(h.mult[a], size, 1, 0),
+                 ones, "Σ_h R_ih S(R_hj) ≠ δ_ij 1")
     return report
 
 
@@ -531,11 +537,10 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
     report = VerificationReport()
     for a in gradings:
         n = h.n(a)
-        eye = Matrix.identity(f, n)
         col = [[Matrix.column(f, r_block(R[a], n, i, j)) for j in range(size)]
                for i in range(size)]
-        times_left = [[h.mult[a] @ c.kron(eye) for c in row] for row in col]    # x ↦ R_ij x
-        times_right = [[h.mult[a] @ eye.kron(c) for c in row] for row in col]   # x ↦ x R_hi
+        times_left = [[h.mult[a].on_leg(c, 1, n, 1) for c in row] for row in col]    # x ↦ R_ij x
+        times_right = [[h.mult[a].on_leg(c, n, 1, 1) for c in row] for row in col]   # x ↦ x R_hi
         star_f = [[convolution_map(h, a, funcs_f[i][hh].component(e), "right")
                    for hh in range(size)] for i in range(size)]    # a ↦ a * f_ih
         g_star = [[convolution_map(h, a, funcs_g[j][i].component(e), "left")
@@ -654,12 +659,12 @@ def matrix_R(cb: CovariantBimodule) -> list[Matrix]:
     report = VerificationReport()
     R = []
     for b in grp.elements():
-        eye = Matrix.identity(h.field, h.n(b))
+        nb = h.n(b)
         per_alpha = []
         for a in grp.elements():
             image = cb.delta_r[(a, b)] @ incl[grp.mul(a, b)]
-            rb = cb.omega_space(a).coords_matrix().kron(eye) @ image
-            _compare(report, R_COMULT, (a, b), incl[a].kron(eye) @ rb, image,
+            rb = image.on_leg(cb.omega_space(a).coords_matrix(), 1, nb, 0)
+            _compare(report, R_COMULT, (a, b), rb.on_leg(incl[a], 1, nb, 0), image,
                      "Δ^r(ω) is not in the invariant frame ⊗ A")
             per_alpha.append(rb)
         ref = per_alpha[grp.identity]
@@ -689,12 +694,12 @@ def eta_basis(cb: CovariantBimodule, R=None) -> list[list[tuple]]:
     report = VerificationReport()
     eta = []
     for a in grp.elements():
-        eye = Matrix.identity(h.field, h.n(a))
+        n = h.n(a)
         incl = cb.omega_space(a).inclusion_matrix()
-        frame = cb.right[a] @ (incl.kron(eye) @ _antipode_R(h, R, a))
+        frame = cb.right[a] @ _antipode_R(h, R, a).on_leg(incl, 1, n, 0)
         _compare(report, R_COMULT, (a,), cb.delta_r[(a, grp.identity)] @ frame,
                  frame.kron(h.unit_col(grp.identity)), "η_j is not right invariant")
-        _compare(report, R_COMULT, (a,), cb.right[a] @ (frame.kron(eye) @ R[a]), incl,
+        _compare(report, R_COMULT, (a,), cb.right[a] @ R[a].on_leg(frame, 1, n, 0), incl,
                  "ω_i ≠ Σ_j η_j R_ji")
         eta.append([frame.col(j) for j in range(frame.cols)])
     _require(report, "η")
@@ -709,12 +714,12 @@ def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> None:
     frames = [_frame_columns(cb, a, eta[a]) for a in grp.elements()]
     report = VerificationReport()
     for a in grp.elements():
-        eye = Matrix.identity(h.field, h.n(a))
+        n = h.n(a)
         # column j: Σ_i S(R_ij) ⊗ e_i
-        swapped = _antipode_R(h, R, a).permute_legs((R[a].cols, h.n(a)), (1, 0), 0)
+        swapped = _antipode_R(h, R, a).permute_legs((R[a].cols, n), (1, 0), 0)
         for b in grp.elements():
             _compare(report, R_COMULT, (a, b), cb.delta_l[(a, b)] @ frames[grp.mul(a, b)],
-                     eye.kron(frames[b]) @ swapped, "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
+                     swapped.on_leg(frames[b], n, 1, 0), "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
     _require(report, "η")
 
 
@@ -854,19 +859,20 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     delta_r = {}
     for a in grp.elements():
         n = h.n(a)
-        times = Matrix.identity(f, size).kron(h.mult[a])
+        times = Matrix.identity(f, size).kron(h.mult[a])     # (j, x, y) ↦ e_j ⊗ xy
         left.append(times.permute_legs((size, n, n), (1, 0, 2), 1))
-        spread = Matrix.identity(f, size * n).kron(h.comult[(a, e)]).permute_legs(
-            (size, n, n, n1), (1, 2, 0, 3), 0)
-        twisted = (Matrix.identity(f, n * n).kron(twist) @ spread).permute_legs(
-            (n, n, size), (2, 0, 1), 0)
-        right.append(times @ twisted)
+        # times ∘ (I⊗twist) ∘ (I⊗Δ_{α,1}), legs re-keyed between the factors;
+        # each factor acts on the columns of the product built so far
+        right.append(times.permute_legs((size, n, n), (1, 2, 0), 1)
+                     .on_leg(twist, n * n, 1, 1)
+                     .permute_legs((n, n, size, n1), (2, 0, 1, 3), 1)
+                     .on_leg(h.comult[(a, e)], size * n, 1, 1))
         for b in grp.elements():
             nb = h.n(b)
             delta_l[(a, b)] = Matrix.identity(f, size).kron(h.comult[(a, b)]).permute_legs(
                 (size, n, nb), (1, 0, 2), 0)
             rolled = R[b].kron(h.comult[(a, b)]).permute_legs((size, nb, n, nb), (0, 2, 3, 1), 0)
-            delta_r[(a, b)] = Matrix.identity(f, size * n).kron(h.mult[b]) @ rolled
+            delta_r[(a, b)] = rolled.on_leg(h.mult[b], size * n, 1, 0)
 
     dims = [size * h.n(a) for a in grp.elements()]
     return CovariantBimodule(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
@@ -880,25 +886,23 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     under it, bit-exactly.
     """
     h = cb.h
-    f = h.field
     grp = h.group
     iso = {a: cb.decompose_inverse(a) for a in grp.elements()}
     for a in grp.elements():
         n = h.n(a)
-        eye = Matrix.identity(f, n)
         u = iso[a]
         ui = cb.decompose_matrix(a)
-        if u @ cb.left[a] @ eye.kron(ui) != rebuilt.left[a]:
+        if u @ cb.left[a].on_leg(ui, n, 1, 1) != rebuilt.left[a]:
             return False
-        if u @ cb.right[a] @ ui.kron(eye) != rebuilt.right[a]:
+        if u @ cb.right[a].on_leg(ui, 1, n, 1) != rebuilt.right[a]:
             return False
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
-            if (Matrix.identity(f, h.n(a)).kron(iso[b]) @ cb.delta_l[(a, b)]
+            if (cb.delta_l[(a, b)].on_leg(iso[b], h.n(a), 1, 0)
                     @ cb.decompose_matrix(ab) != rebuilt.delta_l[(a, b)]):
                 return False
-            if (iso[a].kron(Matrix.identity(f, h.n(b))) @ cb.delta_r[(a, b)]
+            if (cb.delta_r[(a, b)].on_leg(iso[a], 1, h.n(b), 0)
                     @ cb.decompose_matrix(ab) != rebuilt.delta_r[(a, b)]):
                 return False
     return True

@@ -2,8 +2,10 @@
 
 Each function here states its identity one vector (or one basis element)
 at a time, independently of the sparse matrix products the library uses,
-so the tests can compare the two on the same data.  Nothing in `hopfpi`
-imports this module.
+or — for the axioms and the bimodule laws — as products with every
+identity Kronecker factor built as a matrix, the form the library's
+leg-wise products replace.  The tests compare the two on the same data.
+Nothing in `hopfpi` imports this module.
 """
 
 from __future__ import annotations
@@ -17,12 +19,20 @@ from hopfpi.errors import (
     NotBicovariant,
     StructureInconsistent,
 )
-from hopfpi.hopf import GradedFunctional, HopfPiCoalgebra, VerificationReport, Violation
+from hopfpi.hopf import (
+    GradedFunctional,
+    HopfPiCoalgebra,
+    PiCoalgebra,
+    VerificationReport,
+    Violation,
+    _diff_columns,
+)
 from hopfpi.linalg import Field, Matrix, Subspace, vec_kron
 from hopfpi.structure import (
     R_COMULT,
     R_COUNIT,
     CovariantBimodule,
+    _compare,
     _frame_size,
     _require,
     invariant_subspace_right,
@@ -101,7 +111,18 @@ def element_star(phi: GradedFunctional, alpha: int, v) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# calculi: Φ in A²-coordinates and the implication form of covariance
+# calculi: the ambient actions, Φ in A²-coordinates and the implication
+# form of covariance
+
+
+def left_action_ambient(h: HopfPiCoalgebra, alpha: int) -> Matrix:
+    """A_α ⊗ (A_α⊗A_α) → A_α⊗A_α, c⊗(a⊗b) ↦ ca⊗b."""
+    return h.mult[alpha].kron(Matrix.identity(h.field, h.n(alpha)))
+
+
+def right_action_ambient(h: HopfPiCoalgebra, alpha: int) -> Matrix:
+    """(A_α⊗A_α) ⊗ A_α → A_α⊗A_α, (a⊗b)⊗c ↦ a⊗bc."""
+    return Matrix.identity(h.field, h.n(alpha)).kron(h.mult[alpha])
 
 
 def phi_l_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
@@ -354,3 +375,213 @@ def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> None:
                 _compare_vectors(report, R_COMULT, (a, b), lhs, rhs,
                                  f"Δ^l(η_{j}) ≠ Σ_i S(R_i{j}) ⊗ η_i")
     _require(report, "η")
+
+
+# ---------------------------------------------------------------------------
+# the axioms and bimodule laws with explicit identity Kronecker factors
+
+
+def interchange_product(mul1: Matrix, mul2: Matrix, p: int, q: int, r: int, s: int) -> Matrix:
+    """(x⊗y)·(x'⊗y') ↦ mul1(x⊗x') ⊗ mul2(y⊗y').
+
+    mul1 consumes k^p ⊗ k^r, mul2 consumes k^q ⊗ k^s; the input legs
+    (x,y,x',y') are those of mul1⊗mul2, (x,x',y,y'), reordered.
+    """
+    return mul1.kron(mul2).permute_legs((p, r, q, s), (0, 2, 1, 3), 1)
+
+
+def pi_coalgebra_laws_by_kron(c: PiCoalgebra) -> VerificationReport:
+    """verify_pi_coalgebra with every identity factor built as a matrix."""
+    g = c.group
+    f = c.field
+    e = g.identity
+    report = VerificationReport()
+    for a in g.elements():
+        for b in g.elements():
+            for cc in g.elements():
+                ab, bc = g.mul(a, b), g.mul(b, cc)
+                abc = g.mul(ab, cc)
+                lhs = c.comult[(a, b)].kron(Matrix.identity(f, c.n(cc))) @ c.comult[(ab, cc)]
+                rhs = Matrix.identity(f, c.n(a)).kron(c.comult[(b, cc)]) @ c.comult[(a, bc)]
+                report.extend(_diff_columns("coassociativity", (a, b, cc), lhs, rhs,
+                                            namer=lambda j, abc=abc: c.basis_name(abc, j)))
+    for a in g.elements():
+        eye = Matrix.identity(f, c.n(a))
+        left = Matrix.identity(f, c.n(a)).kron(c.counit) @ c.comult[(a, e)]
+        report.extend(_diff_columns("counit-left", (a,), left, eye,
+                                    namer=lambda j, a=a: c.basis_name(a, j)))
+        right = c.counit.kron(Matrix.identity(f, c.n(a))) @ c.comult[(e, a)]
+        report.extend(_diff_columns("counit-right", (a,), right, eye,
+                                    namer=lambda j, a=a: c.basis_name(a, j)))
+    return report
+
+
+def hopf_laws_by_kron(h: HopfPiCoalgebra) -> VerificationReport:
+    """verify_hopf with every identity factor built as a matrix and the
+    componentwise multiplication on A_α ⊗ A_β as interchange_product."""
+    g = h.group
+    f = h.field
+    e = g.identity
+    report = VerificationReport()
+
+    def named(alpha):
+        return lambda j, a=alpha: h.basis_name(a, j)
+
+    def pair_named(alpha, beta):
+        nb = h.n(beta)
+        return lambda j: f"{h.basis_name(alpha, j // nb)}⊗{h.basis_name(beta, j % nb)}"
+
+    elements = list(g.elements())
+    pairs = [(a, b) for a in elements for b in elements]
+    for a in elements:
+        eye = Matrix.identity(f, h.n(a))
+        m = h.mult[a]
+        report.extend(_diff_columns("algebra-associativity", (a,),
+                                    m @ m.kron(eye), m @ eye.kron(m)))
+        report.extend(_diff_columns("algebra-unit-left", (a,),
+                                    m @ h.unit_col(a).kron(eye), eye, namer=named(a)))
+        report.extend(_diff_columns("algebra-unit-right", (a,),
+                                    m @ eye.kron(h.unit_col(a)), eye, namer=named(a)))
+    for a, b in pairs:
+        ab = g.mul(a, b)
+        na, nb = h.n(a), h.n(b)
+        d = h.comult[(a, b)]
+        pair_mult = interchange_product(h.mult[a], h.mult[b], na, nb, na, nb)
+        report.extend(_diff_columns("comult-multiplicative", (a, b), d @ h.mult[ab],
+                                    pair_mult @ d.kron(d), namer=pair_named(ab, ab)))
+        img = d.apply(h.unit[ab])
+        want = vec_kron(f, h.unit[a], h.unit[b])
+        if img != want:
+            got = ", ".join(f.render(x) for x in img)
+            exp = ", ".join(f.render(x) for x in want)
+            report.extend([Violation("comult-unital", (a, b), None,
+                                     f"Δ(1) = ({got}) expected ({exp})")])
+    report.extend(_diff_columns("counit-multiplicative", (), h.counit @ h.mult[e],
+                                h.counit.kron(h.counit), namer=pair_named(e, e)))
+    eps1 = h.counit.apply(h.unit[e])
+    if eps1 != (f.one(),):
+        report.extend([Violation("counit-unital", (), None, f"ε(1) = {f.render(eps1[0])}")])
+    for a in elements:
+        ai = g.inv(a)
+        n = h.n(a)
+        eye = Matrix.identity(f, n)
+        s = h.antipode[ai]
+        target = h.unit_col(a) @ h.counit
+        left = h.mult[a] @ s.kron(eye) @ h.comult[(ai, a)]
+        right = h.mult[a] @ eye.kron(s) @ h.comult[(a, ai)]
+        report.extend(_diff_columns("antipode-axiom-left", (a,), left, target, namer=named(e)))
+        report.extend(_diff_columns("antipode-axiom-right", (a,), right, target, namer=named(e)))
+        sa = h.antipode[a]
+        if sa.rows != sa.cols or sa.rank() != n:
+            report.extend([Violation("antipode-invertible", (a,), None,
+                                     f"S has rank {sa.rank()}, need {n}")])
+        ni = h.n(ai)
+        report.extend(_diff_columns("antipode-antimultiplicative", (a,), sa @ h.mult[a],
+                                    h.mult[ai] @ sa.kron(sa).permute_legs((ni, ni), (1, 0), 0)))
+        su = sa.apply(h.unit[a])
+        if su != tuple(h.unit[ai]):
+            report.extend([Violation("antipode-unital", (a,), None,
+                                     f"S(1) = {h.render_element(ai, su)}")])
+    for a, b in pairs:
+        ab = g.mul(a, b)
+        lhs = h.comult[(g.inv(b), g.inv(a))] @ h.antipode[ab]
+        rhs = (h.antipode[a].kron(h.antipode[b]) @ h.comult[(a, b)]).permute_legs(
+            (h.n(g.inv(a)), h.n(g.inv(b))), (1, 0), 0)
+        report.extend(_diff_columns("antipode-comult", (a, b), lhs, rhs, namer=named(ab)))
+    report.extend(_diff_columns("antipode-counit", (), h.counit @ h.antipode[e], h.counit,
+                                namer=named(e)))
+    if h.psi is not None:
+        for a in elements:
+            p = h.psi[a]
+            report.extend(_diff_columns("psi-multiplicative", (a,),
+                                        p @ h.mult[a], h.mult[e] @ p.kron(p)))
+            pu = p.apply(h.unit[a])
+            if pu != tuple(h.unit[e]):
+                report.extend([Violation("psi-unital", (a,), None,
+                                         f"Ψ(1) = {h.render_element(e, pu)}")])
+    return report
+
+
+def compatibility_by_kron(h: HopfPiCoalgebra, delta_l, delta_r) -> VerificationReport:
+    """compatibility_report with the identity factors built as matrices."""
+    f = h.field
+    grp = h.group
+    report = VerificationReport()
+    for a in grp.elements():
+        for b in grp.elements():
+            for c in grp.elements():
+                lhs = delta_l[(a, b)].kron(Matrix.identity(f, h.n(c))) @ delta_r[(grp.mul(a, b), c)]
+                rhs = Matrix.identity(f, h.n(a)).kron(delta_r[(b, c)]) @ delta_l[(a, grp.mul(b, c))]
+                _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
+                         "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
+    return report
+
+
+def bimodule_laws_by_kron(cb: CovariantBimodule) -> VerificationReport:
+    """CovariantBimodule.verify with the identity factors and the
+    interchange products built as matrices."""
+    h = cb.h
+    f = h.field
+    grp = h.group
+    e = grp.identity
+    report = VerificationReport()
+
+    def eq(check, grading, lhs, rhs):
+        _compare(report, check, grading, lhs, rhs, "matrix identity fails")
+
+    for a in grp.elements():
+        eye_n = Matrix.identity(f, h.n(a))
+        eye_g = Matrix.identity(f, cb.g(a))
+        L, R = cb.left[a], cb.right[a]
+        eq("module-left-associative", (a,), L @ eye_n.kron(L), L @ h.mult[a].kron(eye_g))
+        eq("module-left-unital", (a,), L @ h.unit_col(a).kron(eye_g), eye_g)
+        eq("module-right-associative", (a,), R @ R.kron(eye_n), R @ eye_g.kron(h.mult[a]))
+        eq("module-right-unital", (a,), R @ eye_g.kron(h.unit_col(a)), eye_g)
+        eq("module-actions-commute", (a,), R @ L.kron(eye_n), L @ eye_n.kron(R))
+
+    pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
+    if cb.delta_l is not None:
+        for a, b in pairs:
+            ab = grp.mul(a, b)
+            dl = cb.delta_l[(a, b)]
+            na, nb, gb = h.n(a), h.n(b), cb.g(b)
+            prod_l = interchange_product(h.mult[a], cb.left[b], na, nb, na, gb)
+            eq("coaction-left-action", (a, b),
+               dl @ cb.left[ab], prod_l @ h.comult[(a, b)].kron(dl))
+            prod_r = interchange_product(h.mult[a], cb.right[b], na, gb, na, nb)
+            eq("coaction-right-action", (a, b),
+               dl @ cb.right[ab], prod_r @ dl.kron(h.comult[(a, b)]))
+        for a, b in pairs:
+            for c in grp.elements():
+                ab, bc = grp.mul(a, b), grp.mul(b, c)
+                lhs = h.comult[(a, b)].kron(Matrix.identity(f, cb.g(c))) @ cb.delta_l[(ab, c)]
+                rhs = Matrix.identity(f, h.n(a)).kron(cb.delta_l[(b, c)]) @ cb.delta_l[(a, bc)]
+                eq("coaction-coassociative", (a, b, c), lhs, rhs)
+        for a in grp.elements():
+            lhs = h.counit.kron(Matrix.identity(f, cb.g(a))) @ cb.delta_l[(e, a)]
+            eq("coaction-counit", (a,), lhs, Matrix.identity(f, cb.g(a)))
+
+    if cb.delta_r is not None:
+        for a, b in pairs:
+            ab = grp.mul(a, b)
+            dr = cb.delta_r[(a, b)]
+            na, nb, ga = h.n(a), h.n(b), cb.g(a)
+            prod_l = interchange_product(cb.left[a], h.mult[b], na, nb, ga, nb)
+            eq("right-coaction-left-action", (a, b),
+               dr @ cb.left[ab], prod_l @ h.comult[(a, b)].kron(dr))
+            prod_r = interchange_product(cb.right[a], h.mult[b], ga, nb, na, nb)
+            eq("right-coaction-right-action", (a, b),
+               dr @ cb.right[ab], prod_r @ dr.kron(h.comult[(a, b)]))
+        for a, b in pairs:
+            for c in grp.elements():
+                ab, bc = grp.mul(a, b), grp.mul(b, c)
+                lhs = Matrix.identity(f, cb.g(a)).kron(h.comult[(b, c)]) @ cb.delta_r[(a, bc)]
+                rhs = cb.delta_r[(a, b)].kron(Matrix.identity(f, h.n(c))) @ cb.delta_r[(ab, c)]
+                eq("right-coaction-coassociative", (a, b, c), lhs, rhs)
+        for a in grp.elements():
+            lhs = Matrix.identity(f, cb.g(a)).kron(h.counit) @ cb.delta_r[(a, e)]
+            eq("right-coaction-counit", (a,), lhs, Matrix.identity(f, cb.g(a)))
+
+    if cb.bicovariant:
+        report.extend(compatibility_by_kron(h, cb.delta_l, cb.delta_r).violations)
+    return report

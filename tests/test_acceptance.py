@@ -38,8 +38,8 @@ from hopfpi import (
     zero_ideal,
 )
 from hopfpi.cli import main as cli_main
-from hopfpi.hopf import interchange_product
 from hopfpi.linalg import Matrix, Subspace, flip
+from oracles import interchange_product
 
 F = Fraction
 

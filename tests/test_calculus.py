@@ -40,7 +40,6 @@ from hopfpi.errors import (
     TooLarge,
     UnsupportedField,
 )
-from hopfpi.hopf import interchange_product
 from hopfpi.linalg import (
     Matrix,
     PrimeField,
@@ -51,7 +50,14 @@ from hopfpi.linalg import (
     unit_vec,
     vec_kron,
 )
-from oracles import phi_l_restricted, phi_r_restricted, spot_check_implication
+from oracles import (
+    interchange_product,
+    left_action_ambient,
+    phi_l_restricted,
+    phi_r_restricted,
+    right_action_ambient,
+    spot_check_implication,
+)
 
 F = Fraction
 
@@ -325,8 +331,8 @@ def _subbimodule_search(h):
     f = h.field
     sub = asq.sub[0]
     n = h.n(0)
-    la = asq.left_action_ambient(0)
-    ra = asq.right_action_ambient(0)
+    la = left_action_ambient(h, 0)
+    ra = right_action_ambient(h, 0)
     found = []
     from hopfpi.calculus import _all_rref_subspaces
 

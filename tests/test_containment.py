@@ -38,6 +38,7 @@ from hopfpi.calculus import Fodc, RightIdeal
 from hopfpi.errors import CodomainViolation, SingularMatrix
 from hopfpi.hopf import Violation
 from hopfpi.linalg import Matrix, PrimeField, Subspace, unit_vec, vec_kron
+from oracles import left_action_ambient, right_action_ambient
 
 STRUCTURES = [
     "kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
@@ -91,7 +92,7 @@ def _reference_sub_bimodule(h, kernels) -> str | None:
             return f"N_{a} is not contained in A²_{a}"
     for a in h.group.elements():
         n = h.n(a)
-        la, ra = asq.left_action_ambient(a), asq.right_action_ambient(a)
+        la, ra = left_action_ambient(h, a), right_action_ambient(h, a)
         for w in kernels[a].basis:
             for i in range(n):
                 ei = unit_vec(f, n, i)
@@ -221,8 +222,7 @@ def _closure(h, alpha, vectors, action):
     the left or right action of A_α."""
     f = h.field
     n = h.n(alpha)
-    asq = universal_bimodule(h)
-    act = asq.left_action_ambient(alpha) if action == "left" else asq.right_action_ambient(alpha)
+    act = left_action_ambient(h, alpha) if action == "left" else right_action_ambient(h, alpha)
     span = Subspace.from_spanning(f, n * n, vectors)
     while True:
         grown = list(span.basis)

@@ -426,6 +426,93 @@ def test_scalar_strings_parse_exactly():
         QQ.parse("1/0")
 
 
+@st.composite
+def leg_product_case(draw):
+    """A matrix x with one axis split into 2–4 legs of sizes 1–3, a leg, and
+    a map m on that leg, rectangular or zero, for x.on_leg."""
+    f = draw(st.sampled_from([QQ, PrimeField(5)]))
+    dims = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4))
+    leg = draw(st.integers(min_value=0, max_value=len(dims) - 1))
+    axis = draw(st.sampled_from([0, 1]))
+    values = [1, -1, 2, Fraction(1, 3), Fraction(-1, 2)] if f == QQ else [1, 2, 3, 4]
+
+    def matrix(rows, cols):
+        density = draw(st.sampled_from([0.0, 0.5, 1.0]))   # 0: the zero matrix
+        rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+        return Matrix(f, rows, cols, {(i, j): rng.choice(values) for i in range(rows)
+                                      for j in range(cols) if rng.random() < density})
+
+    other = draw(st.integers(min_value=1, max_value=3))     # m's other side
+    m = matrix(other, dims[leg]) if axis == 0 else matrix(dims[leg], other)
+    side = draw(st.integers(min_value=0, max_value=3))
+    x = matrix(prod(dims), side) if axis == 0 else matrix(side, prod(dims))
+    return x, m, prod(dims[:leg]), prod(dims[leg + 1:]), axis
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_product_case())
+def test_on_leg_matches_identity_kronecker_products(case):
+    """x.on_leg(m, before, after, axis) is (I⊗m⊗I) @ x on axis 0 and
+    x @ (I⊗m⊗I) on axis 1, with the identity factors built explicitly,
+    and it stores no zeros."""
+    x, m, before, after, axis = case
+    f = x.field
+    full = Matrix.identity(f, before).kron(m).kron(Matrix.identity(f, after))
+    expected = full @ x if axis == 0 else x @ full
+    got = x.on_leg(m, before, after, axis)
+    assert got == expected
+    assert stored(got) == stored(expected)
+    assert all(v != f.zero() for v in got.entries.values())
+
+
+def test_on_leg_rejects_legs_that_do_not_split_the_axis():
+    x = Matrix.identity(QQ, 6)
+    m = Matrix.identity(QQ, 2)
+    for before, after, axis in ((2, 2, 0), (1, 2, 1), (3, 3, 0), (6, 1, 1)):
+        with pytest.raises(DimensionMismatch):
+            x.on_leg(m, before, after, axis)
+    assert x.on_leg(m, 3, 1, 0) == x.on_leg(m, 1, 3, 1) == x
+
+
+def test_on_leg_drops_cancelled_entries():
+    f = PrimeField(5)
+    m = Matrix(f, 1, 2, {(0, 0): 1, (0, 1): 1})           # (a, b) ↦ a + b
+    x = Matrix(f, 4, 1, {(0, 0): 1, (1, 0): 4, (2, 0): 2, (3, 0): 2})
+    got = x.on_leg(m, 2, 1, 0)                              # legs (2, 2) → (2, 1)
+    assert got.entries == {(1, 0): 4}
+    assert got == Matrix.identity(f, 2).kron(m) @ x
+
+
+def test_on_leg_counts_every_scalar_product(monkeypatch):
+    """Its arithmetic goes through field.mul, one call per pair of an entry
+    of x and an entry of m on that entry's leg, so a counter patched onto
+    the field class sees all of them."""
+    f = PrimeField(7)
+    rng = random.Random(3)
+    m = Matrix(f, 2, 3, {(i, j): rng.randint(1, 6) for i in range(2) for j in range(3)
+                         if rng.random() < 0.7})
+    x = Matrix(f, 12, 5, {(i, j): rng.randint(1, 6) for i in range(12) for j in range(5)
+                          if rng.random() < 0.5})
+    y = x.transpose()
+    per_leg = {k: sum(1 for (_, c) in m.entries if c == k) for k in range(3)}
+    per_row = {k: sum(1 for (r, _) in m.entries if r == k) for k in range(2)}
+    want0 = sum(per_leg[(r // 2) % 3] for (r, _) in x.entries)          # legs (2, 3, 2)
+    want1 = sum(per_row[c % 2] for (_, c) in y.entries)                 # legs (6, 2, 1)
+    calls = []
+    original = PrimeField.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "mul", counting)
+    x.on_leg(m, 2, 2, 0)
+    assert len(calls) == want0 > 0
+    calls.clear()
+    y.on_leg(m, 6, 1, 1)
+    assert len(calls) == want1 > 0
+
+
 def stored(m: Matrix) -> dict:
     """Entries with their exact types, so Fraction(2) and 2 differ."""
     return {k: (type(v), v) for k, v in m.entries.items()}

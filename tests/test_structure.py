@@ -49,6 +49,7 @@ from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, flip, vec_kron
 from hopfpi.structure import CovariantBimodule
 from oracles import (
     element_star,
+    interchange_product,
     precompose,
     r_blocks,
     r_matrices,
@@ -912,9 +913,9 @@ def lawful_structure(request, fixture_dir):
 
 
 def test_leg_reorderings_match_flip_formulas(lawful_structure):
-    """pair_mult, Φ^l, Φ^r, t, t^{-1}, ad and the left action and Δ^l of
-    reconstruct equal the products with permutation matrices built from
-    flip and identity Kronecker factors."""
+    """interchange_product, Φ^l, Φ^r, t, t^{-1}, ad and the left action and
+    Δ^l of reconstruct equal the products with permutation matrices built
+    from flip and identity Kronecker factors."""
     h = lawful_structure
     f = h.field
     g = h.group
@@ -930,7 +931,8 @@ def test_leg_reorderings_match_flip_formulas(lawful_structure):
             nb = h.n(b)
             swap = _kron_all(eye(na), flip(f, nb, na), eye(nb))
             d = h.comult[(a, b)]
-            assert h.pair_mult(a, b) == h.mult[a].kron(h.mult[b]) @ swap
+            assert (interchange_product(h.mult[a], h.mult[b], na, nb, na, nb)
+                    == h.mult[a].kron(h.mult[b]) @ swap)
             assert phi_l(h, a, b) == h.mult[a].kron(eye(nb * nb)) @ swap @ d.kron(d)
             assert phi_r(h, a, b) == eye(na * na).kron(h.mult[b]) @ swap @ d.kron(d)
         assert t_map(h, a) == (eye(n1).kron(h.mult[a]) @ flip(f, na, n1).kron(eye(na))
