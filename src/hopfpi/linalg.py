@@ -12,8 +12,12 @@ package:
   convention, so (a ⊗ b)(x ⊗ y) = a(x) ⊗ b(y);
 * legs are reordered by index: m.permute_legs(dims, order, axis) splits
   the row (axis 0) or column (axis 1) index into legs of sizes `dims`, and
-  leg k of the result is leg order[k] of the input.  It re-keys entries:
-  no product with a permutation matrix, no scalar arithmetic;
+  leg k of the result is leg order[k] of the input; m.regroup(row_dims,
+  col_dims, rows, cols) splits both indices and builds the result's rows
+  from the legs `rows` and its columns from the legs `cols`, so a leg can
+  move between rows and columns.  Both re-key entries, splitting only the
+  indices that occur: no product with a permutation matrix, no scalar
+  arithmetic, time linear in the entries and not in the axis length;
 * one leg is acted on in place: x.on_leg(m, before, after, axis) is
   (I_before ⊗ m ⊗ I_after)·x on axis 0 and x·(I_before ⊗ m ⊗ I_after) on
   axis 1.  It walks the entries of x and never builds the identity
@@ -444,24 +448,50 @@ class Matrix:
         """Reorder the tensor legs of the row (axis 0) or column (axis 1) index.
 
         `dims` are the leg sizes of that index; leg k of the result is leg
-        order[k] of self.  The entries are re-keyed, never multiplied.
+        order[k] of self.  The entries are re-keyed, never multiplied, in
+        time linear in their number (see regroup).
         """
         if prod(dims) != (self.rows, self.cols)[axis] or sorted(order) != list(range(len(dims))):
             raise DimensionMismatch(f"legs {tuple(dims)} in order {tuple(order)} do not "
                                     f"split axis {axis} of a {self.rows}x{self.cols} matrix")
-        stride = [0] * len(dims)      # stride of each input leg in the result
-        step = 1
-        for leg in reversed(order):
-            stride[leg] = step
-            step *= dims[leg]
-        new = [0]                     # the flat-index map: input index i goes to new[i]
-        for leg, d in enumerate(dims):
-            new = [x + i * stride[leg] for x in new for i in range(d)]
+        length = (self.rows, self.cols)[axis]
+        used = (key[axis] for key in self.entries)
+        new = _leg_offsets(length, len(self.entries), used, dims, _places(dims, order, ()))[0]
         if axis == 0:
             entries = {(new[r], c): v for (r, c), v in self.entries.items()}
         else:
             entries = {(r, new[c]): v for (r, c), v in self.entries.items()}
         return Matrix._unchecked(self.field, self.rows, self.cols, entries)
+
+    def regroup(self, row_dims: Sequence[int], col_dims: Sequence[int],
+                rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """Move tensor legs between the row and the column index.
+
+        The row index of self splits into legs of sizes `row_dims`, numbered
+        0, 1, …, and the column index into legs of sizes `col_dims`, numbered
+        on from there; the row index of the result is made of the legs
+        `rows` and its column index of the legs `cols`, in that order.  So
+        T with rows (i, k) and columns x becomes A with rows (i, x) and
+        columns k by regroup((s, s), (n,), (0, 2), (1,)).  The entries are
+        re-keyed, never multiplied, in time linear in their number.
+        """
+        dims = (*row_dims, *col_dims)
+        if (prod(row_dims) != self.rows or prod(col_dims) != self.cols
+                or sorted((*rows, *cols)) != list(range(len(dims)))):
+            raise DimensionMismatch(f"legs {tuple(rows)} x {tuple(cols)} of {tuple(row_dims)} x "
+                                    f"{tuple(col_dims)} do not regroup a "
+                                    f"{self.rows}x{self.cols} matrix")
+        k = len(row_dims)
+        places = _places(dims, rows, cols)
+        nnz = len(self.entries)
+        r_row, r_col = _leg_offsets(self.rows, nnz, (r for r, _ in self.entries),
+                                    row_dims, places[:k])
+        c_row, c_col = _leg_offsets(self.cols, nnz, (c for _, c in self.entries),
+                                    col_dims, places[k:])
+        entries = {(r_row[r] + c_row[c], r_col[r] + c_col[c]): v
+                   for (r, c), v in self.entries.items()}
+        return Matrix._unchecked(self.field, prod(dims[leg] for leg in rows),
+                                 prod(dims[leg] for leg in cols), entries)
 
     def on_leg(self, m: "Matrix", before: int, after: int, axis: int) -> "Matrix":
         """(I_before ⊗ m ⊗ I_after) · self (axis 0) or self · (I_before ⊗ m ⊗ I_after) (axis 1).
@@ -530,6 +560,39 @@ class Matrix:
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+
+
+def _places(dims: Sequence[int], rows: Sequence[int], cols: Sequence[int]) -> list:
+    """(axis, stride) of each leg in a result whose row index is made of the
+    legs `rows` and whose column index of the legs `cols`, row-major."""
+    place: list = [None] * len(dims)
+    for axis, legs in enumerate((rows, cols)):
+        step = 1
+        for leg in reversed(legs):
+            place[leg] = (axis, step)
+            step *= dims[leg]
+    return place
+
+
+def _leg_offsets(length: int, nnz: int, used, dims: Sequence[int], places: Sequence) -> tuple:
+    """The row and the column offset in the result of each index x of an
+    axis with legs `dims`, leg k going to places[k] = (axis, stride); both
+    maps are indexed by x.
+
+    Only the indices that occur (`used`, one per entry) are split, and
+    then the maps are dicts, unless the axis is no longer than the `nnz`
+    entries: then the whole axis is split, into lists.  The cost follows
+    min(length, nnz), never the length of a long, sparsely used axis.
+    """
+    keys = range(length) if length <= nnz else list(set(used))
+    offsets = ([0] * len(keys), [0] * len(keys))
+    below = 1
+    for d, (axis, stride) in zip(reversed(dims), reversed(places)):
+        offsets[axis][:] = [o + x // below % d * stride for o, x in zip(offsets[axis], keys)]
+        below *= d
+    if isinstance(keys, range):
+        return offsets
+    return dict(zip(keys, offsets[0])), dict(zip(keys, offsets[1]))
 
 
 def differing_columns(lhs: Matrix, rhs: Matrix):

@@ -24,6 +24,29 @@ The right-invariant frame η_j = Σ_i ω_i S_{α^{-1}}(R_ij) is built from
 R; conversely (f, R) data satisfying those relations reconstructs the
 bimodule on free modules.
 
+The functionals are stacked like R: T_α is one |I|² × n_α matrix per
+grading whose row (i, j) is φ_ij on A_α (φ = f or g), and U = T_1 S_1^{-1}
+holds the twisted φ_ij∘S_1^{-1}.  Write [X]_{r;c} for X with its legs
+re-keyed to rows r and columns c (Matrix.regroup, no arithmetic), W for
+the frame as columns and Q_α for the n_α × |I|² matrix whose column
+(i, j) is R_ij.  Each identity of the functionals is then a fixed number
+of sparse products per grading (the η forms mirror the ω forms, with
+·*g for g*·):
+
+    T_α m_α = [T_α]_{i,x;k} [T_α]_{k;j,y}          φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b)
+    T_α 1_α = vec(I)                               φ_ij(1) = δ_ij
+    [F]_{i,j,r;m} = [(I⊗T_1)Δ_{α,1}]_{i,j,r;m}       F_ij = f_ij * ·
+    [left_α(I⊗W)]_{;i,a} = right_α(W⊗I) [(I⊗U)Δ_{α,1}]_{j,b;i,a}
+                                                   a ω_i = Σ_j ω_j ((f_ij∘S_1^{-1}) * a)
+    [T_1]_{i,x;j} [U]_{j;h,y} Δ_{1,1} = vec(I)⊗ε   Σ_j f_ji * (f_hj∘S_1^{-1}) = δ_ih ε
+    [U]_{h,x;j} [T_1]_{j;i,y} Δ_{1,1} = vec(I)⊗ε   Σ_j (f_jh∘S_1^{-1}) * f_ij = δ_hi ε
+    [m_α(Q_α⊗I)]_{j,y;i,x} [(T_1^f⊗I)Δ_{1,α}]_{i,x;h,c}
+      = [[m_α(I⊗Q_α)]_{h,y;i,x} [(I⊗T_1^g)Δ_{α,1}]_{i,x;j,c}]_{j,y;h,c}
+                                                   Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi
+
+A block on which the two sides differ is reported as the violation the
+entrywise identity names, witnessed by its first differing column.
+
 Each identity is stated once, as a matrix identity, by a check that
 returns a VerificationReport; extraction and reconstruction call the
 same checks.  Every violation carries one of five check names, and its
@@ -378,59 +401,115 @@ def _require(report: VerificationReport, what: str) -> None:
             report)
 
 
-def convolution_map(h: HopfPiCoalgebra, alpha: int, row, side: str) -> Matrix:
+def _stack(h: HopfPiCoalgebra, funcs, alpha: int) -> Matrix:
+    """T_α, the |I|² × n_α matrix whose row (i, j) is φ_ij on A_α."""
+    size = len(funcs)
+    return Matrix._unchecked(h.field, size * size, h.n(alpha), {
+        (i * size + j, x): v for i, row in enumerate(funcs) for j, phi in enumerate(row)
+        for x, v in enumerate(phi.component(alpha)) if v})
+
+
+def _stack_maps(h: HopfPiCoalgebra, maps, alpha: int) -> Matrix:
+    """The maps M_ij^α : A_α → A_α stacked: rows ((i, j), r), columns m."""
+    size = len(maps[alpha])
+    n = h.n(alpha)
+    return Matrix._unchecked(h.field, size * size * n, n, {
+        ((i * size + j) * n + r, m): v for i, row in enumerate(maps[alpha])
+        for j, mij in enumerate(row) for (r, m), v in mij.entries.items()})
+
+
+def _vec_identity(f, size: int) -> Matrix:
+    """vec(I), the |I|² × 1 column with 1 at each row (i, i)."""
+    return Matrix._unchecked(f, size * size, 1, {(i * size + i, 0): f.one() for i in range(size)})
+
+
+def _convolutions(h: HopfPiCoalgebra, t1: Matrix, alpha: int, side: str) -> Matrix:
     """φ*· = (id⊗φ)Δ_{α,1} (side "left") or ·*φ = (φ⊗id)Δ_{1,α} (side
-    "right") as a map A_α → A_α, for φ on A_1 given by its row."""
+    "right") on A_α for every row φ of t1 (functionals on A_1) at once,
+    stacked like _stack_maps: rows (φ, x), columns c."""
     e = h.group.identity
-    phi = Matrix.row_vector(h.field, row)
+    n = h.n(alpha)
     if side == "left":
-        return h.comult[(alpha, e)].on_leg(phi, h.n(alpha), 1, 0)
-    return h.comult[(e, alpha)].on_leg(phi, 1, h.n(alpha), 0)
+        return h.comult[(alpha, e)].on_leg(t1, n, 1, 0).permute_legs((n, t1.rows), (1, 0), 0)
+    return h.comult[(e, alpha)].on_leg(t1, 1, n, 0)
+
+
+def _differing_blocks(lhs: Matrix, rhs: Matrix, block: tuple[int, int]) -> dict:
+    """{(R, C): c} for each p×q block (rows R·p …, columns C·q …) on which
+    two matrices of one shape differ, c the first column within the block
+    on which they do; (p, q) = block."""
+    out: dict = {}
+    left, right = lhs.entries, rhs.entries
+    if left == right:
+        return out
+    p, q = block
+    for key in left.keys() | right.keys():
+        if left.get(key) != right.get(key):
+            r, c = key
+            where = (r // p, c // q)
+            first = out.get(where)
+            if first is None or c % q < first:
+                out[where] = c % q
+    return out
 
 
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
-    """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α."""
+    """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
+    T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I)."""
     f = h.field
+    size = len(funcs)
+    legs = (size, size)
+    vec_eye = _vec_identity(f, size)
     report = VerificationReport()
     for a in h.group.elements():
-        rows = [[Matrix.row_vector(f, phi.component(a)) for phi in row] for row in funcs]
-        for i, row in enumerate(funcs):
-            for j, phi in enumerate(row):
-                rhs = Matrix.zero(f, 1, h.n(a) ** 2)
-                for k in range(len(funcs)):
-                    rhs = rhs + rows[i][k].kron(rows[k][j])
-                _compare(report, FRAME_MULT, (a,), rows[i][j] @ h.mult[a], rhs,
-                         f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")
-                got = phi(a, h.unit[a])
+        n = h.n(a)
+        t = _stack(h, funcs, a)
+        # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
+        split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
+        mult = _differing_blocks(t @ h.mult[a], split.regroup((size, n), (size, n), (0, 2), (1, 3)),
+                                 (1, n * n))
+        unit = t @ h.unit_col(a)
+        norm = _differing_blocks(unit, vec_eye, (1, 1))
+        for ij, _ in sorted(mult.keys() | norm.keys()):
+            i, j = divmod(ij, size)
+            if (ij, 0) in mult:
+                report.extend([Violation(FRAME_MULT, (a,), mult[(ij, 0)],
+                                         f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")])
+            if (ij, 0) in norm:
                 want = f.one() if i == j else f.zero()
-                if got != want:
-                    report.extend([Violation(FRAME_NORM, (a,), None, f"{name}_{i}{j}(1) = "
-                                             f"{f.render(got)}, expected {f.render(want)}")])
+                report.extend([Violation(FRAME_NORM, (a,), None, f"{name}_{i}{j}(1) = "
+                                         f"{f.render(unit[(ij, 0)])}, expected {f.render(want)}")])
     return report
 
 
 def check_commutation_rule(h: HopfPiCoalgebra, maps, funcs, side: str) -> VerificationReport:
     """The coefficient maps are convolutions: M_ij = f_ij * · for ω
-    (side "left") and M_ij = · * g_ij for η (side "right"), on every A_α."""
+    (side "left") and M_ij = · * g_ij for η (side "right"), on every A_α:
+    the stacked maps against the stacked convolutions of T_1."""
     e = h.group.identity
+    size = len(funcs)
     w, name = _SIDES[side]
     conv = "{0}_{1}{2} * b" if side == "left" else "b * {0}_{1}{2}"
+    t1 = _stack(h, funcs, e)
     report = VerificationReport()
     for a in h.group.elements():
-        for i, row in enumerate(funcs):
-            for j, phi in enumerate(row):
-                _compare(report, FRAME_MULT, (a,), maps[a][i][j],
-                         convolution_map(h, a, phi.component(e), side),
-                         f"commutation rule: the {w}_{j}-coefficient of {w}_{i} b "
-                         f"≠ {conv.format(name, i, j)}")
+        n = h.n(a)
+        found = _differing_blocks(_stack_maps(h, maps, a), _convolutions(h, t1, a, side), (n, n))
+        for (ij, _), first in sorted(found.items()):
+            i, j = divmod(ij, size)
+            report.extend([Violation(FRAME_MULT, (a,), first,
+                                     f"commutation rule: the {w}_{j}-coefficient of {w}_{i} b "
+                                     f"≠ {conv.format(name, i, j)}")])
     return report
 
 
 def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
                                    side: str) -> VerificationReport:
     """a ω_i = Σ_j ω_j ((f_ij∘S_1^{-1}) * a) (side "left") or
-    a η_i = Σ_j η_j (a * (g_ij∘S_1^{-1})) (side "right"), as a matrix
-    identity A_α → Γ_α per α and i.
+    a η_i = Σ_j η_j (a * (g_ij∘S_1^{-1})) (side "right"), on every A_α:
+    left_α(I⊗W), columns re-keyed to (i, a), against right_α(W⊗I) times
+    the stacked convolutions, rows (j, ·) and columns (i, a); W is the
+    frame as columns.
 
     The η form presumes an involutive antipode family (it holds on every
     group algebra); a failure is reported, not repaired.
@@ -438,50 +517,55 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
     h = cb.h
     f = h.field
     e = h.group.identity
-    s1_inv = h.antipode_inv(e)
+    size = len(funcs)
     w, name = _SIDES[side]
     hint = ""
     if side == "right" and h.antipode[e] @ h.antipode[e] != Matrix.identity(f, h.n(e)):
         hint = "; this form needs an involutive antipode, and S_1² ≠ id"
+    twisted = _stack(h, funcs, e) @ h.antipode_inv(e)     # row (i, j): φ_ij∘S_1^{-1}
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
-        cols = [Matrix.column(f, v) for v in frames[a]]
-        times = [cb.right[a].on_leg(c, 1, n, 1) for c in cols]   # b ↦ w_j b
-        for i, row in enumerate(funcs):
-            rhs = Matrix.zero(f, cb.g(a), h.n(a))
-            for j, phi in enumerate(row):
-                twisted = (Matrix.row_vector(f, phi.component(e)) @ s1_inv).row(0)
-                rhs = rhs + times[j] @ convolution_map(h, a, twisted, side)
+        frame = _frame_columns(cb, a, frames[a])
+        lhs = cb.left[a].on_leg(frame, n, 1, 1).permute_legs((n, size), (1, 0), 1)
+        times = cb.right[a].on_leg(frame, 1, n, 1)                      # column (j, b): w_j b
+        conv = _convolutions(h, twisted, a, side).regroup((size, size, n), (n,), (1, 2), (0, 3))
+        found = _differing_blocks(lhs, times @ conv, (cb.g(a), n))
+        for (_, i), first in sorted(found.items()):
             twist = f"{name}_{i}j∘S_1^{{-1}}"
-            conv = f"({twist}) * a" if side == "left" else f"a * ({twist})"
-            _compare(report, FRAME_MULT, (a,), cb.left[a].on_leg(cols[i], n, 1, 1), rhs,
-                     f"left multiplication rule a {w}_{i} = Σ_j {w}_j ({conv}) fails{hint}")
+            rule = f"({twist}) * a" if side == "left" else f"a * ({twist})"
+            report.extend([Violation(FRAME_MULT, (a,), first, f"left multiplication rule "
+                                     f"a {w}_{i} = Σ_j {w}_j ({rule}) fails{hint}")])
     return report
 
 
 def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
-    """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε = Σ_j (f_jh∘S_1^{-1})*f_ij on A_1."""
+    """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε = Σ_j (f_jh∘S_1^{-1})*f_ij on A_1:
+    each side one product of re-keyed copies of T_1 and T_1 S_1^{-1}, rows
+    (i, h), then Δ_{1,1}."""
     f = h.field
     e = h.group.identity
     n1 = h.n(e)
-    s1_inv = h.antipode_inv(e)
+    size = len(funcs)
+    legs, pair = (size, size), ((size, n1), (size, n1))
+    t = _stack(h, funcs, e)
+    u = t @ h.antipode_inv(e)                                 # row (i, j): f_ij∘S_1^{-1}
     d11 = h.comult[(e, e)]
-    rows = [[Matrix.row_vector(f, phi.component(e)) for phi in row] for row in funcs]
-    twisted = [[r @ s1_inv for r in row] for row in rows]
+    target = _vec_identity(f, size).kron(h.counit)             # row (i, i): ε
+    # rows (i, x) × columns (h, y), and rows (h, x) × columns (i, y)
+    first = t.regroup(legs, (n1,), (1, 2), (0,)) @ u.regroup(legs, (n1,), (1,), (0, 2))
+    second = u.regroup(legs, (n1,), (1, 2), (0,)) @ t.regroup(legs, (n1,), (1,), (0, 2))
+    one = _differing_blocks(first.regroup(*pair, (0, 2), (1, 3)) @ d11, target, (1, n1))
+    two = _differing_blocks(second.regroup(*pair, (2, 0), (1, 3)) @ d11, target, (1, n1))
     report = VerificationReport()
-    for i in range(len(funcs)):
-        for hh in range(len(funcs)):
-            acc1 = Matrix.zero(f, 1, n1)
-            acc2 = Matrix.zero(f, 1, n1)
-            for j in range(len(funcs)):
-                acc1 = acc1 + rows[j][i].kron(twisted[hh][j]) @ d11
-                acc2 = acc2 + twisted[j][hh].kron(rows[i][j]) @ d11
-            target = h.counit if i == hh else Matrix.zero(f, 1, n1)
-            _compare(report, FRAME_MULT, (e,), acc1, target,
-                     f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")
-            _compare(report, FRAME_MULT, (e,), acc2, target,
-                     f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε")
+    for ih, _ in sorted(one.keys() | two.keys()):
+        i, hh = divmod(ih, size)
+        if (ih, 0) in one:
+            report.extend([Violation(FRAME_MULT, (e,), one[(ih, 0)],
+                                     f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")])
+        if (ih, 0) in two:
+            report.extend([Violation(FRAME_MULT, (e,), two[(ih, 0)],
+                                     f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε")])
     return report
 
 
@@ -526,34 +610,30 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
                        names=("f", "g")) -> VerificationReport:
     """Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi on A_α for α in `gradings`.
 
-    Stated as an n×n matrix identity per (α, j, h):
-    Σ_i L(R_ij)∘(·*f_ih) = Σ_i R(R_hi)∘(g_ji*·), with L(x), R(x) left
-    and right multiplication by x.
+    Stated per α as one block identity over (j, h): with L(x), R(x) left
+    and right multiplication by x, [L(R_ij)] (rows (j, ·), columns (i, ·))
+    times the stacked ·*f_ih (rows (i, ·), columns (h, ·)) equals
+    [R(R_hi)] (rows (h, ·), columns (i, ·)) times the stacked g_ji*·
+    (rows (i, ·), columns (j, ·)), re-keyed to rows (j, ·), columns (h, ·).
     """
-    f = h.field
     e = h.group.identity
     size = len(funcs_f)
     fn, gn = names
+    t_f, t_g = _stack(h, funcs_f, e), _stack(h, funcs_g, e)
     report = VerificationReport()
     for a in gradings:
         n = h.n(a)
-        col = [[Matrix.column(f, r_block(R[a], n, i, j)) for j in range(size)]
-               for i in range(size)]
-        times_left = [[h.mult[a].on_leg(c, 1, n, 1) for c in row] for row in col]    # x ↦ R_ij x
-        times_right = [[h.mult[a].on_leg(c, n, 1, 1) for c in row] for row in col]   # x ↦ x R_hi
-        star_f = [[convolution_map(h, a, funcs_f[i][hh].component(e), "right")
-                   for hh in range(size)] for i in range(size)]    # a ↦ a * f_ih
-        g_star = [[convolution_map(h, a, funcs_g[j][i].component(e), "left")
-                   for i in range(size)] for j in range(size)]     # a ↦ g_ji * a
-        for j in range(size):
-            for hh in range(size):
-                lhs = Matrix.zero(f, n, n)
-                rhs = Matrix.zero(f, n, n)
-                for i in range(size):
-                    lhs = lhs + times_left[i][j] @ star_f[i][hh]
-                    rhs = rhs + times_right[hh][i] @ g_star[j][i]
-                _compare(report, INTERTWINER, (a,), lhs, rhs,
-                         f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")
+        legs = (size, size, n)
+        r_cols = R[a].regroup((size, n), (size,), (1,), (0, 2))      # column (i, j): R_ij
+        # m_α(R_ij⊗x) at [(j, ·), (i, x)] and m_α(x⊗R_hi) at [(h, ·), (i, x)]
+        by_left = h.mult[a].on_leg(r_cols, 1, n, 1).regroup((n,), legs, (2, 0), (1, 3))
+        by_right = h.mult[a].on_leg(r_cols, n, 1, 1).regroup((n,), (n, size, size), (2, 0), (3, 1))
+        lhs = by_left @ _convolutions(h, t_f, a, "right").regroup(legs, (n,), (0, 2), (1, 3))
+        rhs = by_right @ _convolutions(h, t_g, a, "left").regroup(legs, (n,), (1, 2), (0, 3))
+        found = _differing_blocks(lhs, rhs.regroup((size, n), (size, n), (2, 1), (0, 3)), (n, n))
+        for (j, hh), first in sorted(found.items()):
+            report.extend([Violation(INTERTWINER, (a,), first,
+                                     f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")])
     return report
 
 
@@ -589,11 +669,20 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matri
 
 
 def _collapse(h: HopfPiCoalgebra, maps) -> list:
-    """φ_ij with φ_ij^α = ε∘Ψ_α∘M_ij^α (the grading collapse)."""
+    """φ_ij with φ_ij^α = ε∘Ψ_α∘M_ij^α (the grading collapse): per grading
+    T_α = (I⊗εΨ_α) applied to the stacked maps, read off by rows."""
     size = len(maps[h.group.identity])
-    return [[GradedFunctional(h, {
-        a: (h.counit @ h.psi[a] @ maps[a][i][j]).row(0) for a in h.group.elements()})
-        for j in range(size)] for i in range(size)]
+    comps = [[{} for _ in range(size)] for _ in range(size)]
+    zero = h.field.zero()
+    for a in h.group.elements():
+        n = h.n(a)
+        t = _stack_maps(h, maps, a).on_leg(h.counit @ h.psi[a], size * size, 1, 0)
+        rows: dict = {}
+        for (ij, x), v in t.entries.items():
+            rows.setdefault(ij, [zero] * n)[x] = v
+        for ij, row in rows.items():
+            comps[ij // size][ij % size][a] = row
+    return [[GradedFunctional(h, c) for c in row] for row in comps]
 
 
 def functionals_f(cb: CovariantBimodule, coeffs=None):
@@ -825,15 +914,23 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     Σ_j e_j ⊗ x_(1) ⊗ x_(2) R_ji is (I⊗m_β) applied to R^β⊗Δ_{α,β} with
     its row legs reordered.  The input must pass
     check_characters, check_corepresentation and the intertwiner on A_1
-    with g := f (IncompatibleData carries the report; malformed R is
+    with g := f (IncompatibleData carries the report; malformed f or R is
     rejected before any product); the resulting bimodule passes the full
     covariant-bimodule law verification.
     """
     f = h.field
     grp = h.group
     e = grp.identity
-    if len(funcs) != size or any(len(row) != size for row in funcs):
+    if not (isinstance(funcs, (list, tuple)) and len(funcs) == size
+            and all(isinstance(row, (list, tuple)) and len(row) == size for row in funcs)):
         raise IncompatibleData("f must be a size×size matrix of functionals")
+    for i, row in enumerate(funcs):
+        for j, phi in enumerate(row):
+            if not (isinstance(phi, GradedFunctional) and phi.h.field == f
+                    and all(a in range(grp.order) and len(c) == h.n(a)
+                            for a, c in phi.components.items())):
+                raise IncompatibleData(f"f_{i}{j} must be a functional on the components "
+                                       f"of dimensions {h.dims} over {f}")
     if not isinstance(R, (list, tuple)) or len(R) != grp.order:
         raise IncompatibleData("R must provide one matrix per grading")
     for b in grp.elements():

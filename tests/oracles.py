@@ -1,10 +1,13 @@
 """Reference implementations used only by the tests.
 
 Each function here states its identity one vector (or one basis element)
-at a time, independently of the sparse matrix products the library uses,
-or — for the axioms and the bimodule laws — as products with every
-identity Kronecker factor built as a matrix, the form the library's
-leg-wise products replace.  The tests compare the two on the same data.
+at a time, independently of the sparse matrix products the library uses;
+or, for the identities of the functionals f, g and of R over the frame
+index set, one entry (i, j[, h]) at a time, the form the library's
+stacked block products replace; or, for the axioms and the bimodule
+laws, as products with every identity Kronecker factor built as a
+matrix, the form the library's leg-wise products replace.  The tests
+compare the two on the same data.
 Nothing in `hopfpi` imports this module.
 """
 
@@ -29,6 +32,10 @@ from hopfpi.hopf import (
 )
 from hopfpi.linalg import Field, Matrix, Subspace, vec_kron
 from hopfpi.structure import (
+    _SIDES,
+    FRAME_MULT,
+    FRAME_NORM,
+    INTERTWINER,
     R_COMULT,
     R_COUNIT,
     CovariantBimodule,
@@ -36,6 +43,7 @@ from hopfpi.structure import (
     _frame_size,
     _require,
     invariant_subspace_right,
+    r_block,
 )
 
 
@@ -375,6 +383,153 @@ def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> None:
                 _compare_vectors(report, R_COMULT, (a, b), lhs, rhs,
                                  f"Δ^l(η_{j}) ≠ Σ_i S(R_i{j}) ⊗ η_i")
     _require(report, "η")
+
+
+# ---------------------------------------------------------------------------
+# the identities of f, g and R one entry (i, j[, h]) at a time
+
+
+def convolution_map(h: HopfPiCoalgebra, alpha: int, row, side: str) -> Matrix:
+    """φ*· = (id⊗φ)Δ_{α,1} (side "left") or ·*φ = (φ⊗id)Δ_{1,α} (side
+    "right") as a map A_α → A_α, for φ on A_1 given by its row."""
+    e = h.group.identity
+    phi = Matrix.row_vector(h.field, row)
+    if side == "left":
+        return h.comult[(alpha, e)].on_leg(phi, h.n(alpha), 1, 0)
+    return h.comult[(e, alpha)].on_leg(phi, 1, h.n(alpha), 0)
+
+
+def collapse_by_entries(h: HopfPiCoalgebra, maps) -> list:
+    """φ_ij with φ_ij^α = ε∘Ψ_α∘M_ij^α, one (α, i, j) at a time."""
+    size = len(maps[h.group.identity])
+    return [[GradedFunctional(h, {
+        a: (h.counit @ h.psi[a] @ maps[a][i][j]).row(0) for a in h.group.elements()})
+        for j in range(size)] for i in range(size)]
+
+
+def check_characters_by_entries(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
+    """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij, one (α, i, j) at a time."""
+    f = h.field
+    report = VerificationReport()
+    for a in h.group.elements():
+        rows = [[Matrix.row_vector(f, phi.component(a)) for phi in row] for row in funcs]
+        for i, row in enumerate(funcs):
+            for j, phi in enumerate(row):
+                rhs = Matrix.zero(f, 1, h.n(a) ** 2)
+                for k in range(len(funcs)):
+                    rhs = rhs + rows[i][k].kron(rows[k][j])
+                _compare(report, FRAME_MULT, (a,), rows[i][j] @ h.mult[a], rhs,
+                         f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")
+                got = phi(a, h.unit[a])
+                want = f.one() if i == j else f.zero()
+                if got != want:
+                    report.extend([Violation(FRAME_NORM, (a,), None, f"{name}_{i}{j}(1) = "
+                                             f"{f.render(got)}, expected {f.render(want)}")])
+    return report
+
+
+def check_commutation_rule_by_entries(h: HopfPiCoalgebra, maps, funcs,
+                                      side: str) -> VerificationReport:
+    """M_ij = f_ij * · (side "left") or M_ij = · * g_ij (side "right"), one
+    (α, i, j) at a time."""
+    e = h.group.identity
+    w, name = _SIDES[side]
+    conv = "{0}_{1}{2} * b" if side == "left" else "b * {0}_{1}{2}"
+    report = VerificationReport()
+    for a in h.group.elements():
+        for i, row in enumerate(funcs):
+            for j, phi in enumerate(row):
+                _compare(report, FRAME_MULT, (a,), maps[a][i][j],
+                         convolution_map(h, a, phi.component(e), side),
+                         f"commutation rule: the {w}_{j}-coefficient of {w}_{i} b "
+                         f"≠ {conv.format(name, i, j)}")
+    return report
+
+
+def check_left_multiplication_rule_by_entries(cb: CovariantBimodule, frames, funcs,
+                                              side: str) -> VerificationReport:
+    """a w_i = Σ_j w_j ((φ_ij∘S_1^{-1}) * a) or Σ_j w_j (a * (φ_ij∘S_1^{-1})),
+    one (α, i) at a time, summed over j."""
+    h = cb.h
+    f = h.field
+    e = h.group.identity
+    s1_inv = h.antipode_inv(e)
+    w, name = _SIDES[side]
+    hint = ""
+    if side == "right" and h.antipode[e] @ h.antipode[e] != Matrix.identity(f, h.n(e)):
+        hint = "; this form needs an involutive antipode, and S_1² ≠ id"
+    report = VerificationReport()
+    for a in h.group.elements():
+        n = h.n(a)
+        cols = [Matrix.column(f, v) for v in frames[a]]
+        times = [cb.right[a].on_leg(c, 1, n, 1) for c in cols]   # b ↦ w_j b
+        for i, row in enumerate(funcs):
+            rhs = Matrix.zero(f, cb.g(a), h.n(a))
+            for j, phi in enumerate(row):
+                twisted = (Matrix.row_vector(f, phi.component(e)) @ s1_inv).row(0)
+                rhs = rhs + times[j] @ convolution_map(h, a, twisted, side)
+            twist = f"{name}_{i}j∘S_1^{{-1}}"
+            conv = f"({twist}) * a" if side == "left" else f"a * ({twist})"
+            _compare(report, FRAME_MULT, (a,), cb.left[a].on_leg(cols[i], n, 1, 1), rhs,
+                     f"left multiplication rule a {w}_{i} = Σ_j {w}_j ({conv}) fails{hint}")
+    return report
+
+
+def check_convolution_inverses_by_entries(h: HopfPiCoalgebra, funcs) -> VerificationReport:
+    """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε = Σ_j (f_jh∘S_1^{-1})*f_ij on A_1, one
+    (i, h) at a time."""
+    f = h.field
+    e = h.group.identity
+    n1 = h.n(e)
+    s1_inv = h.antipode_inv(e)
+    d11 = h.comult[(e, e)]
+    rows = [[Matrix.row_vector(f, phi.component(e)) for phi in row] for row in funcs]
+    twisted = [[r @ s1_inv for r in row] for row in rows]
+    report = VerificationReport()
+    for i in range(len(funcs)):
+        for hh in range(len(funcs)):
+            acc1 = Matrix.zero(f, 1, n1)
+            acc2 = Matrix.zero(f, 1, n1)
+            for j in range(len(funcs)):
+                acc1 = acc1 + rows[j][i].kron(twisted[hh][j]) @ d11
+                acc2 = acc2 + twisted[j][hh].kron(rows[i][j]) @ d11
+            target = h.counit if i == hh else Matrix.zero(f, 1, n1)
+            _compare(report, FRAME_MULT, (e,), acc1, target,
+                     f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")
+            _compare(report, FRAME_MULT, (e,), acc2, target,
+                     f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε")
+    return report
+
+
+def intertwiner_report_by_entries(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
+                                  names=("f", "g")) -> VerificationReport:
+    """Σ_i L(R_ij)∘(·*f_ih) = Σ_i R(R_hi)∘(g_ji*·) as an n×n matrix identity
+    per (α, j, h), L(x), R(x) left and right multiplication by x."""
+    f = h.field
+    e = h.group.identity
+    size = len(funcs_f)
+    fn, gn = names
+    report = VerificationReport()
+    for a in gradings:
+        n = h.n(a)
+        col = [[Matrix.column(f, r_block(R[a], n, i, j)) for j in range(size)]
+               for i in range(size)]
+        times_left = [[h.mult[a].on_leg(c, 1, n, 1) for c in row] for row in col]    # x ↦ R_ij x
+        times_right = [[h.mult[a].on_leg(c, n, 1, 1) for c in row] for row in col]   # x ↦ x R_hi
+        star_f = [[convolution_map(h, a, funcs_f[i][hh].component(e), "right")
+                   for hh in range(size)] for i in range(size)]    # a ↦ a * f_ih
+        g_star = [[convolution_map(h, a, funcs_g[j][i].component(e), "left")
+                   for i in range(size)] for j in range(size)]     # a ↦ g_ji * a
+        for j in range(size):
+            for hh in range(size):
+                lhs = Matrix.zero(f, n, n)
+                rhs = Matrix.zero(f, n, n)
+                for i in range(size):
+                    lhs = lhs + times_left[i][j] @ star_f[i][hh]
+                    rhs = rhs + times_right[hh][i] @ g_star[j][i]
+                _compare(report, INTERTWINER, (a,), lhs, rhs,
+                         f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 `golden_reports.json` holds the stdout and exit code of every
 subcommand (verify, calculus --universal, structure --universal,
-enumerate) on every fixture, in text and JSON.  Regenerate it only when
+enumerate) on every fixture, and of `structure --ideal NAME` for every
+named ideal of every fixture, in text and JSON.  Regenerate it only when
 a report is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,11 +36,26 @@ COMMANDS = (
 FORMATS = ("text", "json")
 
 
+FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+
+
+def ideal_names(fixture: str) -> list[str]:
+    """The named ideals of a fixture document, sorted."""
+    doc = json.loads((FIXTURE_DIR / fixture).read_text(encoding="utf-8"))
+    return sorted(doc.get("ideals", {}))
+
+
 CASES = [
     (f"{command[0]} {fixture} {fmt}",
      [command[0], str(FIXTURE_DIR / fixture), *command[1:], "--format", fmt])
-    for fixture in sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+    for fixture in FIXTURES
     for command in COMMANDS
+    for fmt in FORMATS
+] + [
+    (f"structure {fixture} --ideal {name} {fmt}",
+     ["structure", str(FIXTURE_DIR / fixture), "--ideal", name, "--format", fmt])
+    for fixture in FIXTURES
+    for name in ideal_names(fixture)
     for fmt in FORMATS
 ]
 

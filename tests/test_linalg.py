@@ -302,6 +302,98 @@ def test_permute_legs_rejects_mismatched_legs():
         m.permute_legs((2, 3), (0, 0), 1)
 
 
+def split_index(x: int, dims) -> list:
+    """The leg values of a flat row-major index over legs of sizes `dims`."""
+    digits = []
+    for d in reversed(dims):
+        x, digit = divmod(x, d)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def join_index(digits, dims) -> int:
+    """The flat row-major index of leg values `digits` over legs `dims`."""
+    x = 0
+    for digit, d in zip(digits, dims):
+        x = x * d + digit
+    return x
+
+
+def regroup_by_entries(m, row_dims, col_dims, rows, cols) -> dict:
+    """Matrix.regroup, one entry at a time: split both indices into their
+    legs, then join the legs `rows` and `cols`."""
+    dims = (*row_dims, *col_dims)
+    out = {}
+    for (r, c), v in m.entries.items():
+        legs = split_index(r, row_dims) + split_index(c, col_dims)
+        out[(join_index([legs[k] for k in rows], [dims[k] for k in rows]),
+             join_index([legs[k] for k in cols], [dims[k] for k in cols]))] = v
+    return out
+
+
+def test_permute_legs_on_a_long_sparse_axis():
+    """A few entries on an axis of 1.5·10⁷ indices are re-keyed as the
+    per-entry reference says, on either axis, without splitting the axis."""
+    f = PrimeField(101)
+    dims, order = (250, 200, 300), (2, 0, 1)
+    length = prod(dims)
+    rng = random.Random(11)
+    entries = {(rng.randrange(length), rng.randrange(3)): rng.randrange(1, 101)
+               for _ in range(40)}
+    tall = Matrix(f, length, 3, entries)
+    wide = tall.transpose()
+    want = {(join_index([split_index(r, dims)[k] for k in order], [dims[k] for k in order]), c): v
+            for (r, c), v in entries.items()}
+    assert tall.permute_legs(dims, order, 0).entries == want
+    assert wide.permute_legs(dims, order, 1) == Matrix(f, length, 3, want).transpose()
+    assert tall.regroup(dims, (3,), order, (3,)).entries == want
+
+
+@st.composite
+def regrouped_matrix(draw):
+    """A matrix, its row and column index split into 0–3 legs each (sizes
+    1–3), and a partition of all the legs into new row and column legs."""
+    f = draw(st.sampled_from([QQ, PrimeField(5)]))
+    row_dims = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=3))
+    col_dims = draw(st.lists(st.integers(min_value=1, max_value=3), max_size=3))
+    legs = draw(st.permutations(range(len(row_dims) + len(col_dims))))
+    cut = draw(st.integers(min_value=0, max_value=len(legs)))
+    rows, cols = prod(row_dims), prod(col_dims)
+    values = [1, -1, Fraction(1, 3)] if f == QQ else [1, 2, 4]
+    entries = {(i, j): draw(st.sampled_from(values))
+               for i in range(rows) for j in range(cols) if draw(st.booleans())}
+    return (Matrix(f, rows, cols, entries), tuple(row_dims), tuple(col_dims),
+            tuple(legs[:cut]), tuple(legs[cut:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(regrouped_matrix())
+def test_regroup_matches_entry_reference(data):
+    """regroup re-keys every entry as splitting and re-joining its legs
+    does, and regrouping back restores the matrix."""
+    m, row_dims, col_dims, rows, cols = data
+    got = m.regroup(row_dims, col_dims, rows, cols)
+    dims = (*row_dims, *col_dims)
+    assert (got.rows, got.cols) == (prod(dims[k] for k in rows), prod(dims[k] for k in cols))
+    assert got.entries == regroup_by_entries(m, row_dims, col_dims, rows, cols)
+    # leg rows[k] of m is now leg k; put every leg back where it was
+    now = {leg: k for k, leg in enumerate((*rows, *cols))}
+    back = got.regroup([dims[k] for k in rows], [dims[k] for k in cols],
+                       [now[k] for k in range(len(row_dims))],
+                       [now[k] for k in range(len(row_dims), len(dims))])
+    assert back == m
+
+
+def test_regroup_rejects_mismatched_legs():
+    m = Matrix.identity(QQ, 6)
+    with pytest.raises(DimensionMismatch):
+        m.regroup((2, 2), (6,), (0, 1), (2,))
+    with pytest.raises(DimensionMismatch):
+        m.regroup((2, 3), (6,), (0, 0), (2,))
+    with pytest.raises(DimensionMismatch):
+        m.regroup((2, 3), (6,), (0,), (2,))
+
+
 def test_kernel_dimension_matches_bruteforce_over_f3():
     """Exhaustive solution count = p^(kernel dim), independent of RREF."""
     f = PrimeField(3)

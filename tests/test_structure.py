@@ -397,6 +397,30 @@ def test_reconstruction_rejects_malformed_R(name, f7z3, f7z3_bim):
         reconstruct(f7z3, data.f, _malformed_R(name, f7z3, data.R), data.size)
 
 
+def test_reconstruction_rejects_malformed_functionals(fixture_dir):
+    """Each f_ij must be a graded functional whose components fit the
+    dimensions and the field of the structure; anything else is rejected as
+    IncompatibleData before any product."""
+    from hopfpi import cyclic, group_algebra
+
+    h = load_document(fixture_dir / "f7_z3.json").hopf
+    data = extract_structure(universal_calculus(h).to_bimodule())
+    f = data.f
+    other_group = group_algebra(cyclic(2), h.field)
+    other_field = group_algebra(cyclic(3), PrimeField(11))
+    longer = GradedFunctional(group_algebra(cyclic(4), h.field), {0: (1, 0, 0, 0)})
+    for bad in ("f00",                                                  # not a functional
+                GradedFunctional(other_group, {0: other_group.counit.row(0)}),
+                GradedFunctional(other_field, {0: other_field.counit.row(0)}),
+                longer):                                                # entries beyond n_1
+        funcs = [[bad] + f[0][1:]] + f[1:]
+        with pytest.raises(IncompatibleData):
+            reconstruct(h, funcs, data.R, data.size)
+    with pytest.raises(IncompatibleData):
+        reconstruct(h, tuple(f[0]), data.R, data.size)                 # not a matrix
+    assert reconstruct(h, f, data.R, data.size).verify().ok
+
+
 def test_reconstruction_accepts_grouplike_twist(kz2, kz2_bim):
     """R_00 = u is admissible data (a different bicovariant structure on the
     free rank-one module) and must reconstruct to a lawful bimodule."""
