@@ -46,6 +46,7 @@ from .hopf import (
     HopfPiCoalgebra,
     VerificationReport,
     Violation,
+    require_axioms,
 )
 from .linalg import (
     Matrix,
@@ -58,7 +59,7 @@ from .linalg import (
     unit_vec,
     vec_kron,
 )
-from .structure import CovariantBimodule, compatibility_report
+from .structure import CovariantBimodule
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +69,10 @@ from .structure import CovariantBimodule, compatibility_report
 class UniversalBimodule:
     """Per-grading kernels of multiplication, with D.  The A-actions on
     A_α⊗A_α multiply the outer legs: m_α on the first leg from the left,
-    on the second from the right."""
+    on the second from the right.  It holds no reference to h, which
+    memoises it (universal_bimodule), so the two form no cycle."""
 
     def __init__(self, h: HopfPiCoalgebra):
-        self.h = h
         f = h.field
         self.sub: list[Subspace] = []
         self.D: list[Matrix] = []
@@ -87,7 +88,10 @@ class UniversalBimodule:
 
 
 def universal_bimodule(h: HopfPiCoalgebra) -> UniversalBimodule:
-    return UniversalBimodule(h)
+    """A² of h, built once per Hopf structure: every calculus on h shares it."""
+    if h._asq is None:
+        h._asq = UniversalBimodule(h)
+    return h._asq
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +182,10 @@ def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
 class RightIdeal:
     """A right ideal of A_1 contained in ker ε, canonical basis."""
 
-    def __init__(self, h: HopfPiCoalgebra, subspace: Subspace, check: bool = True):
+    def __init__(self, h: HopfPiCoalgebra, subspace: Subspace):
         self.h = h
         self.subspace = subspace
-        if check:
-            _validate_right_ideal(h, subspace)
+        _validate_right_ideal(h, subspace)
 
     @property
     def dim(self) -> int:
@@ -198,6 +201,18 @@ class RightIdeal:
         return f"RightIdeal(dim {self.dim})"
 
 
+def _first_escape(h: HopfPiCoalgebra, span: Subspace) -> tuple | None:
+    """The first (v, j), v a basis vector of `span` and j a basis index of
+    A_1, with v·e_j outside the span; None iff the span is closed under
+    right multiplication by A_1."""
+    f, e = h.field, h.group.identity
+    for v in span.basis:
+        for j in range(h.n(e)):
+            if not span.contains(h.mult[e].apply(vec_kron(f, v, unit_vec(f, h.n(e), j)))):
+                return v, j
+    return None
+
+
 def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
     e = h.group.identity
     n1 = h.n(e)
@@ -209,20 +224,18 @@ def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
             raise NotInKernelOfCounit(
                 f"generator {h.render_element(e, v)} has ε = "
                 f"{h.field.render(h.counit.apply(v)[0])}")
-    for v in sub.basis:
-        for j in range(n1):
-            prod = h.mult[e].apply(vec_kron(h.field, v, unit_vec(h.field, n1, j)))
-            if not sub.contains(prod):
-                raise NotARightIdeal(
-                    f"({h.render_element(e, v)})·{h.basis_name(e, j)} leaves the span")
+    escape = _first_escape(h, sub)
+    if escape is not None:
+        v, j = escape
+        raise NotARightIdeal(f"({h.render_element(e, v)})·{h.basis_name(e, j)} leaves the span")
 
 
 def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
     """Smallest right-multiplication-closed subspace containing `gens`.
 
-    Fixed-point iteration: adjoin gen·(basis of A_1) until the dimension
-    stabilises.  ker ε is a right ideal (ε is an algebra map), so the
-    result stays inside it whenever the generators do.
+    Fixed-point iteration: adjoin the first product v·e_j that leaves the
+    span until none does.  ker ε is a right ideal (ε is an algebra map),
+    so the result stays inside it whenever the generators do.
     """
     f = h.field
     e = h.group.identity
@@ -235,15 +248,11 @@ def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
             raise NotInKernelOfCounit(
                 f"generator {h.render_element(e, gvec)} has nonzero counit")
     span = Subspace.from_spanning(f, n1, [tuple(gv) for gv in gens])
-    while True:
-        new_vecs = list(span.basis)
-        for v in span.basis:
-            for j in range(n1):
-                new_vecs.append(h.mult[e].apply(vec_kron(f, v, unit_vec(f, n1, j))))
-        grown = Subspace.from_spanning(f, n1, new_vecs)
-        if grown.dim == span.dim:
-            return RightIdeal(h, span)
-        span = grown
+    while (escape := _first_escape(h, span)) is not None:
+        v, j = escape
+        span = Subspace.from_spanning(
+            f, n1, [*span.basis, h.mult[e].apply(vec_kron(f, v, unit_vec(f, n1, j)))])
+    return RightIdeal(h, span)
 
 
 def zero_ideal(h: HopfPiCoalgebra) -> RightIdeal:
@@ -265,10 +274,9 @@ class Fodc:
     """
 
     def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace],
-                 ideal: RightIdeal | None = None, side: str | None = None,
-                 asq: UniversalBimodule | None = None):
+                 ideal: RightIdeal | None = None, side: str | None = None):
         self.h = h
-        self.asq = asq or universal_bimodule(h)
+        self.asq = universal_bimodule(h)
         self.kernels = list(kernels)
         self.ideal = ideal
         self.side = side
@@ -289,8 +297,6 @@ class Fodc:
         self.proj: list[Matrix] = [quotient(k.ambient_dim, k).projection for k in self.kernels]
         self._check_sub_bimodule()
 
-        self.nsub: list[Subspace] = []
-        self.quot = []
         self.lift: list[Matrix] = []   # Γ_α → ambient A_α⊗A_α (canonical section)
         self.drop: list[Matrix] = []   # A²_α (ambient) → Γ_α
         self.d: list[Matrix] = []
@@ -301,9 +307,7 @@ class Fodc:
             sub = self.asq.sub[a]
             in_coords = Subspace.from_spanning(
                 f, sub.dim, [sub.coords(v) for v in self.kernels[a].basis])
-            self.nsub.append(in_coords)
             q = quotient(sub.dim, in_coords)
-            self.quot.append(q)
             lift = sub.inclusion_matrix() @ q.section
             drop = q.projection @ sub.coords_matrix()
             self.lift.append(lift)
@@ -332,7 +336,7 @@ class Fodc:
                 raise CodomainViolation(f"N_{a} not closed under the right action")
 
     def dim(self, alpha: int) -> int:
-        return self.quot[alpha].dim
+        return self.drop[alpha].rows
 
     @property
     def gamma_dims(self) -> list[int]:
@@ -496,17 +500,12 @@ def induced_delta_r(calc: Fodc, alpha: int, beta: int) -> Matrix:
 
 
 def check_bicovariant(calc: Fodc) -> VerificationReport:
-    """Left + right covariance + the coaction compatibility law.
-
-    The compatibility (Δ^l⊗id)Δ^r = (id⊗Δ^r)Δ^l is checked on the
-    induced maps for every grading triple once both containments hold.
-    """
-    left, dl = _covariance(calc, "left")
-    right, dr = _covariance(calc, "right")
-    report = left.merge(right)
-    if not report.ok:
-        return report
-    return compatibility_report(calc.h, dl, dr)
+    """Left and right covariance: the two memoised containment reports.
+    Once both hold, the compatibility of Δ^l and Δ^r follows from
+    coassociativity (CovariantBimodule._trusted) and is not computed;
+    VerificationFailed carries the axiom verdict when h fails one."""
+    require_axioms(calc.h)
+    return _covariance(calc, "left")[0].merge(_covariance(calc, "right")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -623,22 +622,13 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     k = ker_eps.dim
     if k > MAX_ENUM_KER_DIM:
         raise TooLarge(f"dim ker ε = {k} exceeds the enumeration bound {MAX_ENUM_KER_DIM}")
-    e = h.group.identity
-    n1 = h.n(e)
+    n1 = h.n(h.group.identity)
     incl = ker_eps.inclusion_matrix()
     found = []
     for small in _all_rref_subspaces(f, k):
         if max_dim is not None and small.dim > max_dim:
             continue
         lifted = Subspace.from_spanning(f, n1, [incl.apply(v) for v in small.basis])
-        closed = True
-        for v in lifted.basis:
-            for j in range(n1):
-                if not lifted.contains(h.mult[e].apply(vec_kron(f, v, unit_vec(f, n1, j)))):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            found.append(RightIdeal(h, lifted, check=False))
+        if _first_escape(h, lifted) is None:
+            found.append(RightIdeal(h, lifted))
     return found

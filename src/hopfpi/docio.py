@@ -50,6 +50,11 @@ def _require(cond: bool, message: str, context: str):
         raise ParseError(message, context=context)
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _parse_scalar(f: Field, obj, context: str):
     try:
         return f.parse(obj)
@@ -81,7 +86,7 @@ def parse_field_spec(obj) -> Field:
         return Rationals()
     if isinstance(obj, dict) and set(obj.keys()) == {"prime"}:
         p = obj["prime"]
-        _require(isinstance(p, int) and not isinstance(p, bool), "prime must be an integer", "field")
+        _require(_is_int(p), "prime must be an integer", "field")
         try:
             return PrimeField(p)
         except ValueError as exc:
@@ -113,8 +118,12 @@ def document_from_json(data: dict, name: str = "") -> Document:
     grp_block = data.get("group")
     _require(isinstance(grp_block, dict) and "table" in grp_block,
              'group block with a "table" required', "group")
+    table = grp_block["table"]
+    _require(isinstance(table, list) and all(isinstance(row, list) and all(map(_is_int, row))
+                                             for row in table),
+             "group table must be a list of rows of integers", "group")
     try:
-        grp = group_from_table(grp_block["table"], names=grp_block.get("names"))
+        grp = group_from_table(table, names=grp_block.get("names"))
     except NotAGroup as exc:
         raise ParseError(f"group table invalid: {exc}", context="group") from exc
 
@@ -131,7 +140,7 @@ def document_from_json(data: dict, name: str = "") -> Document:
         _require(key in comp_block, f"missing component {key}", "components")
         comp = comp_block[key]
         ctx = f"components[{key}]"
-        _require(isinstance(comp, dict) and isinstance(comp.get("dim"), int),
+        _require(isinstance(comp, dict) and _is_int(comp.get("dim")),
                  "component needs an integer dim", ctx)
         n = comp["dim"]
         _require(n >= 1, "component dimension must be positive", ctx)
@@ -146,7 +155,7 @@ def document_from_json(data: dict, name: str = "") -> Document:
             _require(isinstance(item, list) and len(item) == 4,
                      f"mult entry {t} must be [i, j, k, value]", ctx)
             i, j, k, v = item
-            _require(all(isinstance(x, int) and 0 <= x < n for x in (i, j, k)),
+            _require(all(_is_int(x) and 0 <= x < n for x in (i, j, k)),
                      f"mult entry {t} has indices out of range", ctx)
             sc = _parse_scalar(f, v, f"{ctx}.mult[{t}]")
             key2 = (k, i * n + j)

@@ -193,6 +193,7 @@ class HopfPiCoalgebra(PiCoalgebra):
         self.psi = list(psi) if psi is not None else None
         self._antipode_inv: dict[int, Matrix] = {}
         self._phi: dict[tuple[str, int, int], Matrix] = {}   # (side, α, β) -> Φ, see calculus
+        self._asq = None                                     # A², see calculus.universal_bimodule
         self._verdict: VerificationReport | None = None      # see verify_all
         self._validate_hopf_shapes()
 
@@ -399,6 +400,17 @@ def verify_all(h: HopfPiCoalgebra) -> VerificationReport:
     return VerificationReport(h._verdict.violations)
 
 
+def require_axioms(h: HopfPiCoalgebra) -> None:
+    """VerificationFailed, carrying the memoised verdict of verify_all,
+    unless h satisfies every axiom: for results that are theorems of the
+    axioms and are therefore not re-checked."""
+    report = verify_all(h)
+    if not report.ok:
+        raise VerificationFailed(
+            f"Hopf axioms fail ({len(report)} violations): "
+            f"{report.violations[0].render()}", report)
+
+
 # ---------------------------------------------------------------------------
 # convolution and graded functionals
 
@@ -568,10 +580,7 @@ def constant_family(h1: HopfPiCoalgebra, grp: FiniteGroup) -> HopfPiCoalgebra:
     """
     if h1.group.order != 1:
         raise GradingMismatch("constant_family expects a structure over the trivial group")
-    report = verify_all(h1)
-    if not report.ok:
-        raise VerificationFailed(
-            f"base Hopf structure fails verification ({len(report)} violations)", report)
+    require_axioms(h1)
     n = h1.n(0)
     order = grp.order
     comult = {(a, b): h1.comult[(0, 0)] for a in grp.elements() for b in grp.elements()}

@@ -657,21 +657,6 @@ def hopf_laws_by_kron(h: HopfPiCoalgebra) -> VerificationReport:
     return report
 
 
-def compatibility_by_kron(h: HopfPiCoalgebra, delta_l, delta_r) -> VerificationReport:
-    """compatibility_report with the identity factors built as matrices."""
-    f = h.field
-    grp = h.group
-    report = VerificationReport()
-    for a in grp.elements():
-        for b in grp.elements():
-            for c in grp.elements():
-                lhs = delta_l[(a, b)].kron(Matrix.identity(f, h.n(c))) @ delta_r[(grp.mul(a, b), c)]
-                rhs = Matrix.identity(f, h.n(a)).kron(delta_r[(b, c)]) @ delta_l[(a, grp.mul(b, c))]
-                _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
-                         "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
-    return report
-
-
 def bimodule_laws_by_kron(cb: CovariantBimodule) -> VerificationReport:
     """CovariantBimodule.verify with the identity factors and the
     interchange products built as matrices."""
@@ -738,5 +723,12 @@ def bimodule_laws_by_kron(cb: CovariantBimodule) -> VerificationReport:
             eq("right-coaction-counit", (a,), lhs, Matrix.identity(f, cb.g(a)))
 
     if cb.bicovariant:
-        report.extend(compatibility_by_kron(h, cb.delta_l, cb.delta_r).violations)
+        for a, b in pairs:
+            for c in grp.elements():
+                lhs = (cb.delta_l[(a, b)].kron(Matrix.identity(f, h.n(c)))
+                       @ cb.delta_r[(grp.mul(a, b), c)])
+                rhs = (Matrix.identity(f, h.n(a)).kron(cb.delta_r[(b, c)])
+                       @ cb.delta_l[(a, grp.mul(b, c))])
+                _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
+                         "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
     return report

@@ -228,6 +228,7 @@ def test_criterion_7_structure_suite(kz2, f7z3, capsys):
             assert data.f is not None and data.g is not None
             assert data.R is not None and data.eta is not None
             rebuilt = reconstruct(h, data.f, data.R, data.size)
+            assert rebuilt.verify().ok
             assert reconstruction_matches(bim, rebuilt)
 
 

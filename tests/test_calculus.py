@@ -23,6 +23,7 @@ from hopfpi import (
     ideal_from_calculus,
     induced_delta_l,
     induced_delta_r,
+    load_document,
     phi_l,
     phi_r,
     r_inv,
@@ -32,13 +33,16 @@ from hopfpi import (
     t_map,
     universal_bimodule,
     universal_calculus,
+    verify_all,
     zero_ideal,
 )
+from hopfpi.cli import main
 from hopfpi.errors import (
     NotCovariant,
     NotInKernelOfCounit,
     TooLarge,
     UnsupportedField,
+    VerificationFailed,
 )
 from hopfpi.linalg import (
     Matrix,
@@ -317,9 +321,13 @@ def test_delta_l_of_d_u_kz2(kz2):
 
 
 def test_bicovariance_compatibility_exhaustive(kz2_const):
+    """The compatibility law on every grading triple, computed on the
+    calculus's bimodule by the full law verification."""
     calc = universal_calculus(kz2_const)
-    report = check_bicovariant(calc)
-    assert report.ok
+    assert check_bicovariant(calc).ok
+    cb = calc.to_bimodule()
+    assert cb.bicovariant
+    assert cb.verify().ok
 
 
 # -- synthetic non-covariant sub-bimodule -------------------------------------------
@@ -681,3 +689,53 @@ def test_covariance_decided_once_per_calculus(monkeypatch, first):
         assert check_bicovariant(calc).ok
     assert builds == {(side, a, b): 1 for side in ("left", "right") for a, b in pairs}
     assert len(products) == 2 * 2 * len(pairs)
+
+
+FIXTURES = ("kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
+            "taft4_rational.json", "q_z3_skew_basis.json")
+
+
+def test_bicovariance_computes_no_law(monkeypatch, fixture_dir, capsys):
+    """Neither check_bicovariant nor a `structure` job verifies a bimodule
+    law or computes the compatibility law, on any calculus of a fixture:
+    bicovariance is the two containments, and the laws are theorems."""
+    import hopfpi.structure as struct_mod
+
+    laws, compared = [], []
+    verify, compare = struct_mod.CovariantBimodule.verify, struct_mod._compare
+    monkeypatch.setattr(struct_mod.CovariantBimodule, "verify",
+                        lambda cb: laws.append(cb) or verify(cb))
+    monkeypatch.setattr(struct_mod, "_compare",
+                        lambda report, check, *rest: compared.append(check) or compare(
+                            report, check, *rest))
+    jobs = 0
+    for name in FIXTURES:
+        doc = load_document(fixture_dir / name)
+        h = doc.hopf
+        ideals = [right_ideal_from_generators(h, gens) for gens in doc.ideal_generators.values()]
+        calcs = [universal_calculus(h)] + [route(h, ideal) for ideal in ideals
+                                           for route in (calculus_from_ideal,
+                                                         calculus_from_ideal_right)]
+        for calc in calcs:
+            check_bicovariant(calc)
+        for which in [["--universal"]] + [["--ideal", iname] for iname in doc.ideal_generators]:
+            assert main(["structure", str(fixture_dir / name), *which]) in (0, 1)
+            jobs += 1
+    capsys.readouterr()
+    assert jobs > len(FIXTURES)
+    assert compared                         # the structure jobs did compare their identities
+    assert "bicovariance-compatibility" not in compared
+    assert laws == []
+
+
+def test_check_bicovariant_requires_the_axioms(fixture_dir):
+    """On a structure that fails its axioms, check_bicovariant raises the
+    memoised verdict, as to_bimodule does."""
+    h = load_document(fixture_dir / "kz2_bad_antipode.json").hopf
+    verdict = verify_all(h).violations
+    assert verdict
+    calc = universal_calculus(h)
+    for query in (check_bicovariant, lambda c: c.to_bimodule()):
+        with pytest.raises(VerificationFailed) as err:
+            query(calc)
+        assert err.value.report.violations == verdict

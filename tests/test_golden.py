@@ -1,9 +1,10 @@
 """Byte-identity of the CLI reports on every fixture.
 
 `golden_reports.json` holds the stdout and exit code of every
-subcommand (verify, calculus --universal, structure --universal,
-enumerate) on every fixture, and of `structure --ideal NAME` for every
-named ideal of every fixture, in text and JSON.  Regenerate it only when
+subcommand (verify, calculus --universal with and without --right,
+structure --universal, enumerate) on every fixture, and of `structure --ideal
+NAME` and `calculus --ideal NAME [--right]` for every named ideal of
+every fixture, in text and JSON.  Regenerate it only when
 a report is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -56,6 +57,18 @@ CASES = [
      ["structure", str(FIXTURE_DIR / fixture), "--ideal", name, "--format", fmt])
     for fixture in FIXTURES
     for name in ideal_names(fixture)
+    for fmt in FORMATS
+] + [
+    (f"calculus {fixture} --universal --right {fmt}",
+     ["calculus", str(FIXTURE_DIR / fixture), "--universal", "--right", "--format", fmt])
+    for fixture in FIXTURES
+    for fmt in FORMATS
+] + [
+    (f"calculus {fixture} --ideal {name}{side} {fmt}",
+     ["calculus", str(FIXTURE_DIR / fixture), "--ideal", name, *side.split(), "--format", fmt])
+    for fixture in FIXTURES
+    for name in ideal_names(fixture)
+    for side in ("", " --right")
     for fmt in FORMATS
 ]
 
