@@ -32,10 +32,11 @@ ad_α(R) ⊆ R ⊗ A_α for all α.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import (
     CodomainViolation,
     DimensionMismatch,
-    InternalMismatch,
     NotARightIdeal,
     NotCovariant,
     NotInKernelOfCounit,
@@ -202,14 +203,15 @@ class RightIdeal:
 
 
 def _first_escape(h: HopfPiCoalgebra, span: Subspace) -> tuple | None:
-    """The first (v, j), v a basis vector of `span` and j a basis index of
-    A_1, with v·e_j outside the span; None iff the span is closed under
-    right multiplication by A_1."""
+    """The first (v, j, v·e_j), v a basis vector of `span` and j a basis
+    index of A_1, with v·e_j outside the span; None iff the span is closed
+    under right multiplication by A_1."""
     f, e = h.field, h.group.identity
     for v in span.basis:
         for j in range(h.n(e)):
-            if not span.contains(h.mult[e].apply(vec_kron(f, v, unit_vec(f, h.n(e), j)))):
-                return v, j
+            w = h.mult[e].apply(vec_kron(f, v, unit_vec(f, h.n(e), j)))
+            if not span.contains(w):
+                return v, j, w
     return None
 
 
@@ -218,15 +220,16 @@ def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
     n1 = h.n(e)
     if sub.ambient_dim != n1:
         raise DimensionMismatch("ideal must live in A_1")
-    ker_eps = h.counit_kernel()
-    for v in sub.basis:
-        if not ker_eps.contains(v):
-            raise NotInKernelOfCounit(
-                f"generator {h.render_element(e, v)} has ε = "
-                f"{h.field.render(h.counit.apply(v)[0])}")
+    # entry (0, k) is ε of basis vector k
+    eps = h.counit @ sub.inclusion_matrix()
+    if not eps.is_zero():
+        k = min(c for _, c in eps.entries)
+        raise NotInKernelOfCounit(
+            f"generator {h.render_element(e, sub.basis[k])} has ε = "
+            f"{h.field.render(eps[0, k])}")
     escape = _first_escape(h, sub)
     if escape is not None:
-        v, j = escape
+        v, j, _ = escape
         raise NotARightIdeal(f"({h.render_element(e, v)})·{h.basis_name(e, j)} leaves the span")
 
 
@@ -240,18 +243,15 @@ def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
     f = h.field
     e = h.group.identity
     n1 = h.n(e)
-    ker_eps = h.counit_kernel()
     for gvec in gens:
         if len(gvec) != n1:
             raise DimensionMismatch("generator of wrong length")
-        if not ker_eps.contains(tuple(gvec)):
+        if h.counit.apply(gvec)[0] != f.zero():
             raise NotInKernelOfCounit(
                 f"generator {h.render_element(e, gvec)} has nonzero counit")
     span = Subspace.from_spanning(f, n1, [tuple(gv) for gv in gens])
     while (escape := _first_escape(h, span)) is not None:
-        v, j = escape
-        span = Subspace.from_spanning(
-            f, n1, [*span.basis, h.mult[e].apply(vec_kron(f, v, unit_vec(f, n1, j)))])
+        span = Subspace.from_spanning(f, n1, [*span.basis, escape[2]])
     return RightIdeal(h, span)
 
 
@@ -271,6 +271,15 @@ class Fodc:
     actions on Γ_α.  `ideal`/`side` record how N was built, when it was.
     N is proven closed under both actions at construction
     (CodomainViolation otherwise), which `to_bimodule` relies on.
+
+    Γ_α is read off the one projection P_α of A_α⊗A_α, whose kernel is
+    N_α: P_α reduces x modulo N_α's RREF basis and reads it at the
+    columns that are not pivots of N_α.  A nonzero vector of A²_α leads
+    at a pivot of A²_α's RREF basis, so N_α ⊆ A²_α puts N_α's pivots
+    among A²_α's.  The basis vectors of A²_α whose pivot is not one of
+    N_α's then span a complement of N_α in A²_α: they are the section
+    (lift), and the rows of P_α at their pivots are the projection onto
+    Γ_α (drop), with drop ∘ lift = id.
     """
 
     def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace],
@@ -286,14 +295,16 @@ class Fodc:
 
         if len(self.kernels) != g.order:
             raise DimensionMismatch("one kernel subspace per grading required")
+        # ι_α includes N_α into A_α⊗A_α, so N_α ⊆ A²_α = ker m_α iff m_α ι_α = 0
+        self.incl: list[Matrix] = []
         for a in g.elements():
             if self.kernels[a].ambient_dim != h.n(a) ** 2:
                 raise DimensionMismatch(f"kernel at {a} has wrong ambient dimension")
-            if not self.kernels[a].le(self.asq.sub[a]):
+            self.incl.append(self.kernels[a].inclusion_matrix())
+            if not (h.mult[a] @ self.incl[a]).is_zero():
                 raise CodomainViolation(f"N_{a} is not contained in A²_{a}")
-        # ι_α includes N_α into A_α⊗A_α and P_α has kernel exactly N_α, so
-        # v ∈ N_α ⇔ P_α v = 0: containments are decided by products with P
-        self.incl: list[Matrix] = [k.inclusion_matrix() for k in self.kernels]
+        # P_α has kernel exactly N_α, so v ∈ N_α ⇔ P_α v = 0: containments
+        # are decided by products with P
         self.proj: list[Matrix] = [quotient(k.ambient_dim, k).projection for k in self.kernels]
         self._check_sub_bimodule()
 
@@ -302,14 +313,19 @@ class Fodc:
         self.d: list[Matrix] = []
         self.left: list[Matrix] = []
         self.right: list[Matrix] = []
+        one = f.one()
         for a in g.elements():
             n = h.n(a)
-            sub = self.asq.sub[a]
-            in_coords = Subspace.from_spanning(
-                f, sub.dim, [sub.coords(v) for v in self.kernels[a].basis])
-            q = quotient(sub.dim, in_coords)
-            lift = sub.inclusion_matrix() @ q.section
-            drop = q.projection @ sub.coords_matrix()
+            sub, n_pivots = self.asq.sub[a], self.kernels[a].pivots
+            skip = set(n_pivots)
+            kept = [(k, p) for k, p in enumerate(sub.pivots) if p not in skip]
+            # 0/1 selectors: basis vector k of A²_α; the row of P_α at a column
+            # p that is not a pivot of N_α, which is p less the pivots before it
+            lift = sub.inclusion_matrix() @ Matrix(
+                f, sub.dim, len(kept), {(k, i): one for i, (k, _) in enumerate(kept)})
+            drop = Matrix(f, len(kept), self.proj[a].rows, {
+                (i, p - bisect_left(n_pivots, p)): one for i, (_, p) in enumerate(kept)
+            }) @ self.proj[a]
             self.lift.append(lift)
             self.drop.append(drop)
             self.d.append(drop @ self.asq.D[a])
@@ -393,26 +409,18 @@ def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
 
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
-    """Left covariant calculus with N_α = r_α^{-1}(A_α ⊗ R)."""
-    f = h.field
-    kernels = []
-    for a in h.group.elements():
-        rinv = r_inv(h, a)
-        domain = Subspace.full(f, h.n(a)).tensor(ideal.subspace)
-        kernels.append(Subspace.from_spanning(
-            f, h.n(a) ** 2, [rinv.apply(v) for v in domain.basis]))
+    """Left covariant calculus with N_α = r_α^{-1}(A_α ⊗ R), the image of
+    r_α^{-1} ∘ (I ⊗ ι_R)."""
+    incl = ideal.subspace.inclusion_matrix()
+    kernels = [image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)) for a in h.group.elements()]
     return Fodc(h, kernels, ideal=ideal, side="left")
 
 
 def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
-    """Right covariant calculus with N_α = t_α^{-1}(R ⊗ A_α)."""
-    f = h.field
-    kernels = []
-    for a in h.group.elements():
-        tinv = t_inv(h, a)
-        domain = ideal.subspace.tensor(Subspace.full(f, h.n(a)))
-        kernels.append(Subspace.from_spanning(
-            f, h.n(a) ** 2, [tinv.apply(v) for v in domain.basis]))
+    """Right covariant calculus with N_α = t_α^{-1}(R ⊗ A_α), the image of
+    t_α^{-1} ∘ (ι_R ⊗ I)."""
+    incl = ideal.subspace.inclusion_matrix()
+    kernels = [image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)) for a in h.group.elements()]
     return Fodc(h, kernels, ideal=ideal, side="right")
 
 
@@ -515,24 +523,10 @@ def check_bicovariant(calc: Fodc) -> VerificationReport:
 def ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     """ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1 ⊗ A_α.
 
-    Computed both as that composite and by the Sweedler expansion
-    a ↦ a_(2,1) ⊗ S_{α^{-1}}(a_(1,α^{-1})) a_(3,α); the two must agree
-    bit-exactly (InternalMismatch flags an implementation bug).
+    In Sweedler notation a ↦ a_(2,1) ⊗ S_{α^{-1}}(a_(1,α^{-1})) a_(3,α).
     """
-    g = h.group
-    e = g.identity
-    n1 = h.n(e)
-    na = h.n(alpha)
-    ai = g.inv(alpha)
-
-    composite = t_map(h, alpha) @ r_inv(h, alpha).on_leg(h.unit_col(alpha), 1, n1, 1)
-
-    applied = h.comult_path((ai, e, alpha)).on_leg(h.antipode[ai], 1, n1 * na, 0)
-    sweedler = applied.permute_legs((na, n1, na), (1, 0, 2), 0).on_leg(h.mult[alpha], n1, 1, 0)
-
-    if composite != sweedler:
-        raise InternalMismatch(f"ad_{alpha}: composite and Sweedler forms disagree")
-    return composite
+    n1 = h.n(h.group.identity)
+    return t_map(h, alpha) @ r_inv(h, alpha).on_leg(h.unit_col(alpha), 1, n1, 1)
 
 
 def check_ad_invariant(h: HopfPiCoalgebra, ideal: RightIdeal) -> VerificationReport:
@@ -554,6 +548,9 @@ def check_ad_invariant(h: HopfPiCoalgebra, ideal: RightIdeal) -> VerificationRep
 def ideal_from_calculus(calc: Fodc) -> RightIdeal:
     """Recover R from a left covariant calculus: second-leg span of r_1(N_1).
 
+    r_1 ι_{N_1} has rows A_1⊗A_1 and one column per basis vector w of N_1;
+    moving its first row leg to the columns leaves one column per (i, w),
+    the second leg of r_1(w) at first-leg index i, and R is their span.
     Round-trip guarantee: rebuilding the calculus from the recovered
     ideal reproduces every N_α bit-exactly (canonical bases).
     """
@@ -561,16 +558,10 @@ def ideal_from_calculus(calc: Fodc) -> RightIdeal:
     if not report.ok:
         raise NotCovariant(f"not left covariant: {report.violations[0].render()}")
     h = calc.h
-    f = h.field
     e = h.group.identity
     n1 = h.n(e)
-    r1 = r_map(h, e)
-    rows = []
-    for w in calc.kernels[e].basis:
-        img = r1.apply(w)  # lives in A_1 ⊗ A_1
-        for i in range(n1):
-            rows.append(tuple(img[i * n1 + j] for j in range(n1)))
-    return RightIdeal(h, Subspace.from_spanning(f, n1, rows))
+    moved = r_map(h, e) @ calc.incl[e]
+    return RightIdeal(h, image(moved.regroup((n1, n1), (moved.cols,), (1,), (0, 2))))
 
 
 # ---------------------------------------------------------------------------

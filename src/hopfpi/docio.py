@@ -17,6 +17,9 @@ Top-level keys:
     antipode    {"<α>": matrix dim_{α^{-1}} × dim_α}
     psi         {"<α>": matrix dim_1 × dim_α}        (optional)
     ideals      {"<name>": [generator vectors in A_1]}  (optional)
+
+The group's "names" and a component's "basis" are optional display names,
+each a list of strings.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ def _require(cond: bool, message: str, context: str):
 def _is_int(obj) -> bool:
     """A JSON integer; true and false are not integers here."""
     return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _parse_names(obj, context: str):
+    """Display names: a JSON list of strings, or None when absent."""
+    _require(obj is None or isinstance(obj, list) and all(isinstance(s, str) for s in obj),
+             "names must be a list of strings", context)
+    return obj
 
 
 def _parse_scalar(f: Field, obj, context: str):
@@ -123,7 +133,7 @@ def document_from_json(data: dict, name: str = "") -> Document:
                                              for row in table),
              "group table must be a list of rows of integers", "group")
     try:
-        grp = group_from_table(table, names=grp_block.get("names"))
+        grp = group_from_table(table, names=_parse_names(grp_block.get("names"), "group"))
     except NotAGroup as exc:
         raise ParseError(f"group table invalid: {exc}", context="group") from exc
 
@@ -145,7 +155,7 @@ def document_from_json(data: dict, name: str = "") -> Document:
         n = comp["dim"]
         _require(n >= 1, "component dimension must be positive", ctx)
         dims.append(n)
-        names = comp.get("basis") or [f"x{i}" for i in range(n)]
+        names = _parse_names(comp.get("basis"), ctx) or [f"x{i}" for i in range(n)]
         _require(len(names) == n, f"{len(names)} basis names for dim {n}", ctx)
         basis_names.append(tuple(str(s) for s in names))
         triples = comp.get("mult")

@@ -55,10 +55,6 @@ class NotBicovariant(HopfPiError):
     """Bicovariance is required but does not hold."""
 
 
-class InternalMismatch(HopfPiError):
-    """Two independent computations of the same map disagree (a bug)."""
-
-
 class MissingCoaction(HopfPiError):
     """The bimodule carries no coaction of the requested side."""
 

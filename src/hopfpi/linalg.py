@@ -748,22 +748,33 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Canonical basis of {v : m v = 0}."""
+    """Canonical basis of {v : m v = 0}, from one row reduction.
+
+    m is reduced with its columns taken right to left, so each pivot row
+    is zero at every other pivot and at every column right of its own
+    pivot p.  For a free column c the kernel vector e_c − Σ_p row_p[c]·e_p
+    is therefore nonzero only at c and at pivots p > c: it leads at c
+    with a 1 and is zero at every other free column.  These vectors,
+    ordered by c, are the RREF of ker m with the free columns as pivots,
+    which is unique, so they need no second reduction.
+    """
     f = m.field
-    reduced, pivots = rref(f, m.to_rows())
+    n = m.cols
+    reduced, pivots = rref(f, [row[::-1] for row in m.to_rows()])
     zero = f.zero()
     one = f.one()
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for fc in free:
-        v = [zero] * m.cols
-        v[fc] = one
-        for row, p in zip(reduced, pivots):
-            if row[fc] != zero:
-                v[p] = f.neg(row[fc])
-        vectors.append(v)
-    return Subspace.from_spanning(f, m.cols, vectors)
+    pivot_set = {n - 1 - p for p in pivots}
+    free = tuple(c for c in range(n) if c not in pivot_set)
+    basis = []
+    for c in free:
+        v = [zero] * n
+        v[c] = one
+        for row, p in zip(reduced, pivots):    # row and p count columns from the right
+            x = row[n - 1 - c]
+            if x != zero:
+                v[n - 1 - p] = f.neg(x)
+        basis.append(tuple(v))
+    return Subspace(f, n, tuple(basis), free)
 
 
 def image(m: Matrix) -> Subspace:

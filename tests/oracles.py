@@ -30,7 +30,7 @@ from hopfpi.hopf import (
     Violation,
     _diff_columns,
 )
-from hopfpi.linalg import Field, Matrix, Subspace, vec_kron
+from hopfpi.linalg import Field, Matrix, Subspace, quotient, rref, vec_kron
 from hopfpi.structure import (
     _SIDES,
     FRAME_MULT,
@@ -116,6 +116,51 @@ def element_star(phi: GradedFunctional, alpha: int, v) -> tuple:
             s = f.add(s, f.mul(w[j * n + i], row[j]))
         out.append(s)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# subspaces and quotients reduced twice
+
+
+def kernel_by_two_reductions(m: Matrix) -> Subspace:
+    """ker m: one solution per free column of the left-to-right RREF of m,
+    made canonical by reducing that spanning set a second time."""
+    f = m.field
+    reduced, pivots = rref(f, m.to_rows())
+    zero = f.zero()
+    pivot_set = set(pivots)
+    vectors = []
+    for fc in (c for c in range(m.cols) if c not in pivot_set):
+        v = [zero] * m.cols
+        v[fc] = f.one()
+        for row, p in zip(reduced, pivots):
+            if row[fc] != zero:
+                v[p] = f.neg(row[fc])
+        vectors.append(v)
+    return Subspace.from_spanning(f, m.cols, vectors)
+
+
+def fodc_maps_by_two_quotients(calc: Fodc) -> tuple:
+    """(lift, drop, d, left, right) of a calculus, one list each, with Γ_α
+    built as a second quotient: N_α written in A²_α coordinates one vector
+    at a time, reduced again, and divided out of A²_α."""
+    h = calc.h
+    f = h.field
+    asq = universal_bimodule(h)
+    maps: tuple = ([], [], [], [], [])
+    for a in h.group.elements():
+        n = h.n(a)
+        sub = asq.sub[a]
+        in_coords = Subspace.from_spanning(
+            f, sub.dim, [sub.coords(v) for v in calc.kernels[a].basis])
+        q = quotient(sub.dim, in_coords)
+        lift = sub.inclusion_matrix() @ q.section
+        drop = q.projection @ sub.coords_matrix()
+        left = drop @ left_action_ambient(h, a) @ Matrix.identity(f, n).kron(lift)
+        right = drop @ right_action_ambient(h, a) @ lift.kron(Matrix.identity(f, n))
+        for out, m in zip(maps, (lift, drop, drop @ asq.D[a], left, right)):
+            out.append(m)
+    return maps
 
 
 # ---------------------------------------------------------------------------

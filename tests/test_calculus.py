@@ -245,6 +245,18 @@ def test_ideal_from_generators_examples(kz2, f7z3):
         right_ideal_from_generators(kz2, [(F(1), F(0))])
 
 
+def test_counit_witness_is_the_first_generator_outside_ker_eps(f7z3):
+    """RightIdeal names the first basis vector with ε ≠ 0 and its ε, and
+    right_ideal_from_generators the first such generator."""
+    from hopfpi.calculus import RightIdeal
+
+    sub = Subspace.from_spanning(f7z3.field, 3, [(1, 0, 1), (0, 1, 5)])    # ε = 2, 6
+    with pytest.raises(NotInKernelOfCounit, match=r"^generator e \+ g2 has ε = 2$"):
+        RightIdeal(f7z3, sub)
+    with pytest.raises(NotInKernelOfCounit, match=r"^generator g has nonzero counit$"):
+        right_ideal_from_generators(f7z3, [(1, 6, 0), (0, 1, 0), (0, 0, 1)])
+
+
 def test_calculus_dimensions(kz2, f7z3):
     assert calculus_from_ideal(kz2, zero_ideal(kz2)).gamma_dims == [2]
     ker = right_ideal_from_generators(kz2, [(F(1), F(-1))])
@@ -645,7 +657,7 @@ def test_taft_universal_calculus(taft):
     assert calc.leibniz_report().ok
     assert calc.surjectivity_report().ok
     assert check_bicovariant(calc).ok
-    assert ad_map(taft, 0).rows == 16  # both ad routes agree (no mismatch raised)
+    assert ad_map(taft, 0).rows == 16  # ad_0 : A_1 → A_1 ⊗ A_0, both of dimension 4
 
 
 @pytest.mark.parametrize("first", ["left", "right", "bicovariant", "bimodule", "induced"])
@@ -739,3 +751,77 @@ def test_check_bicovariant_requires_the_axioms(fixture_dir):
         with pytest.raises(VerificationFailed) as err:
             query(calc)
         assert err.value.report.violations == verdict
+
+
+def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
+    """kernel(m) row-reduces m once.  Building a calculus from an ideal on
+    either route or from kernels, and recovering the ideal from it, reduce
+    no spanning set in A² coordinates, write no vector in coordinates, test
+    no subspace containment vector by vector and apply no matrix to a
+    single vector.  The exception is the closure check of RightIdeal, which
+    ideal_from_calculus ends in: it applies m to one v⊗e_j at a time so as
+    to stop at the first product that leaves, and is not counted."""
+    import hopfpi.calculus as calc_mod
+    import hopfpi.linalg as linalg
+    from hopfpi import taft_hopf_algebra
+
+    reductions = []
+    rref = linalg.rref
+
+    def counting_rref(field, rows):
+        reductions.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    taft7 = taft_hopf_algebra(PrimeField(7))
+    for m in (taft7.mult[0], f7z3.mult[0], Matrix.zero(QQ, 2, 3), Matrix.identity(QQ, 3),
+              Matrix.zero(QQ, 0, 3), Matrix.zero(QQ, 3, 0)):
+        reductions.clear()
+        kernel(m)
+        assert reductions == [m.rows]
+
+    cases = []
+    for h in (taft7, f7z3, f7z3_const):
+        universal_bimodule(h)
+        cases.append((h, enumerate_right_ideals(h)))
+    spanned, used, closing = [], [], []
+    from_spanning = Subspace.from_spanning.__func__
+    first_escape = calc_mod._first_escape
+
+    def uncounted_first_escape(h, span):
+        closing.append(span)
+        try:
+            return first_escape(h, span)
+        finally:
+            closing.pop()
+
+    def recording_from_spanning(cls, field, ambient_dim, vectors):
+        spanned.append(ambient_dim)
+        return from_spanning(cls, field, ambient_dim, vectors)
+
+    def recording(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args):
+            if not closing:
+                used.append(name)
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(Subspace, "from_spanning", classmethod(recording_from_spanning))
+    monkeypatch.setattr(Subspace, "coords", recording(Subspace, "coords"))
+    monkeypatch.setattr(Subspace, "le", recording(Subspace, "le"))
+    monkeypatch.setattr(Matrix, "apply", recording(Matrix, "apply"))
+    monkeypatch.setattr(calc_mod, "_first_escape", uncounted_first_escape)
+    for h, ideals in cases:
+        asq_dims = {universal_bimodule(h).dim(a) for a in h.group.elements()}
+        # N_α lives in A_α⊗A_α and R in A_1, neither of a dimension of A²
+        assert asq_dims.isdisjoint({h.n(a) ** 2 for a in h.group.elements()} | {h.n(h.group.identity)})
+        spanned.clear()
+        for ideal in ideals:
+            calc = calculus_from_ideal(h, ideal)
+            calculus_from_ideal_right(h, ideal)
+            calculus_from_kernels(h, calc.kernels)
+            assert ideal_from_calculus(calc) == ideal
+        assert used == []
+        assert spanned and asq_dims.isdisjoint(spanned)

@@ -38,7 +38,7 @@ from hopfpi.calculus import Fodc, RightIdeal
 from hopfpi.errors import CodomainViolation, SingularMatrix
 from hopfpi.hopf import Violation
 from hopfpi.linalg import Matrix, PrimeField, Subspace, unit_vec, vec_kron
-from oracles import left_action_ambient, right_action_ambient
+from oracles import fodc_maps_by_two_quotients, left_action_ambient, right_action_ambient
 
 STRUCTURES = [
     "kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
@@ -262,3 +262,20 @@ def test_kernel_families_that_are_not_sub_bimodules(structure):
     if h.n(0) >= 3:
         assert {f"N_{a} not closed under the {side} action"
                 for side in ("left", "right") for a in (0,)} <= messages
+
+
+def test_calculus_maps_match_two_quotient_reference(structure):
+    """Γ_α read off the projection P_α has the lift, drop, d and actions
+    that a second quotient of A²_α by N_α in A² coordinates gives, for the
+    universal calculus and the calculus of every ideal on both routes."""
+    h = structure
+    calculi = [universal_calculus(h)]
+    for ideal in _ideals(h):
+        for build in (calculus_from_ideal, calculus_from_ideal_right):
+            try:
+                calculi.append(build(h, ideal))
+            except (SingularMatrix, CodomainViolation):
+                continue
+    for calc in calculi:
+        want = fodc_maps_by_two_quotients(calc)
+        assert (calc.lift, calc.drop, calc.d, calc.left, calc.right) == want

@@ -143,6 +143,31 @@ def test_booleans_are_not_integers(case, tmp_path, capsys):
         assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("where, names", [
+    ("group", 5),
+    ("basis", 5),
+    ("basis", "eu"),
+    ("basis", [["e"], {"u": 1}]),
+])
+def test_display_names_must_be_lists_of_strings(fixture_dir, tmp_path, capsys, where, names):
+    """The group's names and a component's basis names are JSON lists of
+    strings; anything else is malformed input: ParseError, exit 2, on every
+    subcommand, never a traceback and never names read off a string or a
+    repr."""
+    data = json.loads((fixture_dir / "kz2_rational.json").read_text())
+    if where == "group":
+        data["group"]["names"] = names
+    else:
+        data["components"]["0"]["basis"] = names
+    with pytest.raises(ParseError):
+        document_from_json(data)
+    p = tmp_path / "names.json"
+    p.write_text(json.dumps(data))
+    for args in (["verify"], ["calculus", "--universal"], ["structure", "--universal"]):
+        code, out = run_cli(capsys, args[0], str(p), *args[1:])
+        assert (code, out) == (2, "")
+
+
 def test_parse_rejects_wrong_shape(kz2):
     data = document_to_json(kz2)
     data["antipode"]["0"] = [[1, 0]]

@@ -29,6 +29,7 @@ from hopfpi.linalg import (
     vec_kron,
     _is_prime,
 )
+from oracles import kernel_by_two_reductions
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11)]
 
@@ -169,6 +170,51 @@ def test_subspace_canonicity_under_respanning(m, seed):
     s2 = Subspace.from_spanning(f, m.cols, mixed)
     assert s1 == s2
     assert s1.basis == s2.basis
+
+
+@st.composite
+def kernel_case(draw):
+    """A matrix over ℚ or F_p with up to 0 rows or columns: random at two
+    densities, zero, of full rank ([I | X] with its columns shuffled, or
+    the transpose of one), or a product through a narrow middle
+    dimension, so of low rank."""
+    f = draw(st.sampled_from(FIELDS + [PrimeField(101)]))
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=7))
+    kind = draw(st.sampled_from(["sparse", "dense", "zero", "full rank", "low rank"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+
+    def rand(r, c, density):
+        return Matrix(f, r, c, {(i, j): f.from_int(rng.randint(-6, 6))
+                                for i in range(r) for j in range(c) if rng.random() < density})
+
+    if kind in ("sparse", "dense"):
+        return rand(rows, cols, 0.3 if kind == "sparse" else 0.9)
+    if kind == "zero":
+        return Matrix.zero(f, rows, cols)
+    if kind == "low rank":
+        inner = rng.randint(0, min(rows, cols, 2))
+        return rand(rows, inner, 0.8) @ rand(inner, cols, 0.8)
+
+    def wide(r, c):         # [I_r | X] with its c ≥ r columns shuffled
+        entries = {**Matrix.identity(f, r).entries,
+                   **{(i, r + j): v for (i, j), v in rand(r, c - r, 0.7).entries.items()}}
+        order = rng.sample(range(c), c)
+        return Matrix(f, r, c, {(i, order[j]): v for (i, j), v in entries.items()})
+
+    return wide(rows, cols) if rows <= cols else wide(cols, rows).transpose()
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_case())
+def test_kernel_matches_two_reductions(m):
+    """One right-to-left reduction gives the basis and pivots that reducing
+    the free-column solutions of the left-to-right RREF again gives, down
+    to the type of every scalar (int or Fraction over ℚ)."""
+    k, want = kernel(m), kernel_by_two_reductions(m)
+    assert repr(k.basis) == repr(want.basis)
+    assert k.pivots == want.pivots
+    assert k.ambient_dim == want.ambient_dim == m.cols
 
 
 def sum_scalars(f, xs):
