@@ -22,8 +22,8 @@ A_α⊗A_α has kernel exactly N_α, so with ι the inclusion matrix of N,
 
 and column j of the product is nonzero exactly when basis vector j of
 N_{αβ} leaves; sub-bimodule closure and ad-invariance are tested the
-same way.  Φ^l and Φ^r depend only on the Hopf structure and are built
-once per structure.
+same way.  Φ^l, Φ^r, r_α^{-1}, t_α^{-1} and ad_α depend only on the Hopf
+structure and are built once per structure (HopfPiCoalgebra.derived).
 
 The adjoint coaction ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1⊗A_α
 characterises bicovariance: the r-route calculus of R is bicovariant iff
@@ -33,6 +33,7 @@ ad_α(R) ⊆ R ⊗ A_α for all α.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
 from .errors import (
     CodomainViolation,
@@ -48,6 +49,7 @@ from .hopf import (
     VerificationReport,
     Violation,
     require_axioms,
+    verify_all,
 )
 from .linalg import (
     Matrix,
@@ -68,7 +70,8 @@ from .structure import CovariantBimodule
 
 
 class UniversalBimodule:
-    """Per-grading kernels of multiplication, with D.  The A-actions on
+    """Per-grading kernels of multiplication, their inclusion matrices
+    into A_α⊗A_α, and D.  The A-actions on
     A_α⊗A_α multiply the outer legs: m_α on the first leg from the left,
     on the second from the right.  It holds no reference to h, which
     memoises it (universal_bimodule), so the two form no cycle."""
@@ -76,10 +79,12 @@ class UniversalBimodule:
     def __init__(self, h: HopfPiCoalgebra):
         f = h.field
         self.sub: list[Subspace] = []
+        self.incl: list[Matrix] = []
         self.D: list[Matrix] = []
         for a in h.group.elements():
             n = h.n(a)
             self.sub.append(kernel(h.mult[a]))
+            self.incl.append(self.sub[a].inclusion_matrix())
             one_tensor = Matrix.column(f, h.unit[a]).kron(Matrix.identity(f, n))
             tensor_one = Matrix.identity(f, n).kron(Matrix.column(f, h.unit[a]))
             self.D.append(one_tensor - tensor_one)
@@ -90,9 +95,7 @@ class UniversalBimodule:
 
 def universal_bimodule(h: HopfPiCoalgebra) -> UniversalBimodule:
     """A² of h, built once per Hopf structure: every calculus on h shares it."""
-    if h._asq is None:
-        h._asq = UniversalBimodule(h)
-    return h._asq
+    return h.derived(("A2",), lambda: UniversalBimodule(h))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +133,8 @@ def _phi(h: HopfPiCoalgebra, side: str, alpha: int, beta: int) -> Matrix:
     """Φ^l_{α,β} (side "left") or Φ^r_{α,β} (side "right"), built once per
     Hopf structure: it depends on nothing else, so every calculus on h
     shares it."""
-    key = (side, alpha, beta)
-    if key not in h._phi:
-        h._phi[key] = (phi_l if side == "left" else phi_r)(h, alpha, beta)
-    return h._phi[key]
+    build = phi_l if side == "left" else phi_r
+    return h.derived(("phi", side, alpha, beta), lambda: build(h, alpha, beta))
 
 
 def r_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -154,7 +155,12 @@ def t_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
 
 
 def r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
-    """r_α^{-1} : A_α⊗A_1 → A_α⊗A_α, a⊗b ↦ a S_{α^{-1}}(b_(1,α^{-1})) ⊗ b_(2,α)."""
+    """r_α^{-1} : A_α⊗A_1 → A_α⊗A_α, a⊗b ↦ a S_{α^{-1}}(b_(1,α^{-1})) ⊗ b_(2,α),
+    built once per Hopf structure."""
+    return h.derived(("r_inv", alpha), lambda: _r_inv(h, alpha))
+
+
+def _r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     f = h.field
     g = h.group
     n = h.n(alpha)
@@ -168,8 +174,12 @@ def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
 
     Uses the inverse matrix of S_α (which the antipode axiom at α^{-1}
     makes a two-sided inverse of t_α); S_{α^{-1}} itself works only when
-    the antipode family is involutive.
+    the antipode family is involutive.  Built once per Hopf structure.
     """
+    return h.derived(("t_inv", alpha), lambda: _t_inv(h, alpha))
+
+
+def _t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     n = h.n(alpha)
     split = h.comult[(alpha, h.group.inv(alpha))].kron(Matrix.identity(h.field, n))  # a_(1) ⊗ a_(2) ⊗ b
     twisted = split.on_leg(h.antipode_inv(alpha), n, n, 0)          # a_(1) ⊗ S^{-1}(a_(2)) ⊗ b
@@ -266,11 +276,21 @@ def zero_ideal(h: HopfPiCoalgebra) -> RightIdeal:
 class Fodc:
     """A first-order differential calculus Γ = A²/N with d = Π ∘ D.
 
-    Holds, per grading α: the kernel N_α (ambient coordinates), the
-    quotient Γ_α with its canonical section, d_α, and the two module
-    actions on Γ_α.  `ideal`/`side` record how N was built, when it was.
-    N is proven closed under both actions at construction
-    (CodomainViolation otherwise), which `to_bimodule` relies on.
+    Holds, per grading α: the kernel N_α (ambient coordinates), its
+    inclusion ι_α and the projection P_α whose kernel is N_α, and the
+    quotient Γ_α with its canonical section (lift) and projection (drop).
+    d_α and the two module actions on Γ_α are built on first read, and
+    the induced coactions on the first `induced_delta_l/r` or
+    `to_bimodule` call; a job that reads only dimensions and covariance
+    verdicts builds none of them.  `ideal`/`side` record how N was built,
+    when it was.
+
+    N is a sub-bimodule of A², which `to_bimodule` relies on.  The public
+    constructor proves it (CodomainViolation otherwise).  The route
+    calculi of a right ideal R ⊆ ker ε (and the universal calculus, N = 0)
+    build through `_trusted`: there it is a theorem of the Hopf axioms
+    (Woronowicz 1989, §1, graded), and it is checked only when the
+    memoised verdict of verify_all fails.
 
     Γ_α is read off the one projection P_α of A_α⊗A_α, whose kernel is
     N_α: P_α reduces x modulo N_α's RREF basis and reads it at the
@@ -284,12 +304,30 @@ class Fodc:
 
     def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace],
                  ideal: RightIdeal | None = None, side: str | None = None):
+        self._build(h, kernels, ideal, side, checked=True)
+
+    @classmethod
+    def _trusted(cls, h: HopfPiCoalgebra, kernels: list[Subspace],
+                 ideal: RightIdeal, side: str) -> "Fodc":
+        """The calculus of `ideal` on one route, N_α = r_α^{-1}(A_α⊗R) or
+        t_α^{-1}(R⊗A_α).  N ⊆ A² and its closure under both actions are a
+        theorem once h satisfies the Hopf axioms, and trivial when N = 0,
+        so both tests run only when neither holds; then they raise the
+        same CodomainViolation as the public constructor."""
+        calc = cls.__new__(cls)
+        closed = all(k.dim == 0 for k in kernels) or verify_all(h).ok
+        calc._build(h, kernels, ideal, side, checked=not closed)
+        return calc
+
+    def _build(self, h: HopfPiCoalgebra, kernels: list[Subspace],
+               ideal: RightIdeal | None, side: str | None, checked: bool) -> None:
         self.h = h
         self.asq = universal_bimodule(h)
         self.kernels = list(kernels)
         self.ideal = ideal
         self.side = side
-        self._covariance: dict = {}    # side -> (report, coactions or None)
+        self._covariance: dict = {}    # side -> containment report
+        self._coactions: dict = {}     # side -> induced coactions by (α, β)
         f = h.field
         g = h.group
 
@@ -301,37 +339,47 @@ class Fodc:
             if self.kernels[a].ambient_dim != h.n(a) ** 2:
                 raise DimensionMismatch(f"kernel at {a} has wrong ambient dimension")
             self.incl.append(self.kernels[a].inclusion_matrix())
-            if not (h.mult[a] @ self.incl[a]).is_zero():
+            if checked and not (h.mult[a] @ self.incl[a]).is_zero():
                 raise CodomainViolation(f"N_{a} is not contained in A²_{a}")
         # P_α has kernel exactly N_α, so v ∈ N_α ⇔ P_α v = 0: containments
         # are decided by products with P
         self.proj: list[Matrix] = [quotient(k.ambient_dim, k).projection for k in self.kernels]
-        self._check_sub_bimodule()
+        if checked:
+            self._check_sub_bimodule()
 
         self.lift: list[Matrix] = []   # Γ_α → ambient A_α⊗A_α (canonical section)
         self.drop: list[Matrix] = []   # A²_α (ambient) → Γ_α
-        self.d: list[Matrix] = []
-        self.left: list[Matrix] = []
-        self.right: list[Matrix] = []
         one = f.one()
         for a in g.elements():
-            n = h.n(a)
             sub, n_pivots = self.asq.sub[a], self.kernels[a].pivots
             skip = set(n_pivots)
             kept = [(k, p) for k, p in enumerate(sub.pivots) if p not in skip]
             # 0/1 selectors: basis vector k of A²_α; the row of P_α at a column
             # p that is not a pivot of N_α, which is p less the pivots before it
-            lift = sub.inclusion_matrix() @ Matrix(
-                f, sub.dim, len(kept), {(k, i): one for i, (k, _) in enumerate(kept)})
-            drop = Matrix(f, len(kept), self.proj[a].rows, {
+            self.lift.append(self.asq.incl[a] @ Matrix(
+                f, sub.dim, len(kept), {(k, i): one for i, (k, _) in enumerate(kept)}))
+            self.drop.append(Matrix(f, len(kept), self.proj[a].rows, {
                 (i, p - bisect_left(n_pivots, p)): one for i, (_, p) in enumerate(kept)
-            }) @ self.proj[a]
-            self.lift.append(lift)
-            self.drop.append(drop)
-            self.d.append(drop @ self.asq.D[a])
-            # drop ∘ (m⊗I) ∘ (I⊗lift) and drop ∘ (I⊗m) ∘ (lift⊗I)
-            self.left.append(drop.on_leg(h.mult[a], 1, n, 1).on_leg(lift, n, 1, 1))
-            self.right.append(drop.on_leg(h.mult[a], n, 1, 1).on_leg(lift, 1, n, 1))
+            }) @ self.proj[a])
+
+    @cached_property
+    def d(self) -> list[Matrix]:
+        """d_α = drop_α ∘ D_α : A_α → Γ_α."""
+        return [drop @ dd for drop, dd in zip(self.drop, self.asq.D)]
+
+    @cached_property
+    def left(self) -> list[Matrix]:
+        """The left action A_α⊗Γ_α → Γ_α, drop ∘ (m⊗I) ∘ (I⊗lift)."""
+        h = self.h
+        return [self.drop[a].on_leg(h.mult[a], 1, h.n(a), 1).on_leg(self.lift[a], h.n(a), 1, 1)
+                for a in h.group.elements()]
+
+    @cached_property
+    def right(self) -> list[Matrix]:
+        """The right action Γ_α⊗A_α → Γ_α, drop ∘ (I⊗m) ∘ (lift⊗I)."""
+        h = self.h
+        return [self.drop[a].on_leg(h.mult[a], h.n(a), 1, 1).on_leg(self.lift[a], 1, h.n(a), 1)
+                for a in h.group.elements()]
 
     def _check_sub_bimodule(self):
         """A_α·N_α ⊆ N_α ⊇ N_α·A_α; names the action that first fails,
@@ -369,12 +417,11 @@ class Fodc:
         CovariantBimodule._trusted); VerificationFailed if h fails the
         Hopf axioms.
         """
-        _, delta_l = _covariance(self, "left")
-        _, delta_r = _covariance(self, "right")
-        if delta_l is None and delta_r is None:
+        if not (_covariance(self, "left").ok or _covariance(self, "right").ok):
             raise NotCovariant("calculus is neither left nor right covariant")
         return CovariantBimodule._trusted(self.h, self.gamma_dims, self.left, self.right,
-                                          delta_l=delta_l, delta_r=delta_r)
+                                          delta_l=_coactions(self, "left"),
+                                          delta_r=_coactions(self, "right"))
 
     def leibniz_report(self) -> VerificationReport:
         """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
@@ -405,7 +452,7 @@ def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
     """Γ = A² itself (N = 0), the universal calculus."""
     f = h.field
     kernels = [Subspace.zero_space(f, h.n(a) ** 2) for a in h.group.elements()]
-    return Fodc(h, kernels, ideal=zero_ideal(h), side="left")
+    return Fodc._trusted(h, kernels, zero_ideal(h), "left")
 
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
@@ -413,7 +460,7 @@ def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     r_α^{-1} ∘ (I ⊗ ι_R)."""
     incl = ideal.subspace.inclusion_matrix()
     kernels = [image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)) for a in h.group.elements()]
-    return Fodc(h, kernels, ideal=ideal, side="left")
+    return Fodc._trusted(h, kernels, ideal, "left")
 
 
 def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
@@ -421,7 +468,7 @@ def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     t_α^{-1} ∘ (ι_R ⊗ I)."""
     incl = ideal.subspace.inclusion_matrix()
     kernels = [image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)) for a in h.group.elements()]
-    return Fodc(h, kernels, ideal=ideal, side="right")
+    return Fodc._trusted(h, kernels, ideal, "right")
 
 
 def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
@@ -433,15 +480,13 @@ def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
 # covariance
 
 
-def _covariance(calc: Fodc, side: str) -> tuple:
-    """(containment report, induced coactions) of one side, memoised on calc.
+def _covariance(calc: Fodc, side: str) -> VerificationReport:
+    """The containment report of one side, memoised on calc.
 
     Left: Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β, decided as
     (I ⊗ P_β) Φ^l ι_{αβ} = 0; right: Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β, decided as
     (P_α ⊗ I) Φ^r ι_{αβ} = 0.  A nonzero column j names the basis vector of
-    N_{αβ} that leaves.  When the containment holds, the coactions are the
-    maps Δ_{α,β} that Φ induces on the quotients, keyed by (α, β); else
-    None.  Each Φ serves both the verdict and the coaction.
+    N_{αβ} that leaves.
     """
     memo = calc._covariance.get(side)
     if memo is not None:
@@ -460,15 +505,34 @@ def _covariance(calc: Fodc, side: str) -> tuple:
                    else moved.on_leg(calc.proj[a], 1, h.n(b), 0))
         report.extend(Violation(f"{side}-covariance", (a, b), j, detail)
                       for j in _nonzero_columns(outside))
-    coactions = None
-    if report.ok:
-        coactions = {}
-        for a, b in pairs:
+    calc._covariance[side] = report
+    return report
+
+
+def _coactions(calc: Fodc, side: str) -> dict | None:
+    """The coactions of one side, keyed by (α, β), when its containment
+    holds, else None; built on first use and memoised on calc."""
+    if not _covariance(calc, side).ok:
+        return None
+    if side not in calc._coactions:
+        calc._coactions[side] = _induced_coactions(calc, side)
+    return calc._coactions[side]
+
+
+def _induced_coactions(calc: Fodc, side: str) -> dict:
+    """The maps Δ_{α,β} that Φ induces on the quotients: drop ∘ Φ ∘ lift,
+    well defined once the containment of `side` holds.  The Φ that decided
+    the verdict serves here too."""
+    h = calc.h
+    g = h.group
+    left = side == "left"
+    coactions = {}
+    for a in g.elements():
+        for b in g.elements():
             lifted = _phi(h, side, a, b) @ calc.lift[g.mul(a, b)]
             coactions[(a, b)] = (lifted.on_leg(calc.drop[b], h.n(a), 1, 0) if left
                                  else lifted.on_leg(calc.drop[a], 1, h.n(b), 0))
-    memo = calc._covariance[side] = (report, coactions)
-    return memo
+    return coactions
 
 
 def _nonzero_columns(m: Matrix) -> list[int]:
@@ -478,18 +542,19 @@ def _nonzero_columns(m: Matrix) -> list[int]:
 
 def check_left_covariant(calc: Fodc) -> VerificationReport:
     """Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β; witnesses on failure."""
-    return VerificationReport(_covariance(calc, "left")[0].violations)
+    return VerificationReport(_covariance(calc, "left").violations)
 
 
 def check_right_covariant(calc: Fodc) -> VerificationReport:
     """Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β for all α, β; witnesses on failure."""
-    return VerificationReport(_covariance(calc, "right")[0].violations)
+    return VerificationReport(_covariance(calc, "right").violations)
 
 
 def _induced(calc: Fodc, side: str, alpha: int, beta: int) -> Matrix:
-    report, coactions = _covariance(calc, side)
+    coactions = _coactions(calc, side)
     if coactions is None:
-        raise NotCovariant(f"not {side} covariant: {report.violations[0].render()}")
+        witness = _covariance(calc, side).violations[0]
+        raise NotCovariant(f"not {side} covariant: {witness.render()}")
     return coactions[(alpha, beta)]
 
 
@@ -513,7 +578,7 @@ def check_bicovariant(calc: Fodc) -> VerificationReport:
     coassociativity (CovariantBimodule._trusted) and is not computed;
     VerificationFailed carries the axiom verdict when h fails one."""
     require_axioms(calc.h)
-    return _covariance(calc, "left")[0].merge(_covariance(calc, "right")[0])
+    return _covariance(calc, "left").merge(_covariance(calc, "right"))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +589,12 @@ def ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     """ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1 ⊗ A_α.
 
     In Sweedler notation a ↦ a_(2,1) ⊗ S_{α^{-1}}(a_(1,α^{-1})) a_(3,α).
+    Built once per Hopf structure.
     """
+    return h.derived(("ad", alpha), lambda: _ad_map(h, alpha))
+
+
+def _ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     n1 = h.n(h.group.identity)
     return t_map(h, alpha) @ r_inv(h, alpha).on_leg(h.unit_col(alpha), 1, n1, 1)
 
@@ -603,6 +673,13 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     Requires a prime field with p ≤ 11 and dim ker ε ≤ 3 (complete at
     desk scale, infeasible generally); deterministic order: by dimension,
     then by the echelon parameters.
+
+    A candidate is lifted into A_1 by one product with ker ε's RREF basis
+    and is not re-reduced: the lift of an RREF basis through an RREF
+    basis is RREF, with pivots ker ε's pivots at the candidate's pivots.
+    The coordinate of lifted row r at ker ε's pivot P_c is row r's entry c
+    (1 at its own pivot, 0 at the others'), and the basis vectors of ker ε
+    that row r combines lead at or after P_{pivot of r}.
     """
     f = h.field
     if not isinstance(f, PrimeField):
@@ -614,12 +691,17 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     if k > MAX_ENUM_KER_DIM:
         raise TooLarge(f"dim ker ε = {k} exceeds the enumeration bound {MAX_ENUM_KER_DIM}")
     n1 = h.n(h.group.identity)
-    incl = ker_eps.inclusion_matrix()
+    ker_rows = Matrix.from_rows(f, ker_eps.basis)
     found = []
     for small in _all_rref_subspaces(f, k):
         if max_dim is not None and small.dim > max_dim:
             continue
-        lifted = Subspace.from_spanning(f, n1, [incl.apply(v) for v in small.basis])
+        if small.dim == 0:
+            lifted = Subspace.zero_space(f, n1)
+        else:
+            rows = (Matrix.from_rows(f, small.basis) @ ker_rows).to_rows()
+            lifted = Subspace(f, n1, tuple(tuple(r) for r in rows),
+                              tuple(ker_eps.pivots[p] for p in small.pivots))
         if _first_escape(h, lifted) is None:
             found.append(RightIdeal(h, lifted))
     return found

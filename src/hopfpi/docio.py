@@ -19,7 +19,7 @@ Top-level keys:
     ideals      {"<name>": [generator vectors in A_1]}  (optional)
 
 The group's "names" and a component's "basis" are optional display names,
-each a list of strings.
+each a list of distinct strings.
 """
 
 from __future__ import annotations
@@ -59,9 +59,14 @@ def _is_int(obj) -> bool:
 
 
 def _parse_names(obj, context: str):
-    """Display names: a JSON list of strings, or None when absent."""
+    """Display names: a JSON list of distinct strings, or None when absent.
+    A repeated name would make a witness or a value ambiguous."""
     _require(obj is None or isinstance(obj, list) and all(isinstance(s, str) for s in obj),
              "names must be a list of strings", context)
+    seen: set = set()
+    for name in obj or ():
+        _require(name not in seen, f"name {name!r} is repeated", context)
+        seen.add(name)
     return obj
 
 

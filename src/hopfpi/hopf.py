@@ -115,11 +115,24 @@ class PiCoalgebra:
         self.comult = dict(comult)
         self.counit = counit
         self.basis_names = tuple(tuple(ns) for ns in basis_names) if basis_names else None
-        self._path_cache: dict[tuple[int, ...], Matrix] = {}
+        self._derived: dict = {}     # key -> value, see derived
         self._validate_shapes()
 
     def n(self, alpha: int) -> int:
         return self.dims[alpha]
+
+    def derived(self, key: tuple, build):
+        """build(), computed once per structure and memoised under `key`.
+
+        For maps and subspaces that depend on the structure alone (A², Φ,
+        r⁻¹, t⁻¹, ad, S⁻¹, ker ε, iterated comultiplications): every
+        caller shares one value.  Values are never mutated, and none refers
+        back to the structure, so the memo forms no reference cycle.
+        """
+        memo = self._derived
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def basis_name(self, alpha: int, i: int) -> str:
         if self.basis_names:
@@ -167,18 +180,13 @@ class PiCoalgebra:
         path = tuple(path)
         if not path:
             raise GradingMismatch("empty comultiplication path")
-        cached = self._path_cache.get(path)
-        if cached is not None:
-            return cached
+        return self.derived(("comult_path", path), lambda: self._comult_path(path))
+
+    def _comult_path(self, path: tuple) -> Matrix:
         if len(path) == 1:
-            out = Matrix.identity(self.field, self.n(path[0]))
-        else:
-            rest = path[1:]
-            rest_prod = self.group.product(rest)
-            step = self.comult[(path[0], rest_prod)]
-            out = step.on_leg(self.comult_path(rest), self.n(path[0]), 1, 0)
-        self._path_cache[path] = out
-        return out
+            return Matrix.identity(self.field, self.n(path[0]))
+        step = self.comult[(path[0], self.group.product(path[1:]))]
+        return step.on_leg(self.comult_path(path[1:]), self.n(path[0]), 1, 0)
 
 
 class HopfPiCoalgebra(PiCoalgebra):
@@ -191,9 +199,6 @@ class HopfPiCoalgebra(PiCoalgebra):
         self.unit = [tuple(u) for u in unit]
         self.antipode = list(antipode)
         self.psi = list(psi) if psi is not None else None
-        self._antipode_inv: dict[int, Matrix] = {}
-        self._phi: dict[tuple[str, int, int], Matrix] = {}   # (side, α, β) -> Φ, see calculus
-        self._asq = None                                     # A², see calculus.universal_bimodule
         self._verdict: VerificationReport | None = None      # see verify_all
         self._validate_hopf_shapes()
 
@@ -225,12 +230,11 @@ class HopfPiCoalgebra(PiCoalgebra):
 
     def antipode_inv(self, alpha: int) -> Matrix:
         """Inverse of S_α as a matrix, A_{α^{-1}} → A_α."""
-        if alpha not in self._antipode_inv:
-            self._antipode_inv[alpha] = self.antipode[alpha].inverse()
-        return self._antipode_inv[alpha]
+        return self.derived(("antipode_inv", alpha), lambda: self.antipode[alpha].inverse())
 
     def counit_kernel(self) -> Subspace:
-        return kernel(self.counit)
+        """ker ε ⊆ A_1, canonical basis."""
+        return self.derived(("counit_kernel",), lambda: kernel(self.counit))
 
 
 def act_on_pairs(x: Matrix, y: Matrix, legs, first: Matrix, second: Matrix) -> Matrix:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -783,6 +784,7 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
     cases = []
     for h in (taft7, f7z3, f7z3_const):
         universal_bimodule(h)
+        verify_all(h)
         cases.append((h, enumerate_right_ideals(h)))
     spanned, used, closing = [], [], []
     from_spanning = Subspace.from_spanning.__func__
@@ -825,3 +827,33 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
             assert ideal_from_calculus(calc) == ideal
         assert used == []
         assert spanned and asq_dims.isdisjoint(spanned)
+
+
+def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir, capsys):
+    """An `enumerate` job reads dimensions and covariance verdicts only.
+    No calculus builds d or its actions, no induced coaction is built,
+    r⁻¹ and ad are built once per grading for all ideals together, and no
+    route calculus tests its sub-bimodule closure, a theorem once the
+    axioms hold."""
+    import hopfpi.calculus as calc_mod
+    from hopfpi.calculus import Fodc
+
+    built = []
+
+    def counted(label, build):
+        def wrapper(*args):
+            built.append((label, *args[1:]))
+            return build(*args)
+        return wrapper
+
+    for name in ("d", "left", "right"):
+        monkeypatch.setattr(Fodc, name, property(counted(name, getattr(Fodc, name).func)))
+    monkeypatch.setattr(Fodc, "_check_sub_bimodule",
+                        counted("sub-bimodule", Fodc._check_sub_bimodule))
+    for name in ("_induced_coactions", "_r_inv", "_ad_map"):
+        monkeypatch.setattr(calc_mod, name, counted(name, getattr(calc_mod, name)))
+
+    assert main(["enumerate", str(fixture_dir / "f7z3_constant_z2.json"), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["tables"]["right ideals in ker ε"]["rows"]
+    assert len(rows) > 1
+    assert sorted(built) == [(name, a) for name in ("_ad_map", "_r_inv") for a in (0, 1)]

@@ -17,6 +17,7 @@ from hopfpi import (
     ad_map,
     calculus_from_ideal,
     calculus_from_ideal_right,
+    calculus_from_kernels,
     check_ad_invariant,
     check_left_covariant,
     check_right_covariant,
@@ -32,6 +33,7 @@ from hopfpi import (
     taft_hopf_algebra,
     universal_bimodule,
     universal_calculus,
+    verify_all,
     zero_ideal,
 )
 from hopfpi.calculus import Fodc, RightIdeal
@@ -279,3 +281,63 @@ def test_calculus_maps_match_two_quotient_reference(structure):
     for calc in calculi:
         want = fodc_maps_by_two_quotients(calc)
         assert (calc.lift, calc.drop, calc.d, calc.left, calc.right) == want
+
+
+def _calculus_data(calc) -> dict:
+    """Every map of a calculus, and the induced coactions of each side that
+    is covariant (None for a side that is not)."""
+    h = calc.h
+    pairs = [(a, b) for a in h.group.elements() for b in h.group.elements()]
+    data = {"kernels": calc.kernels, "lift": calc.lift, "drop": calc.drop,
+            "d": calc.d, "left": calc.left, "right": calc.right}
+    for side, check, induced in (("left", check_left_covariant, induced_delta_l),
+                                 ("right", check_right_covariant, induced_delta_r)):
+        data[side] = ({(a, b): induced(calc, a, b) for a, b in pairs}
+                      if check(calc).ok else None)
+    return data
+
+
+def test_route_calculi_are_sub_bimodules_by_theorem(structure, monkeypatch):
+    """The route calculi and the universal calculus skip the sub-bimodule
+    tests once the axioms hold, because N is then a sub-bimodule by
+    theorem.  The checked construction from their kernels must succeed and
+    agree in every map and coaction.  On a structure that fails its axioms
+    the routes run both tests unless N = 0, with the same outcome as the
+    checked path."""
+    h = structure
+    lawful = verify_all(h).ok
+    tested = []
+    check = Fodc._check_sub_bimodule
+    monkeypatch.setattr(Fodc, "_check_sub_bimodule",
+                        lambda calc: tested.append(calc) or check(calc))
+    agreed = 0
+    routes = [(universal_calculus, None, None)] + [
+        (build, ideal, side) for ideal in _ideals(h)
+        for build, side in ((calculus_from_ideal, "left"), (calculus_from_ideal_right, "right"))]
+    for build, ideal, side in routes:
+        tested.clear()
+        if lawful or ideal is None:
+            try:
+                trusted = build(h) if ideal is None else build(h, ideal)
+            except SingularMatrix:               # t^{-1} needs an invertible antipode
+                continue
+            assert tested == []
+            checked = calculus_from_kernels(h, trusted.kernels)
+            assert _calculus_data(checked) == _calculus_data(trusted)
+        else:
+            try:
+                kernels = _route_kernels(h, ideal, side)
+            except SingularMatrix:
+                continue
+            calc, message = _build(h, kernels)
+            tested.clear()
+            try:
+                trusted = build(h, ideal)
+            except CodomainViolation as exc:
+                assert str(exc) == message
+                continue
+            assert message is None
+            assert tested == ([] if all(k.dim == 0 for k in kernels) else [trusted])
+            assert _calculus_data(calc) == _calculus_data(trusted)
+        agreed += 1
+    assert agreed > 1

@@ -168,6 +168,30 @@ def test_display_names_must_be_lists_of_strings(fixture_dir, tmp_path, capsys, w
         assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("doc, where", [
+    ("kz2_constant_z2.json", "group"),
+    ("kz2_rational.json", "basis"),
+])
+def test_display_names_must_be_distinct(fixture_dir, tmp_path, capsys, doc, where):
+    """Two group elements, or two basis vectors of one component, with one
+    display name would make a witness or a value ambiguous: ParseError,
+    exit 2, on every subcommand, and stderr names the repeated name."""
+    data = json.loads((fixture_dir / doc).read_text())
+    if where == "group":
+        data["group"]["names"] = ["a"] * len(data["group"]["names"])
+    else:
+        data["components"]["0"]["basis"] = ["e"] * data["components"]["0"]["dim"]
+    with pytest.raises(ParseError, match="repeated"):
+        document_from_json(data)
+    p = tmp_path / "repeated.json"
+    p.write_text(json.dumps(data))
+    for args in (["verify"], ["calculus", "--universal"], ["structure", "--universal"]):
+        code = main([args[0], str(p), *args[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "is repeated" in captured.err and "Traceback" not in captured.err
+
+
 def test_parse_rejects_wrong_shape(kz2):
     data = document_to_json(kz2)
     data["antipode"]["0"] = [[1, 0]]
