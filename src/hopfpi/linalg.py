@@ -27,9 +27,11 @@ package:
   pivots.  RREF of a row space is unique, so two equal subspaces have
   bit-identical bases and every report built on them is reproducible.
 
-Matrices are stored sparse, as a map (row, col) -> nonzero scalar; the
-elimination routines densify rows internally (every matrix at the scale
-this package targets is small enough for that to be the fast path).
+Matrices are stored sparse, as a map (row, col) -> nonzero scalar.
+Elimination (rref, the one routine every rank, kernel, inverse and
+spanning set goes through) takes and returns dense rows but reduces each
+row as a sparse {column: value} map, so its work follows the nonzero
+entries it meets and not rows × columns per pivot.
 """
 
 from __future__ import annotations
@@ -620,35 +622,54 @@ def flip(field: Field, dim_a: int, dim_b: int) -> Matrix:
 def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form, leftmost pivots first.
 
-    Mutates and returns (nonzero rows, pivot columns).  The result is
-    the unique RREF of the row space, hence canonical.
+    Returns (nonzero rows, pivot columns) and leaves `rows` as they were.
+    Each row is reduced as a sparse {column: value} map against the pivot
+    rows found so far, which are zero at one another's pivots, so one
+    subtraction per pivot the row meets clears it; a row left nonzero
+    becomes a pivot row at its leftmost entry, scaled to 1 there, and that
+    column is cleared from the earlier pivot rows.  Every pivot row stays
+    zero left of its pivot, so the pivot rows sorted by pivot are the
+    unique RREF of the row space, hence canonical.
     """
-    zero = field.zero()
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one():
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                factor = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    zero, one = field.zero(), field.one()
+    mul, sub = field.mul, field.sub
+    ncols = len(rows[0]) if rows else 0
+    found: dict[int, dict] = {}         # pivot column -> its row, 1 there
+
+    def subtract(target: dict, x, row: dict) -> None:
+        # target -= x·row, dropping the entries that cancel
+        for c, y in row.items():
+            v = sub(target.get(c, zero), mul(x, y))
+            if v != zero:
+                target[c] = v
+            else:
+                target.pop(c, None)
+
+    for dense in rows:
+        if len(found) == ncols:         # every column a pivot: the rest reduce to 0
             break
-    return rows[:r], pivots
+        row = {c: x for c, x in enumerate(dense) if x != zero}
+        for p in [c for c in row if c in found]:
+            subtract(row, row[p], found[p])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = field.inv(row[pivot])
+        if inv != one:
+            row = {c: mul(inv, x) for c, x in row.items()}
+        for other in found.values():
+            x = other.get(pivot)
+            if x is not None:
+                subtract(other, x, row)
+        found[pivot] = row
+    pivots = sorted(found)
+    reduced = []
+    for p in pivots:
+        out = [zero] * ncols
+        for c, x in found[p].items():
+            out[c] = x
+        reduced.append(out)
+    return reduced, pivots
 
 
 class Subspace:
@@ -720,11 +741,9 @@ class Subspace:
 
     def inclusion_matrix(self) -> Matrix:
         """n × m matrix whose columns are the basis vectors."""
-        entries = {}
-        for k, row in enumerate(self.basis):
-            for i, v in enumerate(row):
-                entries[(i, k)] = v
-        return Matrix(self.field, self.ambient_dim, self.dim, entries)
+        zero = self.field.zero()
+        return Matrix._unchecked(self.field, self.ambient_dim, self.dim, {
+            (i, k): v for k, row in enumerate(self.basis) for i, v in enumerate(row) if v != zero})
 
     def coords_matrix(self) -> Matrix:
         """m × n pivot-coordinate selector; inverts inclusion on the subspace."""

@@ -137,7 +137,7 @@ class CovariantBimodule:
         self.delta_l = dict(delta_l) if delta_l is not None else None
         self.delta_r = dict(delta_r) if delta_r is not None else None
         self._omega: dict[int, Subspace] = {}
-        self._decompose: dict[int, Matrix] = {}
+        self._frames: dict[tuple, Matrix] = {}
         self._decompose_inv: dict[int, Matrix] = {}
 
     def g(self, alpha: int) -> int:
@@ -244,11 +244,17 @@ class CovariantBimodule:
             self._omega[alpha] = invariant_subspace_left(self, alpha)
         return self._omega[alpha]
 
+    def frame_matrix(self, alpha: int, frame, side: str = "left") -> Matrix:
+        """frame_matrix(self, alpha, frame, side), built once per (grading,
+        frame, side)."""
+        key = (alpha, tuple(map(tuple, frame)), side)
+        if key not in self._frames:
+            self._frames[key] = frame_matrix(self, alpha, frame, side)
+        return self._frames[key]
+
     def decompose_matrix(self, alpha: int) -> Matrix:
         """The frame matrix of ω (columns (i, m) ↦ e_m · ω_i)."""
-        if alpha not in self._decompose:
-            self._decompose[alpha] = frame_matrix(self, alpha, self.omega(alpha))
-        return self._decompose[alpha]
+        return self.frame_matrix(alpha, self.omega(alpha))
 
     def decompose_inverse(self, alpha: int) -> Matrix:
         """Inverse of the frame matrix of ω: ρ ↦ its coefficients over ω."""
@@ -261,7 +267,8 @@ def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -
     """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
     "right") for a frame w of Γ_α, as left_α (I⊗W) re-keyed to (i, m) or
     right_α (W⊗I), W the frame as columns; square and invertible iff Γ_α
-    is free on the frame from that side."""
+    is free on the frame from that side.  CovariantBimodule.frame_matrix
+    holds the matrices built."""
     n = cb.h.n(alpha)
     w = _frame_columns(cb, alpha, frame)
     if side == "left":
@@ -270,9 +277,12 @@ def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -
 
 
 def _frame_columns(cb: CovariantBimodule, alpha: int, frame) -> Matrix:
-    """The g_α × |frame| matrix whose column k is frame vector k."""
-    return Matrix(cb.h.field, cb.g(alpha), len(frame),
-                  {(r, k): x for k, w in enumerate(frame) for r, x in enumerate(w)})
+    """The g_α × |frame| matrix whose column k is frame vector k; the
+    vectors hold canonical scalars, as a Subspace basis or a Matrix column
+    does."""
+    zero = cb.h.field.zero()
+    return Matrix._unchecked(cb.h.field, cb.g(alpha), len(frame), {
+        (r, k): x for k, w in enumerate(frame) for r, x in enumerate(w) if x != zero})
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
@@ -326,7 +336,7 @@ def decompose_left(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
 
 def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
     """Unique coefficients b_i ∈ A_α with ρ = Σ ω_i b_i."""
-    w = frame_matrix(cb, alpha, cb.omega(alpha), "right")
+    w = cb.frame_matrix(alpha, cb.omega(alpha), "right")
     return _decompose(cb, alpha, _frame_inverse(w, alpha), rho)
 
 
@@ -508,9 +518,8 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
-        frame = _frame_columns(cb, a, frames[a])
-        lhs = cb.left[a].on_leg(frame, n, 1, 1).permute_legs((n, size), (1, 0), 1)
-        times = cb.right[a].on_leg(frame, 1, n, 1)                      # column (j, b): w_j b
+        lhs = cb.frame_matrix(a, frames[a])                       # column (i, b): b w_i
+        times = cb.frame_matrix(a, frames[a], "right")            # column (j, b): w_j b
         conv = _convolutions(h, twisted, a, side).regroup((size, size, n), (n,), (1, 2), (0, 3))
         found = _differing_blocks(lhs, times @ conv, (cb.g(a), n))
         for (_, i), first in sorted(found.items()):
@@ -640,9 +649,9 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matri
         n = h.n(a)
         size = len(frames[a])
         winv = (cb.decompose_inverse(a) if omega
-                else _frame_inverse(frame_matrix(cb, a, frames[a]), a))
+                else _frame_inverse(cb.frame_matrix(a, frames[a]), a))
         # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
-        x = winv @ frame_matrix(cb, a, frames[a], "right")
+        x = winv @ cb.frame_matrix(a, frames[a], "right")
         blocks = [[{} for _ in range(size)] for _ in range(size)]
         for (row, col), val in x.entries.items():
             blocks[col // n][row // n][(row % n, col % n)] = val
@@ -929,8 +938,9 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
             f"{report.violations[0].render()}", report)
 
     n1 = h.n(e)
-    # (i, t) ↦ Σ_j f_ij(e_t) e_j, so (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2))
-    twist = Matrix(f, size, size * n1, {(j, i * n1 + t): x for i, row in enumerate(funcs)
+    # (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)); twist has rows (j, i),
+    # columns t and entries f_ij(e_t)
+    twist = Matrix(f, size * size, n1, {(j * size + i, t): x for i, row in enumerate(funcs)
                                          for j, phi in enumerate(row)
                                          for t, x in enumerate(phi.component(e))})
     left = []
@@ -941,12 +951,14 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
         n = h.n(a)
         times = Matrix.identity(f, size).kron(h.mult[a])     # (j, x, y) ↦ e_j ⊗ xy
         left.append(times.permute_legs((size, n, n), (1, 0, 2), 1))
-        # times ∘ (I⊗twist) ∘ (I⊗Δ_{α,1}), legs re-keyed between the factors;
-        # each factor acts on the columns of the product built so far
-        right.append(times.permute_legs((size, n, n), (1, 2, 0), 1)
-                     .on_leg(twist, n * n, 1, 1)
-                     .permute_legs((n, n, size, n1), (2, 0, 1, 3), 1)
-                     .on_leg(h.comult[(a, e)], size * n, 1, 1))
+        # the small factors first, so no intermediate is as large as I⊗m_α:
+        # T[(j, y), (i, b)] = Σ_t f_ij(e_t) Δ_{α,1}[(y, t), b], then m_α on T's
+        # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, b)
+        split = twist @ h.comult[(a, e)].regroup((n, n1), (n,), (1,), (0, 2))
+        t = split.regroup((size, size), (n, n), (0, 2), (1, 3))
+        mult = h.mult[a].regroup((n,), (n, n), (0, 1), (2,))
+        right.append(t.on_leg(mult, size, 1, 0)
+                     .regroup((size, n, n), (size, n), (0, 1), (3, 2, 4)))
         for b in grp.elements():
             nb = h.n(b)
             delta_l[(a, b)] = Matrix.identity(f, size).kron(h.comult[(a, b)]).permute_legs(

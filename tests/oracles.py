@@ -6,8 +6,10 @@ or, for the identities of the functionals f, g and of R over the frame
 index set, one entry (i, j[, h]) at a time, the form the library's
 stacked block products replace; or, for the axioms and the bimodule
 laws, as products with every identity Kronecker factor built as a
-matrix, the form the library's leg-wise products replace.  The tests
-compare the two on the same data.
+matrix, the form the library's leg-wise products replace.  Row
+reduction is here in its dense form, which the library's sparse rows
+replace, and reconstruct's right action as the chain of products it
+once was.  The tests compare the two on the same data.
 Nothing in `hopfpi` imports this module.
 """
 
@@ -30,7 +32,7 @@ from hopfpi.hopf import (
     Violation,
     _diff_columns,
 )
-from hopfpi.linalg import Field, Matrix, Subspace, quotient, rref, vec_kron
+from hopfpi.linalg import Field, Matrix, Subspace, quotient, vec_kron
 from hopfpi.structure import (
     _SIDES,
     FRAME_MULT,
@@ -119,6 +121,41 @@ def element_star(phi: GradedFunctional, alpha: int, v) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# dense row reduction
+
+
+def rref_dense(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form by column sweeps over dense rows, leftmost
+    pivots first: (nonzero rows, pivot columns).  Mutates `rows`."""
+    zero = field.zero()
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.inv(rows[r][c])
+        if inv != field.one():
+            rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != zero:
+                factor = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
+# ---------------------------------------------------------------------------
 # subspaces and quotients reduced twice
 
 
@@ -126,7 +163,7 @@ def kernel_by_two_reductions(m: Matrix) -> Subspace:
     """ker m: one solution per free column of the left-to-right RREF of m,
     made canonical by reducing that spanning set a second time."""
     f = m.field
-    reduced, pivots = rref(f, m.to_rows())
+    reduced, pivots = rref_dense(f, m.to_rows())
     zero = f.zero()
     pivot_set = set(pivots)
     vectors = []
@@ -777,3 +814,27 @@ def bimodule_laws_by_kron(cb: CovariantBimodule) -> VerificationReport:
                 _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
                          "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
     return report
+
+
+# ---------------------------------------------------------------------------
+# reconstruct's right action as a chain of products
+
+
+def reconstruct_right_by_chain(h: HopfPiCoalgebra, funcs, size: int, alpha: int) -> Matrix:
+    """The right action Γ_α⊗A_α → Γ_α of reconstruct(h, funcs, R, size),
+    (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)), as the composite
+    (I⊗m_α) ∘ (I⊗twist) ∘ (I⊗Δ_{α,1}) with the legs re-keyed between the
+    factors, each factor acting on the columns of the product so far; the
+    whole of I⊗m_α is the first factor."""
+    f = h.field
+    e = h.group.identity
+    n1, n = h.n(e), h.n(alpha)
+    # (i, t) ↦ Σ_j f_ij(e_t) e_j
+    twist = Matrix(f, size, size * n1, {(j, i * n1 + t): x for i, row in enumerate(funcs)
+                                         for j, phi in enumerate(row)
+                                         for t, x in enumerate(phi.component(e))})
+    times = Matrix.identity(f, size).kron(h.mult[alpha])     # (j, x, y) ↦ e_j ⊗ xy
+    return (times.permute_legs((size, n, n), (1, 2, 0), 1)
+            .on_leg(twist, n * n, 1, 1)
+            .permute_legs((n, n, size, n1), (2, 0, 1, 3), 1)
+            .on_leg(h.comult[(alpha, e)], size * n, 1, 1))

@@ -10,10 +10,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hopfpi.linalg as linalg
 from hopfpi.errors import DimensionMismatch, SingularMatrix
 from hopfpi.linalg import (
     Matrix,
@@ -24,12 +26,13 @@ from hopfpi.linalg import (
     image,
     kernel,
     quotient,
+    rref,
     solve,
     unit_vec,
     vec_kron,
     _is_prime,
 )
-from oracles import kernel_by_two_reductions
+from oracles import kernel_by_two_reductions, rref_dense
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11)]
 
@@ -215,6 +218,85 @@ def test_kernel_matches_two_reductions(m):
     assert repr(k.basis) == repr(want.basis)
     assert k.pivots == want.pivots
     assert k.ambient_dim == want.ambient_dim == m.cols
+
+
+@st.composite
+def elimination_case(draw):
+    """(field, dense rows) over ℚ with fractions, F_2, F_3 or F_7: random,
+    tall, wide, square or of full rank ([I | X] with its columns shuffled,
+    or its transpose), 0 to 7 rows and columns, with zero rows and
+    repeated rows mixed in.  Every scalar is canonical."""
+    f = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(7)]))
+    kind = draw(st.sampled_from(["random", "tall", "wide", "square", "full rank"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    small, large = sorted((rng.randint(0, 7), rng.randint(0, 7)))
+    rows, cols = {"random": (rng.randint(0, 7), rng.randint(0, 7)), "tall": (large, small),
+                  "wide": (small, large), "square": (large, large),
+                  "full rank": rng.choice([(small, large), (large, small)])}[kind]
+    density = rng.choice([0.2, 0.5, 0.9])
+
+    def scalar():
+        if f == QQ:
+            return f.canon(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        return rng.randrange(f.p)
+
+    zero = f.zero()
+
+    def entry():
+        return scalar() if rng.random() < density else zero
+
+    def full_rank(r, c):        # [I_r | X] with its c ≥ r columns shuffled
+        out = [[f.one() if j == i else zero for j in range(r)] + [entry() for _ in range(c - r)]
+               for i in range(r)]
+        order = rng.sample(range(c), c)
+        return [[row[j] for j in order] for row in out]
+
+    if kind != "full rank":
+        dense = [[entry() for _ in range(cols)] for _ in range(rows)]
+    elif rows <= cols:
+        dense = full_rank(rows, cols)
+    else:
+        wide = full_rank(cols, rows)
+        dense = [[wide[i][j] for i in range(cols)] for j in range(rows)]
+    for _ in range(rng.randint(0, 2)):          # zero rows and repeated rows
+        extra = [zero] * cols if not dense or rng.random() < 0.5 else list(rng.choice(dense))
+        dense.insert(rng.randint(0, len(dense)), extra)
+    return f, dense
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_case())
+def test_rref_matches_dense_reference(case):
+    """Sparse-row elimination returns the rows and pivots of the dense
+    column sweep, down to the type of every scalar (2 is not Fraction(2)),
+    and leaves its input as it was; kernel and inverse, which eliminate
+    through rref, agree with themselves run on the dense reference."""
+    f, dense = case
+    given_rows = [list(row) for row in dense]
+    got = rref(f, given_rows)
+    assert given_rows == dense
+    want = rref_dense(f, [list(row) for row in dense])
+    assert repr(got) == repr(want)
+    cols = len(dense[0]) if dense else 0
+    m = Matrix(f, len(dense), cols, {(i, j): x for i, row in enumerate(dense)
+                                    for j, x in enumerate(row)})
+    k = kernel(m)
+    with mock.patch.object(linalg, "rref", rref_dense):
+        k_ref = kernel(m)
+    assert repr(k.basis) == repr(k_ref.basis) and k.pivots == k_ref.pivots
+    if m.rows == m.cols:
+        try:
+            inv = m.inverse()
+        except SingularMatrix:
+            inv = None
+        with mock.patch.object(linalg, "rref", rref_dense):
+            try:
+                inv_ref = m.inverse()
+            except SingularMatrix:
+                inv_ref = None
+        assert (inv is None) == (inv_ref is None)
+        if inv is not None:
+            assert stored(inv) == stored(inv_ref)
 
 
 def sum_scalars(f, xs):

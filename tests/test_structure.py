@@ -1021,3 +1021,87 @@ def test_calculus_bimodule_needs_the_hopf_axioms():
     checks = {v.check for v in err.value.report.violations}
     assert {"antipode-axiom-left", "antipode-axiom-right"} <= checks
     assert "antipode-axiom" in str(err.value)
+
+
+# -- reconstruct's right action and the frame-matrix memo -----------------------
+
+
+def _reconstructions(fixture_dir):
+    """(name, h, f, R, size) of every bimodule whose extraction reaches
+    reconstruction: the universal calculus and each named ideal's calculus
+    on both routes of every fixture document, and the universal calculi of
+    F_101[Z/6] and Q[Z/4]."""
+    from hopfpi import calculus_from_ideal_right, cyclic, group_algebra, verify_all
+    from hopfpi.errors import StructureInconsistent
+
+    structures = []
+    for path in sorted(fixture_dir.glob("*.json")):
+        doc = load_document(path)
+        named = [right_ideal_from_generators(doc.hopf, gens)
+                 for gens in doc.ideal_generators.values()]
+        structures.append((path.name, doc.hopf, named))
+    structures += [("F101[Z/6]", group_algebra(cyclic(6), PrimeField(101)), []),
+                   ("Q[Z/4]", group_algebra(cyclic(4), QQ), [])]
+    out = []
+    for name, h, ideals in structures:
+        if not verify_all(h).ok:
+            continue
+        calcs = [universal_calculus(h)]
+        calcs += [route(h, ideal) for ideal in ideals
+                  for route in (calculus_from_ideal, calculus_from_ideal_right)]
+        for calc in calcs:
+            if not check_bicovariant(calc).ok:
+                continue
+            try:
+                data = extract_structure(calc.to_bimodule())
+            except StructureInconsistent:
+                continue
+            if data.f is not None:
+                out.append((name, h, data.f, data.R, data.size))
+    return out
+
+
+def test_reconstruct_right_action_matches_the_product_chain(fixture_dir):
+    """reconstruct contracts f with Δ_{α,1} before m_α acts; its right
+    action equals the chain that starts from the whole of I⊗m_α, on every
+    bimodule that reaches reconstruction."""
+    from oracles import reconstruct_right_by_chain
+
+    cases = _reconstructions(fixture_dir)
+    assert {"F101[Z/6]", "Q[Z/4]", "f7z3_constant_z2.json", "taft4_rational.json"} <= {
+        name for name, *_ in cases}
+    for name, h, funcs, R, size in cases:
+        rebuilt = reconstruct(h, funcs, R, size)
+        for a in h.group.elements():
+            assert rebuilt.right[a] == reconstruct_right_by_chain(h, funcs, size, a), (name, a)
+
+
+def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsys):
+    """One `structure --universal` run builds the frame matrix of each
+    (grading, frame, side) once: extraction, the left-multiplication rules
+    and the round trip read the matrices built before."""
+    import json
+    from collections import Counter
+
+    import hopfpi.structure as struct_mod
+    from hopfpi.cli import main
+
+    path = fixture_dir / "f7z3_constant_z2.json"
+    h = load_document(path).hopf
+    bim = universal_calculus(h).to_bimodule()
+    omega = {a: bim.omega(a) for a in h.group.elements()}
+    built = Counter()
+    build = struct_mod.frame_matrix
+
+    def counting(cb, alpha, frame, side="left"):
+        built[(alpha, tuple(map(tuple, frame)), side)] += 1
+        return build(cb, alpha, frame, side)
+
+    monkeypatch.setattr(struct_mod, "frame_matrix", counting)
+    assert main(["structure", "--universal", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "pass"
+    assert {(a, omega[a], side) for a in h.group.elements()
+            for side in ("left", "right")} <= built.keys()
+    assert {(a, side) for a, _, side in built} == {
+        (a, side) for a in h.group.elements() for side in ("left", "right")}
+    assert set(built.values()) == {1}, built.values()
