@@ -217,7 +217,7 @@ def _first_escape(h: HopfPiCoalgebra, span: Subspace) -> tuple | None:
     index of A_1, with v·e_j outside the span; None iff the span is closed
     under right multiplication by A_1."""
     f, e = h.field, h.group.identity
-    for v in span.basis:
+    for v in span.basis.to_rows():
         for j in range(h.n(e)):
             w = h.mult[e].apply(vec_kron(f, v, unit_vec(f, h.n(e), j)))
             if not span.contains(w):
@@ -235,7 +235,7 @@ def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
     if not eps.is_zero():
         k = min(c for _, c in eps.entries)
         raise NotInKernelOfCounit(
-            f"generator {h.render_element(e, sub.basis[k])} has ε = "
+            f"generator {h.render_element(e, sub.basis.row(k))} has ε = "
             f"{h.field.render(eps[0, k])}")
     escape = _first_escape(h, sub)
     if escape is not None:
@@ -259,9 +259,11 @@ def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
         if h.counit.apply(gvec)[0] != f.zero():
             raise NotInKernelOfCounit(
                 f"generator {h.render_element(e, gvec)} has nonzero counit")
-    span = Subspace.from_spanning(f, n1, [tuple(gv) for gv in gens])
+    vectors = [tuple(gv) for gv in gens]
+    span = Subspace.from_spanning(f, n1, vectors)
     while (escape := _first_escape(h, span)) is not None:
-        span = Subspace.from_spanning(f, n1, [*span.basis, escape[2]])
+        vectors.append(escape[2])
+        span = Subspace.from_spanning(f, n1, vectors)
     return RightIdeal(h, span)
 
 
@@ -649,22 +651,15 @@ def _all_rref_subspaces(field: PrimeField, dim: int):
     """
     from itertools import combinations, product
 
-    p = field.p
     yield Subspace.zero_space(field, dim)
     for k in range(1, dim + 1):
         for pivots in combinations(range(dim), k):
-            free_positions = []
-            for r in range(k):
-                for c in range(pivots[r] + 1, dim):
-                    if c not in pivots:
-                        free_positions.append((r, c))
-            for values in product(range(p), repeat=len(free_positions)):
-                rows = [[0] * dim for _ in range(k)]
-                for r in range(k):
-                    rows[r][pivots[r]] = 1
-                for (r, c), v in zip(free_positions, values):
-                    rows[r][c] = v
-                yield Subspace(field, dim, tuple(tuple(r) for r in rows), tuple(pivots))
+            free_positions = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim)
+                              if c not in pivots]
+            for values in product(range(field.p), repeat=len(free_positions)):
+                entries = {(r, p): 1 for r, p in enumerate(pivots)}
+                entries.update((rc, v) for rc, v in zip(free_positions, values) if v)
+                yield Subspace(Matrix._unchecked(field, k, dim, entries), pivots)
 
 
 def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> list[RightIdeal]:
@@ -690,18 +685,11 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     k = ker_eps.dim
     if k > MAX_ENUM_KER_DIM:
         raise TooLarge(f"dim ker ε = {k} exceeds the enumeration bound {MAX_ENUM_KER_DIM}")
-    n1 = h.n(h.group.identity)
-    ker_rows = Matrix.from_rows(f, ker_eps.basis)
     found = []
     for small in _all_rref_subspaces(f, k):
         if max_dim is not None and small.dim > max_dim:
             continue
-        if small.dim == 0:
-            lifted = Subspace.zero_space(f, n1)
-        else:
-            rows = (Matrix.from_rows(f, small.basis) @ ker_rows).to_rows()
-            lifted = Subspace(f, n1, tuple(tuple(r) for r in rows),
-                              tuple(ker_eps.pivots[p] for p in small.pivots))
+        lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
         if _first_escape(h, lifted) is None:
             found.append(RightIdeal(h, lifted))
     return found

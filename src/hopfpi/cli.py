@@ -106,7 +106,7 @@ def cmd_calculus(doc: Document, args) -> Report:
     output.dims["N"] = [calc.kernels[a].dim for a in grp.elements()]
     output.dims["Gamma"] = calc.gamma_dims
     output.values["ideal basis"] = [h.render_element(grp.identity, v)
-                                    for v in ideal.subspace.basis]
+                                    for v in ideal.subspace.basis.to_rows()]
     left = calc_mod.check_left_covariant(calc)
     right = calc_mod.check_right_covariant(calc)
     bicov = calc_mod.check_bicovariant(calc)
@@ -173,6 +173,9 @@ def cmd_structure(doc: Document, args) -> Report:
         not_run["reconstruction-roundtrip"] = "f or R was not extracted"
     elif any(v.check == struct_mod.INTERTWINER for v in report.violations):
         not_run["reconstruction-roundtrip"] = "the intertwiner identity fails"
+    elif report.ok:
+        # a clean extraction with f and R has checked f, R and the intertwiner
+        rebuilt = struct_mod._rebuild(h, data.f, data.R, data.size)
     else:
         try:
             rebuilt = struct_mod.reconstruct(h, data.f, data.R, data.size)
@@ -218,7 +221,7 @@ def cmd_enumerate(doc: Document, args) -> Report:
         agree = ad_ok == bicov_ok
         all_agree = all_agree and agree
         basis = "; ".join(h.render_element(grp.identity, v)
-                          for v in ideal.subspace.basis) or "0"
+                          for v in ideal.subspace.basis.to_rows()) or "0"
         rows.append([f"R{idx}", ideal.dim, basis, str(calc.gamma_dims),
                      _yn(ad_ok), _yn(left_ok), _yn(right_ok), _yn(bicov_ok), _yn(agree)])
     output.tables["right ideals in ker ε"] = {"columns": columns, "rows": rows}
@@ -251,11 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--universal", action="store_true",
                        help="the universal calculus (zero ideal)")
     which.add_argument("--ideal", metavar="NAME", help="named ideal from the document")
-    side = p.add_mutually_exclusive_group()
-    side.add_argument("--left", action="store_true",
-                      help="left covariant construction (default)")
-    side.add_argument("--right", action="store_true",
-                      help="right covariant construction")
+    p.add_argument("--right", action="store_true",
+                   help="right covariant construction (default: left)")
 
     p = sub.add_parser("structure", help="extract invariant frames, functionals and R data")
     common(p)

@@ -6,7 +6,8 @@ here ever rounds, and every field operation returns the canonical form,
 so equal scalars are always stored alike.  Conventions used by the whole
 package:
 
-* vectors are tuples of scalars; matrices act on the left, w = m.apply(v);
+* matrices are sparse and act on the left, w = m.apply(v) for a dense
+  vector v (a tuple of scalars, as documents and reports hold them);
 * tensor indices are row-major: e_i ⊗ e_j in k^a ⊗ k^b sits at flat
   index i*b + j, and matrix tensor products follow the same (Kronecker)
   convention, so (a ⊗ b)(x ⊗ y) = a(x) ⊗ b(y);
@@ -24,14 +25,16 @@ package:
   factors, so no product in the package has an identity Kronecker factor
   as an operand; kron is kept for tensor products of two genuine maps;
 * subspaces are reduced row echelon bases with lexicographically-first
-  pivots.  RREF of a row space is unique, so two equal subspaces have
-  bit-identical bases and every report built on them is reproducible.
+  pivots, held as a Matrix whose row k is basis vector k.  RREF of a row
+  space is unique, so two equal subspaces have equal basis matrices and
+  every report built on them is reproducible.
 
-Matrices are stored sparse, as a map (row, col) -> nonzero scalar.
-Elimination (rref, the one routine every rank, kernel, inverse and
-spanning set goes through) takes and returns dense rows but reduces each
-row as a sparse {column: value} map, so its work follows the nonzero
-entries it meets and not rows × columns per pivot.
+Matrices are stored sparse, as a map (row, col) -> nonzero scalar, and
+that is the one row format of the package.  Elimination (rref, the one
+routine every rank, kernel, image, inverse and spanning set goes
+through) takes and returns a Matrix and reduces each row as a sparse
+{column: value} map, so its work follows the nonzero entries it meets
+and not rows × columns per pivot.
 """
 
 from __future__ import annotations
@@ -286,32 +289,6 @@ class Matrix:
         return cls(field, n, n, {(i, i): one for i in range(n)})
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-            for j, v in enumerate(row):
-                entries[(i, j)] = v
-        return cls(field, nrows, ncols, entries)
-
-    @classmethod
-    def from_cols(cls, field: Field, cols: Iterable[Sequence]) -> "Matrix":
-        cols = [list(c) for c in cols]
-        ncols = len(cols)
-        nrows = len(cols[0]) if cols else 0
-        entries = {}
-        for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise DimensionMismatch("ragged columns")
-            for i, v in enumerate(col):
-                entries[(i, j)] = v
-        return cls(field, nrows, ncols, entries)
-
-    @classmethod
     def column(cls, field: Field, v: Sequence) -> "Matrix":
         return cls(field, len(v), 1, {(i, 0): x for i, x in enumerate(v)})
 
@@ -322,7 +299,12 @@ class Matrix:
     # -- accessors ----------------------------------------------------------
 
     def __getitem__(self, rc) -> object:
-        return self.entries.get(rc, self.field.zero())
+        r, c = rc           # m[k] is an error, not a silent zero
+        return self.entries.get((r, c), self.field.zero())
+
+    # m[r, c] reads every (r, c) as a scalar, so the legacy sequence protocol
+    # must not apply: `for x in m` and `x in m` raise TypeError.
+    __iter__ = None
 
     def row(self, i: int) -> tuple:
         z = self.field.zero()
@@ -533,31 +515,25 @@ class Matrix:
         return Matrix._unchecked(f, *shape, {k: v for k, v in out.items() if v})
 
     def rank(self) -> int:
-        _, pivots = rref(self.field, self.to_rows())
-        return len(pivots)
+        return len(rref(self)[1])
 
     def inverse(self) -> "Matrix":
-        """Exact inverse; raises SingularMatrix when rank-deficient."""
+        """Exact inverse; raises SingularMatrix when rank-deficient.
+
+        The RREF of [self | I] is [I | self^{-1}] exactly when self is
+        invertible, so the inverse is read off its right-hand entries.
+        """
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of a non-square matrix")
         f = self.field
         n = self.rows
-        one = f.one()
-        zero = f.zero()
-        aug = []
-        dense = self.to_rows()
-        for i in range(n):
-            aug.append(dense[i] + [one if j == i else zero for j in range(n)])
-        reduced, pivots = rref(f, aug)
+        aug = dict(self.entries)
+        aug.update(((i, n + i), f.one()) for i in range(n))
+        reduced, pivots = rref(Matrix._unchecked(f, n, 2 * n, aug))
         if pivots != list(range(n)):
             raise SingularMatrix(f"matrix of rank {len([p for p in pivots if p < n])} < {n}")
-        entries = {}
-        for i, row in enumerate(reduced):
-            for j in range(n):
-                v = row[n + j]
-                if v != zero:
-                    entries[(i, j)] = v
-        return Matrix(f, n, n, entries)
+        return Matrix._unchecked(f, n, n, {(i, c - n): x for (i, c), x in reduced.entries.items()
+                                           if c >= n})
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -619,21 +595,25 @@ def flip(field: Field, dim_a: int, dim_b: int) -> Matrix:
 # row reduction, subspaces, quotients
 
 
-def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form, leftmost pivots first.
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of the row space of m, leftmost pivots first.
 
-    Returns (nonzero rows, pivot columns) and leaves `rows` as they were.
-    Each row is reduced as a sparse {column: value} map against the pivot
-    rows found so far, which are zero at one another's pivots, so one
-    subtraction per pivot the row meets clears it; a row left nonzero
-    becomes a pivot row at its leftmost entry, scaled to 1 there, and that
-    column is cleared from the earlier pivot rows.  Every pivot row stays
-    zero left of its pivot, so the pivot rows sorted by pivot are the
-    unique RREF of the row space, hence canonical.
+    Returns (the rank × m.cols RREF, its pivot columns) and leaves m as it
+    was.  The entries of m are grouped by row in one pass, and each row is
+    reduced as a sparse {column: value} map against the pivot rows found
+    so far, which are zero at one another's pivots, so one subtraction per
+    pivot the row meets clears it; a row left nonzero becomes a pivot row
+    at its leftmost entry, scaled to 1 there, and that column is cleared
+    from the earlier pivot rows.  Every pivot row stays zero left of its
+    pivot, so the pivot rows sorted by pivot are the unique RREF of the
+    row space, hence canonical.
     """
+    field = m.field
     zero, one = field.zero(), field.one()
     mul, sub = field.mul, field.sub
-    ncols = len(rows[0]) if rows else 0
+    rows: dict[int, dict] = {}
+    for (r, c), x in m.entries.items():
+        rows.setdefault(r, {})[c] = x
     found: dict[int, dict] = {}         # pivot column -> its row, 1 there
 
     def subtract(target: dict, x, row: dict) -> None:
@@ -645,10 +625,10 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
             else:
                 target.pop(c, None)
 
-    for dense in rows:
-        if len(found) == ncols:         # every column a pivot: the rest reduce to 0
+    for r in sorted(rows):
+        if len(found) == m.cols:        # every column a pivot: the rest reduce to 0
             break
-        row = {c: x for c, x in enumerate(dense) if x != zero}
+        row = rows[r]
         for p in [c for c in row if c in found]:
             subtract(row, row[p], found[p])
         if not row:
@@ -663,60 +643,64 @@ def rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
                 subtract(other, x, row)
         found[pivot] = row
     pivots = sorted(found)
-    reduced = []
-    for p in pivots:
-        out = [zero] * ncols
-        for c, x in found[p].items():
-            out[c] = x
-        reduced.append(out)
-    return reduced, pivots
+    return Matrix._unchecked(field, len(pivots), m.cols, {
+        (k, c): x for k, p in enumerate(pivots) for c, x in found[p].items()}), pivots
 
 
 class Subspace:
-    """A subspace of k^n held as a canonical RREF basis."""
+    """A subspace of k^n held as its canonical basis: the RREF matrix whose
+    row k is basis vector k, and the pivot column of each row."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("basis", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.basis = basis      # tuple of row tuples, RREF
-        self.pivots = pivots
+    def __init__(self, basis: Matrix, pivots: Sequence[int]):
+        self.basis = basis
+        self.pivots = tuple(pivots)
 
     @classmethod
     def from_spanning(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [[field.canon(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise DimensionMismatch("spanning vector of wrong length")
-        reduced, pivots = rref(field, rows)
-        return cls(field, ambient_dim, tuple(tuple(r) for r in reduced), tuple(pivots))
+        rows = [tuple(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise DimensionMismatch("spanning vector of wrong length")
+        return cls(*rref(Matrix(field, len(rows), ambient_dim, {
+            (r, c): x for r, v in enumerate(rows) for c, x in enumerate(v)})))
 
     @classmethod
     def zero_space(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, (), ())
+        return cls(Matrix(field, 0, ambient_dim), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, tuple(eye.row(i) for i in range(ambient_dim)),
-                   tuple(range(ambient_dim)))
+        return cls(Matrix.identity(field, ambient_dim), range(ambient_dim))
+
+    @property
+    def field(self) -> Field:
+        return self.basis.field
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.rows
 
     def reduce(self, v: Sequence) -> tuple:
-        """Residue of v after eliminating all pivot coordinates."""
+        """Residue of v after eliminating all pivot coordinates.
+
+        Basis row k is zero at every pivot but its own, so the residue is
+        v − Σ_k v[p_k]·(row k), one pass over the basis entries.
+        """
         f = self.field
         zero = f.zero()
         out = [f.canon(x) for x in v]
         if len(out) != self.ambient_dim:
             raise DimensionMismatch("vector/ambient mismatch")
-        for row, p in zip(self.basis, self.pivots):
-            c = out[p]
-            if c != zero:
-                out = [f.sub(x, f.mul(c, y)) for x, y in zip(out, row)]
+        coeff = [out[p] for p in self.pivots]
+        for (k, c), y in self.basis.entries.items():
+            x = coeff[k]
+            if x != zero:
+                out[c] = f.sub(out[c], f.mul(x, y))
         return tuple(out)
 
     def contains(self, v: Sequence) -> bool:
@@ -729,38 +713,36 @@ class Subspace:
         return tuple(self.field.canon(v[p]) for p in self.pivots)
 
     def le(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis)
+        """self ⊆ other: each basis row of self is the combination of other's
+        rows by its own entries at other's pivots, one product."""
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("subspaces of different ambient spaces")
+        at = {p: k for k, p in enumerate(other.pivots)}
+        pick = Matrix._unchecked(self.field, self.dim, other.dim, {
+            (r, at[c]): x for (r, c), x in self.basis.entries.items() if c in at})
+        return pick @ other.basis == self.basis
 
     def tensor(self, other: "Subspace") -> "Subspace":
-        """Tensor of subspaces; b_i ⊗ c_j of RREF bases is again RREF."""
-        f = self.field
-        n = self.ambient_dim * other.ambient_dim
-        basis = tuple(vec_kron(f, b, c) for b in self.basis for c in other.basis)
-        pivots = tuple(p * other.ambient_dim + q for p in self.pivots for q in other.pivots)
-        return Subspace(f, n, basis, pivots)
+        """Tensor of subspaces; the rows b_i ⊗ c_j of RREF bases are again RREF."""
+        m = other.ambient_dim
+        return Subspace(self.basis.kron(other.basis),
+                        (p * m + q for p in self.pivots for q in other.pivots))
 
     def inclusion_matrix(self) -> Matrix:
         """n × m matrix whose columns are the basis vectors."""
-        zero = self.field.zero()
-        return Matrix._unchecked(self.field, self.ambient_dim, self.dim, {
-            (i, k): v for k, row in enumerate(self.basis) for i, v in enumerate(row) if v != zero})
+        return self.basis.transpose()
 
     def coords_matrix(self) -> Matrix:
         """m × n pivot-coordinate selector; inverts inclusion on the subspace."""
         one = self.field.one()
-        entries = {(k, p): one for k, p in enumerate(self.pivots)}
-        return Matrix(self.field, self.dim, self.ambient_dim, entries)
+        return Matrix._unchecked(self.field, self.dim, self.ambient_dim,
+                                 {(k, p): one for k, p in enumerate(self.pivots)})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self.basis)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
@@ -769,8 +751,8 @@ class Subspace:
 def kernel(m: Matrix) -> Subspace:
     """Canonical basis of {v : m v = 0}, from one row reduction.
 
-    m is reduced with its columns taken right to left, so each pivot row
-    is zero at every other pivot and at every column right of its own
+    m is reduced with its columns re-keyed right to left, so each pivot
+    row is zero at every other pivot and at every column right of its own
     pivot p.  For a free column c the kernel vector e_c − Σ_p row_p[c]·e_p
     is therefore nonzero only at c and at pivots p > c: it leads at c
     with a 1 and is zero at every other free column.  These vectors,
@@ -778,27 +760,25 @@ def kernel(m: Matrix) -> Subspace:
     which is unique, so they need no second reduction.
     """
     f = m.field
-    n = m.cols
-    reduced, pivots = rref(f, [row[::-1] for row in m.to_rows()])
-    zero = f.zero()
+    last = m.cols - 1
+    reduced, pivots = rref(Matrix._unchecked(f, m.rows, m.cols, {
+        (r, last - c): x for (r, c), x in m.entries.items()}))
+    bound = [last - p for p in pivots]         # pivot columns of m, by reduced row
+    taken = set(bound)
+    free = [c for c in range(m.cols) if c not in taken]
+    index = {c: k for k, c in enumerate(free)}
     one = f.one()
-    pivot_set = {n - 1 - p for p in pivots}
-    free = tuple(c for c in range(n) if c not in pivot_set)
-    basis = []
-    for c in free:
-        v = [zero] * n
-        v[c] = one
-        for row, p in zip(reduced, pivots):    # row and p count columns from the right
-            x = row[n - 1 - c]
-            if x != zero:
-                v[n - 1 - p] = f.neg(x)
-        basis.append(tuple(v))
-    return Subspace(f, n, tuple(basis), free)
+    entries = {(k, c): one for k, c in enumerate(free)}
+    for (r, c), x in reduced.entries.items():
+        k = index.get(last - c)
+        if k is not None:
+            entries[(k, bound[r])] = f.neg(x)
+    return Subspace(Matrix._unchecked(f, len(free), m.cols, entries), free)
 
 
 def image(m: Matrix) -> Subspace:
-    """Column space, canonical basis."""
-    return Subspace.from_spanning(m.field, m.rows, m.columns().values())
+    """Column space, canonical basis: the row space of the transpose."""
+    return Subspace(*rref(m.transpose()))
 
 
 @dataclass(frozen=True)
@@ -822,23 +802,24 @@ def quotient(ambient_dim: int, ker: Subspace) -> Quotient:
     The classes of the non-pivot coordinate vectors form the basis of
     the quotient; projection reduces modulo the kernel and reads off the
     non-pivot coordinates, so projection ∘ section = id and projection
-    annihilates exactly the kernel.
+    annihilates exactly the kernel.  Each basis entry at a non-pivot
+    column c of row k adds its negative at (c, pivot of k).
     """
     if ker.ambient_dim != ambient_dim:
         raise DimensionMismatch(f"kernel ambient {ker.ambient_dim} != {ambient_dim}")
     f = ker.field
     one = f.one()
-    pivot_set = set(ker.pivots)
-    free = [c for c in range(ambient_dim) if c not in pivot_set]
-    q = len(free)
-    proj_entries: dict = {}
-    for k, fc in enumerate(free):
-        proj_entries[(k, fc)] = one
-        for row, p in zip(ker.basis, ker.pivots):
-            if row[fc] != f.zero():
-                proj_entries[(k, p)] = f.neg(row[fc])
-    projection = Matrix(f, q, ambient_dim, proj_entries)
-    section = Matrix(f, ambient_dim, q, {(fc, k): one for k, fc in enumerate(free)})
+    taken = set(ker.pivots)
+    free = [c for c in range(ambient_dim) if c not in taken]
+    index = {c: k for k, c in enumerate(free)}
+    entries = {(k, c): one for k, c in enumerate(free)}
+    for (r, c), x in ker.basis.entries.items():
+        k = index.get(c)
+        if k is not None:
+            entries[(k, ker.pivots[r])] = f.neg(x)
+    projection = Matrix._unchecked(f, len(free), ambient_dim, entries)
+    section = Matrix._unchecked(f, ambient_dim, len(free),
+                                {(c, k): one for k, c in enumerate(free)})
     return Quotient(f, ambient_dim, ker, projection, section)
 
 
@@ -852,14 +833,16 @@ def solve(m: Matrix, v: Sequence) -> tuple | None:
     zero = f.zero()
     if len(v) != m.rows:
         raise DimensionMismatch("rhs length mismatch")
-    aug = [row + [f.canon(v[i])] for i, row in enumerate(m.to_rows())]
-    reduced, pivots = rref(f, aug)
-    for row, p in zip(reduced, pivots):
-        if p == m.cols:
-            return None  # pivot in the rhs column: inconsistent
-    if len([p for p in pivots if p < m.cols]) < m.cols:
+    n = m.cols
+    aug = dict(m.entries)
+    aug.update(((i, n), x) for i, x in enumerate(map(f.canon, v)) if x != zero)
+    reduced, pivots = rref(Matrix._unchecked(f, m.rows, n + 1, aug))
+    if pivots and pivots[-1] == n:
+        return None  # pivot in the rhs column: inconsistent
+    if len(pivots) < n:
         raise SingularMatrix("underdetermined system")
-    x = [zero] * m.cols
-    for row, p in zip(reduced, pivots):
-        x[p] = row[m.cols]
+    x = [zero] * n
+    for (r, c), y in reduced.entries.items():
+        if c == n:
+            x[pivots[r]] = y
     return tuple(x)

@@ -234,9 +234,10 @@ class CovariantBimodule:
 
     # -- frames ---------------------------------------------------------------
 
-    def omega(self, alpha: int) -> tuple:
-        """Canonical left-invariant basis of Γ_α (echelon order)."""
-        return self.omega_space(alpha).basis
+    def omega(self, alpha: int) -> Matrix:
+        """W_α, the g_α × |I| matrix whose column i is ω_i, the canonical
+        left-invariant basis of Γ_α (echelon order)."""
+        return self.omega_space(alpha).inclusion_matrix()
 
     def omega_space(self, alpha: int) -> Subspace:
         """The left-invariant subspace of Γ_α, with its echelon pivots."""
@@ -244,10 +245,10 @@ class CovariantBimodule:
             self._omega[alpha] = invariant_subspace_left(self, alpha)
         return self._omega[alpha]
 
-    def frame_matrix(self, alpha: int, frame, side: str = "left") -> Matrix:
+    def frame_matrix(self, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
         """frame_matrix(self, alpha, frame, side), built once per (grading,
         frame, side)."""
-        key = (alpha, tuple(map(tuple, frame)), side)
+        key = (alpha, frame, side)
         if key not in self._frames:
             self._frames[key] = frame_matrix(self, alpha, frame, side)
         return self._frames[key]
@@ -263,26 +264,16 @@ class CovariantBimodule:
         return self._decompose_inv[alpha]
 
 
-def frame_matrix(cb: CovariantBimodule, alpha: int, frame, side: str = "left") -> Matrix:
+def frame_matrix(cb: CovariantBimodule, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
     """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
-    "right") for a frame w of Γ_α, as left_α (I⊗W) re-keyed to (i, m) or
-    right_α (W⊗I), W the frame as columns; square and invertible iff Γ_α
+    "right") for a frame W of Γ_α (column i is w_i), as left_α (I⊗W)
+    re-keyed to (i, m) or right_α (W⊗I); square and invertible iff Γ_α
     is free on the frame from that side.  CovariantBimodule.frame_matrix
     holds the matrices built."""
     n = cb.h.n(alpha)
-    w = _frame_columns(cb, alpha, frame)
     if side == "left":
-        return cb.left[alpha].on_leg(w, n, 1, 1).permute_legs((n, w.cols), (1, 0), 1)
-    return cb.right[alpha].on_leg(w, 1, n, 1)
-
-
-def _frame_columns(cb: CovariantBimodule, alpha: int, frame) -> Matrix:
-    """The g_α × |frame| matrix whose column k is frame vector k; the
-    vectors hold canonical scalars, as a Subspace basis or a Matrix column
-    does."""
-    zero = cb.h.field.zero()
-    return Matrix._unchecked(cb.h.field, cb.g(alpha), len(frame), {
-        (r, k): x for k, w in enumerate(frame) for r, x in enumerate(w) if x != zero})
+        return cb.left[alpha].on_leg(frame, n, 1, 1).permute_legs((n, frame.cols), (1, 0), 1)
+    return cb.right[alpha].on_leg(frame, 1, n, 1)
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
@@ -343,12 +334,12 @@ def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
 def _decompose(cb: CovariantBimodule, alpha: int, winv: Matrix, rho) -> list[tuple]:
     n = cb.h.n(alpha)
     x = winv.apply(tuple(rho))
-    return [x[i * n:(i + 1) * n] for i in range(len(cb.omega(alpha)))]
+    return [x[i * n:(i + 1) * n] for i in range(cb.omega_space(alpha).dim)]
 
 
 def _frame_size(cb: CovariantBimodule) -> int:
     """The common rank |I|; uniform across gradings or an error."""
-    sizes = {a: len(cb.omega(a)) for a in cb.h.group.elements()}
+    sizes = {a: cb.omega_space(a).dim for a in cb.h.group.elements()}
     distinct = set(sizes.values())
     if len(distinct) > 1:
         raise DimensionVariesAcrossGrading(
@@ -635,8 +626,9 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
 def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matrix]]]:
     """M[α][i][j] : A_α → A_α with w_i b = Σ_j M[α][i][j](b) w_j.
 
-    The frame w defaults to ω (the maps F, available without Ψ; the
-    functionals f are E_α ∘ F when Ψ exists); functionals_g passes η.
+    frames[α] holds the frame w of Γ_α as columns.  It defaults to ω (the
+    maps F, available without Ψ; the functionals f are E_α ∘ F when Ψ
+    exists); functionals_g passes η.
     """
     h = cb.h
     f = h.field
@@ -647,7 +639,7 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matri
     out = []
     for a in h.group.elements():
         n = h.n(a)
-        size = len(frames[a])
+        size = frames[a].cols
         winv = (cb.decompose_inverse(a) if omega
                 else _frame_inverse(cb.frame_matrix(a, frames[a]), a))
         # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
@@ -699,9 +691,10 @@ def functionals_f(cb: CovariantBimodule, coeffs=None):
 def functionals_g(cb: CovariantBimodule, eta=None):
     """g_ij from the right-invariant frame: η_i b = Σ_j (b * g_ij) η_j.
 
-    `eta` defaults to the canonical echelon basis of the right-invariant
-    subspace; the structure suite passes the frame produced by the right
-    coaction matrix so that the intertwiner identity refers to it.
+    `eta` holds the frame of each Γ_α as columns and defaults to the
+    canonical echelon basis of the right-invariant subspace; the structure
+    suite passes the frame produced by the right coaction matrix so that
+    the intertwiner identity refers to it.
     """
     if cb.delta_r is None:
         raise MissingCoaction("no right coaction present")
@@ -709,7 +702,7 @@ def functionals_g(cb: CovariantBimodule, eta=None):
     if h.psi is None:
         raise MissingPsi("g extraction needs the grading collapse maps Ψ_α")
     if eta is None:
-        eta = [invariant_subspace_right(cb, a).basis for a in h.group.elements()]
+        eta = [invariant_subspace_right(cb, a).inclusion_matrix() for a in h.group.elements()]
     G = coefficient_maps(cb, eta)
     funcs = _collapse(h, G)
     _require(check_commutation_rule(h, G, funcs, "right")
@@ -735,7 +728,7 @@ def matrix_R(cb: CovariantBimodule) -> list[Matrix]:
     h = cb.h
     grp = h.group
     _frame_size(cb)
-    incl = [cb.omega_space(a).inclusion_matrix() for a in grp.elements()]
+    incl = [cb.omega(a) for a in grp.elements()]
     report = VerificationReport()
     R = []
     for b in grp.elements():
@@ -756,8 +749,9 @@ def matrix_R(cb: CovariantBimodule) -> list[Matrix]:
     return R
 
 
-def eta_basis(cb: CovariantBimodule, R=None) -> list[list[tuple]]:
-    """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij), the columns of H_α = right_α (Ω_α⊗I) Ŝ_α.
+def eta_basis(cb: CovariantBimodule, R=None) -> list[Matrix]:
+    """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij), the columns of H_α = right_α (Ω_α⊗I) Ŝ_α;
+    returns H_α per grading.
 
     Checks right invariance, Δ^r_{α,1} H_α = H_α⊗1, and ω_i = Σ_j η_j R_ji,
     right_α (H_α⊗I) R^α = Ω_α.  On Γ_α free on ω the latter makes the |I|
@@ -775,13 +769,13 @@ def eta_basis(cb: CovariantBimodule, R=None) -> list[list[tuple]]:
     eta = []
     for a in grp.elements():
         n = h.n(a)
-        incl = cb.omega_space(a).inclusion_matrix()
+        incl = cb.omega(a)
         frame = cb.right[a] @ _antipode_R(h, R, a).on_leg(incl, 1, n, 0)
         _compare(report, R_COMULT, (a,), cb.delta_r[(a, grp.identity)] @ frame,
                  frame.kron(h.unit_col(grp.identity)), "η_j is not right invariant")
         _compare(report, R_COMULT, (a,), cb.right[a] @ R[a].on_leg(frame, 1, n, 0), incl,
                  "ω_i ≠ Σ_j η_j R_ji")
-        eta.append([frame.col(j) for j in range(frame.cols)])
+        eta.append(frame)
     _require(report, "η")
     return eta
 
@@ -791,15 +785,14 @@ def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> None:
     Δ^l_{α,β} H_{αβ} = (I⊗H_β) Ŝ_α with the legs of Ŝ_α swapped."""
     h = cb.h
     grp = h.group
-    frames = [_frame_columns(cb, a, eta[a]) for a in grp.elements()]
     report = VerificationReport()
     for a in grp.elements():
         n = h.n(a)
         # column j: Σ_i S(R_ij) ⊗ e_i
         swapped = _antipode_R(h, R, a).permute_legs((R[a].cols, n), (1, 0), 0)
         for b in grp.elements():
-            _compare(report, R_COMULT, (a, b), cb.delta_l[(a, b)] @ frames[grp.mul(a, b)],
-                     swapped.on_leg(frames[b], n, 1, 0), "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
+            _compare(report, R_COMULT, (a, b), cb.delta_l[(a, b)] @ eta[grp.mul(a, b)],
+                     swapped.on_leg(eta[b], n, 1, 0), "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
     _require(report, "η")
 
 
@@ -833,8 +826,8 @@ class StructureData:
     """
 
     size: int                       # |I|
-    omega: list                     # per α: tuple of frame vectors
-    eta: list | None                # per α: list of frame vectors (3.55 frame)
+    omega: list                     # per α: the frame W_α, column i is ω_i
+    eta: list | None                # per α: the frame H_α, column j is η_j (3.55 frame)
     F: list                         # per α: size×size coefficient maps A_α → A_α
     f: list | None                  # size×size GradedFunctional (None without Ψ)
     g: list | None
@@ -912,7 +905,6 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     """
     f = h.field
     grp = h.group
-    e = grp.identity
     if not (isinstance(funcs, (list, tuple)) and len(funcs) == size
             and all(isinstance(row, (list, tuple)) and len(row) == size for row in funcs)):
         raise IncompatibleData("f must be a size×size matrix of functionals")
@@ -936,7 +928,17 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
         raise IncompatibleData(
             f"reconstruction data fails {len(report)} identities; first: "
             f"{report.violations[0].render()}", report)
+    return _rebuild(h, funcs, R, size)
 
+
+def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
+    """The bimodule of reconstruct, built from (f, R) that are known to pass
+    its checks: those of an extraction whose report is clean, where the
+    intertwiner on (f, g) is the one on (f, f), since it reads only the
+    A_1 components and extraction checked f = g there."""
+    f = h.field
+    grp = h.group
+    e = grp.identity
     n1 = h.n(e)
     # (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)); twist has rows (j, i),
     # columns t and entries f_ij(e_t)

@@ -155,6 +155,16 @@ def rref_dense(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     return rows[:r], pivots
 
 
+def rref_by_sweeps(m: Matrix) -> tuple[Matrix, list[int]]:
+    """rref_dense with the signature of linalg.rref: the RREF of the dense
+    column sweep of m's rows as a Matrix, every scalar kept as the sweep
+    left it (so a stray Fraction(2) is not turned into 2)."""
+    zero = m.field.zero()
+    rows, pivots = rref_dense(m.field, m.to_rows())
+    return Matrix._unchecked(m.field, len(rows), m.cols, {
+        (i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x != zero}), pivots
+
+
 # ---------------------------------------------------------------------------
 # subspaces and quotients reduced twice
 
@@ -189,7 +199,7 @@ def fodc_maps_by_two_quotients(calc: Fodc) -> tuple:
         n = h.n(a)
         sub = asq.sub[a]
         in_coords = Subspace.from_spanning(
-            f, sub.dim, [sub.coords(v) for v in calc.kernels[a].basis])
+            f, sub.dim, [sub.coords(v) for v in calc.kernels[a].basis.to_rows()])
         q = quotient(sub.dim, in_coords)
         lift = sub.inclusion_matrix() @ q.section
         drop = q.projection @ sub.coords_matrix()
@@ -265,7 +275,7 @@ def spot_check_implication(calc: Fodc) -> VerificationReport:
             ab = g.mul(a, b)
             left_map = Matrix.identity(f, h.n(a)).kron(calc.drop[b]) @ phi_l(h, a, b)
             right_map = calc.drop[a].kron(Matrix.identity(f, h.n(b))) @ phi_r(h, a, b)
-            for j, w in enumerate(calc.kernels[ab].basis):
+            for j, w in enumerate(calc.kernels[ab].basis.to_rows()):
                 if any(x != f.zero() for x in left_map.apply(w)):
                     report.extend([Violation("left-covariance-implication", (a, b), j,
                                              "Σ Δ(a_k)(id⊗d)Δ(b_k) ≠ 0 on N")])
@@ -282,9 +292,10 @@ def spot_check_implication(calc: Fodc) -> VerificationReport:
 def recombine_left(cb: CovariantBimodule, alpha: int, coeffs) -> tuple:
     """Σ a_i ω_i for coefficients a_i ∈ A_α."""
     f = cb.h.field
+    omega = cb.omega(alpha)
     out = zero_vec(f, cb.g(alpha))
-    for a_i, w in zip(coeffs, cb.omega(alpha)):
-        out = vec_add(f, out, cb.left[alpha].apply(vec_kron(f, a_i, w)))
+    for i, a_i in enumerate(coeffs):
+        out = vec_add(f, out, cb.left[alpha].apply(vec_kron(f, a_i, omega.col(i))))
     return out
 
 
@@ -386,8 +397,9 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
             nb = h.n(b)
             target = cb.omega_space(a).tensor(Subspace.full(f, nb))
             rmat = [[None] * size for _ in range(size)]
+            omega = cb.omega(ab)
             for i in range(size):
-                img = cb.delta_r[(a, b)].apply(cb.omega(ab)[i])
+                img = cb.delta_r[(a, b)].apply(omega.col(i))
                 if not target.contains(img):
                     raise StructureInconsistent(
                         f"Δ^r(ω) at ({a},{b}) is not in the invariant frame ⊗ A")
@@ -410,7 +422,8 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
 
 def eta_basis_by_vectors(cb: CovariantBimodule, R) -> list:
     """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij), for R in block form; checks right
-    invariance, that the η span the right invariants, and ω_i = Σ_j η_j R_ji."""
+    invariance, that the η span the right invariants, and ω_i = Σ_j η_j R_ji.
+    Returns the frame of each Γ_α as a matrix, column j = η_j."""
     h = cb.h
     f = h.field
     grp = h.group
@@ -419,12 +432,13 @@ def eta_basis_by_vectors(cb: CovariantBimodule, R) -> list:
     eta = []
     for a in grp.elements():
         s = h.antipode[grp.inv(a)]
+        omega = cb.omega(a)
         frame = []
         for j in range(size):
             acc = zero_vec(f, cb.g(a))
             for i in range(size):
                 acc = vec_add(f, acc, cb.right[a].apply(
-                    vec_kron(f, cb.omega(a)[i], s.apply(R[grp.inv(a)][i][j]))))
+                    vec_kron(f, omega.col(i), s.apply(R[grp.inv(a)][i][j]))))
             frame.append(acc)
         eta.append(frame)
     report = VerificationReport()
@@ -440,10 +454,11 @@ def eta_basis_by_vectors(cb: CovariantBimodule, R) -> list:
             acc = zero_vec(f, cb.g(a))
             for j in range(size):
                 acc = vec_add(f, acc, cb.right[a].apply(vec_kron(f, eta[a][j], R[a][j][i])))
-            _compare_vectors(report, R_COMULT, (a,), acc, cb.omega(a)[i],
+            _compare_vectors(report, R_COMULT, (a,), acc, cb.omega(a).col(i),
                              f"ω_{i} ≠ Σ_j η_j R_j{i}")
     _require(report, "η")
-    return eta
+    return [Matrix(f, cb.g(a), size, {(r, j): x for j, v in enumerate(eta[a])
+                                      for r, x in enumerate(v)}) for a in grp.elements()]
 
 
 def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> None:
@@ -451,7 +466,7 @@ def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> None:
     h = cb.h
     f = h.field
     grp = h.group
-    size = len(eta[grp.identity])
+    size = eta[grp.identity].cols
     report = VerificationReport()
     for a in grp.elements():
         ai = grp.inv(a)
@@ -460,8 +475,8 @@ def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> None:
             for j in range(size):
                 rhs = zero_vec(f, h.n(a) * cb.g(b))
                 for i in range(size):
-                    rhs = vec_add(f, rhs, vec_kron(f, s.apply(R[ai][i][j]), eta[b][i]))
-                lhs = cb.delta_l[(a, b)].apply(eta[grp.mul(a, b)][j])
+                    rhs = vec_add(f, rhs, vec_kron(f, s.apply(R[ai][i][j]), eta[b].col(i)))
+                lhs = cb.delta_l[(a, b)].apply(eta[grp.mul(a, b)].col(j))
                 _compare_vectors(report, R_COMULT, (a, b), lhs, rhs,
                                  f"Δ^l(η_{j}) ≠ Σ_i S(R_i{j}) ⊗ η_i")
     _require(report, "η")
@@ -543,7 +558,7 @@ def check_left_multiplication_rule_by_entries(cb: CovariantBimodule, frames, fun
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
-        cols = [Matrix.column(f, v) for v in frames[a]]
+        cols = [Matrix.column(f, frames[a].col(i)) for i in range(frames[a].cols)]
         times = [cb.right[a].on_leg(c, 1, n, 1) for c in cols]   # b ↦ w_j b
         for i, row in enumerate(funcs):
             rhs = Matrix.zero(f, cb.g(a), h.n(a))

@@ -80,10 +80,10 @@ def test_criterion_2_universal_dimensions(all_fixtures, capsys):
                 assert h.mult[a].rank() == n
                 assert asq.dim(a) == n * n - h.mult[a].rank() == n * n - n
                 r_img = Subspace.from_spanning(
-                    f, n * n1, [r_map(h, a).apply(v) for v in asq.sub[a].basis])
+                    f, n * n1, [r_map(h, a).apply(v) for v in asq.sub[a].basis.to_rows()])
                 assert r_img == Subspace.full(f, n).tensor(ker_eps)
                 t_img = Subspace.from_spanning(
-                    f, n1 * n, [t_map(h, a).apply(v) for v in asq.sub[a].basis])
+                    f, n1 * n, [t_map(h, a).apply(v) for v in asq.sub[a].basis.to_rows()])
                 assert t_img == ker_eps.tensor(Subspace.full(f, n))
                 eye = Matrix.identity(f, n * n)
                 assert r_inv(h, a) @ r_map(h, a) == eye
@@ -142,7 +142,7 @@ def _oracle_ideal_spans(p, order):
 
 def _full_vector_set(ideal, p, order):
     vectors = {tuple([0] * order)}
-    basis = [tuple(int(x) % p for x in v) for v in ideal.subspace.basis]
+    basis = [tuple(int(x) % p for x in v) for v in ideal.subspace.basis.to_rows()]
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         vec = [0] * order
         for c, bvec in zip(coeffs, basis):

@@ -37,7 +37,7 @@ from hopfpi import (
 )
 from hopfpi.errors import HopfPiError
 from hopfpi.groups import group_from_table
-from hopfpi.linalg import PrimeField, QQ
+from hopfpi.linalg import Matrix, PrimeField, QQ
 from hopfpi.structure import (
     _collapse,
     check_characters,
@@ -188,10 +188,11 @@ def _bump_R(h, R):
 
 
 def _scale_first(h, frames):
-    """The frames with their first vector doubled in every grading."""
-    two = h.field.from_int(2)
-    return [[tuple(h.field.mul(two, x) for x in frame[0])] + list(frame[1:])
-            for frame in frames]
+    """The frames with their first vector (column 0) doubled in every grading."""
+    f = h.field
+    two = f.from_int(2)
+    return [Matrix(f, w.rows, w.cols, {(r, c): f.mul(two, x) if c == 0 else x
+                                       for (r, c), x in w.entries.items()}) for w in frames]
 
 
 @pytest.mark.parametrize("label", list(CALCULI))
@@ -210,7 +211,7 @@ def test_block_checks_match_entry_references(label):
     # on a frame of size 1 a swap has nothing to exchange, and over a
     # commutative and cocommutative algebra R_00 a f = (f * a) R_00 holds for
     # any R_00, so every perturbation runs where the frame has two vectors
-    size = len(omega[h.group.identity])
+    size = omega[h.group.identity].cols
     if f is not None and size >= 2:
         assert _compare(bim, F, _swap(f, (0, 0), (0, 1)), R, omega, eta, G, g) > 0
     if g is not None and size >= 2:

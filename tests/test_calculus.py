@@ -81,8 +81,8 @@ def test_universal_dims(all_fixtures):
 def test_d_values_kz2(kz2):
     asq = universal_bimodule(kz2)
     assert asq.D[0].col(1) == (F(0), F(1), F(-1), F(0))  # D(u) = e⊗u − u⊗e
-    assert asq.sub[0].basis == (
-        (F(1), F(0), F(0), F(-1)), (F(0), F(1), F(-1), F(0)))
+    assert asq.sub[0].basis.to_rows() == [
+        [F(1), F(0), F(0), F(-1)], [F(0), F(1), F(-1), F(0)]]
 
 
 def test_d_of_unit_vanishes(all_fixtures):
@@ -118,10 +118,10 @@ def test_phi_l_collapses_under_multiplication(all_fixtures):
             for b in h.group.elements():
                 ab = h.group.mul(a, b)
                 collapse = Matrix.identity(h.field, h.n(a)).kron(h.mult[b]) @ phi_l(h, a, b)
-                for w in asq.sub[ab].basis:
+                for w in asq.sub[ab].basis.to_rows():
                     assert all(x == h.field.zero() for x in collapse.apply(w))
                 collapse_r = h.mult[a].kron(Matrix.identity(h.field, h.n(b))) @ phi_r(h, a, b)
-                for w in asq.sub[ab].basis:
+                for w in asq.sub[ab].basis.to_rows():
                     assert all(x == h.field.zero() for x in collapse_r.apply(w))
 
 
@@ -171,11 +171,11 @@ def test_r_t_image_of_kernel(all_fixtures):
             n = h.n(a)
             r_img = Subspace.from_spanning(
                 f, n * h.n(h.group.identity),
-                [r_map(h, a).apply(v) for v in asq.sub[a].basis])
+                [r_map(h, a).apply(v) for v in asq.sub[a].basis.to_rows()])
             assert r_img == Subspace.full(f, n).tensor(ker_eps)
             t_img = Subspace.from_spanning(
                 f, h.n(h.group.identity) * n,
-                [t_map(h, a).apply(v) for v in asq.sub[a].basis])
+                [t_map(h, a).apply(v) for v in asq.sub[a].basis.to_rows()])
             assert t_img == ker_eps.tensor(Subspace.full(f, n))
 
 
@@ -217,19 +217,21 @@ def test_invariants_of_universal_bimodule(all_fixtures):
             ins = Matrix.column(f, h.unit[e]).kron(incl)
             inv_coords = (phi_l(h, e, a) @ incl) - ins
             inv_sub = Subspace.from_spanning(
-                f, n * n, [incl.apply(v) for v in kernel(inv_coords).basis])
+                f, n * n, [incl.apply(v) for v in kernel(inv_coords).basis.to_rows()])
             expected = Subspace.from_spanning(
                 f, n * n,
-                [r_inv(h, a).apply(vec_kron(f, tuple(h.unit[a]), x)) for x in ker_eps.basis])
+                [r_inv(h, a).apply(vec_kron(f, tuple(h.unit[a]), x))
+                 for x in ker_eps.basis.to_rows()])
             assert inv_sub == expected
 
             ins_r = incl.kron(Matrix.column(f, h.unit[e]))
             invr_coords = (phi_r(h, a, e) @ incl) - ins_r
             invr_sub = Subspace.from_spanning(
-                f, n * n, [incl.apply(v) for v in kernel(invr_coords).basis])
+                f, n * n, [incl.apply(v) for v in kernel(invr_coords).basis.to_rows()])
             expected_r = Subspace.from_spanning(
                 f, n * n,
-                [t_inv(h, a).apply(vec_kron(f, y, tuple(h.unit[a]))) for y in ker_eps.basis])
+                [t_inv(h, a).apply(vec_kron(f, y, tuple(h.unit[a])))
+                 for y in ker_eps.basis.to_rows()])
             assert invr_sub == expected_r
 
 
@@ -359,9 +361,9 @@ def _subbimodule_search(h):
 
     for small in _all_rref_subspaces(f, sub.dim):
         incl = sub.inclusion_matrix()
-        lifted = Subspace.from_spanning(f, n * n, [incl.apply(v) for v in small.basis])
+        lifted = Subspace.from_spanning(f, n * n, [incl.apply(v) for v in small.basis.to_rows()])
         ok = True
-        for w in lifted.basis:
+        for w in lifted.basis.to_rows():
             for i in range(n):
                 ei = unit_vec(f, n, i)
                 if not lifted.contains(la.apply(vec_kron(f, ei, w))):
@@ -538,7 +540,7 @@ def test_enumeration_matches_independent_oracle(f7z3):
     oracle_sets = set(oracle)
     for ideal in ideals:
         vectors = {tuple([0, 0, 0])}
-        basis = [tuple(int(x) % 7 for x in v) for v in ideal.subspace.basis]
+        basis = [tuple(int(x) % 7 for x in v) for v in ideal.subspace.basis.to_rows()]
         for coeffs in itertools.product(range(7), repeat=len(basis)):
             vec = [0, 0, 0]
             for c, bvec in zip(coeffs, basis):
@@ -766,12 +768,13 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
     import hopfpi.linalg as linalg
     from hopfpi import taft_hopf_algebra
 
-    reductions = []
+    reductions, spanned = [], []      # rows and columns of each reduction
     rref = linalg.rref
 
-    def counting_rref(field, rows):
-        reductions.append(len(rows))
-        return rref(field, rows)
+    def counting_rref(m):
+        reductions.append(m.rows)
+        spanned.append(m.cols)
+        return rref(m)
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     taft7 = taft_hopf_algebra(PrimeField(7))
@@ -786,8 +789,7 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
         universal_bimodule(h)
         verify_all(h)
         cases.append((h, enumerate_right_ideals(h)))
-    spanned, used, closing = [], [], []
-    from_spanning = Subspace.from_spanning.__func__
+    used, closing = [], []
     first_escape = calc_mod._first_escape
 
     def uncounted_first_escape(h, span):
@@ -796,10 +798,6 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
             return first_escape(h, span)
         finally:
             closing.pop()
-
-    def recording_from_spanning(cls, field, ambient_dim, vectors):
-        spanned.append(ambient_dim)
-        return from_spanning(cls, field, ambient_dim, vectors)
 
     def recording(cls, name):
         method = getattr(cls, name)
@@ -810,7 +808,6 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
             return method(*args)
         return wrapper
 
-    monkeypatch.setattr(Subspace, "from_spanning", classmethod(recording_from_spanning))
     monkeypatch.setattr(Subspace, "coords", recording(Subspace, "coords"))
     monkeypatch.setattr(Subspace, "le", recording(Subspace, "le"))
     monkeypatch.setattr(Matrix, "apply", recording(Matrix, "apply"))

@@ -63,7 +63,7 @@ def _ideals(h) -> list[RightIdeal]:
     ker_eps = h.counit_kernel()
     if isinstance(f, PrimeField) and f.p <= 11 and ker_eps.dim <= 3:
         return enumerate_right_ideals(h)
-    gens = [[v] for v in ker_eps.basis] + [list(ker_eps.basis)]
+    gens = [[v] for v in ker_eps.basis.to_rows()] + [ker_eps.basis.to_rows()]
     return [zero_ideal(h)] + [right_ideal_from_generators(h, g) for g in gens]
 
 
@@ -80,7 +80,8 @@ def _route_kernels(h, ideal: RightIdeal, side: str) -> list[Subspace]:
             m, domain = r_inv(h, a), full.tensor(ideal.subspace)
         else:
             m, domain = t_inv(h, a), ideal.subspace.tensor(full)
-        kernels.append(Subspace.from_spanning(f, h.n(a) ** 2, [m.apply(v) for v in domain.basis]))
+        kernels.append(Subspace.from_spanning(f, h.n(a) ** 2,
+                                              [m.apply(v) for v in domain.basis.to_rows()]))
     return kernels
 
 
@@ -95,7 +96,7 @@ def _reference_sub_bimodule(h, kernels) -> str | None:
     for a in h.group.elements():
         n = h.n(a)
         la, ra = left_action_ambient(h, a), right_action_ambient(h, a)
-        for w in kernels[a].basis:
+        for w in kernels[a].basis.to_rows():
             for i in range(n):
                 ei = unit_vec(f, n, i)
                 if not kernels[a].contains(la.apply(vec_kron(f, ei, w))):
@@ -121,7 +122,7 @@ def _reference_covariance(calc, side: str):
             else:
                 amb = phi_r(h, a, b)
                 target = calc.kernels[a].tensor(Subspace.full(f, h.n(b)))
-            for j, w in enumerate(calc.kernels[g.mul(a, b)].basis):
+            for j, w in enumerate(calc.kernels[g.mul(a, b)].basis.to_rows()):
                 if not target.contains(amb.apply(w)):
                     violations.append(Violation(
                         f"{side}-covariance", (a, b), j,
@@ -144,7 +145,7 @@ def _reference_ad_invariance(h, ideal: RightIdeal) -> list[Violation]:
     for a in h.group.elements():
         ad = ad_map(h, a)
         target = ideal.subspace.tensor(Subspace.full(f, h.n(a)))
-        for j, v in enumerate(ideal.subspace.basis):
+        for j, v in enumerate(ideal.subspace.basis.to_rows()):
             if not target.contains(ad.apply(v)):
                 out.append(Violation("ad-invariance", (a,), j,
                                      "ad maps an ideal basis vector outside R⊗A"))
@@ -227,8 +228,8 @@ def _closure(h, alpha, vectors, action):
     act = left_action_ambient(h, alpha) if action == "left" else right_action_ambient(h, alpha)
     span = Subspace.from_spanning(f, n * n, vectors)
     while True:
-        grown = list(span.basis)
-        for w in span.basis:
+        grown = span.basis.to_rows()
+        for w in span.basis.to_rows():
             for i in range(n):
                 ei = unit_vec(f, n, i)
                 grown.append(act.apply(vec_kron(f, ei, w) if action == "left" else vec_kron(f, w, ei)))
@@ -248,12 +249,12 @@ def test_kernel_families_that_are_not_sub_bimodules(structure):
     asq = universal_bimodule(h)
     messages = set()
     for a in h.group.elements():
-        basis = asq.sub[a].basis
+        basis = asq.sub[a].basis.to_rows()
         for k, w in enumerate(basis[:3]):
             other = basis[(k + 1) % len(basis)]
             left, right = _closure(h, a, [w], "left"), _closure(h, a, [w], "right")
-            for vectors in ([w], [w, other], left.basis, right.basis,
-                            [other, *left.basis], [other, *right.basis]):
+            lrows, rrows = left.basis.to_rows(), right.basis.to_rows()
+            for vectors in ([w], [w, other], lrows, rrows, [other, *lrows], [other, *rrows]):
                 kernels = [Subspace.zero_space(f, h.n(b) ** 2) for b in h.group.elements()]
                 kernels[a] = Subspace.from_spanning(f, h.n(a) ** 2, vectors)
                 calc, message = _build(h, kernels)

@@ -32,7 +32,7 @@ from hopfpi.linalg import (
     vec_kron,
     _is_prime,
 )
-from oracles import kernel_by_two_reductions, rref_dense
+from oracles import kernel_by_two_reductions, rref_by_sweeps, rref_dense
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11)]
 
@@ -83,10 +83,10 @@ def test_kernel_of_group_algebra_multiplication():
     one = Fraction(1)
     m = Matrix(QQ, 2, 4, {(0, 0): one, (1, 1): one, (1, 2): one, (0, 3): one})
     k = kernel(m)
-    assert k.basis == (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(-1)),   # e⊗e − u⊗u
-        (Fraction(0), Fraction(1), Fraction(-1), Fraction(0)),   # e⊗u − u⊗e
-    )
+    assert k.basis.to_rows() == [
+        [Fraction(1), Fraction(0), Fraction(0), Fraction(-1)],   # e⊗e − u⊗u
+        [Fraction(0), Fraction(1), Fraction(-1), Fraction(0)],   # e⊗u − u⊗e
+    ]
     # independent oracle: sympy nullspace spans the same space
     sympy = pytest.importorskip("sympy")
     ns = sympy.Matrix([[1, 0, 0, 1], [0, 1, 1, 0]]).nullspace()
@@ -120,12 +120,13 @@ def test_tensor_and_flip_examples():
 
 
 def test_inverse_and_solve():
-    m = Matrix.from_rows(QQ, [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]])
+    m = Matrix(QQ, 2, 2, {(0, 0): Fraction(2), (0, 1): Fraction(1), (1, 0): Fraction(1),
+                          (1, 1): Fraction(1)})
     inv = m.inverse()
     assert m @ inv == Matrix.identity(QQ, 2)
     assert solve(m, (Fraction(3), Fraction(2))) == (Fraction(1), Fraction(1))
     with pytest.raises(SingularMatrix):
-        Matrix.from_rows(QQ, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]).inverse()
+        Matrix(QQ, 2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}).inverse()
 
 
 def test_prime_field_parse_and_inverse():
@@ -147,7 +148,7 @@ def test_rank_nullity_and_exact_kernel(m):
     k = kernel(m)
     assert m.rank() + k.dim == m.cols
     zero = (m.field.zero(),) * m.rows
-    for v in k.basis:
+    for v in k.basis.to_rows():
         assert m.apply(v) == zero
 
 
@@ -173,6 +174,61 @@ def test_subspace_canonicity_under_respanning(m, seed):
     s2 = Subspace.from_spanning(f, m.cols, mixed)
     assert s1 == s2
     assert s1.basis == s2.basis
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix_strategy(), st.integers(min_value=0, max_value=10**6))
+def test_equal_row_spaces_have_equal_basis_and_hash(m, seed):
+    """Spanning sets of one row space, the rows of m and of E·m for a random
+    invertible E (row swaps, nonzero scalings, row additions) with zero and
+    repeated rows mixed in, give equal basis matrices, entry types included,
+    and equal hashes, whether reduced through from_spanning, rref or image."""
+    f = m.field
+    rng = random.Random(seed)
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    mixed = [list(row) for row in rows]
+    for _ in range(2 * len(mixed)):
+        i, j = rng.randrange(len(mixed)), rng.randrange(len(mixed))
+        step = rng.choice(["swap", "scale", "add"])
+        if step == "swap":
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        elif step == "scale":
+            c = f.from_int(rng.choice([x for x in range(-4, 5) if f.from_int(x) != f.zero()]))
+            mixed[i] = [f.mul(c, x) for x in mixed[i]]
+        elif i != j:
+            c = f.from_int(rng.randint(-4, 4))
+            mixed[i] = [f.add(x, f.mul(c, y)) for x, y in zip(mixed[i], mixed[j])]
+    mixed.insert(rng.randint(0, len(mixed)), [f.zero()] * m.cols)
+    if rows:
+        mixed.append(list(rng.choice(mixed)))
+    spans = [Subspace.from_spanning(f, m.cols, rows), Subspace.from_spanning(f, m.cols, mixed),
+             Subspace(*rref(m)), image(m.transpose())]
+    first = spans[0]
+    for other in spans[1:]:
+        assert other == first
+        assert stored(other.basis) == stored(first.basis)
+        assert other.pivots == first.pivots
+        assert hash(other) == hash(first) and hash(other.basis) == hash(first.basis)
+    assert len(set(spans)) == 1
+
+
+def test_matrix_is_not_iterable():
+    """m[r, c] reads every (r, c) as a scalar, so a matrix must refuse the
+    legacy sequence protocol instead of iterating m[0], m[1], … forever,
+    and m[k] with one index is an error, not a zero."""
+    m = Matrix.identity(QQ, 2)
+    with pytest.raises(TypeError):
+        iter(m)
+    with pytest.raises(TypeError):
+        list(m)
+    with pytest.raises(TypeError):
+        (1, 0) in m
+    with pytest.raises(TypeError):
+        for _ in Subspace.full(QQ, 2).basis:
+            pass
+    with pytest.raises(TypeError):      # a frame's column is m.col(i), not m[i]
+        m[0]
+    assert m[1, 1] == 1 and m[0, 1] == 0
 
 
 @st.composite
@@ -215,7 +271,7 @@ def test_kernel_matches_two_reductions(m):
     the free-column solutions of the left-to-right RREF again gives, down
     to the type of every scalar (int or Fraction over ℚ)."""
     k, want = kernel(m), kernel_by_two_reductions(m)
-    assert repr(k.basis) == repr(want.basis)
+    assert stored(k.basis) == stored(want.basis)
     assert k.pivots == want.pivots
     assert k.ambient_dim == want.ambient_dim == m.cols
 
@@ -272,24 +328,25 @@ def test_rref_matches_dense_reference(case):
     and leaves its input as it was; kernel and inverse, which eliminate
     through rref, agree with themselves run on the dense reference."""
     f, dense = case
-    given_rows = [list(row) for row in dense]
-    got = rref(f, given_rows)
-    assert given_rows == dense
-    want = rref_dense(f, [list(row) for row in dense])
-    assert repr(got) == repr(want)
     cols = len(dense[0]) if dense else 0
     m = Matrix(f, len(dense), cols, {(i, j): x for i, row in enumerate(dense)
                                     for j, x in enumerate(row)})
+    given = dict(m.entries)
+    got, pivots = rref(m)
+    assert m.entries == given
+    want, want_pivots = rref_dense(f, [list(row) for row in dense])
+    assert (got.rows, got.cols) == (len(want), cols)
+    assert repr(got.to_rows()) == repr(want) and pivots == want_pivots
     k = kernel(m)
-    with mock.patch.object(linalg, "rref", rref_dense):
+    with mock.patch.object(linalg, "rref", rref_by_sweeps):
         k_ref = kernel(m)
-    assert repr(k.basis) == repr(k_ref.basis) and k.pivots == k_ref.pivots
+    assert stored(k.basis) == stored(k_ref.basis) and k.pivots == k_ref.pivots
     if m.rows == m.cols:
         try:
             inv = m.inverse()
         except SingularMatrix:
             inv = None
-        with mock.patch.object(linalg, "rref", rref_dense):
+        with mock.patch.object(linalg, "rref", rref_by_sweeps):
             try:
                 inv_ref = m.inverse()
             except SingularMatrix:
@@ -342,7 +399,7 @@ def test_quotient_laws(m):
     k = kernel(m)
     q = quotient(m.cols, k)
     assert q.projection @ q.section == Matrix.identity(f, q.dim)
-    for v in k.basis:
+    for v in k.basis.to_rows():
         assert all(x == f.zero() for x in q.projection.apply(v))
     assert q.projection.rank() == m.cols - k.dim
     assert kernel(q.projection) == k
@@ -543,7 +600,7 @@ def test_kernel_dimension_matches_bruteforce_over_f3():
 
 
 def test_image_and_membership():
-    m = Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    m = Matrix(QQ, 2, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 2, (1, 1): 4})
     im = image(m)
     assert im.dim == 1
     assert im.contains((Fraction(1), Fraction(2)))
@@ -556,7 +613,7 @@ def test_storage_is_canonical_over_prime_fields():
     f = PrimeField(7)
     s1 = Subspace.from_spanning(f, 2, [(1, -1)])
     s2 = Subspace.from_spanning(f, 2, [(1, 6)])
-    assert s1 == s2 and s1.basis == ((1, 6),)
+    assert s1 == s2 and s1.basis == Matrix(f, 1, 2, {(0, 0): 1, (0, 1): 6})
     m1 = Matrix(f, 1, 2, {(0, 0): 8, (0, 1): -1})
     m2 = Matrix(f, 1, 2, {(0, 0): 1, (0, 1): 6})
     assert m1 == m2

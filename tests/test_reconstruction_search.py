@@ -86,7 +86,7 @@ def _solutions(f, rows: int, cols: int, *maps) -> list[Matrix]:
             img = linear(_matrix(f, rows, cols, [int(k == u) for k in range(rows * cols)]))
             system.update({(offset + r * img.cols + c, u): v for (r, c), v in img.entries.items()})
         offset += img.rows * img.cols
-    basis = kernel(Matrix(f, offset, rows * cols, system)).basis
+    basis = kernel(Matrix(f, offset, rows * cols, system)).basis.to_rows()
     return [_matrix(f, rows, cols, [sum(c * b[k] for c, b in zip(coeffs, basis)) % f.p
                                     for k in range(rows * cols)])
             for coeffs in product(range(f.p), repeat=len(basis))]

@@ -92,7 +92,7 @@ def test_invariant_representative_kz2(kz2, kz2_bim):
     rep_ambient = r_inv(kz2, 0).apply(vec_kron(QQ, (F(1), F(0)), (F(1), F(-1))))
     calc = universal_calculus(kz2)
     rep = calc.drop[0].apply(rep_ambient)
-    assert kz2_bim.omega(0) == (rep,)
+    assert kz2_bim.omega(0) == Matrix.column(QQ, rep)
 
 
 def test_zero_calculus_has_no_invariants(kz2):
@@ -117,12 +117,12 @@ def test_missing_coaction_errors(kz2_const):
 
 
 def test_projection_fixes_invariants(kz2_bim):
-    omega = kz2_bim.omega(0)[0]
+    omega = kz2_bim.omega(0).col(0)
     assert projection_P(kz2_bim, 0, omega) == omega
 
 
 def test_projection_kills_algebra_factor(kz2, kz2_bim):
-    rho = kz2_bim.omega(0)[0]
+    rho = kz2_bim.omega(0).col(0)
     u_rho = kz2_bim.left[0].apply(vec_kron(QQ, (F(0), F(1)), rho))
     # ε(u) = 1, so P(uρ) = P(ρ)
     assert projection_P(kz2_bim, 0, u_rho) == projection_P(kz2_bim, 0, rho)
@@ -139,7 +139,7 @@ def test_projection_image_is_invariant(const_bim):
 def test_projection_onto_other_grading_is_bijective(const_bim):
     p = projection_P_matrix(const_bim, 1)
     inv1 = invariant_subspace_left(const_bim, 0)
-    imgs = [p.apply(v) for v in inv1.basis]
+    imgs = [p.apply(v) for v in inv1.basis.to_rows()]
     span = Subspace.from_spanning(QQ, const_bim.g(1), imgs)
     assert span == invariant_subspace_left(const_bim, 1)
     assert span.dim == inv1.dim
@@ -149,7 +149,7 @@ def test_projection_onto_other_grading_is_bijective(const_bim):
 
 
 def test_decompose_frame_element(kz2_bim):
-    coeffs = decompose_left(kz2_bim, 0, kz2_bim.omega(0)[0])
+    coeffs = decompose_left(kz2_bim, 0, kz2_bim.omega(0).col(0))
     assert coeffs == [(F(1), F(0))]  # coefficient 1_A
 
 
@@ -172,8 +172,8 @@ def test_decompose_roundtrip_randomised(all_fixtures):
                 assert recombine_left(bim, a, coeffs) == rho
                 right_coeffs = decompose_right(bim, a, rho)
                 acc = tuple(f.zero() for _ in range(bim.g(a)))
-                for b_i, w in zip(right_coeffs, bim.omega(a)):
-                    term = bim.right[a].apply(vec_kron(f, w, b_i))
+                for i, b_i in enumerate(right_coeffs):
+                    term = bim.right[a].apply(vec_kron(f, bim.omega(a).col(i), b_i))
                     acc = tuple(f.add(x, y) for x, y in zip(acc, term))
                 assert acc == rho
 
@@ -289,7 +289,7 @@ def test_R_f7_comultiplication(f7z3, f7z3_bim):
 def test_eta_right_invariant_and_recombines(f7z3_bim):
     R = matrix_R(f7z3_bim)
     eta = eta_basis(f7z3_bim, R)  # raises if any defining identity fails
-    assert len(eta[0]) == 2
+    assert eta[0].cols == 2
 
 
 def test_structure_suite_constant_family(const_bim):
@@ -311,7 +311,7 @@ def test_left_coaction_of_invariants_is_trivial(const_bim):
             inv_ab = invariant_subspace_left(const_bim, ab)
             inv_b = invariant_subspace_left(const_bim, b)
             na = h.n(a)
-            for rho in inv_ab.basis:
+            for rho in inv_ab.basis.to_rows():
                 img = const_bim.delta_l[(a, b)].apply(rho)
                 gb = const_bim.g(b)
                 blocks = [img[i * gb:(i + 1) * gb] for i in range(na)]
@@ -458,8 +458,11 @@ def test_incompatible_grading_collapse_is_rejected(f7z3):
 
     f = f7z3.field
     p0, p1, p2 = (5, 5, 5), (5, 6, 3), (5, 3, 6)
-    basis_change = Matrix.from_cols(f, [p0, p1, p2])
-    swapped = Matrix.from_cols(f, [p1, p0, p2]) @ basis_change.inverse()
+
+    def by_columns(*vectors):
+        return Matrix(f, 3, 3, {(r, c): x for c, v in enumerate(vectors) for r, x in enumerate(v)})
+
+    swapped = by_columns(p1, p0, p2) @ by_columns(p0, p1, p2).inverse()
     hb = HopfPiCoalgebra(f7z3.group, f, f7z3.dims, f7z3.comult, f7z3.counit,
                          f7z3.mult, f7z3.unit, f7z3.antipode, psi=[swapped],
                          basis_names=f7z3.basis_names)
@@ -483,7 +486,7 @@ def test_non_involutive_antipode_boundary():
     funcs = ff(bim)                      # f-side identities all hold
     R = matrix_R(bim)                    # coaction matrix identities all hold
     eta = eta_basis(bim, R)              # η frame is right invariant
-    assert len(funcs) == len(eta[0]) == 3
+    assert len(funcs) == eta[0].cols == 3
 
     with pytest.raises(StructureInconsistent):
         functionals_g(bim, eta=eta)      # left-multiplication rule needs S² = id
@@ -640,13 +643,13 @@ def _vector_left_multiplication(cb, frames, funcs, side):
         for m in range(h.n(a)):
             avec = unit_vec(f, h.n(a), m)
             for i, row in enumerate(funcs):
-                lhs = cb.left[a].apply(vec_kron(f, avec, frames[a][i]))
+                lhs = cb.left[a].apply(vec_kron(f, avec, frames[a].col(i)))
                 rhs = zero_vec(f, cb.g(a))
                 for j, phi in enumerate(row):
                     twisted = precompose(phi, s1_inv, e, e)
                     coeff = (star_element(twisted, a, avec) if side == "left"
                              else element_star(twisted, a, avec))
-                    rhs = vec_add(f, rhs, cb.right[a].apply(vec_kron(f, frames[a][j], coeff)))
+                    rhs = vec_add(f, rhs, cb.right[a].apply(vec_kron(f, frames[a].col(j), coeff)))
                 if lhs != rhs:
                     return False
     return True
@@ -1094,7 +1097,7 @@ def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsy
     build = struct_mod.frame_matrix
 
     def counting(cb, alpha, frame, side="left"):
-        built[(alpha, tuple(map(tuple, frame)), side)] += 1
+        built[(alpha, frame, side)] += 1
         return build(cb, alpha, frame, side)
 
     monkeypatch.setattr(struct_mod, "frame_matrix", counting)
@@ -1105,3 +1108,36 @@ def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsy
     assert {(a, side) for a, _, side in built} == {
         (a, side) for a in h.group.elements() for side in ("left", "right")}
     assert set(built.values()) == {1}, built.values()
+
+
+@pytest.mark.parametrize("name", ["f7z3_constant_z2.json", "kz2_rational.json", "f7_z3.json"])
+def test_structure_job_checks_f_and_R_once(monkeypatch, fixture_dir, capsys, name):
+    """On a passing `structure` job each identity of f and R runs once:
+    check_characters on f (and once on g), check_corepresentation and the
+    intertwiner.  The round trip rebuilds from the data extraction has
+    just checked instead of checking it again."""
+    import json
+    from collections import Counter
+
+    import hopfpi.structure as struct_mod
+    from hopfpi.cli import main
+
+    runs = Counter()
+
+    def counted(label, check):
+        def wrapper(*args, **kwargs):
+            key = label
+            if label == "check_characters":
+                key = (label, args[2] if len(args) > 2 else kwargs.get("name", "f"))
+            runs[key] += 1
+            return check(*args, **kwargs)
+        return wrapper
+
+    for label in ("check_characters", "check_corepresentation", "intertwiner_report"):
+        monkeypatch.setattr(struct_mod, label, counted(label, getattr(struct_mod, label)))
+    assert main(["structure", "--universal", str(fixture_dir / name), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == "pass"
+    assert {c["name"]: c["status"] for c in report["checks"]}["reconstruction-roundtrip"] == "pass"
+    assert runs == {("check_characters", "f"): 1, ("check_characters", "g"): 1,
+                    "check_corepresentation": 1, "intertwiner_report": 1}
