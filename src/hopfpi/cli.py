@@ -149,10 +149,11 @@ def cmd_structure(doc: Document, args) -> Report:
     f = h.field
     fvals: dict = {}
     if data.f is not None:
+        rows = [t.to_rows() for t in data.f]       # row (i, j) of T_α: f_ij on A_α
         for i in range(data.size):
             for j in range(data.size):
                 fvals[f"f[{i}][{j}]"] = {
-                    f"on A_{grp.name(a)}": [f.render(x) for x in data.f[i][j].component(a)]
+                    f"on A_{grp.name(a)}": [f.render(x) for x in rows[a][i * data.size + j]]
                     for a in grp.elements()
                 }
     output.values["f"] = fvals

@@ -8,7 +8,7 @@ commutation of the frame past the algebra is carried by functionals:
 
 with f_ij(ab) = Σ_k f_ik(a) f_kj(b) and f_ij(1) = δ_ij, extracted through
 the coefficient maps F_ij (ω_i b = Σ F_ij(b) ω_j) and the grading
-collapse Ψ: f_ij^α = ε ∘ Ψ_α ∘ F_ij^α.
+collapse Ψ: f_ij^α = ε ∘ Ψ_α ∘ F_ij^α, one product T_α = (I⊗εΨ_α) F_α.
 
 On a bicovariant bimodule Δ^r_{α,β}(ω_i) = Σ_j ω_j ⊗ R_ji, and R is a
 matrix corepresentation (Woronowicz 1989, §2–3, graded).  R^β is one
@@ -24,8 +24,10 @@ The right-invariant frame η_j = Σ_i ω_i S_{α^{-1}}(R_ij) is built from
 R; conversely (f, R) data satisfying those relations reconstructs the
 bimodule on free modules.
 
-The functionals are stacked like R: T_α is one |I|² × n_α matrix per
-grading whose row (i, j) is φ_ij on A_α (φ = f or g), and U = T_1 S_1^{-1}
+The functionals are held like R, one matrix per grading: T_α is the
+|I|² × n_α matrix whose row (i, j) is φ_ij on A_α (φ = f or g), the
+coefficient maps (F for ω, G for η) are the |I|²n_α × n_α matrix whose
+rows ((i, j), r) and columns m hold the blocks F_ij, and U = T_1 S_1^{-1}
 holds the twisted φ_ij∘S_1^{-1}.  Write [X]_{r;c} for X with its legs
 re-keyed to rows r and columns c (Matrix.regroup, no arithmetic), W for
 the frame as columns and Q_α for the n_α × |I|² matrix whose column
@@ -68,6 +70,7 @@ witness names the exact identity:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .errors import (
     DimensionMismatch,
@@ -81,7 +84,6 @@ from .errors import (
     VerificationFailed,
 )
 from .hopf import (
-    GradedFunctional,
     HopfPiCoalgebra,
     VerificationReport,
     Violation,
@@ -370,11 +372,9 @@ _SIDES = {"left": ("ω", "f"), "right": ("η", "g")}
 def _compare(report: VerificationReport, check: str, grading, lhs: Matrix, rhs: Matrix,
              identity: str) -> None:
     """Record `identity` as violated when two matrices differ, witnessed
-    by the first column on which they do."""
-    if lhs == rhs:
-        return
-    first = min(c for _, c in (lhs - rhs).entries)
-    report.extend([Violation(check, tuple(grading), first, identity)])
+    by the first column on which they do (the one-block _differing_blocks)."""
+    for first in _differing_blocks(lhs, rhs, (lhs.rows, lhs.cols)).values():
+        report.extend([Violation(check, tuple(grading), first, identity)])
 
 
 def _require(report: VerificationReport, what: str) -> None:
@@ -382,23 +382,6 @@ def _require(report: VerificationReport, what: str) -> None:
         raise StructureInconsistent(
             f"{what} fails {len(report)} identities; first: {report.violations[0].render()}",
             report)
-
-
-def _stack(h: HopfPiCoalgebra, funcs, alpha: int) -> Matrix:
-    """T_α, the |I|² × n_α matrix whose row (i, j) is φ_ij on A_α."""
-    size = len(funcs)
-    return Matrix._unchecked(h.field, size * size, h.n(alpha), {
-        (i * size + j, x): v for i, row in enumerate(funcs) for j, phi in enumerate(row)
-        for x, v in enumerate(phi.component(alpha)) if v})
-
-
-def _stack_maps(h: HopfPiCoalgebra, maps, alpha: int) -> Matrix:
-    """The maps M_ij^α : A_α → A_α stacked: rows ((i, j), r), columns m."""
-    size = len(maps[alpha])
-    n = h.n(alpha)
-    return Matrix._unchecked(h.field, size * size * n, n, {
-        ((i * size + j) * n + r, m): v for i, row in enumerate(maps[alpha])
-        for j, mij in enumerate(row) for (r, m), v in mij.entries.items()})
 
 
 def _vec_identity(f, size: int) -> Matrix:
@@ -409,7 +392,7 @@ def _vec_identity(f, size: int) -> Matrix:
 def _convolutions(h: HopfPiCoalgebra, t1: Matrix, alpha: int, side: str) -> Matrix:
     """φ*· = (id⊗φ)Δ_{α,1} (side "left") or ·*φ = (φ⊗id)Δ_{1,α} (side
     "right") on A_α for every row φ of t1 (functionals on A_1) at once,
-    stacked like _stack_maps: rows (φ, x), columns c."""
+    laid out like the coefficient maps: rows (φ, x), columns c."""
     e = h.group.identity
     n = h.n(alpha)
     if side == "left":
@@ -422,6 +405,7 @@ def _differing_blocks(lhs: Matrix, rhs: Matrix, block: tuple[int, int]) -> dict:
     two matrices of one shape differ, c the first column within the block
     on which they do; (p, q) = block."""
     out: dict = {}
+    lhs._same_shape(rhs)
     left, right = lhs.entries, rhs.entries
     if left == right:
         return out
@@ -440,13 +424,13 @@ def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> Verification
     """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
     T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I)."""
     f = h.field
-    size = len(funcs)
+    size = isqrt(funcs[h.group.identity].rows)
     legs = (size, size)
     vec_eye = _vec_identity(f, size)
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
-        t = _stack(h, funcs, a)
+        t = funcs[a]
         # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
         split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
         mult = _differing_blocks(t @ h.mult[a], split.regroup((size, n), (size, n), (0, 2), (1, 3)),
@@ -470,14 +454,13 @@ def check_commutation_rule(h: HopfPiCoalgebra, maps, funcs, side: str) -> Verifi
     (side "left") and M_ij = · * g_ij for η (side "right"), on every A_α:
     the stacked maps against the stacked convolutions of T_1."""
     e = h.group.identity
-    size = len(funcs)
+    size = isqrt(funcs[e].rows)
     w, name = _SIDES[side]
     conv = "{0}_{1}{2} * b" if side == "left" else "b * {0}_{1}{2}"
-    t1 = _stack(h, funcs, e)
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
-        found = _differing_blocks(_stack_maps(h, maps, a), _convolutions(h, t1, a, side), (n, n))
+        found = _differing_blocks(maps[a], _convolutions(h, funcs[e], a, side), (n, n))
         for (ij, _), first in sorted(found.items()):
             i, j = divmod(ij, size)
             report.extend([Violation(FRAME_MULT, (a,), first,
@@ -500,12 +483,12 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
     h = cb.h
     f = h.field
     e = h.group.identity
-    size = len(funcs)
+    size = isqrt(funcs[e].rows)
     w, name = _SIDES[side]
     hint = ""
     if side == "right" and h.antipode[e] @ h.antipode[e] != Matrix.identity(f, h.n(e)):
         hint = "; this form needs an involutive antipode, and S_1² ≠ id"
-    twisted = _stack(h, funcs, e) @ h.antipode_inv(e)     # row (i, j): φ_ij∘S_1^{-1}
+    twisted = funcs[e] @ h.antipode_inv(e)                 # row (i, j): φ_ij∘S_1^{-1}
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
@@ -528,9 +511,9 @@ def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     f = h.field
     e = h.group.identity
     n1 = h.n(e)
-    size = len(funcs)
+    t = funcs[e]
+    size = isqrt(t.rows)
     legs, pair = (size, size), ((size, n1), (size, n1))
-    t = _stack(h, funcs, e)
     u = t @ h.antipode_inv(e)                                 # row (i, j): f_ij∘S_1^{-1}
     d11 = h.comult[(e, e)]
     target = _vec_identity(f, size).kron(h.counit)             # row (i, i): ε
@@ -599,9 +582,9 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
     (rows (i, ·), columns (j, ·)), re-keyed to rows (j, ·), columns (h, ·).
     """
     e = h.group.identity
-    size = len(funcs_f)
+    t_f, t_g = funcs_f[e], funcs_g[e]
+    size = isqrt(t_f.rows)
     fn, gn = names
-    t_f, t_g = _stack(h, funcs_f, e), _stack(h, funcs_g, e)
     report = VerificationReport()
     for a in gradings:
         n = h.n(a)
@@ -623,15 +606,16 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
 # the coefficient maps F and the functionals f, g
 
 
-def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matrix]]]:
-    """M[α][i][j] : A_α → A_α with w_i b = Σ_j M[α][i][j](b) w_j.
+def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[Matrix]:
+    """M_α per grading, rows ((i, j), r) and columns m, with w_i e_m =
+    Σ_j Σ_r M_α[((i, j), r), m] e_r w_j: the n_α × n_α blocks M_ij of
+    w_i b = Σ_j M_ij(b) w_j stacked over (i, j).
 
     frames[α] holds the frame w of Γ_α as columns.  It defaults to ω (the
     maps F, available without Ψ; the functionals f are E_α ∘ F when Ψ
     exists); functionals_g passes η.
     """
     h = cb.h
-    f = h.field
     omega = frames is None
     if omega:
         _frame_size(cb)
@@ -644,32 +628,20 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[list[list[Matri
                 else _frame_inverse(cb.frame_matrix(a, frames[a]), a))
         # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
         x = winv @ cb.frame_matrix(a, frames[a], "right")
-        blocks = [[{} for _ in range(size)] for _ in range(size)]
-        for (row, col), val in x.entries.items():
-            blocks[col // n][row // n][(row % n, col % n)] = val
-        out.append([[Matrix(f, n, n, blk) for blk in row] for row in blocks])
+        out.append(x.regroup((size, n), (size, n), (2, 0, 1), (3,)))
     return out
 
 
-def _collapse(h: HopfPiCoalgebra, maps) -> list:
-    """φ_ij with φ_ij^α = ε∘Ψ_α∘M_ij^α (the grading collapse): per grading
-    T_α = (I⊗εΨ_α) applied to the stacked maps, read off by rows."""
-    size = len(maps[h.group.identity])
-    comps = [[{} for _ in range(size)] for _ in range(size)]
-    zero = h.field.zero()
-    for a in h.group.elements():
-        n = h.n(a)
-        t = _stack_maps(h, maps, a).on_leg(h.counit @ h.psi[a], size * size, 1, 0)
-        rows: dict = {}
-        for (ij, x), v in t.entries.items():
-            rows.setdefault(ij, [zero] * n)[x] = v
-        for ij, row in rows.items():
-            comps[ij // size][ij % size][a] = row
-    return [[GradedFunctional(h, c) for c in row] for row in comps]
+def _collapse(h: HopfPiCoalgebra, maps) -> list[Matrix]:
+    """T_α per grading, φ_ij^α = ε∘Ψ_α∘M_ij^α (the grading collapse): the
+    stacked maps with εΨ_α acting on their r leg."""
+    return [maps[a].on_leg(h.counit @ h.psi[a], maps[a].rows // h.n(a), 1, 0)
+            for a in h.group.elements()]
 
 
 def functionals_f(cb: CovariantBimodule, coeffs=None):
-    """The f_ij = Σ_α ε∘Ψ_α∘F_ij^α, checked against their identities.
+    """The f_ij = Σ_α ε∘Ψ_α∘F_ij^α as one matrix T_α per grading, checked
+    against their identities.
 
     Checks the commutation rule F_ij = f_ij * ·, the character identities,
     the left-multiplication rule through f∘S_1^{-1} and the convolution
@@ -689,7 +661,8 @@ def functionals_f(cb: CovariantBimodule, coeffs=None):
 
 
 def functionals_g(cb: CovariantBimodule, eta=None):
-    """g_ij from the right-invariant frame: η_i b = Σ_j (b * g_ij) η_j.
+    """g_ij from the right-invariant frame, η_i b = Σ_j (b * g_ij) η_j, as
+    one matrix T_α per grading.
 
     `eta` holds the frame of each Γ_α as columns and defaults to the
     canonical echelon basis of the right-invariant subspace; the structure
@@ -801,11 +774,11 @@ def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
     A_α (see intertwiner_report)."""
     h = cb.h
     e = h.group.identity
+    size = isqrt(funcs_f[e].rows)
     report = VerificationReport()
-    for i, row in enumerate(funcs_f):
-        for j, phi in enumerate(row):
-            if phi.component(e) != funcs_g[i][j].component(e):
-                report.extend([Violation(INTERTWINER, (e,), None, f"f_{i}{j} ≠ g_{i}{j} on A_1")])
+    for ij, _ in sorted(_differing_blocks(funcs_f[e], funcs_g[e], (1, h.n(e)))):
+        i, j = divmod(ij, size)
+        report.extend([Violation(INTERTWINER, (e,), None, f"f_{i}{j} ≠ g_{i}{j} on A_1")])
     report = report.merge(intertwiner_report(h, funcs_f, funcs_g, R, h.group.elements()))
     _require(report, "the intertwiner")
 
@@ -818,8 +791,10 @@ def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
 class StructureData:
     """Invariant frames and the commutation data of a bicovariant bimodule.
 
-    R holds one matrix R^β per grading, of shape (size·n_β) × size, whose
-    column i is Σ_j e_j ⊗ R_ji (the layout of matrix_R).  `report` holds
+    F, f, g and R are matrices, one per grading: F as coefficient_maps
+    returns it, f and g as |I|² × n_α matrices T_α whose row (i, j) is
+    φ_ij on A_α, and R^β of shape (size·n_β) × size, whose column i is
+    Σ_j e_j ⊗ R_ji (the layout of matrix_R).  `report` holds
     every violation found; `not_run` maps each check that could not run
     in full to the reason, and a field whose step did not run or failed
     its identities is None.
@@ -828,9 +803,9 @@ class StructureData:
     size: int                       # |I|
     omega: list                     # per α: the frame W_α, column i is ω_i
     eta: list | None                # per α: the frame H_α, column j is η_j (3.55 frame)
-    F: list                         # per α: size×size coefficient maps A_α → A_α
-    f: list | None                  # size×size GradedFunctional (None without Ψ)
-    g: list | None
+    F: list                         # per α: the coefficient maps M_α, rows ((i, j), r)
+    f: list | None                  # per α: T_α, row (i, j) is f_ij on A_α (None without Ψ)
+    g: list | None                  # per α: T_α of g, laid out like f
     R: list | None                  # per β: the matrix R^β
     report: VerificationReport = field(default_factory=VerificationReport)
     not_run: dict = field(default_factory=dict)
@@ -905,22 +880,14 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     """
     f = h.field
     grp = h.group
-    if not (isinstance(funcs, (list, tuple)) and len(funcs) == size
-            and all(isinstance(row, (list, tuple)) and len(row) == size for row in funcs)):
-        raise IncompatibleData("f must be a size×size matrix of functionals")
-    for i, row in enumerate(funcs):
-        for j, phi in enumerate(row):
-            if not (isinstance(phi, GradedFunctional) and phi.h.field == f
-                    and all(a in range(grp.order) and len(c) == h.n(a)
-                            for a, c in phi.components.items())):
-                raise IncompatibleData(f"f_{i}{j} must be a functional on the components "
-                                       f"of dimensions {h.dims} over {f}")
-    if not isinstance(R, (list, tuple)) or len(R) != grp.order:
-        raise IncompatibleData("R must provide one matrix per grading")
-    for b in grp.elements():
-        shape = (size * h.n(b), size)
-        if not (isinstance(R[b], Matrix) and R[b].field == f and (R[b].rows, R[b].cols) == shape):
-            raise IncompatibleData(f"R^{b} must be a {shape[0]}×{shape[1]} matrix over {f}")
+    for name, data, shape in (("f", funcs, lambda n: (size * size, n)),
+                              ("R", R, lambda n: (size * n, size))):
+        if not isinstance(data, (list, tuple)) or len(data) != grp.order:
+            raise IncompatibleData(f"{name} must provide one matrix per grading")
+        for b, m in enumerate(data):
+            rows, cols = shape(h.n(b))
+            if not (isinstance(m, Matrix) and m.field == f and (m.rows, m.cols) == (rows, cols)):
+                raise IncompatibleData(f"{name} on A_{b} must be a {rows}×{cols} matrix over {f}")
     report = (check_characters(h, funcs, "f")
               .merge(check_corepresentation(h, R))
               .merge(intertwiner_report(h, funcs, funcs, R, grp.elements(), names=("f", "f"))))
@@ -942,9 +909,7 @@ def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     n1 = h.n(e)
     # (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)); twist has rows (j, i),
     # columns t and entries f_ij(e_t)
-    twist = Matrix(f, size * size, n1, {(j * size + i, t): x for i, row in enumerate(funcs)
-                                         for j, phi in enumerate(row)
-                                         for t, x in enumerate(phi.component(e))})
+    twist = funcs[e].permute_legs((size, size), (1, 0), 0)
     left = []
     right = []
     delta_l = {}

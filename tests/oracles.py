@@ -4,7 +4,9 @@ Each function here states its identity one vector (or one basis element)
 at a time, independently of the sparse matrix products the library uses;
 or, for the identities of the functionals f, g and of R over the frame
 index set, one entry (i, j[, h]) at a time, the form the library's
-stacked block products replace; or, for the axioms and the bimodule
+stacked block products replace, with the nested data (one block or one
+functional per (α, i, j)) that the stacked matrices replace; or, for
+the axioms and the bimodule
 laws, as products with every identity Kronecker factor built as a
 matrix, the form the library's leg-wise products replace.  Row
 reduction is here in its dense form, which the library's sparse rows
@@ -15,6 +17,7 @@ Nothing in `hopfpi` imports this module.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Sequence
 
 from hopfpi.calculus import Fodc, UniversalBimodule, phi_l, phi_r, universal_bimodule
@@ -42,6 +45,7 @@ from hopfpi.structure import (
     R_COUNIT,
     CovariantBimodule,
     _compare,
+    _frame_inverse,
     _frame_size,
     _require,
     invariant_subspace_right,
@@ -484,6 +488,72 @@ def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> None:
 
 # ---------------------------------------------------------------------------
 # the identities of f, g and R one entry (i, j[, h]) at a time
+
+
+def coefficient_maps_by_blocks(cb: CovariantBimodule, frames=None) -> list:
+    """M[α][i][j] : A_α → A_α with w_i b = Σ_j M[α][i][j](b) w_j, each
+    block split out of W⁻¹·right(W⊗I) one entry at a time; frames[α] is
+    the frame of Γ_α as columns, ω by default."""
+    h = cb.h
+    omega = frames is None
+    if omega:
+        _frame_size(cb)
+        frames = [cb.omega(a) for a in h.group.elements()]
+    out = []
+    for a in h.group.elements():
+        n = h.n(a)
+        size = frames[a].cols
+        winv = (cb.decompose_inverse(a) if omega
+                else _frame_inverse(cb.frame_matrix(a, frames[a]), a))
+        # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
+        x = winv @ cb.frame_matrix(a, frames[a], "right")
+        blocks = [[{} for _ in range(size)] for _ in range(size)]
+        for (row, col), val in x.entries.items():
+            blocks[col // n][row // n][(row % n, col % n)] = val
+        out.append([[Matrix(h.field, n, n, blk) for blk in row] for row in blocks])
+    return out
+
+
+def stack_maps(h: HopfPiCoalgebra, maps) -> list[Matrix]:
+    """The blocks M[α][i][j] stacked per grading: rows ((i, j), r), columns m."""
+    out = []
+    for a, blocks in zip(h.group.elements(), maps):
+        size, n = len(blocks), h.n(a)
+        out.append(Matrix(h.field, size * size * n, n, {
+            ((i * size + j) * n + r, m): v for i, row in enumerate(blocks)
+            for j, mij in enumerate(row) for (r, m), v in mij.entries.items()}))
+    return out
+
+
+def stack_functionals(h: HopfPiCoalgebra, funcs) -> list[Matrix]:
+    """T_α per grading for nested functionals funcs[i][j]: the |I|² × n_α
+    matrix whose row (i, j) is φ_ij on A_α."""
+    size = len(funcs)
+    return [Matrix(h.field, size * size, h.n(a), {
+        (i * size + j, x): v for i, row in enumerate(funcs) for j, phi in enumerate(row)
+        for x, v in enumerate(phi.component(a))}) for a in h.group.elements()]
+
+
+def nested_maps(h: HopfPiCoalgebra, maps) -> list:
+    """M[α][i][j], the n_α × n_α blocks of the stacked coefficient maps."""
+    out = []
+    for a, m in zip(h.group.elements(), maps):
+        n = h.n(a)
+        size = isqrt(m.rows // n)
+        blocks = [[{} for _ in range(size)] for _ in range(size)]
+        for (row, col), v in m.entries.items():
+            ij, r = divmod(row, n)
+            blocks[ij // size][ij % size][(r, col)] = v
+        out.append([[Matrix(h.field, n, n, blk) for blk in row] for row in blocks])
+    return out
+
+
+def nested_functionals(h: HopfPiCoalgebra, funcs) -> list:
+    """funcs[i][j] as a GradedFunctional, read from row (i, j) of each T_α."""
+    size = isqrt(funcs[h.group.identity].rows)
+    rows = [t.to_rows() for t in funcs]
+    return [[GradedFunctional(h, {a: rows[a][i * size + j] for a in h.group.elements()})
+             for j in range(size)] for i in range(size)]
 
 
 def convolution_map(h: HopfPiCoalgebra, alpha: int, row, side: str) -> Matrix:

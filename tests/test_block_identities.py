@@ -7,7 +7,10 @@ check_convolution_inverses, check_commutation_rule,
 check_left_multiplication_rule, intertwiner_report) must report exactly
 what its per-entry form in `oracles` reports: the same violations in the
 same order, compared as (check, grading, basis_index, detail).  So must
-the grading collapse that builds the functionals.
+the grading collapse that builds the functionals.  The references take
+the nested data, one block or functional per (α, i, j), converted from
+the stacked matrices; the stacked coefficient maps and functionals
+themselves must equal the ones stacked from the nested references.
 
 The structures are the bimodules of every fixture document (universal
 calculus and each named ideal), of k[ℤ/n] over F₁₀₁ and ℚ for n = 4 … 9,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -54,10 +58,15 @@ from oracles import (
     check_commutation_rule_by_entries,
     check_convolution_inverses_by_entries,
     check_left_multiplication_rule_by_entries,
+    coefficient_maps_by_blocks,
     collapse_by_entries,
     intertwiner_report_by_entries,
+    nested_functionals,
+    nested_maps,
     r_blocks,
     r_matrices,
+    stack_functionals,
+    stack_maps,
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -140,29 +149,31 @@ def _compare(bim, F, f, R, omega, eta, G, g) -> int:
     e = h.group.identity
     pairs = []
     if f is not None:
+        Fn, fn = nested_maps(h, F), nested_functionals(h, f)
         pairs += [
-            (check_characters(h, f, "f"), check_characters_by_entries(h, f, "f")),
+            (check_characters(h, f, "f"), check_characters_by_entries(h, fn, "f")),
             (check_commutation_rule(h, F, f, "left"),
-             check_commutation_rule_by_entries(h, F, f, "left")),
+             check_commutation_rule_by_entries(h, Fn, fn, "left")),
             (check_left_multiplication_rule(bim, omega, f, "left"),
-             check_left_multiplication_rule_by_entries(bim, omega, f, "left")),
-            (check_convolution_inverses(h, f), check_convolution_inverses_by_entries(h, f)),
+             check_left_multiplication_rule_by_entries(bim, omega, fn, "left")),
+            (check_convolution_inverses(h, f), check_convolution_inverses_by_entries(h, fn)),
         ]
     if g is not None:
+        Gn, gn = nested_maps(h, G), nested_functionals(h, g)
         pairs += [
-            (check_characters(h, g, "g"), check_characters_by_entries(h, g, "g")),
+            (check_characters(h, g, "g"), check_characters_by_entries(h, gn, "g")),
             (check_commutation_rule(h, G, g, "right"),
-             check_commutation_rule_by_entries(h, G, g, "right")),
+             check_commutation_rule_by_entries(h, Gn, gn, "right")),
             (check_left_multiplication_rule(bim, eta, g, "right"),
-             check_left_multiplication_rule_by_entries(bim, eta, g, "right")),
+             check_left_multiplication_rule_by_entries(bim, eta, gn, "right")),
         ]
     if f is not None and g is not None and R is not None:
         grads = list(h.group.elements())
         pairs += [
             (intertwiner_report(h, f, g, R, grads),
-             intertwiner_report_by_entries(h, f, g, R, grads)),
+             intertwiner_report_by_entries(h, fn, gn, R, grads)),
             (intertwiner_report(h, f, f, R, [e], names=("f", "f")),
-             intertwiner_report_by_entries(h, f, f, R, [e], names=("f", "f"))),
+             intertwiner_report_by_entries(h, fn, fn, R, [e], names=("f", "f"))),
         ]
     total = 0
     for k, (block, entries) in enumerate(pairs):
@@ -172,11 +183,14 @@ def _compare(bim, F, f, R, omega, eta, G, g) -> int:
 
 
 def _swap(funcs, first, second):
-    """funcs with the entries at index pairs `first` and `second` exchanged."""
-    out = [list(row) for row in funcs]
-    (i, j), (k, m) = first, second
-    out[i][j], out[k][m] = funcs[k][m], funcs[i][j]
-    return out
+    """funcs with the functionals at index pairs `first` and `second`
+    exchanged: rows (i, j) and (k, m) of every T_α swapped."""
+    size = isqrt(funcs[0].rows)
+    x, y = (i * size + j for i, j in (first, second))
+    swap = {x: y, y: x}
+    return [Matrix(t.field, t.rows, t.cols, {(swap.get(r, r), c): v
+                                             for (r, c), v in t.entries.items()})
+            for t in funcs]
 
 
 def _bump_R(h, R):
@@ -201,11 +215,9 @@ def test_block_checks_match_entry_references(label):
     h = bim.h
     omega = [bim.omega(a) for a in h.group.elements()]
     if f is not None:
-        assert [[phi.components for phi in row] for row in f] == \
-            [[phi.components for phi in row] for row in collapse_by_entries(h, F)]
+        assert f == stack_functionals(h, collapse_by_entries(h, nested_maps(h, F)))
     if g is not None:
-        assert [[phi.components for phi in row] for row in g] == \
-            [[phi.components for phi in row] for row in collapse_by_entries(h, G)]
+        assert g == stack_functionals(h, collapse_by_entries(h, nested_maps(h, G)))
     _compare(bim, F, f, R, omega, eta, G, g)
 
     # on a frame of size 1 a swap has nothing to exchange, and over a
@@ -223,8 +235,26 @@ def test_block_checks_match_entry_references(label):
                         G, g) > 0
 
 
+@pytest.mark.parametrize("label", list(CALCULI))
+def test_stacked_data_match_the_nested_references(label):
+    """F and G equal the n_α × n_α blocks split out one entry at a time and
+    stacked, and f and g the functionals collapsed from those blocks one
+    (α, i, j) at a time and stacked."""
+    bim, F, f, R, eta, G, g = _raw(label)
+    h = bim.h
+    blocks = coefficient_maps_by_blocks(bim)
+    assert F == stack_maps(h, blocks)
+    if f is not None:
+        assert f == stack_functionals(h, collapse_by_entries(h, blocks))
+    if eta is not None:
+        blocks = coefficient_maps_by_blocks(bim, eta)
+        assert G == stack_maps(h, blocks)
+        if g is not None:
+            assert g == stack_functionals(h, collapse_by_entries(h, blocks))
+
+
 def test_every_perturbation_is_exercised():
     """The perturbations above run on some structure, so the agreement on
     violations is not vacuous: F₁₀₁[ℤ/6] has a frame of size 5, f, g and R."""
     bim, F, f, R, eta, G, g = _raw("F101[Z/6]")
-    assert len(f) == 5 and g is not None and R is not None
+    assert f[0].rows == 5 * 5 and g is not None and R is not None

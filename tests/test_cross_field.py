@@ -10,13 +10,20 @@ covariance and ad-invariance verdicts and the same frame size over each
 field.  The Taft algebra fails its structure identities, and it must
 fail them with the same check names over every field.  A slip in the one
 elimination kernel that shows over one field only breaks the agreement.
+
+The structure values themselves depend on the field, but only through
+reduction: wherever f, g or R is extracted, its ℚ value reduces entrywise
+mod p to its value over F_p.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from hopfpi import (
+    Matrix,
     PrimeField,
     QQ,
     calculus_from_ideal,
@@ -55,10 +62,12 @@ def _power_minus_e(h, i: int) -> tuple:
                  for k in range(h.n(h.group.identity)))
 
 
-def _answers(h, powers) -> dict:
-    """Every field-independent answer for one structure."""
+def _answers(h, powers) -> tuple[dict, dict]:
+    """Every field-independent answer for one structure, and the structure
+    data of each bicovariant calculus, keyed by (ideal label, route)."""
     verdict = verify_all(h)
     out: dict = {"axioms": (verdict.ok, sorted({v.check for v in verdict.violations}))}
+    values: dict = {}
     ideals = {"universal": zero_ideal(h)}
     for i in powers:
         label = "g - e" if i == 1 else f"g^{i} - e"
@@ -83,13 +92,14 @@ def _answers(h, powers) -> dict:
                 data = exc.data
                 failed = sorted({v.check for v in exc.report.violations})
             out[label, route, "structure"] = (data.size, failed, sorted(data.not_run))
-    return out
+            values[label, route] = data
+    return out, values
 
 
 @pytest.mark.parametrize("name", list(STRUCTURES))
 def test_answers_agree_across_fields(name):
     build, powers = STRUCTURES[name]
-    answers = [_answers(build(f), powers) for f in FIELDS]
+    answers = [_answers(build(f), powers)[0] for f in FIELDS]
     for f, got in zip(FIELDS[1:], answers[1:]):
         assert got == answers[0], f"{name} over {f} differs from {FIELDS[0]}"
     first = answers[0]
@@ -105,7 +115,7 @@ def test_group_algebra_answers_are_the_theory():
     n − gcd(2, n), so for even n its calculus has dim Γ = n and a frame of
     one element."""
     for n in range(3, 7):
-        got = _answers(group_algebra(cyclic(n), PrimeField(101)), (1, 2))
+        got, _ = _answers(group_algebra(cyclic(n), PrimeField(101)), (1, 2))
         assert got["universal", "left", "dims"] == ([n * n - n], [0], [n * n - n])
         assert got["universal", "left", "structure"] == (n - 1, [], [])
         assert got["g - e", "ideal"] == n - 1
@@ -120,6 +130,33 @@ def test_taft_fails_its_structure_identities_alike():
     """Taft's η left-multiplication rule needs an involutive antipode, so
     the universal calculus fails frame-multiplicativity over every field."""
     for f in FIELDS:
-        got = _answers(taft_hopf_algebra(f), (1,))
+        got, _ = _answers(taft_hopf_algebra(f), (1,))
         size, failed, _ = got["universal", "left", "structure"]
         assert size == 3 and "frame-multiplicativity" in failed, f
+
+
+def _reduce(m: Matrix, field: PrimeField) -> Matrix:
+    """A matrix over ℚ reduced entrywise mod p; a denominator divisible by
+    p has no reduction and raises ValueError."""
+    p = field.p
+    return Matrix(field, m.rows, m.cols, {
+        k: Fraction(v).numerator * pow(Fraction(v).denominator, -1, p)
+        for k, v in m.entries.items()})
+
+
+@pytest.mark.parametrize("name", list(STRUCTURES))
+def test_structure_values_reduce_mod_p(name):
+    """Wherever f, g or R is extracted over ℚ it is extracted over F₇ and
+    F₁₀₁ too, and reduces entrywise mod p to the value there."""
+    build, powers = STRUCTURES[name]
+    _, over_q = _answers(build(QQ), powers)
+    assert any(data.f is not None and data.R is not None for data in over_q.values())
+    for field in FIELDS[1:]:
+        _, over_p = _answers(build(field), powers)
+        assert over_p.keys() == over_q.keys()
+        for key, data in over_q.items():
+            for part in ("f", "g", "R"):
+                want, got = getattr(data, part), getattr(over_p[key], part)
+                assert (want is None) == (got is None), (key, part, field)
+                if want is not None:
+                    assert [_reduce(m, field) for m in want] == got, (key, part, field)

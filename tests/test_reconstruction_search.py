@@ -25,7 +25,6 @@ from itertools import product
 import pytest
 
 from hopfpi import (
-    GradedFunctional,
     PrimeField,
     constant_family,
     cyclic,
@@ -64,11 +63,13 @@ def _characters(h, alpha: int, size: int) -> list:
 
 
 def character_families(h, size: int) -> list:
-    """Every size×size family of graded characters of h."""
-    per_grading = [_characters(h, a, size) for a in h.group.elements()]
-    return [[[GradedFunctional(h, {a: t[a][i][j] for a in h.group.elements()})
-              for j in range(size)] for i in range(size)]
-            for t in product(*per_grading)]
+    """Every size×size family of graded characters of h, as one matrix T_α
+    per grading whose row (i, j) is the character's entry (i, j) on A_α."""
+    per_grading = [[Matrix(h.field, size * size, h.n(a), {
+        (i * size + j, x): v for i, row in enumerate(t) for j, c in enumerate(row)
+        for x, v in enumerate(c)}) for t in _characters(h, a, size)]
+        for a in h.group.elements()]
+    return [list(funcs) for funcs in product(*per_grading)]
 
 
 def _matrix(f, rows: int, cols: int, flat) -> Matrix:

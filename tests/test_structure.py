@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from hopfpi import (
-    GradedFunctional,
     ad_map,
     calculus_from_ideal,
     check_bicovariant,
@@ -50,6 +49,8 @@ from hopfpi.structure import CovariantBimodule
 from oracles import (
     element_star,
     interchange_product,
+    nested_functionals,
+    nested_maps,
     precompose,
     r_blocks,
     r_matrices,
@@ -192,19 +193,20 @@ def test_decompose_matrix_invertible(all_fixtures):
 
 def test_f_values_kz2(kz2_bim):
     funcs = functionals_f(kz2_bim)
-    assert len(funcs) == 1
-    f00 = funcs[0][0]
-    assert f00(0, (F(1), F(0))) == F(1)
-    assert f00(0, (F(0), F(1))) == F(-1)
+    assert len(funcs) == 1 and funcs[0].rows == 1             # one grading, |I| = 1
+    assert funcs[0].row(0) == (F(1), F(-1))                   # f_00(e) = 1, f_00(u) = −1
 
 
 def test_f_multiplicative_all_pairs_kz2(kz2, kz2_bim):
     funcs = functionals_f(kz2_bim)
-    f00 = funcs[0][0]
+
+    def f00(v):
+        return funcs[0].apply(v)[0]
+
     for i in range(2):
         for j in range(2):
             prod = kz2.mult[0].apply(vec_kron(QQ, _basis(QQ, 2, i), _basis(QQ, 2, j)))
-            assert f00(0, prod) == f00(0, _basis(QQ, 2, i)) * f00(0, _basis(QQ, 2, j))
+            assert f00(prod) == f00(_basis(QQ, 2, i)) * f00(_basis(QQ, 2, j))
 
 
 def _basis(f, n, i):
@@ -213,23 +215,27 @@ def _basis(f, n, i):
 
 def test_f_matrix_f7(f7z3, f7z3_bim):
     funcs = functionals_f(f7z3_bim)
-    assert len(funcs) == 2
+    assert funcs[0].rows == 2 * 2                             # |I| = 2
+
+    def phi(p, q, v):
+        return funcs[0].apply(v)[p * 2 + q]
+
     f = f7z3.field
     for i in range(3):
         for j in range(3):
             prod = f7z3.mult[0].apply(vec_kron(f, _basis(f, 3, i), _basis(f, 3, j)))
             for p in range(2):
                 for q in range(2):
-                    lhs = funcs[p][q](0, prod)
+                    lhs = phi(p, q, prod)
                     rhs = f.zero()
                     for k in range(2):
-                        rhs = f.add(rhs, f.mul(funcs[p][k](0, _basis(f, 3, i)),
-                                               funcs[k][q](0, _basis(f, 3, j))))
+                        rhs = f.add(rhs, f.mul(phi(p, k, _basis(f, 3, i)),
+                                               phi(k, q, _basis(f, 3, j))))
                     assert lhs == rhs
     for p in range(2):
         for q in range(2):
             want = f.one() if p == q else f.zero()
-            assert funcs[p][q](0, f7z3.unit[0]) == want
+            assert phi(p, q, f7z3.unit[0]) == want
 
 
 def test_f_requires_psi(kz2):
@@ -243,7 +249,7 @@ def test_f_requires_psi(kz2):
     from hopfpi.structure import coefficient_maps
 
     F_maps = coefficient_maps(bim)
-    assert F_maps[0][0][0].rows == 2
+    assert (F_maps[0].rows, F_maps[0].cols) == (1 * 1 * 2, 2)
 
 
 def test_g_matches_f_on_identity_component(f7z3_bim):
@@ -251,14 +257,13 @@ def test_g_matches_f_on_identity_component(f7z3_bim):
     R = matrix_R(f7z3_bim)
     eta = eta_basis(f7z3_bim, R)
     gfuncs = functionals_g(f7z3_bim, eta=eta)
-    for i in range(2):
-        for j in range(2):
-            assert funcs[i][j].component(0) == gfuncs[i][j].component(0)
+    assert funcs[0].rows == 2 * 2
+    assert funcs[0] == gfuncs[0]
 
 
 def test_g_canonical_frame(kz2_bim):
     gfuncs = functionals_g(kz2_bim)
-    assert gfuncs[0][0](0, (F(1), F(0))) == F(1)
+    assert gfuncs[0].apply((F(1), F(0))) == (F(1),)
 
 
 # -- the R matrix -------------------------------------------------------------------
@@ -340,8 +345,7 @@ def test_reconstruction_trivial_rank_one(kz2, kz2_const):
     for h in (kz2, kz2_const):
         f = h.field
         e = h.group.identity
-        funcs = [[GradedFunctional(h, {
-            a: (h.counit @ h.psi[a]).row(0) for a in h.group.elements()})]]
+        funcs = [h.counit @ h.psi[a] for a in h.group.elements()]
         R = r_matrices(h, [[[tuple(h.unit[b])]] for b in h.group.elements()])
         bim = reconstruct(h, funcs, R, 1)
         assert bim.verify().ok
@@ -355,10 +359,10 @@ def test_reconstruction_trivial_rank_one(kz2, kz2_const):
 
 
 def test_reconstruction_rejects_bad_normalisation(kz2):
-    zero_func = GradedFunctional(kz2, {})
+    zero_func = Matrix.zero(QQ, 1, 2)
     R = r_matrices(kz2, [[[(F(1), F(0))]]])
     with pytest.raises(IncompatibleData):
-        reconstruct(kz2, [[zero_func]], R, 1)
+        reconstruct(kz2, [zero_func], R, 1)
 
 
 def test_reconstruction_rejects_bad_R(kz2, kz2_bim):
@@ -393,35 +397,66 @@ def _malformed_R(name, h, R):
 
 @pytest.mark.parametrize("name", ["tuple form", "ragged blocks", "short entries", "row dropped",
                                   "column dropped", "other field", "one matrix too many"])
-def test_reconstruction_rejects_malformed_R(name, f7z3, f7z3_bim):
+def test_reconstruction_rejects_malformed_R(name, monkeypatch, f7z3, f7z3_bim):
     """Malformed R is rejected as IncompatibleData before any product."""
     data = extract_structure(f7z3_bim)
+    bad = _malformed_R(name, f7z3, data.R)
+    _forbid_products(monkeypatch)
     with pytest.raises(IncompatibleData):
-        reconstruct(f7z3, data.f, _malformed_R(name, f7z3, data.R), data.size)
+        reconstruct(f7z3, data.f, bad, data.size)
 
 
-def test_reconstruction_rejects_malformed_functionals(fixture_dir):
-    """Each f_ij must be a graded functional whose components fit the
-    dimensions and the field of the structure; anything else is rejected as
-    IncompatibleData before any product."""
-    from hopfpi import cyclic, group_algebra
+def _forbid_products(monkeypatch) -> None:
+    """Make every Matrix product raise AssertionError from here on."""
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product ran before the data were validated")
 
-    h = load_document(fixture_dir / "f7_z3.json").hopf
+    for product in ("__matmul__", "on_leg", "regroup", "kron"):
+        monkeypatch.setattr(Matrix, product, no_product)
+
+
+def _malformed_f(name, h, f):
+    """One malformed variant of lawful f data (one T_α per grading) by name."""
+    t = f[1]
+    if name == "one matrix too many":
+        return f + f[:1]
+    if name == "one matrix short":
+        return f[:1]
+    if name == "longer functional at one grading":                  # from a larger A_α
+        return [f[0], Matrix(h.field, t.rows, t.cols + 1, t.entries)]
+    if name == "shorter functional at one grading":
+        return [f[0], Matrix(h.field, t.rows, t.cols - 1,
+                             {k: v for k, v in t.entries.items() if k[1] < t.cols - 1})]
+    if name == "row dropped at one grading":
+        return [f[0], Matrix(h.field, t.rows - 1, t.cols,
+                             {k: v for k, v in t.entries.items() if k[0] < t.rows - 1})]
+    if name == "other field":
+        return [f[0], Matrix(PrimeField(11), t.rows, t.cols, t.entries)]
+    if name == "nested functionals":                                # the f_ij one by one
+        return nested_functionals(h, f)
+    return [f[0], t.to_rows()]                                      # "rows, not a Matrix"
+
+
+MALFORMED_F = ("one matrix too many", "one matrix short", "longer functional at one grading",
+               "shorter functional at one grading", "row dropped at one grading", "other field",
+               "nested functionals", "rows, not a Matrix")
+
+
+def test_reconstruction_rejects_malformed_functionals(monkeypatch, fixture_dir):
+    """f must be one |I|² × n_α matrix per grading over the field of the
+    structure; each malformed variant is rejected as IncompatibleData
+    before any product."""
+    h = load_document(fixture_dir / "f7z3_constant_z2.json").hopf
     data = extract_structure(universal_calculus(h).to_bimodule())
-    f = data.f
-    other_group = group_algebra(cyclic(2), h.field)
-    other_field = group_algebra(cyclic(3), PrimeField(11))
-    longer = GradedFunctional(group_algebra(cyclic(4), h.field), {0: (1, 0, 0, 0)})
-    for bad in ("f00",                                                  # not a functional
-                GradedFunctional(other_group, {0: other_group.counit.row(0)}),
-                GradedFunctional(other_field, {0: other_field.counit.row(0)}),
-                longer):                                                # entries beyond n_1
-        funcs = [[bad] + f[0][1:]] + f[1:]
-        with pytest.raises(IncompatibleData):
-            reconstruct(h, funcs, data.R, data.size)
-    with pytest.raises(IncompatibleData):
-        reconstruct(h, tuple(f[0]), data.R, data.size)                 # not a matrix
-    assert reconstruct(h, f, data.R, data.size).verify().ok
+    assert len(data.f) == 2 and reconstruct(h, data.f, data.R, data.size).verify().ok
+    variants = {name: _malformed_f(name, h, data.f) for name in MALFORMED_F}
+    _forbid_products(monkeypatch)
+    for name, bad in variants.items():
+        try:
+            reconstruct(h, bad, data.R, data.size)
+        except IncompatibleData:
+            continue
+        pytest.fail(f"f with {name} was accepted")
 
 
 def test_reconstruction_accepts_grouplike_twist(kz2, kz2_bim):
@@ -486,7 +521,7 @@ def test_non_involutive_antipode_boundary():
     funcs = ff(bim)                      # f-side identities all hold
     R = matrix_R(bim)                    # coaction matrix identities all hold
     eta = eta_basis(bim, R)              # η frame is right invariant
-    assert len(funcs) == eta[0].cols == 3
+    assert funcs[0].rows == 3 * 3 and eta[0].cols == 3
 
     with pytest.raises(StructureInconsistent):
         functionals_g(bim, eta=eta)      # left-multiplication rule needs S² = id
@@ -588,7 +623,7 @@ def test_convolution_inverse_identities_elementwise(all_fixtures):
 
     for h in all_fixtures.values():
         bim = universal_calculus(h).to_bimodule()
-        funcs = functionals_f(bim)
+        funcs = nested_functionals(h, functionals_f(bim))
         size = len(funcs)
         f = h.field
         e = h.group.identity
@@ -620,6 +655,7 @@ def _vector_commutation(h, maps, funcs, side):
     """M_ij(b) = f_ij * b (left) or b * g_ij (right), one basis b at a time."""
     from hopfpi.linalg import unit_vec
 
+    maps, funcs = nested_maps(h, maps), nested_functionals(h, funcs)
     for a in h.group.elements():
         for m in range(h.n(a)):
             b = unit_vec(h.field, h.n(a), m)
@@ -639,6 +675,7 @@ def _vector_left_multiplication(cb, frames, funcs, side):
     f = h.field
     e = h.group.identity
     s1_inv = h.antipode_inv(e)
+    funcs = nested_functionals(h, funcs)
     for a in h.group.elements():
         for m in range(h.n(a)):
             avec = unit_vec(f, h.n(a), m)
@@ -660,6 +697,7 @@ def _vector_intertwiner(h, funcs_f, funcs_g, R, gradings):
     from hopfpi.linalg import unit_vec
 
     R = r_blocks(h, R)
+    funcs_f, funcs_g = nested_functionals(h, funcs_f), nested_functionals(h, funcs_g)
     f = h.field
     size = len(funcs_f)
     for a in gradings:
@@ -692,12 +730,12 @@ def _raw_structure(bim):
     return F, _collapse(h, F), R, eta, G, _collapse(h, G)
 
 
-def _bump_functional(h, phi):
-    """φ + ε on A_1: a lawful-looking functional that breaks the identities."""
+def _bump_first(h, funcs):
+    """φ_00 + ε on A_1: lawful-looking functionals that break the identities."""
     e = h.group.identity
-    comps = {a: phi.component(a) for a in h.group.elements()}
-    comps[e] = tuple(h.field.add(x, y) for x, y in zip(comps[e], h.counit.row(0)))
-    return GradedFunctional(h, comps)
+    row = {(0, x): v for (_, x), v in h.counit.entries.items()}
+    return [t + Matrix(h.field, t.rows, t.cols, row) if a == e else t
+            for a, t in enumerate(funcs)]
 
 
 def _bump_R(h, R):
@@ -726,8 +764,8 @@ def test_matrix_checks_agree_with_vector_reference(all_fixtures):
         h = bim.h
         F, f, R, eta, G, g = _raw_structure(bim)
         omega = [bim.omega(a) for a in h.group.elements()]
-        bad_f = [[_bump_functional(h, f[0][0])] + f[0][1:]] + f[1:]
-        bad_g = [[_bump_functional(h, g[0][0])] + g[0][1:]] + g[1:]
+        bad_f = _bump_first(h, f)
+        bad_g = _bump_first(h, g)
         bad_R = _bump_R(h, R)
         grads = list(h.group.elements())
         for funcs_f, funcs_g, R_ in ((f, g, R), (bad_f, bad_g, R), (f, g, bad_R)):
@@ -779,11 +817,11 @@ def test_corrupted_f_value_fails_extraction_and_reconstruction(kz2, kz2_bim):
     from hopfpi.structure import coefficient_maps
 
     maps = coefficient_maps(kz2_bim)
-    bumped = maps[0][0][0] + Matrix(QQ, 2, 2, {(0, 1): F(1)})   # u ↦ u's coefficients + e
+    bumped = maps[0] + Matrix(QQ, 2, 2, {(0, 1): F(1)})   # u ↦ u's coefficients + e
     with pytest.raises(StructureInconsistent) as extraction:
-        functionals_f(kz2_bim, coeffs=[[[bumped]]])
+        functionals_f(kz2_bim, coeffs=[bumped])
     data = extract_structure(kz2_bim)
-    bad_f = [[GradedFunctional(kz2, {0: (kz2.counit @ kz2.psi[0] @ bumped).row(0)})]]
+    bad_f = [kz2.counit @ kz2.psi[0] @ bumped]
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(kz2, bad_f, data.R, data.size)
     assert "frame-multiplicativity" in _checks_named(extraction.value.report)
@@ -964,9 +1002,9 @@ def test_leg_reorderings_match_flip_formulas(lawful_structure):
         assert ad_map(h, a) == sweedler
 
     size = 2
-    character = GradedFunctional(h, {a: (h.counit @ h.psi[a]).row(0) for a in g.elements()})
-    zero = GradedFunctional(h, {})
-    funcs = [[character, zero], [zero, character]]
+    # f_00 = f_11 = the grading collapse of ε, f_01 = f_10 = 0
+    vec_eye = Matrix.column(f, (f.one(), f.zero(), f.zero(), f.one()))
+    funcs = [vec_eye.kron(h.counit @ h.psi[a]) for a in g.elements()]
     R = r_matrices(h, [[[tuple(h.unit[b]), (f.zero(),) * h.n(b)],
                         [(f.zero(),) * h.n(b), tuple(h.unit[b])]] for b in g.elements()])
     rebuilt = reconstruct(h, funcs, R, size)
@@ -1076,7 +1114,8 @@ def test_reconstruct_right_action_matches_the_product_chain(fixture_dir):
     for name, h, funcs, R, size in cases:
         rebuilt = reconstruct(h, funcs, R, size)
         for a in h.group.elements():
-            assert rebuilt.right[a] == reconstruct_right_by_chain(h, funcs, size, a), (name, a)
+            assert rebuilt.right[a] == reconstruct_right_by_chain(
+                h, nested_functionals(h, funcs), size, a), (name, a)
 
 
 def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsys):
