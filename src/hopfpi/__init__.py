@@ -12,24 +12,19 @@ from .linalg import (  # noqa: F401
     Matrix,
     PrimeField,
     QQ,
-    Quotient,
     Rationals,
     Subspace,
-    flip,
     image,
     kernel,
     quotient,
 )
 from .hopf import (  # noqa: F401
-    GradedFunctional,
     HopfPiCoalgebra,
     PiCoalgebra,
     VerificationReport,
     Violation,
     constant_family,
-    convolution,
     group_algebra,
-    iterated_comult,
     taft_hopf_algebra,
     verify_all,
     verify_hopf,
@@ -66,8 +61,6 @@ from .structure import (  # noqa: F401
     CovariantBimodule,
     StructureData,
     coefficient_maps,
-    decompose_left,
-    decompose_right,
     eta_basis,
     extract_structure,
     functionals_f,
@@ -75,8 +68,6 @@ from .structure import (  # noqa: F401
     invariant_subspace_left,
     invariant_subspace_right,
     matrix_R,
-    projection_P,
-    projection_P_matrix,
     reconstruct,
     reconstruction_matches,
 )

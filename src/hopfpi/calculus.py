@@ -55,7 +55,7 @@ from .linalg import (
     Matrix,
     PrimeField,
     Subspace,
-    differing_columns,
+    differing_blocks,
     image,
     kernel,
     quotient,
@@ -345,7 +345,7 @@ class Fodc:
                 raise CodomainViolation(f"N_{a} is not contained in A²_{a}")
         # P_α has kernel exactly N_α, so v ∈ N_α ⇔ P_α v = 0: containments
         # are decided by products with P
-        self.proj: list[Matrix] = [quotient(k.ambient_dim, k).projection for k in self.kernels]
+        self.proj: list[Matrix] = [quotient(k) for k in self.kernels]
         if checked:
             self._check_sub_bimodule()
 
@@ -433,7 +433,7 @@ class Fodc:
             n = h.n(a)
             lhs = self.d[a] @ h.mult[a]
             rhs = self.right[a].on_leg(self.d[a], 1, n, 1) + self.left[a].on_leg(self.d[a], n, 1, 1)
-            for j, _, _ in differing_columns(lhs, rhs):
+            for _, j in sorted(differing_blocks(lhs, rhs, (lhs.rows, 1))):
                 report.extend([Violation("leibniz", (a,), j, "d(ab) ≠ d(a)b + a d(b)")])
         return report
 
@@ -607,7 +607,7 @@ def check_ad_invariant(h: HopfPiCoalgebra, ideal: RightIdeal) -> VerificationRep
     basis vector of R that leaves."""
     sub = ideal.subspace
     incl = sub.inclusion_matrix()
-    proj = quotient(sub.ambient_dim, sub).projection
+    proj = quotient(sub)
     report = VerificationReport()
     for a in h.group.elements():
         outside = (ad_map(h, a) @ incl).on_leg(proj, 1, h.n(a), 0)

@@ -256,7 +256,7 @@ def _render_scalar(f: Field, v):
 
 
 def _render_matrix(f: Field, m: Matrix):
-    return [[_render_scalar(f, v) for v in m.row(i)] for i in range(m.rows)]
+    return [[_render_scalar(f, v) for v in row] for row in m.to_rows()]
 
 
 def document_to_json(h: HopfPiCoalgebra, name: str = "", ideals: dict | None = None) -> dict:

@@ -27,10 +27,9 @@ from .linalg import (
     Field,
     Matrix,
     Subspace,
-    differing_columns,
+    differing_blocks,
     kernel,
     unit_vec,
-    vec_is_zero,
     vec_kron,
 )
 
@@ -82,14 +81,26 @@ class VerificationReport:
 
 
 def _diff_columns(check: str, grading, lhs: Matrix, rhs: Matrix, namer=None):
-    """One violation per basis vector on which two maps disagree."""
+    """One violation per basis vector on which two maps disagree, with the
+    two columns as its witness."""
     out = []
     if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
         out.append(Violation(check, tuple(grading), None,
                              f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}"))
         return out
     f = lhs.field
-    for j, lc, rc in differing_columns(lhs, rhs):
+    found = sorted(j for _, j in differing_blocks(lhs, rhs, (lhs.rows, 1)))
+    if not found:
+        return out
+    # the two columns j of each differing basis vector, from one pass per side
+    columns = {j: ([f.zero()] * lhs.rows, [f.zero()] * lhs.rows) for j in found}
+    for side, m in enumerate((lhs, rhs)):
+        for (r, c), v in m.entries.items():
+            pair = columns.get(c)
+            if pair is not None:
+                pair[side][r] = v
+    for j in found:
+        lc, rc = columns[j]
         label = namer(j) if namer else str(j)
         detail = (f"on basis {label}: lhs="
                   f"({', '.join(f.render(x) for x in lc)}) rhs="
@@ -124,10 +135,10 @@ class PiCoalgebra:
     def derived(self, key: tuple, build):
         """build(), computed once per structure and memoised under `key`.
 
-        For maps and subspaces that depend on the structure alone (A², Φ,
-        r⁻¹, t⁻¹, ad, S⁻¹, ker ε, iterated comultiplications): every
-        caller shares one value.  Values are never mutated, and none refers
-        back to the structure, so the memo forms no reference cycle.
+        For what depends on the structure alone (the axiom verdict of
+        verify_all, A², Φ, r⁻¹, t⁻¹, ad, S⁻¹, ker ε): every caller shares
+        one value.  Values are never mutated, and none refers back to the
+        structure, so the memo forms no reference cycle.
         """
         memo = self._derived
         if key not in memo:
@@ -172,22 +183,6 @@ class PiCoalgebra:
         if (self.counit.rows, self.counit.cols) != (1, self.n(e)):
             raise DimensionMismatch("counit must be 1 x dim(A_1)")
 
-    def comult_path(self, path) -> Matrix:
-        """Iterated comultiplication A_{α_1⋯α_k} → A_{α_1} ⊗ … ⊗ A_{α_k}.
-
-        Well defined by coassociativity; computed left-nested.
-        """
-        path = tuple(path)
-        if not path:
-            raise GradingMismatch("empty comultiplication path")
-        return self.derived(("comult_path", path), lambda: self._comult_path(path))
-
-    def _comult_path(self, path: tuple) -> Matrix:
-        if len(path) == 1:
-            return Matrix.identity(self.field, self.n(path[0]))
-        step = self.comult[(path[0], self.group.product(path[1:]))]
-        return step.on_leg(self.comult_path(path[1:]), self.n(path[0]), 1, 0)
-
 
 class HopfPiCoalgebra(PiCoalgebra):
     """π-coalgebra whose components are algebras, with antipodes S_α."""
@@ -199,7 +194,6 @@ class HopfPiCoalgebra(PiCoalgebra):
         self.unit = [tuple(u) for u in unit]
         self.antipode = list(antipode)
         self.psi = list(psi) if psi is not None else None
-        self._verdict: VerificationReport | None = None      # see verify_all
         self._validate_hopf_shapes()
 
     def _validate_hopf_shapes(self):
@@ -399,9 +393,8 @@ def verify_all(h: HopfPiCoalgebra) -> VerificationReport:
     """The π-coalgebra checks, then the Hopf checks, computed once per
     structure: the verdict depends on h alone, so every later caller
     (the CLI, each calculus's bimodule) reads the memo."""
-    if h._verdict is None:
-        h._verdict = verify_pi_coalgebra(h).merge(verify_hopf(h))
-    return VerificationReport(h._verdict.violations)
+    verdict = h.derived(("verdict",), lambda: verify_pi_coalgebra(h).merge(verify_hopf(h)))
+    return VerificationReport(verdict.violations)
 
 
 def require_axioms(h: HopfPiCoalgebra) -> None:
@@ -413,83 +406,6 @@ def require_axioms(h: HopfPiCoalgebra) -> None:
         raise VerificationFailed(
             f"Hopf axioms fail ({len(report)} violations): "
             f"{report.violations[0].render()}", report)
-
-
-# ---------------------------------------------------------------------------
-# convolution and graded functionals
-
-
-def convolution(h: PiCoalgebra, alpha: int, f_map: Matrix, beta: int, g_map: Matrix,
-                target_mult: Matrix) -> Matrix:
-    """(f*g) = m ∘ (f⊗g) ∘ Δ_{α,β} for f : A_α → T, g : A_β → T.
-
-    `target_mult` is the multiplication T ⊗ T → T of the target algebra.
-    """
-    if (alpha, beta) not in h.comult:
-        raise GradingMismatch(f"no comultiplication at ({alpha},{beta})")
-    if f_map.cols != h.n(alpha) or g_map.cols != h.n(beta):
-        raise GradingMismatch("convolution factors have wrong source dimensions")
-    return target_mult @ f_map.kron(g_map) @ h.comult[(alpha, beta)]
-
-
-def iterated_comult(h: PiCoalgebra, path, source) -> tuple:
-    """Apply the iterated comultiplication along `path` to `source`.
-
-    The grading of `source` must be the product of the path; the result
-    does not depend on the bracketing (coassociativity).
-    """
-    m = h.comult_path(path)
-    if len(source) != m.cols:
-        raise GradingMismatch(
-            f"element of dimension {len(source)} is not in A_(product of path) "
-            f"(dimension {m.cols})")
-    return m.apply(source)
-
-
-class GradedFunctional:
-    """Element of ⊕_α A_α*, stored as one row vector per grading."""
-
-    def __init__(self, h: PiCoalgebra, components: dict):
-        self.h = h
-        comp = {}
-        for a, row in components.items():
-            row = tuple(h.field.canon(x) for x in row)
-            if len(row) != h.n(a):
-                raise DimensionMismatch(f"component at {a} has length {len(row)}")
-            if not vec_is_zero(h.field, row):
-                comp[a] = row
-        self.components = comp
-
-    def component(self, alpha: int) -> tuple:
-        got = self.components.get(alpha)
-        if got is None:
-            return (self.h.field.zero(),) * self.h.n(alpha)
-        return got
-
-    def __call__(self, alpha: int, v) -> object:
-        f = self.h.field
-        out = f.zero()
-        for a, x in zip(self.component(alpha), v):
-            out = f.add(out, f.mul(a, x))
-        return out
-
-    def conv(self, other: "GradedFunctional") -> "GradedFunctional":
-        """Convolution in ⊕_α A_α*: (u*v)^γ = Σ_{αβ=γ} (u^α⊗v^β)Δ_{α,β}."""
-        h = self.h
-        f = h.field
-        comp: dict[int, tuple] = {}
-        for a, ra in self.components.items():
-            for b, rb in other.components.items():
-                gamma = h.group.mul(a, b)
-                row = (Matrix.row_vector(f, vec_kron(f, ra, rb)) @ h.comult[(a, b)]).row(0)
-                if gamma in comp:
-                    comp[gamma] = tuple(f.add(x, y) for x, y in zip(comp[gamma], row))
-                else:
-                    comp[gamma] = row
-        return GradedFunctional(h, comp)
-
-    def eq(self, other: "GradedFunctional") -> bool:
-        return self.components == other.components
 
 
 # ---------------------------------------------------------------------------

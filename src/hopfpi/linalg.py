@@ -322,17 +322,6 @@ class Matrix:
                 out[r] = v
         return tuple(out)
 
-    def columns(self) -> dict[int, tuple]:
-        """The nonzero columns as {j: column}, from one pass over the entries."""
-        z = self.field.zero()
-        out: dict[int, list] = {}
-        for (r, c), v in self.entries.items():
-            column = out.get(c)
-            if column is None:
-                column = out[c] = [z] * self.rows
-            column[r] = v
-        return {c: tuple(column) for c, column in out.items()}
-
     def to_rows(self) -> list[list]:
         z = self.field.zero()
         out = [[z] * self.cols for _ in range(self.rows)]
@@ -573,26 +562,30 @@ def _leg_offsets(length: int, nnz: int, used, dims: Sequence[int], places: Seque
     return dict(zip(keys, offsets[0])), dict(zip(keys, offsets[1]))
 
 
-def differing_columns(lhs: Matrix, rhs: Matrix):
-    """(j, lhs column j, rhs column j) for each j, ascending, on which two
-    matrices of one shape differ; the entries are grouped by column once."""
-    if lhs.entries == rhs.entries:
-        return
-    lcols, rcols = lhs.columns(), rhs.columns()
-    zero = (lhs.field.zero(),) * lhs.rows
-    for j in sorted(lcols.keys() | rcols.keys()):
-        lc, rc = lcols.get(j, zero), rcols.get(j, zero)
-        if lc != rc:
-            yield j, lc, rc
-
-
-def flip(field: Field, dim_a: int, dim_b: int) -> Matrix:
-    """The swap x ⊗ y ↦ y ⊗ x : k^a ⊗ k^b → k^b ⊗ k^a."""
-    return Matrix.identity(field, dim_a * dim_b).permute_legs((dim_a, dim_b), (1, 0), 0)
+def differing_blocks(lhs: Matrix, rhs: Matrix, block: tuple[int, int]) -> dict:
+    """{(R, C): c} for each p×q block (rows R·p …, columns C·q …) on which
+    two matrices of one shape differ, c the first column within the block
+    on which they do; (p, q) = block.  The one comparison of two sides of
+    an identity: equal matrices return at once, and otherwise only the
+    entries that differ are visited.  DimensionMismatch on two shapes."""
+    out: dict = {}
+    lhs._same_shape(rhs)
+    left, right = lhs.entries, rhs.entries
+    if left == right:
+        return out
+    p, q = block
+    for key in left.keys() | right.keys():
+        if left.get(key) != right.get(key):
+            r, c = key
+            where = (r // p, c // q)
+            first = out.get(where)
+            if first is None or c % q < first:
+                out[where] = c % q
+    return out
 
 
 # ---------------------------------------------------------------------------
-# row reduction, subspaces, quotients
+# row reduction, subspaces, quotient projections
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -669,10 +662,6 @@ class Subspace:
     def zero_space(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(Matrix(field, 0, ambient_dim), ())
 
-    @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(Matrix.identity(field, ambient_dim), range(ambient_dim))
-
     @property
     def field(self) -> Field:
         return self.basis.field
@@ -705,28 +694,6 @@ class Subspace:
 
     def contains(self, v: Sequence) -> bool:
         return vec_is_zero(self.field, self.reduce(v))
-
-    def coords(self, v: Sequence) -> tuple:
-        """Coefficients of v over the basis; raises if v lies outside."""
-        if not self.contains(v):
-            raise DimensionMismatch("vector outside subspace")
-        return tuple(self.field.canon(v[p]) for p in self.pivots)
-
-    def le(self, other: "Subspace") -> bool:
-        """self ⊆ other: each basis row of self is the combination of other's
-        rows by its own entries at other's pivots, one product."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspaces of different ambient spaces")
-        at = {p: k for k, p in enumerate(other.pivots)}
-        pick = Matrix._unchecked(self.field, self.dim, other.dim, {
-            (r, at[c]): x for (r, c), x in self.basis.entries.items() if c in at})
-        return pick @ other.basis == self.basis
-
-    def tensor(self, other: "Subspace") -> "Subspace":
-        """Tensor of subspaces; the rows b_i ⊗ c_j of RREF bases are again RREF."""
-        m = other.ambient_dim
-        return Subspace(self.basis.kron(other.basis),
-                        (p * m + q for p in self.pivots for q in other.pivots))
 
     def inclusion_matrix(self) -> Matrix:
         """n × m matrix whose columns are the basis vectors."""
@@ -781,46 +748,25 @@ def image(m: Matrix) -> Subspace:
     return Subspace(*rref(m.transpose()))
 
 
-@dataclass(frozen=True)
-class Quotient:
-    """k^n / kernel with a fixed section through the non-pivot coordinates."""
-
-    field: Field
-    ambient_dim: int
-    kernel: Subspace
-    projection: Matrix   # q × n
-    section: Matrix      # n × q
-
-    @property
-    def dim(self) -> int:
-        return self.projection.rows
-
-
-def quotient(ambient_dim: int, ker: Subspace) -> Quotient:
-    """Quotient by `ker` with canonical representatives.
-
-    The classes of the non-pivot coordinate vectors form the basis of
-    the quotient; projection reduces modulo the kernel and reads off the
-    non-pivot coordinates, so projection ∘ section = id and projection
-    annihilates exactly the kernel.  Each basis entry at a non-pivot
-    column c of row k adds its negative at (c, pivot of k).
+def quotient(ker: Subspace) -> Matrix:
+    """The projection of k^n onto k^n / ker, with the classes of the
+    non-pivot coordinate vectors as the basis of the quotient: it reduces
+    modulo the kernel and reads off the non-pivot coordinates, so it
+    annihilates exactly the kernel and is the identity on the non-pivot
+    coordinates.  Each basis entry at a non-pivot column c of row k adds
+    its negative at (c, pivot of k).
     """
-    if ker.ambient_dim != ambient_dim:
-        raise DimensionMismatch(f"kernel ambient {ker.ambient_dim} != {ambient_dim}")
     f = ker.field
-    one = f.one()
+    n = ker.ambient_dim
     taken = set(ker.pivots)
-    free = [c for c in range(ambient_dim) if c not in taken]
+    free = [c for c in range(n) if c not in taken]
     index = {c: k for k, c in enumerate(free)}
-    entries = {(k, c): one for k, c in enumerate(free)}
+    entries = {(k, c): f.one() for k, c in enumerate(free)}
     for (r, c), x in ker.basis.entries.items():
         k = index.get(c)
         if k is not None:
             entries[(k, ker.pivots[r])] = f.neg(x)
-    projection = Matrix._unchecked(f, len(free), ambient_dim, entries)
-    section = Matrix._unchecked(f, ambient_dim, len(free),
-                                {(c, k): one for k, c in enumerate(free)})
-    return Quotient(f, ambient_dim, ker, projection, section)
+    return Matrix._unchecked(f, len(free), n, entries)
 
 
 def solve(m: Matrix, v: Sequence) -> tuple | None:

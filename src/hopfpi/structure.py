@@ -90,7 +90,7 @@ from .hopf import (
     act_on_pairs,
     require_axioms,
 )
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, differing_blocks, kernel
 
 
 class CovariantBimodule:
@@ -140,7 +140,7 @@ class CovariantBimodule:
         self.delta_r = dict(delta_r) if delta_r is not None else None
         self._omega: dict[int, Subspace] = {}
         self._frames: dict[tuple, Matrix] = {}
-        self._decompose_inv: dict[int, Matrix] = {}
+        self._inverses: dict[tuple, Matrix] = {}
 
     def g(self, alpha: int) -> int:
         return self.dims[alpha]
@@ -255,15 +255,20 @@ class CovariantBimodule:
             self._frames[key] = frame_matrix(self, alpha, frame, side)
         return self._frames[key]
 
-    def decompose_matrix(self, alpha: int) -> Matrix:
-        """The frame matrix of ω (columns (i, m) ↦ e_m · ω_i)."""
-        return self.frame_matrix(alpha, self.omega(alpha))
-
-    def decompose_inverse(self, alpha: int) -> Matrix:
-        """Inverse of the frame matrix of ω: ρ ↦ its coefficients over ω."""
-        if alpha not in self._decompose_inv:
-            self._decompose_inv[alpha] = _frame_inverse(self.decompose_matrix(alpha), alpha)
-        return self._decompose_inv[alpha]
+    def frame_inverse(self, alpha: int, frame: Matrix) -> Matrix:
+        """The inverse of frame_matrix(alpha, frame), ρ ↦ its coefficients
+        (i, m) over the frame, built once per (grading, frame); an error
+        unless Γ_α is free on the frame."""
+        key = (alpha, frame)
+        if key not in self._inverses:
+            w = self.frame_matrix(alpha, frame)
+            if w.rows != w.cols:
+                raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
+            try:
+                self._inverses[key] = w.inverse()
+            except SingularMatrix:
+                raise StructureInconsistent(f"the frame does not span Γ_{alpha}") from None
+        return self._inverses[key]
 
 
 def frame_matrix(cb: CovariantBimodule, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
@@ -296,47 +301,6 @@ def invariant_subspace_right(cb: CovariantBimodule, alpha: int) -> Subspace:
     e = h.group.identity
     ins = Matrix.identity(h.field, cb.g(alpha)).kron(h.unit_col(e))
     return kernel(cb.delta_r[(alpha, e)] - ins)
-
-
-def projection_P_matrix(cb: CovariantBimodule, alpha: int) -> Matrix:
-    """P_α : Γ_1 → Γ_α, ρ ↦ Σ S_{α^{-1}}(a_k) ρ_k for Δ^l_{α^{-1},α}(ρ) = Σ a_k⊗ρ_k."""
-    if cb.delta_l is None:
-        raise MissingCoaction("no left coaction present")
-    h = cb.h
-    ai = h.group.inv(alpha)
-    s = h.antipode[ai]  # A_{α^{-1}} → A_α
-    return cb.left[alpha] @ cb.delta_l[(ai, alpha)].on_leg(s, 1, cb.g(alpha), 0)
-
-
-def projection_P(cb: CovariantBimodule, alpha: int, rho) -> tuple:
-    return projection_P_matrix(cb, alpha).apply(rho)
-
-
-def _frame_inverse(w: Matrix, alpha: int) -> Matrix:
-    """Inverse of a frame matrix of Γ_α; an error unless Γ_α is free on the frame."""
-    if w.rows != w.cols:
-        raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
-    try:
-        return w.inverse()
-    except SingularMatrix:
-        raise StructureInconsistent(f"the frame does not span Γ_{alpha}") from None
-
-
-def decompose_left(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
-    """Unique coefficients a_i ∈ A_α with ρ = Σ a_i ω_i."""
-    return _decompose(cb, alpha, cb.decompose_inverse(alpha), rho)
-
-
-def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
-    """Unique coefficients b_i ∈ A_α with ρ = Σ ω_i b_i."""
-    w = cb.frame_matrix(alpha, cb.omega(alpha), "right")
-    return _decompose(cb, alpha, _frame_inverse(w, alpha), rho)
-
-
-def _decompose(cb: CovariantBimodule, alpha: int, winv: Matrix, rho) -> list[tuple]:
-    n = cb.h.n(alpha)
-    x = winv.apply(tuple(rho))
-    return [x[i * n:(i + 1) * n] for i in range(cb.omega_space(alpha).dim)]
 
 
 def _frame_size(cb: CovariantBimodule) -> int:
@@ -372,8 +336,8 @@ _SIDES = {"left": ("ω", "f"), "right": ("η", "g")}
 def _compare(report: VerificationReport, check: str, grading, lhs: Matrix, rhs: Matrix,
              identity: str) -> None:
     """Record `identity` as violated when two matrices differ, witnessed
-    by the first column on which they do (the one-block _differing_blocks)."""
-    for first in _differing_blocks(lhs, rhs, (lhs.rows, lhs.cols)).values():
+    by the first column on which they do (differing_blocks, one block)."""
+    for first in differing_blocks(lhs, rhs, (lhs.rows, lhs.cols)).values():
         report.extend([Violation(check, tuple(grading), first, identity)])
 
 
@@ -400,26 +364,6 @@ def _convolutions(h: HopfPiCoalgebra, t1: Matrix, alpha: int, side: str) -> Matr
     return h.comult[(e, alpha)].on_leg(t1, 1, n, 0)
 
 
-def _differing_blocks(lhs: Matrix, rhs: Matrix, block: tuple[int, int]) -> dict:
-    """{(R, C): c} for each p×q block (rows R·p …, columns C·q …) on which
-    two matrices of one shape differ, c the first column within the block
-    on which they do; (p, q) = block."""
-    out: dict = {}
-    lhs._same_shape(rhs)
-    left, right = lhs.entries, rhs.entries
-    if left == right:
-        return out
-    p, q = block
-    for key in left.keys() | right.keys():
-        if left.get(key) != right.get(key):
-            r, c = key
-            where = (r // p, c // q)
-            first = out.get(where)
-            if first is None or c % q < first:
-                out[where] = c % q
-    return out
-
-
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
     """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
     T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I)."""
@@ -433,10 +377,10 @@ def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> Verification
         t = funcs[a]
         # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
         split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
-        mult = _differing_blocks(t @ h.mult[a], split.regroup((size, n), (size, n), (0, 2), (1, 3)),
-                                 (1, n * n))
+        mult = differing_blocks(t @ h.mult[a], split.regroup((size, n), (size, n), (0, 2), (1, 3)),
+                                (1, n * n))
         unit = t @ h.unit_col(a)
-        norm = _differing_blocks(unit, vec_eye, (1, 1))
+        norm = differing_blocks(unit, vec_eye, (1, 1))
         for ij, _ in sorted(mult.keys() | norm.keys()):
             i, j = divmod(ij, size)
             if (ij, 0) in mult:
@@ -460,7 +404,7 @@ def check_commutation_rule(h: HopfPiCoalgebra, maps, funcs, side: str) -> Verifi
     report = VerificationReport()
     for a in h.group.elements():
         n = h.n(a)
-        found = _differing_blocks(maps[a], _convolutions(h, funcs[e], a, side), (n, n))
+        found = differing_blocks(maps[a], _convolutions(h, funcs[e], a, side), (n, n))
         for (ij, _), first in sorted(found.items()):
             i, j = divmod(ij, size)
             report.extend([Violation(FRAME_MULT, (a,), first,
@@ -495,7 +439,7 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
         lhs = cb.frame_matrix(a, frames[a])                       # column (i, b): b w_i
         times = cb.frame_matrix(a, frames[a], "right")            # column (j, b): w_j b
         conv = _convolutions(h, twisted, a, side).regroup((size, size, n), (n,), (1, 2), (0, 3))
-        found = _differing_blocks(lhs, times @ conv, (cb.g(a), n))
+        found = differing_blocks(lhs, times @ conv, (cb.g(a), n))
         for (_, i), first in sorted(found.items()):
             twist = f"{name}_{i}j∘S_1^{{-1}}"
             rule = f"({twist}) * a" if side == "left" else f"a * ({twist})"
@@ -520,8 +464,8 @@ def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     # rows (i, x) × columns (h, y), and rows (h, x) × columns (i, y)
     first = t.regroup(legs, (n1,), (1, 2), (0,)) @ u.regroup(legs, (n1,), (1,), (0, 2))
     second = u.regroup(legs, (n1,), (1, 2), (0,)) @ t.regroup(legs, (n1,), (1,), (0, 2))
-    one = _differing_blocks(first.regroup(*pair, (0, 2), (1, 3)) @ d11, target, (1, n1))
-    two = _differing_blocks(second.regroup(*pair, (2, 0), (1, 3)) @ d11, target, (1, n1))
+    one = differing_blocks(first.regroup(*pair, (0, 2), (1, 3)) @ d11, target, (1, n1))
+    two = differing_blocks(second.regroup(*pair, (2, 0), (1, 3)) @ d11, target, (1, n1))
     report = VerificationReport()
     for ih, _ in sorted(one.keys() | two.keys()):
         i, hh = divmod(ih, size)
@@ -595,7 +539,7 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
         by_right = h.mult[a].on_leg(r_cols, n, 1, 1).regroup((n,), (n, size, size), (2, 0), (3, 1))
         lhs = by_left @ _convolutions(h, t_f, a, "right").regroup(legs, (n,), (0, 2), (1, 3))
         rhs = by_right @ _convolutions(h, t_g, a, "left").regroup(legs, (n,), (1, 2), (0, 3))
-        found = _differing_blocks(lhs, rhs.regroup((size, n), (size, n), (2, 1), (0, 3)), (n, n))
+        found = differing_blocks(lhs, rhs.regroup((size, n), (size, n), (2, 1), (0, 3)), (n, n))
         for (j, hh), first in sorted(found.items()):
             report.extend([Violation(INTERTWINER, (a,), first,
                                      f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")])
@@ -616,18 +560,15 @@ def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[Matrix]:
     exists); functionals_g passes η.
     """
     h = cb.h
-    omega = frames is None
-    if omega:
+    if frames is None:
         _frame_size(cb)
         frames = [cb.omega(a) for a in h.group.elements()]
     out = []
     for a in h.group.elements():
         n = h.n(a)
         size = frames[a].cols
-        winv = (cb.decompose_inverse(a) if omega
-                else _frame_inverse(cb.frame_matrix(a, frames[a]), a))
         # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
-        x = winv @ cb.frame_matrix(a, frames[a], "right")
+        x = cb.frame_inverse(a, frames[a]) @ cb.frame_matrix(a, frames[a], "right")
         out.append(x.regroup((size, n), (size, n), (2, 0, 1), (3,)))
     return out
 
@@ -776,7 +717,7 @@ def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
     e = h.group.identity
     size = isqrt(funcs_f[e].rows)
     report = VerificationReport()
-    for ij, _ in sorted(_differing_blocks(funcs_f[e], funcs_g[e], (1, h.n(e)))):
+    for ij, _ in sorted(differing_blocks(funcs_f[e], funcs_g[e], (1, h.n(e)))):
         i, j = divmod(ij, size)
         report.extend([Violation(INTERTWINER, (e,), None, f"f_{i}{j} ≠ g_{i}{j} on A_1")])
     report = report.merge(intertwiner_report(h, funcs_f, funcs_g, R, h.group.elements()))
@@ -946,11 +887,12 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     """
     h = cb.h
     grp = h.group
-    iso = {a: cb.decompose_inverse(a) for a in grp.elements()}
+    frame = {a: cb.omega(a) for a in grp.elements()}
+    iso = {a: cb.frame_inverse(a, frame[a]) for a in grp.elements()}
     for a in grp.elements():
         n = h.n(a)
         u = iso[a]
-        ui = cb.decompose_matrix(a)
+        ui = cb.frame_matrix(a, frame[a])
         if u @ cb.left[a].on_leg(ui, n, 1, 1) != rebuilt.left[a]:
             return False
         if u @ cb.right[a].on_leg(ui, 1, n, 1) != rebuilt.right[a]:
@@ -959,9 +901,9 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
         for b in grp.elements():
             ab = grp.mul(a, b)
             if (cb.delta_l[(a, b)].on_leg(iso[b], h.n(a), 1, 0)
-                    @ cb.decompose_matrix(ab) != rebuilt.delta_l[(a, b)]):
+                    @ cb.frame_matrix(ab, frame[ab]) != rebuilt.delta_l[(a, b)]):
                 return False
             if (cb.delta_r[(a, b)].on_leg(iso[a], 1, h.n(b), 0)
-                    @ cb.decompose_matrix(ab) != rebuilt.delta_r[(a, b)]):
+                    @ cb.frame_matrix(ab, frame[ab]) != rebuilt.delta_r[(a, b)]):
                 return False
     return True

@@ -11,7 +11,13 @@ laws, as products with every identity Kronecker factor built as a
 matrix, the form the library's leg-wise products replace.  Row
 reduction is here in its dense form, which the library's sparse rows
 replace, and reconstruct's right action as the chain of products it
-once was.  The tests compare the two on the same data.
+once was.  The tests compare the two on the same data.  The per-vector
+forms the library no longer ships live here as references too: graded
+functionals and their convolution, the iterated comultiplication, flip
+(built entry by entry), the subspace of all of k^n and the inclusion,
+coordinates and tensor of subspaces, the quotient section, the
+decompositions over the ω frame, the projections P_α and the entrywise
+form of linalg.differing_blocks.
 Nothing in `hopfpi` imports this module.
 """
 
@@ -24,18 +30,18 @@ from hopfpi.calculus import Fodc, UniversalBimodule, phi_l, phi_r, universal_bim
 from hopfpi.errors import (
     CodomainViolation,
     DimensionMismatch,
+    MissingCoaction,
     NotBicovariant,
     StructureInconsistent,
 )
 from hopfpi.hopf import (
-    GradedFunctional,
     HopfPiCoalgebra,
     PiCoalgebra,
     VerificationReport,
     Violation,
     _diff_columns,
 )
-from hopfpi.linalg import Field, Matrix, Subspace, quotient, vec_kron
+from hopfpi.linalg import Field, Matrix, Subspace, quotient, solve, vec_is_zero, vec_kron
 from hopfpi.structure import (
     _SIDES,
     FRAME_MULT,
@@ -45,7 +51,6 @@ from hopfpi.structure import (
     R_COUNIT,
     CovariantBimodule,
     _compare,
-    _frame_inverse,
     _frame_size,
     _require,
     invariant_subspace_right,
@@ -67,8 +72,140 @@ def vec_add(field: Field, v: Sequence, w: Sequence) -> tuple:
     return tuple(field.add(a, b) for a, b in zip(v, w))
 
 
+def flip(field: Field, dim_a: int, dim_b: int) -> Matrix:
+    """The swap x ⊗ y ↦ y ⊗ x : k^a ⊗ k^b → k^b ⊗ k^a, entry by entry:
+    e_i ⊗ e_j (column i·b + j) goes to e_j ⊗ e_i (row j·a + i)."""
+    one = field.one()
+    return Matrix(field, dim_a * dim_b, dim_a * dim_b, {
+        (j * dim_a + i, i * dim_b + j): one for i in range(dim_a) for j in range(dim_b)})
+
+
+def differing_blocks_by_entries(lhs: Matrix, rhs: Matrix, block: tuple[int, int]) -> dict:
+    """linalg.differing_blocks read entry by entry: every (r, c) of the
+    shape is compared, and each p×q block keeps the least column offset
+    at which the two matrices differ."""
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        raise DimensionMismatch(f"{lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}")
+    p, q = block
+    out: dict = {}
+    for r in range(lhs.rows):
+        for c in range(lhs.cols):
+            if lhs[r, c] != rhs[r, c]:
+                where = (r // p, c // q)
+                out[where] = min(out.get(where, q), c % q)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# subspaces one vector at a time
+
+
+def full_space(field: Field, n: int) -> Subspace:
+    """k^n, its RREF basis the identity."""
+    return Subspace(Matrix.identity(field, n), range(n))
+
+
+def subspace_le(small: Subspace, big: Subspace) -> bool:
+    """small ⊆ big: every basis vector of small lies in big."""
+    if small.ambient_dim != big.ambient_dim:
+        raise DimensionMismatch("subspaces of different ambient spaces")
+    return all(big.contains(v) for v in small.basis.to_rows())
+
+
+def subspace_coords(sub: Subspace, v: Sequence) -> tuple:
+    """Coefficients of v over the RREF basis of sub (its entries at the
+    pivots); DimensionMismatch if v lies outside."""
+    if not sub.contains(v):
+        raise DimensionMismatch("vector outside subspace")
+    return tuple(sub.field.canon(v[p]) for p in sub.pivots)
+
+
+def subspace_tensor(first: Subspace, second: Subspace) -> Subspace:
+    """first ⊗ second, spanned by the b ⊗ c of their basis vectors and
+    reduced again."""
+    f = first.field
+    return Subspace.from_spanning(f, first.ambient_dim * second.ambient_dim, [
+        vec_kron(f, b, c) for b in first.basis.to_rows() for c in second.basis.to_rows()])
+
+
+def quotient_section(ker: Subspace) -> Matrix:
+    """The section of linalg.quotient(ker): the class of non-pivot
+    coordinate vector k goes to that vector."""
+    f = ker.field
+    taken = set(ker.pivots)
+    free = [c for c in range(ker.ambient_dim) if c not in taken]
+    return Matrix(f, ker.ambient_dim, len(free), {(c, k): f.one() for k, c in enumerate(free)})
+
+
 # ---------------------------------------------------------------------------
 # graded functionals and convolution, one element at a time
+
+
+class GradedFunctional:
+    """Element of ⊕_α A_α*, stored as one row vector per grading."""
+
+    def __init__(self, h: PiCoalgebra, components: dict):
+        self.h = h
+        comp = {}
+        for a, row in components.items():
+            row = tuple(h.field.canon(x) for x in row)
+            if len(row) != h.n(a):
+                raise DimensionMismatch(f"component at {a} has length {len(row)}")
+            if not vec_is_zero(h.field, row):
+                comp[a] = row
+        self.components = comp
+
+    def component(self, alpha: int) -> tuple:
+        got = self.components.get(alpha)
+        if got is None:
+            return (self.h.field.zero(),) * self.h.n(alpha)
+        return got
+
+    def __call__(self, alpha: int, v) -> object:
+        f = self.h.field
+        out = f.zero()
+        for a, x in zip(self.component(alpha), v):
+            out = f.add(out, f.mul(a, x))
+        return out
+
+    def conv(self, other: "GradedFunctional") -> "GradedFunctional":
+        """Convolution in ⊕_α A_α*: (u*v)^γ = Σ_{αβ=γ} (u^α⊗v^β)Δ_{α,β}."""
+        h = self.h
+        f = h.field
+        comp: dict[int, tuple] = {}
+        for a, ra in self.components.items():
+            for b, rb in other.components.items():
+                gamma = h.group.mul(a, b)
+                row = h.comult[(a, b)].transpose().apply(vec_kron(f, ra, rb))
+                comp[gamma] = vec_add(f, comp[gamma], row) if gamma in comp else row
+        return GradedFunctional(h, comp)
+
+    def eq(self, other: "GradedFunctional") -> bool:
+        return self.components == other.components
+
+
+def convolution(h: PiCoalgebra, alpha: int, f_map: Matrix, beta: int, g_map: Matrix,
+                target_mult: Matrix) -> Matrix:
+    """(f*g) = m ∘ (f⊗g) ∘ Δ_{α,β} for f : A_α → T, g : A_β → T, with
+    `target_mult` the multiplication T ⊗ T → T."""
+    return target_mult @ f_map.kron(g_map) @ h.comult[(alpha, beta)]
+
+
+def comult_path(h: PiCoalgebra, path) -> Matrix:
+    """The iterated comultiplication A_{α_1⋯α_k} → A_{α_1} ⊗ … ⊗ A_{α_k},
+    right-nested as (I ⊗ Δ_{α_2…}) Δ_{α_1, α_2⋯α_k} with the identity
+    factors built; coassociativity makes every bracketing equal."""
+    path = tuple(path)
+    if len(path) == 1:
+        return Matrix.identity(h.field, h.n(path[0]))
+    rest = comult_path(h, path[1:])
+    step = h.comult[(path[0], h.group.product(path[1:]))]
+    return Matrix.identity(h.field, h.n(path[0])).kron(rest) @ step
+
+
+def iterated_comult(h: PiCoalgebra, path, source) -> tuple:
+    """comult_path(h, path) applied to `source`, an element of A_(product of path)."""
+    return comult_path(h, path).apply(source)
 
 
 def counit_functional(h: HopfPiCoalgebra) -> GradedFunctional:
@@ -203,10 +340,9 @@ def fodc_maps_by_two_quotients(calc: Fodc) -> tuple:
         n = h.n(a)
         sub = asq.sub[a]
         in_coords = Subspace.from_spanning(
-            f, sub.dim, [sub.coords(v) for v in calc.kernels[a].basis.to_rows()])
-        q = quotient(sub.dim, in_coords)
-        lift = sub.inclusion_matrix() @ q.section
-        drop = q.projection @ sub.coords_matrix()
+            f, sub.dim, [subspace_coords(sub, v) for v in calc.kernels[a].basis.to_rows()])
+        lift = sub.inclusion_matrix() @ quotient_section(in_coords)
+        drop = quotient(in_coords) @ sub.coords_matrix()
         left = drop @ left_action_ambient(h, a) @ Matrix.identity(f, n).kron(lift)
         right = drop @ right_action_ambient(h, a) @ lift.kron(Matrix.identity(f, n))
         for out, m in zip(maps, (lift, drop, drop @ asq.D[a], left, right)):
@@ -235,7 +371,7 @@ def phi_l_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
     asq = asq or universal_bimodule(h)
     f = h.field
     ab = h.group.mul(alpha, beta)
-    target = Subspace.full(f, h.n(alpha)).tensor(asq.sub[beta])
+    target = subspace_tensor(full_space(f, h.n(alpha)), asq.sub[beta])
     restricted = phi_l(h, alpha, beta) @ asq.sub[ab].inclusion_matrix()
     for j in range(restricted.cols):
         if not target.contains(restricted.col(j)):
@@ -252,7 +388,7 @@ def phi_r_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
     asq = asq or universal_bimodule(h)
     f = h.field
     ab = h.group.mul(alpha, beta)
-    target = asq.sub[alpha].tensor(Subspace.full(f, h.n(beta)))
+    target = subspace_tensor(asq.sub[alpha], full_space(f, h.n(beta)))
     restricted = phi_r(h, alpha, beta) @ asq.sub[ab].inclusion_matrix()
     for j in range(restricted.cols):
         if not target.contains(restricted.col(j)):
@@ -291,6 +427,37 @@ def spot_check_implication(calc: Fodc) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # bimodules: frames, R and η one vector at a time
+
+
+def projection_P_matrix(cb: CovariantBimodule, alpha: int) -> Matrix:
+    """P_α : Γ_1 → Γ_α, ρ ↦ Σ S_{α^{-1}}(a_k) ρ_k for Δ^l_{α^{-1},α}(ρ) = Σ a_k⊗ρ_k,
+    with the identity factor of S⊗I built."""
+    if cb.delta_l is None:
+        raise MissingCoaction("no left coaction present")
+    h = cb.h
+    ai = h.group.inv(alpha)
+    s = h.antipode[ai].kron(Matrix.identity(h.field, cb.g(alpha)))
+    return cb.left[alpha] @ s @ cb.delta_l[(ai, alpha)]
+
+
+def projection_P(cb: CovariantBimodule, alpha: int, rho) -> tuple:
+    return projection_P_matrix(cb, alpha).apply(rho)
+
+
+def _decompose(cb: CovariantBimodule, alpha: int, side: str, rho) -> list[tuple]:
+    n = cb.h.n(alpha)
+    x = solve(cb.frame_matrix(alpha, cb.omega(alpha), side), tuple(rho))
+    return [x[i * n:(i + 1) * n] for i in range(cb.omega_space(alpha).dim)]
+
+
+def decompose_left(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
+    """The unique a_i ∈ A_α with ρ = Σ a_i ω_i, one solve of the frame matrix."""
+    return _decompose(cb, alpha, "left", rho)
+
+
+def decompose_right(cb: CovariantBimodule, alpha: int, rho) -> list[tuple]:
+    """The unique b_i ∈ A_α with ρ = Σ ω_i b_i, one solve of the right frame matrix."""
+    return _decompose(cb, alpha, "right", rho)
 
 
 def recombine_left(cb: CovariantBimodule, alpha: int, coeffs) -> tuple:
@@ -399,7 +566,7 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
         for b in grp.elements():
             ab = grp.mul(a, b)
             nb = h.n(b)
-            target = cb.omega_space(a).tensor(Subspace.full(f, nb))
+            target = subspace_tensor(cb.omega_space(a), full_space(f, nb))
             rmat = [[None] * size for _ in range(size)]
             omega = cb.omega(ab)
             for i in range(size):
@@ -407,7 +574,7 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
                 if not target.contains(img):
                     raise StructureInconsistent(
                         f"Δ^r(ω) at ({a},{b}) is not in the invariant frame ⊗ A")
-                x = target.coords(img)
+                x = subspace_coords(target, img)
                 for j in range(size):
                     rmat[j][i] = x[j * nb:(j + 1) * nb]
             per_pair[(a, b)] = rmat
@@ -495,18 +662,15 @@ def coefficient_maps_by_blocks(cb: CovariantBimodule, frames=None) -> list:
     block split out of W⁻¹·right(W⊗I) one entry at a time; frames[α] is
     the frame of Γ_α as columns, ω by default."""
     h = cb.h
-    omega = frames is None
-    if omega:
+    if frames is None:
         _frame_size(cb)
         frames = [cb.omega(a) for a in h.group.elements()]
     out = []
     for a in h.group.elements():
         n = h.n(a)
         size = frames[a].cols
-        winv = (cb.decompose_inverse(a) if omega
-                else _frame_inverse(cb.frame_matrix(a, frames[a]), a))
         # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
-        x = winv @ cb.frame_matrix(a, frames[a], "right")
+        x = cb.frame_inverse(a, frames[a]) @ cb.frame_matrix(a, frames[a], "right")
         blocks = [[{} for _ in range(size)] for _ in range(size)]
         for (row, col), val in x.entries.items():
             blocks[col // n][row // n][(row % n, col % n)] = val

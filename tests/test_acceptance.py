@@ -38,8 +38,8 @@ from hopfpi import (
     zero_ideal,
 )
 from hopfpi.cli import main as cli_main
-from hopfpi.linalg import Matrix, Subspace, flip
-from oracles import interchange_product
+from hopfpi.linalg import Matrix, Subspace
+from oracles import flip, full_space, interchange_product, subspace_tensor
 
 F = Fraction
 
@@ -81,10 +81,10 @@ def test_criterion_2_universal_dimensions(all_fixtures, capsys):
                 assert asq.dim(a) == n * n - h.mult[a].rank() == n * n - n
                 r_img = Subspace.from_spanning(
                     f, n * n1, [r_map(h, a).apply(v) for v in asq.sub[a].basis.to_rows()])
-                assert r_img == Subspace.full(f, n).tensor(ker_eps)
+                assert r_img == subspace_tensor(full_space(f, n), ker_eps)
                 t_img = Subspace.from_spanning(
                     f, n1 * n, [t_map(h, a).apply(v) for v in asq.sub[a].basis.to_rows()])
-                assert t_img == ker_eps.tensor(Subspace.full(f, n))
+                assert t_img == subspace_tensor(ker_eps, full_space(f, n))
                 eye = Matrix.identity(f, n * n)
                 assert r_inv(h, a) @ r_map(h, a) == eye
                 assert t_inv(h, a) @ t_map(h, a) == eye

@@ -4,7 +4,7 @@ Covariance, sub-bimodule closure and ad-invariance are decided in
 `calculus` by one product with a quotient projection per grading (pair).
 The reference below decides the same containments one vector at a time:
 each image vector is reduced against a target subspace built by
-`Subspace.tensor`.  Both must give the same violations, the same
+`oracles.subspace_tensor`.  Both must give the same violations, the same
 `CodomainViolation` messages, the same ad-invariance reports and the same
 induced coactions, on passing and on failing cases alike.
 """
@@ -40,7 +40,14 @@ from hopfpi.calculus import Fodc, RightIdeal
 from hopfpi.errors import CodomainViolation, SingularMatrix
 from hopfpi.hopf import Violation
 from hopfpi.linalg import Matrix, PrimeField, Subspace, unit_vec, vec_kron
-from oracles import fodc_maps_by_two_quotients, left_action_ambient, right_action_ambient
+from oracles import (
+    fodc_maps_by_two_quotients,
+    full_space,
+    left_action_ambient,
+    right_action_ambient,
+    subspace_le,
+    subspace_tensor,
+)
 
 STRUCTURES = [
     "kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
@@ -75,11 +82,11 @@ def _route_kernels(h, ideal: RightIdeal, side: str) -> list[Subspace]:
     f = h.field
     kernels = []
     for a in h.group.elements():
-        full = Subspace.full(f, h.n(a))
+        full = full_space(f, h.n(a))
         if side == "left":
-            m, domain = r_inv(h, a), full.tensor(ideal.subspace)
+            m, domain = r_inv(h, a), subspace_tensor(full, ideal.subspace)
         else:
-            m, domain = t_inv(h, a), ideal.subspace.tensor(full)
+            m, domain = t_inv(h, a), subspace_tensor(ideal.subspace, full)
         kernels.append(Subspace.from_spanning(f, h.n(a) ** 2,
                                               [m.apply(v) for v in domain.basis.to_rows()]))
     return kernels
@@ -91,7 +98,7 @@ def _reference_sub_bimodule(h, kernels) -> str | None:
     f = h.field
     asq = universal_bimodule(h)
     for a in h.group.elements():
-        if not kernels[a].le(asq.sub[a]):
+        if not subspace_le(kernels[a], asq.sub[a]):
             return f"N_{a} is not contained in A²_{a}"
     for a in h.group.elements():
         n = h.n(a)
@@ -118,10 +125,10 @@ def _reference_covariance(calc, side: str):
         for b in g.elements():
             if left:
                 amb = phi_l(h, a, b)
-                target = Subspace.full(f, h.n(a)).tensor(calc.kernels[b])
+                target = subspace_tensor(full_space(f, h.n(a)), calc.kernels[b])
             else:
                 amb = phi_r(h, a, b)
-                target = calc.kernels[a].tensor(Subspace.full(f, h.n(b)))
+                target = subspace_tensor(calc.kernels[a], full_space(f, h.n(b)))
             for j, w in enumerate(calc.kernels[g.mul(a, b)].basis.to_rows()):
                 if not target.contains(amb.apply(w)):
                     violations.append(Violation(
@@ -144,7 +151,7 @@ def _reference_ad_invariance(h, ideal: RightIdeal) -> list[Violation]:
     out = []
     for a in h.group.elements():
         ad = ad_map(h, a)
-        target = ideal.subspace.tensor(Subspace.full(f, h.n(a)))
+        target = subspace_tensor(ideal.subspace, full_space(f, h.n(a)))
         for j, v in enumerate(ideal.subspace.basis.to_rows()):
             if not target.contains(ad.apply(v)):
                 out.append(Violation("ad-invariance", (a,), j,

@@ -130,7 +130,7 @@ def _corrupted(cb, **changes):
         cb.omega_space(a)
     bad = copy.copy(cb)
     bad._omega = dict(cb._omega)
-    bad._frames, bad._decompose_inv = {}, {}
+    bad._frames, bad._inverses = {}, {}
     for key, value in changes.items():
         setattr(bad, key, value)
     return bad

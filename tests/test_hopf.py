@@ -9,19 +9,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfpi import (
-    GradedFunctional,
     HopfPiCoalgebra,
     constant_family,
-    convolution,
     cyclic,
     group_algebra,
-    iterated_comult,
     verify_hopf,
     verify_pi_coalgebra,
 )
-from hopfpi.errors import GradingMismatch, VerificationFailed
+from hopfpi.errors import VerificationFailed
 from hopfpi.linalg import Matrix, PrimeField, QQ, vec_kron
-from oracles import convolution_unit, counit_functional
+from oracles import (
+    GradedFunctional,
+    comult_path,
+    convolution,
+    convolution_unit,
+    counit_functional,
+    flip,
+    iterated_comult,
+)
 
 
 def test_axiom_suite_kz2(kz2):
@@ -80,8 +85,6 @@ def test_corrupted_antipode_violation(kz2):
 def test_lemma_identities_hold_on_fixtures(all_fixtures):
     """The derived antipode identities are part of verify_hopf; re-run the
     comultiplication compatibility directly as a matrix identity."""
-    from hopfpi.linalg import flip
-
     for h in all_fixtures.values():
         g = h.group
         for a in g.elements():
@@ -132,12 +135,6 @@ def test_id_convolved_with_id_on_kz2(kz2):
     assert sq.col(1) == (Fraction(1), Fraction(0))   # (id*id)(u) = u·u = e
 
 
-def test_convolution_grading_mismatch(kz2):
-    bad = Matrix.identity(QQ, 3)
-    with pytest.raises(GradingMismatch):
-        convolution(kz2, 0, bad, 0, bad, kz2.mult[0])
-
-
 def test_counit_is_unit_of_graded_convolution(all_fixtures):
     for h in all_fixtures.values():
         eps = counit_functional(h)
@@ -163,11 +160,6 @@ def test_iterated_comult_grouplike(kz2):
     assert iterated_comult(kz2, [0, 0, 0], u) == vec_kron(QQ, vec_kron(QQ, u, u), u)
 
 
-def test_iterated_comult_wrong_dimension(kz2):
-    with pytest.raises(GradingMismatch):
-        iterated_comult(kz2, [0], (Fraction(1),))
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=4))
 def test_iterated_comult_bracketing_independence(seed, length):
@@ -179,7 +171,7 @@ def test_iterated_comult_bracketing_independence(seed, length):
     rng = random.Random(seed)
     path = tuple(rng.randrange(2) for _ in range(length))
     grading = hh.group.product(path)
-    left_nested = hh.comult_path(path)
+    left_nested = comult_path(hh, path)
 
     # alternative bracketing: split at a random point and recurse
     def bracketed(p):
@@ -227,7 +219,7 @@ def test_iterated_comult_all_triples_agree_with_pentagon(f7z3_const):
                 @ h.comult[(h.group.mul(a, b), c)])
         right = (Matrix.identity(h.field, h.n(a)).kron(h.comult[(b, c)])
                  @ h.comult[(a, h.group.mul(b, c))])
-        assert left == right == h.comult_path(path)
+        assert left == right == comult_path(h, path)
 
 
 def test_taft_algebra_verifies_with_order_four_antipode():

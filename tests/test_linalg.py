@@ -22,7 +22,7 @@ from hopfpi.linalg import (
     PrimeField,
     QQ,
     Subspace,
-    flip,
+    differing_blocks,
     image,
     kernel,
     quotient,
@@ -32,7 +32,16 @@ from hopfpi.linalg import (
     vec_kron,
     _is_prime,
 )
-from oracles import kernel_by_two_reductions, rref_by_sweeps, rref_dense
+from oracles import (
+    differing_blocks_by_entries,
+    flip,
+    full_space,
+    kernel_by_two_reductions,
+    quotient_section,
+    rref_by_sweeps,
+    rref_dense,
+    subspace_coords,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(11)]
 
@@ -71,7 +80,7 @@ def matrix_strategy(max_dim=4):
 def test_kernel_of_zero_matrix_is_everything():
     k = kernel(Matrix.zero(QQ, 2, 3))
     assert k.dim == 3
-    assert k == Subspace.full(QQ, 3)
+    assert k == full_space(QQ, 3)
 
 
 def test_kernel_of_identity_is_zero():
@@ -98,16 +107,13 @@ def test_kernel_of_group_algebra_multiplication():
 
 
 def test_quotient_examples():
-    q = quotient(3, Subspace.zero_space(QQ, 3))
-    assert q.projection == Matrix.identity(QQ, 3)
-    q2 = quotient(3, Subspace.full(QQ, 3))
-    assert q2.dim == 0
+    assert quotient(Subspace.zero_space(QQ, 3)) == Matrix.identity(QQ, 3)
+    q2 = quotient(full_space(QQ, 3))
+    assert (q2.rows, q2.cols) == (0, 3)
     one_dim = Subspace.from_spanning(QQ, 2, [(Fraction(1), Fraction(-1))])
-    q3 = quotient(2, one_dim)
-    assert q3.dim == 1
-    assert q3.projection.rank() == 1
-    with pytest.raises(DimensionMismatch):
-        quotient(5, one_dim)
+    q3 = quotient(one_dim)
+    assert q3.rows == 1
+    assert q3.rank() == 1
 
 
 def test_tensor_and_flip_examples():
@@ -224,7 +230,7 @@ def test_matrix_is_not_iterable():
     with pytest.raises(TypeError):
         (1, 0) in m
     with pytest.raises(TypeError):
-        for _ in Subspace.full(QQ, 2).basis:
+        for _ in full_space(QQ, 2).basis:
             pass
     with pytest.raises(TypeError):      # a frame's column is m.col(i), not m[i]
         m[0]
@@ -397,12 +403,12 @@ def test_quotient_laws(m):
     """projection ∘ section = id and projection kills exactly the kernel."""
     f = m.field
     k = kernel(m)
-    q = quotient(m.cols, k)
-    assert q.projection @ q.section == Matrix.identity(f, q.dim)
+    q = quotient(k)
+    assert q @ quotient_section(k) == Matrix.identity(f, q.rows)
     for v in k.basis.to_rows():
-        assert all(x == f.zero() for x in q.projection.apply(v))
-    assert q.projection.rank() == m.cols - k.dim
-    assert kernel(q.projection) == k
+        assert all(x == f.zero() for x in q.apply(v))
+    assert q.rank() == m.cols - k.dim
+    assert kernel(q) == k
 
 
 @settings(max_examples=40, deadline=None)
@@ -635,7 +641,7 @@ def test_raw_residues_through_membership_and_solve():
     assert zero_sub.contains((7, 14))             # ≡ (0, 0)
     line = Subspace.from_spanning(f, 2, [(1, 6)])
     assert line.contains((-1, 1))                 # ≡ 6·(1, 6)
-    assert line.coords((-1, 1)) == (6,)
+    assert subspace_coords(line, (-1, 1)) == (6,)
     assert solve(Matrix.identity(f, 2), (-1, 9)) == (6, 2)
 
 
@@ -844,6 +850,46 @@ def test_product_matches_dense_fraction_arithmetic(pair):
 
 
 # -- primality ---------------------------------------------------------------------
+
+
+@st.composite
+def block_comparison(draw):
+    """Two matrices of one shape, made of p×q blocks: a random one and a
+    copy with a few entries changed (possibly to their old value), the
+    block size, and a shape of the same size other than theirs."""
+    f = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows, cols = p * draw(st.integers(0, 3)), q * draw(st.integers(0, 3))
+    values = st.integers(-3, 3).map(f.from_int)
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+    entries = {}
+    if rows and cols:
+        entries = dict(draw(st.lists(st.tuples(cells, values), max_size=rows * cols)))
+    changed = dict(entries)
+    if rows and cols:
+        changed.update(draw(st.lists(st.tuples(cells, values), max_size=3)))
+    other = draw(st.sampled_from([(rows + p, cols), (rows, cols + q), (cols, rows)])
+                 .filter(lambda shape: shape != (rows, cols)))
+    return Matrix(f, rows, cols, entries), Matrix(f, rows, cols, changed), (p, q), other
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_comparison())
+def test_differing_blocks_matches_entrywise_reference(case):
+    """The blocks on which two matrices differ, and the first differing
+    column within each, agree with the entry-by-entry reference; equal
+    matrices have none, and two shapes raise DimensionMismatch."""
+    lhs, rhs, block, other = case
+    found = differing_blocks(lhs, rhs, block)
+    assert found == differing_blocks_by_entries(lhs, rhs, block)
+    assert found == differing_blocks(rhs, lhs, block)
+    assert (found == {}) == (lhs == rhs)
+    assert differing_blocks(lhs, Matrix(lhs.field, lhs.rows, lhs.cols, dict(lhs.entries)),
+                            block) == {}
+    with pytest.raises(DimensionMismatch):
+        differing_blocks(lhs, Matrix.zero(lhs.field, *other), block)
+    with pytest.raises(DimensionMismatch):
+        differing_blocks_by_entries(lhs, Matrix.zero(lhs.field, *other), block)
 
 
 def test_is_prime_matches_trial_division():

@@ -11,8 +11,6 @@ from hopfpi import (
     ad_map,
     calculus_from_ideal,
     check_bicovariant,
-    decompose_left,
-    decompose_right,
     eta_basis,
     extract_structure,
     functionals_f,
@@ -24,8 +22,6 @@ from hopfpi import (
     matrix_R,
     phi_l,
     phi_r,
-    projection_P,
-    projection_P_matrix,
     r_inv,
     reconstruct,
     reconstruction_matches,
@@ -36,22 +32,31 @@ from hopfpi import (
     universal_calculus,
 )
 from hopfpi.errors import (
+    DimensionMismatch,
     DimensionVariesAcrossGrading,
     IncompatibleData,
     MissingCoaction,
     MissingPsi,
     NotBicovariant,
+    StructureInconsistent,
     VerificationFailed,
 )
 from hopfpi.hopf import HopfPiCoalgebra
-from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, flip, vec_kron
+from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, vec_kron
 from hopfpi.structure import CovariantBimodule
 from oracles import (
+    comult_path,
+    decompose_left,
+    decompose_right,
     element_star,
+    flip,
+    full_space,
     interchange_product,
     nested_functionals,
     nested_maps,
     precompose,
+    projection_P,
+    projection_P_matrix,
     r_blocks,
     r_matrices,
     recombine_left,
@@ -183,9 +188,32 @@ def test_decompose_matrix_invertible(all_fixtures):
     for h in all_fixtures.values():
         bim = universal_calculus(h).to_bimodule()
         for a in h.group.elements():
-            w = bim.decompose_matrix(a)
+            w = bim.frame_matrix(a, bim.omega(a))
             assert w.rows == w.cols == bim.g(a)
-            w.inverse()  # raises if singular
+            assert bim.frame_inverse(a, bim.omega(a)) @ w == Matrix.identity(h.field, bim.g(a))
+
+
+def test_frame_inverse_is_built_once_per_grading_and_frame(f7z3_const):
+    """frame_inverse(α, W) inverts the frame matrix of W, is memoised per
+    (grading, frame) like frame_matrix, and rejects a frame on which Γ_α
+    is not free: too few columns (not square) or a repeated column
+    (singular)."""
+    bim = universal_calculus(f7z3_const).to_bimodule()
+    f = f7z3_const.field
+    for a in f7z3_const.group.elements():
+        w = bim.omega(a)
+        inv = bim.frame_inverse(a, w)
+        assert inv @ bim.frame_matrix(a, w) == Matrix.identity(f, bim.g(a))
+        assert bim.frame_inverse(a, bim.omega(a)) is inv
+        short = Matrix(f, w.rows, w.cols - 1, {(r, c): v for (r, c), v in w.entries.items()
+                                                if c < w.cols - 1})
+        with pytest.raises(DimensionMismatch):
+            bim.frame_inverse(a, short)
+        twice = Matrix(f, w.rows, w.cols, {(r, c): v for (r, c), v in w.entries.items()
+                                           if c < w.cols - 1} | {
+            (r, w.cols - 1): v for (r, c), v in w.entries.items() if c == 0})
+        with pytest.raises(StructureInconsistent):
+            bim.frame_inverse(a, twice)
 
 
 # -- functionals -------------------------------------------------------------------
@@ -351,8 +379,6 @@ def test_reconstruction_trivial_rank_one(kz2, kz2_const):
         assert bim.verify().ok
         assert bim.dims == [h.n(a) for a in h.group.elements()]
         # trivial twisting: right action equals left action through the flip
-        from hopfpi.linalg import flip
-
         for a in h.group.elements():
             n = h.n(a)
             assert bim.right[a] == bim.left[a] @ flip(f, n, n)
@@ -473,7 +499,7 @@ def test_frame_size_uniformity_guard(const_bim):
     cb = CovariantBimodule(const_bim.h, const_bim.dims, const_bim.left,
                            const_bim.right, delta_l=const_bim.delta_l,
                            delta_r=const_bim.delta_r)
-    cb._omega = {0: Subspace.from_spanning(QQ, 2, [(F(1), F(0))]), 1: Subspace.full(QQ, 2)}
+    cb._omega = {0: Subspace.from_spanning(QQ, 2, [(F(1), F(0))]), 1: full_space(QQ, 2)}
     with pytest.raises(DimensionVariesAcrossGrading):
         _frame_size(cb)
 
@@ -997,7 +1023,7 @@ def test_leg_reorderings_match_flip_formulas(lawful_structure):
         step2 = eye(na).kron(h.antipode_inv(a).kron(eye(na)))
         perm = eye(na).kron(flip(f, na, na)) @ flip(f, na * na, na)
         assert t_inv(h, a) == h.mult[a].kron(eye(na)) @ perm @ step2 @ step1
-        applied = _kron_all(h.antipode[ai], eye(n1), eye(na)) @ h.comult_path((ai, e, a))
+        applied = _kron_all(h.antipode[ai], eye(n1), eye(na)) @ comult_path(h, (ai, e, a))
         sweedler = eye(n1).kron(h.mult[a]) @ flip(f, na, n1).kron(eye(na)) @ applied
         assert ad_map(h, a) == sweedler
 

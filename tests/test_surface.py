@@ -1,0 +1,115 @@
+"""The public surface of hopfpi carries no code that only the tests call.
+
+Two checks, by reading the sources with `ast` alone:
+
+* every name that `hopfpi/__init__.py` exports is used somewhere other
+  than its own definition: in another part of `src/hopfpi`, in the
+  README's typical library session, or in `perfbench/` (whose tracer
+  names the functions it wraps in strings); the paper-level API that has
+  no caller of its own is listed in PAPER_API;
+* no module of `src/hopfpi` imports a name it never uses, so removing a
+  caller does not leave its import behind.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hopfpi"
+
+# Constructions of the paper that the library offers without calling them
+# itself: the ideal of a covariant calculus and its induced coactions.
+PAPER_API = {"ideal_from_calculus", "induced_delta_l", "induced_delta_r"}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _readme_session() -> ast.Module:
+    """The python block after "A typical library session:" in README.md."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("A typical library session:", 1)[1]
+    return ast.parse(re.search(r"```python\n(.*?)```", block, re.S).group(1))
+
+
+def _exports() -> dict[str, str]:
+    """{name: module} for every name hopfpi/__init__.py exports; a star
+    import exports the public top-level names of its module."""
+    out = {}
+    for node in _parse(PACKAGE / "__init__.py").body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            if alias.name != "*":
+                out[alias.asname or alias.name] = node.module
+                continue
+            for top in _parse(PACKAGE / f"{node.module}.py").body:
+                if isinstance(top, (ast.ClassDef, ast.FunctionDef)) and not top.name.startswith("_"):
+                    out[top.name] = node.module
+    return out
+
+
+def _used_names(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
+    """Names read in tree, as a bare name or an attribute, outside `skip`;
+    with `strings`, also the dotted parts of string constants, which is how
+    the perfbench tracer names the functions it wraps."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _definition(tree: ast.Module, name: str) -> ast.AST | None:
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name:
+            return node
+    return None
+
+
+def test_every_export_has_a_caller():
+    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"}
+    outside = _used_names(_readme_session())
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _used_names(_parse(path), strings=True)
+    uncalled = []
+    for name, home in sorted(_exports().items()):
+        used = set(outside)
+        for stem, tree in modules.items():
+            skip = _definition(tree, name) if stem == home else None
+            used |= _used_names(tree, skip)
+        if name not in used and name not in PAPER_API:
+            uncalled.append(f"{home}.{name}")
+    assert uncalled == [], f"exported but called only by the tests: {uncalled}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":      # its imports are the exports
+            continue
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound != "*" and bound not in used:
+                        unused.append(f"{path.stem}: {bound}")
+    assert unused == [], f"imported but never used: {unused}"
