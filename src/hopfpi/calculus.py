@@ -244,11 +244,14 @@ def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
 
 
 def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
-    """Smallest right-multiplication-closed subspace containing `gens`.
+    """The right ideal G·A_1 generated by `gens`, one product: the image of
+    m_1 (ι_G⊗I), ι_G the inclusion of the span of the generators.
 
-    Fixed-point iteration: adjoin the first product v·e_j that leaves the
-    span until none does.  ker ε is a right ideal (ε is an algebra map),
-    so the result stays inside it whenever the generators do.
+    In a unital associative A_1 this is the smallest right-multiplication-
+    closed subspace containing G (g = g·1, (g a) b = g (ab)), inside ker ε
+    when G is (ε is an algebra map).  RightIdeal validates it: on an A_1
+    that is not associative it raises NotARightIdeal with the product that
+    escapes, a case the CLI never reaches, as it verifies the axioms first.
     """
     f = h.field
     e = h.group.identity
@@ -259,12 +262,8 @@ def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
         if h.counit.apply(gvec)[0] != f.zero():
             raise NotInKernelOfCounit(
                 f"generator {h.render_element(e, gvec)} has nonzero counit")
-    vectors = [tuple(gv) for gv in gens]
-    span = Subspace.from_spanning(f, n1, vectors)
-    while (escape := _first_escape(h, span)) is not None:
-        vectors.append(escape[2])
-        span = Subspace.from_spanning(f, n1, vectors)
-    return RightIdeal(h, span)
+    iota = Subspace.from_spanning(f, n1, gens).inclusion_matrix()
+    return RightIdeal(h, image(h.mult[e].on_leg(iota, 1, n1, 1)))
 
 
 def zero_ideal(h: HopfPiCoalgebra) -> RightIdeal:

@@ -19,30 +19,19 @@ from .docio import Document, load_document
 from .errors import (
     DimensionMismatch,
     HopfPiError,
-    IncompatibleData,
     NotAGroup,
     NotARightIdeal,
     NotInKernelOfCounit,
     ParseError,
-    StructureInconsistent,
     TooLarge,
     UnknownIdeal,
     UnsupportedField,
 )
-from .hopf import verify_all
+from .hopf import HOPF_CHECKS, PI_CHECKS, PSI_CHECKS, verify_all
 from .reporting import Report
 
 _INPUT_ERRORS = (ParseError, UnknownIdeal, NotInKernelOfCounit, NotARightIdeal,
                  TooLarge, UnsupportedField, DimensionMismatch, NotAGroup)
-
-PI_CHECKS = ("coassociativity", "counit-left", "counit-right")
-HOPF_CHECKS = ("algebra-associativity", "algebra-unit-left", "algebra-unit-right",
-               "comult-multiplicative", "comult-unital",
-               "counit-multiplicative", "counit-unital",
-               "antipode-axiom-left", "antipode-axiom-right", "antipode-invertible",
-               "antipode-antimultiplicative", "antipode-unital",
-               "antipode-comult", "antipode-counit")
-PSI_CHECKS = ("psi-multiplicative", "psi-unital")
 
 
 def _bucket_violations(report, names, output: Report, group) -> None:
@@ -58,10 +47,13 @@ def _dims_table(h) -> dict:
 
 
 def _run_verification(doc: Document, output: Report) -> bool:
+    """The verdict of verify_all; its checks go into `output` for `verify`,
+    and for the other commands only when it fails."""
     h = doc.hopf
     report = verify_all(h)
-    names = list(PI_CHECKS) + list(HOPF_CHECKS) + (list(PSI_CHECKS) if h.psi is not None else [])
-    _bucket_violations(report, names, output, h.group)
+    if output.command == "verify" or not report.ok:
+        names = PI_CHECKS + HOPF_CHECKS + (PSI_CHECKS if h.psi is not None else ())
+        _bucket_violations(report, names, output, h.group)
     return report.ok
 
 
@@ -97,7 +89,6 @@ def cmd_calculus(doc: Document, args) -> Report:
     if not _run_verification(doc, output):
         output.notes.append("structure fails verification; calculus not computed")
         return output
-    output.checks = []  # verified: report only calculus-level checks below
     calc, ideal = _build_calculus(doc, args)
     grp = h.group
     output.dims = _dims_table(h)
@@ -129,7 +120,6 @@ def cmd_structure(doc: Document, args) -> Report:
     if not _run_verification(doc, output):
         output.notes.append("structure fails verification; extraction not attempted")
         return output
-    output.checks = []
     calc, _ideal = _build_calculus(doc, args)
     bicov = calc_mod.check_bicovariant(calc)
     output.add_check("bicovariant", bicov.ok, [v.render(grp) for v in bicov.violations])
@@ -138,13 +128,7 @@ def cmd_structure(doc: Document, args) -> Report:
     if not bicov.ok:
         output.notes.append("calculus is not bicovariant; no structure data")
         return output
-    bim = calc.to_bimodule()
-    try:
-        data = struct_mod.extract_structure(bim)
-    except StructureInconsistent as exc:
-        if exc.data is None:
-            raise
-        data = exc.data
+    data = struct_mod.extract_structure(calc.to_bimodule())
     output.dims["frame size"] = data.size
     f = h.field
     fvals: dict = {}
@@ -166,33 +150,12 @@ def cmd_structure(doc: Document, args) -> Report:
                 for j in range(data.size)
             ]
     output.values["R"] = rvals
-
-    report = data.report
     not_run = dict(data.not_run)
-    rebuilt = None
-    if data.f is None or data.R is None:
-        not_run["reconstruction-roundtrip"] = "f or R was not extracted"
-    elif any(v.check == struct_mod.INTERTWINER for v in report.violations):
-        not_run["reconstruction-roundtrip"] = "the intertwiner identity fails"
-    elif report.ok:
-        # a clean extraction with f and R has checked f, R and the intertwiner
-        rebuilt = struct_mod._rebuild(h, data.f, data.R, data.size)
-    else:
-        try:
-            rebuilt = struct_mod.reconstruct(h, data.f, data.R, data.size)
-        except IncompatibleData as exc:
-            if exc.report is None:
-                raise
-            report = report.merge(exc.report)
-            not_run["reconstruction-roundtrip"] = "the reconstruction data was rejected"
     for name in struct_mod.CHECKS:
-        witnesses = [v.render(grp) for v in report.violations if v.check == name]
+        witnesses = [v.render(grp) for v in data.report.violations if v.check == name]
         if witnesses or name not in not_run:
             output.add_check(name, not witnesses, witnesses)
             not_run.pop(name, None)
-    if rebuilt is not None:
-        output.add_check("reconstruction-roundtrip",
-                         struct_mod.reconstruction_matches(bim, rebuilt))
     for name, reason in not_run.items():
         output.notes.append(f"{name} not run: {reason}")
     return output
@@ -205,7 +168,6 @@ def cmd_enumerate(doc: Document, args) -> Report:
     if not _run_verification(doc, output):
         output.notes.append("structure fails verification; enumeration not attempted")
         return output
-    output.checks = []
     ideals = calc_mod.enumerate_right_ideals(h, max_dim=args.max_dim)
     output.dims = _dims_table(h)
     output.dims["ker ε"] = h.counit_kernel().dim

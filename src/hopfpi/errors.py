@@ -76,15 +76,7 @@ class ReportedFailure(HopfPiError):
 
 
 class StructureInconsistent(ReportedFailure):
-    """Extracted structure data fails one of its defining identities.
-
-    When `extract_structure` raises it, `data` carries the partial
-    StructureData: what could be extracted, and which checks could not run.
-    """
-
-    def __init__(self, message: str, report=None, data=None):
-        super().__init__(message, report)
-        self.data = data
+    """Extracted structure data fails one of its defining identities."""
 
 
 class DimensionVariesAcrossGrading(HopfPiError):

@@ -248,6 +248,16 @@ def act_on_pairs(x: Matrix, y: Matrix, legs, first: Matrix, second: Matrix) -> M
 # ---------------------------------------------------------------------------
 # verification
 
+# the check names that verify_pi_coalgebra, verify_hopf and its Ψ checks emit
+PI_CHECKS = ("coassociativity", "counit-left", "counit-right")
+HOPF_CHECKS = ("algebra-associativity", "algebra-unit-left", "algebra-unit-right",
+               "comult-multiplicative", "comult-unital",
+               "counit-multiplicative", "counit-unital",
+               "antipode-axiom-left", "antipode-axiom-right", "antipode-invertible",
+               "antipode-antimultiplicative", "antipode-unital",
+               "antipode-comult", "antipode-counit")
+PSI_CHECKS = ("psi-multiplicative", "psi-unital")
+
 
 def verify_pi_coalgebra(c: PiCoalgebra) -> VerificationReport:
     """Coassociativity over all grading triples and the counit laws."""

@@ -369,10 +369,6 @@ class Matrix:
         f = self.field
         return Matrix(f, self.rows, self.cols, {k: f.neg(v) for k, v in self.entries.items()})
 
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.rows, self.cols, {k: f.mul(c, v) for k, v in self.entries.items()})
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")

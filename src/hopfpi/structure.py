@@ -51,8 +51,11 @@ entrywise identity names, witnessed by its first differing column.
 
 Each identity is stated once, as a matrix identity, by a check that
 returns a VerificationReport; extraction and reconstruction call the
-same checks.  Every violation carries one of five check names, and its
-witness names the exact identity:
+same checks.  extract_structure runs every check in order, the round
+trip last, and returns what it extracted with the report: a failed
+identity is a violation there, not an exception.  Every violation
+carries one of the six names of CHECKS, and its witness names the exact
+identity:
 
     frame-multiplicativity             f and g are characters, the rules
                                        F = f*·, G = ·*g and the left-
@@ -65,6 +68,9 @@ witness names the exact identity:
     coaction-matrix-counit             ε(R) = δ
     intertwiner-identity               f = g on A_1 and
                                        Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi
+    reconstruction-roundtrip           the bimodule rebuilt from (f, R)
+                                       has the actions and coactions of
+                                       the original in frame coordinates
 """
 
 from __future__ import annotations
@@ -327,7 +333,8 @@ FRAME_NORM = "frame-normalisation"
 R_COMULT = "coaction-matrix-comultiplication"
 R_COUNIT = "coaction-matrix-counit"
 INTERTWINER = "intertwiner-identity"
-CHECKS = (FRAME_MULT, FRAME_NORM, R_COMULT, R_COUNIT, INTERTWINER)
+ROUNDTRIP = "reconstruction-roundtrip"
+CHECKS = (FRAME_MULT, FRAME_NORM, R_COMULT, R_COUNIT, INTERTWINER, ROUNDTRIP)
 
 # convolution side -> (frame, functional): ω with f*·, η with ·*g
 _SIDES = {"left": ("ω", "f"), "right": ("η", "g")}
@@ -694,7 +701,7 @@ def eta_basis(cb: CovariantBimodule, R=None) -> list[Matrix]:
     return eta
 
 
-def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> None:
+def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> VerificationReport:
     """Δ^l_{α,β}(η_j^{αβ}) = Σ_i S_{α^{-1}}(R_ij) ⊗ η_i^β, all gradings:
     Δ^l_{α,β} H_{αβ} = (I⊗H_β) Ŝ_α with the legs of Ŝ_α swapped."""
     h = cb.h
@@ -707,10 +714,10 @@ def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> None:
         for b in grp.elements():
             _compare(report, R_COMULT, (a, b), cb.delta_l[(a, b)] @ eta[grp.mul(a, b)],
                      swapped.on_leg(eta[b], n, 1, 0), "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
-    _require(report, "η")
+    return report
 
 
-def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
+def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> VerificationReport:
     """f = g on A_1, and Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi on every
     A_α (see intertwiner_report)."""
     h = cb.h
@@ -720,8 +727,7 @@ def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> None:
     for ij, _ in sorted(differing_blocks(funcs_f[e], funcs_g[e], (1, h.n(e)))):
         i, j = divmod(ij, size)
         report.extend([Violation(INTERTWINER, (e,), None, f"f_{i}{j} ≠ g_{i}{j} on A_1")])
-    report = report.merge(intertwiner_report(h, funcs_f, funcs_g, R, h.group.elements()))
-    _require(report, "the intertwiner")
+    return report.merge(intertwiner_report(h, funcs_f, funcs_g, R, h.group.elements()))
 
 
 # ---------------------------------------------------------------------------
@@ -753,11 +759,14 @@ class StructureData:
 
 
 def extract_structure(cb: CovariantBimodule) -> StructureData:
-    """Frames, functionals and R data, with every defining identity checked.
+    """Frames, functionals and R data, with every check of CHECKS run.
 
     Each step runs when its inputs exist, so the report covers every
-    identity that could be checked.  Raises StructureInconsistent when one
-    fails; the exception carries the report and this partial data.
+    identity that could be checked; a failed identity is a violation in
+    `report`, and a check whose inputs are missing is in `not_run`.  The
+    last step rebuilds the bimodule from (f, R) and compares it with cb.
+    Errors that are not identities still raise: a frame on which Γ_α is
+    not free, frame sizes that vary across gradings.
     """
     h = cb.h
     data = StructureData(size=_frame_size(cb), omega=[cb.omega(a) for a in h.group.elements()],
@@ -771,6 +780,10 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
                 raise
             data.report = data.report.merge(exc.report)
             return None
+
+    def holds(report: VerificationReport) -> bool:
+        data.report = data.report.merge(report)
+        return report.ok
 
     def skip(reason, *checks):
         for check in checks:
@@ -790,18 +803,23 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
     if data.eta is None:
         skip("the η frame was not built", R_COMULT, FRAME_MULT, FRAME_NORM)
     else:
-        attempt(check_eta_left_coaction, cb, data.R, data.eta)
+        holds(check_eta_left_coaction(cb, data.R, data.eta))
         if h.psi is not None:
             data.g = attempt(functionals_g, cb, data.eta)
     missing = [name for name, funcs in (("f", data.f), ("g", data.g)) if funcs is None]
     if missing:
         skip(f"{' and '.join(missing)} not extracted", INTERTWINER)
+    # f and R passed their checks to be extracted; the intertwiner on (f, g)
+    # reads only A_1 components, where check_intertwiner checked f = g
+    if data.f is None or data.R is None:
+        skip("f or R was not extracted", ROUNDTRIP)
+    elif data.g is not None and not holds(check_intertwiner(cb, data.f, data.g, data.R)):
+        skip("the intertwiner identity fails", ROUNDTRIP)
+    elif data.g is None and not holds(intertwiner_report(h, data.f, data.f, data.R,
+                                                         h.group.elements(), names=("f", "f"))):
+        skip("the reconstruction data was rejected", ROUNDTRIP)
     else:
-        attempt(check_intertwiner, cb, data.f, data.g, data.R)
-    if not data.report.ok:
-        raise StructureInconsistent(
-            f"structure identities fail ({len(data.report)} violations): "
-            f"{data.report.violations[0].render()}", data.report, data=data)
+        holds(reconstruction_matches(cb, _rebuild(h, data.f, data.R, data.size)))
     return data
 
 
@@ -840,10 +858,8 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
 
 
 def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
-    """The bimodule of reconstruct, built from (f, R) that are known to pass
-    its checks: those of an extraction whose report is clean, where the
-    intertwiner on (f, g) is the one on (f, f), since it reads only the
-    A_1 components and extraction checked f = g there."""
+    """The bimodule of reconstruct from (f, R) known to pass its checks:
+    checked by reconstruct, or by extract_structure before its round trip."""
     f = h.field
     grp = h.group
     e = grp.identity
@@ -878,32 +894,36 @@ def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     return CovariantBimodule._trusted(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
 
 
-def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) -> bool:
-    """Actions and coactions agree under the frame-coordinate identification.
+def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) -> VerificationReport:
+    """The reconstruction-roundtrip check: actions and coactions agree
+    under the frame-coordinate identification.
 
     The isomorphism Γ_α → k^size ⊗ A_α sends ρ to its decomposition
     coefficients over ω; both sides' structure maps must be conjugate
-    under it, bit-exactly.
+    under it, bit-exactly.  A violation per grading (pair) for each action
+    (coaction), witnessed by the first column on which the sides differ.
     """
     h = cb.h
     grp = h.group
     frame = {a: cb.omega(a) for a in grp.elements()}
     iso = {a: cb.frame_inverse(a, frame[a]) for a in grp.elements()}
+    report = VerificationReport()
     for a in grp.elements():
         n = h.n(a)
         u = iso[a]
         ui = cb.frame_matrix(a, frame[a])
-        if u @ cb.left[a].on_leg(ui, n, 1, 1) != rebuilt.left[a]:
-            return False
-        if u @ cb.right[a].on_leg(ui, 1, n, 1) != rebuilt.right[a]:
-            return False
+        _compare(report, ROUNDTRIP, (a,), u @ cb.left[a].on_leg(ui, n, 1, 1), rebuilt.left[a],
+                 "the left action differs from the rebuilt one")
+        _compare(report, ROUNDTRIP, (a,), u @ cb.right[a].on_leg(ui, 1, n, 1), rebuilt.right[a],
+                 "the right action differs from the rebuilt one")
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
-            if (cb.delta_l[(a, b)].on_leg(iso[b], h.n(a), 1, 0)
-                    @ cb.frame_matrix(ab, frame[ab]) != rebuilt.delta_l[(a, b)]):
-                return False
-            if (cb.delta_r[(a, b)].on_leg(iso[a], 1, h.n(b), 0)
-                    @ cb.frame_matrix(ab, frame[ab]) != rebuilt.delta_r[(a, b)]):
-                return False
-    return True
+            w = cb.frame_matrix(ab, frame[ab])
+            dl = cb.delta_l[(a, b)].on_leg(iso[b], h.n(a), 1, 0) @ w
+            dr = cb.delta_r[(a, b)].on_leg(iso[a], 1, h.n(b), 0) @ w
+            _compare(report, ROUNDTRIP, (a, b), dl, rebuilt.delta_l[(a, b)],
+                     "Δ^l differs from the rebuilt one")
+            _compare(report, ROUNDTRIP, (a, b), dr, rebuilt.delta_r[(a, b)],
+                     "Δ^r differs from the rebuilt one")
+    return report

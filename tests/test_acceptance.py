@@ -224,12 +224,13 @@ def test_criterion_7_structure_suite(kz2, f7z3, capsys):
         for h, expect_size in ((kz2, 1), (f7z3, 2)):
             bim = universal_calculus(h).to_bimodule()
             data = extract_structure(bim)
+            assert data.report.ok
             assert data.size == expect_size
             assert data.f is not None and data.g is not None
             assert data.R is not None and data.eta is not None
             rebuilt = reconstruct(h, data.f, data.R, data.size)
             assert rebuilt.verify().ok
-            assert reconstruction_matches(bim, rebuilt)
+            assert reconstruction_matches(bim, rebuilt).ok
 
 
 def test_criterion_8_adjoint_coaction_identities(all_fixtures, capsys):

@@ -7,6 +7,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfpi import (
     ad_map,
@@ -32,6 +33,7 @@ from hopfpi import (
     right_ideal_from_generators,
     t_inv,
     t_map,
+    taft_hopf_algebra,
     universal_bimodule,
     universal_calculus,
     verify_all,
@@ -62,6 +64,7 @@ from oracles import (
     phi_l_restricted,
     phi_r_restricted,
     right_action_ambient,
+    right_ideal_by_escapes,
     spot_check_implication,
     subspace_tensor,
 )
@@ -248,6 +251,30 @@ def test_ideal_from_generators_examples(kz2, f7z3):
     assert idem.dim == 1
     with pytest.raises(NotInKernelOfCounit):
         right_ideal_from_generators(kz2, [(F(1), F(0))])
+
+
+IDEAL_ALGEBRAS = [group_algebra(cyclic(n), field) for field in (PrimeField(7), QQ)
+                  for n in (2, 3, 4, 5)] + [taft_hopf_algebra(QQ), taft_hopf_algebra(PrimeField(7))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(IDEAL_ALGEBRAS),
+       st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+                max_size=3))
+def test_one_product_generates_the_ideal_of_the_fixed_point_loop(h, raw):
+    """G·A_1 as one image equals the span closed under right
+    multiplication one escape at a time, on commutative k[ℤ/n] over F_7
+    and ℚ and on the non-commutative Taft algebra; each random generator
+    is moved into ker ε by subtracting ε(v)·1."""
+    f = h.field
+    e = h.group.identity
+    n1 = h.n(e)
+    gens = []
+    for entries in raw:
+        v = [f.from_int(x) for x in entries[:n1]]
+        eps = h.counit.apply(v)[0]
+        gens.append(tuple(f.sub(x, f.mul(eps, u)) for x, u in zip(v, h.unit[e])))
+    assert right_ideal_from_generators(h, gens).subspace == right_ideal_by_escapes(h, gens)
 
 
 def test_counit_witness_is_the_first_generator_outside_ker_eps(f7z3):

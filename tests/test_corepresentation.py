@@ -88,9 +88,8 @@ def _agree(cb, R=None) -> set:
     assert eta == eta_ref
     found |= violated
     if eta is not None:
-        _, violated = _run(check_eta_left_coaction, cb, R, eta)
-        _, violated_ref = _run(check_eta_left_coaction_by_vectors, cb, R_ref, eta_ref)
-        assert violated == violated_ref
+        violated = _violated(check_eta_left_coaction(cb, R, eta))
+        assert violated == _violated(check_eta_left_coaction_by_vectors(cb, R_ref, eta_ref))
         found |= violated
     return found
 
@@ -145,8 +144,7 @@ def lawful(fixture_dir):
 
 def test_doubled_right_coaction_agrees(lawful):
     for cb in lawful:
-        two = cb.h.field.from_int(2)
-        bad = _corrupted(cb, delta_r={k: m.scale(two) for k, m in cb.delta_r.items()})
+        bad = _corrupted(cb, delta_r={k: m + m for k, m in cb.delta_r.items()})
         checks = {check for check, _ in _agree(bad)}
         assert checks == {"coaction-matrix-comultiplication", "coaction-matrix-counit"}
 
@@ -158,8 +156,7 @@ def test_right_coaction_doubled_off_the_identity_grading_agrees(lawful):
         if h.group.order == 1:
             continue
         s = next(a for a in h.group.elements() if a != h.group.identity)
-        two = h.field.from_int(2)
-        delta_r = {k: m.scale(two) if k[0] == s else m for k, m in cb.delta_r.items()}
+        delta_r = {k: m + m if k[0] == s else m for k, m in cb.delta_r.items()}
         violated = _agree(_corrupted(cb, delta_r=delta_r))
         assert violated == {("coaction-matrix-comultiplication", (s, b))
                             for b in h.group.elements()}

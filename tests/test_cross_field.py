@@ -41,7 +41,6 @@ from hopfpi import (
     verify_all,
     zero_ideal,
 )
-from hopfpi.errors import StructureInconsistent
 
 FIELDS = (QQ, PrimeField(7), PrimeField(101))
 
@@ -85,12 +84,8 @@ def _answers(h, powers) -> tuple[dict, dict]:
                                                check_right_covariant(calc).ok, bicov)
             if not bicov:
                 continue
-            try:
-                data = extract_structure(calc.to_bimodule())
-                failed: list = []
-            except StructureInconsistent as exc:
-                data = exc.data
-                failed = sorted({v.check for v in exc.report.violations})
+            data = extract_structure(calc.to_bimodule())
+            failed = sorted({v.check for v in data.report.violations})
             out[label, route, "structure"] = (data.size, failed, sorted(data.not_run))
             values[label, route] = data
     return out, values

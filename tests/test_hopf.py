@@ -13,10 +13,13 @@ from hopfpi import (
     constant_family,
     cyclic,
     group_algebra,
+    load_document,
+    verify_all,
     verify_hopf,
     verify_pi_coalgebra,
 )
 from hopfpi.errors import VerificationFailed
+from hopfpi.hopf import HOPF_CHECKS, PI_CHECKS, PSI_CHECKS
 from hopfpi.linalg import Matrix, PrimeField, QQ, vec_kron
 from oracles import (
     GradedFunctional,
@@ -55,6 +58,42 @@ def _with_comult(h, new_comult):
     return HopfPiCoalgebra(h.group, h.field, h.dims, new_comult, h.counit,
                            h.mult, h.unit, h.antipode, psi=h.psi,
                            basis_names=h.basis_names)
+
+
+def _replaced(h, **maps):
+    """h with the named structure maps replaced."""
+    parts = {"comult": h.comult, "counit": h.counit, "mult": h.mult, "unit": h.unit,
+             "antipode": h.antipode, "psi": h.psi} | maps
+    return HopfPiCoalgebra(h.group, h.field, h.dims, parts["comult"], parts["counit"],
+                           parts["mult"], parts["unit"], parts["antipode"], psi=parts["psi"],
+                           basis_names=h.basis_names)
+
+
+def _bump(m: Matrix) -> Matrix:
+    return m + Matrix(m.field, m.rows, m.cols, {(0, 0): m.field.one()})
+
+
+def test_verify_all_emits_only_the_listed_check_names(fixture_dir):
+    """`verify` reports the checks of hopf's lists; every name verify_all
+    emits is among them, on every fixture document and on corruptions of a
+    ℤ/2-graded family that between them fail every listed check."""
+    structures = [load_document(path).hopf for path in sorted(fixture_dir.glob("*.json"))]
+    h = load_document(fixture_dir / "kz2_constant_z2.json").hopf
+    e = h.group.identity
+    structures += [
+        _replaced(h, comult={k: _bump(m) if k == (e, e) else m for k, m in h.comult.items()}),
+        _replaced(h, comult={k: _bump(m) for k, m in h.comult.items()}),
+        _replaced(h, counit=_bump(h.counit)),
+        _replaced(h, mult=[_bump(m) for m in h.mult]),
+        _replaced(h, unit=[tuple(h.field.add(x, x) for x in u) for u in h.unit]),
+        _replaced(h, antipode=[_bump(m) for m in h.antipode]),
+        _replaced(h, antipode=[Matrix.zero(h.field, m.rows, m.cols) for m in h.antipode]),
+        _replaced(h, psi=[_bump(m) for m in h.psi]),
+    ]
+    emitted = set()
+    for s in structures:
+        emitted |= {v.check for v in verify_all(s).violations}
+    assert emitted == set(PI_CHECKS + HOPF_CHECKS + PSI_CHECKS)
 
 
 def test_corrupted_comult_counit_violation(kz2):

@@ -327,11 +327,12 @@ def test_eta_right_invariant_and_recombines(f7z3_bim):
 
 def test_structure_suite_constant_family(const_bim):
     data = extract_structure(const_bim)
+    assert data.report.ok
     assert data.size == 1
     assert data.R is not None and data.eta is not None
     rebuilt = reconstruct(const_bim.h, data.f, data.R, data.size)
     assert rebuilt.verify().ok
-    assert reconstruction_matches(const_bim, rebuilt)
+    assert reconstruction_matches(const_bim, rebuilt).ok
 
 
 def test_left_coaction_of_invariants_is_trivial(const_bim):
@@ -363,9 +364,10 @@ def test_left_coaction_of_invariants_is_trivial(const_bim):
 def test_reconstruction_roundtrip(kz2_bim, f7z3_bim):
     for bim in (kz2_bim, f7z3_bim):
         data = extract_structure(bim)
+        assert data.report.ok
         rebuilt = reconstruct(bim.h, data.f, data.R, data.size)
         assert rebuilt.verify().ok
-        assert reconstruction_matches(bim, rebuilt)
+        assert reconstruction_matches(bim, rebuilt).ok
 
 
 def test_reconstruction_trivial_rank_one(kz2, kz2_const):
@@ -426,6 +428,7 @@ def _malformed_R(name, h, R):
 def test_reconstruction_rejects_malformed_R(name, monkeypatch, f7z3, f7z3_bim):
     """Malformed R is rejected as IncompatibleData before any product."""
     data = extract_structure(f7z3_bim)
+    assert data.report.ok
     bad = _malformed_R(name, f7z3, data.R)
     _forbid_products(monkeypatch)
     with pytest.raises(IncompatibleData):
@@ -474,6 +477,7 @@ def test_reconstruction_rejects_malformed_functionals(monkeypatch, fixture_dir):
     before any product."""
     h = load_document(fixture_dir / "f7z3_constant_z2.json").hopf
     data = extract_structure(universal_calculus(h).to_bimodule())
+    assert data.report.ok
     assert len(data.f) == 2 and reconstruct(h, data.f, data.R, data.size).verify().ok
     variants = {name: _malformed_f(name, h, data.f) for name in MALFORMED_F}
     _forbid_products(monkeypatch)
@@ -551,13 +555,12 @@ def test_non_involutive_antipode_boundary():
 
     with pytest.raises(StructureInconsistent):
         functionals_g(bim, eta=eta)      # left-multiplication rule needs S² = id
-    with pytest.raises(StructureInconsistent):
-        extract_structure(bim)
+    assert not extract_structure(bim).report.ok
 
     # reconstruction only needs the f and R data, and those are consistent
     rebuilt = reconstruct(t, funcs, R, 3)
     assert rebuilt.verify().ok
-    assert reconstruction_matches(bim, rebuilt)
+    assert reconstruction_matches(bim, rebuilt).ok
 
 
 def test_structure_suite_on_quotient_calculi(f7z3, f7z3_const):
@@ -573,10 +576,11 @@ def test_structure_suite_on_quotient_calculi(f7z3, f7z3_const):
         bim = calculus_from_ideal(h, ideal).to_bimodule()
         assert bim.dims == expect_dims
         data = extract_structure(bim)
+        assert data.report.ok
         assert data.size == expect_size
         rebuilt = reconstruct(h, data.f, data.R, data.size)
         assert rebuilt.verify().ok
-        assert reconstruction_matches(bim, rebuilt)
+        assert reconstruction_matches(bim, rebuilt).ok
 
 
 def test_projection_reconstruction_identity(all_fixtures):
@@ -636,9 +640,10 @@ def test_full_pipeline_over_larger_grading_groups(grading, kz2, f7z3):
         assert check_bicovariant(calc).ok
         bim = calc.to_bimodule()
         data = extract_structure(bim)
+        assert data.report.ok
         rebuilt = reconstruct(h, data.f, data.R, data.size)
         assert rebuilt.verify().ok
-        assert reconstruction_matches(bim, rebuilt)
+        assert reconstruction_matches(bim, rebuilt).ok
 
 
 def test_convolution_inverse_identities_elementwise(all_fixtures):
@@ -847,6 +852,7 @@ def test_corrupted_f_value_fails_extraction_and_reconstruction(kz2, kz2_bim):
     with pytest.raises(StructureInconsistent) as extraction:
         functionals_f(kz2_bim, coeffs=[bumped])
     data = extract_structure(kz2_bim)
+    assert data.report.ok
     bad_f = [kz2.counit @ kz2.psi[0] @ bumped]
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(kz2, bad_f, data.R, data.size)
@@ -861,6 +867,7 @@ def test_corrupted_unit_fails_extraction_and_reconstruction(kz2, kz2_bim):
     from hopfpi.errors import StructureInconsistent
 
     data = extract_structure(kz2_bim)
+    assert data.report.ok
     doubled = HopfPiCoalgebra(kz2.group, kz2.field, kz2.dims, kz2.comult, kz2.counit,
                               kz2.mult, [(F(2), F(0))], kz2.antipode, psi=kz2.psi,
                               basis_names=kz2.basis_names)
@@ -878,19 +885,17 @@ def test_corrupted_R_fails_extraction_and_reconstruction(kz2_const, const_bim):
     """Δ^r doubled, so R doubles: ε(R) = 2 and Δ(R) ≠ R⊗R."""
     import copy
 
-    from hopfpi.errors import StructureInconsistent
-
     data = extract_structure(const_bim)
+    assert data.report.ok
     bad = copy.copy(const_bim)
-    bad.delta_r = {k: m.scale(F(2)) for k, m in const_bim.delta_r.items()}
-    with pytest.raises(StructureInconsistent) as extraction:
-        extract_structure(bad)
-    assert extraction.value.data.R is None
-    double_R = [rb.scale(F(2)) for rb in data.R]
+    bad.delta_r = {k: m + m for k, m in const_bim.delta_r.items()}
+    extraction = extract_structure(bad)
+    assert extraction.R is None
+    double_R = [rb + rb for rb in data.R]
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(kz2_const, data.f, double_R, data.size)
     for check in ("coaction-matrix-counit", "coaction-matrix-comultiplication"):
-        assert check in _checks_named(extraction.value.report)
+        assert check in _checks_named(extraction.report)
         assert check in _checks_named(rebuild.value.report)
 
 
@@ -898,40 +903,61 @@ def test_corrupted_R_breaks_the_intertwiner_on_taft():
     """On the non-commutative Taft algebra a bumped R entry breaks the
     intertwiner, found by extraction and by reconstruction alike."""
     from hopfpi import taft_hopf_algebra
-    from hopfpi.errors import StructureInconsistent
     from hopfpi.structure import check_intertwiner
 
     t = taft_hopf_algebra(QQ)
     bim = universal_calculus(t).to_bimodule()
     funcs = functionals_f(bim)
     R = matrix_R(bim)
-    check_intertwiner(bim, funcs, funcs, R)           # lawful data passes
+    assert check_intertwiner(bim, funcs, funcs, R).ok       # lawful data passes
     bad_R = r_blocks(t, R)
     bad_R[0][0][1] = tuple(x + y for x, y in zip(bad_R[0][0][1], (F(0), F(0), F(1), F(0))))
     bad_R = r_matrices(t, bad_R)
-    with pytest.raises(StructureInconsistent) as extraction:
-        check_intertwiner(bim, funcs, funcs, bad_R)
+    extraction = check_intertwiner(bim, funcs, funcs, bad_R)
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(t, funcs, bad_R, 3)
-    assert "intertwiner-identity" in _checks_named(extraction.value.report)
+    assert "intertwiner-identity" in _checks_named(extraction)
     assert "intertwiner-identity" in _checks_named(rebuild.value.report)
 
 
 def test_extraction_failure_keeps_partial_data():
-    """On Taft the failing g step leaves f, R and η in the data, and the
-    intertwiner (which needs g) is marked as not run."""
+    """On Taft the failing g step leaves f, R and η in the data and is
+    reported, not raised; the intertwiner (which needs g) is marked as not
+    run, and the round trip, which needs f, R and the intertwiner on
+    (f, f) only, runs and passes."""
     from hopfpi import taft_hopf_algebra
-    from hopfpi.errors import StructureInconsistent
 
     bim = universal_calculus(taft_hopf_algebra(QQ)).to_bimodule()
-    with pytest.raises(StructureInconsistent) as exc:
-        extract_structure(bim)
-    data = exc.value.data
+    data = extract_structure(bim)
     assert data.f is not None and data.R is not None and data.eta is not None
     assert data.g is None
-    assert set(data.not_run) == {"intertwiner-identity"}
+    assert data.not_run == {"intertwiner-identity": "g not extracted"}
     assert {v.check for v in data.report.violations} == {"frame-multiplicativity"}
-    assert exc.value.report is data.report
+
+
+def test_roundtrip_names_the_grading_and_first_differing_column(kz2_const, const_bim):
+    """One entry of the rebuilt right action and one of the rebuilt Δ^l
+    bumped: the round trip reports each at its grading (pair), witnessed
+    by the bumped column."""
+    import copy
+
+    data = extract_structure(const_bim)
+    rebuilt = reconstruct(kz2_const, data.f, data.R, data.size)
+    grp = kz2_const.group
+    e = grp.identity
+    s = next(a for a in grp.elements() if a != e)
+    right_col = rebuilt.right[s].cols - 1
+    delta_col = rebuilt.delta_l[(s, e)].cols - 1
+    bad = copy.copy(rebuilt)
+    bad.right = list(rebuilt.right)
+    bad.right[s] = _bumped(rebuilt.right[s], (0, right_col))
+    bad.delta_l = dict(rebuilt.delta_l)
+    bad.delta_l[(s, e)] = _bumped(rebuilt.delta_l[(s, e)], (1, delta_col))
+    report = reconstruction_matches(const_bim, bad)
+    assert [(v.check, v.grading, v.basis_index) for v in report.violations] == [
+        ("reconstruction-roundtrip", (s,), right_col),
+        ("reconstruction-roundtrip", (s, e), delta_col)]
+    assert reconstruction_matches(const_bim, rebuilt).ok
 
 
 # -- witnesses of the bimodule laws --------------------------------------------
@@ -1099,7 +1125,6 @@ def _reconstructions(fixture_dir):
     on both routes of every fixture document, and the universal calculi of
     F_101[Z/6] and Q[Z/4]."""
     from hopfpi import calculus_from_ideal_right, cyclic, group_algebra, verify_all
-    from hopfpi.errors import StructureInconsistent
 
     structures = []
     for path in sorted(fixture_dir.glob("*.json")):
@@ -1119,11 +1144,8 @@ def _reconstructions(fixture_dir):
         for calc in calcs:
             if not check_bicovariant(calc).ok:
                 continue
-            try:
-                data = extract_structure(calc.to_bimodule())
-            except StructureInconsistent:
-                continue
-            if data.f is not None:
+            data = extract_structure(calc.to_bimodule())
+            if data.report.ok and data.f is not None:
                 out.append((name, h, data.f, data.R, data.size))
     return out
 

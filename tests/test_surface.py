@@ -1,12 +1,15 @@
 """The public surface of hopfpi carries no code that only the tests call.
 
-Two checks, by reading the sources with `ast` alone:
+Three checks, by reading the sources with `ast` alone:
 
 * every name that `hopfpi/__init__.py` exports is used somewhere other
   than its own definition: in another part of `src/hopfpi`, in the
   README's typical library session, or in `perfbench/` (whose tracer
   names the functions it wraps in strings); the paper-level API that has
   no caller of its own is listed in PAPER_API;
+* so is every public method of an exported class, by the same rule;
+  the field protocol that has no caller of its own is listed in
+  FIELD_PROTOCOL;
 * no module of `src/hopfpi` imports a name it never uses, so removing a
   caller does not leave its import behind.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +27,9 @@ PACKAGE = ROOT / "src" / "hopfpi"
 # Constructions of the paper that the library offers without calling them
 # itself: the ideal of a covariant calculus and its induced coactions.
 PAPER_API = {"ideal_from_calculus", "induced_delta_l", "induced_delta_r"}
+
+# Methods every scalar field offers, whether or not the library calls them.
+FIELD_PROTOCOL = {"from_int"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -53,23 +60,18 @@ def _exports() -> dict[str, str]:
     return out
 
 
-def _used_names(tree: ast.AST, skip: ast.AST | None = None, strings: bool = False) -> set[str]:
-    """Names read in tree, as a bare name or an attribute, outside `skip`;
+def _used_names(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute;
     with `strings`, also the dotted parts of string constants, which is how
     the perfbench tracer names the functions it wraps."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    out: Counter = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.update(node.value.split("."))
-        stack.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -80,21 +82,53 @@ def _definition(tree: ast.Module, name: str) -> ast.AST | None:
     return None
 
 
-def test_every_export_has_a_caller():
-    modules = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"}
-    outside = _used_names(_readme_session())
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def _outside_names() -> Counter:
+    """Names read by the README session and by perfbench, strings included."""
+    out = _used_names(_readme_session())
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        outside |= _used_names(_parse(path), strings=True)
+        out |= _used_names(_parse(path), strings=True)
+    return out
+
+
+def _uncalled(definitions, modules: dict[str, ast.Module], outside: Counter,
+              allowed: set[str]) -> list[str]:
+    """`label` of each (label, name, node) whose name is read nowhere in
+    src/hopfpi but in its definition `node` (None for an assignment), nor
+    in `outside`, unless allowed."""
+    counts = sum((_used_names(tree) for tree in modules.values()), Counter())
     uncalled = []
-    for name, home in sorted(_exports().items()):
-        used = set(outside)
-        for stem, tree in modules.items():
-            skip = _definition(tree, name) if stem == home else None
-            used |= _used_names(tree, skip)
-        if name not in used and name not in PAPER_API:
-            uncalled.append(f"{home}.{name}")
+    for label, name, node in definitions:
+        inside = _used_names(node)[name] if node is not None else 0    # a recursive call
+        if counts[name] <= inside and name not in outside and name not in allowed:
+            uncalled.append(label)
+    return uncalled
+
+
+def test_every_export_has_a_caller():
+    modules = _modules()
+    definitions = [(f"{home}.{name}", name, _definition(modules[home], name))
+                   for name, home in sorted(_exports().items())]
+    uncalled = _uncalled(definitions, modules, _outside_names(), PAPER_API)
     assert uncalled == [], f"exported but called only by the tests: {uncalled}"
+
+
+def test_every_public_method_has_a_caller():
+    modules = _modules()
+    definitions = []
+    for name, home in sorted(_exports().items()):
+        cls = _definition(modules[home], name)
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        definitions += [(f"{home}.{name}.{node.name}", node.name, node) for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert definitions
+    uncalled = _uncalled(definitions, modules, _outside_names(), FIELD_PROTOCOL)
+    assert uncalled == [], f"public methods called only by the tests: {uncalled}"
 
 
 def test_no_module_imports_a_name_it_never_uses():
