@@ -22,8 +22,10 @@ A_α⊗A_α has kernel exactly N_α, so with ι the inclusion matrix of N,
 
 and column j of the product is nonzero exactly when basis vector j of
 N_{αβ} leaves; sub-bimodule closure and ad-invariance are tested the
-same way.  Φ^l, Φ^r, r_α^{-1}, t_α^{-1} and ad_α depend only on the Hopf
-structure and are built once per structure (HopfPiCoalgebra.derived).
+same way, and so is right-ideal closure: R ⊆ A_1 is a right ideal iff
+P_R m_1 (ι_R ⊗ I) = 0 (_first_escape, which enumeration runs in ker-ε
+coordinates).  Φ^l, Φ^r, r_α^{-1}, t_α^{-1} and ad_α depend only on the
+Hopf structure and are built once per structure (HopfPiCoalgebra.derived).
 
 The adjoint coaction ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1⊗A_α
 characterises bicovariance: the r-route calculus of R is bicovariant iff
@@ -59,8 +61,6 @@ from .linalg import (
     image,
     kernel,
     quotient,
-    unit_vec,
-    vec_kron,
 )
 from .structure import CovariantBimodule
 
@@ -194,7 +194,6 @@ class RightIdeal:
     """A right ideal of A_1 contained in ker ε, canonical basis."""
 
     def __init__(self, h: HopfPiCoalgebra, subspace: Subspace):
-        self.h = h
         self.subspace = subspace
         _validate_right_ideal(h, subspace)
 
@@ -212,17 +211,19 @@ class RightIdeal:
         return f"RightIdeal(dim {self.dim})"
 
 
-def _first_escape(h: HopfPiCoalgebra, span: Subspace) -> tuple | None:
-    """The first (v, j, v·e_j), v a basis vector of `span` and j a basis
-    index of A_1, with v·e_j outside the span; None iff the span is closed
-    under right multiplication by A_1."""
-    f, e = h.field, h.group.identity
-    for v in span.basis.to_rows():
-        for j in range(h.n(e)):
-            w = h.mult[e].apply(vec_kron(f, v, unit_vec(f, h.n(e), j)))
-            if not span.contains(w):
-                return v, j, w
-    return None
+def _first_escape(action: Matrix, sub: Subspace, n: int) -> tuple[int, int] | None:
+    """The first (k, j), by basis vector w_k of sub and then by basis index
+    j of A_1 (n = dim A_1), with w_k·e_j outside sub; None iff sub is closed
+    under `action`, the right action V⊗A_1 → V in the coordinates of sub's
+    ambient space V.
+
+    One product: column k·n + j of P action (ι⊗I) is w_k·e_j modulo sub,
+    with ι the inclusion of sub and P the projection whose kernel is sub,
+    so the smallest nonzero column is the first escape.
+    """
+    outside = quotient(sub) @ action.on_leg(sub.inclusion_matrix(), 1, n, 1)
+    first = min((c for _, c in outside.entries), default=None)
+    return None if first is None else divmod(first, n)
 
 
 def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
@@ -237,10 +238,12 @@ def _validate_right_ideal(h: HopfPiCoalgebra, sub: Subspace) -> None:
         raise NotInKernelOfCounit(
             f"generator {h.render_element(e, sub.basis.row(k))} has ε = "
             f"{h.field.render(eps[0, k])}")
-    escape = _first_escape(h, sub)
+    # m_1 in A_1 coordinates is exact on any structure, associative or not
+    escape = _first_escape(h.mult[e], sub, n1)
     if escape is not None:
-        v, j, _ = escape
-        raise NotARightIdeal(f"({h.render_element(e, v)})·{h.basis_name(e, j)} leaves the span")
+        k, j = escape
+        raise NotARightIdeal(
+            f"({h.render_element(e, sub.basis.row(k))})·{h.basis_name(e, j)} leaves the span")
 
 
 def right_ideal_from_generators(h: HopfPiCoalgebra, gens) -> RightIdeal:
@@ -283,8 +286,7 @@ class Fodc:
     d_α and the two module actions on Γ_α are built on first read, and
     the induced coactions on the first `induced_delta_l/r` or
     `to_bimodule` call; a job that reads only dimensions and covariance
-    verdicts builds none of them.  `ideal`/`side` record how N was built,
-    when it was.
+    verdicts builds none of them.
 
     N is a sub-bimodule of A², which `to_bimodule` relies on.  The public
     constructor proves it (CodomainViolation otherwise).  The route
@@ -303,30 +305,25 @@ class Fodc:
     Γ_α (drop), with drop ∘ lift = id.
     """
 
-    def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace],
-                 ideal: RightIdeal | None = None, side: str | None = None):
-        self._build(h, kernels, ideal, side, checked=True)
+    def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace]):
+        self._build(h, kernels, checked=True)
 
     @classmethod
-    def _trusted(cls, h: HopfPiCoalgebra, kernels: list[Subspace],
-                 ideal: RightIdeal, side: str) -> "Fodc":
-        """The calculus of `ideal` on one route, N_α = r_α^{-1}(A_α⊗R) or
-        t_α^{-1}(R⊗A_α).  N ⊆ A² and its closure under both actions are a
+    def _trusted(cls, h: HopfPiCoalgebra, kernels: list[Subspace]) -> "Fodc":
+        """The calculus of a right ideal R on one route, N_α = r_α^{-1}(A_α⊗R)
+        or t_α^{-1}(R⊗A_α).  N ⊆ A² and its closure under both actions are a
         theorem once h satisfies the Hopf axioms, and trivial when N = 0,
         so both tests run only when neither holds; then they raise the
         same CodomainViolation as the public constructor."""
         calc = cls.__new__(cls)
         closed = all(k.dim == 0 for k in kernels) or verify_all(h).ok
-        calc._build(h, kernels, ideal, side, checked=not closed)
+        calc._build(h, kernels, checked=not closed)
         return calc
 
-    def _build(self, h: HopfPiCoalgebra, kernels: list[Subspace],
-               ideal: RightIdeal | None, side: str | None, checked: bool) -> None:
+    def _build(self, h: HopfPiCoalgebra, kernels: list[Subspace], checked: bool) -> None:
         self.h = h
         self.asq = universal_bimodule(h)
         self.kernels = list(kernels)
-        self.ideal = ideal
-        self.side = side
         self._covariance: dict = {}    # side -> containment report
         self._coactions: dict = {}     # side -> induced coactions by (α, β)
         f = h.field
@@ -453,7 +450,7 @@ def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
     """Γ = A² itself (N = 0), the universal calculus."""
     f = h.field
     kernels = [Subspace.zero_space(f, h.n(a) ** 2) for a in h.group.elements()]
-    return Fodc._trusted(h, kernels, zero_ideal(h), "left")
+    return Fodc._trusted(h, kernels)
 
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
@@ -461,7 +458,7 @@ def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     r_α^{-1} ∘ (I ⊗ ι_R)."""
     incl = ideal.subspace.inclusion_matrix()
     kernels = [image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)) for a in h.group.elements()]
-    return Fodc._trusted(h, kernels, ideal, "left")
+    return Fodc._trusted(h, kernels)
 
 
 def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
@@ -469,7 +466,7 @@ def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     t_α^{-1} ∘ (ι_R ⊗ I)."""
     incl = ideal.subspace.inclusion_matrix()
     kernels = [image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)) for a in h.group.elements()]
-    return Fodc._trusted(h, kernels, ideal, "right")
+    return Fodc._trusted(h, kernels)
 
 
 def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
@@ -665,15 +662,20 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     """All right ideals R ⊆ ker ε, by exhaustive echelon-subspace search.
 
     Requires a prime field with p ≤ 11 and dim ker ε ≤ 3 (complete at
-    desk scale, infeasible generally); deterministic order: by dimension,
-    then by the echelon parameters.
+    desk scale, infeasible generally), and h to satisfy the Hopf axioms
+    (VerificationFailed with the memoised verdict otherwise);
+    deterministic order: by dimension, then by the echelon parameters.
 
-    A candidate is lifted into A_1 by one product with ker ε's RREF basis
-    and is not re-reduced: the lift of an RREF basis through an RREF
-    basis is RREF, with pivots ker ε's pivots at the candidate's pivots.
-    The coordinate of lifted row r at ker ε's pivot P_c is row r's entry c
-    (1 at its own pivot, 0 at the others'), and the basis vectors of ker ε
-    that row r combines lead at or after P_{pivot of r}.
+    Each candidate is tested in ker-ε coordinates, with the right action
+    of A_1 on ker ε, coords(ker ε) m_1 (ι_{ker ε}⊗I), built once per
+    structure: that is exact because ker ε is a right ideal, ε being an
+    algebra map.  A candidate that passes is lifted into A_1 by one product
+    with ker ε's RREF basis and is not re-reduced: the lift of an RREF
+    basis through an RREF basis is RREF, with pivots ker ε's pivots at the
+    candidate's pivots.  The coordinate of lifted row r at ker ε's pivot
+    P_c is row r's entry c (1 at its own pivot, 0 at the others'), and the
+    basis vectors of ker ε that row r combines lead at or after
+    P_{pivot of r}.
     """
     f = h.field
     if not isinstance(f, PrimeField):
@@ -684,11 +686,16 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     k = ker_eps.dim
     if k > MAX_ENUM_KER_DIM:
         raise TooLarge(f"dim ker ε = {k} exceeds the enumeration bound {MAX_ENUM_KER_DIM}")
+    require_axioms(h)
+    e = h.group.identity
+    n1 = h.n(e)
+    action = h.derived(("counit_kernel_action",), lambda: ker_eps.coords_matrix()
+                       @ h.mult[e].on_leg(ker_eps.inclusion_matrix(), 1, n1, 1))
     found = []
     for small in _all_rref_subspaces(f, k):
         if max_dim is not None and small.dim > max_dim:
             continue
-        lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
-        if _first_escape(h, lifted) is None:
+        if _first_escape(action, small, n1) is None:
+            lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
             found.append(RightIdeal(h, lifted))
     return found

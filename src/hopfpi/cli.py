@@ -103,9 +103,9 @@ def cmd_calculus(doc: Document, args) -> Report:
     bicov = calc_mod.check_bicovariant(calc)
     output.add_report("leibniz", calc.leibniz_report(), grp)
     output.add_report("surjectivity", calc.surjectivity_report(), grp)
-    output.add_check("left-covariant", left.ok, [v.render(grp) for v in left.violations])
-    output.add_check("right-covariant", right.ok, [v.render(grp) for v in right.violations])
-    output.add_check("bicovariant", bicov.ok, [v.render(grp) for v in bicov.violations])
+    output.add_report("left-covariant", left, grp)
+    output.add_report("right-covariant", right, grp)
+    output.add_report("bicovariant", bicov, grp)
     verdict = ("bicovariant" if bicov.ok else
                "left covariant" if left.ok else
                "right covariant" if right.ok else "not covariant")
@@ -122,7 +122,7 @@ def cmd_structure(doc: Document, args) -> Report:
         return output
     calc, _ideal = _build_calculus(doc, args)
     bicov = calc_mod.check_bicovariant(calc)
-    output.add_check("bicovariant", bicov.ok, [v.render(grp) for v in bicov.violations])
+    output.add_report("bicovariant", bicov, grp)
     output.dims = _dims_table(h)
     output.dims["Gamma"] = calc.gamma_dims
     if not bicov.ok:

@@ -29,12 +29,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def product(self, elems) -> int:
-        out = self.identity
-        for e in elems:
-            out = self.table[out][e]
-        return out
-
     def name(self, a: int) -> str:
         if self.names:
             return self.names[a]

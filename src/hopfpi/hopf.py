@@ -136,7 +136,8 @@ class PiCoalgebra:
         """build(), computed once per structure and memoised under `key`.
 
         For what depends on the structure alone (the axiom verdict of
-        verify_all, A², Φ, r⁻¹, t⁻¹, ad, S⁻¹, ker ε): every caller shares
+        verify_all, A², Φ, r⁻¹, t⁻¹, ad, S⁻¹, ker ε and the right action of
+        A_1 on ker ε in its own coordinates): every caller shares
         one value.  Values are never mutated, and none refers back to the
         structure, so the memo forms no reference cycle.
         """

@@ -236,10 +236,6 @@ def vec_kron(field: Field, v: Sequence, w: Sequence) -> tuple:
     """v ⊗ w with the row-major index convention."""
     return tuple(field.mul(a, b) for a in v for b in w)
 
-def vec_is_zero(field: Field, v: Sequence) -> bool:
-    z = field.zero()
-    return all(a == z for a in v)
-
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -278,10 +274,6 @@ class Matrix:
         m.cols = cols
         m.entries = entries
         return m
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -669,27 +661,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def reduce(self, v: Sequence) -> tuple:
-        """Residue of v after eliminating all pivot coordinates.
-
-        Basis row k is zero at every pivot but its own, so the residue is
-        v − Σ_k v[p_k]·(row k), one pass over the basis entries.
-        """
-        f = self.field
-        zero = f.zero()
-        out = [f.canon(x) for x in v]
-        if len(out) != self.ambient_dim:
-            raise DimensionMismatch("vector/ambient mismatch")
-        coeff = [out[p] for p in self.pivots]
-        for (k, c), y in self.basis.entries.items():
-            x = coeff[k]
-            if x != zero:
-                out[c] = f.sub(out[c], f.mul(x, y))
-        return tuple(out)
-
-    def contains(self, v: Sequence) -> bool:
-        return vec_is_zero(self.field, self.reduce(v))
 
     def inclusion_matrix(self) -> Matrix:
         """n × m matrix whose columns are the basis vectors."""

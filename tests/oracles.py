@@ -12,8 +12,11 @@ matrix, the form the library's leg-wise products replace.  Row
 reduction is here in its dense form, which the library's sparse rows
 replace, reconstruct's right action as the chain of products it once
 was, and the right ideal of a generator set as the fixed-point loop
-that one product replaced.  The tests compare the two on the same data.  The per-vector
-forms the library no longer ships live here as references too: graded
+that one product replaced, right-ideal closure as one product v·e_j at
+a time, and the enumeration that lifted every candidate into A_1 before
+testing it.  The tests compare the two on the same data.  The per-vector
+forms the library no longer ships live here as references too: the
+residue of a vector modulo a subspace and its membership test, graded
 functionals and their convolution, the iterated comultiplication, flip
 (built entry by entry), the subspace of all of k^n and the inclusion,
 coordinates and tensor of subspaces, the quotient section, the
@@ -27,7 +30,15 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from hopfpi.calculus import Fodc, UniversalBimodule, _first_escape, phi_l, phi_r, universal_bimodule
+from hopfpi.calculus import (
+    Fodc,
+    RightIdeal,
+    UniversalBimodule,
+    _all_rref_subspaces,
+    phi_l,
+    phi_r,
+    universal_bimodule,
+)
 from hopfpi.errors import (
     CodomainViolation,
     DimensionMismatch,
@@ -42,7 +53,7 @@ from hopfpi.hopf import (
     Violation,
     _diff_columns,
 )
-from hopfpi.linalg import Field, Matrix, Subspace, quotient, solve, vec_is_zero, vec_kron
+from hopfpi.linalg import Field, Matrix, Subspace, quotient, solve, unit_vec, vec_kron
 from hopfpi.structure import (
     _SIDES,
     FRAME_MULT,
@@ -65,6 +76,11 @@ from hopfpi.structure import (
 
 def zero_vec(field: Field, n: int) -> tuple:
     return (field.zero(),) * n
+
+
+def vec_is_zero(field: Field, v: Sequence) -> bool:
+    z = field.zero()
+    return all(a == z for a in v)
 
 
 def vec_add(field: Field, v: Sequence, w: Sequence) -> tuple:
@@ -106,17 +122,41 @@ def full_space(field: Field, n: int) -> Subspace:
     return Subspace(Matrix.identity(field, n), range(n))
 
 
+def subspace_reduce(sub: Subspace, v: Sequence) -> tuple:
+    """Residue of v after eliminating all pivot coordinates of sub.
+
+    Basis row k is zero at every pivot but its own, so the residue is
+    v − Σ_k v[p_k]·(row k), one pass over the basis entries.
+    """
+    f = sub.field
+    zero = f.zero()
+    out = [f.canon(x) for x in v]
+    if len(out) != sub.ambient_dim:
+        raise DimensionMismatch("vector/ambient mismatch")
+    coeff = [out[p] for p in sub.pivots]
+    for (k, c), y in sub.basis.entries.items():
+        x = coeff[k]
+        if x != zero:
+            out[c] = f.sub(out[c], f.mul(x, y))
+    return tuple(out)
+
+
+def subspace_contains(sub: Subspace, v: Sequence) -> bool:
+    """v ∈ sub: its residue modulo sub's basis is zero."""
+    return vec_is_zero(sub.field, subspace_reduce(sub, v))
+
+
 def subspace_le(small: Subspace, big: Subspace) -> bool:
     """small ⊆ big: every basis vector of small lies in big."""
     if small.ambient_dim != big.ambient_dim:
         raise DimensionMismatch("subspaces of different ambient spaces")
-    return all(big.contains(v) for v in small.basis.to_rows())
+    return all(subspace_contains(big, v) for v in small.basis.to_rows())
 
 
 def subspace_coords(sub: Subspace, v: Sequence) -> tuple:
     """Coefficients of v over the RREF basis of sub (its entries at the
     pivots); DimensionMismatch if v lies outside."""
-    if not sub.contains(v):
+    if not subspace_contains(sub, v):
         raise DimensionMismatch("vector outside subspace")
     return tuple(sub.field.canon(v[p]) for p in sub.pivots)
 
@@ -192,6 +232,14 @@ def convolution(h: PiCoalgebra, alpha: int, f_map: Matrix, beta: int, g_map: Mat
     return target_mult @ f_map.kron(g_map) @ h.comult[(alpha, beta)]
 
 
+def group_product(grp, elems) -> int:
+    """The product of `elems` in grp, folded left to right from the identity."""
+    out = grp.identity
+    for x in elems:
+        out = grp.mul(out, x)
+    return out
+
+
 def comult_path(h: PiCoalgebra, path) -> Matrix:
     """The iterated comultiplication A_{α_1⋯α_k} → A_{α_1} ⊗ … ⊗ A_{α_k},
     right-nested as (I ⊗ Δ_{α_2…}) Δ_{α_1, α_2⋯α_k} with the identity
@@ -200,7 +248,7 @@ def comult_path(h: PiCoalgebra, path) -> Matrix:
     if len(path) == 1:
         return Matrix.identity(h.field, h.n(path[0]))
     rest = comult_path(h, path[1:])
-    step = h.comult[(path[0], h.group.product(path[1:]))]
+    step = h.comult[(path[0], group_product(h.group, path[1:]))]
     return Matrix.identity(h.field, h.n(path[0])).kron(rest) @ step
 
 
@@ -217,7 +265,7 @@ def convolution_unit(h: HopfPiCoalgebra, alpha: int, target_unit, target_dim: in
     """ε(·)1_T on A_α (zero map unless α = 1)."""
     f = h.field
     if alpha != h.group.identity:
-        return Matrix.zero(f, target_dim, h.n(alpha))
+        return Matrix(f, target_dim, h.n(alpha))
     return Matrix.column(f, target_unit) @ h.counit
 
 
@@ -356,6 +404,20 @@ def fodc_maps_by_two_quotients(calc: Fodc) -> tuple:
 # form of covariance
 
 
+def first_escape_by_vectors(h: HopfPiCoalgebra, span: Subspace) -> tuple | None:
+    """The first (k, j, w_k·e_j), w_k basis vector k of `span` and j a
+    basis index of A_1, with w_k·e_j outside the span, by applying m_1 to
+    one dense w_k⊗e_j at a time; None iff the span is closed under right
+    multiplication by A_1."""
+    f, e = h.field, h.group.identity
+    for k, v in enumerate(span.basis.to_rows()):
+        for j in range(h.n(e)):
+            w = h.mult[e].apply(vec_kron(f, v, unit_vec(f, h.n(e), j)))
+            if not subspace_contains(span, w):
+                return k, j, w
+    return None
+
+
 def right_ideal_by_escapes(h: HopfPiCoalgebra, gens) -> Subspace:
     """The smallest right-multiplication-closed subspace containing `gens`,
     by fixed-point iteration: adjoin the first product v·e_j that leaves
@@ -363,10 +425,25 @@ def right_ideal_by_escapes(h: HopfPiCoalgebra, gens) -> Subspace:
     n1 = h.n(h.group.identity)
     vectors = [tuple(gv) for gv in gens]
     span = Subspace.from_spanning(h.field, n1, vectors)
-    while (escape := _first_escape(h, span)) is not None:
+    while (escape := first_escape_by_vectors(h, span)) is not None:
         vectors.append(escape[2])
         span = Subspace.from_spanning(h.field, n1, vectors)
     return span
+
+
+def right_ideals_by_lifts(h: HopfPiCoalgebra, max_dim: int | None = None) -> list[RightIdeal]:
+    """All right ideals R ⊆ ker ε, in calculus.enumerate_right_ideals'
+    order: every candidate subspace of ker ε is lifted into A_1 first and
+    its closure tested there, one product v·e_j at a time."""
+    ker_eps = h.counit_kernel()
+    found = []
+    for small in _all_rref_subspaces(h.field, ker_eps.dim):
+        if max_dim is not None and small.dim > max_dim:
+            continue
+        lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
+        if first_escape_by_vectors(h, lifted) is None:
+            found.append(RightIdeal(h, lifted))
+    return found
 
 
 def left_action_ambient(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -388,7 +465,7 @@ def phi_l_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
     target = subspace_tensor(full_space(f, h.n(alpha)), asq.sub[beta])
     restricted = phi_l(h, alpha, beta) @ asq.sub[ab].inclusion_matrix()
     for j in range(restricted.cols):
-        if not target.contains(restricted.col(j)):
+        if not subspace_contains(target, restricted.col(j)):
             raise CodomainViolation(
                 f"Φ^l image of A² basis vector {j} at ({alpha},{beta}) "
                 f"falls outside A⊗A²")
@@ -405,7 +482,7 @@ def phi_r_restricted(h: HopfPiCoalgebra, alpha: int, beta: int,
     target = subspace_tensor(asq.sub[alpha], full_space(f, h.n(beta)))
     restricted = phi_r(h, alpha, beta) @ asq.sub[ab].inclusion_matrix()
     for j in range(restricted.cols):
-        if not target.contains(restricted.col(j)):
+        if not subspace_contains(target, restricted.col(j)):
             raise CodomainViolation(
                 f"Φ^r image of A² basis vector {j} at ({alpha},{beta}) "
                 f"falls outside A²⊗A")
@@ -585,7 +662,7 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
             omega = cb.omega(ab)
             for i in range(size):
                 img = cb.delta_r[(a, b)].apply(omega.col(i))
-                if not target.contains(img):
+                if not subspace_contains(target, img):
                     raise StructureInconsistent(
                         f"Δ^r(ω) at ({a},{b}) is not in the invariant frame ⊗ A")
                 x = subspace_coords(target, img)
@@ -760,7 +837,7 @@ def check_characters_by_entries(h: HopfPiCoalgebra, funcs, name: str = "f") -> V
         rows = [[Matrix.row_vector(f, phi.component(a)) for phi in row] for row in funcs]
         for i, row in enumerate(funcs):
             for j, phi in enumerate(row):
-                rhs = Matrix.zero(f, 1, h.n(a) ** 2)
+                rhs = Matrix(f, 1, h.n(a) ** 2)
                 for k in range(len(funcs)):
                     rhs = rhs + rows[i][k].kron(rows[k][j])
                 _compare(report, FRAME_MULT, (a,), rows[i][j] @ h.mult[a], rhs,
@@ -809,7 +886,7 @@ def check_left_multiplication_rule_by_entries(cb: CovariantBimodule, frames, fun
         cols = [Matrix.column(f, frames[a].col(i)) for i in range(frames[a].cols)]
         times = [cb.right[a].on_leg(c, 1, n, 1) for c in cols]   # b ↦ w_j b
         for i, row in enumerate(funcs):
-            rhs = Matrix.zero(f, cb.g(a), h.n(a))
+            rhs = Matrix(f, cb.g(a), h.n(a))
             for j, phi in enumerate(row):
                 twisted = (Matrix.row_vector(f, phi.component(e)) @ s1_inv).row(0)
                 rhs = rhs + times[j] @ convolution_map(h, a, twisted, side)
@@ -833,12 +910,12 @@ def check_convolution_inverses_by_entries(h: HopfPiCoalgebra, funcs) -> Verifica
     report = VerificationReport()
     for i in range(len(funcs)):
         for hh in range(len(funcs)):
-            acc1 = Matrix.zero(f, 1, n1)
-            acc2 = Matrix.zero(f, 1, n1)
+            acc1 = Matrix(f, 1, n1)
+            acc2 = Matrix(f, 1, n1)
             for j in range(len(funcs)):
                 acc1 = acc1 + rows[j][i].kron(twisted[hh][j]) @ d11
                 acc2 = acc2 + twisted[j][hh].kron(rows[i][j]) @ d11
-            target = h.counit if i == hh else Matrix.zero(f, 1, n1)
+            target = h.counit if i == hh else Matrix(f, 1, n1)
             _compare(report, FRAME_MULT, (e,), acc1, target,
                      f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")
             _compare(report, FRAME_MULT, (e,), acc2, target,
@@ -867,8 +944,8 @@ def intertwiner_report_by_entries(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradi
                    for i in range(size)] for j in range(size)]     # a ↦ g_ji * a
         for j in range(size):
             for hh in range(size):
-                lhs = Matrix.zero(f, n, n)
-                rhs = Matrix.zero(f, n, n)
+                lhs = Matrix(f, n, n)
+                rhs = Matrix(f, n, n)
                 for i in range(size):
                     lhs = lhs + times_left[i][j] @ star_f[i][hh]
                     rhs = rhs + times_right[hh][i] @ g_star[j][i]

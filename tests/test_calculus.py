@@ -57,6 +57,7 @@ from hopfpi.linalg import (
     vec_kron,
 )
 from oracles import (
+    first_escape_by_vectors,
     flip,
     full_space,
     interchange_product,
@@ -65,7 +66,9 @@ from oracles import (
     phi_r_restricted,
     right_action_ambient,
     right_ideal_by_escapes,
+    right_ideals_by_lifts,
     spot_check_implication,
+    subspace_contains,
     subspace_tensor,
 )
 
@@ -103,7 +106,7 @@ def test_d_lands_in_kernel_of_mult(all_fixtures):
         asq = universal_bimodule(h)
         for a in h.group.elements():
             for j in range(h.n(a)):
-                assert asq.sub[a].contains(asq.D[a].col(j))
+                assert subspace_contains(asq.sub[a], asq.D[a].col(j))
 
 
 # -- Φ^l / Φ^r ------------------------------------------------------------------
@@ -152,7 +155,7 @@ def test_r_value_examples(kz2):
     assert r0.apply(Du) == (F(0), F(0), F(-1), F(1))  # u⊗(u−e)
     # second leg is in ker ε
     ker_eps = kz2.counit_kernel()
-    assert ker_eps.contains((F(-1), F(1)))
+    assert subspace_contains(ker_eps, (F(-1), F(1)))
 
 
 def test_r_t_are_bijections(all_fixtures):
@@ -277,6 +280,118 @@ def test_one_product_generates_the_ideal_of_the_fixed_point_loop(h, raw):
     assert right_ideal_from_generators(h, gens).subspace == right_ideal_by_escapes(h, gens)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(IDEAL_ALGEBRAS),
+       st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+                max_size=4),
+       st.booleans())
+def test_one_product_finds_the_first_escape_of_the_vector_loop(h, raw, into_ker_eps):
+    """_first_escape, one product against the quotient projection, gives
+    the verdict and the (k, j) of the loop that applies m_1 to one w_k⊗e_j
+    at a time, on random subspaces of A_1 of commutative k[ℤ/n] over F_7
+    and ℚ and of the non-commutative Taft algebra; inside ker ε, RightIdeal
+    accepts exactly the closed ones and names the loop's product."""
+    from hopfpi.calculus import RightIdeal, _first_escape
+    from hopfpi.errors import NotARightIdeal
+
+    f = h.field
+    e = h.group.identity
+    n1 = h.n(e)
+    vectors = []
+    for entries in raw:
+        v = [f.from_int(x) for x in entries[:n1]]
+        if into_ker_eps:
+            eps = h.counit.apply(v)[0]
+            v = [f.sub(x, f.mul(eps, u)) for x, u in zip(v, h.unit[e])]
+        vectors.append(v)
+    sub = Subspace.from_spanning(f, n1, vectors)
+    escape = first_escape_by_vectors(h, sub)
+    assert _first_escape(h.mult[e], sub, n1) == (None if escape is None else escape[:2])
+    if not into_ker_eps:
+        return
+    if escape is None:
+        assert RightIdeal(h, sub).subspace == sub
+        return
+    k, j, _ = escape
+    witness = f"({h.render_element(e, sub.basis.row(k))})·{h.basis_name(e, j)} leaves the span"
+    with pytest.raises(NotARightIdeal) as err:
+        RightIdeal(h, sub)
+    assert str(err.value) == witness
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ])
+def test_first_escape_past_a_closed_basis_vector(field):
+    """In k[ℤ/4], span{e + g², g, g³} has the closed basis vector e + g²
+    first, so its first escape is (1, 1), g·g = g², which the smallest
+    nonzero column of the product has to find, as the loop does."""
+    from hopfpi.calculus import _first_escape
+
+    h = group_algebra(cyclic(4), field)
+    one, zero = field.one(), field.zero()
+    sub = Subspace.from_spanning(field, 4, [(one, zero, one, zero), (zero, one, zero, one),
+                                            (zero, zero, zero, one)])
+    assert sub.pivots == (0, 1, 3)
+    assert _first_escape(h.mult[0], sub, 4) == (1, 1) == first_escape_by_vectors(h, sub)[:2]
+
+
+def test_non_associative_product_is_named_by_the_closure_check():
+    """On an A_1 that is not associative, G·A_1 need not be closed;
+    right_ideal_from_generators then raises NotARightIdeal naming the
+    first product that leaves, the one the vector loop finds.  Here g·g
+    in F_7[ℤ/4] is moved by g − e, a vector of ker ε, so ε stays
+    multiplicative and G·A_1 stays inside ker ε."""
+    from hopfpi.errors import NotARightIdeal
+    from hopfpi.hopf import HopfPiCoalgebra
+    from hopfpi.linalg import image
+
+    h = group_algebra(cyclic(4), PrimeField(7))
+    f = h.field
+    mult = h.mult[0] + Matrix(f, 4, 16, {(0, 5): 6, (1, 5): 1})
+    bad = HopfPiCoalgebra(h.group, f, h.dims, h.comult, h.counit, [mult], h.unit,
+                          h.antipode, psi=h.psi, basis_names=h.basis_names)
+    assert "algebra-associativity" in {v.check for v in verify_all(bad).violations}
+    gen = (6, 0, 1, 0)                                  # g² − e
+    span = image(mult.on_leg(Matrix.column(f, gen), 1, 4, 1))
+    k, j, _ = first_escape_by_vectors(bad, span)
+    witness = f"({bad.render_element(0, span.basis.row(k))})·{bad.basis_name(0, j)} leaves the span"
+    with pytest.raises(NotARightIdeal) as err:
+        right_ideal_from_generators(bad, [gen])
+    assert str(err.value) == witness
+
+
+@pytest.mark.parametrize("name", [
+    "F7[Z/3]", "F3[Z/2]", "F11[Z/4]", "taft over F7", "taft over F11", "F7[Z/3] constant"])
+def test_enumeration_matches_the_lift_then_loop_enumeration(name, f7z3, f7z3_const):
+    """Testing each candidate in ker-ε coordinates finds the ideals, in
+    the order, of lifting every candidate into A_1 and closing it there
+    one product v·e_j at a time."""
+    h = {"F7[Z/3]": f7z3,
+         "F3[Z/2]": group_algebra(cyclic(2), PrimeField(3)),
+         "F11[Z/4]": group_algebra(cyclic(4), PrimeField(11)),
+         "taft over F7": taft_hopf_algebra(PrimeField(7)),
+         "taft over F11": taft_hopf_algebra(PrimeField(11)),
+         "F7[Z/3] constant": f7z3_const}[name]
+    want = right_ideals_by_lifts(h)
+    assert len(want) > 1
+    assert enumerate_right_ideals(h) == want
+    assert enumerate_right_ideals(h, max_dim=1) == right_ideals_by_lifts(h, max_dim=1)
+
+
+def test_enumeration_requires_the_axioms(f7z3):
+    """ker-ε coordinates are exact only when the axioms hold: on F_7[ℤ/3]
+    with S = id, enumeration raises the memoised verdict of verify_all."""
+    from hopfpi.hopf import HopfPiCoalgebra
+
+    bad = HopfPiCoalgebra(f7z3.group, f7z3.field, f7z3.dims, f7z3.comult, f7z3.counit,
+                          f7z3.mult, f7z3.unit, [Matrix.identity(f7z3.field, 3)],
+                          psi=f7z3.psi, basis_names=f7z3.basis_names)
+    verdict = verify_all(bad).violations
+    assert verdict
+    with pytest.raises(VerificationFailed) as err:
+        enumerate_right_ideals(bad)
+    assert err.value.report.violations == verdict
+
+
 def test_counit_witness_is_the_first_generator_outside_ker_eps(f7z3):
     """RightIdeal names the first basis vector with ε ≠ 0 and its ε, and
     right_ideal_from_generators the first such generator."""
@@ -395,9 +510,9 @@ def _subbimodule_search(h):
         for w in lifted.basis.to_rows():
             for i in range(n):
                 ei = unit_vec(f, n, i)
-                if not lifted.contains(la.apply(vec_kron(f, ei, w))):
+                if not subspace_contains(lifted, la.apply(vec_kron(f, ei, w))):
                     ok = False
-                if not lifted.contains(ra.apply(vec_kron(f, w, ei))):
+                if not subspace_contains(lifted, ra.apply(vec_kron(f, w, ei))):
                     ok = False
         if ok:
             found.append(lifted)
@@ -503,7 +618,7 @@ def test_ideal_generated_by_ad_invariant_set_is_ad_invariant(f7z3):
         ad = ad_map(f7z3, 0)
         img = ad.apply(gen)
         span = Subspace.from_spanning(f7z3.field, 3, [gen])
-        assert subspace_tensor(span, full_space(f7z3.field, 3)).contains(img)
+        assert subspace_contains(subspace_tensor(span, full_space(f7z3.field, 3)), img)
         ideal = right_ideal_from_generators(f7z3, [gen])
         assert check_ad_invariant(f7z3, ideal).ok
 
@@ -788,12 +903,10 @@ def test_check_bicovariant_requires_the_axioms(fixture_dir):
 def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
     """kernel(m) row-reduces m once.  Building a calculus from an ideal on
     either route or from kernels, and recovering the ideal from it, reduce
-    no spanning set in A² coordinates, reduce no vector modulo a subspace
-    (which every containment test and coordinate read of one vector does)
-    and apply no matrix to a single vector.  The exception is the closure check of RightIdeal, which
-    ideal_from_calculus ends in: it applies m to one v⊗e_j at a time so as
-    to stop at the first product that leaves, and is not counted."""
-    import hopfpi.calculus as calc_mod
+    no spanning set in A² coordinates and apply no matrix to a single
+    vector, the closure check of RightIdeal that ideal_from_calculus ends
+    in included: every containment, right-ideal closure among them, is a
+    product of matrices."""
     import hopfpi.linalg as linalg
     from hopfpi import taft_hopf_algebra
 
@@ -807,8 +920,8 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     taft7 = taft_hopf_algebra(PrimeField(7))
-    for m in (taft7.mult[0], f7z3.mult[0], Matrix.zero(QQ, 2, 3), Matrix.identity(QQ, 3),
-              Matrix.zero(QQ, 0, 3), Matrix.zero(QQ, 3, 0)):
+    for m in (taft7.mult[0], f7z3.mult[0], Matrix(QQ, 2, 3), Matrix.identity(QQ, 3),
+              Matrix(QQ, 0, 3), Matrix(QQ, 3, 0)):
         reductions.clear()
         kernel(m)
         assert reductions == [m.rows]
@@ -820,28 +933,14 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
         for alpha in h.group.elements():    # S⁻¹ is memoised; its [S | I] has 2n columns
             h.antipode_inv(alpha)
         cases.append((h, enumerate_right_ideals(h)))
-    used, closing = [], []
-    first_escape = calc_mod._first_escape
+    used = []
+    apply = Matrix.apply
 
-    def uncounted_first_escape(h, span):
-        closing.append(span)
-        try:
-            return first_escape(h, span)
-        finally:
-            closing.pop()
+    def recording(*args):
+        used.append("apply")
+        return apply(*args)
 
-    def recording(cls, name):
-        method = getattr(cls, name)
-
-        def wrapper(*args):
-            if not closing:
-                used.append(name)
-            return method(*args)
-        return wrapper
-
-    monkeypatch.setattr(Subspace, "reduce", recording(Subspace, "reduce"))
-    monkeypatch.setattr(Matrix, "apply", recording(Matrix, "apply"))
-    monkeypatch.setattr(calc_mod, "_first_escape", uncounted_first_escape)
+    monkeypatch.setattr(Matrix, "apply", recording)
     for h, ideals in cases:
         asq_dims = {universal_bimodule(h).dim(a) for a in h.group.elements()}
         # N_α lives in A_α⊗A_α and R in A_1, neither of a dimension of A²

@@ -28,6 +28,7 @@ from oracles import (
     convolution_unit,
     counit_functional,
     flip,
+    group_product,
     iterated_comult,
 )
 
@@ -87,7 +88,7 @@ def test_verify_all_emits_only_the_listed_check_names(fixture_dir):
         _replaced(h, mult=[_bump(m) for m in h.mult]),
         _replaced(h, unit=[tuple(h.field.add(x, x) for x in u) for u in h.unit]),
         _replaced(h, antipode=[_bump(m) for m in h.antipode]),
-        _replaced(h, antipode=[Matrix.zero(h.field, m.rows, m.cols) for m in h.antipode]),
+        _replaced(h, antipode=[Matrix(h.field, m.rows, m.cols) for m in h.antipode]),
         _replaced(h, psi=[_bump(m) for m in h.psi]),
     ]
     emitted = set()
@@ -209,7 +210,7 @@ def test_iterated_comult_bracketing_independence(seed, length):
     hh = constant_family(h, cyclic(2))
     rng = random.Random(seed)
     path = tuple(rng.randrange(2) for _ in range(length))
-    grading = hh.group.product(path)
+    grading = group_product(hh.group, path)
     left_nested = comult_path(hh, path)
 
     # alternative bracketing: split at a random point and recurse
@@ -218,8 +219,8 @@ def test_iterated_comult_bracketing_independence(seed, length):
             return Matrix.identity(hh.field, hh.n(p[0]))
         cut = rng.randint(1, len(p) - 1)
         lp, rp = p[:cut], p[cut:]
-        lprod = hh.group.product(lp)
-        rprod = hh.group.product(rp)
+        lprod = group_product(hh.group, lp)
+        rprod = group_product(hh.group, rp)
         return bracketed(lp).kron(bracketed(rp)) @ hh.comult[(lprod, rprod)]
 
     assert bracketed(path) == left_nested

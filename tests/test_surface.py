@@ -7,8 +7,10 @@ Three checks, by reading the sources with `ast` alone:
   README's typical library session, or in `perfbench/` (whose tracer
   names the functions it wraps in strings); the paper-level API that has
   no caller of its own is listed in PAPER_API;
-* so is every public method of an exported class, by the same rule;
-  the field protocol that has no caller of its own is listed in
+* so is every public method of an exported class, but only a read as
+  an attribute counts (`x.name`, or `Class.name` for a classmethod), so
+  a bare name or another class's method of the same name does not keep
+  it; the field protocol that has no caller of its own is listed in
   FIELD_PROTOCOL;
 * no module of `src/hopfpi` imports a name it never uses, so removing a
   caller does not leave its import behind.
@@ -75,6 +77,22 @@ def _used_names(tree: ast.AST, strings: bool = False) -> Counter:
     return out
 
 
+def _attribute_reads(tree: ast.AST, strings: bool = False) -> Counter:
+    """How often each attribute is read in tree, keyed (owner, name): the
+    owner is the bare name it is read on (`Matrix.identity`), else None;
+    with `strings`, also each dotted string constant `Owner.name`, which is
+    how the perfbench tracer names the methods it wraps."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            out[(owner, node.attr)] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            out.update(zip([None, *parts], parts))
+    return out
+
+
 def _definition(tree: ast.Module, name: str) -> ast.AST | None:
     for node in tree.body:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name:
@@ -117,17 +135,35 @@ def test_every_export_has_a_caller():
     assert uncalled == [], f"exported but called only by the tests: {uncalled}"
 
 
+def _is_classmethod(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in node.decorator_list)
+
+
+def _method_reads(reads: Counter, cls: str, node: ast.FunctionDef) -> int:
+    """Reads of method `node` of class `cls` among `reads`: as `Class.name`
+    for a classmethod, as any attribute `x.name` otherwise."""
+    if _is_classmethod(node):
+        return reads[(cls, node.name)]
+    return sum(n for (_, attr), n in reads.items() if attr == node.name)
+
+
 def test_every_public_method_has_a_caller():
     modules = _modules()
-    definitions = []
+    inside = sum((_attribute_reads(tree) for tree in modules.values()), Counter())
+    outside = _attribute_reads(_readme_session())
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= _attribute_reads(_parse(path), strings=True)
+    methods = []
     for name, home in sorted(_exports().items()):
         cls = _definition(modules[home], name)
         if not isinstance(cls, ast.ClassDef):
             continue
-        definitions += [(f"{home}.{name}.{node.name}", node.name, node) for node in cls.body
-                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    assert definitions
-    uncalled = _uncalled(definitions, modules, _outside_names(), FIELD_PROTOCOL)
+        methods += [(f"{home}.{name}.{node.name}", name, node) for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert methods
+    uncalled = [label for label, cls, node in methods
+                if _method_reads(inside, cls, node) <= _method_reads(_attribute_reads(node), cls, node)
+                and not _method_reads(outside, cls, node) and node.name not in FIELD_PROTOCOL]
     assert uncalled == [], f"public methods called only by the tests: {uncalled}"
 
 
