@@ -66,7 +66,6 @@ from .structure import (  # noqa: F401
     functionals_f,
     functionals_g,
     invariant_subspace_left,
-    invariant_subspace_right,
     matrix_R,
     reconstruct,
     reconstruction_matches,

@@ -639,16 +639,17 @@ MAX_ENUM_PRIME = 11
 MAX_ENUM_KER_DIM = 3
 
 
-def _all_rref_subspaces(field: PrimeField, dim: int):
-    """All subspaces of F_p^dim as canonical RREF bases, by dimension.
+def _all_rref_subspaces(field: PrimeField, dim: int, top: int):
+    """All subspaces of F_p^dim of dimension at most `top` as canonical
+    RREF bases, by dimension.
 
     Enumerates pivot-column choices and the free entries; complete at
-    the bounded desk scale this package targets.
+    the bounded desk scale this package targets.  No subspace above `top`
+    is generated.
     """
     from itertools import combinations, product
 
-    yield Subspace.zero_space(field, dim)
-    for k in range(1, dim + 1):
+    for k in range(min(top, dim) + 1):
         for pivots in combinations(range(dim), k):
             free_positions = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim)
                               if c not in pivots]
@@ -692,9 +693,7 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     action = h.derived(("counit_kernel_action",), lambda: ker_eps.coords_matrix()
                        @ h.mult[e].on_leg(ker_eps.inclusion_matrix(), 1, n1, 1))
     found = []
-    for small in _all_rref_subspaces(f, k):
-        if max_dim is not None and small.dim > max_dim:
-            continue
+    for small in _all_rref_subspaces(f, k, k if max_dim is None else max_dim):
         if _first_escape(action, small, n1) is None:
             lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
             found.append(RightIdeal(h, lifted))

@@ -196,6 +196,14 @@ def _yn(b: bool) -> str:
     return "yes" if b else "no"
 
 
+def dimension(text: str) -> int:
+    """A dimension bound on the command line: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a dimension is at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfpi",
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate right ideals in ker ε (prime fields)")
     common(p)
-    p.add_argument("--max-dim", type=int, default=None, dest="max_dim",
+    p.add_argument("--max-dim", type=dimension, default=None, dest="max_dim",
                    help="only ideals of dimension at most this")
     return parser
 

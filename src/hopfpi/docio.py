@@ -19,7 +19,8 @@ Top-level keys:
     ideals      {"<name>": [generator vectors in A_1]}  (optional)
 
 The group's "names" and a component's "basis" are optional display names,
-each a list of distinct strings.
+each a list of distinct strings, one per element or basis vector (an empty
+list is the wrong length, not an absent one).
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ def document_from_json(data: dict, name: str = "") -> Document:
         n = comp["dim"]
         _require(n >= 1, "component dimension must be positive", ctx)
         dims.append(n)
-        names = _parse_names(comp.get("basis"), ctx) or [f"x{i}" for i in range(n)]
+        names = _parse_names(comp.get("basis"), ctx)
+        if names is None:
+            names = [f"x{i}" for i in range(n)]
         _require(len(names) == n, f"{len(names)} basis names for dim {n}", ctx)
         basis_names.append(tuple(str(s) for s in names))
         triples = comp.get("mult")

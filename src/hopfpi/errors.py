@@ -75,8 +75,10 @@ class ReportedFailure(HopfPiError):
         self.report = report
 
 
-class StructureInconsistent(ReportedFailure):
-    """Extracted structure data fails one of its defining identities."""
+class StructureInconsistent(HopfPiError):
+    """A bimodule lacks a shape the structure theory presumes: Γ_α is not
+    spanned by its frame, or dim Γ_α ≠ |I|·dim A_α.  A failed identity is
+    a violation in a report, not this error."""
 
 
 class DimensionVariesAcrossGrading(HopfPiError):

@@ -82,8 +82,8 @@ def group_from_table(table, names=None) -> FiniteGroup:
                         f"associativity fails at ({a},{b},{c})", witness=(a, b, c)
                     )
 
-    group_names = tuple(str(s) for s in names) if names else ()
-    if group_names and len(group_names) != n:
+    group_names = () if names is None else tuple(str(s) for s in names)
+    if names is not None and len(group_names) != n:
         raise NotAGroup(f"{len(group_names)} names for {n} elements")
     return FiniteGroup(n, tbl, identity, tuple(inverse), group_names)
 

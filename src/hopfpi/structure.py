@@ -51,11 +51,14 @@ entrywise identity names, witnessed by its first differing column.
 
 Each identity is stated once, as a matrix identity, by a check that
 returns a VerificationReport; extraction and reconstruction call the
-same checks.  extract_structure runs every check in order, the round
-trip last, and returns what it extracted with the report: a failed
-identity is a violation there, not an exception.  Every violation
-carries one of the six names of CHECKS, and its witness names the exact
-identity:
+same checks.  Each extraction step (functionals_f, functionals_g,
+matrix_R, eta_basis) takes every input it reads and returns its data
+with the report of its identities; a failed identity is a violation
+there, never an exception.  The η frame has one source, eta_basis, which
+builds it from R.  extract_structure runs the steps and every check in
+order, the round trip last, and keeps a step's data only when its report
+passes.  Every violation carries one of the six names of CHECKS, and its
+witness names the exact identity:
 
     frame-multiplicativity             f and g are characters, the rules
                                        F = f*·, G = ·*g and the left-
@@ -299,16 +302,6 @@ def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
     return kernel(cb.delta_l[(e, alpha)] - ins)
 
 
-def invariant_subspace_right(cb: CovariantBimodule, alpha: int) -> Subspace:
-    """{η ∈ Γ_α : Δ^r_{α,1}(η) = η ⊗ 1_1}, canonical echelon basis."""
-    if cb.delta_r is None:
-        raise MissingCoaction("no right coaction present")
-    h = cb.h
-    e = h.group.identity
-    ins = Matrix.identity(h.field, cb.g(alpha)).kron(h.unit_col(e))
-    return kernel(cb.delta_r[(alpha, e)] - ins)
-
-
 def _frame_size(cb: CovariantBimodule) -> int:
     """The common rank |I|; uniform across gradings or an error."""
     sizes = {a: cb.omega_space(a).dim for a in cb.h.group.elements()}
@@ -346,13 +339,6 @@ def _compare(report: VerificationReport, check: str, grading, lhs: Matrix, rhs: 
     by the first column on which they do (differing_blocks, one block)."""
     for first in differing_blocks(lhs, rhs, (lhs.rows, lhs.cols)).values():
         report.extend([Violation(check, tuple(grading), first, identity)])
-
-
-def _require(report: VerificationReport, what: str) -> None:
-    if not report.ok:
-        raise StructureInconsistent(
-            f"{what} fails {len(report)} identities; first: {report.violations[0].render()}",
-            report)
 
 
 def _vec_identity(f, size: int) -> Matrix:
@@ -557,19 +543,16 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
 # the coefficient maps F and the functionals f, g
 
 
-def coefficient_maps(cb: CovariantBimodule, frames=None) -> list[Matrix]:
+def coefficient_maps(cb: CovariantBimodule, frames) -> list[Matrix]:
     """M_α per grading, rows ((i, j), r) and columns m, with w_i e_m =
     Σ_j Σ_r M_α[((i, j), r), m] e_r w_j: the n_α × n_α blocks M_ij of
     w_i b = Σ_j M_ij(b) w_j stacked over (i, j).
 
-    frames[α] holds the frame w of Γ_α as columns.  It defaults to ω (the
-    maps F, available without Ψ; the functionals f are E_α ∘ F when Ψ
-    exists); functionals_g passes η.
+    frames[α] holds the frame w of Γ_α as columns: ω gives the maps F,
+    available without Ψ (the functionals f are E_α ∘ F when Ψ exists), and
+    η gives G.
     """
     h = cb.h
-    if frames is None:
-        _frame_size(cb)
-        frames = [cb.omega(a) for a in h.group.elements()]
     out = []
     for a in h.group.elements():
         n = h.n(a)
@@ -587,62 +570,56 @@ def _collapse(h: HopfPiCoalgebra, maps) -> list[Matrix]:
             for a in h.group.elements()]
 
 
-def functionals_f(cb: CovariantBimodule, coeffs=None):
-    """The f_ij = Σ_α ε∘Ψ_α∘F_ij^α as one matrix T_α per grading, checked
-    against their identities.
+def functionals_f(cb: CovariantBimodule, F) -> tuple[list[Matrix], VerificationReport]:
+    """The f_ij = Σ_α ε∘Ψ_α∘F_ij^α as one matrix T_α per grading, with the
+    report of their identities; F is coefficient_maps on the ω frames.
 
-    Checks the commutation rule F_ij = f_ij * ·, the character identities,
-    the left-multiplication rule through f∘S_1^{-1} and the convolution
-    inverse identities on A_1; StructureInconsistent carries the report.
+    The report covers the commutation rule F_ij = f_ij * ·, the character
+    identities, the left-multiplication rule through f∘S_1^{-1} and the
+    convolution inverse identities on A_1.
     """
     h = cb.h
     if h.psi is None:
         raise MissingPsi("f extraction needs the grading collapse maps Ψ_α")
-    F = coeffs if coeffs is not None else coefficient_maps(cb)
     funcs = _collapse(h, F)
     omega = [cb.omega(a) for a in h.group.elements()]
-    _require(check_commutation_rule(h, F, funcs, "left")
-             .merge(check_characters(h, funcs, "f"))
-             .merge(check_left_multiplication_rule(cb, omega, funcs, "left"))
-             .merge(check_convolution_inverses(h, funcs)), "f")
-    return funcs
+    return funcs, (check_commutation_rule(h, F, funcs, "left")
+                   .merge(check_characters(h, funcs, "f"))
+                   .merge(check_left_multiplication_rule(cb, omega, funcs, "left"))
+                   .merge(check_convolution_inverses(h, funcs)))
 
 
-def functionals_g(cb: CovariantBimodule, eta=None):
+def functionals_g(cb: CovariantBimodule, eta) -> tuple[list[Matrix], VerificationReport]:
     """g_ij from the right-invariant frame, η_i b = Σ_j (b * g_ij) η_j, as
-    one matrix T_α per grading.
+    one matrix T_α per grading, with the report of their identities.
 
-    `eta` holds the frame of each Γ_α as columns and defaults to the
-    canonical echelon basis of the right-invariant subspace; the structure
-    suite passes the frame produced by the right coaction matrix so that
-    the intertwiner identity refers to it.
+    `eta` holds the frame of each Γ_α as columns, as eta_basis builds it
+    from R, so that the intertwiner identity refers to it.  The report
+    covers the commutation rule G_ij = · * g_ij, the character identities
+    and the left-multiplication rule of η.
     """
-    if cb.delta_r is None:
-        raise MissingCoaction("no right coaction present")
     h = cb.h
     if h.psi is None:
         raise MissingPsi("g extraction needs the grading collapse maps Ψ_α")
-    if eta is None:
-        eta = [invariant_subspace_right(cb, a).inclusion_matrix() for a in h.group.elements()]
     G = coefficient_maps(cb, eta)
     funcs = _collapse(h, G)
-    _require(check_commutation_rule(h, G, funcs, "right")
-             .merge(check_characters(h, funcs, "g"))
-             .merge(check_left_multiplication_rule(cb, eta, funcs, "right")), "g")
-    return funcs
+    return funcs, (check_commutation_rule(h, G, funcs, "right")
+                   .merge(check_characters(h, funcs, "g"))
+                   .merge(check_left_multiplication_rule(cb, eta, funcs, "right")))
 
 
 # ---------------------------------------------------------------------------
 # the right coaction matrix R and the η frame
 
 
-def matrix_R(cb: CovariantBimodule) -> list[Matrix]:
+def matrix_R(cb: CovariantBimodule) -> tuple[list[Matrix], VerificationReport]:
     """R^β, the (|I|·n_β) × |I| matrix with column i = Σ_j e_j ⊗ R_ji for
-    Δ^r_{α,β}(ω_i^{αβ}) = Σ_j ω_j^α ⊗ R_ji.
+    Δ^r_{α,β}(ω_i^{αβ}) = Σ_j ω_j^α ⊗ R_ji, with the report of its
+    identities.
 
     Each grading pair gives R^β = coords(ω_α⊗A_β) · Δ^r_{α,β} Ω_{αβ},
     checked to satisfy (Ω_α⊗I) R^β = Δ^r_{α,β} Ω_{αβ} and to be the same
-    for every α; check_corepresentation then verifies its identities.
+    for every α; the report ends with check_corepresentation.
     """
     if not cb.bicovariant:
         raise NotBicovariant("R extraction needs both coactions")
@@ -666,26 +643,24 @@ def matrix_R(cb: CovariantBimodule) -> list[Matrix]:
             _compare(report, R_COMULT, (a, b), per_alpha[a], ref,
                      "R depends on the complementary grading")
         R.append(ref)
-    _require(report.merge(check_corepresentation(h, R)), "R")
-    return R
+    return R, report.merge(check_corepresentation(h, R))
 
 
-def eta_basis(cb: CovariantBimodule, R=None) -> list[Matrix]:
+def eta_basis(cb: CovariantBimodule, R) -> tuple[list[Matrix], VerificationReport]:
     """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij), the columns of H_α = right_α (Ω_α⊗I) Ŝ_α;
-    returns H_α per grading.
+    returns H_α per grading with the report of its identities.
 
-    Checks right invariance, Δ^r_{α,1} H_α = H_α⊗1, and ω_i = Σ_j η_j R_ji,
-    right_α (H_α⊗I) R^α = Ω_α.  On Γ_α free on ω the latter makes the |I|
-    vectors η generate Γ_α as a right module, so with right invariance they
-    are a basis of the right invariants (Woronowicz 1989, Thm 2.3, graded).
+    The report covers right invariance, Δ^r_{α,1} H_α = H_α⊗1, and
+    ω_i = Σ_j η_j R_ji, right_α (H_α⊗I) R^α = Ω_α.  On Γ_α free on ω the
+    latter makes the |I| vectors η generate Γ_α as a right module, so with
+    right invariance they are a basis of the right invariants (Woronowicz
+    1989, Thm 2.3, graded).
     """
     if not cb.bicovariant:
         raise NotBicovariant("η construction needs both coactions")
     h = cb.h
     grp = h.group
     _frame_size(cb)
-    if R is None:
-        R = matrix_R(cb)
     report = VerificationReport()
     eta = []
     for a in grp.elements():
@@ -697,8 +672,7 @@ def eta_basis(cb: CovariantBimodule, R=None) -> list[Matrix]:
         _compare(report, R_COMULT, (a,), cb.right[a] @ R[a].on_leg(frame, 1, n, 0), incl,
                  "ω_i ≠ Σ_j η_j R_ji")
         eta.append(frame)
-    _require(report, "η")
-    return eta
+    return eta, report
 
 
 def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> VerificationReport:
@@ -769,21 +743,17 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
     not free, frame sizes that vary across gradings.
     """
     h = cb.h
-    data = StructureData(size=_frame_size(cb), omega=[cb.omega(a) for a in h.group.elements()],
-                         eta=None, F=coefficient_maps(cb), f=None, g=None, R=None)
-
-    def attempt(step, *args):
-        try:
-            return step(*args)
-        except StructureInconsistent as exc:
-            if exc.report is None:
-                raise
-            data.report = data.report.merge(exc.report)
-            return None
+    omega = [cb.omega(a) for a in h.group.elements()]
+    data = StructureData(size=_frame_size(cb), omega=omega, eta=None,
+                         F=coefficient_maps(cb, omega), f=None, g=None, R=None)
 
     def holds(report: VerificationReport) -> bool:
         data.report = data.report.merge(report)
         return report.ok
+
+    def kept(result):
+        value, report = result
+        return value if holds(report) else None
 
     def skip(reason, *checks):
         for check in checks:
@@ -792,20 +762,20 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
     if h.psi is None:
         skip("no grading collapse maps Ψ", FRAME_MULT, FRAME_NORM, INTERTWINER)
     else:
-        data.f = attempt(functionals_f, cb, data.F)
+        data.f = kept(functionals_f(cb, data.F))
     if not cb.bicovariant:
         skip("the bimodule is not bicovariant", FRAME_MULT, FRAME_NORM, R_COMULT, R_COUNIT,
              INTERTWINER)
     else:
-        data.R = attempt(matrix_R, cb)
+        data.R = kept(matrix_R(cb))
     if data.R is not None:
-        data.eta = attempt(eta_basis, cb, data.R)
+        data.eta = kept(eta_basis(cb, data.R))
     if data.eta is None:
         skip("the η frame was not built", R_COMULT, FRAME_MULT, FRAME_NORM)
     else:
         holds(check_eta_left_coaction(cb, data.R, data.eta))
         if h.psi is not None:
-            data.g = attempt(functionals_g, cb, data.eta)
+            data.g = kept(functionals_g(cb, data.eta))
     missing = [name for name, funcs in (("f", data.f), ("g", data.g)) if funcs is None]
     if missing:
         skip(f"{' and '.join(missing)} not extracted", INTERTWINER)

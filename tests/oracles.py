@@ -44,7 +44,6 @@ from hopfpi.errors import (
     DimensionMismatch,
     MissingCoaction,
     NotBicovariant,
-    StructureInconsistent,
 )
 from hopfpi.hopf import (
     HopfPiCoalgebra,
@@ -53,7 +52,7 @@ from hopfpi.hopf import (
     Violation,
     _diff_columns,
 )
-from hopfpi.linalg import Field, Matrix, Subspace, quotient, solve, unit_vec, vec_kron
+from hopfpi.linalg import Field, Matrix, Subspace, kernel, quotient, solve, unit_vec, vec_kron
 from hopfpi.structure import (
     _SIDES,
     FRAME_MULT,
@@ -64,8 +63,6 @@ from hopfpi.structure import (
     CovariantBimodule,
     _compare,
     _frame_size,
-    _require,
-    invariant_subspace_right,
     r_block,
 )
 
@@ -437,7 +434,7 @@ def right_ideals_by_lifts(h: HopfPiCoalgebra, max_dim: int | None = None) -> lis
     its closure tested there, one product v·e_j at a time."""
     ker_eps = h.counit_kernel()
     found = []
-    for small in _all_rref_subspaces(h.field, ker_eps.dim):
+    for small in _all_rref_subspaces(h.field, ker_eps.dim, ker_eps.dim):
         if max_dim is not None and small.dim > max_dim:
             continue
         lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
@@ -518,6 +515,17 @@ def spot_check_implication(calc: Fodc) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # bimodules: frames, R and η one vector at a time
+
+
+def invariant_subspace_right(cb: CovariantBimodule, alpha: int) -> Subspace:
+    """{η ∈ Γ_α : Δ^r_{α,1}(η) = η ⊗ 1_1}, canonical echelon basis: the right
+    invariants that the η frame of structure.eta_basis must span."""
+    if cb.delta_r is None:
+        raise MissingCoaction("no right coaction present")
+    h = cb.h
+    e = h.group.identity
+    ins = Matrix.identity(h.field, cb.g(alpha)).kron(h.unit_col(e))
+    return kernel(cb.delta_r[(alpha, e)] - ins)
 
 
 def projection_P_matrix(cb: CovariantBimodule, alpha: int) -> Matrix:
@@ -643,15 +651,19 @@ def check_corepresentation_by_vectors(h: HopfPiCoalgebra, R) -> VerificationRepo
     return report
 
 
-def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
+def matrix_R_by_vectors(cb: CovariantBimodule) -> tuple:
     """R[β][j][i] ∈ A_β with Δ^r_{α,β}(ω_i^{αβ}) = Σ_j ω_j^α ⊗ R_ji, read
-    off one image vector at a time and required to be independent of α."""
+    off one image vector at a time and required to be independent of α;
+    returns R with the report of its identities, like structure.matrix_R.
+    An image outside ω_α ⊗ A_β is a violation, and R_ji is then read at
+    the pivots of ω_α ⊗ A_β."""
     if not cb.bicovariant:
         raise NotBicovariant("R extraction needs both coactions")
     h = cb.h
     f = h.field
     grp = h.group
     size = _frame_size(cb)
+    report = VerificationReport()
     per_pair: dict = {}
     for a in grp.elements():
         for b in grp.elements():
@@ -660,16 +672,15 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
             target = subspace_tensor(cb.omega_space(a), full_space(f, nb))
             rmat = [[None] * size for _ in range(size)]
             omega = cb.omega(ab)
-            for i in range(size):
-                img = cb.delta_r[(a, b)].apply(omega.col(i))
-                if not subspace_contains(target, img):
-                    raise StructureInconsistent(
-                        f"Δ^r(ω) at ({a},{b}) is not in the invariant frame ⊗ A")
-                x = subspace_coords(target, img)
+            images = [cb.delta_r[(a, b)].apply(omega.col(i)) for i in range(size)]
+            if not all(subspace_contains(target, img) for img in images):
+                report.extend([Violation(R_COMULT, (a, b), None,
+                                         "Δ^r(ω) is not in the invariant frame ⊗ A")])
+            for i, img in enumerate(images):
+                x = tuple(f.canon(img[p]) for p in target.pivots)
                 for j in range(size):
                     rmat[j][i] = x[j * nb:(j + 1) * nb]
             per_pair[(a, b)] = rmat
-    report = VerificationReport()
     R = []
     for b in grp.elements():
         ref = per_pair[(grp.identity, b)]
@@ -678,14 +689,14 @@ def matrix_R_by_vectors(cb: CovariantBimodule) -> list:
                 report.extend([Violation(R_COMULT, (a, b), None,
                                          "R depends on the complementary grading")])
         R.append(ref)
-    _require(report.merge(check_corepresentation_by_vectors(h, R)), "R")
-    return R
+    return R, report.merge(check_corepresentation_by_vectors(h, R))
 
 
-def eta_basis_by_vectors(cb: CovariantBimodule, R) -> list:
+def eta_basis_by_vectors(cb: CovariantBimodule, R) -> tuple:
     """η_j^α = Σ_i ω_i S_{α^{-1}}(R_ij), for R in block form; checks right
     invariance, that the η span the right invariants, and ω_i = Σ_j η_j R_ji.
-    Returns the frame of each Γ_α as a matrix, column j = η_j."""
+    Returns the frame of each Γ_α as a matrix, column j = η_j, with the
+    report of those identities, like structure.eta_basis."""
     h = cb.h
     f = h.field
     grp = h.group
@@ -718,9 +729,8 @@ def eta_basis_by_vectors(cb: CovariantBimodule, R) -> list:
                 acc = vec_add(f, acc, cb.right[a].apply(vec_kron(f, eta[a][j], R[a][j][i])))
             _compare_vectors(report, R_COMULT, (a,), acc, cb.omega(a).col(i),
                              f"ω_{i} ≠ Σ_j η_j R_j{i}")
-    _require(report, "η")
     return [Matrix(f, cb.g(a), size, {(r, j): x for j, v in enumerate(eta[a])
-                                      for r, x in enumerate(v)}) for a in grp.elements()]
+                                      for r, x in enumerate(v)}) for a in grp.elements()], report
 
 
 def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> VerificationReport:
@@ -748,14 +758,11 @@ def check_eta_left_coaction_by_vectors(cb: CovariantBimodule, R, eta) -> Verific
 # the identities of f, g and R one entry (i, j[, h]) at a time
 
 
-def coefficient_maps_by_blocks(cb: CovariantBimodule, frames=None) -> list:
+def coefficient_maps_by_blocks(cb: CovariantBimodule, frames) -> list:
     """M[α][i][j] : A_α → A_α with w_i b = Σ_j M[α][i][j](b) w_j, each
     block split out of W⁻¹·right(W⊗I) one entry at a time; frames[α] is
-    the frame of Γ_α as columns, ω by default."""
+    the frame of Γ_α as columns."""
     h = cb.h
-    if frames is None:
-        _frame_size(cb)
-        frames = [cb.omega(a) for a in h.group.elements()]
     out = []
     for a in h.group.elements():
         n = h.n(a)

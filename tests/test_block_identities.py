@@ -39,7 +39,6 @@ from hopfpi import (
     universal_calculus,
     verify_all,
 )
-from hopfpi.errors import HopfPiError
 from hopfpi.groups import group_from_table
 from hopfpi.linalg import Matrix, PrimeField, QQ
 from hopfpi.structure import (
@@ -119,18 +118,18 @@ CALCULI = dict(_fixture_calculi() + _generated_calculi())
 
 @lru_cache(maxsize=None)
 def _raw(label: str):
-    """The bimodule and its F, f, R, η, G, g, none of their identities
-    checked; R, η, G, g are None where R or η cannot be built."""
+    """The bimodule and its F, f, R, η, G, g, none of the identities of f
+    or g checked; R, η, G, g are None where R or η fails its identities."""
     bim = CALCULI[label]().to_bimodule()
-    F = coefficient_maps(bim)
     h = bim.h
+    F = coefficient_maps(bim, [bim.omega(a) for a in h.group.elements()])
     f = _collapse(h, F) if h.psi is not None else None
     R = eta = G = g = None
     if bim.bicovariant:
-        try:
-            R = matrix_R(bim)
-            eta = eta_basis(bim, R)
-        except HopfPiError:
+        R, report = matrix_R(bim)
+        if report.ok:
+            eta, report = eta_basis(bim, R)
+        if not report.ok:
             R = eta = None
     if eta is not None:
         G = coefficient_maps(bim, eta)
@@ -242,7 +241,7 @@ def test_stacked_data_match_the_nested_references(label):
     (α, i, j) at a time and stacked."""
     bim, F, f, R, eta, G, g = _raw(label)
     h = bim.h
-    blocks = coefficient_maps_by_blocks(bim)
+    blocks = coefficient_maps_by_blocks(bim, [bim.omega(a) for a in h.group.elements()])
     assert F == stack_maps(h, blocks)
     if f is not None:
         assert f == stack_functionals(h, collapse_by_entries(h, blocks))

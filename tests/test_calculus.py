@@ -377,6 +377,33 @@ def test_enumeration_matches_the_lift_then_loop_enumeration(name, f7z3, f7z3_con
     assert enumerate_right_ideals(h, max_dim=1) == right_ideals_by_lifts(h, max_dim=1)
 
 
+@pytest.mark.parametrize("name", ["F11[Z/4]", "F7[Z/3]", "taft over F7"])
+def test_enumeration_stops_at_the_dimension_bound(name, f7z3, monkeypatch):
+    """For every max_dim from −1 to dim ker ε, enumeration lists exactly
+    the ideals of the unbounded enumeration up to that dimension, and
+    generates no candidate subspace above it."""
+    from hopfpi import calculus as calc_mod
+
+    h = {"F11[Z/4]": group_algebra(cyclic(4), PrimeField(11)),
+         "F7[Z/3]": f7z3,
+         "taft over F7": taft_hopf_algebra(PrimeField(7))}[name]
+    everything = enumerate_right_ideals(h)
+    candidates = calc_mod._all_rref_subspaces
+    generated = []
+
+    def recording(*args):
+        for small in candidates(*args):
+            generated.append(small.dim)
+            yield small
+
+    monkeypatch.setattr(calc_mod, "_all_rref_subspaces", recording)
+    for bound in range(-1, h.counit_kernel().dim + 1):
+        generated.clear()
+        assert enumerate_right_ideals(h, max_dim=bound) == [
+            ideal for ideal in everything if ideal.dim <= bound]
+        assert max(generated, default=-1) == bound
+
+
 def test_enumeration_requires_the_axioms(f7z3):
     """ker-ε coordinates are exact only when the axioms hold: on F_7[ℤ/3]
     with S = id, enumeration raises the memoised verdict of verify_all."""
@@ -503,7 +530,7 @@ def _subbimodule_search(h):
     found = []
     from hopfpi.calculus import _all_rref_subspaces
 
-    for small in _all_rref_subspaces(f, sub.dim):
+    for small in _all_rref_subspaces(f, sub.dim, sub.dim):
         incl = sub.inclusion_matrix()
         lifted = Subspace.from_spanning(f, n * n, [incl.apply(v) for v in small.basis.to_rows()])
         ok = True

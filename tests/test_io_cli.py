@@ -192,6 +192,30 @@ def test_display_names_must_be_distinct(fixture_dir, tmp_path, capsys, doc, wher
         assert "is repeated" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("doc, where", [
+    ("kz2_constant_z2.json", "group"),
+    ("kz2_rational.json", "basis"),
+])
+def test_empty_name_lists_are_the_wrong_length(fixture_dir, tmp_path, capsys, doc, where):
+    """An empty list of group or basis names is one name per element short,
+    not an absent list: ParseError, exit 2, on every subcommand, and no
+    fallback to index names."""
+    data = json.loads((fixture_dir / doc).read_text())
+    if where == "group":
+        data["group"]["names"] = []
+    else:
+        data["components"]["0"]["basis"] = []
+    with pytest.raises(ParseError, match="0 .*names for"):
+        document_from_json(data)
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps(data))
+    for args in (["verify"], ["calculus", "--universal"], ["structure", "--universal"]):
+        code = main([args[0], str(p), *args[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "names for" in captured.err and "Traceback" not in captured.err
+
+
 def test_parse_rejects_wrong_shape(kz2):
     data = document_to_json(kz2)
     data["antipode"]["0"] = [[1, 0]]
@@ -348,6 +372,17 @@ def test_cli_enumerate_f7(fixture_dir, capsys):
 def test_cli_enumerate_rational_unsupported(fixture_dir, capsys):
     code, _ = run_cli(capsys, "enumerate", str(fixture_dir / "kz2_rational.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("bound", ["-1", "x"])
+def test_cli_enumerate_rejects_a_malformed_max_dim(fixture_dir, capsys, bound):
+    """A bound that is not a dimension is malformed input: argparse exits 2
+    with a usage message, and nothing is enumerated."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["enumerate", str(fixture_dir / "f7_z3.json"), "--max-dim", bound])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert "--max-dim" in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_enumerate_max_dim(fixture_dir, capsys):

@@ -17,7 +17,6 @@ from hopfpi import (
     functionals_g,
     induced_delta_l,
     invariant_subspace_left,
-    invariant_subspace_right,
     load_document,
     matrix_R,
     phi_l,
@@ -43,7 +42,7 @@ from hopfpi.errors import (
 )
 from hopfpi.hopf import HopfPiCoalgebra
 from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, vec_kron
-from hopfpi.structure import CovariantBimodule
+from hopfpi.structure import CovariantBimodule, coefficient_maps
 from oracles import (
     comult_path,
     decompose_left,
@@ -52,6 +51,7 @@ from oracles import (
     flip,
     full_space,
     interchange_product,
+    invariant_subspace_right,
     nested_functionals,
     nested_maps,
     precompose,
@@ -82,6 +82,26 @@ def f7z3_bim(f7z3):
 @pytest.fixture(scope="module")
 def const_bim(kz2_const):
     return universal_calculus(kz2_const).to_bimodule()
+
+
+def _omega(bim):
+    return [bim.omega(a) for a in bim.h.group.elements()]
+
+
+def _passed(step):
+    """The data of a (data, report) step, whose report must pass."""
+    value, report = step
+    assert report.ok, str(report)
+    return value
+
+
+def _f(bim):
+    """The functionals f of bim, with every identity of f holding."""
+    return _passed(functionals_f(bim, coefficient_maps(bim, _omega(bim))))
+
+
+def _listed(report) -> list:
+    return [(v.check, v.grading, v.basis_index, v.detail) for v in report.violations]
 
 
 # -- invariant subspaces -----------------------------------------------------
@@ -221,13 +241,13 @@ def test_frame_inverse_is_built_once_per_grading_and_frame(f7z3_const):
 
 
 def test_f_values_kz2(kz2_bim):
-    funcs = functionals_f(kz2_bim)
+    funcs = _f(kz2_bim)
     assert len(funcs) == 1 and funcs[0].rows == 1             # one grading, |I| = 1
     assert funcs[0].row(0) == (F(1), F(-1))                   # f_00(e) = 1, f_00(u) = −1
 
 
 def test_f_multiplicative_all_pairs_kz2(kz2, kz2_bim):
-    funcs = functionals_f(kz2_bim)
+    funcs = _f(kz2_bim)
 
     def f00(v):
         return funcs[0].apply(v)[0]
@@ -243,7 +263,7 @@ def _basis(f, n, i):
 
 
 def test_f_matrix_f7(f7z3, f7z3_bim):
-    funcs = functionals_f(f7z3_bim)
+    funcs = _f(f7z3_bim)
     assert funcs[0].rows == 2 * 2                             # |I| = 2
 
     def phi(p, q, v):
@@ -272,26 +292,25 @@ def test_f_requires_psi(kz2):
                            kz2.mult, kz2.unit, kz2.antipode, psi=None,
                            basis_names=kz2.basis_names)
     bim = universal_calculus(bare).to_bimodule()
-    with pytest.raises(MissingPsi):
-        functionals_f(bim)
     # F itself is still available
-    from hopfpi.structure import coefficient_maps
-
-    F_maps = coefficient_maps(bim)
+    F_maps = coefficient_maps(bim, _omega(bim))
     assert (F_maps[0].rows, F_maps[0].cols) == (1 * 1 * 2, 2)
+    with pytest.raises(MissingPsi):
+        functionals_f(bim, F_maps)
 
 
 def test_g_matches_f_on_identity_component(f7z3_bim):
-    funcs = functionals_f(f7z3_bim)
-    R = matrix_R(f7z3_bim)
-    eta = eta_basis(f7z3_bim, R)
-    gfuncs = functionals_g(f7z3_bim, eta=eta)
+    funcs = _f(f7z3_bim)
+    R = _passed(matrix_R(f7z3_bim))
+    eta = _passed(eta_basis(f7z3_bim, R))
+    gfuncs = _passed(functionals_g(f7z3_bim, eta))
     assert funcs[0].rows == 2 * 2
     assert funcs[0] == gfuncs[0]
 
 
 def test_g_canonical_frame(kz2_bim):
-    gfuncs = functionals_g(kz2_bim)
+    eta = [invariant_subspace_right(kz2_bim, 0).inclusion_matrix()]
+    gfuncs = _passed(functionals_g(kz2_bim, eta))
     assert gfuncs[0].apply((F(1), F(0))) == (F(1),)
 
 
@@ -299,7 +318,7 @@ def test_g_canonical_frame(kz2_bim):
 
 
 def test_R_kz2(kz2, kz2_bim):
-    R = r_blocks(kz2, matrix_R(kz2_bim))
+    R = r_blocks(kz2, _passed(matrix_R(kz2_bim)))
     assert R[0][0][0] == (F(1), F(0))  # R_00 = e
     assert kz2.counit.apply(R[0][0][0]) == (F(1),)
     s_r = kz2.antipode[0].apply(R[0][0][0])
@@ -308,7 +327,7 @@ def test_R_kz2(kz2, kz2_bim):
 
 
 def test_R_f7_comultiplication(f7z3, f7z3_bim):
-    R = r_blocks(f7z3, matrix_R(f7z3_bim))
+    R = r_blocks(f7z3, _passed(matrix_R(f7z3_bim)))
     f = f7z3.field
     for j in range(2):
         for i in range(2):
@@ -321,8 +340,8 @@ def test_R_f7_comultiplication(f7z3, f7z3_bim):
 
 
 def test_eta_right_invariant_and_recombines(f7z3_bim):
-    R = matrix_R(f7z3_bim)
-    eta = eta_basis(f7z3_bim, R)  # raises if any defining identity fails
+    R = _passed(matrix_R(f7z3_bim))
+    eta = _passed(eta_basis(f7z3_bim, R))  # every defining identity holds
     assert eta[0].cols == 2
 
 
@@ -395,7 +414,7 @@ def test_reconstruction_rejects_bad_normalisation(kz2):
 
 
 def test_reconstruction_rejects_bad_R(kz2, kz2_bim):
-    funcs = functionals_f(kz2_bim)
+    funcs = _f(kz2_bim)
     worse_R = r_matrices(kz2, [[[(F(2), F(0))]]])  # ε(R) = 2 ≠ 1
     with pytest.raises(IncompatibleData):
         reconstruct(kz2, funcs, worse_R, 1)
@@ -493,7 +512,7 @@ def test_reconstruction_rejects_malformed_functionals(monkeypatch, fixture_dir):
 def test_reconstruction_accepts_grouplike_twist(kz2, kz2_bim):
     """R_00 = u is admissible data (a different bicovariant structure on the
     free rank-one module) and must reconstruct to a lawful bimodule."""
-    funcs = functionals_f(kz2_bim)
+    funcs = _f(kz2_bim)
     twisted = reconstruct(kz2, funcs, r_matrices(kz2, [[[(F(0), F(1))]]]), 1)
     assert twisted.verify().ok
 
@@ -519,7 +538,6 @@ def test_bimodule_law_verification_rejects_garbage(kz2):
 def test_incompatible_grading_collapse_is_rejected(f7z3):
     """A lawful Ψ (unital algebra map) whose character differs from the
     counit cannot reproduce the frame commutation rule."""
-    from hopfpi.errors import StructureInconsistent
     from hopfpi import verify_hopf
 
     f = f7z3.field
@@ -534,8 +552,21 @@ def test_incompatible_grading_collapse_is_rejected(f7z3):
                          basis_names=f7z3.basis_names)
     assert verify_hopf(hb).ok   # Ψ is a perfectly good unital algebra map
     bim = universal_calculus(hb).to_bimodule()
-    with pytest.raises(StructureInconsistent):
-        functionals_f(bim)
+    _, report = functionals_f(bim, coefficient_maps(bim, _omega(bim)))
+    assert _listed(report) == [
+        ("frame-multiplicativity", (0,), 2,
+         "commutation rule: the ω_0-coefficient of ω_0 b ≠ f_00 * b"),
+        ("frame-multiplicativity", (0,), 1,
+         "commutation rule: the ω_1-coefficient of ω_0 b ≠ f_01 * b"),
+        ("frame-multiplicativity", (0,), 1,
+         "commutation rule: the ω_0-coefficient of ω_1 b ≠ f_10 * b"),
+        ("frame-multiplicativity", (0,), 1,
+         "commutation rule: the ω_1-coefficient of ω_1 b ≠ f_11 * b"),
+        ("frame-multiplicativity", (0,), 1,
+         "left multiplication rule a ω_0 = Σ_j ω_j ((f_0j∘S_1^{-1}) * a) fails"),
+        ("frame-multiplicativity", (0,), 1,
+         "left multiplication rule a ω_1 = Σ_j ω_j ((f_1j∘S_1^{-1}) * a) fails"),
+    ]
 
 
 def test_non_involutive_antipode_boundary():
@@ -544,18 +575,19 @@ def test_non_involutive_antipode_boundary():
     (whose derivation inverts the antipode by applying it again) fail and
     are reported rather than repaired."""
     from hopfpi import taft_hopf_algebra, universal_calculus
-    from hopfpi.errors import StructureInconsistent
-    from hopfpi.structure import functionals_f as ff
 
     t = taft_hopf_algebra(QQ)
     bim = universal_calculus(t).to_bimodule()
-    funcs = ff(bim)                      # f-side identities all hold
-    R = matrix_R(bim)                    # coaction matrix identities all hold
-    eta = eta_basis(bim, R)              # η frame is right invariant
+    funcs = _f(bim)                      # f-side identities all hold
+    R = _passed(matrix_R(bim))           # coaction matrix identities all hold
+    eta = _passed(eta_basis(bim, R))     # η frame is right invariant
     assert funcs[0].rows == 3 * 3 and eta[0].cols == 3
 
-    with pytest.raises(StructureInconsistent):
-        functionals_g(bim, eta=eta)      # left-multiplication rule needs S² = id
+    _, report = functionals_g(bim, eta)  # left-multiplication rule needs S² = id
+    assert _listed(report) == [
+        ("frame-multiplicativity", (0,), 2,
+         "left multiplication rule a η_0 = Σ_j η_j (a * (g_0j∘S_1^{-1})) fails; "
+         "this form needs an involutive antipode, and S_1² ≠ id")]
     assert not extract_structure(bim).report.ok
 
     # reconstruction only needs the f and R data, and those are consistent
@@ -655,7 +687,7 @@ def test_convolution_inverse_identities_elementwise(all_fixtures):
 
     for h in all_fixtures.values():
         bim = universal_calculus(h).to_bimodule()
-        funcs = nested_functionals(h, functionals_f(bim))
+        funcs = nested_functionals(h, _f(bim))
         size = len(funcs)
         f = h.field
         e = h.group.identity
@@ -752,12 +784,12 @@ def _vector_intertwiner(h, funcs_f, funcs_g, R, gradings):
 
 def _raw_structure(bim):
     """F, f, R, η, G and g without running any identity on f or g."""
-    from hopfpi.structure import _collapse, coefficient_maps
+    from hopfpi.structure import _collapse
 
     h = bim.h
-    F = coefficient_maps(bim)
-    R = matrix_R(bim)
-    eta = eta_basis(bim, R)
+    F = coefficient_maps(bim, _omega(bim))
+    R = _passed(matrix_R(bim))
+    eta = _passed(eta_basis(bim, R))
     G = coefficient_maps(bim, eta)
     return F, _collapse(h, F), R, eta, G, _collapse(h, G)
 
@@ -845,27 +877,30 @@ def _checks_named(report):
 
 def test_corrupted_f_value_fails_extraction_and_reconstruction(kz2, kz2_bim):
     """f_00(u) bumped by 1: f is no longer a character."""
-    from hopfpi.errors import StructureInconsistent
-    from hopfpi.structure import coefficient_maps
-
-    maps = coefficient_maps(kz2_bim)
+    maps = coefficient_maps(kz2_bim, _omega(kz2_bim))
     bumped = maps[0] + Matrix(QQ, 2, 2, {(0, 1): F(1)})   # u ↦ u's coefficients + e
-    with pytest.raises(StructureInconsistent) as extraction:
-        functionals_f(kz2_bim, coeffs=[bumped])
+    _, extraction = functionals_f(kz2_bim, [bumped])
+    assert _listed(extraction) == [
+        ("frame-multiplicativity", (0,), 1,
+         "commutation rule: the ω_0-coefficient of ω_0 b ≠ f_00 * b"),
+        ("frame-multiplicativity", (0,), 3, "f_00(ab) ≠ Σ_k f_0k(a) f_k0(b)"),
+        ("frame-multiplicativity", (0,), 1,
+         "left multiplication rule a ω_0 = Σ_j ω_j ((f_0j∘S_1^{-1}) * a) fails"),
+        ("frame-multiplicativity", (0,), 1, "Σ_j f_j0 * (f_0j∘S_1^{-1}) ≠ δ_00 ε"),
+        ("frame-multiplicativity", (0,), 1, "Σ_j (f_j0∘S_1^{-1}) * f_0j ≠ δ_00 ε"),
+    ]
     data = extract_structure(kz2_bim)
     assert data.report.ok
     bad_f = [kz2.counit @ kz2.psi[0] @ bumped]
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(kz2, bad_f, data.R, data.size)
-    assert "frame-multiplicativity" in _checks_named(extraction.value.report)
+    assert "frame-multiplicativity" in _checks_named(extraction)
     assert "frame-multiplicativity" in _checks_named(rebuild.value.report)
 
 
 def test_corrupted_unit_fails_extraction_and_reconstruction(kz2, kz2_bim):
     """The unit doubled: f(1) = δ no longer holds."""
     import copy
-
-    from hopfpi.errors import StructureInconsistent
 
     data = extract_structure(kz2_bim)
     assert data.report.ok
@@ -874,11 +909,11 @@ def test_corrupted_unit_fails_extraction_and_reconstruction(kz2, kz2_bim):
                               basis_names=kz2.basis_names)
     bad = copy.copy(kz2_bim)
     bad.h = doubled
-    with pytest.raises(StructureInconsistent) as extraction:
-        functionals_f(bad)
+    _, extraction = functionals_f(bad, coefficient_maps(bad, _omega(bad)))
+    assert _listed(extraction) == [("frame-normalisation", (0,), None, "f_00(1) = 2, expected 1")]
     with pytest.raises(IncompatibleData) as rebuild:
         reconstruct(doubled, data.f, data.R, data.size)
-    assert "frame-normalisation" in _checks_named(extraction.value.report)
+    assert "frame-normalisation" in _checks_named(extraction)
     assert "frame-normalisation" in _checks_named(rebuild.value.report)
 
 
@@ -908,8 +943,8 @@ def test_corrupted_R_breaks_the_intertwiner_on_taft():
 
     t = taft_hopf_algebra(QQ)
     bim = universal_calculus(t).to_bimodule()
-    funcs = functionals_f(bim)
-    R = matrix_R(bim)
+    funcs = _f(bim)
+    R = _passed(matrix_R(bim))
     assert check_intertwiner(bim, funcs, funcs, R).ok       # lawful data passes
     bad_R = r_blocks(t, R)
     bad_R[0][0][1] = tuple(x + y for x, y in zip(bad_R[0][0][1], (F(0), F(0), F(1), F(0))))
