@@ -21,12 +21,15 @@ Top-level keys:
 The group's "names" and a component's "basis" are optional display names,
 each a list of distinct strings, one per element or basis vector (an empty
 list is the wrong length, not an absent one).
+
+A block that repeats within a document is parsed once, and every place
+that repeats it shares the one Matrix or tuple.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import (
     DimensionMismatch,
@@ -71,11 +74,14 @@ def _parse_names(obj, context: str):
     return obj
 
 
-def _parse_scalar(f: Field, obj, context: str):
+def _parse_scalar(f: Field, obj, context: str, *index: int):
+    """obj as a scalar of f.  A bad scalar is blamed on context[i][j]…,
+    a string built only then, since documents hold many scalars."""
     try:
         return f.parse(obj)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad scalar {obj!r} ({exc})", context=context) from exc
+        where = context + "".join(f"[{i}]" for i in index)
+        raise ParseError(f"bad scalar {obj!r} ({exc})", context=where) from exc
 
 
 def _parse_matrix(f: Field, obj, rows: int, cols: int, context: str) -> Matrix:
@@ -87,14 +93,58 @@ def _parse_matrix(f: Field, obj, rows: int, cols: int, context: str) -> Matrix:
         _require(isinstance(row, list) and len(row) == cols,
                  f"row {r}: expected {cols} entries", context)
         for c, v in enumerate(row):
-            entries[(r, c)] = _parse_scalar(f, v, f"{context}[{r}][{c}]")
+            entries[(r, c)] = _parse_scalar(f, v, context, r, c)
     return Matrix(f, rows, cols, entries)
 
 
 def _parse_vector(f: Field, obj, length: int, context: str) -> tuple:
     _require(isinstance(obj, list) and len(obj) == length,
              f"expected a vector of length {length}", context)
-    return tuple(_parse_scalar(f, v, f"{context}[{i}]") for i, v in enumerate(obj))
+    return tuple(_parse_scalar(f, v, context, i) for i, v in enumerate(obj))
+
+
+def _parse_mult(f: Field, triples, n: int, context: str) -> Matrix:
+    """m_α from its structure-constant triples (i, j, k, value)."""
+    _require(isinstance(triples, list), "mult triples required", context)
+    entries: dict = {}
+    for t, item in enumerate(triples):
+        _require(isinstance(item, list) and len(item) == 4,
+                 f"mult entry {t} must be [i, j, k, value]", context)
+        i, j, k, v = item
+        _require(all(_is_int(x) and 0 <= x < n for x in (i, j, k)),
+                 f"mult entry {t} has indices out of range", context)
+        sc = _parse_scalar(f, v, f"{context}.mult", t)
+        key = (k, i * n + j)
+        entries[key] = f.add(entries.get(key, f.zero()), sc)
+    return Matrix(f, n, n * n, entries)
+
+
+class _Shared:
+    """One object per distinct block of one document.
+
+    A JSON block that repeats (Δ_{α,β} = Δ at every grading pair of a
+    constant family, say) is parsed once and its Matrix or tuple reused,
+    so the axiom checks, which are computed once per distinct tuple of
+    operand objects, see the repetition.  A block is keyed by its parser,
+    the shape it is parsed to and its repr, which tells apart every JSON
+    value (1, true, 1.0 and "1" included); a malformed block raises at
+    its first occurrence, as it would unshared.
+    """
+
+    def __init__(self, f: Field):
+        self.field = f
+        self._memo: dict = {}
+
+    def parse(self, parser, obj, shape: tuple, context: str):
+        """parser(field, obj, *shape, context), once per distinct block."""
+        key = (parser, shape, repr(obj))
+        if key not in self._memo:
+            self._memo[key] = parser(self.field, obj, *shape, context)
+        return self._memo[key]
+
+    def names(self, names: tuple) -> tuple:
+        """One tuple object per distinct tuple of basis names."""
+        return self._memo.setdefault(("names", names), names)
 
 
 def parse_field_spec(obj) -> Field:
@@ -138,12 +188,21 @@ def document_from_json(data: dict, name: str = "") -> Document:
     _require(isinstance(table, list) and all(isinstance(row, list) and all(map(_is_int, row))
                                              for row in table),
              "group table must be a list of rows of integers", "group")
+    group_names = _parse_names(grp_block.get("names"), "group")
     try:
-        grp = group_from_table(table, names=_parse_names(grp_block.get("names"), "group"))
+        grp = group_from_table(table)
     except NotAGroup as exc:
         raise ParseError(f"group table invalid: {exc}", context="group") from exc
+    if group_names is not None:
+        # the names are checked against the valid table, so a wrong count
+        # blames the names, not the table
+        _require(len(group_names) == grp.order,
+                 f"{len(group_names)} names for {grp.order} group "
+                 f"element{'' if grp.order == 1 else 's'}", "group.names")
+        grp = replace(grp, names=tuple(group_names))
 
     f = parse_field_spec(data.get("field"))
+    shared = _Shared(f)
 
     comp_block = data.get("components")
     _require(isinstance(comp_block, dict), "components block required", "components")
@@ -165,21 +224,9 @@ def document_from_json(data: dict, name: str = "") -> Document:
         if names is None:
             names = [f"x{i}" for i in range(n)]
         _require(len(names) == n, f"{len(names)} basis names for dim {n}", ctx)
-        basis_names.append(tuple(str(s) for s in names))
-        triples = comp.get("mult")
-        _require(isinstance(triples, list), "mult triples required", ctx)
-        entries: dict = {}
-        for t, item in enumerate(triples):
-            _require(isinstance(item, list) and len(item) == 4,
-                     f"mult entry {t} must be [i, j, k, value]", ctx)
-            i, j, k, v = item
-            _require(all(_is_int(x) and 0 <= x < n for x in (i, j, k)),
-                     f"mult entry {t} has indices out of range", ctx)
-            sc = _parse_scalar(f, v, f"{ctx}.mult[{t}]")
-            key2 = (k, i * n + j)
-            entries[key2] = f.add(entries.get(key2, f.zero()), sc)
-        mult.append(Matrix(f, n, n * n, entries))
-        unit.append(_parse_vector(f, comp.get("unit"), n, f"{ctx}.unit"))
+        basis_names.append(shared.names(tuple(str(s) for s in names)))
+        mult.append(shared.parse(_parse_mult, comp.get("mult"), (n,), ctx))
+        unit.append(shared.parse(_parse_vector, comp.get("unit"), (n,), f"{ctx}.unit"))
 
     e = grp.identity
     comult_block = data.get("comult")
@@ -189,8 +236,8 @@ def document_from_json(data: dict, name: str = "") -> Document:
         for b in grp.elements():
             key = _pair_key(a, b)
             _require(key in comult_block, f"missing comult at {key}", "comult")
-            comult[(a, b)] = _parse_matrix(
-                f, comult_block[key], dims[a] * dims[b], dims[grp.mul(a, b)],
+            comult[(a, b)] = shared.parse(
+                _parse_matrix, comult_block[key], (dims[a] * dims[b], dims[grp.mul(a, b)]),
                 f"comult[{key}]")
     for key in comult_block:
         _parse_pair_key(key, grp.order, "comult")
@@ -204,8 +251,8 @@ def document_from_json(data: dict, name: str = "") -> Document:
     for a in grp.elements():
         key = str(a)
         _require(key in anti_block, f"missing antipode at {key}", "antipode")
-        antipode.append(_parse_matrix(
-            f, anti_block[key], dims[grp.inv(a)], dims[a], f"antipode[{key}]"))
+        antipode.append(shared.parse(
+            _parse_matrix, anti_block[key], (dims[grp.inv(a)], dims[a]), f"antipode[{key}]"))
 
     psi = None
     if "psi" in data and data["psi"] is not None:
@@ -215,7 +262,8 @@ def document_from_json(data: dict, name: str = "") -> Document:
         for a in grp.elements():
             key = str(a)
             _require(key in psi_block, f"missing psi at {key}", "psi")
-            psi.append(_parse_matrix(f, psi_block[key], dims[e], dims[a], f"psi[{key}]"))
+            psi.append(shared.parse(_parse_matrix, psi_block[key], (dims[e], dims[a]),
+                                    f"psi[{key}]"))
 
     try:
         hopf = HopfPiCoalgebra(grp, f, dims, comult, counit, mult, unit, antipode,

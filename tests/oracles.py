@@ -21,7 +21,9 @@ functionals and their convolution, the iterated comultiplication, flip
 (built entry by entry), the subspace of all of k^n and the inclusion,
 coordinates and tensor of subspaces, the quotient section, the
 decompositions over the ω frame, the projections P_α and the entrywise
-form of linalg.differing_blocks.
+form of linalg.differing_blocks.  `unshared` copies a structure so that
+no grading shares a matrix or tuple with another, the form in which the
+library's once-per-operand-tuple axiom checks run at every grading.
 Nothing in `hopfpi` imports this module.
 """
 
@@ -959,6 +961,28 @@ def intertwiner_report_by_entries(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradi
                 _compare(report, INTERTWINER, (a,), lhs, rhs,
                          f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")
     return report
+
+
+# ---------------------------------------------------------------------------
+# a structure with no component shared between gradings
+
+
+def _fresh(m: Matrix) -> Matrix:
+    return Matrix(m.field, m.rows, m.cols, dict(m.entries))
+
+
+def unshared(h: HopfPiCoalgebra) -> HopfPiCoalgebra:
+    """A copy of h in which every grading has its own fresh copy of each
+    matrix and tuple, so no two gradings share an operand object and the
+    axiom checks, computed once per distinct tuple of operand objects,
+    run at every grading."""
+    return HopfPiCoalgebra(
+        h.group, h.field, h.dims,
+        {key: _fresh(m) for key, m in h.comult.items()}, _fresh(h.counit),
+        [_fresh(m) for m in h.mult], [tuple(list(u)) for u in h.unit],
+        [_fresh(s) for s in h.antipode],
+        psi=None if h.psi is None else [_fresh(p) for p in h.psi],
+        basis_names=None if h.basis_names is None else [tuple(list(ns)) for ns in h.basis_names])
 
 
 # ---------------------------------------------------------------------------

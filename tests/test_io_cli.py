@@ -113,6 +113,10 @@ def test_parse_rejects_bad_group(kz2):
     with pytest.raises(ParseError) as err:
         document_from_json(data)
     assert "group" in str(err.value)
+    # an invalid table is blamed before the count of names is checked
+    data["group"]["names"] = ["1"]
+    with pytest.raises(ParseError, match="^group: group table invalid"):
+        document_from_json(data)
 
 
 def _bool_as_int(case: str) -> dict:
@@ -214,6 +218,33 @@ def test_empty_name_lists_are_the_wrong_length(fixture_dir, tmp_path, capsys, do
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert "names for" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("doc, names, message", [
+    ("kz2_rational.json", [], "0 names for 1 group element"),
+    ("kz2_rational.json", ["1", "t"], "2 names for 1 group element"),
+    ("kz2_constant_z2.json", [], "0 names for 2 group elements"),
+    ("kz2_constant_z2.json", ["1"], "1 names for 2 group elements"),
+    ("kz2_constant_z2.json", ["1", "s", "t"], "3 names for 2 group elements"),
+])
+def test_group_names_of_the_wrong_length_blame_the_names(fixture_dir, tmp_path, capsys,
+                                                         doc, names, message):
+    """An empty, short or long list of group names next to a valid table is
+    an error of group.names, not of the group table: ParseError, exit 2,
+    on every subcommand."""
+    data = json.loads((fixture_dir / doc).read_text())
+    data["group"]["names"] = names
+    with pytest.raises(ParseError) as err:
+        document_from_json(data)
+    assert err.value.context == "group.names"
+    assert str(err.value) == f"group.names: {message}"
+    p = tmp_path / "names.json"
+    p.write_text(json.dumps(data))
+    for args in (["verify"], ["calculus", "--universal"], ["structure", "--universal"]):
+        code = main([args[0], str(p), *args[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: group.names: {message}\n"
 
 
 def test_parse_rejects_wrong_shape(kz2):
