@@ -20,7 +20,6 @@ from .linalg import (  # noqa: F401
 )
 from .hopf import (  # noqa: F401
     HopfPiCoalgebra,
-    PiCoalgebra,
     VerificationReport,
     Violation,
     constant_family,

@@ -51,7 +51,6 @@ from .hopf import (
     VerificationReport,
     Violation,
     require_axioms,
-    verify_all,
 )
 from .linalg import (
     Matrix,
@@ -289,11 +288,12 @@ class Fodc:
     verdicts builds none of them.
 
     N is a sub-bimodule of A², which `to_bimodule` relies on.  The public
-    constructor proves it (CodomainViolation otherwise).  The route
-    calculi of a right ideal R ⊆ ker ε (and the universal calculus, N = 0)
-    build through `_trusted`: there it is a theorem of the Hopf axioms
-    (Woronowicz 1989, §1, graded), and it is checked only when the
-    memoised verdict of verify_all fails.
+    constructor proves it (CodomainViolation otherwise).  The universal
+    calculus (N = 0) and the route calculi of a right ideal R ⊆ ker ε build
+    through `_trusted`, which requires the Hopf axioms (VerificationFailed
+    with the memoised verdict of verify_all otherwise), as
+    CovariantBimodule._trusted does: under them N is a sub-bimodule by
+    theorem (Woronowicz 1989, §1, graded), so it is not tested.
 
     Γ_α is read off the one projection P_α of A_α⊗A_α, whose kernel is
     N_α: P_α reduces x modulo N_α's RREF basis and reads it at the
@@ -306,21 +306,21 @@ class Fodc:
     """
 
     def __init__(self, h: HopfPiCoalgebra, kernels: list[Subspace]):
-        self._build(h, kernels, checked=True)
+        self._build(h, kernels)
+        self._check_sub_bimodule()
 
     @classmethod
-    def _trusted(cls, h: HopfPiCoalgebra, kernels: list[Subspace]) -> "Fodc":
-        """The calculus of a right ideal R on one route, N_α = r_α^{-1}(A_α⊗R)
-        or t_α^{-1}(R⊗A_α).  N ⊆ A² and its closure under both actions are a
-        theorem once h satisfies the Hopf axioms, and trivial when N = 0,
-        so both tests run only when neither holds; then they raise the
-        same CodomainViolation as the public constructor."""
+    def _trusted(cls, h: HopfPiCoalgebra, kernel_at) -> "Fodc":
+        """The universal calculus, or the calculus of a right ideal R on one
+        route, N_α = kernel_at(α) = r_α^{-1}(A_α⊗R) or t_α^{-1}(R⊗A_α): N is
+        a sub-bimodule of A² once h satisfies the Hopf axioms, which are
+        required here, before kernel_at builds any translation map."""
+        require_axioms(h)
         calc = cls.__new__(cls)
-        closed = all(k.dim == 0 for k in kernels) or verify_all(h).ok
-        calc._build(h, kernels, checked=not closed)
+        calc._build(h, [kernel_at(a) for a in h.group.elements()])
         return calc
 
-    def _build(self, h: HopfPiCoalgebra, kernels: list[Subspace], checked: bool) -> None:
+    def _build(self, h: HopfPiCoalgebra, kernels: list[Subspace]) -> None:
         self.h = h
         self.asq = universal_bimodule(h)
         self.kernels = list(kernels)
@@ -331,19 +331,14 @@ class Fodc:
 
         if len(self.kernels) != g.order:
             raise DimensionMismatch("one kernel subspace per grading required")
-        # ι_α includes N_α into A_α⊗A_α, so N_α ⊆ A²_α = ker m_α iff m_α ι_α = 0
-        self.incl: list[Matrix] = []
+        self.incl: list[Matrix] = []   # ι_α includes N_α into A_α⊗A_α
         for a in g.elements():
             if self.kernels[a].ambient_dim != h.n(a) ** 2:
                 raise DimensionMismatch(f"kernel at {a} has wrong ambient dimension")
             self.incl.append(self.kernels[a].inclusion_matrix())
-            if checked and not (h.mult[a] @ self.incl[a]).is_zero():
-                raise CodomainViolation(f"N_{a} is not contained in A²_{a}")
         # P_α has kernel exactly N_α, so v ∈ N_α ⇔ P_α v = 0: containments
         # are decided by products with P
         self.proj: list[Matrix] = [quotient(k) for k in self.kernels]
-        if checked:
-            self._check_sub_bimodule()
 
         self.lift: list[Matrix] = []   # Γ_α → ambient A_α⊗A_α (canonical section)
         self.drop: list[Matrix] = []   # A²_α (ambient) → Γ_α
@@ -380,9 +375,14 @@ class Fodc:
                 for a in h.group.elements()]
 
     def _check_sub_bimodule(self):
-        """A_α·N_α ⊆ N_α ⊇ N_α·A_α; names the action that first fails,
-        scanning N's basis vectors w_k and, for each, A's basis e_i."""
+        """N_α ⊆ A²_α for every α, then A_α·N_α ⊆ N_α ⊇ N_α·A_α; names the
+        grading, or the action, that first fails, scanning N's basis
+        vectors w_k and, for each, A's basis e_i."""
         h = self.h
+        for a in h.group.elements():
+            # N_α ⊆ A²_α = ker m_α iff m_α ι_α = 0
+            if not (h.mult[a] @ self.incl[a]).is_zero():
+                raise CodomainViolation(f"N_{a} is not contained in A²_{a}")
         for a in h.group.elements():
             n = h.n(a)
             incl, proj = self.incl[a], self.proj[a]
@@ -448,25 +448,21 @@ class Fodc:
 
 def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
     """Γ = A² itself (N = 0), the universal calculus."""
-    f = h.field
-    kernels = [Subspace.zero_space(f, h.n(a) ** 2) for a in h.group.elements()]
-    return Fodc._trusted(h, kernels)
+    return Fodc._trusted(h, lambda a: Subspace.zero_space(h.field, h.n(a) ** 2))
 
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     """Left covariant calculus with N_α = r_α^{-1}(A_α ⊗ R), the image of
     r_α^{-1} ∘ (I ⊗ ι_R)."""
     incl = ideal.subspace.inclusion_matrix()
-    kernels = [image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)) for a in h.group.elements()]
-    return Fodc._trusted(h, kernels)
+    return Fodc._trusted(h, lambda a: image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)))
 
 
 def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     """Right covariant calculus with N_α = t_α^{-1}(R ⊗ A_α), the image of
     t_α^{-1} ∘ (ι_R ⊗ I)."""
     incl = ideal.subspace.inclusion_matrix()
-    kernels = [image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)) for a in h.group.elements()]
-    return Fodc._trusted(h, kernels)
+    return Fodc._trusted(h, lambda a: image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)))
 
 
 def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:

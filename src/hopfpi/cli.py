@@ -76,9 +76,12 @@ def _resolve_ideal(doc: Document, args) -> calc_mod.RightIdeal:
 
 
 def _build_calculus(doc: Document, args):
+    """The calculus the arguments name, and its ideal for the report: the
+    universal calculus is the one of the zero ideal, on either route."""
     ideal = _resolve_ideal(doc, args)
-    side_right = getattr(args, "right", False)
-    if side_right:
+    if args.universal:
+        return calc_mod.universal_calculus(doc.hopf), ideal
+    if getattr(args, "right", False):
         return calc_mod.calculus_from_ideal_right(doc.hopf, ideal), ideal
     return calc_mod.calculus_from_ideal(doc.hopf, ideal), ideal
 

@@ -85,16 +85,21 @@ def _parse_scalar(f: Field, obj, context: str, *index: int):
 
 
 def _parse_matrix(f: Field, obj, rows: int, cols: int, context: str) -> Matrix:
+    """A dense row list as a Matrix: the shape is checked here and each
+    scalar is canonical as parsed, so the nonzero ones are adopted as is."""
     _require(isinstance(obj, list) and len(obj) == rows,
              f"expected {rows} rows, got {len(obj) if isinstance(obj, list) else type(obj).__name__}",
              context)
     entries = {}
+    zero = f.zero()
     for r, row in enumerate(obj):
         _require(isinstance(row, list) and len(row) == cols,
                  f"row {r}: expected {cols} entries", context)
         for c, v in enumerate(row):
-            entries[(r, c)] = _parse_scalar(f, v, context, r, c)
-    return Matrix(f, rows, cols, entries)
+            v = _parse_scalar(f, v, context, r, c)
+            if v != zero:
+                entries[(r, c)] = v
+    return Matrix._unchecked(f, rows, cols, entries)
 
 
 def _parse_vector(f: Field, obj, length: int, context: str) -> tuple:
@@ -107,6 +112,7 @@ def _parse_mult(f: Field, triples, n: int, context: str) -> Matrix:
     """m_α from its structure-constant triples (i, j, k, value)."""
     _require(isinstance(triples, list), "mult triples required", context)
     entries: dict = {}
+    zero = f.zero()
     for t, item in enumerate(triples):
         _require(isinstance(item, list) and len(item) == 4,
                  f"mult entry {t} must be [i, j, k, value]", context)
@@ -115,8 +121,8 @@ def _parse_mult(f: Field, triples, n: int, context: str) -> Matrix:
                  f"mult entry {t} has indices out of range", context)
         sc = _parse_scalar(f, v, f"{context}.mult", t)
         key = (k, i * n + j)
-        entries[key] = f.add(entries.get(key, f.zero()), sc)
-    return Matrix(f, n, n * n, entries)
+        entries[key] = f.add(entries.get(key, zero), sc)
+    return Matrix._unchecked(f, n, n * n, {key: v for key, v in entries.items() if v != zero})
 
 
 class _Shared:

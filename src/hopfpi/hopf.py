@@ -3,9 +3,11 @@
 A π-coalgebra is a family {A_α} of spaces, one per element of a finite
 group π, with comultiplications Δ_{α,β} : A_{αβ} → A_α ⊗ A_β and a
 counit ε on A_1.  A Hopf π-coalgebra adds per-component algebra
-structures and antipodes S_α : A_α → A_{α^{-1}}.  Everything is stored
-as exact matrices in fixed bases; every axiom is a matrix identity and
-is checked exhaustively over the (finite) grading group.
+structures and antipodes S_α : A_α → A_{α^{-1}}.  One class,
+HopfPiCoalgebra, holds the whole structure: everything is stored as
+exact matrices in fixed bases, every shape is checked and every default
+basis name filled in at construction.  Every axiom is a matrix identity
+and is checked exhaustively over the (finite) grading group.
 
 Verification collects *all* violations into a report instead of failing
 fast; hand-entered structure constants deserve complete diagnostics.
@@ -93,10 +95,6 @@ def _diff_columns(check: str, grading, lhs: Matrix, rhs: Matrix, namer=None):
     """One violation per basis vector on which two maps disagree, with the
     two columns as its witness."""
     out = []
-    if lhs.rows != rhs.rows or lhs.cols != rhs.cols:
-        out.append(Violation(check, tuple(grading), None,
-                             f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}"))
-        return out
     f = lhs.field
     found = sorted(j for _, j in differing_blocks(lhs, rhs, (lhs.rows, 1)))
     if not found:
@@ -122,11 +120,18 @@ def _diff_columns(check: str, grading, lhs: Matrix, rhs: Matrix, namer=None):
 # structures
 
 
-class PiCoalgebra:
-    """Family {A_α} with comultiplications Δ_{α,β} and counit ε."""
+class HopfPiCoalgebra:
+    """Family {A_α} of algebras with comultiplications Δ_{α,β}, counit ε,
+    antipodes S_α and, optionally, the maps Ψ_α : A_α → A_1.
 
-    def __init__(self, group: FiniteGroup, field: Field, dims, comult, counit,
-                 basis_names=None):
+    Every shape is checked at construction (DimensionMismatch).  Basis
+    names default to x0, x1, …, filled in here with one tuple per distinct
+    dimension, so components of equal dimension share their names as they
+    share repeated matrices.
+    """
+
+    def __init__(self, group: FiniteGroup, field: Field, dims, comult, counit, mult, unit,
+                 antipode, psi=None, basis_names=None):
         self.group = group
         self.field = field
         self.dims = tuple(int(d) for d in dims)
@@ -134,7 +139,15 @@ class PiCoalgebra:
             raise DimensionMismatch("one dimension per group element required")
         self.comult = dict(comult)
         self.counit = counit
-        self.basis_names = tuple(tuple(ns) for ns in basis_names) if basis_names else None
+        self.mult = list(mult)
+        self.unit = [tuple(u) for u in unit]
+        self.antipode = list(antipode)
+        self.psi = list(psi) if psi is not None else None
+        if basis_names is None:
+            defaults: dict = {}
+            basis_names = [defaults.setdefault(n, tuple(f"x{i}" for i in range(n)))
+                           for n in self.dims]
+        self.basis_names = tuple(tuple(ns) for ns in basis_names)
         self._derived: dict = {}     # key -> value, see derived
         self._validate_shapes()
 
@@ -156,12 +169,10 @@ class PiCoalgebra:
         return memo[key]
 
     def basis_name(self, alpha: int, i: int) -> str:
-        if self.basis_names:
-            return self.basis_names[alpha][i]
-        return f"x{i}"
+        return self.basis_names[alpha][i]
 
     def render_element(self, alpha: int, v) -> str:
-        return _render_vector(self.field, _names(self, alpha), v)
+        return _render_vector(self.field, self.basis_names[alpha], v)
 
     def _validate_shapes(self):
         g = self.group
@@ -178,24 +189,10 @@ class PiCoalgebra:
                         f"{self.n(a) * self.n(b)}x{self.n(g.mul(a, b))}")
         if (self.counit.rows, self.counit.cols) != (1, self.n(e)):
             raise DimensionMismatch("counit must be 1 x dim(A_1)")
-
-
-class HopfPiCoalgebra(PiCoalgebra):
-    """π-coalgebra whose components are algebras, with antipodes S_α."""
-
-    def __init__(self, group, field, dims, comult, counit, mult, unit, antipode,
-                 psi=None, basis_names=None):
-        super().__init__(group, field, dims, comult, counit, basis_names=basis_names)
-        self.mult = list(mult)
-        self.unit = [tuple(u) for u in unit]
-        self.antipode = list(antipode)
-        self.psi = list(psi) if psi is not None else None
-        self._validate_hopf_shapes()
-
-    def _validate_hopf_shapes(self):
-        g = self.group
         if len(self.mult) != g.order or len(self.unit) != g.order or len(self.antipode) != g.order:
             raise DimensionMismatch("one mult/unit/antipode per group element required")
+        if len(self.basis_names) != g.order:
+            raise DimensionMismatch("one list of basis names per group element required")
         for a in g.elements():
             n = self.n(a)
             m = self.mult[a]
@@ -203,6 +200,9 @@ class HopfPiCoalgebra(PiCoalgebra):
                 raise DimensionMismatch(f"mult[{a}] is {m.rows}x{m.cols}, expected {n}x{n * n}")
             if len(self.unit[a]) != n:
                 raise DimensionMismatch(f"unit[{a}] has length {len(self.unit[a])}")
+            if len(self.basis_names[a]) != n:
+                raise DimensionMismatch(
+                    f"{len(self.basis_names[a])} basis names for A_{a} of dim {n}")
             s = self.antipode[a]
             if (s.rows, s.cols) != (self.n(g.inv(a)), n):
                 raise DimensionMismatch(
@@ -256,22 +256,20 @@ PSI_CHECKS = ("psi-multiplicative", "psi-unital")
 
 
 # Each check below is a pure function of the objects it reads: matrices,
-# unit tuples and basis-name tuples (None for the default names x0, x1, …);
-# every dimension is read off a matrix shape.  Its violations carry the
-# empty grading, which _checker stamps with the grading being checked.
+# unit tuples and basis-name tuples; every dimension is read off a matrix
+# shape.  Its violations carry the empty grading, which _checker stamps
+# with the grading being checked.
 
 
 def _namer(names):
-    return lambda j: names[j] if names is not None else f"x{j}"
+    return names.__getitem__
 
 
 def _pair_namer(names, n):
-    label = _namer(names)
-    return lambda j: f"{label(j // n)}⊗{label(j % n)}"
+    return lambda j: f"{names[j // n]}⊗{names[j % n]}"
 
 
 def _render_vector(f: Field, names, v) -> str:
-    label = _namer(names)
     out = ""
     for i, c in enumerate(v):
         if c == f.zero():
@@ -279,7 +277,7 @@ def _render_vector(f: Field, names, v) -> str:
         text = f.render(c)
         sign = "-" if text.startswith("-") else "+"
         mag = text[1:] if text.startswith("-") else text
-        term = label(i) if mag == "1" else f"{mag}*{label(i)}"
+        term = names[i] if mag == "1" else f"{mag}*{names[i]}"
         if not out:
             out = term if sign == "+" else f"-{term}"
         else:
@@ -397,26 +395,22 @@ def _checker(report: VerificationReport):
     return run
 
 
-def _names(c: PiCoalgebra, alpha: int):
-    return c.basis_names[alpha] if c.basis_names else None
-
-
-def verify_pi_coalgebra(c: PiCoalgebra) -> VerificationReport:
+def verify_pi_coalgebra(c: HopfPiCoalgebra) -> VerificationReport:
     """Coassociativity over all grading triples and the counit laws."""
     g = c.group
     e = g.identity
     report = VerificationReport()
     run = _checker(report)
-    d = c.comult
+    d, names = c.comult, c.basis_names
     for a in g.elements():
         for b in g.elements():
             ab = g.mul(a, b)
             for cc in g.elements():
                 bc = g.mul(b, cc)
                 run(_coassociativity, (a, b, cc), d[(ab, cc)], d[(a, b)], d[(a, bc)],
-                    d[(b, cc)], _names(c, g.mul(ab, cc)))
+                    d[(b, cc)], names[g.mul(ab, cc)])
     for a in g.elements():
-        run(_counit_laws, (a,), d[(a, e)], d[(e, a)], c.counit, _names(c, a))
+        run(_counit_laws, (a,), d[(a, e)], d[(e, a)], c.counit, names[a])
     return report
 
 
@@ -430,35 +424,35 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
     e = g.identity
     report = VerificationReport()
     run = _checker(report)
-    d, m, u, s = h.comult, h.mult, h.unit, h.antipode
+    d, m, u, s, names = h.comult, h.mult, h.unit, h.antipode, h.basis_names
 
     elements = list(g.elements())
     pairs = [(a, b) for a in elements for b in elements]
     for a in elements:
-        run(_algebra_laws, (a,), m[a], u[a], _names(h, a))
+        run(_algebra_laws, (a,), m[a], u[a], names[a])
     for a, b in pairs:
         ab = g.mul(a, b)
         run(_comult_laws, (a, b), d[(a, b)], m[a], m[b], m[ab], u[a], u[b], u[ab],
-            _names(h, ab))
+            names[ab])
     report.extend(_diff_columns("counit-multiplicative", (), h.counit @ m[e],
-                                h.counit.kron(h.counit), namer=_pair_namer(_names(h, e), h.n(e))))
+                                h.counit.kron(h.counit), namer=_pair_namer(names[e], h.n(e))))
     eps1 = h.counit.apply(u[e])
     if eps1 != (f.one(),):
         report.extend([Violation("counit-unital", (), None, f"ε(1) = {f.render(eps1[0])}")])
     for a in elements:
         ai = g.inv(a)
         run(_antipode_axiom, (a,), m[a], s[ai], d[(ai, a)], d[(a, ai)], u[a], h.counit,
-            _names(h, e))
-        run(_antipode_laws, (a,), s[a], m[a], m[ai], u[a], u[ai], _names(h, ai))
+            names[e])
+        run(_antipode_laws, (a,), s[a], m[a], m[ai], u[a], u[ai], names[ai])
     for a, b in pairs:
         run(_antipode_comult, (a, b), d[(g.inv(b), g.inv(a))], s[g.mul(a, b)], s[a], s[b],
-            d[(a, b)], _names(h, g.mul(a, b)))
+            d[(a, b)], names[g.mul(a, b)])
     report.extend(_diff_columns("antipode-counit", (), h.counit @ s[e], h.counit,
-                                namer=_namer(_names(h, e))))
+                                namer=_namer(names[e])))
 
     if h.psi is not None:
         for a in elements:
-            run(_psi_laws, (a,), h.psi[a], m[a], m[e], u[a], u[e], _names(h, e))
+            run(_psi_laws, (a,), h.psi[a], m[a], m[e], u[a], u[e], names[e])
     return report
 
 
@@ -578,11 +572,10 @@ def constant_family(h1: HopfPiCoalgebra, grp: FiniteGroup) -> HopfPiCoalgebra:
     order = grp.order
     comult = {(a, b): h1.comult[(0, 0)] for a in grp.elements() for b in grp.elements()}
     psi1 = h1.psi[0] if h1.psi is not None else Matrix.identity(h1.field, n)
-    names = [h1.basis_names[0]] * order if h1.basis_names else None
     return HopfPiCoalgebra(
         grp, h1.field, [n] * order,
         comult, h1.counit,
         [h1.mult[0]] * order, [h1.unit[0]] * order, [h1.antipode[0]] * order,
         psi=[psi1] * order,
-        basis_names=names,
+        basis_names=[h1.basis_names[0]] * order,
     )

@@ -257,11 +257,19 @@ class CovariantBimodule:
         return self._omega[alpha]
 
     def frame_matrix(self, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
-        """frame_matrix(self, alpha, frame, side), built once per (grading,
+        """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
+        "right") for a frame W of Γ_α (column i is w_i), as left_α (I⊗W)
+        re-keyed to (i, m) or right_α (W⊗I); square and invertible iff Γ_α
+        is free on the frame from that side.  Built once per (grading,
         frame, side)."""
         key = (alpha, frame, side)
         if key not in self._frames:
-            self._frames[key] = frame_matrix(self, alpha, frame, side)
+            n = self.h.n(alpha)
+            if side == "left":
+                w = self.left[alpha].on_leg(frame, n, 1, 1).permute_legs((n, frame.cols), (1, 0), 1)
+            else:
+                w = self.right[alpha].on_leg(frame, 1, n, 1)
+            self._frames[key] = w
         return self._frames[key]
 
     def frame_inverse(self, alpha: int, frame: Matrix) -> Matrix:
@@ -278,18 +286,6 @@ class CovariantBimodule:
             except SingularMatrix:
                 raise StructureInconsistent(f"the frame does not span Γ_{alpha}") from None
         return self._inverses[key]
-
-
-def frame_matrix(cb: CovariantBimodule, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
-    """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
-    "right") for a frame W of Γ_α (column i is w_i), as left_α (I⊗W)
-    re-keyed to (i, m) or right_α (W⊗I); square and invertible iff Γ_α
-    is free on the frame from that side.  CovariantBimodule.frame_matrix
-    holds the matrices built."""
-    n = cb.h.n(alpha)
-    if side == "left":
-        return cb.left[alpha].on_leg(frame, n, 1, 1).permute_legs((n, frame.cols), (1, 0), 1)
-    return cb.right[alpha].on_leg(frame, 1, n, 1)
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:

@@ -47,14 +47,25 @@ from hopfpi.errors import (
     MissingCoaction,
     NotBicovariant,
 )
+from hopfpi.groups import cyclic
 from hopfpi.hopf import (
     HopfPiCoalgebra,
-    PiCoalgebra,
     VerificationReport,
     Violation,
     _diff_columns,
+    group_algebra,
 )
-from hopfpi.linalg import Field, Matrix, Subspace, kernel, quotient, solve, unit_vec, vec_kron
+from hopfpi.linalg import (
+    Field,
+    Matrix,
+    PrimeField,
+    Subspace,
+    kernel,
+    quotient,
+    solve,
+    unit_vec,
+    vec_kron,
+)
 from hopfpi.structure import (
     _SIDES,
     FRAME_MULT,
@@ -184,7 +195,7 @@ def quotient_section(ker: Subspace) -> Matrix:
 class GradedFunctional:
     """Element of ⊕_α A_α*, stored as one row vector per grading."""
 
-    def __init__(self, h: PiCoalgebra, components: dict):
+    def __init__(self, h: HopfPiCoalgebra, components: dict):
         self.h = h
         comp = {}
         for a, row in components.items():
@@ -224,7 +235,7 @@ class GradedFunctional:
         return self.components == other.components
 
 
-def convolution(h: PiCoalgebra, alpha: int, f_map: Matrix, beta: int, g_map: Matrix,
+def convolution(h: HopfPiCoalgebra, alpha: int, f_map: Matrix, beta: int, g_map: Matrix,
                 target_mult: Matrix) -> Matrix:
     """(f*g) = m ∘ (f⊗g) ∘ Δ_{α,β} for f : A_α → T, g : A_β → T, with
     `target_mult` the multiplication T ⊗ T → T."""
@@ -239,7 +250,7 @@ def group_product(grp, elems) -> int:
     return out
 
 
-def comult_path(h: PiCoalgebra, path) -> Matrix:
+def comult_path(h: HopfPiCoalgebra, path) -> Matrix:
     """The iterated comultiplication A_{α_1⋯α_k} → A_{α_1} ⊗ … ⊗ A_{α_k},
     right-nested as (I ⊗ Δ_{α_2…}) Δ_{α_1, α_2⋯α_k} with the identity
     factors built; coassociativity makes every bracketing equal."""
@@ -251,7 +262,7 @@ def comult_path(h: PiCoalgebra, path) -> Matrix:
     return Matrix.identity(h.field, h.n(path[0])).kron(rest) @ step
 
 
-def iterated_comult(h: PiCoalgebra, path, source) -> tuple:
+def iterated_comult(h: HopfPiCoalgebra, path, source) -> tuple:
     """comult_path(h, path) applied to `source`, an element of A_(product of path)."""
     return comult_path(h, path).apply(source)
 
@@ -982,7 +993,35 @@ def unshared(h: HopfPiCoalgebra) -> HopfPiCoalgebra:
         [_fresh(m) for m in h.mult], [tuple(list(u)) for u in h.unit],
         [_fresh(s) for s in h.antipode],
         psi=None if h.psi is None else [_fresh(p) for p in h.psi],
-        basis_names=None if h.basis_names is None else [tuple(list(ns)) for ns in h.basis_names])
+        basis_names=[tuple(list(ns)) for ns in h.basis_names])
+
+
+# ---------------------------------------------------------------------------
+# a family that is not constant
+
+
+def twisted_f7_z7() -> HopfPiCoalgebra:
+    """F_7[ℤ/7] twisted by π = ℤ/3 through φ_β : g ↦ g^(2^β), an
+    automorphism of ℤ/7 with φ_β φ_γ = φ_{β+γ} (2³ = 8 ≡ 1 mod 7).
+
+    A_α = F_7[ℤ/7] for every α, Δ_{α,β} = (φ_β⊗id)Δ, S_α = S∘φ_α and
+    Ψ_α = id.  Δ_{α,β} depends on β alone and S_α on α, so no two
+    gradings α ≠ α⁻¹ read the same operands, and a construction that
+    confuses α with α⁻¹, or reads the wrong Δ_{α,β}, fails here although
+    it passes on every constant family.
+    """
+    f = PrimeField(7)
+    base = group_algebra(cyclic(7), f)
+    n = base.n(0)
+    grading = cyclic(3)
+    one = f.one()
+    phi = [Matrix(f, n, n, {(i * 2 ** b % n, i): one for i in range(n)}) for b in range(3)]
+    comult_beta = [base.comult[(0, 0)].on_leg(p, 1, n, 0) for p in phi]
+    return HopfPiCoalgebra(
+        grading, f, [n] * 3,
+        {(a, b): comult_beta[b] for a in range(3) for b in range(3)}, base.counit,
+        base.mult * 3, base.unit * 3, [base.antipode[0] @ p for p in phi],
+        psi=[Matrix.identity(f, n)] * 3, basis_names=base.basis_names * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +1037,7 @@ def interchange_product(mul1: Matrix, mul2: Matrix, p: int, q: int, r: int, s: i
     return mul1.kron(mul2).permute_legs((p, r, q, s), (0, 2, 1, 3), 1)
 
 
-def pi_coalgebra_laws_by_kron(c: PiCoalgebra) -> VerificationReport:
+def pi_coalgebra_laws_by_kron(c: HopfPiCoalgebra) -> VerificationReport:
     """verify_pi_coalgebra with every identity factor built as a matrix."""
     g = c.group
     f = c.field

@@ -916,14 +916,34 @@ def test_bicovariance_computes_no_law(monkeypatch, fixture_dir, capsys):
 
 def test_check_bicovariant_requires_the_axioms(fixture_dir):
     """On a structure that fails its axioms, check_bicovariant raises the
-    memoised verdict, as to_bimodule does."""
+    memoised verdict, as to_bimodule does, on the calculus N = 0 that the
+    checked constructor builds there."""
     h = load_document(fixture_dir / "kz2_bad_antipode.json").hopf
     verdict = verify_all(h).violations
     assert verdict
-    calc = universal_calculus(h)
+    calc = calculus_from_kernels(h, [Subspace.zero_space(h.field, h.n(a) ** 2)
+                                     for a in h.group.elements()])
     for query in (check_bicovariant, lambda c: c.to_bimodule()):
         with pytest.raises(VerificationFailed) as err:
             query(calc)
+        assert err.value.report.violations == verdict
+
+
+def test_route_and_universal_calculi_require_the_axioms(fixture_dir):
+    """The universal calculus and the route calculi of every ideal, N = 0
+    included, refuse a structure that fails its axioms with the memoised
+    verdict of verify_all, before any sub-bimodule test."""
+    h = load_document(fixture_dir / "kz2_bad_antipode.json").hopf
+    verdict = verify_all(h).violations
+    assert verdict
+    ker_eps = h.counit_kernel()
+    ideals = [zero_ideal(h), right_ideal_from_generators(h, ker_eps.basis.to_rows())]
+    builds = [lambda: universal_calculus(h)] + [
+        lambda build=build, ideal=ideal: build(h, ideal)
+        for ideal in ideals for build in (calculus_from_ideal, calculus_from_ideal_right)]
+    for build in builds:
+        with pytest.raises(VerificationFailed) as err:
+            build()
         assert err.value.report.violations == verdict
 
 
@@ -1010,3 +1030,23 @@ def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir, capsys):
     rows = json.loads(capsys.readouterr().out)["tables"]["right ideals in ker ε"]["rows"]
     assert len(rows) > 1
     assert sorted(built) == [(name, a) for name in ("_ad_map", "_r_inv") for a in (0, 1)]
+
+
+@pytest.mark.parametrize("name", ["f7z3_constant_z2.json", "taft4_rational.json"])
+@pytest.mark.parametrize("route", [[], ["--right"]], ids=["left", "right"])
+def test_universal_calculus_builds_no_translation_map(monkeypatch, fixture_dir, capsys, name,
+                                                       route):
+    """The universal calculus is the calculus of N = 0, so a `calculus
+    --universal` job builds it directly, on either route: no r⁻¹ and no
+    t⁻¹ is built."""
+    import hopfpi.calculus as calc_mod
+
+    built = []
+    for label in ("_r_inv", "_t_inv"):
+        build = getattr(calc_mod, label)
+        monkeypatch.setattr(calc_mod, label,
+                            lambda h, a, label=label, build=build: built.append(label) or build(h, a))
+    argv = ["calculus", "--universal", *route, str(fixture_dir / name), "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "pass"
+    assert built == []

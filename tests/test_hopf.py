@@ -18,7 +18,7 @@ from hopfpi import (
     verify_hopf,
     verify_pi_coalgebra,
 )
-from hopfpi.errors import VerificationFailed
+from hopfpi.errors import DimensionMismatch, VerificationFailed
 from hopfpi.hopf import HOPF_CHECKS, PI_CHECKS, PSI_CHECKS
 from hopfpi.linalg import Matrix, PrimeField, QQ, vec_kron
 from oracles import (
@@ -120,6 +120,34 @@ def test_corrupted_antipode_violation(kz2):
     axiom = [v for v in report.violations if v.check.startswith("antipode-axiom")]
     assert axiom and all(v.basis_index == 1 for v in axiom)
     assert any(v.check == "antipode-invertible" for v in report.violations)
+
+
+def _renamed(h, names):
+    return HopfPiCoalgebra(h.group, h.field, h.dims, h.comult, h.counit, h.mult, h.unit,
+                           h.antipode, psi=h.psi, basis_names=names)
+
+
+def test_default_basis_names_are_filled_in_once_per_dimension(kz2):
+    """Names default to x0, x1, … at construction, one tuple object for
+    every component of one dimension, so a family built without names
+    shares them across gradings as it shares its matrices."""
+    bare = _renamed(kz2, None)
+    assert bare.basis_names == (("x0", "x1"),)
+    assert bare.render_element(0, (1, -1)) == "x0 - x1"
+    family = constant_family(bare, cyclic(3))
+    assert {id(ns) for ns in family.basis_names} == {id(bare.basis_names[0])}
+    assert verify_all(family).ok
+    unnamed = HopfPiCoalgebra(family.group, QQ, family.dims, family.comult, family.counit,
+                              family.mult, family.unit, family.antipode)
+    assert unnamed.basis_names == family.basis_names
+    assert len({id(ns) for ns in unnamed.basis_names}) == 1
+
+
+def test_basis_names_are_checked_at_construction(kz2):
+    """A list of names per component, each as long as the component."""
+    for names in ([("e",)], [("e", "u", "v")], [("e", "u"), ("e", "u")], []):
+        with pytest.raises(DimensionMismatch):
+            _renamed(kz2, names)
 
 
 def test_lemma_identities_hold_on_fixtures(all_fixtures):

@@ -32,7 +32,7 @@ from hopfpi import docio, hopf
 from hopfpi.docio import document_from_json
 from hopfpi.groups import group_from_table
 from hopfpi.linalg import Matrix, PrimeField, QQ
-from oracles import hopf_laws_by_kron, pi_coalgebra_laws_by_kron, unshared
+from oracles import hopf_laws_by_kron, pi_coalgebra_laws_by_kron, twisted_f7_z7, unshared
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 F5 = PrimeField(5)
@@ -57,6 +57,7 @@ def _families() -> dict:
                                  ("F5[Z/3]", lambda: group_algebra(cyclic(3), F5))):
             out[f"{base_label} over {label}"] = (
                 lambda b=base, g=grading: constant_family(b(), g()))
+    out["F7[Z/7] twisted by Z/3"] = twisted_f7_z7
     return out
 
 

@@ -1205,9 +1205,10 @@ def test_reconstruct_right_action_matches_the_product_chain(fixture_dir):
 def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsys):
     """One `structure --universal` run builds the frame matrix of each
     (grading, frame, side) once: extraction, the left-multiplication rules
-    and the round trip read the matrices built before."""
+    and the round trip read the matrices built before, so every read of
+    one (grading, frame, side) returns one Matrix object."""
     import json
-    from collections import Counter
+    from collections import defaultdict
 
     import hopfpi.structure as struct_mod
     from hopfpi.cli import main
@@ -1216,21 +1217,22 @@ def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsy
     h = load_document(path).hopf
     bim = universal_calculus(h).to_bimodule()
     omega = {a: bim.omega(a) for a in h.group.elements()}
-    built = Counter()
-    build = struct_mod.frame_matrix
+    built = defaultdict(dict)      # (grading, frame, side) -> {id: matrix returned}
+    read = struct_mod.CovariantBimodule.frame_matrix
 
     def counting(cb, alpha, frame, side="left"):
-        built[(alpha, frame, side)] += 1
-        return build(cb, alpha, frame, side)
+        w = read(cb, alpha, frame, side)
+        built[(alpha, frame, side)][id(w)] = w
+        return w
 
-    monkeypatch.setattr(struct_mod, "frame_matrix", counting)
+    monkeypatch.setattr(struct_mod.CovariantBimodule, "frame_matrix", counting)
     assert main(["structure", "--universal", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"] == "pass"
     assert {(a, omega[a], side) for a in h.group.elements()
             for side in ("left", "right")} <= built.keys()
     assert {(a, side) for a, _, side in built} == {
         (a, side) for a in h.group.elements() for side in ("left", "right")}
-    assert set(built.values()) == {1}, built.values()
+    assert {len(objects) for objects in built.values()} == {1}, built
 
 
 @pytest.mark.parametrize("name", ["f7z3_constant_z2.json", "kz2_rational.json", "f7_z3.json"])
