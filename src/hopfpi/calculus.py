@@ -24,8 +24,17 @@ and column j of the product is nonzero exactly when basis vector j of
 N_{αβ} leaves; sub-bimodule closure and ad-invariance are tested the
 same way, and so is right-ideal closure: R ⊆ A_1 is a right ideal iff
 P_R m_1 (ι_R ⊗ I) = 0 (_first_escape, which enumeration runs in ker-ε
-coordinates).  Φ^l, Φ^r, r_α^{-1}, t_α^{-1} and ad_α depend only on the
-Hopf structure and are built once per structure (HopfPiCoalgebra.derived).
+coordinates).
+
+What a calculus reads is built once per distinct tuple of operand objects
+(an OperandMemo), so gradings that read the same objects share it.  Per
+Hopf structure (HopfPiCoalgebra.shared): A²_α by (m_α, 1_α), with one
+zero N per A²_α for the universal calculus, and Φ^l and Φ^r by (side,
+Δ_{α,β}, m).  Per calculus (Fodc.shared): the maps of Γ_α (ι, P, lift,
+drop, d and the two actions) by (A²_α, N_α), each containment by (Φ,
+ι_{αβ}, P) and each induced coaction by (Φ, lift, drop).  r_α^{-1},
+t_α^{-1}, ad_α and the route kernels N_α are built once per structure
+and grading (HopfPiCoalgebra.derived), not shared across gradings.
 
 The adjoint coaction ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1⊗A_α
 characterises bicovariance: the r-route calculus of R is bicovariant iff
@@ -48,8 +57,10 @@ from .errors import (
 )
 from .hopf import (
     HopfPiCoalgebra,
+    OperandMemo,
     VerificationReport,
     Violation,
+    checker,
     require_axioms,
 )
 from .linalg import (
@@ -68,25 +79,35 @@ from .structure import CovariantBimodule
 # the universal bimodule A²
 
 
+class _Square:
+    """A²_α = ker m_α of one grading: the kernel, its inclusion into
+    A_α⊗A_α and D_α(b) = 1⊗b − b⊗1, with the m_α the actions read; built
+    once per (m_α, 1_α)."""
+
+    def __init__(self, mult: Matrix, unit: tuple):
+        f = mult.field
+        n = mult.rows
+        self.mult = mult
+        self.sub = kernel(mult)
+        self.incl = self.sub.inclusion_matrix()
+        u = Matrix.column(f, unit)
+        self.D = u.kron(Matrix.identity(f, n)) - Matrix.identity(f, n).kron(u)
+
+
 class UniversalBimodule:
     """Per-grading kernels of multiplication, their inclusion matrices
     into A_α⊗A_α, and D.  The A-actions on
     A_α⊗A_α multiply the outer legs: m_α on the first leg from the left,
-    on the second from the right.  It holds no reference to h, which
+    on the second from the right.  Each grading is one A²_α shared by the
+    gradings with the same (m_α, 1_α).  It holds no reference to h, which
     memoises it (universal_bimodule), so the two form no cycle."""
 
     def __init__(self, h: HopfPiCoalgebra):
-        f = h.field
-        self.sub: list[Subspace] = []
-        self.incl: list[Matrix] = []
-        self.D: list[Matrix] = []
-        for a in h.group.elements():
-            n = h.n(a)
-            self.sub.append(kernel(h.mult[a]))
-            self.incl.append(self.sub[a].inclusion_matrix())
-            one_tensor = Matrix.column(f, h.unit[a]).kron(Matrix.identity(f, n))
-            tensor_one = Matrix.identity(f, n).kron(Matrix.column(f, h.unit[a]))
-            self.D.append(one_tensor - tensor_one)
+        self.at: list[_Square] = [h.shared(_Square, h.mult[a], h.unit[a])
+                                  for a in h.group.elements()]
+        self.sub: list[Subspace] = [sq.sub for sq in self.at]
+        self.incl: list[Matrix] = [sq.incl for sq in self.at]
+        self.D: list[Matrix] = [sq.D for sq in self.at]
 
     def dim(self, alpha: int) -> int:
         return self.sub[alpha].dim
@@ -101,39 +122,39 @@ def universal_bimodule(h: HopfPiCoalgebra) -> UniversalBimodule:
 # the coactions Φ^l, Φ^r on A⊗A and the r/t translation maps
 
 
-def _paired_comult(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
-    """u⊗v ↦ u_(1,α) ⊗ v_(1,α) ⊗ u_(2,β) ⊗ v_(2,β)."""
-    na, nb = h.n(alpha), h.n(beta)
-    d = h.comult[(alpha, beta)]
+def _paired_comult(d: Matrix, na: int, nb: int) -> Matrix:
+    """u⊗v ↦ u_(1,α) ⊗ v_(1,α) ⊗ u_(2,β) ⊗ v_(2,β), for d = Δ_{α,β}."""
     return d.kron(d).permute_legs((na, nb, na, nb), (0, 2, 1, 3), 0)
+
+
+def _phi_l(d: Matrix, m_a: Matrix) -> Matrix:
+    na = m_a.rows
+    nb = d.rows // na
+    return _paired_comult(d, na, nb).on_leg(m_a, 1, nb * nb, 0)
+
+
+def _phi_r(d: Matrix, m_b: Matrix) -> Matrix:
+    nb = m_b.rows
+    na = d.rows // nb
+    return _paired_comult(d, na, nb).on_leg(m_b, na * na, 1, 0)
 
 
 def phi_l(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     """Φ^l_{α,β} : A_{αβ}⊗A_{αβ} → A_α ⊗ A_β ⊗ A_β.
 
     u⊗v ↦ u_(1,α)v_(1,α) ⊗ u_(2,β) ⊗ v_(2,β); restricted to A²_{αβ} it
-    lands in A_α ⊗ A²_β.
+    lands in A_α ⊗ A²_β.  Built once per (Δ_{α,β}, m_α).
     """
-    nb = h.n(beta)
-    return _paired_comult(h, alpha, beta).on_leg(h.mult[alpha], 1, nb * nb, 0)
+    return h.shared(_phi_l, h.comult[(alpha, beta)], h.mult[alpha])
 
 
 def phi_r(h: HopfPiCoalgebra, alpha: int, beta: int) -> Matrix:
     """Φ^r_{α,β} : A_{αβ}⊗A_{αβ} → A_α ⊗ A_α ⊗ A_β.
 
     u⊗v ↦ u_(1,α) ⊗ v_(1,α) ⊗ u_(2,β)v_(2,β); restricted to A²_{αβ} it
-    lands in A²_α ⊗ A_β.
+    lands in A²_α ⊗ A_β.  Built once per (Δ_{α,β}, m_β).
     """
-    na = h.n(alpha)
-    return _paired_comult(h, alpha, beta).on_leg(h.mult[beta], na * na, 1, 0)
-
-
-def _phi(h: HopfPiCoalgebra, side: str, alpha: int, beta: int) -> Matrix:
-    """Φ^l_{α,β} (side "left") or Φ^r_{α,β} (side "right"), built once per
-    Hopf structure: it depends on nothing else, so every calculus on h
-    shares it."""
-    build = phi_l if side == "left" else phi_r
-    return h.derived(("phi", side, alpha, beta), lambda: build(h, alpha, beta))
+    return h.shared(_phi_r, h.comult[(alpha, beta)], h.mult[beta])
 
 
 def r_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -276,6 +297,46 @@ def zero_ideal(h: HopfPiCoalgebra) -> RightIdeal:
 # calculi
 
 
+class _Quotient:
+    """Γ_α = A²_α/N_α of one grading, built once per (A²_α, N_α): the
+    inclusion ι of N_α, the projection P of A_α⊗A_α whose kernel is N_α,
+    and the section (lift) and projection (drop) of Γ_α; d and the two
+    module actions on first read (see Fodc)."""
+
+    def __init__(self, square: _Square, kernel: Subspace):
+        f = kernel.field
+        self.square = square
+        self.incl = kernel.inclusion_matrix()
+        # P has kernel exactly N_α, so v ∈ N_α ⇔ P v = 0: containments are
+        # decided by products with P
+        self.proj = quotient(kernel)
+        one = f.one()
+        sub, n_pivots = square.sub, kernel.pivots
+        skip = set(n_pivots)
+        kept = [(k, p) for k, p in enumerate(sub.pivots) if p not in skip]
+        # 0/1 selectors: basis vector k of A²_α; the row of P at a column p
+        # that is not a pivot of N_α, which is p less the pivots before it
+        self.lift = square.incl @ Matrix(
+            f, sub.dim, len(kept), {(k, i): one for i, (k, _) in enumerate(kept)})
+        self.drop = Matrix(f, len(kept), self.proj.rows, {
+            (i, p - bisect_left(n_pivots, p)): one for i, (_, p) in enumerate(kept)
+        }) @ self.proj
+
+    @cached_property
+    def d(self) -> Matrix:
+        return self.drop @ self.square.D
+
+    @cached_property
+    def left(self) -> Matrix:
+        m = self.square.mult
+        return self.drop.on_leg(m, 1, m.rows, 1).on_leg(self.lift, m.rows, 1, 1)
+
+    @cached_property
+    def right(self) -> Matrix:
+        m = self.square.mult
+        return self.drop.on_leg(m, m.rows, 1, 1).on_leg(self.lift, 1, m.rows, 1)
+
+
 class Fodc:
     """A first-order differential calculus Γ = A²/N with d = Π ∘ D.
 
@@ -285,7 +346,10 @@ class Fodc:
     d_α and the two module actions on Γ_α are built on first read, and
     the induced coactions on the first `induced_delta_l/r` or
     `to_bimodule` call; a job that reads only dimensions and covariance
-    verdicts builds none of them.
+    verdicts builds none of them.  Each grading's maps are built once per
+    (A²_α, N_α), each containment once per (Φ, ι_{αβ}, P) and each induced
+    coaction once per (Φ, lift, drop), in the calculus's own OperandMemo
+    (`shared`), so they live as long as the calculus.
 
     N is a sub-bimodule of A², which `to_bimodule` relies on.  The public
     constructor proves it (CodomainViolation otherwise).  The universal
@@ -326,53 +390,34 @@ class Fodc:
         self.kernels = list(kernels)
         self._covariance: dict = {}    # side -> containment report
         self._coactions: dict = {}     # side -> induced coactions by (α, β)
-        f = h.field
+        self.shared = OperandMemo()    # the maps of this calculus, by operand tuple
         g = h.group
 
         if len(self.kernels) != g.order:
             raise DimensionMismatch("one kernel subspace per grading required")
-        self.incl: list[Matrix] = []   # ι_α includes N_α into A_α⊗A_α
         for a in g.elements():
             if self.kernels[a].ambient_dim != h.n(a) ** 2:
                 raise DimensionMismatch(f"kernel at {a} has wrong ambient dimension")
-            self.incl.append(self.kernels[a].inclusion_matrix())
-        # P_α has kernel exactly N_α, so v ∈ N_α ⇔ P_α v = 0: containments
-        # are decided by products with P
-        self.proj: list[Matrix] = [quotient(k) for k in self.kernels]
-
-        self.lift: list[Matrix] = []   # Γ_α → ambient A_α⊗A_α (canonical section)
-        self.drop: list[Matrix] = []   # A²_α (ambient) → Γ_α
-        one = f.one()
-        for a in g.elements():
-            sub, n_pivots = self.asq.sub[a], self.kernels[a].pivots
-            skip = set(n_pivots)
-            kept = [(k, p) for k, p in enumerate(sub.pivots) if p not in skip]
-            # 0/1 selectors: basis vector k of A²_α; the row of P_α at a column
-            # p that is not a pivot of N_α, which is p less the pivots before it
-            self.lift.append(self.asq.incl[a] @ Matrix(
-                f, sub.dim, len(kept), {(k, i): one for i, (k, _) in enumerate(kept)}))
-            self.drop.append(Matrix(f, len(kept), self.proj[a].rows, {
-                (i, p - bisect_left(n_pivots, p)): one for i, (_, p) in enumerate(kept)
-            }) @ self.proj[a])
+        self._at = [self.shared(_Quotient, self.asq.at[a], self.kernels[a]) for a in g.elements()]
+        self.incl: list[Matrix] = [q.incl for q in self._at]   # ι_α includes N_α into A_α⊗A_α
+        self.proj: list[Matrix] = [q.proj for q in self._at]   # P_α, kernel exactly N_α
+        self.lift: list[Matrix] = [q.lift for q in self._at]   # Γ_α → ambient A_α⊗A_α
+        self.drop: list[Matrix] = [q.drop for q in self._at]   # A²_α (ambient) → Γ_α
 
     @cached_property
     def d(self) -> list[Matrix]:
         """d_α = drop_α ∘ D_α : A_α → Γ_α."""
-        return [drop @ dd for drop, dd in zip(self.drop, self.asq.D)]
+        return [q.d for q in self._at]
 
     @cached_property
     def left(self) -> list[Matrix]:
         """The left action A_α⊗Γ_α → Γ_α, drop ∘ (m⊗I) ∘ (I⊗lift)."""
-        h = self.h
-        return [self.drop[a].on_leg(h.mult[a], 1, h.n(a), 1).on_leg(self.lift[a], h.n(a), 1, 1)
-                for a in h.group.elements()]
+        return [q.left for q in self._at]
 
     @cached_property
     def right(self) -> list[Matrix]:
         """The right action Γ_α⊗A_α → Γ_α, drop ∘ (I⊗m) ∘ (lift⊗I)."""
-        h = self.h
-        return [self.drop[a].on_leg(h.mult[a], h.n(a), 1, 1).on_leg(self.lift[a], 1, h.n(a), 1)
-                for a in h.group.elements()]
+        return [q.right for q in self._at]
 
     def _check_sub_bimodule(self):
         """N_α ⊆ A²_α for every α, then A_α·N_α ⊆ N_α ⊇ N_α·A_α; names the
@@ -425,42 +470,63 @@ class Fodc:
         """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
         h = self.h
         report = VerificationReport()
+        run = checker(report)
         for a in h.group.elements():
-            n = h.n(a)
-            lhs = self.d[a] @ h.mult[a]
-            rhs = self.right[a].on_leg(self.d[a], 1, n, 1) + self.left[a].on_leg(self.d[a], n, 1, 1)
-            for _, j in sorted(differing_blocks(lhs, rhs, (lhs.rows, 1))):
-                report.extend([Violation("leibniz", (a,), j, "d(ab) ≠ d(a)b + a d(b)")])
+            run(_leibniz, (a,), self.d[a], h.mult[a], self.left[a], self.right[a])
         return report
 
     def surjectivity_report(self) -> VerificationReport:
         """Every ρ ∈ Γ_α is a combination of a·d(b) over basis pairs."""
-        h = self.h
         report = VerificationReport()
-        for a in h.group.elements():
-            # column (i, j) is e_i · d(e_j)
-            span = image(self.left[a].on_leg(self.d[a], h.n(a), 1, 1))
-            if span.dim != self.dim(a):
-                report.extend([Violation("surjectivity", (a,), None,
-                                         f"span of a·d(b) has dim {span.dim} < {self.dim(a)}")])
+        run = checker(report)
+        for a in self.h.group.elements():
+            run(_surjectivity, (a,), self.left[a], self.d[a])
         return report
 
 
+def _leibniz(d: Matrix, m: Matrix, left: Matrix, right: Matrix) -> list[Violation]:
+    n = m.rows
+    lhs = d @ m
+    rhs = right.on_leg(d, 1, n, 1) + left.on_leg(d, n, 1, 1)
+    return [Violation("leibniz", (), j, "d(ab) ≠ d(a)b + a d(b)")
+            for _, j in sorted(differing_blocks(lhs, rhs, (lhs.rows, 1)))]
+
+
+def _surjectivity(left: Matrix, d: Matrix) -> list[Violation]:
+    # column (i, j) is e_i · d(e_j)
+    span = image(left.on_leg(d, d.cols, 1, 1))
+    if span.dim == d.rows:
+        return []
+    return [Violation("surjectivity", (), None, f"span of a·d(b) has dim {span.dim} < {d.rows}")]
+
+
+def _zero_kernel(square: _Square) -> Subspace:
+    return Subspace.zero_space(square.sub.field, square.sub.ambient_dim)
+
+
 def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
-    """Γ = A² itself (N = 0), the universal calculus."""
-    return Fodc._trusted(h, lambda a: Subspace.zero_space(h.field, h.n(a) ** 2))
+    """Γ = A² itself (N = 0), the universal calculus; N_α is one zero
+    subspace per A²_α, so gradings with the same A²_α share all of Γ_α."""
+    asq = universal_bimodule(h)
+    return Fodc._trusted(h, lambda a: h.shared(_zero_kernel, asq.at[a]))
 
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     """Left covariant calculus with N_α = r_α^{-1}(A_α ⊗ R), the image of
-    r_α^{-1} ∘ (I ⊗ ι_R)."""
+    r_α^{-1} ∘ (I ⊗ ι_R); the universal calculus when R = 0, which
+    builds no r_α^{-1}."""
+    if ideal.dim == 0:
+        return universal_calculus(h)
     incl = ideal.subspace.inclusion_matrix()
     return Fodc._trusted(h, lambda a: image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)))
 
 
 def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     """Right covariant calculus with N_α = t_α^{-1}(R ⊗ A_α), the image of
-    t_α^{-1} ∘ (ι_R ⊗ I)."""
+    t_α^{-1} ∘ (ι_R ⊗ I); the universal calculus when R = 0, which
+    builds no t_α^{-1}."""
+    if ideal.dim == 0:
+        return universal_calculus(h)
     incl = ideal.subspace.inclusion_matrix()
     return Fodc._trusted(h, lambda a: image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)))
 
@@ -480,7 +546,7 @@ def _covariance(calc: Fodc, side: str) -> VerificationReport:
     Left: Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β, decided as
     (I ⊗ P_β) Φ^l ι_{αβ} = 0; right: Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β, decided as
     (P_α ⊗ I) Φ^r ι_{αβ} = 0.  A nonzero column j names the basis vector of
-    N_{αβ} that leaves.
+    N_{αβ} that leaves.  Each product is computed once per (Φ, ι_{αβ}, P).
     """
     memo = calc._covariance.get(side)
     if memo is not None:
@@ -493,14 +559,23 @@ def _covariance(calc: Fodc, side: str) -> VerificationReport:
     report = VerificationReport()
     pairs = [(a, b) for a in g.elements() for b in g.elements()]
     for a, b in pairs:
-        # right to left: Φ ι has dim N_{αβ} columns, none for the universal calculus
-        moved = _phi(h, side, a, b) @ calc.incl[g.mul(a, b)]
-        outside = (moved.on_leg(calc.proj[b], h.n(a), 1, 0) if left
-                   else moved.on_leg(calc.proj[a], 1, h.n(b), 0))
-        report.extend(Violation(f"{side}-covariance", (a, b), j, detail)
-                      for j in _nonzero_columns(outside))
+        incl = calc.incl[g.mul(a, b)]
+        leaving = (calc.shared(_leaving_left, phi_l(h, a, b), incl, calc.proj[b]) if left
+                   else calc.shared(_leaving_right, phi_r(h, a, b), incl, calc.proj[a]))
+        report.extend(Violation(f"{side}-covariance", (a, b), j, detail) for j in leaving)
     calc._covariance[side] = report
     return report
+
+
+def _leaving_left(phi: Matrix, incl: Matrix, proj: Matrix) -> list[int]:
+    """The columns of (I ⊗ P_β) Φ^l ι_{αβ} that are not zero."""
+    # right to left: Φ ι has dim N_{αβ} columns, none for the universal calculus
+    return _nonzero_columns((phi @ incl).on_leg(proj, phi.rows // proj.cols, 1, 0))
+
+
+def _leaving_right(phi: Matrix, incl: Matrix, proj: Matrix) -> list[int]:
+    """The columns of (P_α ⊗ I) Φ^r ι_{αβ} that are not zero."""
+    return _nonzero_columns((phi @ incl).on_leg(proj, 1, phi.rows // proj.cols, 0))
 
 
 def _coactions(calc: Fodc, side: str) -> dict | None:
@@ -515,18 +590,28 @@ def _coactions(calc: Fodc, side: str) -> dict | None:
 
 def _induced_coactions(calc: Fodc, side: str) -> dict:
     """The maps Δ_{α,β} that Φ induces on the quotients: drop ∘ Φ ∘ lift,
-    well defined once the containment of `side` holds.  The Φ that decided
-    the verdict serves here too."""
+    well defined once the containment of `side` holds, each built once per
+    (Φ, lift, drop).  The Φ that decided the verdict serves here too."""
     h = calc.h
     g = h.group
-    left = side == "left"
     coactions = {}
     for a in g.elements():
         for b in g.elements():
-            lifted = _phi(h, side, a, b) @ calc.lift[g.mul(a, b)]
-            coactions[(a, b)] = (lifted.on_leg(calc.drop[b], h.n(a), 1, 0) if left
-                                 else lifted.on_leg(calc.drop[a], 1, h.n(b), 0))
+            lift = calc.lift[g.mul(a, b)]
+            coactions[(a, b)] = (calc.shared(_descend_left, phi_l(h, a, b), lift, calc.drop[b])
+                                 if side == "left" else
+                                 calc.shared(_descend_right, phi_r(h, a, b), lift, calc.drop[a]))
     return coactions
+
+
+def _descend_left(phi: Matrix, lift: Matrix, drop: Matrix) -> Matrix:
+    """(I ⊗ drop_β) Φ^l lift_{αβ} : Γ_{αβ} → A_α ⊗ Γ_β."""
+    return (phi @ lift).on_leg(drop, phi.rows // drop.cols, 1, 0)
+
+
+def _descend_right(phi: Matrix, lift: Matrix, drop: Matrix) -> Matrix:
+    """(drop_α ⊗ I) Φ^r lift_{αβ} : Γ_{αβ} → Γ_α ⊗ A_β."""
+    return (phi @ lift).on_leg(drop, 1, phi.rows // drop.cols, 0)
 
 
 def _nonzero_columns(m: Matrix) -> list[int]:

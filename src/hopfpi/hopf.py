@@ -17,11 +17,13 @@ The counit axiom is enforced in the identity form
 Each identity is a pure function of the objects it reads (the Δ, m, S,
 Ψ matrices, the unit tuples and the basis-name tuples of its witness
 text).  Within one verify call it is computed once per distinct tuple of
-operand objects, and its violations are stamped with each grading that
-reads that tuple, in grading order, so the report is the one that
-checking every grading would give.  Families often repeat components
-across gradings (a constant family has Δ_{α,β} = Δ for all α, β), and
-docio parses each repeated block of a document into one shared object.
+operand objects (OperandMemo), and its violations are stamped with each
+grading that reads that tuple, in grading order, so the report is the one
+that checking every grading would give (checker).  Families often repeat
+components across gradings (a constant family has Δ_{α,β} = Δ for all
+α, β), and docio parses each repeated block of a document into one shared
+object.  The calculus and structure layers share their per-grading maps
+and identities the same way (HopfPiCoalgebra.derived).
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ class HopfPiCoalgebra:
                            for n in self.dims]
         self.basis_names = tuple(tuple(ns) for ns in basis_names)
         self._derived: dict = {}     # key -> value, see derived
+        self.shared = OperandMemo()
         self._validate_shapes()
 
     def n(self, alpha: int) -> int:
@@ -157,11 +160,21 @@ class HopfPiCoalgebra:
     def derived(self, key: tuple, build):
         """build(), computed once per structure and memoised under `key`.
 
-        For what depends on the structure alone (the axiom verdict of
-        verify_all, A², Φ, r⁻¹, t⁻¹, ad, S⁻¹, ker ε and the right action of
-        A_1 on ker ε in its own coordinates): every caller shares
-        one value.  Values are never mutated, and none refers back to the
-        structure, so the memo forms no reference cycle.
+        For what depends on the structure as a whole or is built per
+        grading (the axiom verdict of verify_all, A² as a whole, r⁻¹, t⁻¹,
+        ad, S⁻¹, ker ε and the right action of A_1 on ker ε in its own
+        coordinates): every caller shares one value.  r⁻¹, t⁻¹, ad and the
+        route kernels N_α = r_α⁻¹(A_α⊗R) are still built per grading.
+
+        What is a function of a few of the structure's own objects goes
+        through `shared` instead, an OperandMemo that computes it once per
+        distinct operand tuple, so gradings that read the same operands
+        share it: A²_α by (m_α, 1_α), its zero subspace, and Φ^l, Φ^r by
+        (side, Δ_{α,β}, m).  A calculus and a bimodule hold memos of the
+        same kind for their own maps (Fodc.shared, CovariantBimodule.shared),
+        so those live as long as they do.  Values are never mutated, and
+        none refers back to the structure, so neither memo forms a
+        reference cycle.
         """
         memo = self._derived
         if key not in memo:
@@ -257,7 +270,7 @@ PSI_CHECKS = ("psi-multiplicative", "psi-unital")
 
 # Each check below is a pure function of the objects it reads: matrices,
 # unit tuples and basis-name tuples; every dimension is read off a matrix
-# shape.  Its violations carry the empty grading, which _checker stamps
+# shape.  Its violations carry the empty grading, which checker stamps
 # with the grading being checked.
 
 
@@ -373,24 +386,48 @@ def _psi_laws(p, m_a, m_e, u_a, u_e, names_e):
     return out
 
 
-def _checker(report: VerificationReport):
+class OperandMemo:
+    """memo(fn, *operands) is fn(*operands), computed once per distinct
+    tuple of operand objects.
+
+    The key is fn and the ids of the operands, so a family that repeats
+    its components across gradings (a constant family, or one parsed by
+    docio, which shares repeated blocks) computes what those gradings read
+    once.  Each entry holds its operands, so no id in a key is reused while
+    the memo is alive.  Operands are never mutated, and fn must be a pure
+    function of them; a call that raises stores nothing.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: dict = {}
+
+    def __call__(self, fn, *operands):
+        key = (fn, *map(id, operands))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = (operands, fn(*operands))
+        return entry[1]
+
+
+def stamped(violations, grading) -> list[Violation]:
+    """The violations of a grading-free identity, stamped with `grading`."""
+    return [Violation(v.check, grading, v.basis_index, v.detail) for v in violations]
+
+
+def checker(report: VerificationReport):
     """run(check, grading, *operands): the violations of check(*operands),
     stamped with `grading`, appended to `report`.
 
-    Each check is computed once per distinct tuple of operand objects, so
-    a family that repeats its components across gradings (a constant
-    family, or one parsed by docio, which shares repeated blocks) is not
-    re-checked at every grading.  The memo lives for one verify call and
-    holds its operands, so no id in a key is reused while it is alive.
+    check returns violations with the empty grading and is computed once
+    per distinct operand tuple (an OperandMemo that lives as long as run),
+    so the report is the one that checking every grading would give.
     """
-    memo: dict = {}
+    memo = OperandMemo()
 
     def run(check, grading, *operands):
-        key = (check, *map(id, operands))
-        if key not in memo:
-            memo[key] = (operands, check(*operands))
-        report.extend(Violation(v.check, grading, v.basis_index, v.detail)
-                      for v in memo[key][1])
+        report.extend(stamped(memo(check, *operands), grading))
 
     return run
 
@@ -400,7 +437,7 @@ def verify_pi_coalgebra(c: HopfPiCoalgebra) -> VerificationReport:
     g = c.group
     e = g.identity
     report = VerificationReport()
-    run = _checker(report)
+    run = checker(report)
     d, names = c.comult, c.basis_names
     for a in g.elements():
         for b in g.elements():
@@ -423,7 +460,7 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
     f = h.field
     e = g.identity
     report = VerificationReport()
-    run = _checker(report)
+    run = checker(report)
     d, m, u, s, names = h.comult, h.mult, h.unit, h.antipode, h.basis_names
 
     elements = list(g.elements())

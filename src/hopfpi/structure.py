@@ -57,8 +57,19 @@ with the report of its identities; a failed identity is a violation
 there, never an exception.  The η frame has one source, eta_basis, which
 builds it from R.  extract_structure runs the steps and every check in
 order, the round trip last, and keeps a step's data only when its report
-passes.  Every violation carries one of the six names of CHECKS, and its
-witness names the exact identity:
+passes.
+
+Every step is computed once per distinct tuple of the objects it reads,
+so a family that repeats its components across gradings is extracted
+once per distinct component: ω, η, the frame matrices and their
+inverses and the coefficient maps through the bimodule's memo
+(CovariantBimodule.shared), the rest within the call that needs them.
+Each check states its identity per grading as a pure function of its
+operands; hopf.checker computes it once per operand tuple and stamps its
+violations with each grading that reads the tuple, in loop order, so the
+report is the one that checking every grading gives.  Every violation
+carries one of the six names of CHECKS, and its witness names the exact
+identity:
 
     frame-multiplicativity             f and g are characters, the rules
                                        F = f*·, G = ·*g and the left-
@@ -94,10 +105,13 @@ from .errors import (
 )
 from .hopf import (
     HopfPiCoalgebra,
+    OperandMemo,
     VerificationReport,
     Violation,
     act_on_pairs,
+    checker,
     require_axioms,
+    stamped,
 )
 from .linalg import Matrix, Subspace, differing_blocks, kernel
 
@@ -147,9 +161,7 @@ class CovariantBimodule:
         self.right = list(right)
         self.delta_l = dict(delta_l) if delta_l is not None else None
         self.delta_r = dict(delta_r) if delta_r is not None else None
-        self._omega: dict[int, Subspace] = {}
-        self._frames: dict[tuple, Matrix] = {}
-        self._inverses: dict[tuple, Matrix] = {}
+        self.shared = OperandMemo()    # frames and structure data, by operand tuple
 
     def g(self, alpha: int) -> int:
         return self.dims[alpha]
@@ -244,58 +256,68 @@ class CovariantBimodule:
         return report
 
     # -- frames ---------------------------------------------------------------
+    # Each is built once per distinct tuple of the objects it reads
+    # (`shared`), so gradings that read the same coaction, action and frame
+    # share it.
 
     def omega(self, alpha: int) -> Matrix:
         """W_α, the g_α × |I| matrix whose column i is ω_i, the canonical
         left-invariant basis of Γ_α (echelon order)."""
-        return self.omega_space(alpha).inclusion_matrix()
+        return self.shared(Subspace.inclusion_matrix, self.omega_space(alpha))
 
     def omega_space(self, alpha: int) -> Subspace:
         """The left-invariant subspace of Γ_α, with its echelon pivots."""
-        if alpha not in self._omega:
-            self._omega[alpha] = invariant_subspace_left(self, alpha)
-        return self._omega[alpha]
+        return invariant_subspace_left(self, alpha)
 
     def frame_matrix(self, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
         """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
         "right") for a frame W of Γ_α (column i is w_i), as left_α (I⊗W)
         re-keyed to (i, m) or right_α (W⊗I); square and invertible iff Γ_α
-        is free on the frame from that side.  Built once per (grading,
-        frame, side)."""
-        key = (alpha, frame, side)
-        if key not in self._frames:
-            n = self.h.n(alpha)
-            if side == "left":
-                w = self.left[alpha].on_leg(frame, n, 1, 1).permute_legs((n, frame.cols), (1, 0), 1)
-            else:
-                w = self.right[alpha].on_leg(frame, 1, n, 1)
-            self._frames[key] = w
-        return self._frames[key]
+        is free on the frame from that side.  Built once per (action,
+        frame, m_α)."""
+        if side == "left":
+            return self.shared(_frame_left, self.left[alpha], frame, self.h.mult[alpha])
+        return self.shared(_frame_right, self.right[alpha], frame, self.h.mult[alpha])
 
     def frame_inverse(self, alpha: int, frame: Matrix) -> Matrix:
         """The inverse of frame_matrix(alpha, frame), ρ ↦ its coefficients
-        (i, m) over the frame, built once per (grading, frame); an error
-        unless Γ_α is free on the frame."""
-        key = (alpha, frame)
-        if key not in self._inverses:
-            w = self.frame_matrix(alpha, frame)
-            if w.rows != w.cols:
-                raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
-            try:
-                self._inverses[key] = w.inverse()
-            except SingularMatrix:
-                raise StructureInconsistent(f"the frame does not span Γ_{alpha}") from None
-        return self._inverses[key]
+        (i, m) over the frame, built once per frame matrix; an error unless
+        Γ_α is free on the frame."""
+        w = self.frame_matrix(alpha, frame)
+        if w.rows != w.cols:
+            raise DimensionMismatch(f"Γ_{alpha} is not free on the frame")
+        try:
+            return self.shared(Matrix.inverse, w)
+        except SingularMatrix:
+            raise StructureInconsistent(f"the frame does not span Γ_{alpha}") from None
+
+
+# Dimensions are read off the operands' shapes: n_α off m_α (n_α × n_α²),
+# never off a frame or a map of Γ_α, either of which may be empty.
+
+
+def _frame_left(left: Matrix, frame: Matrix, m: Matrix) -> Matrix:
+    n = m.rows
+    return left.on_leg(frame, n, 1, 1).permute_legs((n, frame.cols), (1, 0), 1)
+
+
+def _frame_right(right: Matrix, frame: Matrix, m: Matrix) -> Matrix:
+    return right.on_leg(frame, 1, m.rows, 1)
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
-    """{ρ ∈ Γ_α : Δ^l_{1,α}(ρ) = 1_1 ⊗ ρ}, canonical echelon basis."""
+    """{ρ ∈ Γ_α : Δ^l_{1,α}(ρ) = 1_1 ⊗ ρ}, canonical echelon basis; built
+    once per (Δ^l_{1,α}, 1_1)."""
     if cb.delta_l is None:
         raise MissingCoaction("no left coaction present")
     h = cb.h
     e = h.group.identity
-    ins = h.unit_col(e).kron(Matrix.identity(h.field, cb.g(alpha)))
-    return kernel(cb.delta_l[(e, alpha)] - ins)
+    return cb.shared(_left_invariants, cb.delta_l[(e, alpha)], h.unit[e])
+
+
+def _left_invariants(delta: Matrix, unit: tuple) -> Subspace:
+    f = delta.field
+    return kernel(delta - Matrix.column(f, unit).kron(Matrix.identity(f, delta.cols)))
 
 
 def _frame_size(cb: CovariantBimodule) -> int:
@@ -337,69 +359,99 @@ def _compare(report: VerificationReport, check: str, grading, lhs: Matrix, rhs: 
         report.extend([Violation(check, tuple(grading), first, identity)])
 
 
+def _identity(check: str, lhs: Matrix, rhs: Matrix, identity: str) -> list[Violation]:
+    """The violations of one identity of a grading-free check: _compare
+    with the empty grading, which the checker stamps."""
+    report = VerificationReport()
+    _compare(report, check, (), lhs, rhs, identity)
+    return report.violations
+
+
 def _vec_identity(f, size: int) -> Matrix:
     """vec(I), the |I|² × 1 column with 1 at each row (i, i)."""
     return Matrix._unchecked(f, size * size, 1, {(i * size + i, 0): f.one() for i in range(size)})
 
 
-def _convolutions(h: HopfPiCoalgebra, t1: Matrix, alpha: int, side: str) -> Matrix:
-    """φ*· = (id⊗φ)Δ_{α,1} (side "left") or ·*φ = (φ⊗id)Δ_{1,α} (side
-    "right") on A_α for every row φ of t1 (functionals on A_1) at once,
-    laid out like the coefficient maps: rows (φ, x), columns c."""
+def _side_comult(h: HopfPiCoalgebra, alpha: int, side: str) -> Matrix:
+    """Δ_{α,1} (side "left") or Δ_{1,α} (side "right"), the comultiplication
+    that _convolutions reads."""
     e = h.group.identity
-    n = h.n(alpha)
+    return h.comult[(alpha, e) if side == "left" else (e, alpha)]
+
+
+def _convolutions(t1: Matrix, d: Matrix, side: str) -> Matrix:
+    """φ*· = (id⊗φ)Δ_{α,1} (side "left", d = Δ_{α,1}) or ·*φ = (φ⊗id)Δ_{1,α}
+    (side "right", d = Δ_{1,α}) on A_α for every row φ of t1 (functionals on
+    A_1) at once, laid out like the coefficient maps: rows (φ, x), columns c."""
+    n = d.cols
     if side == "left":
-        return h.comult[(alpha, e)].on_leg(t1, n, 1, 0).permute_legs((n, t1.rows), (1, 0), 0)
-    return h.comult[(e, alpha)].on_leg(t1, 1, n, 0)
+        return d.on_leg(t1, n, 1, 0).permute_legs((n, t1.rows), (1, 0), 0)
+    return d.on_leg(t1, 1, n, 0)
+
+
+# Each check below states its identity per grading (pair) as a pure
+# function of the objects that grading reads, with the empty grading;
+# checker computes it once per distinct operand tuple and stamps its
+# violations with each grading that reads the tuple, in loop order.
 
 
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
     """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
     T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I)."""
-    f = h.field
-    size = isqrt(funcs[h.group.identity].rows)
-    legs = (size, size)
-    vec_eye = _vec_identity(f, size)
     report = VerificationReport()
+    run = checker(report)
     for a in h.group.elements():
-        n = h.n(a)
-        t = funcs[a]
-        # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
-        split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
-        mult = differing_blocks(t @ h.mult[a], split.regroup((size, n), (size, n), (0, 2), (1, 3)),
-                                (1, n * n))
-        unit = t @ h.unit_col(a)
-        norm = differing_blocks(unit, vec_eye, (1, 1))
-        for ij, _ in sorted(mult.keys() | norm.keys()):
-            i, j = divmod(ij, size)
-            if (ij, 0) in mult:
-                report.extend([Violation(FRAME_MULT, (a,), mult[(ij, 0)],
-                                         f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")])
-            if (ij, 0) in norm:
-                want = f.one() if i == j else f.zero()
-                report.extend([Violation(FRAME_NORM, (a,), None, f"{name}_{i}{j}(1) = "
-                                         f"{f.render(unit[(ij, 0)])}, expected {f.render(want)}")])
+        run(_characters, (a,), name, funcs[a], h.mult[a], h.unit[a])
     return report
+
+
+def _characters(name: str, t: Matrix, m: Matrix, unit: tuple) -> list[Violation]:
+    f = t.field
+    n = m.rows
+    size = isqrt(t.rows)
+    legs = (size, size)
+    # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
+    split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
+    mult = differing_blocks(t @ m, split.regroup((size, n), (size, n), (0, 2), (1, 3)), (1, n * n))
+    value = t @ Matrix.column(f, unit)
+    norm = differing_blocks(value, _vec_identity(f, size), (1, 1))
+    out = []
+    for ij, _ in sorted(mult.keys() | norm.keys()):
+        i, j = divmod(ij, size)
+        if (ij, 0) in mult:
+            out.append(Violation(FRAME_MULT, (), mult[(ij, 0)],
+                                 f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)"))
+        if (ij, 0) in norm:
+            want = f.one() if i == j else f.zero()
+            out.append(Violation(FRAME_NORM, (), None, f"{name}_{i}{j}(1) = "
+                                 f"{f.render(value[(ij, 0)])}, expected {f.render(want)}"))
+    return out
 
 
 def check_commutation_rule(h: HopfPiCoalgebra, maps, funcs, side: str) -> VerificationReport:
     """The coefficient maps are convolutions: M_ij = f_ij * · for ω
     (side "left") and M_ij = · * g_ij for η (side "right"), on every A_α:
     the stacked maps against the stacked convolutions of T_1."""
-    e = h.group.identity
-    size = isqrt(funcs[e].rows)
+    t1 = funcs[h.group.identity]
+    report = VerificationReport()
+    run = checker(report)
+    for a in h.group.elements():
+        run(_commutation, (a,), side, maps[a], t1, _side_comult(h, a, side))
+    return report
+
+
+def _commutation(side: str, maps: Matrix, t1: Matrix, d: Matrix) -> list[Violation]:
+    n = d.cols
+    size = isqrt(t1.rows)
     w, name = _SIDES[side]
     conv = "{0}_{1}{2} * b" if side == "left" else "b * {0}_{1}{2}"
-    report = VerificationReport()
-    for a in h.group.elements():
-        n = h.n(a)
-        found = differing_blocks(maps[a], _convolutions(h, funcs[e], a, side), (n, n))
-        for (ij, _), first in sorted(found.items()):
-            i, j = divmod(ij, size)
-            report.extend([Violation(FRAME_MULT, (a,), first,
-                                     f"commutation rule: the {w}_{j}-coefficient of {w}_{i} b "
-                                     f"≠ {conv.format(name, i, j)}")])
-    return report
+    out = []
+    for (ij, _), first in sorted(differing_blocks(maps, _convolutions(t1, d, side), (n, n)).items()):
+        i, j = divmod(ij, size)
+        out.append(Violation(FRAME_MULT, (), first,
+                             f"commutation rule: the {w}_{j}-coefficient of {w}_{i} b "
+                             f"≠ {conv.format(name, i, j)}"))
+    return out
 
 
 def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
@@ -416,55 +468,69 @@ def check_left_multiplication_rule(cb: CovariantBimodule, frames, funcs,
     h = cb.h
     f = h.field
     e = h.group.identity
-    size = isqrt(funcs[e].rows)
-    w, name = _SIDES[side]
     hint = ""
     if side == "right" and h.antipode[e] @ h.antipode[e] != Matrix.identity(f, h.n(e)):
         hint = "; this form needs an involutive antipode, and S_1² ≠ id"
     twisted = funcs[e] @ h.antipode_inv(e)                 # row (i, j): φ_ij∘S_1^{-1}
     report = VerificationReport()
+    run = checker(report)
     for a in h.group.elements():
-        n = h.n(a)
-        lhs = cb.frame_matrix(a, frames[a])                       # column (i, b): b w_i
-        times = cb.frame_matrix(a, frames[a], "right")            # column (j, b): w_j b
-        conv = _convolutions(h, twisted, a, side).regroup((size, size, n), (n,), (1, 2), (0, 3))
-        found = differing_blocks(lhs, times @ conv, (cb.g(a), n))
-        for (_, i), first in sorted(found.items()):
-            twist = f"{name}_{i}j∘S_1^{{-1}}"
-            rule = f"({twist}) * a" if side == "left" else f"a * ({twist})"
-            report.extend([Violation(FRAME_MULT, (a,), first, f"left multiplication rule "
-                                     f"a {w}_{i} = Σ_j {w}_j ({rule}) fails{hint}")])
+        run(_left_multiplication, (a,), side, hint,
+            cb.frame_matrix(a, frames[a]),                 # column (i, b): b w_i
+            cb.frame_matrix(a, frames[a], "right"),        # column (j, b): w_j b
+            twisted, _side_comult(h, a, side))
     return report
+
+
+def _left_multiplication(side: str, hint: str, lhs: Matrix, times: Matrix, twisted: Matrix,
+                         d: Matrix) -> list[Violation]:
+    n = d.cols
+    size = isqrt(twisted.rows)
+    w, name = _SIDES[side]
+    conv = _convolutions(twisted, d, side).regroup((size, size, n), (n,), (1, 2), (0, 3))
+    out = []
+    for (_, i), first in sorted(differing_blocks(lhs, times @ conv, (lhs.rows, n)).items()):
+        twist = f"{name}_{i}j∘S_1^{{-1}}"
+        rule = f"({twist}) * a" if side == "left" else f"a * ({twist})"
+        out.append(Violation(FRAME_MULT, (), first, f"left multiplication rule "
+                             f"a {w}_{i} = Σ_j {w}_j ({rule}) fails{hint}"))
+    return out
 
 
 def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε = Σ_j (f_jh∘S_1^{-1})*f_ij on A_1:
     each side one product of re-keyed copies of T_1 and T_1 S_1^{-1}, rows
     (i, h), then Δ_{1,1}."""
-    f = h.field
     e = h.group.identity
-    n1 = h.n(e)
-    t = funcs[e]
+    report = VerificationReport()
+    checker(report)(_convolution_inverses, (e,), funcs[e], h.antipode_inv(e),
+                    h.comult[(e, e)], h.counit)
+    return report
+
+
+def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix,
+                          counit: Matrix) -> list[Violation]:
+    f = t.field
+    n1 = t.cols
     size = isqrt(t.rows)
     legs, pair = (size, size), ((size, n1), (size, n1))
-    u = t @ h.antipode_inv(e)                                 # row (i, j): f_ij∘S_1^{-1}
-    d11 = h.comult[(e, e)]
-    target = _vec_identity(f, size).kron(h.counit)             # row (i, i): ε
+    u = t @ s_inv                                             # row (i, j): f_ij∘S_1^{-1}
+    target = _vec_identity(f, size).kron(counit)               # row (i, i): ε
     # rows (i, x) × columns (h, y), and rows (h, x) × columns (i, y)
     first = t.regroup(legs, (n1,), (1, 2), (0,)) @ u.regroup(legs, (n1,), (1,), (0, 2))
     second = u.regroup(legs, (n1,), (1, 2), (0,)) @ t.regroup(legs, (n1,), (1,), (0, 2))
     one = differing_blocks(first.regroup(*pair, (0, 2), (1, 3)) @ d11, target, (1, n1))
     two = differing_blocks(second.regroup(*pair, (2, 0), (1, 3)) @ d11, target, (1, n1))
-    report = VerificationReport()
+    out = []
     for ih, _ in sorted(one.keys() | two.keys()):
         i, hh = divmod(ih, size)
         if (ih, 0) in one:
-            report.extend([Violation(FRAME_MULT, (e,), one[(ih, 0)],
-                                     f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")])
+            out.append(Violation(FRAME_MULT, (), one[(ih, 0)],
+                                 f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε"))
         if (ih, 0) in two:
-            report.extend([Violation(FRAME_MULT, (e,), two[(ih, 0)],
-                                     f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε")])
-    return report
+            out.append(Violation(FRAME_MULT, (), two[(ih, 0)],
+                                 f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε"))
+    return out
 
 
 def r_block(rb: Matrix, n: int, j: int, i: int) -> tuple:
@@ -472,36 +538,59 @@ def r_block(rb: Matrix, n: int, j: int, i: int) -> tuple:
     return tuple(rb[(j * n + m, i)] for m in range(n))
 
 
-def _antipode_R(h: HopfPiCoalgebra, R, alpha: int) -> Matrix:
-    """Ŝ_α = (I⊗S_{α^{-1}}) R^{α^{-1}}: column j is Σ_i e_i ⊗ S(R_ij) ∈ k^I ⊗ A_α."""
-    ai = h.group.inv(alpha)
-    return R[ai].on_leg(h.antipode[ai], R[ai].cols, 1, 0)
+def _antipode_R(cb: CovariantBimodule, R, alpha: int) -> Matrix:
+    """Ŝ_α = (I⊗S_{α^{-1}}) R^{α^{-1}}: column j is Σ_i e_i ⊗ S(R_ij) ∈ k^I ⊗ A_α;
+    built once per (R^{α^{-1}}, S_{α^{-1}})."""
+    ai = cb.h.group.inv(alpha)
+    return cb.shared(_twisted_by_antipode, R[ai], cb.h.antipode[ai])
+
+
+def _twisted_by_antipode(r: Matrix, s: Matrix) -> Matrix:
+    return r.on_leg(s, r.cols, 1, 0)
 
 
 def check_corepresentation(h: HopfPiCoalgebra, R) -> VerificationReport:
     """R is an invertible matrix corepresentation: the four identities of
     the module docstring, one sparse product each per grading (pair)."""
-    f = h.field
     grp = h.group
     e = grp.identity
-    size = R[e].cols
-    eye = Matrix.identity(f, size)
     report = VerificationReport()
+    run = checker(report)
     for b in grp.elements():
         for c in grp.elements():
-            lhs = R[grp.mul(b, c)].on_leg(h.comult[(b, c)], size, 1, 0)
-            rhs = R[c].on_leg(R[b], 1, h.n(c), 0)
-            _compare(report, R_COMULT, (b, c), lhs, rhs, "Δ(R_ji) ≠ Σ_h R_jh ⊗ R_hi")
-    _compare(report, R_COUNIT, (e,), R[e].on_leg(h.counit, size, 1, 0), eye, "ε(R_ji) ≠ δ_ji")
+            run(_R_comultiplicative, (b, c), R[grp.mul(b, c)], h.comult[(b, c)], R[b], R[c],
+                h.mult[c])
+    run(_R_counital, (e,), R[e], h.counit)
     for a in grp.elements():
-        n = h.n(a)
-        shat = _antipode_R(h, R, a)
-        ones = eye.kron(h.unit_col(a))
-        _compare(report, R_COMULT, (a,), R[a].on_leg(shat, 1, n, 0).on_leg(h.mult[a], size, 1, 0),
-                 ones, "Σ_h S(R_ih) R_hj ≠ δ_ij 1")
-        _compare(report, R_COMULT, (a,), shat.on_leg(R[a], 1, n, 0).on_leg(h.mult[a], size, 1, 0),
-                 ones, "Σ_h R_ih S(R_hj) ≠ δ_ij 1")
+        ai = grp.inv(a)
+        run(_R_antipodal, (a,), R[a], R[ai], h.antipode[ai], h.mult[a], h.unit[a])
     return report
+
+
+def _R_comultiplicative(r_bc: Matrix, d: Matrix, r_b: Matrix, r_c: Matrix,
+                        m_c: Matrix) -> list[Violation]:
+    lhs = r_bc.on_leg(d, r_bc.cols, 1, 0)
+    rhs = r_c.on_leg(r_b, 1, m_c.rows, 0)
+    return _identity(R_COMULT, lhs, rhs, "Δ(R_ji) ≠ Σ_h R_jh ⊗ R_hi")
+
+
+def _R_counital(r: Matrix, counit: Matrix) -> list[Violation]:
+    size = r.cols
+    return _identity(R_COUNIT, r.on_leg(counit, size, 1, 0), Matrix.identity(r.field, size),
+                     "ε(R_ji) ≠ δ_ji")
+
+
+def _R_antipodal(r: Matrix, r_inv: Matrix, s_inv: Matrix, m: Matrix,
+                 unit: tuple) -> list[Violation]:
+    f = r.field
+    n = m.rows
+    size = r.cols
+    shat = _twisted_by_antipode(r_inv, s_inv)
+    ones = Matrix.identity(f, size).kron(Matrix.column(f, unit))
+    return (_identity(R_COMULT, r.on_leg(shat, 1, n, 0).on_leg(m, size, 1, 0), ones,
+                      "Σ_h S(R_ih) R_hj ≠ δ_ij 1")
+            + _identity(R_COMULT, shat.on_leg(r, 1, n, 0).on_leg(m, size, 1, 0), ones,
+                        "Σ_h R_ih S(R_hj) ≠ δ_ij 1"))
 
 
 def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
@@ -515,24 +604,30 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
     (rows (i, ·), columns (j, ·)), re-keyed to rows (j, ·), columns (h, ·).
     """
     e = h.group.identity
-    t_f, t_g = funcs_f[e], funcs_g[e]
+    report = VerificationReport()
+    run = checker(report)
+    for a in gradings:
+        run(_intertwiner, (a,), names, R[a], h.mult[a], funcs_f[e], funcs_g[e],
+            _side_comult(h, a, "right"), _side_comult(h, a, "left"))
+    return report
+
+
+def _intertwiner(names, r: Matrix, m: Matrix, t_f: Matrix, t_g: Matrix, d_right: Matrix,
+                 d_left: Matrix) -> list[Violation]:
+    n = m.rows
     size = isqrt(t_f.rows)
     fn, gn = names
-    report = VerificationReport()
-    for a in gradings:
-        n = h.n(a)
-        legs = (size, size, n)
-        r_cols = R[a].regroup((size, n), (size,), (1,), (0, 2))      # column (i, j): R_ij
-        # m_α(R_ij⊗x) at [(j, ·), (i, x)] and m_α(x⊗R_hi) at [(h, ·), (i, x)]
-        by_left = h.mult[a].on_leg(r_cols, 1, n, 1).regroup((n,), legs, (2, 0), (1, 3))
-        by_right = h.mult[a].on_leg(r_cols, n, 1, 1).regroup((n,), (n, size, size), (2, 0), (3, 1))
-        lhs = by_left @ _convolutions(h, t_f, a, "right").regroup(legs, (n,), (0, 2), (1, 3))
-        rhs = by_right @ _convolutions(h, t_g, a, "left").regroup(legs, (n,), (1, 2), (0, 3))
-        found = differing_blocks(lhs, rhs.regroup((size, n), (size, n), (2, 1), (0, 3)), (n, n))
-        for (j, hh), first in sorted(found.items()):
-            report.extend([Violation(INTERTWINER, (a,), first,
-                                     f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")])
-    return report
+    legs = (size, size, n)
+    r_cols = r.regroup((size, n), (size,), (1,), (0, 2))      # column (i, j): R_ij
+    # m_α(R_ij⊗x) at [(j, ·), (i, x)] and m_α(x⊗R_hi) at [(h, ·), (i, x)]
+    by_left = m.on_leg(r_cols, 1, n, 1).regroup((n,), legs, (2, 0), (1, 3))
+    by_right = m.on_leg(r_cols, n, 1, 1).regroup((n,), (n, size, size), (2, 0), (3, 1))
+    lhs = by_left @ _convolutions(t_f, d_right, "right").regroup(legs, (n,), (0, 2), (1, 3))
+    rhs = by_right @ _convolutions(t_g, d_left, "left").regroup(legs, (n,), (1, 2), (0, 3))
+    found = differing_blocks(lhs, rhs.regroup((size, n), (size, n), (2, 1), (0, 3)), (n, n))
+    return [Violation(INTERTWINER, (), first,
+                      f"Σ_i R_i{j} (a * {fn}_i{hh}) ≠ Σ_i ({gn}_{j}i * a) R_{hh}i")
+            for (j, hh), first in sorted(found.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +637,35 @@ def intertwiner_report(h: HopfPiCoalgebra, funcs_f, funcs_g, R, gradings,
 def coefficient_maps(cb: CovariantBimodule, frames) -> list[Matrix]:
     """M_α per grading, rows ((i, j), r) and columns m, with w_i e_m =
     Σ_j Σ_r M_α[((i, j), r), m] e_r w_j: the n_α × n_α blocks M_ij of
-    w_i b = Σ_j M_ij(b) w_j stacked over (i, j).
+    w_i b = Σ_j M_ij(b) w_j stacked over (i, j); built once per (frame
+    inverse, right frame matrix, frame, m_α).
 
     frames[α] holds the frame w of Γ_α as columns: ω gives the maps F,
     available without Ψ (the functionals f are E_α ∘ F when Ψ exists), and
     η gives G.
     """
     h = cb.h
-    out = []
-    for a in h.group.elements():
-        n = h.n(a)
-        size = frames[a].cols
-        # entry ((j, r), (i, m)) of x: coefficient r of the w_j term of w_i·e_m
-        x = cb.frame_inverse(a, frames[a]) @ cb.frame_matrix(a, frames[a], "right")
-        out.append(x.regroup((size, n), (size, n), (2, 0, 1), (3,)))
-    return out
+    return [cb.shared(_coefficient_map, cb.frame_inverse(a, frames[a]),
+                      cb.frame_matrix(a, frames[a], "right"), frames[a], h.mult[a])
+            for a in h.group.elements()]
+
+
+def _coefficient_map(inverse: Matrix, times: Matrix, frame: Matrix, m: Matrix) -> Matrix:
+    size = frame.cols
+    n = m.rows
+    # entry ((j, r), (i, m)): coefficient r of the w_j term of w_i·e_m
+    return (inverse @ times).regroup((size, n), (size, n), (2, 0, 1), (3,))
 
 
 def _collapse(h: HopfPiCoalgebra, maps) -> list[Matrix]:
     """T_α per grading, φ_ij^α = ε∘Ψ_α∘M_ij^α (the grading collapse): the
-    stacked maps with εΨ_α acting on their r leg."""
-    return [maps[a].on_leg(h.counit @ h.psi[a], maps[a].rows // h.n(a), 1, 0)
-            for a in h.group.elements()]
+    stacked maps with εΨ_α acting on their r leg; once per (M_α, ε, Ψ_α)."""
+    once = OperandMemo()
+    return [once(_collapse_at, maps[a], h.counit, h.psi[a]) for a in h.group.elements()]
+
+
+def _collapse_at(maps: Matrix, counit: Matrix, psi: Matrix) -> Matrix:
+    return maps.on_leg(counit @ psi, maps.rows // psi.cols, 1, 0)
 
 
 def functionals_f(cb: CovariantBimodule, F) -> tuple[list[Matrix], VerificationReport]:
@@ -615,7 +717,8 @@ def matrix_R(cb: CovariantBimodule) -> tuple[list[Matrix], VerificationReport]:
 
     Each grading pair gives R^β = coords(ω_α⊗A_β) · Δ^r_{α,β} Ω_{αβ},
     checked to satisfy (Ω_α⊗I) R^β = Δ^r_{α,β} Ω_{αβ} and to be the same
-    for every α; the report ends with check_corepresentation.
+    for every α; the report ends with check_corepresentation.  Each pair
+    is computed once per (Δ^r_{α,β}, Ω_{αβ}, ω_α, m_β).
     """
     if not cb.bicovariant:
         raise NotBicovariant("R extraction needs both coactions")
@@ -623,23 +726,33 @@ def matrix_R(cb: CovariantBimodule) -> tuple[list[Matrix], VerificationReport]:
     grp = h.group
     _frame_size(cb)
     incl = [cb.omega(a) for a in grp.elements()]
+    coords = [cb.shared(Subspace.coords_matrix, cb.omega_space(a)) for a in grp.elements()]
     report = VerificationReport()
+    run = checker(report)
+    once = OperandMemo()
     R = []
     for b in grp.elements():
-        nb = h.n(b)
         per_alpha = []
         for a in grp.elements():
-            image = cb.delta_r[(a, b)] @ incl[grp.mul(a, b)]
-            rb = image.on_leg(cb.omega_space(a).coords_matrix(), 1, nb, 0)
-            _compare(report, R_COMULT, (a, b), rb.on_leg(incl[a], 1, nb, 0), image,
-                     "Δ^r(ω) is not in the invariant frame ⊗ A")
+            rb, found = once(_R_of_pair, cb.delta_r[(a, b)], incl[grp.mul(a, b)], coords[a],
+                             incl[a], h.mult[b])
+            report.extend(stamped(found, (a, b)))
             per_alpha.append(rb)
         ref = per_alpha[grp.identity]
         for a in grp.elements():
-            _compare(report, R_COMULT, (a, b), per_alpha[a], ref,
-                     "R depends on the complementary grading")
+            run(_identity, (a, b), R_COMULT, per_alpha[a], ref,
+                "R depends on the complementary grading")
         R.append(ref)
     return R, report.merge(check_corepresentation(h, R))
+
+
+def _R_of_pair(delta: Matrix, w_ab: Matrix, coords_a: Matrix, w_a: Matrix, m_b: Matrix) -> tuple:
+    """R^β read off one pair, with the violations of (Ω_α⊗I) R^β = Δ^r Ω_{αβ}."""
+    image = delta @ w_ab
+    nb = m_b.rows
+    rb = image.on_leg(coords_a, 1, nb, 0)
+    return rb, _identity(R_COMULT, rb.on_leg(w_a, 1, nb, 0), image,
+                         "Δ^r(ω) is not in the invariant frame ⊗ A")
 
 
 def eta_basis(cb: CovariantBimodule, R) -> tuple[list[Matrix], VerificationReport]:
@@ -650,25 +763,40 @@ def eta_basis(cb: CovariantBimodule, R) -> tuple[list[Matrix], VerificationRepor
     ω_i = Σ_j η_j R_ji, right_α (H_α⊗I) R^α = Ω_α.  On Γ_α free on ω the
     latter makes the |I| vectors η generate Γ_α as a right module, so with
     right invariance they are a basis of the right invariants (Woronowicz
-    1989, Thm 2.3, graded).
+    1989, Thm 2.3, graded).  H_α is built once per (right_α, Ŝ_α, Ω_α, m_α).
     """
     if not cb.bicovariant:
         raise NotBicovariant("η construction needs both coactions")
     h = cb.h
     grp = h.group
+    e = grp.identity
     _frame_size(cb)
     report = VerificationReport()
+    run = checker(report)
     eta = []
     for a in grp.elements():
-        n = h.n(a)
-        incl = cb.omega(a)
-        frame = cb.right[a] @ _antipode_R(h, R, a).on_leg(incl, 1, n, 0)
-        _compare(report, R_COMULT, (a,), cb.delta_r[(a, grp.identity)] @ frame,
-                 frame.kron(h.unit_col(grp.identity)), "η_j is not right invariant")
-        _compare(report, R_COMULT, (a,), cb.right[a] @ R[a].on_leg(frame, 1, n, 0), incl,
-                 "ω_i ≠ Σ_j η_j R_ji")
+        omega = cb.omega(a)
+        frame = cb.shared(_eta_frame, cb.right[a], _antipode_R(cb, R, a), omega, h.mult[a])
+        run(_eta_identities, (a,), frame, cb.delta_r[(a, e)], h.unit[e], cb.right[a], R[a], omega,
+            h.mult[a])
         eta.append(frame)
     return eta, report
+
+
+def _eta_frame(right: Matrix, shat: Matrix, omega: Matrix, m: Matrix) -> Matrix:
+    # η = ω when R = I⊗1 (a cocommutative A); the ω object then stands for
+    # η, so the frame matrices, inverse and coefficient maps built for ω
+    # serve η as well
+    frame = right @ shat.on_leg(omega, 1, m.rows, 0)
+    return omega if frame == omega else frame
+
+
+def _eta_identities(frame: Matrix, delta: Matrix, unit: tuple, right: Matrix, r: Matrix,
+                    omega: Matrix, m: Matrix) -> list[Violation]:
+    return (_identity(R_COMULT, delta @ frame, frame.kron(Matrix.column(frame.field, unit)),
+                      "η_j is not right invariant")
+            + _identity(R_COMULT, right @ r.on_leg(frame, 1, m.rows, 0), omega,
+                        "ω_i ≠ Σ_j η_j R_ji"))
 
 
 def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> VerificationReport:
@@ -677,14 +805,24 @@ def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> VerificationReport
     h = cb.h
     grp = h.group
     report = VerificationReport()
+    run = checker(report)
     for a in grp.elements():
-        n = h.n(a)
         # column j: Σ_i S(R_ij) ⊗ e_i
-        swapped = _antipode_R(h, R, a).permute_legs((R[a].cols, n), (1, 0), 0)
+        swapped = cb.shared(_legs_swapped, _antipode_R(cb, R, a), h.mult[a])
         for b in grp.elements():
-            _compare(report, R_COMULT, (a, b), cb.delta_l[(a, b)] @ eta[grp.mul(a, b)],
-                     swapped.on_leg(eta[b], n, 1, 0), "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
+            run(_eta_left_coaction, (a, b), cb.delta_l[(a, b)], eta[grp.mul(a, b)], swapped, eta[b],
+                h.mult[a])
     return report
+
+
+def _legs_swapped(shat: Matrix, m: Matrix) -> Matrix:
+    return shat.permute_legs((shat.cols, m.rows), (1, 0), 0)
+
+
+def _eta_left_coaction(delta: Matrix, eta_ab: Matrix, swapped: Matrix, eta_b: Matrix,
+                       m_a: Matrix) -> list[Violation]:
+    return _identity(R_COMULT, delta @ eta_ab, swapped.on_leg(eta_b, m_a.rows, 1, 0),
+                     "Δ^l(η_j) ≠ Σ_i S(R_ij) ⊗ η_i")
 
 
 def check_intertwiner(cb: CovariantBimodule, funcs_f, funcs_g, R) -> VerificationReport:
@@ -825,39 +963,55 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
 
 def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     """The bimodule of reconstruct from (f, R) known to pass its checks:
-    checked by reconstruct, or by extract_structure before its round trip."""
+    checked by reconstruct, or by extract_structure before its round trip.
+    Each map is built once per distinct tuple of the objects it reads."""
     f = h.field
     grp = h.group
     e = grp.identity
-    n1 = h.n(e)
     # (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)); twist has rows (j, i),
     # columns t and entries f_ij(e_t)
     twist = funcs[e].permute_legs((size, size), (1, 0), 0)
-    left = []
-    right = []
-    delta_l = {}
-    delta_r = {}
-    for a in grp.elements():
-        n = h.n(a)
-        times = Matrix.identity(f, size).kron(h.mult[a])     # (j, x, y) ↦ e_j ⊗ xy
-        left.append(times.permute_legs((size, n, n), (1, 0, 2), 1))
-        # the small factors first, so no intermediate is as large as I⊗m_α:
-        # T[(j, y), (i, b)] = Σ_t f_ij(e_t) Δ_{α,1}[(y, t), b], then m_α on T's
-        # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, b)
-        split = twist @ h.comult[(a, e)].regroup((n, n1), (n,), (1,), (0, 2))
-        t = split.regroup((size, size), (n, n), (0, 2), (1, 3))
-        mult = h.mult[a].regroup((n,), (n, n), (0, 1), (2,))
-        right.append(t.on_leg(mult, size, 1, 0)
-                     .regroup((size, n, n), (size, n), (0, 1), (3, 2, 4)))
-        for b in grp.elements():
-            nb = h.n(b)
-            delta_l[(a, b)] = Matrix.identity(f, size).kron(h.comult[(a, b)]).permute_legs(
-                (size, n, nb), (1, 0, 2), 0)
-            rolled = R[b].kron(h.comult[(a, b)]).permute_legs((size, nb, n, nb), (0, 2, 3, 1), 0)
-            delta_r[(a, b)] = rolled.on_leg(h.mult[b], size * n, 1, 0)
-
+    eye = Matrix.identity(f, size)
+    once = OperandMemo()
+    left = [once(_rebuilt_left, eye, h.mult[a]) for a in grp.elements()]
+    right = [once(_rebuilt_right, twist, h.comult[(a, e)], h.mult[a]) for a in grp.elements()]
+    pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
+    delta_l = {(a, b): once(_rebuilt_delta_l, eye, h.comult[(a, b)], h.mult[b]) for a, b in pairs}
+    delta_r = {(a, b): once(_rebuilt_delta_r, R[b], h.comult[(a, b)], h.mult[b]) for a, b in pairs}
     dims = [size * h.n(a) for a in grp.elements()]
     return CovariantBimodule._trusted(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
+
+
+def _rebuilt_left(eye: Matrix, m: Matrix) -> Matrix:
+    """(x, e_j ⊗ y) ↦ e_j ⊗ xy."""
+    n = m.rows
+    return eye.kron(m).permute_legs((eye.rows, n, n), (1, 0, 2), 1)
+
+
+def _rebuilt_right(twist: Matrix, d: Matrix, m: Matrix) -> Matrix:
+    size = isqrt(twist.rows)
+    n = m.rows
+    n1 = d.rows // n
+    # the small factors first, so no intermediate is as large as I⊗m_α:
+    # T[(j, y), (i, b)] = Σ_t f_ij(e_t) Δ_{α,1}[(y, t), b], then m_α on T's
+    # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, b)
+    split = twist @ d.regroup((n, n1), (n,), (1,), (0, 2))
+    t = split.regroup((size, size), (n, n), (0, 2), (1, 3))
+    mult = m.regroup((n,), (n, n), (0, 1), (2,))
+    return t.on_leg(mult, size, 1, 0).regroup((size, n, n), (size, n), (0, 1), (3, 2, 4))
+
+
+def _rebuilt_delta_l(eye: Matrix, d: Matrix, m_b: Matrix) -> Matrix:
+    nb = m_b.rows
+    return eye.kron(d).permute_legs((eye.rows, d.rows // nb, nb), (1, 0, 2), 0)
+
+
+def _rebuilt_delta_r(r_b: Matrix, d: Matrix, m_b: Matrix) -> Matrix:
+    size = r_b.cols
+    nb = m_b.rows
+    n = d.rows // nb
+    rolled = r_b.kron(d).permute_legs((size, nb, n, nb), (0, 2, 3, 1), 0)
+    return rolled.on_leg(m_b, size * n, 1, 0)
 
 
 def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) -> VerificationReport:
@@ -874,22 +1028,32 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     frame = {a: cb.omega(a) for a in grp.elements()}
     iso = {a: cb.frame_inverse(a, frame[a]) for a in grp.elements()}
     report = VerificationReport()
+    run = checker(report)
     for a in grp.elements():
-        n = h.n(a)
-        u = iso[a]
-        ui = cb.frame_matrix(a, frame[a])
-        _compare(report, ROUNDTRIP, (a,), u @ cb.left[a].on_leg(ui, n, 1, 1), rebuilt.left[a],
-                 "the left action differs from the rebuilt one")
-        _compare(report, ROUNDTRIP, (a,), u @ cb.right[a].on_leg(ui, 1, n, 1), rebuilt.right[a],
-                 "the right action differs from the rebuilt one")
+        run(_actions_match, (a,), iso[a], cb.frame_matrix(a, frame[a]), cb.left[a], cb.right[a],
+            rebuilt.left[a], rebuilt.right[a], h.mult[a])
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
-            w = cb.frame_matrix(ab, frame[ab])
-            dl = cb.delta_l[(a, b)].on_leg(iso[b], h.n(a), 1, 0) @ w
-            dr = cb.delta_r[(a, b)].on_leg(iso[a], 1, h.n(b), 0) @ w
-            _compare(report, ROUNDTRIP, (a, b), dl, rebuilt.delta_l[(a, b)],
-                     "Δ^l differs from the rebuilt one")
-            _compare(report, ROUNDTRIP, (a, b), dr, rebuilt.delta_r[(a, b)],
-                     "Δ^r differs from the rebuilt one")
+            run(_coactions_match, (a, b), iso[a], iso[b], cb.frame_matrix(ab, frame[ab]),
+                cb.delta_l[(a, b)], cb.delta_r[(a, b)], rebuilt.delta_l[(a, b)],
+                rebuilt.delta_r[(a, b)], h.mult[a], h.mult[b])
     return report
+
+
+def _actions_match(u: Matrix, ui: Matrix, left: Matrix, right: Matrix, rebuilt_left: Matrix,
+                   rebuilt_right: Matrix, m: Matrix) -> list[Violation]:
+    n = m.rows
+    return (_identity(ROUNDTRIP, u @ left.on_leg(ui, n, 1, 1), rebuilt_left,
+                      "the left action differs from the rebuilt one")
+            + _identity(ROUNDTRIP, u @ right.on_leg(ui, 1, n, 1), rebuilt_right,
+                        "the right action differs from the rebuilt one"))
+
+
+def _coactions_match(iso_a: Matrix, iso_b: Matrix, w: Matrix, delta_l: Matrix, delta_r: Matrix,
+                     rebuilt_l: Matrix, rebuilt_r: Matrix, m_a: Matrix,
+                     m_b: Matrix) -> list[Violation]:
+    dl = delta_l.on_leg(iso_b, m_a.rows, 1, 0) @ w
+    dr = delta_r.on_leg(iso_a, 1, m_b.rows, 0) @ w
+    return (_identity(ROUNDTRIP, dl, rebuilt_l, "Δ^l differs from the rebuilt one")
+            + _identity(ROUNDTRIP, dr, rebuilt_r, "Δ^r differs from the rebuilt one"))

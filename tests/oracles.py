@@ -29,6 +29,7 @@ Nothing in `hopfpi` imports this module.
 
 from __future__ import annotations
 
+import itertools
 from math import isqrt
 from typing import Sequence
 
@@ -47,7 +48,7 @@ from hopfpi.errors import (
     MissingCoaction,
     NotBicovariant,
 )
-from hopfpi.groups import cyclic
+from hopfpi.groups import cyclic, group_from_table
 from hopfpi.hopf import (
     HopfPiCoalgebra,
     VerificationReport,
@@ -994,6 +995,14 @@ def unshared(h: HopfPiCoalgebra) -> HopfPiCoalgebra:
         [_fresh(s) for s in h.antipode],
         psi=None if h.psi is None else [_fresh(p) for p in h.psi],
         basis_names=[tuple(list(ns)) for ns in h.basis_names])
+
+
+def s3_group():
+    """S₃ as the permutations of {0, 1, 2} in lexicographic order."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return group_from_table([[index[tuple(p[q[x]] for x in range(3))] for q in perms]
+                             for p in perms])
 
 
 # ---------------------------------------------------------------------------

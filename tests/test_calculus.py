@@ -67,9 +67,11 @@ from oracles import (
     right_action_ambient,
     right_ideal_by_escapes,
     right_ideals_by_lifts,
+    s3_group,
     spot_check_implication,
     subspace_contains,
     subspace_tensor,
+    unshared,
 )
 
 F = Fraction
@@ -837,44 +839,54 @@ def test_taft_universal_calculus(taft):
 @pytest.mark.parametrize("first", ["left", "right", "bicovariant", "bimodule", "induced"])
 def test_covariance_decided_once_per_calculus(monkeypatch, first):
     """Each side's containments are decided once per calculus, whatever
-    covariance query comes first, and each Φ^l_{α,β}/Φ^r_{α,β} is built
-    once per Hopf structure, across two calculi on it."""
+    covariance query comes first, and across the calculi on a structure
+    each Φ^l and Φ^r is built once per distinct (Δ_{α,β}, m) and each
+    containment product once per distinct (Φ, ι_{αβ}, P).  On a constant
+    family over S3 every grading pair reads one Δ and one m, so Φ^l and Φ^r
+    are built once, and the universal calculus, whose N_α is one zero
+    space, decides each side with one product; the route calculi build
+    N_α per grading, so they need one product per pair.  On the unshared
+    copy every grading pair has its own operands: 36 of each Φ, and one
+    product per pair for every calculus."""
     import hopfpi.calculus as calc_mod
 
-    builds = {}
-    products = []          # one containment product per (calculus, side, pair)
+    builds = {"left": 0, "right": 0}
+    products = []          # one containment product per distinct operand tuple
     nonzero_columns = calc_mod._nonzero_columns
 
     def counting(side, build):
-        def wrapper(h, a, b):
-            builds[(side, a, b)] = builds.get((side, a, b), 0) + 1
-            return build(h, a, b)
+        def wrapper(*operands):
+            builds[side] += 1
+            return build(*operands)
         return wrapper
 
-    monkeypatch.setattr(calc_mod, "phi_l", counting("left", calc_mod.phi_l))
-    monkeypatch.setattr(calc_mod, "phi_r", counting("right", calc_mod.phi_r))
+    monkeypatch.setattr(calc_mod, "_phi_l", counting("left", calc_mod._phi_l))
+    monkeypatch.setattr(calc_mod, "_phi_r", counting("right", calc_mod._phi_r))
     monkeypatch.setattr(calc_mod, "_nonzero_columns",
                         lambda m: products.append(m) or nonzero_columns(m))
-    # a fresh structure: one shared with other tests may already hold every Φ
-    h = constant_family(group_algebra(cyclic(3), PrimeField(7), names=("e", "g", "g2")),
-                        cyclic(2, names=("1", "s")))
-    pairs = [(a, b) for a in h.group.elements() for b in h.group.elements()]
-    ideal = right_ideal_from_generators(h, [(5, 6, 3)])
-    for calc in (calculus_from_ideal(h, ideal), calculus_from_ideal_right(h, ideal)):
-        queries = {
-            "left": lambda: check_left_covariant(calc),
-            "right": lambda: check_right_covariant(calc),
-            "bicovariant": lambda: check_bicovariant(calc),
-            "bimodule": lambda: calc.to_bimodule(),
-            "induced": lambda: (induced_delta_l(calc, 1, 1), induced_delta_r(calc, 0, 1)),
-        }
-        queries[first]()
-        for query in queries.values():
-            query()
-        ideal_from_calculus(calc)
-        assert check_bicovariant(calc).ok
-    assert builds == {(side, a, b): 1 for side in ("left", "right") for a, b in pairs}
-    assert len(products) == 2 * 2 * len(pairs)
+    family = constant_family(group_algebra(cyclic(3), PrimeField(7), names=("e", "g", "g2")),
+                             s3_group())
+    pairs = [(a, b) for a in family.group.elements() for b in family.group.elements()]
+    for h, per_pair in ((family, 1), (unshared(family), len(pairs))):
+        builds.update(left=0, right=0)
+        products.clear()
+        ideal = right_ideal_from_generators(h, [(5, 6, 3)])
+        for calc in (universal_calculus(h), calculus_from_ideal(h, ideal),
+                     calculus_from_ideal_right(h, ideal)):
+            queries = {
+                "left": lambda: check_left_covariant(calc),
+                "right": lambda: check_right_covariant(calc),
+                "bicovariant": lambda: check_bicovariant(calc),
+                "bimodule": lambda: calc.to_bimodule(),
+                "induced": lambda: (induced_delta_l(calc, 1, 1), induced_delta_r(calc, 0, 1)),
+            }
+            queries[first]()
+            for query in queries.values():
+                query()
+            ideal_from_calculus(calc)
+            assert check_bicovariant(calc).ok
+        assert builds == {"left": per_pair, "right": per_pair}
+        assert len(products) == 2 * per_pair + 2 * 2 * len(pairs)
 
 
 FIXTURES = ("kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
@@ -1032,13 +1044,17 @@ def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir, capsys):
     assert sorted(built) == [(name, a) for name in ("_ad_map", "_r_inv") for a in (0, 1)]
 
 
-@pytest.mark.parametrize("name", ["f7z3_constant_z2.json", "taft4_rational.json"])
+@pytest.mark.parametrize("name, which", [
+    ("f7z3_constant_z2.json", ["--universal"]), ("taft4_rational.json", ["--universal"]),
+    ("f7z3_constant_z2.json", ["--ideal", "zero"])],
+    ids=["f7z3_constant_z2.json", "taft4_rational.json", "f7z3_constant_z2.json --ideal zero"])
 @pytest.mark.parametrize("route", [[], ["--right"]], ids=["left", "right"])
 def test_universal_calculus_builds_no_translation_map(monkeypatch, fixture_dir, capsys, name,
-                                                       route):
+                                                       which, route):
     """The universal calculus is the calculus of N = 0, so a `calculus
     --universal` job builds it directly, on either route: no r⁻¹ and no
-    t⁻¹ is built."""
+    t⁻¹ is built.  So does a job on a named ideal of dimension 0 (the
+    document's ideal `zero` has no generators)."""
     import hopfpi.calculus as calc_mod
 
     built = []
@@ -1046,7 +1062,7 @@ def test_universal_calculus_builds_no_translation_map(monkeypatch, fixture_dir, 
         build = getattr(calc_mod, label)
         monkeypatch.setattr(calc_mod, label,
                             lambda h, a, label=label, build=build: built.append(label) or build(h, a))
-    argv = ["calculus", "--universal", *route, str(fixture_dir / name), "--format", "json"]
+    argv = ["calculus", *which, *route, str(fixture_dir / name), "--format", "json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"] == "pass"
     assert built == []

@@ -115,12 +115,10 @@ def test_every_enumerable_ideal_on_f7z3_agrees(fixture_dir):
 
 
 def _corrupted(cb, **changes):
-    """A shallow copy of cb with attributes replaced; it keeps cb's ω frames."""
-    for a in cb.h.group.elements():
-        cb.omega_space(a)
+    """A shallow copy of cb with attributes replaced; it keeps cb's ω frames
+    by reading them through cb's own omega and omega_space."""
     bad = copy.copy(cb)
-    bad._omega = dict(cb._omega)
-    bad._frames, bad._inverses = {}, {}
+    bad.omega_space, bad.omega = cb.omega_space, cb.omega
     for key, value in changes.items():
         setattr(bad, key, value)
     return bad

@@ -1,17 +1,19 @@
-"""Axiom checks computed once per distinct operand tuple, and documents
+"""Checks and maps computed once per distinct operand tuple, and documents
 that share their repeated blocks.
 
 verify_pi_coalgebra and verify_hopf compute each identity once per
 distinct tuple of operand objects and stamp the result with every grading
 that reads that tuple; docio parses each distinct block of a document once.
-The reports must not depend on how the components are shared:
-`oracles.unshared` gives every grading its own copies, so the checks run
-at every grading, and the two reports must agree violation for violation.
+The calculus and structure layers share their per-grading maps and checks
+the same way (HopfPiCoalgebra.shared).  The reports and data must not
+depend on how the components are shared: `oracles.unshared` gives every
+grading its own copies, so everything is computed at every grading, and
+the reports must agree violation for violation and the data matrices
+entry for entry.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -20,29 +22,39 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpi import (
     HopfPiCoalgebra,
+    calculus_from_ideal,
+    calculus_from_ideal_right,
+    check_bicovariant,
+    check_left_covariant,
+    check_right_covariant,
     constant_family,
     cyclic,
+    extract_structure,
     group_algebra,
+    induced_delta_l,
+    induced_delta_r,
     load_document,
+    right_ideal_from_generators,
     save_document,
+    taft_hopf_algebra,
+    universal_calculus,
     verify_all,
     verify_pi_coalgebra,
 )
-from hopfpi import docio, hopf
-from hopfpi.docio import document_from_json
-from hopfpi.groups import group_from_table
+from hopfpi import cli, docio, hopf
+from hopfpi.docio import Document, document_from_json
+from hopfpi.errors import HopfPiError
 from hopfpi.linalg import Matrix, PrimeField, QQ
-from oracles import hopf_laws_by_kron, pi_coalgebra_laws_by_kron, twisted_f7_z7, unshared
+from oracles import (
+    hopf_laws_by_kron,
+    pi_coalgebra_laws_by_kron,
+    s3_group,
+    twisted_f7_z7,
+    unshared,
+)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 F5 = PrimeField(5)
-
-
-def _s3():
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return group_from_table([[index[tuple(p[q[x]] for x in range(3))] for q in perms]
-                             for p in perms])
 
 
 def _rows(report) -> list:
@@ -52,7 +64,7 @@ def _rows(report) -> list:
 def _families() -> dict:
     out = {path.name: (lambda p=path: load_document(p).hopf)
            for path in sorted(FIXTURE_DIR.glob("*.json"))}
-    for label, grading in (("Z/2", lambda: cyclic(2, names=("1", "s"))), ("S3", _s3)):
+    for label, grading in (("Z/2", lambda: cyclic(2, names=("1", "s"))), ("S3", s3_group)):
         for base_label, base in (("Q[Z/2]", lambda: group_algebra(cyclic(2), QQ)),
                                  ("F5[Z/3]", lambda: group_algebra(cyclic(3), F5))):
             out[f"{base_label} over {label}"] = (
@@ -74,7 +86,7 @@ def test_shared_and_unshared_reports_agree(name):
 def s3_document(tmp_path_factory):
     """F5[Z/3] constant over S3 as a document: every block repeats."""
     path = tmp_path_factory.mktemp("s3") / "s3.json"
-    save_document(path, constant_family(group_algebra(cyclic(3), F5), _s3()), name="s3")
+    save_document(path, constant_family(group_algebra(cyclic(3), F5), s3_group()), name="s3")
     return path
 
 
@@ -180,3 +192,115 @@ def test_document_parses_each_distinct_block_once(s3_document, monkeypatch):
     assert len(h.comult) == 36 and len({id(m) for m in h.comult.values()}) == 1
     for maps in (h.mult, h.unit, h.antipode, h.psi, h.basis_names):
         assert len({id(x) for x in maps}) == 1
+
+
+# -- the calculus and structure layers -----------------------------------------
+
+
+def _calculus_families() -> dict:
+    """{name: () -> (h, named ideal generators)}: every fixture with its
+    ideals, constant families over Z/2 and S3, the twisted family, which
+    shares only part of its components, and Taft/F7 constant over Z/2,
+    whose structure report fails at every grading."""
+    out = {path.name: (lambda p=path: (lambda d: (d.hopf, d.ideal_generators))(load_document(p)))
+           for path in sorted(FIXTURE_DIR.glob("*.json"))}
+    for label, grading in (("Z/2", lambda: cyclic(2, names=("1", "s"))), ("S3", s3_group)):
+        for base_label, base, ideals in (
+                ("Q[Z/2]", lambda: group_algebra(cyclic(2), QQ), {"aug": [(1, -1)]}),
+                ("F5[Z/3]", lambda: group_algebra(cyclic(3), F5), {"sq": [(1, 3, 1)], "zero": []})):
+            out[f"{base_label} over {label}"] = (
+                lambda b=base, g=grading, i=ideals: (constant_family(b(), g()), i))
+    out["F7[Z/7] twisted by Z/3"] = lambda: (twisted_f7_z7(), {"sq": [[1, 5, 1, 0, 0, 0, 0]],
+                                                                 "zero": []})
+    out["Taft/F7 over Z/2"] = lambda: (
+        constant_family(taft_hopf_algebra(PrimeField(7)), cyclic(2, names=("1", "s"))),
+        {"x": [(0, 0, 1, 0)], "zero": []})
+    return out
+
+
+CALCULUS_FAMILIES = _calculus_families()
+
+
+def _jobs(ideals) -> list:
+    jobs = [["verify"], ["calculus", "--universal"], ["calculus", "--universal", "--right"],
+            ["structure", "--universal"], ["enumerate"], ["enumerate", "--max-dim", "1"]]
+    for name in ideals:
+        jobs += [["calculus", "--ideal", name], ["calculus", "--ideal", name, "--right"],
+                 ["structure", "--ideal", name]]
+    return jobs
+
+
+def _render(doc: Document, argv) -> tuple:
+    """The report of one CLI job on doc, rendered as text and JSON, or the
+    error it ends in."""
+    args = cli.build_parser().parse_args([argv[0], "doc.json", *argv[1:]])
+    try:
+        report = cli._DISPATCH[args.subcommand](doc, args)
+    except HopfPiError as exc:
+        return type(exc).__name__, str(exc)
+    return report.exit_code, report.to_text(), report.to_json()
+
+
+@pytest.mark.parametrize("name", sorted(CALCULUS_FAMILIES))
+def test_shared_and_unshared_cli_reports_agree(name):
+    """calculus, structure and enumerate on h and on its unshared copy:
+    the same report, byte for byte, for every named ideal and route."""
+    h, ideals = CALCULUS_FAMILIES[name]()
+    shared, copy = Document(name, h, ideals), Document(name, unshared(h), ideals)
+    for argv in _jobs(ideals):
+        assert _render(shared, argv) == _render(copy, argv), argv
+
+
+def _rows_of(report) -> list:
+    return [(v.check, v.grading, v.basis_index, v.detail) for v in report.violations]
+
+
+def _calculus_data(h, ideals) -> list:
+    """Every map, verdict and coaction of the universal calculus and of the
+    route calculi of each ideal, and the structure data and report of each
+    bicovariant one."""
+    out = []
+    calcs = [universal_calculus(h)]
+    for gens in ideals.values():
+        ideal = right_ideal_from_generators(h, gens)
+        calcs += [calculus_from_ideal(h, ideal), calculus_from_ideal_right(h, ideal)]
+    pairs = [(a, b) for a in h.group.elements() for b in h.group.elements()]
+    for calc in calcs:
+        left, right = check_left_covariant(calc), check_right_covariant(calc)
+        out.append((calc.kernels, calc.incl, calc.proj, calc.lift, calc.drop, calc.d,
+                    calc.left, calc.right, _rows_of(calc.leibniz_report()),
+                    _rows_of(calc.surjectivity_report()), _rows_of(left), _rows_of(right)))
+        if left.ok:
+            out.append([induced_delta_l(calc, a, b) for a, b in pairs])
+        if right.ok:
+            out.append([induced_delta_r(calc, a, b) for a, b in pairs])
+        if check_bicovariant(calc).ok:
+            try:
+                data = extract_structure(calc.to_bimodule())
+            except HopfPiError as exc:
+                out.append((type(exc).__name__, str(exc)))
+                continue
+            out.append((data.size, data.omega, data.eta, data.F, data.f, data.g, data.R,
+                        _rows_of(data.report), data.not_run))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CALCULUS_FAMILIES))
+def test_shared_and_unshared_calculus_data_agree(name):
+    """The calculus maps, induced coactions and structure data of h and of
+    its unshared copy are equal matrices, and their reports agree
+    violation for violation."""
+    h, ideals = CALCULUS_FAMILIES[name]()
+    if not verify_all(h).ok:
+        with pytest.raises(HopfPiError):
+            universal_calculus(unshared(h))
+        return
+    assert _calculus_data(h, ideals) == _calculus_data(unshared(h), ideals)
+
+
+def test_taft_family_structure_fails_at_every_grading():
+    """The failing structure report of Taft/F7 over Z/2 names both
+    gradings, so re-stamping a shared violation is exercised there."""
+    h, _ = CALCULUS_FAMILIES["Taft/F7 over Z/2"]()
+    data = extract_structure(universal_calculus(h).to_bimodule())
+    assert {v.grading[0] for v in data.report.violations} == set(h.group.elements())

@@ -523,7 +523,8 @@ def test_frame_size_uniformity_guard(const_bim):
     cb = CovariantBimodule(const_bim.h, const_bim.dims, const_bim.left,
                            const_bim.right, delta_l=const_bim.delta_l,
                            delta_r=const_bim.delta_r)
-    cb._omega = {0: Subspace.from_spanning(QQ, 2, [(F(1), F(0))]), 1: full_space(QQ, 2)}
+    cb.omega_space = {0: Subspace.from_spanning(QQ, 2, [(F(1), F(0))]),
+                      1: full_space(QQ, 2)}.__getitem__
     with pytest.raises(DimensionVariesAcrossGrading):
         _frame_size(cb)
 
@@ -909,6 +910,7 @@ def test_corrupted_unit_fails_extraction_and_reconstruction(kz2, kz2_bim):
                               basis_names=kz2.basis_names)
     bad = copy.copy(kz2_bim)
     bad.h = doubled
+    bad.omega_space, bad.omega = kz2_bim.omega_space, kz2_bim.omega     # keep the ω frames
     _, extraction = functionals_f(bad, coefficient_maps(bad, _omega(bad)))
     assert _listed(extraction) == [("frame-normalisation", (0,), None, "f_00(1) = 2, expected 1")]
     with pytest.raises(IncompatibleData) as rebuild:
@@ -1202,37 +1204,33 @@ def test_reconstruct_right_action_matches_the_product_chain(fixture_dir):
                 h, nested_functionals(h, funcs), size, a), (name, a)
 
 
-def test_structure_builds_each_frame_matrix_once(monkeypatch, fixture_dir, capsys):
-    """One `structure --universal` run builds the frame matrix of each
-    (grading, frame, side) once: extraction, the left-multiplication rules
-    and the round trip read the matrices built before, so every read of
-    one (grading, frame, side) returns one Matrix object."""
-    import json
-    from collections import defaultdict
+def test_structure_builds_each_frame_matrix_once(monkeypatch):
+    """An extraction builds each frame matrix once per distinct (action,
+    frame, m_α): extraction, the left-multiplication rules and the round
+    trip read the matrices built before.  On the constant family of
+    F_101[Z/3] over S3 the six gradings read one action, one m and one
+    frame (the algebra is cocommutative, so η = ω, and the ω object stands
+    for η), so each side is built once; on its unshared copy once per
+    grading, as when the bimodule held one matrix per (grading, frame,
+    side)."""
+    from collections import Counter
 
     import hopfpi.structure as struct_mod
-    from hopfpi.cli import main
+    from hopfpi import constant_family, cyclic, group_algebra
+    from oracles import s3_group, unshared
 
-    path = fixture_dir / "f7z3_constant_z2.json"
-    h = load_document(path).hopf
-    bim = universal_calculus(h).to_bimodule()
-    omega = {a: bim.omega(a) for a in h.group.elements()}
-    built = defaultdict(dict)      # (grading, frame, side) -> {id: matrix returned}
-    read = struct_mod.CovariantBimodule.frame_matrix
-
-    def counting(cb, alpha, frame, side="left"):
-        w = read(cb, alpha, frame, side)
-        built[(alpha, frame, side)][id(w)] = w
-        return w
-
-    monkeypatch.setattr(struct_mod.CovariantBimodule, "frame_matrix", counting)
-    assert main(["structure", "--universal", str(path), "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["result"] == "pass"
-    assert {(a, omega[a], side) for a in h.group.elements()
-            for side in ("left", "right")} <= built.keys()
-    assert {(a, side) for a, _, side in built} == {
-        (a, side) for a in h.group.elements() for side in ("left", "right")}
-    assert {len(objects) for objects in built.values()} == {1}, built
+    built = Counter()
+    for side, name in (("left", "_frame_left"), ("right", "_frame_right")):
+        build = getattr(struct_mod, name)
+        monkeypatch.setattr(struct_mod, name, lambda *operands, side=side, build=build:
+                            built.update([side]) or build(*operands))
+    family = constant_family(group_algebra(cyclic(3), PrimeField(101)), s3_group())
+    for h, builds in ((family, 1), (unshared(family), family.group.order)):
+        built.clear()
+        data = extract_structure(universal_calculus(h).to_bimodule())
+        assert data.report.ok and not data.not_run
+        assert all(eta is omega for eta, omega in zip(data.eta, data.omega))
+        assert built == {"left": builds, "right": builds}
 
 
 @pytest.mark.parametrize("name", ["f7z3_constant_z2.json", "kz2_rational.json", "f7_z3.json"])
