@@ -26,15 +26,11 @@ same way, and so is right-ideal closure: R ⊆ A_1 is a right ideal iff
 P_R m_1 (ι_R ⊗ I) = 0 (_first_escape, which enumeration runs in ker-ε
 coordinates).
 
-What a calculus reads is built once per distinct tuple of operand objects
-(an OperandMemo), so gradings that read the same objects share it.  Per
-Hopf structure (HopfPiCoalgebra.shared): A²_α by (m_α, 1_α), with one
-zero N per A²_α for the universal calculus, and Φ^l and Φ^r by (side,
-Δ_{α,β}, m).  Per calculus (Fodc.shared): the maps of Γ_α (ι, P, lift,
-drop, d and the two actions) by (A²_α, N_α), each containment by (Φ,
-ι_{αβ}, P) and each induced coaction by (Φ, lift, drop).  r_α^{-1},
-t_α^{-1}, ad_α and the route kernels N_α are built once per structure
-and grading (HopfPiCoalgebra.derived), not shared across gradings.
+Every map a calculus reads is a pure function of the objects it reads,
+built once per distinct tuple of them (an OperandMemo), so gradings that
+read the same objects share it: the maps of h in h.shared, those of a
+calculus in Fodc.shared, and the route kernels N_α in a memo of the call
+that builds the calculus.
 
 The adjoint coaction ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1⊗A_α
 characterises bicovariance: the r-route calculus of R is bicovariant iff
@@ -99,8 +95,7 @@ class UniversalBimodule:
     into A_α⊗A_α, and D.  The A-actions on
     A_α⊗A_α multiply the outer legs: m_α on the first leg from the left,
     on the second from the right.  Each grading is one A²_α shared by the
-    gradings with the same (m_α, 1_α).  It holds no reference to h, which
-    memoises it (universal_bimodule), so the two form no cycle."""
+    gradings with the same (m_α, 1_α)."""
 
     def __init__(self, h: HopfPiCoalgebra):
         self.at: list[_Square] = [h.shared(_Square, h.mult[a], h.unit[a])
@@ -114,8 +109,9 @@ class UniversalBimodule:
 
 
 def universal_bimodule(h: HopfPiCoalgebra) -> UniversalBimodule:
-    """A² of h, built once per Hopf structure: every calculus on h shares it."""
-    return h.derived(("A2",), lambda: UniversalBimodule(h))
+    """A² of h, read off the A²_α that h memoises: every calculus on h
+    shares them."""
+    return UniversalBimodule(h)
 
 
 # ---------------------------------------------------------------------------
@@ -165,28 +161,29 @@ def r_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
 
 
 def t_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
-    """t_α : A_α⊗A_α → A_1⊗A_α, a⊗b ↦ (1_1⊗a)Δ_{1,α}(b) = b_(1,1) ⊗ a b_(2,α)."""
-    f = h.field
-    e = h.group.identity
-    n = h.n(alpha)
-    n1 = h.n(e)
-    spread = Matrix.identity(f, n).kron(h.comult[(e, alpha)])   # a ⊗ b_(1) ⊗ b_(2)
-    return spread.permute_legs((n, n1, n), (1, 0, 2), 0).on_leg(h.mult[alpha], n1, 1, 0)
+    """t_α : A_α⊗A_α → A_1⊗A_α, a⊗b ↦ (1_1⊗a)Δ_{1,α}(b) = b_(1,1) ⊗ a b_(2,α),
+    built once per (Δ_{1,α}, m_α): ad_α reads it."""
+    return h.shared(_t_map, h.comult[(h.group.identity, alpha)], h.mult[alpha])
+
+
+def _t_map(d: Matrix, m: Matrix) -> Matrix:
+    n = m.rows
+    n1 = d.rows // n
+    spread = Matrix.identity(m.field, n).kron(d)   # a ⊗ b_(1) ⊗ b_(2)
+    return spread.permute_legs((n, n1, n), (1, 0, 2), 0).on_leg(m, n1, 1, 0)
 
 
 def r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     """r_α^{-1} : A_α⊗A_1 → A_α⊗A_α, a⊗b ↦ a S_{α^{-1}}(b_(1,α^{-1})) ⊗ b_(2,α),
-    built once per Hopf structure."""
-    return h.derived(("r_inv", alpha), lambda: _r_inv(h, alpha))
+    built once per (Δ_{α^{-1},α}, S_{α^{-1}}, m_α)."""
+    ai = h.group.inv(alpha)
+    return h.shared(_r_inv, h.comult[(ai, alpha)], h.antipode[ai], h.mult[alpha])
 
 
-def _r_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
-    f = h.field
-    g = h.group
-    n = h.n(alpha)
-    ai = g.inv(alpha)
-    inner = h.comult[(ai, alpha)].on_leg(h.antipode[ai], 1, n, 0)   # S(b_(1)) ⊗ b_(2)
-    return Matrix.identity(f, n).kron(inner).on_leg(h.mult[alpha], 1, n, 0)
+def _r_inv(d: Matrix, s: Matrix, m: Matrix) -> Matrix:
+    n = m.rows
+    inner = d.on_leg(s, 1, n, 0)   # S(b_(1)) ⊗ b_(2)
+    return Matrix.identity(m.field, n).kron(inner).on_leg(m, 1, n, 0)
 
 
 def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
@@ -194,16 +191,18 @@ def t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
 
     Uses the inverse matrix of S_α (which the antipode axiom at α^{-1}
     makes a two-sided inverse of t_α); S_{α^{-1}} itself works only when
-    the antipode family is involutive.  Built once per Hopf structure.
+    the antipode family is involutive.  Built once per
+    (Δ_{α,α^{-1}}, S_α^{-1}, m_α).
     """
-    return h.derived(("t_inv", alpha), lambda: _t_inv(h, alpha))
+    return h.shared(_t_inv, h.comult[(alpha, h.group.inv(alpha))], h.antipode_inv(alpha),
+                    h.mult[alpha])
 
 
-def _t_inv(h: HopfPiCoalgebra, alpha: int) -> Matrix:
-    n = h.n(alpha)
-    split = h.comult[(alpha, h.group.inv(alpha))].kron(Matrix.identity(h.field, n))  # a_(1) ⊗ a_(2) ⊗ b
-    twisted = split.on_leg(h.antipode_inv(alpha), n, n, 0)          # a_(1) ⊗ S^{-1}(a_(2)) ⊗ b
-    return twisted.permute_legs((n, n, n), (2, 1, 0), 0).on_leg(h.mult[alpha], 1, n, 0)
+def _t_inv(d: Matrix, s_inv: Matrix, m: Matrix) -> Matrix:
+    n = m.rows
+    split = d.kron(Matrix.identity(m.field, n))              # a_(1) ⊗ a_(2) ⊗ b
+    twisted = split.on_leg(s_inv, n, n, 0)                   # a_(1) ⊗ S^{-1}(a_(2)) ⊗ b
+    return twisted.permute_legs((n, n, n), (2, 1, 0), 0).on_leg(m, 1, n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +387,6 @@ class Fodc:
         self.h = h
         self.asq = universal_bimodule(h)
         self.kernels = list(kernels)
-        self._covariance: dict = {}    # side -> containment report
-        self._coactions: dict = {}     # side -> induced coactions by (α, β)
         self.shared = OperandMemo()    # the maps of this calculus, by operand tuple
         g = h.group
 
@@ -460,11 +457,11 @@ class Fodc:
         CovariantBimodule._trusted); VerificationFailed if h fails the
         Hopf axioms.
         """
-        if not (_covariance(self, "left").ok or _covariance(self, "right").ok):
+        delta_l, delta_r = _coactions(self, "left"), _coactions(self, "right")
+        if delta_l is None and delta_r is None:
             raise NotCovariant("calculus is neither left nor right covariant")
         return CovariantBimodule._trusted(self.h, self.gamma_dims, self.left, self.right,
-                                          delta_l=_coactions(self, "left"),
-                                          delta_r=_coactions(self, "right"))
+                                          delta_l=delta_l, delta_r=delta_r)
 
     def leibniz_report(self) -> VerificationReport:
         """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
@@ -513,22 +510,34 @@ def universal_calculus(h: HopfPiCoalgebra) -> Fodc:
 
 def calculus_from_ideal(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     """Left covariant calculus with N_α = r_α^{-1}(A_α ⊗ R), the image of
-    r_α^{-1} ∘ (I ⊗ ι_R); the universal calculus when R = 0, which
-    builds no r_α^{-1}."""
+    r_α^{-1} ∘ (I ⊗ ι_R), built once per (r_α^{-1}, ι_R); the universal
+    calculus when R = 0, which builds no r_α^{-1}."""
     if ideal.dim == 0:
         return universal_calculus(h)
     incl = ideal.subspace.inclusion_matrix()
-    return Fodc._trusted(h, lambda a: image(r_inv(h, a).on_leg(incl, h.n(a), 1, 1)))
+    memo = OperandMemo()    # this call's, so N lives as long as the calculus, not as h
+    return Fodc._trusted(h, lambda a: memo(_left_route_kernel, r_inv(h, a), incl))
+
+
+def _left_route_kernel(r_inverse: Matrix, incl: Matrix) -> Subspace:
+    """N_α = r_α^{-1}(A_α⊗R), the image of r_α^{-1} ∘ (I ⊗ ι_R)."""
+    return image(r_inverse.on_leg(incl, r_inverse.cols // incl.rows, 1, 1))
 
 
 def calculus_from_ideal_right(h: HopfPiCoalgebra, ideal: RightIdeal) -> Fodc:
     """Right covariant calculus with N_α = t_α^{-1}(R ⊗ A_α), the image of
-    t_α^{-1} ∘ (ι_R ⊗ I); the universal calculus when R = 0, which
-    builds no t_α^{-1}."""
+    t_α^{-1} ∘ (ι_R ⊗ I), built once per (t_α^{-1}, ι_R); the universal
+    calculus when R = 0, which builds no t_α^{-1}."""
     if ideal.dim == 0:
         return universal_calculus(h)
     incl = ideal.subspace.inclusion_matrix()
-    return Fodc._trusted(h, lambda a: image(t_inv(h, a).on_leg(incl, 1, h.n(a), 1)))
+    memo = OperandMemo()    # this call's, so N lives as long as the calculus, not as h
+    return Fodc._trusted(h, lambda a: memo(_right_route_kernel, t_inv(h, a), incl))
+
+
+def _right_route_kernel(t_inverse: Matrix, incl: Matrix) -> Subspace:
+    """N_α = t_α^{-1}(R⊗A_α), the image of t_α^{-1} ∘ (ι_R ⊗ I)."""
+    return image(t_inverse.on_leg(incl, 1, t_inverse.cols // incl.rows, 1))
 
 
 def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
@@ -541,16 +550,14 @@ def calculus_from_kernels(h: HopfPiCoalgebra, kernels: list[Subspace]) -> Fodc:
 
 
 def _covariance(calc: Fodc, side: str) -> VerificationReport:
-    """The containment report of one side, memoised on calc.
+    """The containment report of one side.
 
     Left: Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β, decided as
     (I ⊗ P_β) Φ^l ι_{αβ} = 0; right: Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β, decided as
     (P_α ⊗ I) Φ^r ι_{αβ} = 0.  A nonzero column j names the basis vector of
-    N_{αβ} that leaves.  Each product is computed once per (Φ, ι_{αβ}, P).
+    N_{αβ} that leaves.  Each product is computed once per (Φ, ι_{αβ}, P)
+    in calc.shared, so a later query reads the memo.
     """
-    memo = calc._covariance.get(side)
-    if memo is not None:
-        return memo
     h = calc.h
     g = h.group
     left = side == "left"
@@ -563,7 +570,6 @@ def _covariance(calc: Fodc, side: str) -> VerificationReport:
         leaving = (calc.shared(_leaving_left, phi_l(h, a, b), incl, calc.proj[b]) if left
                    else calc.shared(_leaving_right, phi_r(h, a, b), incl, calc.proj[a]))
         report.extend(Violation(f"{side}-covariance", (a, b), j, detail) for j in leaving)
-    calc._covariance[side] = report
     return report
 
 
@@ -580,28 +586,22 @@ def _leaving_right(phi: Matrix, incl: Matrix, proj: Matrix) -> list[int]:
 
 def _coactions(calc: Fodc, side: str) -> dict | None:
     """The coactions of one side, keyed by (α, β), when its containment
-    holds, else None; built on first use and memoised on calc."""
+    holds, else None."""
     if not _covariance(calc, side).ok:
         return None
-    if side not in calc._coactions:
-        calc._coactions[side] = _induced_coactions(calc, side)
-    return calc._coactions[side]
+    g = calc.h.group
+    return {(a, b): _coaction(calc, side, a, b) for a in g.elements() for b in g.elements()}
 
 
-def _induced_coactions(calc: Fodc, side: str) -> dict:
-    """The maps Δ_{α,β} that Φ induces on the quotients: drop ∘ Φ ∘ lift,
-    well defined once the containment of `side` holds, each built once per
+def _coaction(calc: Fodc, side: str, alpha: int, beta: int) -> Matrix:
+    """The map Δ_{α,β} that Φ induces on the quotients, drop ∘ Φ ∘ lift,
+    well defined once the containment of `side` holds; built once per
     (Φ, lift, drop).  The Φ that decided the verdict serves here too."""
     h = calc.h
-    g = h.group
-    coactions = {}
-    for a in g.elements():
-        for b in g.elements():
-            lift = calc.lift[g.mul(a, b)]
-            coactions[(a, b)] = (calc.shared(_descend_left, phi_l(h, a, b), lift, calc.drop[b])
-                                 if side == "left" else
-                                 calc.shared(_descend_right, phi_r(h, a, b), lift, calc.drop[a]))
-    return coactions
+    lift = calc.lift[h.group.mul(alpha, beta)]
+    if side == "left":
+        return calc.shared(_descend_left, phi_l(h, alpha, beta), lift, calc.drop[beta])
+    return calc.shared(_descend_right, phi_r(h, alpha, beta), lift, calc.drop[alpha])
 
 
 def _descend_left(phi: Matrix, lift: Matrix, drop: Matrix) -> Matrix:
@@ -621,20 +621,19 @@ def _nonzero_columns(m: Matrix) -> list[int]:
 
 def check_left_covariant(calc: Fodc) -> VerificationReport:
     """Φ^l(N_{αβ}) ⊆ A_α ⊗ N_β for all α, β; witnesses on failure."""
-    return VerificationReport(_covariance(calc, "left").violations)
+    return _covariance(calc, "left")
 
 
 def check_right_covariant(calc: Fodc) -> VerificationReport:
     """Φ^r(N_{αβ}) ⊆ N_α ⊗ A_β for all α, β; witnesses on failure."""
-    return VerificationReport(_covariance(calc, "right").violations)
+    return _covariance(calc, "right")
 
 
 def _induced(calc: Fodc, side: str, alpha: int, beta: int) -> Matrix:
-    coactions = _coactions(calc, side)
-    if coactions is None:
-        witness = _covariance(calc, side).violations[0]
-        raise NotCovariant(f"not {side} covariant: {witness.render()}")
-    return coactions[(alpha, beta)]
+    report = _covariance(calc, side)
+    if not report.ok:
+        raise NotCovariant(f"not {side} covariant: {report.violations[0].render()}")
+    return _coaction(calc, side, alpha, beta)
 
 
 def induced_delta_l(calc: Fodc, alpha: int, beta: int) -> Matrix:
@@ -668,30 +667,34 @@ def ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
     """ad_α = t_α ∘ r_α^{-1} ∘ (1_α ⊗ ·) : A_1 → A_1 ⊗ A_α.
 
     In Sweedler notation a ↦ a_(2,1) ⊗ S_{α^{-1}}(a_(1,α^{-1})) a_(3,α).
-    Built once per Hopf structure.
+    Built once per (t_α, r_α^{-1}, 1_α).
     """
-    return h.derived(("ad", alpha), lambda: _ad_map(h, alpha))
+    return h.shared(_ad_map, t_map(h, alpha), r_inv(h, alpha), h.unit[alpha])
 
 
-def _ad_map(h: HopfPiCoalgebra, alpha: int) -> Matrix:
-    n1 = h.n(h.group.identity)
-    return t_map(h, alpha) @ r_inv(h, alpha).on_leg(h.unit_col(alpha), 1, n1, 1)
+def _ad_map(t: Matrix, r_inverse: Matrix, unit: tuple) -> Matrix:
+    n1 = t.rows // len(unit)
+    return t @ r_inverse.on_leg(Matrix.column(t.field, unit), 1, n1, 1)
 
 
 def check_ad_invariant(h: HopfPiCoalgebra, ideal: RightIdeal) -> VerificationReport:
     """ad_α(R) ⊆ R ⊗ A_α for every α, decided as (P_R ⊗ I) ad_α ι_R = 0
     with P_R a projection whose kernel is R; a nonzero column j names the
-    basis vector of R that leaves."""
+    basis vector of R that leaves.  Computed once per distinct ad_α."""
     sub = ideal.subspace
     incl = sub.inclusion_matrix()
     proj = quotient(sub)
     report = VerificationReport()
+    run = checker(report)
     for a in h.group.elements():
-        outside = (ad_map(h, a) @ incl).on_leg(proj, 1, h.n(a), 0)
-        report.extend(Violation("ad-invariance", (a,), j,
-                                "ad maps an ideal basis vector outside R⊗A")
-                      for j in _nonzero_columns(outside))
+        run(_ad_leaving, (a,), ad_map(h, a), incl, proj)
     return report
+
+
+def _ad_leaving(ad: Matrix, incl: Matrix, proj: Matrix) -> list[Violation]:
+    outside = (ad @ incl).on_leg(proj, 1, ad.rows // proj.cols, 0)
+    return [Violation("ad-invariance", (), j, "ad maps an ideal basis vector outside R⊗A")
+            for j in _nonzero_columns(outside)]
 
 
 def ideal_from_calculus(calc: Fodc) -> RightIdeal:
@@ -740,6 +743,11 @@ def _all_rref_subspaces(field: PrimeField, dim: int, top: int):
                 yield Subspace(Matrix._unchecked(field, k, dim, entries), pivots)
 
 
+def _kernel_action(sub: Subspace, m: Matrix) -> Matrix:
+    """The right action of A_1 on a right ideal, coords(sub) m_1 (ι_sub⊗I)."""
+    return sub.coords_matrix() @ m.on_leg(sub.inclusion_matrix(), 1, m.rows, 1)
+
+
 def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> list[RightIdeal]:
     """All right ideals R ⊆ ker ε, by exhaustive echelon-subspace search.
 
@@ -750,7 +758,7 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
 
     Each candidate is tested in ker-ε coordinates, with the right action
     of A_1 on ker ε, coords(ker ε) m_1 (ι_{ker ε}⊗I), built once per
-    structure: that is exact because ker ε is a right ideal, ε being an
+    (ker ε, m_1): that is exact because ker ε is a right ideal, ε being an
     algebra map.  A candidate that passes is lifted into A_1 by one product
     with ker ε's RREF basis and is not re-reduced: the lift of an RREF
     basis through an RREF basis is RREF, with pivots ker ε's pivots at the
@@ -769,13 +777,12 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     if k > MAX_ENUM_KER_DIM:
         raise TooLarge(f"dim ker ε = {k} exceeds the enumeration bound {MAX_ENUM_KER_DIM}")
     require_axioms(h)
-    e = h.group.identity
-    n1 = h.n(e)
-    action = h.derived(("counit_kernel_action",), lambda: ker_eps.coords_matrix()
-                       @ h.mult[e].on_leg(ker_eps.inclusion_matrix(), 1, n1, 1))
+    m1 = h.mult[h.group.identity]
+    action = h.shared(_kernel_action, ker_eps, m1)
     found = []
     for small in _all_rref_subspaces(f, k, k if max_dim is None else max_dim):
-        if _first_escape(action, small, n1) is None:
+        if _first_escape(action, small, m1.rows) is None:
             lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
             found.append(RightIdeal(h, lifted))
     return found
+

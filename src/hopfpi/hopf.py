@@ -22,13 +22,15 @@ grading that reads that tuple, in grading order, so the report is the one
 that checking every grading would give (checker).  Families often repeat
 components across gradings (a constant family has Δ_{α,β} = Δ for all
 α, β), and docio parses each repeated block of a document into one shared
-object.  The calculus and structure layers share their per-grading maps
-and identities the same way (HopfPiCoalgebra.derived).
+object.  Every map derived from a structure (r⁻¹, t⁻¹, ad, S⁻¹, ker ε,
+the calculus and structure maps) is memoised the same way, in the
+OperandMemo of the structure, calculus or bimodule that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DimensionMismatch,
@@ -129,7 +131,9 @@ class HopfPiCoalgebra:
     Every shape is checked at construction (DimensionMismatch).  Basis
     names default to x0, x1, …, filled in here with one tuple per distinct
     dimension, so components of equal dimension share their names as they
-    share repeated matrices.
+    share repeated matrices.  `shared` memoises each map derived from the
+    structure by the operands it reads (OperandMemo); no value in it refers
+    back to the structure, so the two form no reference cycle.
     """
 
     def __init__(self, group: FiniteGroup, field: Field, dims, comult, counit, mult, unit,
@@ -150,36 +154,17 @@ class HopfPiCoalgebra:
             basis_names = [defaults.setdefault(n, tuple(f"x{i}" for i in range(n)))
                            for n in self.dims]
         self.basis_names = tuple(tuple(ns) for ns in basis_names)
-        self._derived: dict = {}     # key -> value, see derived
-        self.shared = OperandMemo()
+        self.shared = OperandMemo()    # maps derived from the structure, by operand tuple
         self._validate_shapes()
 
     def n(self, alpha: int) -> int:
         return self.dims[alpha]
 
-    def derived(self, key: tuple, build):
-        """build(), computed once per structure and memoised under `key`.
-
-        For what depends on the structure as a whole or is built per
-        grading (the axiom verdict of verify_all, A² as a whole, r⁻¹, t⁻¹,
-        ad, S⁻¹, ker ε and the right action of A_1 on ker ε in its own
-        coordinates): every caller shares one value.  r⁻¹, t⁻¹, ad and the
-        route kernels N_α = r_α⁻¹(A_α⊗R) are still built per grading.
-
-        What is a function of a few of the structure's own objects goes
-        through `shared` instead, an OperandMemo that computes it once per
-        distinct operand tuple, so gradings that read the same operands
-        share it: A²_α by (m_α, 1_α), its zero subspace, and Φ^l, Φ^r by
-        (side, Δ_{α,β}, m).  A calculus and a bimodule hold memos of the
-        same kind for their own maps (Fodc.shared, CovariantBimodule.shared),
-        so those live as long as they do.  Values are never mutated, and
-        none refers back to the structure, so neither memo forms a
-        reference cycle.
-        """
-        memo = self._derived
-        if key not in memo:
-            memo[key] = build()
-        return memo[key]
+    @cached_property
+    def _verdict(self) -> VerificationReport:
+        """The π-coalgebra checks, then the Hopf checks; the one derived
+        value that reads the whole structure, so it has no operands."""
+        return verify_pi_coalgebra(self).merge(verify_hopf(self))
 
     def basis_name(self, alpha: int, i: int) -> str:
         return self.basis_names[alpha][i]
@@ -232,12 +217,12 @@ class HopfPiCoalgebra:
         return Matrix.column(self.field, self.unit[alpha])
 
     def antipode_inv(self, alpha: int) -> Matrix:
-        """Inverse of S_α as a matrix, A_{α^{-1}} → A_α."""
-        return self.derived(("antipode_inv", alpha), lambda: self.antipode[alpha].inverse())
+        """Inverse of S_α as a matrix, A_{α^{-1}} → A_α, once per S_α."""
+        return self.shared(Matrix.inverse, self.antipode[alpha])
 
     def counit_kernel(self) -> Subspace:
         """ker ε ⊆ A_1, canonical basis."""
-        return self.derived(("counit_kernel",), lambda: kernel(self.counit))
+        return self.shared(kernel, self.counit)
 
 
 def act_on_pairs(x: Matrix, y: Matrix, legs, first: Matrix, second: Matrix) -> Matrix:
@@ -495,10 +480,9 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
 
 def verify_all(h: HopfPiCoalgebra) -> VerificationReport:
     """The π-coalgebra checks, then the Hopf checks, computed once per
-    structure: the verdict depends on h alone, so every later caller
-    (the CLI, each calculus's bimodule) reads the memo."""
-    verdict = h.derived(("verdict",), lambda: verify_pi_coalgebra(h).merge(verify_hopf(h)))
-    return VerificationReport(verdict.violations)
+    structure: every later caller (the CLI, each calculus's bimodule)
+    reads the verdict h keeps."""
+    return VerificationReport(h._verdict.violations)
 
 
 def require_axioms(h: HopfPiCoalgebra) -> None:

@@ -21,7 +21,6 @@ which must break at least one identity.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import isqrt
 from pathlib import Path
@@ -39,7 +38,6 @@ from hopfpi import (
     universal_calculus,
     verify_all,
 )
-from hopfpi.groups import group_from_table
 from hopfpi.linalg import Matrix, PrimeField, QQ
 from hopfpi.structure import (
     _collapse,
@@ -64,19 +62,13 @@ from oracles import (
     nested_maps,
     r_blocks,
     r_matrices,
+    s3_group,
     stack_functionals,
     stack_maps,
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 F101 = PrimeField(101)
-
-
-def _s3():
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return group_from_table([[index[tuple(p[q[x]] for x in range(3))] for q in perms]
-                             for p in perms])
 
 
 def _fixture_calculi():
@@ -109,7 +101,7 @@ def _generated_calculi():
             taft_hopf_algebra(PrimeField(p)))))
     for p, n in ((5, 4), (7, 4), (101, 3)):
         out.append((f"F{p}[Z/{n}] over S3", lambda p=p, n=n: universal_calculus(
-            constant_family(group_algebra(cyclic(n), PrimeField(p)), _s3()))))
+            constant_family(group_algebra(cyclic(n), PrimeField(p)), s3_group()))))
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,8 @@ from hopfpi import (
     verify_all,
     zero_ideal,
 )
-from hopfpi.cli import main
+from hopfpi.cli import _DISPATCH, build_parser, main
+from hopfpi.docio import Document
 from hopfpi.errors import (
     NotCovariant,
     NotInKernelOfCounit,
@@ -840,39 +842,41 @@ def test_taft_universal_calculus(taft):
 def test_covariance_decided_once_per_calculus(monkeypatch, first):
     """Each side's containments are decided once per calculus, whatever
     covariance query comes first, and across the calculi on a structure
-    each Φ^l and Φ^r is built once per distinct (Δ_{α,β}, m) and each
+    each Φ^l and Φ^r is built once per distinct (Δ_{α,β}, m), each r⁻¹,
+    t⁻¹ and route kernel once per distinct operand tuple, and each
     containment product once per distinct (Φ, ι_{αβ}, P).  On a constant
-    family over S3 every grading pair reads one Δ and one m, so Φ^l and Φ^r
-    are built once, and the universal calculus, whose N_α is one zero
-    space, decides each side with one product; the route calculi build
-    N_α per grading, so they need one product per pair.  On the unshared
-    copy every grading pair has its own operands: 36 of each Φ, and one
-    product per pair for every calculus."""
+    family over S3 every grading reads one Δ, m and S, so each of these
+    maps is built once: every N_α is one subspace, and each calculus
+    decides each side with one product.  On the unshared copy every
+    grading has its own operands: one r⁻¹, t⁻¹ and route kernel per
+    grading, 36 of each Φ, and one product per pair for every calculus."""
     import hopfpi.calculus as calc_mod
 
-    builds = {"left": 0, "right": 0}
+    builds: dict = {}
     products = []          # one containment product per distinct operand tuple
     nonzero_columns = calc_mod._nonzero_columns
 
-    def counting(side, build):
+    def counting(name, build):
         def wrapper(*operands):
-            builds[side] += 1
+            builds[name] += 1
             return build(*operands)
         return wrapper
 
-    monkeypatch.setattr(calc_mod, "_phi_l", counting("left", calc_mod._phi_l))
-    monkeypatch.setattr(calc_mod, "_phi_r", counting("right", calc_mod._phi_r))
+    names = ("_phi_l", "_phi_r", "_r_inv", "_t_inv", "_left_route_kernel", "_right_route_kernel")
+    for name in names:
+        monkeypatch.setattr(calc_mod, name, counting(name, getattr(calc_mod, name)))
     monkeypatch.setattr(calc_mod, "_nonzero_columns",
                         lambda m: products.append(m) or nonzero_columns(m))
     family = constant_family(group_algebra(cyclic(3), PrimeField(7), names=("e", "g", "g2")),
                              s3_group())
-    pairs = [(a, b) for a in family.group.elements() for b in family.group.elements()]
-    for h, per_pair in ((family, 1), (unshared(family), len(pairs))):
-        builds.update(left=0, right=0)
+    order = family.group.order
+    for h, per_grading in ((family, 1), (unshared(family), order)):
+        builds.update(dict.fromkeys(names, 0))
         products.clear()
         ideal = right_ideal_from_generators(h, [(5, 6, 3)])
-        for calc in (universal_calculus(h), calculus_from_ideal(h, ideal),
-                     calculus_from_ideal_right(h, ideal)):
+        calcs = (universal_calculus(h), calculus_from_ideal(h, ideal),
+                 calculus_from_ideal_right(h, ideal))
+        for calc in calcs:
             queries = {
                 "left": lambda: check_left_covariant(calc),
                 "right": lambda: check_right_covariant(calc),
@@ -885,8 +889,11 @@ def test_covariance_decided_once_per_calculus(monkeypatch, first):
                 query()
             ideal_from_calculus(calc)
             assert check_bicovariant(calc).ok
-        assert builds == {"left": per_pair, "right": per_pair}
-        assert len(products) == 2 * per_pair + 2 * 2 * len(pairs)
+        per_pair = per_grading ** 2
+        assert builds == {"_phi_l": per_pair, "_phi_r": per_pair, "_r_inv": per_grading,
+                          "_t_inv": per_grading, "_left_route_kernel": per_grading,
+                          "_right_route_kernel": per_grading}
+        assert len(products) == len(calcs) * 2 * per_pair
 
 
 FIXTURES = ("kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json", "f7z3_constant_z2.json",
@@ -1014,12 +1021,14 @@ def test_one_reduction_per_subspace(monkeypatch, f7z3, f7z3_const):
         assert spanned and asq_dims.isdisjoint(spanned)
 
 
-def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir, capsys):
+def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir):
     """An `enumerate` job reads dimensions and covariance verdicts only.
     No calculus builds d or its actions, no induced coaction is built,
-    r⁻¹ and ad are built once per grading for all ideals together, and no
-    route calculus tests its sub-bimodule closure, a theorem once the
-    axioms hold."""
+    no route calculus tests its sub-bimodule closure, a theorem once the
+    axioms hold, and t, r⁻¹ and ad are built once per distinct operand
+    tuple for all ideals together, and each route kernel once per ideal
+    and distinct r⁻¹: once on the document, whose two gradings read the
+    same Δ, m and S, and at each grading on its unshared copy."""
     import hopfpi.calculus as calc_mod
     from hopfpi.calculus import Fodc
 
@@ -1027,7 +1036,7 @@ def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir, capsys):
 
     def counted(label, build):
         def wrapper(*args):
-            built.append((label, *args[1:]))
+            built.append(label)
             return build(*args)
         return wrapper
 
@@ -1035,13 +1044,22 @@ def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir, capsys):
         monkeypatch.setattr(Fodc, name, property(counted(name, getattr(Fodc, name).func)))
     monkeypatch.setattr(Fodc, "_check_sub_bimodule",
                         counted("sub-bimodule", Fodc._check_sub_bimodule))
-    for name in ("_induced_coactions", "_r_inv", "_ad_map"):
+    for name in ("_descend_left", "_descend_right", "_t_map", "_r_inv", "_ad_map",
+                 "_left_route_kernel"):
         monkeypatch.setattr(calc_mod, name, counted(name, getattr(calc_mod, name)))
 
-    assert main(["enumerate", str(fixture_dir / "f7z3_constant_z2.json"), "--format", "json"]) == 0
-    rows = json.loads(capsys.readouterr().out)["tables"]["right ideals in ker ε"]["rows"]
-    assert len(rows) > 1
-    assert sorted(built) == [(name, a) for name in ("_ad_map", "_r_inv") for a in (0, 1)]
+    doc = load_document(fixture_dir / "f7z3_constant_z2.json")
+    args = build_parser().parse_args(["enumerate", "doc.json"])
+    for h, per_grading in ((doc.hopf, 1), (unshared(doc.hopf), doc.hopf.group.order)):
+        built.clear()
+        report = _DISPATCH["enumerate"](Document(doc.name, h, doc.ideal_generators), args)
+        assert report.exit_code == 0
+        ideals = len(report.tables["right ideals in ker ε"]["rows"])
+        assert ideals > 1
+        # the first ideal is R = 0, whose calculus is the universal one
+        assert sorted(Counter(built).items()) == [
+            ("_ad_map", per_grading), ("_left_route_kernel", (ideals - 1) * per_grading),
+            ("_r_inv", per_grading), ("_t_map", per_grading)]
 
 
 @pytest.mark.parametrize("name, which", [
@@ -1060,8 +1078,8 @@ def test_universal_calculus_builds_no_translation_map(monkeypatch, fixture_dir, 
     built = []
     for label in ("_r_inv", "_t_inv"):
         build = getattr(calc_mod, label)
-        monkeypatch.setattr(calc_mod, label,
-                            lambda h, a, label=label, build=build: built.append(label) or build(h, a))
+        monkeypatch.setattr(calc_mod, label, lambda *operands, label=label, build=build:
+                            built.append(label) or build(*operands))
     argv = ["calculus", *which, *route, str(fixture_dir / name), "--format", "json"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["result"] == "pass"

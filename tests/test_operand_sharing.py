@@ -22,8 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpi import (
     HopfPiCoalgebra,
+    ad_map,
     calculus_from_ideal,
     calculus_from_ideal_right,
+    check_ad_invariant,
     check_bicovariant,
     check_left_covariant,
     check_right_covariant,
@@ -34,8 +36,10 @@ from hopfpi import (
     induced_delta_l,
     induced_delta_r,
     load_document,
+    r_inv,
     right_ideal_from_generators,
     save_document,
+    t_inv,
     taft_hopf_algebra,
     universal_calculus,
     verify_all,
@@ -255,14 +259,22 @@ def _rows_of(report) -> list:
     return [(v.check, v.grading, v.basis_index, v.detail) for v in report.violations]
 
 
+def _translation_maps(h) -> list:
+    """r⁻¹, t⁻¹, ad and S⁻¹ at every grading, and ker ε."""
+    return [[(r_inv(h, a), t_inv(h, a), ad_map(h, a), h.antipode_inv(a))
+             for a in h.group.elements()], h.counit_kernel()]
+
+
 def _calculus_data(h, ideals) -> list:
-    """Every map, verdict and coaction of the universal calculus and of the
-    route calculi of each ideal, and the structure data and report of each
+    """The translation maps, every map, verdict and coaction of the
+    universal calculus and of the route calculi of each ideal with its
+    ad-invariance report, and the structure data and report of each
     bicovariant one."""
-    out = []
+    out = _translation_maps(h)
     calcs = [universal_calculus(h)]
     for gens in ideals.values():
         ideal = right_ideal_from_generators(h, gens)
+        out.append(_rows_of(check_ad_invariant(h, ideal)))
         calcs += [calculus_from_ideal(h, ideal), calculus_from_ideal_right(h, ideal)]
     pairs = [(a, b) for a in h.group.elements() for b in h.group.elements()]
     for calc in calcs:
@@ -296,6 +308,21 @@ def test_shared_and_unshared_calculus_data_agree(name):
             universal_calculus(unshared(h))
         return
     assert _calculus_data(h, ideals) == _calculus_data(unshared(h), ideals)
+
+
+@pytest.mark.parametrize("which", ["comult", "mult", "antipode"])
+def test_translation_maps_of_a_partly_shared_family_agree(s3_family, which):
+    """Entry (0, 0) of one Δ_{α,β}, m_α or S_α bumped, at each grading in
+    turn: that grading stops sharing the bumped operand while the others
+    still share theirs, so a map memoised under fewer operands than it
+    reads would return another grading's value.  The axioms fail, but
+    r⁻¹, t⁻¹, ad and S⁻¹ are still defined (S_α stays invertible), and
+    each must equal the one computed from the unshared copy."""
+    keys = ([(a, b) for a in range(6) for b in range(6)] if which == "comult"
+            else [(a, 0) for a in range(6)])
+    for a, b in keys:
+        h = _corrupted(s3_family, which, a, b, 0, 0, 1)
+        assert _translation_maps(h) == _translation_maps(unshared(h)), (a, b)
 
 
 def test_taft_family_structure_fails_at_every_grading():

@@ -60,6 +60,7 @@ from oracles import (
     r_blocks,
     r_matrices,
     recombine_left,
+    s3_group,
     star_element,
     subspace_contains,
     vec_add,
@@ -631,20 +632,6 @@ def test_projection_reconstruction_identity(all_fixtures):
             assert recon == Matrix.identity(h.field, bim.g(a))
 
 
-def _symmetric_group_3():
-    import itertools
-
-    from hopfpi.groups import group_from_table
-
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-
-    def compose(p, q):
-        return tuple(p[q[x]] for x in range(3))
-
-    return group_from_table([[index[compose(p, q)] for q in perms] for p in perms])
-
-
 @pytest.mark.parametrize("grading", ["z3", "s3"])
 def test_full_pipeline_over_larger_grading_groups(grading, kz2, f7z3):
     """Constant families over Z/3 (gradings that are not self-inverse) and
@@ -654,7 +641,7 @@ def test_full_pipeline_over_larger_grading_groups(grading, kz2, f7z3):
                         universal_calculus, verify_hopf, verify_pi_coalgebra)
     from hopfpi.calculus import r_inv, r_map, t_inv, t_map
 
-    pi = cyclic(3) if grading == "z3" else _symmetric_group_3()
+    pi = cyclic(3) if grading == "z3" else s3_group()
     for base in (kz2, f7z3):
         h = constant_family(base, pi)
         assert verify_pi_coalgebra(h).ok and verify_hopf(h).ok
@@ -1217,7 +1204,7 @@ def test_structure_builds_each_frame_matrix_once(monkeypatch):
 
     import hopfpi.structure as struct_mod
     from hopfpi import constant_family, cyclic, group_algebra
-    from oracles import s3_group, unshared
+    from oracles import unshared
 
     built = Counter()
     for side, name in (("left", "_frame_left"), ("right", "_frame_right")):
