@@ -22,6 +22,7 @@ from .hopf import (  # noqa: F401
     HopfPiCoalgebra,
     VerificationReport,
     Violation,
+    algebra_generators,
     constant_family,
     group_algebra,
     taft_hopf_algebra,

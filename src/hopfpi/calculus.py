@@ -23,8 +23,17 @@ A_α⊗A_α has kernel exactly N_α, so with ι the inclusion matrix of N,
 and column j of the product is nonzero exactly when basis vector j of
 N_{αβ} leaves; sub-bimodule closure and ad-invariance are tested the
 same way, and so is right-ideal closure: R ⊆ A_1 is a right ideal iff
-P_R m_1 (ι_R ⊗ I) = 0 (_first_escape, which enumeration runs in ker-ε
-coordinates).
+P_R m_1 (ι_R ⊗ I) = 0 (_first_escape, which names the first product
+that escapes on any structure, associative or not).
+
+Enumeration tests its candidates with less.  By the generator lemma, a
+subspace W with W·s ⊆ W for every s in a set S whose right words
+1·s₁·s₂⋯ span A_1 is a right ideal: W·(1·s₁⋯s_r) ⊆ W by associativity
+and the unit law.  So once require_axioms has verified the axioms,
+each candidate's RREF rows in ker-ε coordinates are multiplied by the
+matrix of each generator alone (hopf.algebra_generators, found once per
+(m_1, 1_1)) and reduced modulo the candidate (linalg.rows_closed_under);
+a candidate that fails builds nothing.
 
 Every map a calculus reads is a pure function of the objects it reads,
 built once per distinct tuple of them (an OperandMemo), so gradings that
@@ -56,6 +65,7 @@ from .hopf import (
     OperandMemo,
     VerificationReport,
     Violation,
+    algebra_generators,
     checker,
     require_axioms,
 )
@@ -67,6 +77,8 @@ from .linalg import (
     image,
     kernel,
     quotient,
+    rows_closed_under,
+    unit_vec,
 )
 from .structure import CovariantBimodule
 
@@ -724,8 +736,9 @@ MAX_ENUM_KER_DIM = 3
 
 
 def _all_rref_subspaces(field: PrimeField, dim: int, top: int):
-    """All subspaces of F_p^dim of dimension at most `top` as canonical
-    RREF bases, by dimension.
+    """All subspaces of F_p^dim of dimension at most `top`, by dimension,
+    each as (rows, pivots): its canonical RREF basis as dense rows (tuples)
+    and their pivot columns.  Nothing else is built per subspace.
 
     Enumerates pivot-column choices and the free entries; complete at
     the bounded desk scale this package targets.  No subspace above `top`
@@ -738,9 +751,12 @@ def _all_rref_subspaces(field: PrimeField, dim: int, top: int):
             free_positions = [(r, c) for r in range(k) for c in range(pivots[r] + 1, dim)
                               if c not in pivots]
             for values in product(range(field.p), repeat=len(free_positions)):
-                entries = {(r, p): 1 for r, p in enumerate(pivots)}
-                entries.update((rc, v) for rc, v in zip(free_positions, values) if v)
-                yield Subspace(Matrix._unchecked(field, k, dim, entries), pivots)
+                rows = [[0] * dim for _ in range(k)]
+                for r, p in enumerate(pivots):
+                    rows[r][p] = 1
+                for (r, c), v in zip(free_positions, values):
+                    rows[r][c] = v
+                yield tuple(map(tuple, rows)), pivots
 
 
 def _kernel_action(sub: Subspace, m: Matrix) -> Matrix:
@@ -756,16 +772,27 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     (VerificationFailed with the memoised verdict otherwise);
     deterministic order: by dimension, then by the echelon parameters.
 
-    Each candidate is tested in ker-ε coordinates, with the right action
-    of A_1 on ker ε, coords(ker ε) m_1 (ι_{ker ε}⊗I), built once per
-    (ker ε, m_1): that is exact because ker ε is a right ideal, ε being an
-    algebra map.  A candidate that passes is lifted into A_1 by one product
-    with ker ε's RREF basis and is not re-reduced: the lift of an RREF
-    basis through an RREF basis is RREF, with pivots ker ε's pivots at the
-    candidate's pivots.  The coordinate of lifted row r at ker ε's pivot
-    P_c is row r's entry c (1 at its own pivot, 0 at the others'), and the
-    basis vectors of ker ε that row r combines lead at or after
-    P_{pivot of r}.
+    Each candidate is tested in ker-ε coordinates against the generators
+    S of A_1 only (hopf.algebra_generators, memoised per (m_1, 1_1)): its
+    RREF rows pass when every row times the k×k matrix of each s ∈ S
+    reduces to zero modulo the candidate (linalg.rows_closed_under), and a
+    candidate that fails builds no Matrix and no Subspace.  The matrix of
+    s is read once per call off the right action of A_1 on ker ε,
+    coords(ker ε) m_1 (ι_{ker ε}⊗I), built once per (ker ε, m_1); ker-ε
+    coordinates are exact because ker ε is a right ideal, ε being an
+    algebra map.  Testing S alone is exact by the lemma that a subspace
+    closed under right multiplication by a generating set is a right
+    ideal: if W·s ⊆ W for every s ∈ S and the words 1·s₁⋯s_r span A_1,
+    then W·A_1 ⊆ W by associativity and the unit law, which
+    require_axioms has verified before any candidate is tested.
+
+    A candidate that passes is lifted into A_1 by one product with ker ε's
+    RREF basis and is not re-reduced: the lift of an RREF basis through an
+    RREF basis is RREF, with pivots ker ε's pivots at the candidate's
+    pivots.  The coordinate of lifted row r at ker ε's pivot P_c is row
+    r's entry c (1 at its own pivot, 0 at the others'), and the basis
+    vectors of ker ε that row r combines lead at or after
+    P_{pivot of r}.  RightIdeal validates the lift as it does any ideal.
     """
     f = h.field
     if not isinstance(f, PrimeField):
@@ -777,12 +804,18 @@ def enumerate_right_ideals(h: HopfPiCoalgebra, max_dim: int | None = None) -> li
     if k > MAX_ENUM_KER_DIM:
         raise TooLarge(f"dim ker ε = {k} exceeds the enumeration bound {MAX_ENUM_KER_DIM}")
     require_axioms(h)
-    m1 = h.mult[h.group.identity]
+    e = h.group.identity
+    m1 = h.mult[e]
+    n1 = m1.rows
     action = h.shared(_kernel_action, ker_eps, m1)
+    # column c of generator s's matrix is w_c·s in ker-ε coordinates
+    by_gen = [action.on_leg(Matrix.column(f, unit_vec(f, n1, s)), k, 1, 1)
+              for s in h.shared(algebra_generators, m1, h.unit[e])]
     found = []
-    for small in _all_rref_subspaces(f, k, k if max_dim is None else max_dim):
-        if _first_escape(action, small, m1.rows) is None:
-            lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
+    for rows, pivots in _all_rref_subspaces(f, k, k if max_dim is None else max_dim):
+        if rows_closed_under(rows, pivots, by_gen):
+            small = Matrix._unchecked(f, len(rows), k, {
+                (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row) if x})
+            lifted = Subspace(small @ ker_eps.basis, (ker_eps.pivots[p] for p in pivots))
             found.append(RightIdeal(h, lifted))
     return found
-

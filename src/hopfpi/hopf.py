@@ -23,8 +23,9 @@ that checking every grading would give (checker).  Families often repeat
 components across gradings (a constant family has Δ_{α,β} = Δ for all
 α, β), and docio parses each repeated block of a document into one shared
 object.  Every map derived from a structure (r⁻¹, t⁻¹, ad, S⁻¹, ker ε,
-the calculus and structure maps) is memoised the same way, in the
-OperandMemo of the structure, calculus or bimodule that reads it.
+the generators of A_1, the calculus and structure maps) is memoised the
+same way, in the OperandMemo of the structure, calculus or bimodule that
+reads it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from .linalg import (
     Matrix,
     Subspace,
     differing_blocks,
+    image,
     kernel,
+    quotient,
     unit_vec,
     vec_kron,
 )
@@ -494,6 +497,47 @@ def require_axioms(h: HopfPiCoalgebra) -> None:
         raise VerificationFailed(
             f"Hopf axioms fail ({len(report)} violations): "
             f"{report.violations[0].render()}", report)
+
+
+def algebra_generators(m: Matrix, unit: tuple) -> tuple[int, ...]:
+    """Basis indices S, ascending, whose right words 1·s₁·s₂⋯ span the
+    algebra with multiplication m and unit `unit`; h.shared memoises them
+    per (m_1, 1_1) for enumeration.
+
+    S is chosen greedily by one closure.  W, the span of the words in the
+    generators so far, starts as the span of 1 and grows by W·S until it
+    stops; the next generator is the first basis index after the last one
+    whose vector lies outside W, the first nonzero column of the quotient
+    projection by W.  No index is taken twice, so S has at most dim A
+    entries on any m; when 1 is a unit, e_s = 1·s lies in W once s is
+    taken, so the words span A when no index is left outside.  k[ℤ/n]
+    gives {g}, the Taft algebra {g, x}.
+
+    On an associative unital algebra a subspace W with W·s ⊆ W for every
+    s ∈ S is a right ideal, since W·(1·s₁⋯s_r) = (⋯(W·s₁)⋯)·s_r ⊆ W and the
+    words span A.
+    """
+    f, n = m.field, m.rows
+    one = f.one()
+    words = image(Matrix.column(f, unit))
+    gens: list[int] = []
+    while True:
+        outside = [c for _, c in quotient(words).entries if not gens or c > gens[-1]]
+        if not outside:
+            return tuple(gens)
+        gens.append(min(outside))
+        # column i·|S| + t is e_i·s_t
+        by_gens = m.on_leg(Matrix._unchecked(f, n, len(gens), {
+            (s, t): one for t, s in enumerate(gens)}), n, 1, 1)
+        while True:
+            incl = words.inclusion_matrix()
+            stacked = dict(incl.entries)      # the columns of W, then those of W·S
+            stacked.update(((r, incl.cols + c), v) for (r, c), v in
+                           by_gens.on_leg(incl, 1, len(gens), 1).entries.items())
+            grown = image(Matrix._unchecked(f, n, incl.cols * (1 + len(gens)), stacked))
+            if grown.dim == words.dim:
+                break
+            words = grown
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,42 @@ def quotient(ker: Subspace) -> Matrix:
     return Matrix._unchecked(f, len(free), n, entries)
 
 
+def rows_closed_under(rows: Sequence[Sequence], pivots: Sequence[int], maps) -> bool:
+    """Whether the span of `rows`, an RREF basis given as dense rows with
+    pivot columns `pivots`, is mapped into itself by every matrix of
+    `maps`, each acting on column vectors of the rows' length.
+
+    Each image g·w of a row w is reduced modulo the rows: its residue is
+    g·w − Σ_k (g·w)[pivots[k]]·rows[k], zero at every pivot (row k is 1 at
+    its own pivot and 0 at the others') and so zero iff it is zero at every
+    other column.  The first nonzero residue decides; nothing is built.
+    """
+    if not maps:
+        return True
+    f = maps[0].field
+    zero = f.zero()
+    add, mul, sub = f.add, f.mul, f.sub
+    taken = set(pivots)
+    free = [c for c in range(maps[0].rows) if c not in taken]
+    for g in maps:
+        entries = g.entries.items()
+        for w in rows:
+            moved: dict = {}
+            for (r, c), a in entries:
+                x = w[c]
+                if x != zero:
+                    moved[r] = add(moved.get(r, zero), mul(a, x))
+            lead = [(moved[p], row) for p, row in zip(pivots, rows) if p in moved]
+            for c in free:
+                v = moved.get(c, zero)
+                for x, row in lead:
+                    if row[c] != zero:
+                        v = sub(v, mul(x, row[c]))
+                if v != zero:
+                    return False
+    return True
+
+
 def solve(m: Matrix, v: Sequence) -> tuple | None:
     """The unique solution of m x = v, None if inconsistent.
 

@@ -429,6 +429,24 @@ def first_escape_by_vectors(h: HopfPiCoalgebra, span: Subspace) -> tuple | None:
     return None
 
 
+def words_span(m: Matrix, unit: Sequence, gens: Sequence[int]) -> Subspace:
+    """The span of the right words 1·s₁·s₂⋯ in the basis vectors `gens`
+    of the algebra with multiplication m: the words of each length are the
+    words one shorter times each generator, one dense product at a time,
+    until a length adds nothing to the span (then no longer one can)."""
+    f, n = m.field, m.rows
+    layer = [tuple(unit)]
+    words = list(layer)
+    span = Subspace.from_spanning(f, n, words)
+    while True:
+        layer = [m.apply(vec_kron(f, w, unit_vec(f, n, s))) for w in layer for s in gens]
+        words += layer
+        grown = Subspace.from_spanning(f, n, words)
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
 def right_ideal_by_escapes(h: HopfPiCoalgebra, gens) -> Subspace:
     """The smallest right-multiplication-closed subspace containing `gens`,
     by fixed-point iteration: adjoin the first product v·e_j that leaves
@@ -444,14 +462,17 @@ def right_ideal_by_escapes(h: HopfPiCoalgebra, gens) -> Subspace:
 
 def right_ideals_by_lifts(h: HopfPiCoalgebra, max_dim: int | None = None) -> list[RightIdeal]:
     """All right ideals R ⊆ ker ε, in calculus.enumerate_right_ideals'
-    order: every candidate subspace of ker ε is lifted into A_1 first and
-    its closure tested there, one product v·e_j at a time."""
+    order: every candidate subspace of ker ε is lifted into A_1 first, by
+    applying the inclusion of ker ε to each row and reducing the lift
+    again, and its closure tested there against every basis vector of A_1,
+    one product v·e_j at a time."""
     ker_eps = h.counit_kernel()
+    incl = ker_eps.inclusion_matrix()
     found = []
-    for small in _all_rref_subspaces(h.field, ker_eps.dim, ker_eps.dim):
-        if max_dim is not None and small.dim > max_dim:
+    for rows, pivots in _all_rref_subspaces(h.field, ker_eps.dim, ker_eps.dim):
+        if max_dim is not None and len(pivots) > max_dim:
             continue
-        lifted = Subspace(small.basis @ ker_eps.basis, (ker_eps.pivots[p] for p in small.pivots))
+        lifted = Subspace.from_spanning(h.field, incl.rows, [incl.apply(row) for row in rows])
         if first_escape_by_vectors(h, lifted) is None:
             found.append(RightIdeal(h, lifted))
     return found

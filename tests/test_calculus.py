@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpi import (
     ad_map,
+    algebra_generators,
     calculus_from_ideal,
     calculus_from_ideal_right,
     calculus_from_kernels,
@@ -55,6 +56,7 @@ from hopfpi.linalg import (
     QQ,
     Subspace,
     kernel,
+    rows_closed_under,
     unit_vec,
     vec_kron,
 )
@@ -338,6 +340,63 @@ def test_first_escape_past_a_closed_basis_vector(field):
     assert _first_escape(h.mult[0], sub, 4) == (1, 1) == first_escape_by_vectors(h, sub)[:2]
 
 
+ROW_TEST_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(11)]
+
+
+@st.composite
+def _subspace_and_maps(draw):
+    """A random RREF subspace W of k^d, d ≤ 4, spanned by a random number
+    (at most d) of random vectors, and d random d×d maps: either all of
+    them map W into W, or each one does at random.  Such a map is B T B⁻¹,
+    with B the basis of W completed by the unit vectors off its pivots and
+    T block upper triangular."""
+    f = draw(st.sampled_from(ROW_TEST_FIELDS))
+    d = draw(st.integers(min_value=1, max_value=4))
+    if f == QQ:
+        scalars = st.builds(lambda a, b: f.mul(f.from_int(a), f.inv(f.from_int(b))),
+                            st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3))
+    else:
+        scalars = st.integers(min_value=0, max_value=f.p - 1)
+    k = draw(st.integers(min_value=0, max_value=d))
+    vectors = draw(st.lists(st.lists(scalars, min_size=d, max_size=d), min_size=k, max_size=k))
+    sub = Subspace.from_spanning(f, d, vectors)
+    complement = [c for c in range(d) if c not in sub.pivots]
+    columns = sub.basis.to_rows() + [unit_vec(f, d, c) for c in complement]
+    b = Matrix(f, d, d, {(r, c): x for c, col in enumerate(columns) for r, x in enumerate(col)})
+    invariant = draw(st.booleans())
+    maps = []
+    for _ in range(d):
+        t = Matrix(f, d, d, {(r, c): draw(scalars) for r in range(d) for c in range(d)})
+        if invariant or draw(st.booleans()):
+            t = Matrix(f, d, d, {(r, c): x for (r, c), x in t.entries.items()
+                                 if c >= sub.dim or r < sub.dim})
+            t = b @ t @ b.inverse()
+        maps.append(t)
+    return f, sub, maps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_subspace_and_maps())
+def test_row_test_matches_the_product_and_the_vector_loop(case):
+    """linalg.rows_closed_under on the RREF rows of W and d maps g_j gives
+    the verdict of _first_escape on the action whose column c·d + j is
+    g_j e_c, and of the vector loop first_escape_by_vectors on a structure
+    of dimension d whose multiplication is that action."""
+    from hopfpi.calculus import _first_escape
+    from hopfpi.hopf import HopfPiCoalgebra
+
+    f, sub, maps = case
+    d = sub.ambient_dim
+    action = Matrix(f, d, d * d, {(r, c * d + j): x for j, g in enumerate(maps)
+                                  for (r, c), x in g.entries.items()})
+    base = group_algebra(cyclic(d), f)
+    acting = HopfPiCoalgebra(base.group, f, base.dims, base.comult, base.counit, [action],
+                             base.unit, base.antipode, psi=base.psi, basis_names=base.basis_names)
+    closed = rows_closed_under(sub.basis.to_rows(), sub.pivots, maps)
+    assert closed == (_first_escape(action, sub, d) is None)
+    assert closed == (first_escape_by_vectors(acting, sub) is None)
+
+
 def test_non_associative_product_is_named_by_the_closure_check():
     """On an A_1 that is not associative, G·A_1 need not be closed;
     right_ideal_from_generators then raises NotARightIdeal naming the
@@ -363,22 +422,87 @@ def test_non_associative_product_is_named_by_the_closure_check():
     assert str(err.value) == witness
 
 
-@pytest.mark.parametrize("name", [
-    "F7[Z/3]", "F3[Z/2]", "F11[Z/4]", "taft over F7", "taft over F11", "F7[Z/3] constant"])
+ENUMERABLE = ["F7[Z/3]", "F3[Z/2]", "F11[Z/4]", "taft over F7", "taft over F11",
+              "F7[Z/3] constant"]
+
+
+def _enumerable(name, f7z3, f7z3_const):
+    return {"F7[Z/3]": f7z3,
+            "F3[Z/2]": group_algebra(cyclic(2), PrimeField(3)),
+            "F11[Z/4]": group_algebra(cyclic(4), PrimeField(11)),
+            "taft over F7": taft_hopf_algebra(PrimeField(7)),
+            "taft over F11": taft_hopf_algebra(PrimeField(11)),
+            "F7[Z/3] constant": f7z3_const}[name]
+
+
+@pytest.mark.parametrize("name", ENUMERABLE)
 def test_enumeration_matches_the_lift_then_loop_enumeration(name, f7z3, f7z3_const):
-    """Testing each candidate in ker-ε coordinates finds the ideals, in
-    the order, of lifting every candidate into A_1 and closing it there
-    one product v·e_j at a time."""
-    h = {"F7[Z/3]": f7z3,
-         "F3[Z/2]": group_algebra(cyclic(2), PrimeField(3)),
-         "F11[Z/4]": group_algebra(cyclic(4), PrimeField(11)),
-         "taft over F7": taft_hopf_algebra(PrimeField(7)),
-         "taft over F11": taft_hopf_algebra(PrimeField(11)),
-         "F7[Z/3] constant": f7z3_const}[name]
+    """Testing each candidate in ker-ε coordinates against the generators
+    of A_1 finds the ideals, in the order, of lifting every candidate into
+    A_1 and closing it there one product v·e_j at a time, for every
+    basis vector e_j."""
+    h = _enumerable(name, f7z3, f7z3_const)
     want = right_ideals_by_lifts(h)
     assert len(want) > 1
     assert enumerate_right_ideals(h) == want
     assert enumerate_right_ideals(h, max_dim=1) == right_ideals_by_lifts(h, max_dim=1)
+
+
+@pytest.mark.parametrize("name", ENUMERABLE)
+def test_generators_decide_every_candidate_as_the_whole_basis_does(name, f7z3, f7z3_const):
+    """Every candidate subspace of ker ε gets one verdict from the row
+    test against the generators of A_1, from the row test against every
+    basis vector of A_1, and from _first_escape's product against the
+    whole right action; as many pass as the lift-then-loop oracle finds
+    ideals."""
+    from hopfpi.calculus import _all_rref_subspaces, _first_escape, _kernel_action
+
+    h = _enumerable(name, f7z3, f7z3_const)
+    f, e = h.field, h.group.identity
+    n1 = h.n(e)
+    ker_eps = h.counit_kernel()
+    k = ker_eps.dim
+    action = _kernel_action(ker_eps, h.mult[e])
+
+    def right_by(indices):
+        return [action.on_leg(Matrix.column(f, unit_vec(f, n1, s)), k, 1, 1) for s in indices]
+
+    gens = algebra_generators(h.mult[e], h.unit[e])
+    assert len(gens) < n1
+    by_gens, by_basis = right_by(gens), right_by(range(n1))
+    verdicts = Counter()
+    for rows, pivots in _all_rref_subspaces(f, k, k):
+        closed = rows_closed_under(rows, pivots, by_gens)
+        assert closed == rows_closed_under(rows, pivots, by_basis)
+        sub = Subspace(Matrix(f, len(rows), k, {
+            (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)}), pivots)
+        assert closed == (_first_escape(action, sub, n1) is None)
+        verdicts[closed] += 1
+    assert verdicts[True] == len(right_ideals_by_lifts(h))
+
+
+def test_generators_are_found_once_per_multiplication_and_unit(monkeypatch):
+    """Enumeration reads the generators of A_1 from h.shared: over the
+    F₇[ℤ/4] family over S₃, repeated enumerations, bounded or not, find
+    them once for the family's (m_1, 1_1) and once for those of its
+    unshared copy."""
+    import hopfpi.calculus as calc_mod
+
+    found = Counter()
+    real = calc_mod.algebra_generators
+
+    def counted(m, unit):
+        found[(id(m), id(unit))] += 1
+        return real(m, unit)
+
+    monkeypatch.setattr(calc_mod, "algebra_generators", counted)
+    h = constant_family(group_algebra(cyclic(4), PrimeField(7)), s3_group())
+    copy = unshared(h)
+    for family in (h, copy, h, copy):
+        assert len(enumerate_right_ideals(family)) == 4
+        assert len(enumerate_right_ideals(family, max_dim=1)) == 2
+    e = h.group.identity
+    assert found == {(id(h.mult[e]), id(h.unit[e])): 1, (id(copy.mult[e]), id(copy.unit[e])): 1}
 
 
 @pytest.mark.parametrize("name", ["F11[Z/4]", "F7[Z/3]", "taft over F7"])
@@ -396,9 +520,10 @@ def test_enumeration_stops_at_the_dimension_bound(name, f7z3, monkeypatch):
     generated = []
 
     def recording(*args):
-        for small in candidates(*args):
-            generated.append(small.dim)
-            yield small
+        for rows, pivots in candidates(*args):
+            assert len(rows) == len(pivots)
+            generated.append(len(pivots))
+            yield rows, pivots
 
     monkeypatch.setattr(calc_mod, "_all_rref_subspaces", recording)
     for bound in range(-1, h.counit_kernel().dim + 1):
@@ -534,9 +659,9 @@ def _subbimodule_search(h):
     found = []
     from hopfpi.calculus import _all_rref_subspaces
 
-    for small in _all_rref_subspaces(f, sub.dim, sub.dim):
+    for rows, _ in _all_rref_subspaces(f, sub.dim, sub.dim):
         incl = sub.inclusion_matrix()
-        lifted = Subspace.from_spanning(f, n * n, [incl.apply(v) for v in small.basis.to_rows()])
+        lifted = Subspace.from_spanning(f, n * n, [incl.apply(v) for v in rows])
         ok = True
         for w in lifted.basis.to_rows():
             for i in range(n):
@@ -1028,11 +1153,33 @@ def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir):
     axioms hold, and t, r⁻¹ and ad are built once per distinct operand
     tuple for all ideals together, and each route kernel once per ideal
     and distinct r⁻¹: once on the document, whose two gradings read the
-    same Δ, m and S, and at each grading on its unshared copy."""
+    same Δ, m and S, and at each grading on its unshared copy.  While
+    the 10 candidates are generated and tested, only those that pass the
+    closure test build a Subspace, one each."""
     import hopfpi.calculus as calc_mod
     from hopfpi.calculus import Fodc
 
     built = []
+    enumerating = []
+    made = Counter()
+
+    def candidates(*args):
+        enumerating.append(True)
+        try:
+            for candidate in generate(*args):
+                made["candidate"] += 1
+                yield candidate
+        finally:
+            enumerating.pop()
+
+    def counting_init(sub, *args):
+        if enumerating:
+            made["Subspace"] += 1
+        init(sub, *args)
+
+    init, generate = Subspace.__init__, calc_mod._all_rref_subspaces
+    monkeypatch.setattr(Subspace, "__init__", counting_init)
+    monkeypatch.setattr(calc_mod, "_all_rref_subspaces", candidates)
 
     def counted(label, build):
         def wrapper(*args):
@@ -1052,10 +1199,12 @@ def test_enumerate_builds_only_what_it_reads(monkeypatch, fixture_dir):
     args = build_parser().parse_args(["enumerate", "doc.json"])
     for h, per_grading in ((doc.hopf, 1), (unshared(doc.hopf), doc.hopf.group.order)):
         built.clear()
+        made.clear()
         report = _DISPATCH["enumerate"](Document(doc.name, h, doc.ideal_generators), args)
         assert report.exit_code == 0
         ideals = len(report.tables["right ideals in ker ε"]["rows"])
         assert ideals > 1
+        assert made == {"candidate": 10, "Subspace": ideals}
         # the first ideal is R = 0, whose calculus is the universal one
         assert sorted(Counter(built).items()) == [
             ("_ad_map", per_grading), ("_left_route_kernel", (ideals - 1) * per_grading),

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfpi import (
     HopfPiCoalgebra,
+    algebra_generators,
     constant_family,
     cyclic,
     group_algebra,
@@ -20,7 +21,7 @@ from hopfpi import (
 )
 from hopfpi.errors import DimensionMismatch, VerificationFailed
 from hopfpi.hopf import HOPF_CHECKS, PI_CHECKS, PSI_CHECKS
-from hopfpi.linalg import Matrix, PrimeField, QQ, vec_kron
+from hopfpi.linalg import Matrix, PrimeField, QQ, unit_vec, vec_kron
 from oracles import (
     GradedFunctional,
     comult_path,
@@ -30,6 +31,9 @@ from oracles import (
     flip,
     group_product,
     iterated_comult,
+    s3_group,
+    subspace_contains,
+    words_span,
 )
 
 
@@ -337,3 +341,54 @@ def test_verifier_catches_single_entry_comult_corruption(entry, col, delta):
     report = verify_pi_coalgebra(corrupted)
     assert not report.ok
     assert any(v.check.startswith("counit") for v in report.violations)
+
+
+# -- generators of A_1 ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=str)
+@pytest.mark.parametrize("n", range(2, 10))
+def test_a_cyclic_group_algebra_is_generated_by_g(n, field):
+    """k[ℤ/n] is generated by g alone: its right words e, g, g², … are the
+    whole group, which the word-by-word span confirms."""
+    h = group_algebra(cyclic(n), field)
+    gens = algebra_generators(h.mult[0], h.unit[0])
+    assert gens == (1,)
+    assert words_span(h.mult[0], h.unit[0], gens).dim == n
+
+
+@pytest.mark.parametrize("name", ["taft over F7", "taft over F11", "F7[S3]"])
+def test_two_generators_for_taft_and_s3(name):
+    """The Taft algebra needs g and x (g alone spans 1, g), and k[S₃] two
+    permutations (one generates a cyclic subgroup of order 2 or 3); the
+    right words in the two span A_1."""
+    from hopfpi import taft_hopf_algebra
+
+    h = {"taft over F7": taft_hopf_algebra(PrimeField(7)),
+         "taft over F11": taft_hopf_algebra(PrimeField(11)),
+         "F7[S3]": group_algebra(s3_group(), PrimeField(7))}[name]
+    gens = algebra_generators(h.mult[0], h.unit[0])
+    assert len(gens) == 2
+    assert words_span(h.mult[0], h.unit[0], gens).dim == h.n(0)
+    if name.startswith("taft"):
+        assert [h.basis_name(0, s) for s in gens] == ["g", "x"]
+    assert words_span(h.mult[0], h.unit[0], gens[:1]).dim < h.n(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(2), PrimeField(7)]), st.integers(min_value=1, max_value=3),
+       st.data())
+def test_generators_on_any_multiplication(field, n, data):
+    """On a random multiplication and unit, associative or not, S is
+    ascending with at most dim A entries, and its words reach every basis
+    vector after its last generator (all of them when S is empty): the
+    closure stops only when none is left outside."""
+    scalars = st.integers(min_value=0, max_value=2).map(field.from_int)
+    m = Matrix(field, n, n * n, {(r, c): data.draw(scalars)
+                                 for r in range(n) for c in range(n * n)})
+    unit = tuple(data.draw(st.lists(scalars, min_size=n, max_size=n)))
+    gens = algebra_generators(m, unit)
+    assert len(gens) <= n and list(gens) == sorted(set(gens))
+    span = words_span(m, unit, gens)
+    for j in range(gens[-1] + 1 if gens else 0, n):
+        assert subspace_contains(span, unit_vec(field, n, j))
