@@ -23,9 +23,28 @@ that checking every grading would give (checker).  Families often repeat
 components across gradings (a constant family has Δ_{α,β} = Δ for all
 α, β), and docio parses each repeated block of a document into one shared
 object.  Every map derived from a structure (r⁻¹, t⁻¹, ad, S⁻¹, ker ε,
-the generators of A_1, the calculus and structure maps) is memoised the
+the generators of each A_α, the calculus and structure maps) is memoised the
 same way, in the OperandMemo of the structure, calculus or bimodule that
 reads it.
+
+Every multiplicative identity is decided on the generators of A_α.  Let
+S = algebra_generators(m_α, 1_α), whose right words 1·s₁·s₂⋯ span A_α,
+and let A_α be associative with unit 1_α.  For a map φ : A_α → B into an
+associative unital algebra with φ(1) = 1, the set
+Y = {y : φ(xy) = φ(x)φ(y) for all x} is a subspace containing 1, and
+y ∈ Y, s ∈ Y give ys ∈ Y, since φ(x(ys)) = φ((xy)s) = φ(xy)φ(s) =
+φ(x)φ(y)φ(s) = φ(x)φ(ys).  So S ⊆ Y gives Y = A_α: φ is multiplicative
+once it is on the pairs (b, s), s ∈ S.  The same holds for an anti-map
+such as S_α, and for associativity with X = {c : (ab)c = a(bc) for all
+a, b}, which contains 1 by the unit laws: (ab)(cs) = ((ab)c)s =
+(a(bc))s = a((bc)s) = a(b(cs)).  So verify_hopf checks associativity on
+the triples (a, b, s) once both unit laws hold, and Δ_{α,β}, ε, S_α and
+Ψ_α on the pairs (b, s) once every A_α has passed _algebra_laws and the
+map is unital; the structure checks reduce the
+characters and the convolution inverses the same way.  Each identity
+that fails on the generators, or whose preconditions fail, is computed
+again on every column, so each violation and witness is the one that
+the whole product gives.
 """
 
 from __future__ import annotations
@@ -121,6 +140,30 @@ def _diff_columns(check: str, grading, lhs: Matrix, rhs: Matrix, namer=None):
                   f"({', '.join(f.render(x) for x in rc)})")
         out.append(Violation(check, tuple(grading), j, detail))
     return out
+
+
+def columns(field_: Field, n: int, indices) -> Matrix:
+    """The n × |indices| matrix whose column t is the basis vector e_{indices[t]}."""
+    one = field_.one()
+    return Matrix._unchecked(field_, n, len(indices), {(s, t): one for t, s in enumerate(indices)})
+
+
+def sides_on_generators(sides, chosen: Matrix | None, whole: Matrix):
+    """The two sides of an identity to read its violations from.
+
+    sides(c) is the pair (lhs, rhs) of the identity with its last column
+    leg read through the matrix c.  When `chosen` (the columns of A × S, or
+    of {1} ∪ S) is given and the sides agree on it, the identity holds on
+    every column (the lemma of the module docstring, whose preconditions
+    the caller has checked) and the result is None; otherwise it is
+    sides(whole), on every column, so each violation and witness is the one
+    the whole product gives.
+    """
+    if chosen is not None:
+        lhs, rhs = sides(chosen)
+        if lhs.entries == rhs.entries:
+            return None
+    return sides(whole)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +346,69 @@ def _counit_laws(d_a_e, d_e_a, counit, names_a):
             + _diff_columns("counit-right", (), right, eye, namer=_namer(names_a)))
 
 
-def _algebra_laws(m, unit, names):
-    """Associativity of m_α and the two unit laws of 1_α."""
-    n = m.rows
-    eye = Matrix.identity(m.field, n)
-    u = Matrix.column(m.field, unit)
-    return (_diff_columns("algebra-associativity", (), m.on_leg(m, 1, n, 1), m.on_leg(m, n, 1, 1))
-            + _diff_columns("algebra-unit-left", (), m.on_leg(u, 1, n, 1), eye,
-                            namer=_namer(names))
-            + _diff_columns("algebra-unit-right", (), m.on_leg(u, n, 1, 1), eye,
-                            namer=_namer(names)))
+def _on_generators(check: str, sides, gens, n: int, field_: Field, namer=None):
+    """The violations of an identity lhs = rhs of maps out of A ⊗ … ⊗ A,
+    n = dim A, whose sides(c) read their last tensor leg through the
+    n × k matrix c: none when gens = S is given and the sides agree on the
+    columns A × … × S (the identity then holds, by the lemma of the module
+    docstring), and otherwise the witnesses of every column."""
+    chosen = None if gens is None else columns(field_, n, gens)
+    pair = sides_on_generators(sides, chosen, Matrix.identity(field_, n))
+    return [] if pair is None else _diff_columns(check, (), *pair, namer=namer)
 
 
-def _comult_laws(d, m_a, m_b, m_ab, u_a, u_b, u_ab, names_ab):
-    """Δ_{α,β} is an algebra map A_{αβ} → A_α ⊗ A_β: multiplicative, unital."""
+def _algebra_laws(m, unit, names, gens):
+    """Associativity of m_α and the two unit laws of 1_α; associativity is
+    decided on the triples (a, b, s), s ∈ gens, once both unit laws hold."""
+    f, n = m.field, m.rows
+    eye = Matrix.identity(f, n)
+    u = Matrix.column(f, unit)
+    units = (_diff_columns("algebra-unit-left", (), m.on_leg(u, 1, n, 1), eye,
+                           namer=_namer(names))
+             + _diff_columns("algebra-unit-right", (), m.on_leg(u, n, 1, 1), eye,
+                             namer=_namer(names)))
+
+    def sides(c):                 # columns (a, b, t): (ab)c_t and a(b c_t)
+        mc = m.on_leg(c, n, 1, 1)
+        return mc.on_leg(m, 1, c.cols, 1), m.on_leg(mc, n, 1, 1)
+
+    return _on_generators("algebra-associativity", sides, None if units else gens, n, f) + units
+
+
+def _comult_laws(d, m_a, m_b, m_ab, u_a, u_b, u_ab, names_ab, gens):
+    """Δ_{α,β} is an algebra map A_{αβ} → A_α ⊗ A_β: multiplicative, decided
+    on the pairs (b, s), s ∈ gens, once it is unital, and unital."""
     f = d.field
-    na, nb = m_a.rows, m_b.rows
-    rhs = act_on_pairs(d, d, (na, nb, na, nb), m_a, m_b)
-    out = _diff_columns("comult-multiplicative", (), d @ m_ab, rhs,
-                        namer=_pair_namer(names_ab, m_ab.rows))
+    na, nb, n = m_a.rows, m_b.rows, m_ab.rows
     img = d.apply(u_ab)
     want = vec_kron(f, u_a, u_b)
+
+    def sides(c):                 # columns (x, t): Δ(x c_t) and Δ(x)Δ(c_t)
+        return d @ m_ab.on_leg(c, n, 1, 1), act_on_pairs(d, d @ c, (na, nb, na, nb), m_a, m_b)
+
+    out = _on_generators("comult-multiplicative", sides, gens if img == want else None, n, f,
+                         namer=_pair_namer(names_ab, n))
     if img != want:
         got = ", ".join(f.render(x) for x in img)
         exp = ", ".join(f.render(x) for x in want)
         out.append(Violation("comult-unital", (), None, f"Δ(1) = ({got}) expected ({exp})"))
+    return out
+
+
+def _counit_algebra_laws(counit, m_e, u_e, names_e, gens):
+    """ε is an algebra map A_1 → k: multiplicative, decided on the pairs
+    (b, s), s ∈ gens, once it is unital, and unital."""
+    f, n = counit.field, m_e.rows
+    eps1 = counit.apply(u_e)
+    unital = eps1 == (f.one(),)
+
+    def sides(c):                 # columns (x, t): ε(x c_t) and ε(x)ε(c_t)
+        return counit @ m_e.on_leg(c, n, 1, 1), counit.kron(counit @ c)
+
+    out = _on_generators("counit-multiplicative", sides, gens if unital else None, n, f,
+                         namer=_pair_namer(names_e, n))
+    if not unital:
+        out.append(Violation("counit-unital", (), None, f"ε(1) = {f.render(eps1[0])}"))
     return out
 
 
@@ -341,20 +422,27 @@ def _antipode_axiom(m_a, s_ai, d_ai_a, d_a_ai, u_a, counit, names_e):
             + _diff_columns("antipode-axiom-right", (), right, target, namer=_namer(names_e)))
 
 
-def _antipode_laws(s_a, m_a, m_ai, u_a, u_ai, names_ai):
-    """S_α : A_α → A_{α⁻¹} is invertible, antimultiplicative and unital."""
+def _antipode_laws(s_a, m_a, m_ai, u_a, u_ai, names_ai, gens):
+    """S_α : A_α → A_{α⁻¹} is invertible, antimultiplicative (decided on
+    the pairs (b, s), s ∈ gens, once it is unital) and unital."""
     out = []
+    f = s_a.field
     n, ni = s_a.cols, s_a.rows
-    if s_a.rows != s_a.cols or s_a.rank() != n:
-        out.append(Violation("antipode-invertible", (), None,
-                             f"S has rank {s_a.rank()}, need {n}"))
-    # antimultiplicativity S(xy) = S(y)S(x)
-    rhs = m_ai @ s_a.kron(s_a).permute_legs((ni, ni), (1, 0), 0)
-    out.extend(_diff_columns("antipode-antimultiplicative", (), s_a @ m_a, rhs))
+    rank = s_a.rank()
+    if s_a.rows != s_a.cols or rank != n:
+        out.append(Violation("antipode-invertible", (), None, f"S has rank {rank}, need {n}"))
     su = s_a.apply(u_a)
-    if su != tuple(u_ai):
+    unital = su == tuple(u_ai)
+
+    def sides(c):                 # columns (x, t): S(x c_t) and S(c_t)S(x)
+        return (s_a @ m_a.on_leg(c, n, 1, 1),
+                m_ai @ s_a.kron(s_a @ c).permute_legs((ni, ni), (1, 0), 0))
+
+    out.extend(_on_generators("antipode-antimultiplicative", sides, gens if unital else None,
+                              n, f))
+    if not unital:
         out.append(Violation("antipode-unital", (), None,
-                             f"S(1) = {_render_vector(s_a.field, names_ai, su)}"))
+                             f"S(1) = {_render_vector(f, names_ai, su)}"))
     return out
 
 
@@ -364,13 +452,20 @@ def _antipode_comult(d_bi_ai, s_ab, s_a, s_b, d_a_b, names_ab):
     return _diff_columns("antipode-comult", (), d_bi_ai @ s_ab, rhs, namer=_namer(names_ab))
 
 
-def _psi_laws(p, m_a, m_e, u_a, u_e, names_e):
-    """Ψ_α : A_α → A_1 is a unital algebra map."""
-    out = _diff_columns("psi-multiplicative", (), p @ m_a, m_e @ p.kron(p))
+def _psi_laws(p, m_a, m_e, u_a, u_e, names_e, gens):
+    """Ψ_α : A_α → A_1 is a unital algebra map; multiplicativity is decided
+    on the pairs (b, s), s ∈ gens, once Ψ_α is unital."""
+    f, n = p.field, m_a.rows
     pu = p.apply(u_a)
-    if pu != tuple(u_e):
+    unital = pu == tuple(u_e)
+
+    def sides(c):                 # columns (x, t): Ψ(x c_t) and Ψ(x)Ψ(c_t)
+        return p @ m_a.on_leg(c, n, 1, 1), m_e @ p.kron(p @ c)
+
+    out = _on_generators("psi-multiplicative", sides, gens if unital else None, n, f)
+    if not unital:
         out.append(Violation("psi-unital", (), None,
-                             f"Ψ(1) = {_render_vector(p.field, names_e, pu)}"))
+                             f"Ψ(1) = {_render_vector(f, names_e, pu)}"))
     return out
 
 
@@ -406,7 +501,8 @@ def stamped(violations, grading) -> list[Violation]:
 
 def checker(report: VerificationReport):
     """run(check, grading, *operands): the violations of check(*operands),
-    stamped with `grading`, appended to `report`.
+    stamped with `grading`, appended to `report`; run returns them as
+    check gave them, with the empty grading.
 
     check returns violations with the empty grading and is computed once
     per distinct operand tuple (an OperandMemo that lives as long as run),
@@ -415,7 +511,9 @@ def checker(report: VerificationReport):
     memo = OperandMemo()
 
     def run(check, grading, *operands):
-        report.extend(stamped(memo(check, *operands), grading))
+        found = memo(check, *operands)
+        report.extend(stamped(found, grading))
+        return found
 
     return run
 
@@ -445,7 +543,6 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
     antimultiplicativity, S_α(1_α) = 1_{α^{-1}}), antipode invertibility,
     and — when present — that every Ψ_α is a unital algebra map."""
     g = h.group
-    f = h.field
     e = g.identity
     report = VerificationReport()
     run = checker(report)
@@ -453,22 +550,22 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
 
     elements = list(g.elements())
     pairs = [(a, b) for a in elements for b in elements]
-    for a in elements:
-        run(_algebra_laws, (a,), m[a], u[a], names[a])
+    gens = [h.shared(algebra_generators, m[a], u[a]) for a in elements]
+    lawful = [not run(_algebra_laws, (a,), m[a], u[a], names[a], gens[a]) for a in elements]
+    if not all(lawful):
+        # an algebra map is decided on generators only between algebras
+        # that pass associativity and the unit laws
+        gens = [None] * len(elements)
     for a, b in pairs:
         ab = g.mul(a, b)
         run(_comult_laws, (a, b), d[(a, b)], m[a], m[b], m[ab], u[a], u[b], u[ab],
-            names[ab])
-    report.extend(_diff_columns("counit-multiplicative", (), h.counit @ m[e],
-                                h.counit.kron(h.counit), namer=_pair_namer(names[e], h.n(e))))
-    eps1 = h.counit.apply(u[e])
-    if eps1 != (f.one(),):
-        report.extend([Violation("counit-unital", (), None, f"ε(1) = {f.render(eps1[0])}")])
+            names[ab], gens[ab])
+    run(_counit_algebra_laws, (), h.counit, m[e], u[e], names[e], gens[e])
     for a in elements:
         ai = g.inv(a)
         run(_antipode_axiom, (a,), m[a], s[ai], d[(ai, a)], d[(a, ai)], u[a], h.counit,
             names[e])
-        run(_antipode_laws, (a,), s[a], m[a], m[ai], u[a], u[ai], names[ai])
+        run(_antipode_laws, (a,), s[a], m[a], m[ai], u[a], u[ai], names[ai], gens[a])
     for a, b in pairs:
         run(_antipode_comult, (a, b), d[(g.inv(b), g.inv(a))], s[g.mul(a, b)], s[a], s[b],
             d[(a, b)], names[g.mul(a, b)])
@@ -477,7 +574,7 @@ def verify_hopf(h: HopfPiCoalgebra) -> VerificationReport:
 
     if h.psi is not None:
         for a in elements:
-            run(_psi_laws, (a,), h.psi[a], m[a], m[e], u[a], u[e], names[e])
+            run(_psi_laws, (a,), h.psi[a], m[a], m[e], u[a], u[e], names[e], gens[a])
     return report
 
 
@@ -502,11 +599,13 @@ def require_axioms(h: HopfPiCoalgebra) -> None:
 def algebra_generators(m: Matrix, unit: tuple) -> tuple[int, ...]:
     """Basis indices S, ascending, whose right words 1·s₁·s₂⋯ span the
     algebra with multiplication m and unit `unit`; h.shared memoises them
-    per (m_1, 1_1) for enumeration.
+    per (m_α, 1_α), for every identity that reads them: the axioms of
+    verify_hopf, the characters and convolution inverses of the structure
+    checks, and enumeration.
 
     S is chosen greedily by one closure.  W, the span of the words in the
     generators so far, starts as the span of 1 and grows by W·S until it
-    stops; the next generator is the first basis index after the last one
+    stops or is all of A; the next generator is the first basis index after the last one
     whose vector lies outside W, the first nonzero column of the quotient
     projection by W.  No index is taken twice, so S has at most dim A
     entries on any m; when 1 is a unit, e_s = 1·s lies in W once s is
@@ -518,18 +617,15 @@ def algebra_generators(m: Matrix, unit: tuple) -> tuple[int, ...]:
     words span A.
     """
     f, n = m.field, m.rows
-    one = f.one()
     words = image(Matrix.column(f, unit))
     gens: list[int] = []
-    while True:
+    while words.dim < n:
         outside = [c for _, c in quotient(words).entries if not gens or c > gens[-1]]
         if not outside:
-            return tuple(gens)
+            break
         gens.append(min(outside))
-        # column i·|S| + t is e_i·s_t
-        by_gens = m.on_leg(Matrix._unchecked(f, n, len(gens), {
-            (s, t): one for t, s in enumerate(gens)}), n, 1, 1)
-        while True:
+        by_gens = m.on_leg(columns(f, n, gens), n, 1, 1)     # column i·|S| + t is e_i·s_t
+        while words.dim < n:
             incl = words.inclusion_matrix()
             stacked = dict(incl.entries)      # the columns of W, then those of W·S
             stacked.update(((r, incl.cols + c), v) for (r, c), v in
@@ -538,6 +634,7 @@ def algebra_generators(m: Matrix, unit: tuple) -> tuple[int, ...]:
             if grown.dim == words.dim:
                 break
             words = grown
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ builds it from R.  extract_structure runs the steps and every check in
 order, the round trip last, and keeps a step's data only when its report
 passes.
 
+On a structure that passes verify_all, two identities are decided on the
+generators S of A_α (hopf.algebra_generators, by the lemma of the hopf
+module): φ(ab) = φ(a)φ(b) on the pairs (a, s), s ∈ S, once φ(1) = I
+holds, and the convolution inverses of f at 1 and on S only, once f is a
+character of A_1 (check_convolution_inverses gives the argument).  An
+identity that fails there, or whose preconditions fail, is computed again
+on every column, so each violation and witness is the whole product's.
+
 Every step is computed once per distinct tuple of the objects it reads,
 so a family that repeats its components across gradings is extracted
 once per distinct component: ω, η, the frame matrices and their
@@ -71,10 +79,12 @@ report is the one that checking every grading gives.  Every violation
 carries one of the six names of CHECKS, and its witness names the exact
 identity:
 
-    frame-multiplicativity             f and g are characters, the rules
-                                       F = f*·, G = ·*g and the left-
+    frame-multiplicativity             f and g are characters (on the
+                                       pairs (a, s)), the rules F = f*·,
+                                       G = ·*g and the left-
                                        multiplication rules of ω and η,
-                                       the convolution inverses of f
+                                       the convolution inverses of f (at
+                                       1 and on S)
     frame-normalisation                f(1) = δ and g(1) = δ
     coaction-matrix-comultiplication   R independent of the complementary
                                        grading, the Δ and S laws of R, the
@@ -109,9 +119,13 @@ from .hopf import (
     VerificationReport,
     Violation,
     act_on_pairs,
+    algebra_generators,
     checker,
+    columns,
     require_axioms,
+    sides_on_generators,
     stamped,
+    verify_all,
 )
 from .linalg import Matrix, Subspace, differing_blocks, kernel
 
@@ -395,26 +409,45 @@ def _convolutions(t1: Matrix, d: Matrix, side: str) -> Matrix:
 # violations with each grading that reads the tuple, in loop order.
 
 
+def _generators(h: HopfPiCoalgebra, alpha: int):
+    """The generators of A_α (hopf.algebra_generators, memoised per
+    (m_α, 1_α)) when h satisfies every axiom, so that an identity may be
+    decided on them; None, every column, otherwise.  Public reconstruct
+    reaches the checks before any axiom is required."""
+    if not verify_all(h).ok:
+        return None
+    return h.shared(algebra_generators, h.mult[alpha], h.unit[alpha])
+
+
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
     """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
-    T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I)."""
+    T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I).  On a structure that
+    satisfies the axioms, multiplicativity is decided on the pairs (a, s),
+    s a generator of A_α, once φ(1) = I holds."""
     report = VerificationReport()
     run = checker(report)
     for a in h.group.elements():
-        run(_characters, (a,), name, funcs[a], h.mult[a], h.unit[a])
+        run(_characters, (a,), name, funcs[a], h.mult[a], h.unit[a], _generators(h, a))
     return report
 
 
-def _characters(name: str, t: Matrix, m: Matrix, unit: tuple) -> list[Violation]:
+def _characters(name: str, t: Matrix, m: Matrix, unit: tuple, gens) -> list[Violation]:
     f = t.field
     n = m.rows
     size = isqrt(t.rows)
     legs = (size, size)
-    # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
-    split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
-    mult = differing_blocks(t @ m, split.regroup((size, n), (size, n), (0, 2), (1, 3)), (1, n * n))
     value = t @ Matrix.column(f, unit)
     norm = differing_blocks(value, _vec_identity(f, size), (1, 1))
+
+    def sides(c):                 # rows (i, j): φ_ij(x c_y) and Σ_k φ_ik(x) φ_kj(c_y)
+        k = c.cols
+        # rows (i, x) × columns (j, y), re-keyed to rows (i, j), columns (x, y)
+        split = t.regroup(legs, (n,), (0, 2), (1,)) @ (t @ c).regroup(legs, (k,), (0,), (1, 2))
+        return t @ m.on_leg(c, n, 1, 1), split.regroup((size, n), (size, k), (0, 2), (1, 3))
+
+    chosen = None if norm or gens is None else columns(f, n, gens)
+    pair = sides_on_generators(sides, chosen, Matrix.identity(f, n))
+    mult = {} if pair is None else differing_blocks(*pair, (1, n * n))
     out = []
     for ij, _ in sorted(mult.keys() | norm.keys()):
         i, j = divmod(ij, size)
@@ -499,36 +532,69 @@ def _left_multiplication(side: str, hint: str, lhs: Matrix, times: Matrix, twist
 
 def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     """Σ_j f_ji*(f_hj∘S_1^{-1}) = δ_ih ε = Σ_j (f_jh∘S_1^{-1})*f_ij on A_1:
-    each side one product of re-keyed copies of T_1 and T_1 S_1^{-1}, rows
-    (i, h), then Δ_{1,1}."""
+    each side the convolution of re-keyed copies of T_1 and T_1 S_1^{-1},
+    rows (i, h), through Δ_{1,1}.
+
+    On a structure that satisfies the axioms, and once f is a character of
+    A_1, both are evaluated at 1 and at the generators S of A_1 only.  With
+    F(a) = (f_ij(a)) and G = F∘S_1^{-1}, Φ(a) = Σ G(a₂)F(a₁) satisfies
+    Φ(bc) = Σ G(c₂)Φ(b)F(c₁), since F is multiplicative, S_1^{-1} anti-
+    multiplicative and Δ_{1,1} multiplicative; so Φ = εI at 1 and on S
+    gives Φ = εI on every right word, and on A_1.  The mirror,
+    Σ F(a₂)G(a₁), satisfies the same with Φ(c) between F(b₂) and G(b₁).
+    """
     e = h.group.identity
     report = VerificationReport()
     checker(report)(_convolution_inverses, (e,), funcs[e], h.antipode_inv(e),
-                    h.comult[(e, e)], h.counit)
+                    h.comult[(e, e)], h.counit, h.mult[e], h.unit[e], _generators(h, e))
     return report
 
 
-def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix,
-                          counit: Matrix) -> list[Violation]:
+def _convolve(p: Matrix, q: Matrix, d: Matrix, rows) -> Matrix:
+    """Σ_b p_ba * q_cb for stacked functionals p, q on A_1 (rows (b, a) and
+    (c, b)), on the columns of d, the columns of Δ_{1,1} to evaluate on;
+    its rows are (a, c) for rows = (0, 2) and (c, a) for rows = (2, 0)."""
+    size = isqrt(p.rows)
+    n1, k = q.cols, d.cols
+    # rows (b, a, y), columns z: Σ_x p_ba(e_x) Δ[(x, y), z], re-keyed to
+    # rows (a, z) and columns (b, y), then q_cb(e_y) on (b, y)
+    left = d.on_leg(p, 1, n1, 0).regroup((size, size, n1), (k,), (1, 3), (0, 2))
+    return (left @ q.regroup((size, size), (n1,), (1, 2), (0,))).regroup(
+        (size, k), (size,), rows, (1,))
+
+
+def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix, counit: Matrix,
+                          m: Matrix, unit: tuple, gens) -> list[Violation]:
     f = t.field
     n1 = t.cols
     size = isqrt(t.rows)
-    legs, pair = (size, size), ((size, n1), (size, n1))
     u = t @ s_inv                                             # row (i, j): f_ij∘S_1^{-1}
-    target = _vec_identity(f, size).kron(counit)               # row (i, i): ε
-    # rows (i, x) × columns (h, y), and rows (h, x) × columns (i, y)
-    first = t.regroup(legs, (n1,), (1, 2), (0,)) @ u.regroup(legs, (n1,), (1,), (0, 2))
-    second = u.regroup(legs, (n1,), (1, 2), (0,)) @ t.regroup(legs, (n1,), (1,), (0, 2))
-    one = differing_blocks(first.regroup(*pair, (0, 2), (1, 3)) @ d11, target, (1, n1))
-    two = differing_blocks(second.regroup(*pair, (2, 0), (1, 3)) @ d11, target, (1, n1))
+    half = size * size
+
+    def sides(c):
+        # rows (i, h): Σ_j f_ji * (f_hj∘S_1^{-1}), then Σ_j (f_jh∘S_1^{-1}) * f_ij,
+        # each against δ_ih ε
+        d, target = d11 @ c, _vec_identity(f, size).kron(counit @ c)
+        first, second = _convolve(t, u, d, (0, 2)), _convolve(u, t, d, (2, 0))
+        return (Matrix._unchecked(f, 2 * half, c.cols, {**first.entries, **{
+                    (r + half, z): v for (r, z), v in second.entries.items()}}),
+                Matrix._unchecked(f, 2 * half, c.cols, {**target.entries, **{
+                    (r + half, z): v for (r, z), v in target.entries.items()}}))
+
+    chosen = None
+    if gens is not None and not _characters("f", t, m, unit, gens):
+        chosen = Matrix(f, n1, 1 + len(gens), {**{(r, 0): x for r, x in enumerate(unit)},
+                                              **{(s, 1 + i): f.one() for i, s in enumerate(gens)}})
+    pair = sides_on_generators(sides, chosen, Matrix.identity(f, n1))
+    blocks = {} if pair is None else differing_blocks(*pair, (1, n1))
     out = []
-    for ih, _ in sorted(one.keys() | two.keys()):
+    for ih in sorted({r % half for r, _ in blocks}):
         i, hh = divmod(ih, size)
-        if (ih, 0) in one:
-            out.append(Violation(FRAME_MULT, (), one[(ih, 0)],
+        if (ih, 0) in blocks:
+            out.append(Violation(FRAME_MULT, (), blocks[(ih, 0)],
                                  f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε"))
-        if (ih, 0) in two:
-            out.append(Violation(FRAME_MULT, (), two[(ih, 0)],
+        if (half + ih, 0) in blocks:
+            out.append(Violation(FRAME_MULT, (), blocks[(half + ih, 0)],
                                  f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε"))
     return out
 

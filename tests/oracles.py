@@ -21,9 +21,13 @@ functionals and their convolution, the iterated comultiplication, flip
 (built entry by entry), the subspace of all of k^n and the inclusion,
 coordinates and tensor of subspaces, the quotient section, the
 decompositions over the ω frame, the projections P_α and the entrywise
-form of linalg.differing_blocks.  `unshared` copies a structure so that
-no grading shares a matrix or tuple with another, the form in which the
-library's once-per-operand-tuple axiom checks run at every grading.
+form of linalg.differing_blocks.  So do the whole products of the seven
+identities that the library decides on the generators of A_α
+(associativity, the multiplicativity of Δ, ε, S and Ψ, the characters
+and the convolution inverses), each evaluated on every column.
+`unshared` copies a structure so that no grading shares a matrix or
+tuple with another, the form in which the library's once-per-operand-
+tuple axiom checks run at every grading.
 Nothing in `hopfpi` imports this module.
 """
 
@@ -53,14 +57,20 @@ from hopfpi.hopf import (
     HopfPiCoalgebra,
     VerificationReport,
     Violation,
+    _antipode_axiom,
+    _antipode_comult,
     _diff_columns,
+    _render_vector,
+    act_on_pairs,
     group_algebra,
+    stamped,
 )
 from hopfpi.linalg import (
     Field,
     Matrix,
     PrimeField,
     Subspace,
+    differing_blocks,
     kernel,
     quotient,
     solve,
@@ -1176,6 +1186,168 @@ def hopf_laws_by_kron(h: HopfPiCoalgebra) -> VerificationReport:
             if pu != tuple(h.unit[e]):
                 report.extend([Violation("psi-unital", (a,), None,
                                          f"Ψ(1) = {h.render_element(e, pu)}")])
+    return report
+
+
+# ---------------------------------------------------------------------------
+# the whole products of the identities the library decides on generators
+
+
+def algebra_laws_by_whole_products(m: Matrix, unit, names) -> list:
+    """Associativity on every triple (a, b, c) and the two unit laws."""
+    n = m.rows
+    eye = Matrix.identity(m.field, n)
+    u = Matrix.column(m.field, unit)
+    return (_diff_columns("algebra-associativity", (), m.on_leg(m, 1, n, 1), m.on_leg(m, n, 1, 1))
+            + _diff_columns("algebra-unit-left", (), m.on_leg(u, 1, n, 1), eye,
+                            namer=names.__getitem__)
+            + _diff_columns("algebra-unit-right", (), m.on_leg(u, n, 1, 1), eye,
+                            namer=names.__getitem__))
+
+
+def comult_laws_by_whole_products(d, m_a, m_b, m_ab, u_a, u_b, u_ab, names_ab) -> list:
+    """Δ_{α,β} multiplicative on every pair (a, b), and unital."""
+    f = d.field
+    na, nb, n = m_a.rows, m_b.rows, m_ab.rows
+    rhs = act_on_pairs(d, d, (na, nb, na, nb), m_a, m_b)
+    out = _diff_columns("comult-multiplicative", (), d @ m_ab, rhs,
+                        namer=lambda j: f"{names_ab[j // n]}⊗{names_ab[j % n]}")
+    img = d.apply(u_ab)
+    want = vec_kron(f, u_a, u_b)
+    if img != want:
+        got = ", ".join(f.render(x) for x in img)
+        exp = ", ".join(f.render(x) for x in want)
+        out.append(Violation("comult-unital", (), None, f"Δ(1) = ({got}) expected ({exp})"))
+    return out
+
+
+def counit_laws_by_whole_products(counit, m_e, u_e, names_e) -> list:
+    """ε multiplicative on every pair (a, b), and unital."""
+    f, n = counit.field, m_e.rows
+    out = _diff_columns("counit-multiplicative", (), counit @ m_e, counit.kron(counit),
+                        namer=lambda j: f"{names_e[j // n]}⊗{names_e[j % n]}")
+    eps1 = counit.apply(u_e)
+    if eps1 != (f.one(),):
+        out.append(Violation("counit-unital", (), None, f"ε(1) = {f.render(eps1[0])}"))
+    return out
+
+
+def antipode_laws_by_whole_products(s_a, m_a, m_ai, u_a, u_ai, names_ai) -> list:
+    """S_α invertible, antimultiplicative on every pair (a, b), and unital."""
+    out = []
+    n, ni = s_a.cols, s_a.rows
+    if s_a.rows != s_a.cols or s_a.rank() != n:
+        out.append(Violation("antipode-invertible", (), None,
+                             f"S has rank {s_a.rank()}, need {n}"))
+    rhs = m_ai @ s_a.kron(s_a).permute_legs((ni, ni), (1, 0), 0)
+    out.extend(_diff_columns("antipode-antimultiplicative", (), s_a @ m_a, rhs))
+    su = s_a.apply(u_a)
+    if su != tuple(u_ai):
+        out.append(Violation("antipode-unital", (), None,
+                             f"S(1) = {_render_vector(s_a.field, names_ai, su)}"))
+    return out
+
+
+def psi_laws_by_whole_products(p, m_a, m_e, u_a, u_e, names_e) -> list:
+    """Ψ_α multiplicative on every pair (a, b), and unital."""
+    out = _diff_columns("psi-multiplicative", (), p @ m_a, m_e @ p.kron(p))
+    pu = p.apply(u_a)
+    if pu != tuple(u_e):
+        out.append(Violation("psi-unital", (), None,
+                             f"Ψ(1) = {_render_vector(p.field, names_e, pu)}"))
+    return out
+
+
+def hopf_laws_by_whole_products(h: HopfPiCoalgebra) -> VerificationReport:
+    """verify_hopf with associativity on every triple and each algebra-map
+    identity on every pair, at every grading in turn (no operand tuple
+    shared); the checks no generator decides are the library's own."""
+    g = h.group
+    e = g.identity
+    d, m, u, s, names = h.comult, h.mult, h.unit, h.antipode, h.basis_names
+    report = VerificationReport()
+    elements = list(g.elements())
+    pairs = [(a, b) for a in elements for b in elements]
+    for a in elements:
+        report.extend(stamped(algebra_laws_by_whole_products(m[a], u[a], names[a]), (a,)))
+    for a, b in pairs:
+        ab = g.mul(a, b)
+        report.extend(stamped(comult_laws_by_whole_products(
+            d[(a, b)], m[a], m[b], m[ab], u[a], u[b], u[ab], names[ab]), (a, b)))
+    report.extend(counit_laws_by_whole_products(h.counit, m[e], u[e], names[e]))
+    for a in elements:
+        ai = g.inv(a)
+        report.extend(stamped(_antipode_axiom(m[a], s[ai], d[(ai, a)], d[(a, ai)], u[a],
+                                              h.counit, names[e]), (a,)))
+        report.extend(stamped(antipode_laws_by_whole_products(s[a], m[a], m[ai], u[a], u[ai],
+                                                              names[ai]), (a,)))
+    for a, b in pairs:
+        report.extend(stamped(_antipode_comult(d[(g.inv(b), g.inv(a))], s[g.mul(a, b)], s[a],
+                                               s[b], d[(a, b)], names[g.mul(a, b)]), (a, b)))
+    report.extend(_diff_columns("antipode-counit", (), h.counit @ s[e], h.counit,
+                                namer=names[e].__getitem__))
+    if h.psi is not None:
+        for a in elements:
+            report.extend(stamped(psi_laws_by_whole_products(h.psi[a], m[a], m[e], u[a], u[e],
+                                                             names[e]), (a,)))
+    return report
+
+
+def characters_by_whole_products(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
+    """check_characters with T_α m_α against Σ_k T_ik ⊗ T_kj on every pair
+    (a, b), at every grading."""
+    f = h.field
+    report = VerificationReport()
+    for a in h.group.elements():
+        t, m = funcs[a], h.mult[a]
+        n = m.rows
+        size = isqrt(t.rows)
+        legs = (size, size)
+        split = t.regroup(legs, (n,), (0, 2), (1,)) @ t.regroup(legs, (n,), (0,), (1, 2))
+        mult = differing_blocks(t @ m, split.regroup((size, n), (size, n), (0, 2), (1, 3)),
+                                (1, n * n))
+        value = t @ Matrix.column(f, h.unit[a])
+        norm = differing_blocks(value, Matrix(f, size * size, 1, {
+            (i * size + i, 0): f.one() for i in range(size)}), (1, 1))
+        for ij, _ in sorted(mult.keys() | norm.keys()):
+            i, j = divmod(ij, size)
+            if (ij, 0) in mult:
+                report.extend([Violation(FRAME_MULT, (a,), mult[(ij, 0)],
+                                         f"{name}_{i}{j}(ab) ≠ Σ_k {name}_{i}k(a) {name}_k{j}(b)")])
+            if (ij, 0) in norm:
+                want = f.one() if i == j else f.zero()
+                report.extend([Violation(FRAME_NORM, (a,), None, f"{name}_{i}{j}(1) = "
+                                         f"{f.render(value[(ij, 0)])}, expected {f.render(want)}")])
+    return report
+
+
+def convolution_inverses_by_whole_products(h: HopfPiCoalgebra, funcs) -> VerificationReport:
+    """check_convolution_inverses with each side evaluated on every basis
+    vector of A_1: one product of re-keyed copies of T_1 and T_1 S_1^{-1},
+    rows (i, h), then Δ_{1,1}."""
+    f = h.field
+    e = h.group.identity
+    t = funcs[e]
+    n1 = t.cols
+    size = isqrt(t.rows)
+    legs, pair = (size, size), ((size, n1), (size, n1))
+    u = t @ h.antipode_inv(e)
+    d11 = h.comult[(e, e)]
+    target = Matrix(f, size * size, 1, {(i * size + i, 0): f.one()
+                                        for i in range(size)}).kron(h.counit)
+    first = t.regroup(legs, (n1,), (1, 2), (0,)) @ u.regroup(legs, (n1,), (1,), (0, 2))
+    second = u.regroup(legs, (n1,), (1, 2), (0,)) @ t.regroup(legs, (n1,), (1,), (0, 2))
+    one = differing_blocks(first.regroup(*pair, (0, 2), (1, 3)) @ d11, target, (1, n1))
+    two = differing_blocks(second.regroup(*pair, (2, 0), (1, 3)) @ d11, target, (1, n1))
+    report = VerificationReport()
+    for ih, _ in sorted(one.keys() | two.keys()):
+        i, hh = divmod(ih, size)
+        if (ih, 0) in one:
+            report.extend([Violation(FRAME_MULT, (e,), one[(ih, 0)],
+                                     f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε")])
+        if (ih, 0) in two:
+            report.extend([Violation(FRAME_MULT, (e,), two[(ih, 0)],
+                                     f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε")])
     return report
 
 
