@@ -41,10 +41,19 @@ a, b}, which contains 1 by the unit laws: (ab)(cs) = ((ab)c)s =
 the triples (a, b, s) once both unit laws hold, and Δ_{α,β}, ε, S_α and
 Ψ_α on the pairs (b, s) once every A_α has passed _algebra_laws and the
 map is unital; the structure checks reduce the
-characters and the convolution inverses the same way.  Each identity
-that fails on the generators, or whose preconditions fail, is computed
-again on every column, so each violation and witness is the one that
-the whole product gives.
+characters and the convolution inverses the same way.
+
+The same holds for module actions.  Let L, L′ : A_α → End(V) be two left
+actions, L(xy) = L(x)L(y) and L(1) = id, and U : V → V′ invertible.  Then
+{x : U L(x) U⁻¹ = L′(x)} is a subspace containing 1, and closed under
+x ↦ xs when s lies in it: U L(xs) U⁻¹ = U L(x) U⁻¹ U L(s) U⁻¹ = L′(x)L′(s)
+= L′(xs).  So two actions conjugate at 1 and on S are conjugate on A_α.
+Right actions, R(xy) = R(y)R(x), give the same with the factors swapped.
+The round trip of the structure checks compares its actions so.
+
+Each identity that fails on the generators, or whose preconditions
+fail, is computed again on every column, so each violation and witness
+is the one that the whole product gives.
 """
 
 from __future__ import annotations
@@ -63,9 +72,7 @@ from .linalg import (
     Matrix,
     Subspace,
     differing_blocks,
-    image,
     kernel,
-    quotient,
     unit_vec,
     vec_kron,
 )
@@ -600,40 +607,78 @@ def algebra_generators(m: Matrix, unit: tuple) -> tuple[int, ...]:
     """Basis indices S, ascending, whose right words 1·s₁·s₂⋯ span the
     algebra with multiplication m and unit `unit`; h.shared memoises them
     per (m_α, 1_α), for every identity that reads them: the axioms of
-    verify_hopf, the characters and convolution inverses of the structure
-    checks, and enumeration.
+    verify_hopf, the characters, convolution inverses and round trip of the
+    structure checks, and enumeration.
 
     S is chosen greedily by one closure.  W, the span of the words in the
     generators so far, starts as the span of 1 and grows by W·S until it
-    stops or is all of A; the next generator is the first basis index after the last one
-    whose vector lies outside W, the first nonzero column of the quotient
-    projection by W.  No index is taken twice, so S has at most dim A
-    entries on any m; when 1 is a unit, e_s = 1·s lies in W once s is
-    taken, so the words span A when no index is left outside.  k[ℤ/n]
-    gives {g}, the Taft algebra {g, x}.
+    stops or is all of A; the next generator is the first basis index after
+    the last one whose vector lies outside W.  No index is taken twice, so
+    S has at most dim A entries on any m; when 1 is a unit, e_s = 1·s lies
+    in W once s is taken, so the words span A when no index is left
+    outside.  k[ℤ/n] gives {g}, the Taft algebra {g, x}.
+
+    W is held as echelon rows, each zero at the pivots of the rows before
+    it, so a vector lies in W iff it reduces to zero against them in turn.
+    A new generator multiplies every row of W; after that each step
+    multiplies only the rows the last step added, by every generator, since
+    the products of the older rows are already in W.
 
     On an associative unital algebra a subspace W with W·s ⊆ W for every
     s ∈ S is a right ideal, since W·(1·s₁⋯s_r) = (⋯(W·s₁)⋯)·s_r ⊆ W and the
     words span A.
     """
     f, n = m.field, m.rows
-    words = image(Matrix.column(f, unit))
+    zero = f.zero()
+    add, mul, sub = f.add, f.mul, f.sub
+    by_gen: list = [{} for _ in range(n)]          # by_gen[s][i]: the entries (r, x) of e_i·e_s
+    for (r, c), x in m.entries.items():
+        i, s = divmod(c, n)
+        by_gen[s].setdefault(i, []).append((r, x))
+    rows: list = []                   # W: (pivot, {column: value}), 1 at the pivot
+
+    def remainder(v: dict) -> dict:
+        for p, row in rows:
+            x = v.get(p)
+            if x is not None:
+                for c, y in row.items():
+                    w = sub(v.get(c, zero), mul(x, y))
+                    if w != zero:
+                        v[c] = w
+                    else:
+                        v.pop(c, None)
+        return v
+
+    def grow(products) -> list:
+        """Each product's remainder against W, if nonzero, joins W's rows,
+        scaled to 1 at its pivot; the rows added."""
+        added = len(rows)
+        for v in products:
+            v = remainder(v)
+            if v:
+                pivot = min(v)
+                inv = f.inv(v[pivot])
+                rows.append((pivot, {c: mul(inv, x) for c, x in v.items()}))
+        return [row for _, row in rows[added:]]
+
+    def times(row: dict, s: int) -> dict:
+        out: dict = {}
+        for i, x in row.items():
+            for r, y in by_gen[s].get(i, ()):
+                out[r] = add(out.get(r, zero), mul(x, y))
+        return {r: x for r, x in out.items() if x != zero}
+
+    grow([{r: x for r, x in enumerate(unit) if x != zero}])
     gens: list[int] = []
-    while words.dim < n:
-        outside = [c for _, c in quotient(words).entries if not gens or c > gens[-1]]
-        if not outside:
+    while len(rows) < n:
+        start = gens[-1] + 1 if gens else 0
+        s = next((c for c in range(start, n) if remainder({c: f.one()})), None)
+        if s is None:
             break
-        gens.append(min(outside))
-        by_gens = m.on_leg(columns(f, n, gens), n, 1, 1)     # column i·|S| + t is e_i·s_t
-        while words.dim < n:
-            incl = words.inclusion_matrix()
-            stacked = dict(incl.entries)      # the columns of W, then those of W·S
-            stacked.update(((r, incl.cols + c), v) for (r, c), v in
-                           by_gens.on_leg(incl, 1, len(gens), 1).entries.items())
-            grown = image(Matrix._unchecked(f, n, incl.cols * (1 + len(gens)), stacked))
-            if grown.dim == words.dim:
-                break
-            words = grown
+        gens.append(s)
+        fresh = grow(times(row, s) for _, row in rows[:])
+        while fresh and len(rows) < n:
+            fresh = grow(times(row, t) for row in fresh for t in gens)
     return tuple(gens)
 
 

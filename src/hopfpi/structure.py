@@ -59,13 +59,16 @@ builds it from R.  extract_structure runs the steps and every check in
 order, the round trip last, and keeps a step's data only when its report
 passes.
 
-On a structure that passes verify_all, two identities are decided on the
-generators S of A_α (hopf.algebra_generators, by the lemma of the hopf
-module): φ(ab) = φ(a)φ(b) on the pairs (a, s), s ∈ S, once φ(1) = I
-holds, and the convolution inverses of f at 1 and on S only, once f is a
-character of A_1 (check_convolution_inverses gives the argument).  An
-identity that fails there, or whose preconditions fail, is computed again
-on every column, so each violation and witness is the whole product's.
+On a structure that passes verify_all, three identities are decided on
+the generators S of A_α (hopf.algebra_generators, by the lemmas of the
+hopf module): φ(ab) = φ(a)φ(b) on the pairs (a, s), s ∈ S, once φ(1) = I
+holds; the convolution inverses of f at 1 and on S only, once f is a
+character of A_1 (check_convolution_inverses gives the argument); and the
+round trip's two module actions at 1 and on S (reconstruction_matches),
+where the extraction builds its rebuilt actions on those columns only.
+An identity that fails there, or whose preconditions fail, is computed
+again on every column, so each violation and witness is the whole
+product's.
 
 Every step is computed once per distinct tuple of the objects it reads,
 so a family that repeats its components across gradings is extracted
@@ -93,8 +96,9 @@ identity:
     intertwiner-identity               f = g on A_1 and
                                        Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi
     reconstruction-roundtrip           the bimodule rebuilt from (f, R)
-                                       has the actions and coactions of
-                                       the original in frame coordinates
+                                       has the actions (at 1 and on S)
+                                       and coactions of the original in
+                                       frame coordinates
 """
 
 from __future__ import annotations
@@ -419,6 +423,14 @@ def _generators(h: HopfPiCoalgebra, alpha: int):
     return h.shared(algebra_generators, h.mult[alpha], h.unit[alpha])
 
 
+def _unit_and_generators(f, unit: tuple, gens) -> Matrix:
+    """The n_α × (1 + |S|) matrix whose columns are 1_α and e_s, s ∈ gens:
+    the points {1} ∪ S at which an identity of module actions or
+    convolutions is decided."""
+    return Matrix(f, len(unit), 1 + len(gens), {**{(r, 0): x for r, x in enumerate(unit)},
+                                                **{(s, 1 + i): f.one() for i, s in enumerate(gens)}})
+
+
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
     """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
     T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I).  On a structure that
@@ -544,9 +556,20 @@ def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     Σ F(a₂)G(a₁), satisfies the same with Φ(c) between F(b₂) and G(b₁).
     """
     e = h.group.identity
+    gens = _generators(h, e)
+    if gens is not None and _characters("f", funcs[e], h.mult[e], h.unit[e], gens):
+        gens = None
+    return _convolution_inverses_on(h, funcs, gens)
+
+
+def _convolution_inverses_on(h: HopfPiCoalgebra, funcs, gens) -> VerificationReport:
+    """check_convolution_inverses at 1 and on gens, the generators of A_1,
+    given only once f is known to be a character of A_1; on every column
+    for gens None."""
+    e = h.group.identity
     report = VerificationReport()
     checker(report)(_convolution_inverses, (e,), funcs[e], h.antipode_inv(e),
-                    h.comult[(e, e)], h.counit, h.mult[e], h.unit[e], _generators(h, e))
+                    h.comult[(e, e)], h.counit, h.unit[e], gens)
     return report
 
 
@@ -564,7 +587,7 @@ def _convolve(p: Matrix, q: Matrix, d: Matrix, rows) -> Matrix:
 
 
 def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix, counit: Matrix,
-                          m: Matrix, unit: tuple, gens) -> list[Violation]:
+                          unit: tuple, gens) -> list[Violation]:
     f = t.field
     n1 = t.cols
     size = isqrt(t.rows)
@@ -581,10 +604,7 @@ def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix, counit: Matrix,
                 Matrix._unchecked(f, 2 * half, c.cols, {**target.entries, **{
                     (r + half, z): v for (r, z), v in target.entries.items()}}))
 
-    chosen = None
-    if gens is not None and not _characters("f", t, m, unit, gens):
-        chosen = Matrix(f, n1, 1 + len(gens), {**{(r, 0): x for r, x in enumerate(unit)},
-                                              **{(s, 1 + i): f.one() for i, s in enumerate(gens)}})
+    chosen = None if gens is None else _unit_and_generators(f, unit, gens)
     pair = sides_on_generators(sides, chosen, Matrix.identity(f, n1))
     blocks = {} if pair is None else differing_blocks(*pair, (1, n1))
     out = []
@@ -747,10 +767,15 @@ def functionals_f(cb: CovariantBimodule, F) -> tuple[list[Matrix], VerificationR
         raise MissingPsi("f extraction needs the grading collapse maps Ψ_α")
     funcs = _collapse(h, F)
     omega = [cb.omega(a) for a in h.group.elements()]
+    e = h.group.identity
+    characters = check_characters(h, funcs, "f")
+    # the convolution inverses' precondition, f a character of A_1, read
+    # off the violations that report stamps with the grading 1
+    gens = None if any(v.grading == (e,) for v in characters.violations) else _generators(h, e)
     return funcs, (check_commutation_rule(h, F, funcs, "left")
-                   .merge(check_characters(h, funcs, "f"))
+                   .merge(characters)
                    .merge(check_left_multiplication_rule(cb, omega, funcs, "left"))
-                   .merge(check_convolution_inverses(h, funcs)))
+                   .merge(_convolution_inverses_on(h, funcs, gens)))
 
 
 def functionals_g(cb: CovariantBimodule, eta) -> tuple[list[Matrix], VerificationReport]:
@@ -989,7 +1014,15 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
                                                          h.group.elements(), names=("f", "f"))):
         skip("the reconstruction data was rejected", ROUNDTRIP)
     else:
-        holds(reconstruction_matches(cb, _rebuild(h, data.f, data.R, data.size)))
+        # the rebuilt bimodule's laws are a theorem of the axioms, as in
+        # _trusted; its actions are built only where _roundtrip reads them
+        require_axioms(h)
+        e = h.group.identity
+        eye, twist = _rebuilt_factors(h, data.f, data.size)
+        actions = [((_rebuilt_left_on, eye, h.mult[a]),
+                    (_rebuilt_right_on, twist, h.comult[(a, e)], h.mult[a]))
+                   for a in h.group.elements()]
+        holds(_roundtrip(cb, actions, *_rebuilt_coactions(h, data.R, eye)))
     return data
 
 
@@ -1028,43 +1061,80 @@ def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
 
 
 def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
-    """The bimodule of reconstruct from (f, R) known to pass its checks:
-    checked by reconstruct, or by extract_structure before its round trip.
+    """The bimodule of reconstruct from (f, R) known to pass its checks.
     Each map is built once per distinct tuple of the objects it reads."""
-    f = h.field
     grp = h.group
     e = grp.identity
-    # (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)); twist has rows (j, i),
-    # columns t and entries f_ij(e_t)
-    twist = funcs[e].permute_legs((size, size), (1, 0), 0)
-    eye = Matrix.identity(f, size)
+    eye, twist = _rebuilt_factors(h, funcs, size)
     once = OperandMemo()
     left = [once(_rebuilt_left, eye, h.mult[a]) for a in grp.elements()]
     right = [once(_rebuilt_right, twist, h.comult[(a, e)], h.mult[a]) for a in grp.elements()]
-    pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
-    delta_l = {(a, b): once(_rebuilt_delta_l, eye, h.comult[(a, b)], h.mult[b]) for a, b in pairs}
-    delta_r = {(a, b): once(_rebuilt_delta_r, R[b], h.comult[(a, b)], h.mult[b]) for a, b in pairs}
+    delta_l, delta_r = _rebuilt_coactions(h, R, eye)
     dims = [size * h.n(a) for a in grp.elements()]
     return CovariantBimodule._trusted(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
 
 
-def _rebuilt_left(eye: Matrix, m: Matrix) -> Matrix:
-    """(x, e_j ⊗ y) ↦ e_j ⊗ xy."""
-    n = m.rows
-    return eye.kron(m).permute_legs((eye.rows, n, n), (1, 0, 2), 1)
+def _rebuilt_factors(h: HopfPiCoalgebra, funcs, size: int) -> tuple:
+    """I on the frame slots, and twist, rows (j, i), columns t, entries
+    f_ij(e_t): (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2))."""
+    e = h.group.identity
+    return Matrix.identity(h.field, size), funcs[e].permute_legs((size, size), (1, 0), 0)
 
 
-def _rebuilt_right(twist: Matrix, d: Matrix, m: Matrix) -> Matrix:
+def _rebuilt_coactions(h: HopfPiCoalgebra, R, eye: Matrix) -> tuple[dict, dict]:
+    """Δ^l and Δ^r of the rebuilt bimodule, keyed by (α, β), each built
+    once per distinct tuple of the objects it reads."""
+    grp = h.group
+    once = OperandMemo()
+    pairs = [(a, b) for a in grp.elements() for b in grp.elements()]
+    return ({(a, b): once(_rebuilt_delta_l, eye, h.comult[(a, b)], h.mult[b]) for a, b in pairs},
+            {(a, b): once(_rebuilt_delta_r, R[b], h.comult[(a, b)], h.mult[b]) for a, b in pairs})
+
+
+# The rebuilt actions take their algebra leg already read through a column
+# set c (n_α × k): the left one m_α·(c⊗I), the right one Δ_{α,1}·c.  The
+# whole action is the case c = I.
+
+
+def _rebuilt_left(eye: Matrix, mc: Matrix) -> Matrix:
+    """(c_t, e_j ⊗ y) ↦ e_j ⊗ c_t y, columns (t, j, y), from mc = m_α·(c⊗I)."""
+    n = mc.rows
+    return eye.kron(mc).permute_legs((eye.rows, mc.cols // n, n), (1, 0, 2), 1)
+
+
+def _rebuilt_right(twist: Matrix, dc: Matrix, m: Matrix) -> Matrix:
+    """(e_i ⊗ x, c_t) ↦ (e_i ⊗ x) c_t, columns (i, x, t), from dc = Δ_{α,1}·c."""
     size = isqrt(twist.rows)
     n = m.rows
-    n1 = d.rows // n
+    n1 = dc.rows // n
+    k = dc.cols
     # the small factors first, so no intermediate is as large as I⊗m_α:
-    # T[(j, y), (i, b)] = Σ_t f_ij(e_t) Δ_{α,1}[(y, t), b], then m_α on T's
-    # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, b)
-    split = twist @ d.regroup((n, n1), (n,), (1,), (0, 2))
-    t = split.regroup((size, size), (n, n), (0, 2), (1, 3))
+    # T[(j, y), (i, t)] = Σ_u f_ij(e_u) Δ_{α,1}c[(y, u), t], then m_α on T's
+    # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, t)
+    split = twist @ dc.regroup((n, n1), (k,), (1,), (0, 2))
+    t = split.regroup((size, size), (n, k), (0, 2), (1, 3))
     mult = m.regroup((n,), (n, n), (0, 1), (2,))
-    return t.on_leg(mult, size, 1, 0).regroup((size, n, n), (size, n), (0, 1), (3, 2, 4))
+    return t.on_leg(mult, size, 1, 0).regroup((size, n, n), (size, k), (0, 1), (3, 2, 4))
+
+
+def _rebuilt_left_on(c: Matrix, eye: Matrix, m: Matrix) -> Matrix:
+    """The rebuilt left action with its algebra leg read through c."""
+    return _rebuilt_left(eye, m.on_leg(c, 1, m.rows, 1))
+
+
+def _rebuilt_right_on(c: Matrix, twist: Matrix, d: Matrix, m: Matrix) -> Matrix:
+    """The rebuilt right action with its algebra leg read through c."""
+    return _rebuilt_right(twist, d @ c, m)
+
+
+def _left_on(c: Matrix, action: Matrix) -> Matrix:
+    """left_α·(c⊗I): a left action with its algebra leg read through c."""
+    return action.on_leg(c, 1, action.rows, 1)
+
+
+def _right_on(c: Matrix, action: Matrix) -> Matrix:
+    """right_α·(I⊗c): a right action with its algebra leg read through c."""
+    return action.on_leg(c, action.rows, 1, 1)
 
 
 def _rebuilt_delta_l(eye: Matrix, d: Matrix, m_b: Matrix) -> Matrix:
@@ -1084,11 +1154,32 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     """The reconstruction-roundtrip check: actions and coactions agree
     under the frame-coordinate identification.
 
-    The isomorphism Γ_α → k^size ⊗ A_α sends ρ to its decomposition
+    The isomorphism U: Γ_α → k^size ⊗ A_α sends ρ to its decomposition
     coefficients over ω; both sides' structure maps must be conjugate
     under it, bit-exactly.  A violation per grading (pair) for each action
     (coaction), witnessed by the first column on which the sides differ.
+
+    The actions are module actions, so on a structure that satisfies the
+    axioms they are compared at 1 and on the generators S of A_α only
+    (the lemma of the hopf module): {x : U L(x) U⁻¹ = L′(x)} is a subspace
+    that holds 1 by the unit laws and is closed under x ↦ xs, since
+    L(xs) = L(x)L(s) and L′(xs) = L′(x)L′(s); for the right actions
+    R(xs) = R(s)R(x).  Both arguments are CovariantBimodules, whose laws
+    hold (the constructor verifies them, _trusted has them by theorem).
+    An action that differs there is compared again on every column, so
+    each violation and witness is the whole product's.  The coactions are
+    compared whole.
     """
+    actions = [((_left_on, rebuilt.left[a]), (_right_on, rebuilt.right[a]))
+               for a in cb.h.group.elements()]
+    return _roundtrip(cb, actions, rebuilt.delta_l, rebuilt.delta_r)
+
+
+def _roundtrip(cb: CovariantBimodule, actions, delta_l, delta_r) -> VerificationReport:
+    """reconstruction_matches against a rebuilt bimodule given by its
+    coactions and, per grading, its left and right actions as (read,
+    *operands): read(c, *operands) is the action with its algebra leg read
+    through c."""
     h = cb.h
     grp = h.group
     frame = {a: cb.omega(a) for a in grp.elements()}
@@ -1096,24 +1187,37 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     report = VerificationReport()
     run = checker(report)
     for a in grp.elements():
-        run(_actions_match, (a,), iso[a], cb.frame_matrix(a, frame[a]), cb.left[a], cb.right[a],
-            rebuilt.left[a], rebuilt.right[a], h.mult[a])
+        gens = _generators(h, a)
+        for side, given, reader in zip(("left", "right"), (cb.left[a], cb.right[a]), actions[a]):
+            run(_action_matches, (a,), side, iso[a], cb.frame_matrix(a, frame[a]), given,
+                h.mult[a], h.unit[a], gens, *reader)
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
             run(_coactions_match, (a, b), iso[a], iso[b], cb.frame_matrix(ab, frame[ab]),
-                cb.delta_l[(a, b)], cb.delta_r[(a, b)], rebuilt.delta_l[(a, b)],
-                rebuilt.delta_r[(a, b)], h.mult[a], h.mult[b])
+                cb.delta_l[(a, b)], cb.delta_r[(a, b)], delta_l[(a, b)], delta_r[(a, b)],
+                h.mult[a], h.mult[b])
     return report
 
 
-def _actions_match(u: Matrix, ui: Matrix, left: Matrix, right: Matrix, rebuilt_left: Matrix,
-                   rebuilt_right: Matrix, m: Matrix) -> list[Violation]:
-    n = m.rows
-    return (_identity(ROUNDTRIP, u @ left.on_leg(ui, n, 1, 1), rebuilt_left,
-                      "the left action differs from the rebuilt one")
-            + _identity(ROUNDTRIP, u @ right.on_leg(ui, 1, n, 1), rebuilt_right,
-                        "the right action differs from the rebuilt one"))
+def _action_matches(side: str, u: Matrix, ui: Matrix, given: Matrix, m: Matrix, unit: tuple,
+                    gens, read, *operands) -> list[Violation]:
+    """U·given·(I⊗U⁻¹) (side "left") or U·given·(U⁻¹⊗I) (side "right")
+    against the rebuilt action, at 1 and on gens when they are given."""
+    f = m.field
+
+    def sides(c):
+        k = c.cols
+        if side == "left":        # columns (t, (i, x)): c_t ρ_(i,x), in frame coordinates
+            conjugated = _left_on(c, given).on_leg(ui, k, 1, 1)
+        else:                     # columns ((i, x), t): ρ_(i,x) c_t
+            conjugated = _right_on(c, given).on_leg(ui, 1, k, 1)
+        return u @ conjugated, read(c, *operands)
+
+    chosen = None if gens is None else _unit_and_generators(f, unit, gens)
+    pair = sides_on_generators(sides, chosen, Matrix.identity(f, m.rows))
+    return [] if pair is None else _identity(ROUNDTRIP, *pair,
+                                             f"the {side} action differs from the rebuilt one")
 
 
 def _coactions_match(iso_a: Matrix, iso_b: Matrix, w: Matrix, delta_l: Matrix, delta_r: Matrix,

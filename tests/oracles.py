@@ -24,7 +24,9 @@ decompositions over the ω frame, the projections P_α and the entrywise
 form of linalg.differing_blocks.  So do the whole products of the seven
 identities that the library decides on the generators of A_α
 (associativity, the multiplicativity of Δ, ε, S and Ψ, the characters
-and the convolution inverses), each evaluated on every column.
+and the convolution inverses), each evaluated on every column, the
+round trip's action comparison on every column, and the generators of
+A_α by the closure that row-reduced all of W and W·S at every step.
 `unshared` copies a structure so that no grading shares a matrix or
 tuple with another, the form in which the library's once-per-operand-
 tuple axiom checks run at every grading.
@@ -62,6 +64,7 @@ from hopfpi.hopf import (
     _diff_columns,
     _render_vector,
     act_on_pairs,
+    columns,
     group_algebra,
     stamped,
 )
@@ -71,6 +74,7 @@ from hopfpi.linalg import (
     PrimeField,
     Subspace,
     differing_blocks,
+    image,
     kernel,
     quotient,
     solve,
@@ -84,7 +88,9 @@ from hopfpi.structure import (
     INTERTWINER,
     R_COMULT,
     R_COUNIT,
+    ROUNDTRIP,
     CovariantBimodule,
+    _coactions_match,
     _compare,
     _frame_size,
     r_block,
@@ -1028,9 +1034,10 @@ def unshared(h: HopfPiCoalgebra) -> HopfPiCoalgebra:
         basis_names=[tuple(list(ns)) for ns in h.basis_names])
 
 
-def s3_group():
-    """S₃ as the permutations of {0, 1, 2} in lexicographic order."""
-    perms = sorted(itertools.permutations(range(3)))
+def s3_group(reverse: bool = False):
+    """S₃ as the permutations of {0, 1, 2} in lexicographic order, or in
+    reverse order (the identity last)."""
+    perms = sorted(itertools.permutations(range(3)), reverse=reverse)
     index = {p: i for i, p in enumerate(perms)}
     return group_from_table([[index[tuple(p[q[x]] for x in range(3))] for q in perms]
                              for p in perms])
@@ -1450,3 +1457,78 @@ def reconstruct_right_by_chain(h: HopfPiCoalgebra, funcs, size: int, alpha: int)
             .on_leg(twist, n * n, 1, 1)
             .permute_legs((n, n, size, n1), (2, 0, 1, 3), 1)
             .on_leg(h.comult[(alpha, e)], size * n, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the generators of A_α by whole row reductions, and the round trip's
+# action comparison on every column
+
+
+def algebra_generators_by_closure(m: Matrix, unit) -> tuple[int, ...]:
+    """hopf.algebra_generators with W grown by the whole of W·S at each
+    step: the stack of W's columns and W·S row-reduced again (one image),
+    and each next generator the first nonzero column after the last one of
+    the quotient projection by W."""
+    f, n = m.field, m.rows
+    words = image(Matrix.column(f, unit))
+    gens: list[int] = []
+    while words.dim < n:
+        outside = [c for _, c in quotient(words).entries if not gens or c > gens[-1]]
+        if not outside:
+            break
+        gens.append(min(outside))
+        by_gens = m.on_leg(columns(f, n, gens), n, 1, 1)     # column i·|S| + t is e_i·s_t
+        while words.dim < n:
+            incl = words.inclusion_matrix()
+            stacked = dict(incl.entries)      # the columns of W, then those of W·S
+            stacked.update(((r, incl.cols + c), v) for (r, c), v in
+                           by_gens.on_leg(incl, 1, len(gens), 1).entries.items())
+            grown = image(Matrix(f, n, incl.cols * (1 + len(gens)), stacked))
+            if grown.dim == words.dim:
+                break
+            words = grown
+    return tuple(gens)
+
+
+def action_matches_by_whole_products(side: str, u: Matrix, ui: Matrix, given: Matrix,
+                                     m: Matrix, unit, gens, read, *operands) -> list:
+    """structure._action_matches on every column: U·left·(I⊗U⁻¹) or
+    U·right·(U⁻¹⊗I) against the whole rebuilt action, read(I, *operands);
+    the generators are not read."""
+    n = m.rows
+    legs = (n, 1) if side == "left" else (1, n)
+    report = VerificationReport()
+    _compare(report, ROUNDTRIP, (), u @ given.on_leg(ui, *legs, 1),
+             read(Matrix.identity(m.field, n), *operands),
+             f"the {side} action differs from the rebuilt one")
+    return report.violations
+
+
+def reconstruction_matches_by_whole_products(cb: CovariantBimodule,
+                                             rebuilt: CovariantBimodule) -> VerificationReport:
+    """reconstruction_matches with both actions of every grading compared
+    on every column, and no operand tuple shared across gradings."""
+    h = cb.h
+    grp = h.group
+    report = VerificationReport()
+    for a in grp.elements():
+        frame = cb.omega(a)
+        u, ui = cb.frame_inverse(a, frame), cb.frame_matrix(a, frame)
+        for side, given, whole in (("left", cb.left[a], rebuilt.left[a]),
+                                   ("right", cb.right[a], rebuilt.right[a])):
+            report.extend(stamped(action_matches_by_whole_products(
+                side, u, ui, given, h.mult[a], h.unit[a], None, _as_read, whole), (a,)))
+    for a in grp.elements():
+        for b in grp.elements():
+            ab = grp.mul(a, b)
+            report.extend(stamped(_coactions_match(
+                cb.frame_inverse(a, cb.omega(a)), cb.frame_inverse(b, cb.omega(b)),
+                cb.frame_matrix(ab, cb.omega(ab)), cb.delta_l[(a, b)], cb.delta_r[(a, b)],
+                rebuilt.delta_l[(a, b)], rebuilt.delta_r[(a, b)], h.mult[a], h.mult[b]), (a, b)))
+    return report
+
+
+def _as_read(c: Matrix, whole: Matrix) -> Matrix:
+    """A given whole action, as the reader of the identity column set."""
+    assert c == Matrix.identity(c.field, c.rows)
+    return whole

@@ -11,6 +11,13 @@ give, violation for violation: on structures with one entry of m_α,
 Δ_{α,β}, S_α, Ψ_α, ε or of the functionals T_α bumped, on random
 multiplications, unital or not, and on maps Ψ that are multiplicative on
 A × {s₁} but not on A × A.
+
+The round trip of extract_structure and reconstruction_matches compare
+the module actions of two bimodules at 1 and on S too, and the round trip
+builds its rebuilt actions only there; each must give the violations of
+the comparison on every column, also against a bimodule rebuilt in
+another frame.  The generators themselves must be those of the closure
+that row-reduces all of W and W·S at every step.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hopfpi.structure as structure_mod
 from hopfpi import (
     HopfPiCoalgebra,
     algebra_generators,
@@ -28,6 +36,8 @@ from hopfpi import (
     cyclic,
     extract_structure,
     group_algebra,
+    reconstruct,
+    reconstruction_matches,
     taft_hopf_algebra,
     universal_calculus,
     verify_all,
@@ -36,16 +46,23 @@ from hopfpi import (
 from hopfpi.hopf import _algebra_laws
 from hopfpi.linalg import Matrix, PrimeField, QQ
 from hopfpi.structure import (
+    ROUNDTRIP,
     _collapse,
     check_characters,
+    check_commutation_rule,
     check_convolution_inverses,
+    check_left_multiplication_rule,
     coefficient_maps,
+    functionals_f,
 )
 from oracles import (
+    action_matches_by_whole_products,
+    algebra_generators_by_closure,
     algebra_laws_by_whole_products,
     characters_by_whole_products,
     convolution_inverses_by_whole_products,
     hopf_laws_by_whole_products,
+    reconstruction_matches_by_whole_products,
     s3_group,
     twisted_f7_z7,
     unshared,
@@ -62,6 +79,8 @@ def _constructors():
     out["Taft/F7"] = lambda: taft_hopf_algebra(F7)
     out["Taft/F11"] = lambda: taft_hopf_algebra(PrimeField(11))
     out["F7[S3]"] = lambda: group_algebra(s3_group(), F7)
+    # the unit is the last basis vector, so the generators are 0 and 1
+    out["F7[S3], unit last"] = lambda: group_algebra(s3_group(reverse=True), F7)
     out["F7[Z/4] over S3"] = lambda: constant_family(group_algebra(cyclic(4), F7), s3_group())
     out["twisted F7[Z/7]"] = twisted_f7_z7
     return out
@@ -141,6 +160,9 @@ def test_reduced_identities_report_what_the_whole_products_report(name, kind, da
         old = getattr(h, kind)[key]
     bumped = _with(h, kind, key, _bump(old, *_draw_entry(data, old), delta))
     assert verify_hopf(bumped).violations == hopf_laws_by_whole_products(bumped).violations
+    for a in bumped.group.elements():
+        m, unit = bumped.mult[a], bumped.unit[a]
+        assert algebra_generators(m, unit) == algebra_generators_by_closure(m, unit)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -149,6 +171,9 @@ def test_lawful_structures_agree_with_the_whole_products(name):
     of the universal calculus's f, read as the whole products do."""
     h = _structure(name)
     funcs = list(_functionals(name))
+    for a in h.group.elements():
+        assert algebra_generators(h.mult[a], h.unit[a]) == \
+            algebra_generators_by_closure(h.mult[a], h.unit[a])
     assert verify_hopf(h).violations == hopf_laws_by_whole_products(h).violations == []
     assert check_characters(h, funcs).violations == \
         characters_by_whole_products(h, funcs).violations
@@ -175,8 +200,9 @@ def test_associativity_on_generators_matches_the_triple_product(field, n, unital
         unit = tuple(data.draw(st.lists(scalars, min_size=n, max_size=n)))
     m = Matrix(field, n, n * n, entries)
     names = tuple(f"x{i}" for i in range(n))
-    assert _algebra_laws(m, unit, names, algebra_generators(m, unit)) == \
-        algebra_laws_by_whole_products(m, unit, names)
+    gens = algebra_generators(m, unit)
+    assert gens == algebra_generators_by_closure(m, unit)
+    assert _algebra_laws(m, unit, names, gens) == algebra_laws_by_whole_products(m, unit, names)
 
 
 def _psi_on_first_generator(h: HopfPiCoalgebra) -> Matrix:
@@ -232,13 +258,32 @@ def test_convolution_inverses_of_a_non_character_are_read_on_every_column():
     assert report.violations
 
 
+def test_functionals_f_reads_its_character_verdict_for_the_convolution_inverses():
+    """The same f reached through functionals_f, with F bumped at
+    F_00(g²): its report takes the precondition of the convolution inverses
+    from its own character identities, so they too are read on every
+    column, as the whole products give them."""
+    h = _structure("F7[Z/4]")
+    bim = universal_calculus(h).to_bimodule()
+    omega = [bim.omega(a) for a in h.group.elements()]
+    F = coefficient_maps(bim, omega)
+    F[0] = _bump(F[0], 0, 2, F7.one())                  # row ((0, 0), e), column g²
+    funcs, report = functionals_f(bim, F)
+    assert funcs[0] == _bump(_functionals("F7[Z/4]")[0], 0, 2, F7.one())
+    whole = (check_commutation_rule(h, F, funcs, "left")
+             .merge(characters_by_whole_products(h, funcs, "f"))
+             .merge(check_left_multiplication_rule(bim, omega, funcs, "left"))
+             .merge(convolution_inverses_by_whole_products(h, funcs)))
+    assert report.violations == whole.violations
+    assert convolution_inverses_by_whole_products(h, funcs).violations
+
+
 def test_generators_are_found_once_per_multiplication_and_unit_in_verify_and_structure(
         monkeypatch):
     """verify_hopf and the structure checks read the generators of each
     A_α from h.shared: on the F₇[ℤ/4] family over S₃ they are found once
     for its one (m_α, 1_α), and on its unshared copy once per grading."""
     import hopfpi.hopf as hopf_mod
-    import hopfpi.structure as structure_mod
 
     h = constant_family(group_algebra(cyclic(4), F7), s3_group())   # verifies A_1 alone
     copy = unshared(h)
@@ -257,3 +302,99 @@ def test_generators_are_found_once_per_multiplication_and_unit_in_verify_and_str
     assert found == Counter({(id(h.mult[0]), id(h.unit[0])): 1,
                              **{(id(copy.mult[a]), id(copy.unit[a])): 1
                                 for a in copy.group.elements()}})
+
+
+# -- the round trip's action comparison ---------------------------------------
+
+ROUNDTRIP_NAMES = ["F7[S3]", "F7[S3], unit last", "Taft/F7", "Taft/F11", "F7[Z/4] over S3",
+                   "twisted F7[Z/7]"]
+NON_SCALAR_F = ["F7[S3]", "F7[S3], unit last", "Taft/F7", "Taft/F11"]
+
+
+@lru_cache(maxsize=None)
+def _extracted(name: str):
+    bim = universal_calculus(_structure(name)).to_bimodule()
+    return bim, extract_structure(bim)
+
+
+def _in_another_frame(name: str):
+    """The bimodule rebuilt from the (f, R) data of the frame ω′_i =
+    Σ_k Q_ik ω_k, Q unitriangular with ones on and above the diagonal:
+    f′ = Q f Q⁻¹ and R′ = Q⁻ᵀ R Qᵀ.  It is lawful and isomorphic to Γ, but
+    its right action differs from Γ's in the ω coordinates wherever Q does
+    not commute with f."""
+    h = _structure(name)
+    f = h.field
+    _, data = _extracted(name)
+    size = data.size
+    q = Matrix(f, size, size, {(i, j): f.one() for i in range(size) for j in range(i, size)})
+    q_inv_t = q.inverse().transpose()
+    funcs = [q.kron(q_inv_t) @ t for t in data.f]          # row (i, j): Σ Q_ik f_kl Q⁻¹_lj
+    R = [q_inv_t.kron(Matrix.identity(f, h.n(b))) @ r @ q.transpose()
+         for b, r in enumerate(data.R)]
+    return reconstruct(h, funcs, R, size)
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_NAMES)
+def test_roundtrip_against_the_rebuilt_bimodule_matches_the_whole_products(name):
+    """reconstruction_matches of Γ and the bimodule rebuilt from its own
+    (f, R) reports what the comparison on every column reports: nothing."""
+    bim, data = _extracted(name)
+    rebuilt = reconstruct(_structure(name), data.f, data.R, data.size)
+    assert reconstruction_matches(bim, rebuilt).violations == \
+        reconstruction_matches_by_whole_products(bim, rebuilt).violations == []
+
+
+@pytest.mark.parametrize("name", NON_SCALAR_F)
+def test_roundtrip_against_another_frame_reports_the_whole_products_violations(name):
+    """Γ against its own data in another frame: the right actions differ
+    on S, so they are compared again on every column, and every violation
+    and witness is the whole comparison's, entry for entry.  With the unit
+    last, the first differing column of the whole comparison is not the
+    first of the comparison on {1} ∪ S."""
+    bim, _ = _extracted(name)
+    rebuilt = _in_another_frame(name)
+    report = reconstruction_matches(bim, rebuilt)
+    assert report.violations == reconstruction_matches_by_whole_products(bim, rebuilt).violations
+    assert "the right action differs from the rebuilt one" in {v.detail for v in report.violations}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_NAMES)
+def test_extraction_roundtrip_reports_what_the_whole_comparison_reports(name, monkeypatch):
+    """extract_structure with the round trip's action comparison replaced
+    by the one on every column gives the same report.  The round trip runs
+    on each structure; on Taft the η-side checks fail before it (S² ≠ id),
+    and the round trip passes."""
+    h = _structure(name)
+    data = extract_structure(universal_calculus(h).to_bimodule())
+    monkeypatch.setattr(structure_mod, "_action_matches", action_matches_by_whole_products)
+    whole = extract_structure(universal_calculus(CONSTRUCTORS[name]()).to_bimodule()).report
+    assert data.report.violations == whole.violations
+    assert ROUNDTRIP not in data.not_run
+    assert ROUNDTRIP not in {v.check for v in data.report.violations}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_NAMES + ["F7[Z/6]", "Q[Z/5]"])
+def test_extraction_builds_the_rebuilt_actions_only_at_one_and_the_generators(name, monkeypatch):
+    """While the round trip passes, every rebuilt action is built on the
+    columns {1} ∪ S of its algebra leg, never on all of A_α."""
+    h = CONSTRUCTORS[name]()
+    built = []
+    real_left, real_right = structure_mod._rebuilt_left, structure_mod._rebuilt_right
+
+    def left(eye, mc):
+        built.append(("left", mc.cols // mc.rows))
+        return real_left(eye, mc)
+
+    def right(twist, dc, m):
+        built.append(("right", dc.cols))
+        return real_right(twist, dc, m)
+
+    monkeypatch.setattr(structure_mod, "_rebuilt_left", left)
+    monkeypatch.setattr(structure_mod, "_rebuilt_right", right)
+    data = extract_structure(universal_calculus(h).to_bimodule())
+    assert ROUNDTRIP not in data.not_run
+    assert ROUNDTRIP not in {v.check for v in data.report.violations}
+    points = {1 + len(algebra_generators(h.mult[a], h.unit[a])) for a in h.group.elements()}
+    assert {side for side, _ in built} == {"left", "right"}
+    assert {k for _, k in built} == points

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from hopfpi import PrimeField, cyclic, group_algebra, verify_hopf, verify_pi_coalgebra
+from hopfpi import (
+    PrimeField,
+    check_ad_invariant,
+    cyclic,
+    enumerate_right_ideals,
+    group_algebra,
+    taft_hopf_algebra,
+    verify_hopf,
+    verify_pi_coalgebra,
+)
 from hopfpi.cli import main
-from hopfpi.docio import document_from_json, document_to_json, load_document
+from hopfpi.docio import document_from_json, document_to_json, load_document, save_document
 from hopfpi.errors import ParseError
 
 F = Fraction
@@ -493,6 +502,27 @@ def test_cli_structure_failure_prints_full_report(fixture_dir, capsys, fmt):
     assert payload["dims"]["frame size"] == 3
     assert set(payload["values"]) == {"f", "R"}
     assert any(n.startswith("intertwiner-identity not run") for n in payload["notes"])
+
+
+def test_cli_reads_bicovariance_off_the_two_covariance_reports(tmp_path, capsys):
+    """On Taft/F₁₁ an ideal that is not ad-invariant gives a left-route
+    calculus that is left covariant only: `enumerate` lists such rows with
+    bicovariant "no", and `calculus --ideal` on one reports bicovariance
+    failing with the right-covariance witnesses."""
+    h = taft_hopf_algebra(PrimeField(11))
+    ideal = next(i for i in enumerate_right_ideals(h) if not check_ad_invariant(h, i).ok)
+    path = tmp_path / "taft_f11.json"
+    save_document(path, h, "Taft/F11",
+                  ideals={"leftOnly": [list(v) for v in ideal.subspace.basis.to_rows()]})
+    _, out = run_cli(capsys, "enumerate", str(path), "--format", "json")
+    rows = json.loads(out)["tables"]["right ideals in ker ε"]["rows"]
+    assert all(row[7] == ("yes" if row[5] == row[6] == "yes" else "no") for row in rows)
+    assert any(row[5] == "yes" and row[6] == "no" for row in rows)
+    _, out = run_cli(capsys, "calculus", str(path), "--ideal", "leftOnly", "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert [checks[n]["status"] for n in ("left-covariant", "right-covariant", "bicovariant")] \
+        == ["pass", "fail", "fail"]
+    assert checks["bicovariant"]["witnesses"] == checks["right-covariant"]["witnesses"] != []
 
 
 def test_cli_structure_without_psi_notes_skipped_checks(fixture_dir, tmp_path, capsys):
