@@ -35,6 +35,26 @@ matrix of each generator alone (hopf.algebra_generators, found once per
 (m_1, 1_1)) and reduced modulo the candidate (linalg.rows_closed_under);
 a candidate that fails builds nothing.
 
+The Leibniz rule is decided on generators too, by its derivation form of
+the lemma.  Let A_α be associative with unit 1 and Γ_α an A_α-bimodule
+(ρ·1 = ρ = 1·ρ, and the actions associate and commute), and d : A_α → Γ_α
+linear.  Then Y = {y : d(xy) = d(x)y + x d(y) for all x} is a subspace.
+It contains 1 iff d(1) = 0, since d(x·1) = d(x)·1 + x·d(1) for all x
+iff x·d(1) = 0 for all x.  And y, s ∈ Y give ys ∈ Y:
+
+    d(x(ys)) = d((xy)s) = d(xy)s + xy d(s) = (d(x)y + x d(y))s + xy d(s)
+             = d(x)(ys) + x(d(y)s + y d(s)) = d(x)(ys) + x d(ys).
+
+So once verify_all passes (N_α is then a sub-bimodule, so Γ_α is a
+bimodule), the rule on the pairs (a, c), c ∈ {1} ∪ S, S the generators
+of A_α, gives it on all of A_α × A_α; the column of 1 stays, as the
+words of S need not span 1 (x on F_p[x]/(x^p)).  leibniz_report reads it
+there, and on every pair when it fails there, so each violation is the
+one the whole product gives.  Its sides, and the span of a·d(b) that
+surjectivity_report ranks, read Γ's actions only on the vectors they
+use: a·w and w·c through drop, lift and m_α, the narrow factor (I⊗w or
+w⊗c) first.  Only to_bimodule builds the whole actions of Γ_α.
+
 Every map a calculus reads is a pure function of the objects it reads,
 built once per distinct tuple of them (an OperandMemo), so gradings that
 read the same objects share it: the maps of h in h.shared, those of a
@@ -68,6 +88,7 @@ from .hopf import (
     algebra_generators,
     checker,
     require_axioms,
+    sides_on_generators,
 )
 from .linalg import (
     Matrix,
@@ -80,7 +101,7 @@ from .linalg import (
     rows_closed_under,
     unit_vec,
 )
-from .structure import CovariantBimodule
+from .structure import CovariantBimodule, _generators, _unit_and_generators
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +333,8 @@ class _Quotient:
     """Γ_α = A²_α/N_α of one grading, built once per (A²_α, N_α): the
     inclusion ι of N_α, the projection P of A_α⊗A_α whose kernel is N_α,
     and the section (lift) and projection (drop) of Γ_α; d and the two
-    module actions on first read (see Fodc)."""
+    whole module actions, which only to_bimodule reads, on first read
+    (see Fodc)."""
 
     def __init__(self, square: _Square, kernel: Subspace):
         f = kernel.field
@@ -354,13 +376,20 @@ class Fodc:
     Holds, per grading α: the kernel N_α (ambient coordinates), its
     inclusion ι_α and the projection P_α whose kernel is N_α, and the
     quotient Γ_α with its canonical section (lift) and projection (drop).
-    d_α and the two module actions on Γ_α are built on first read, and
-    the induced coactions on the first `induced_delta_l/r` or
-    `to_bimodule` call; a job that reads only dimensions and covariance
-    verdicts builds none of them.  Each grading's maps are built once per
-    (A²_α, N_α), each containment once per (Φ, ι_{αβ}, P) and each induced
-    coaction once per (Φ, lift, drop), in the calculus's own OperandMemo
-    (`shared`), so they live as long as the calculus.
+    d_α is built on first read, the two whole module actions on Γ_α by
+    `to_bimodule` alone, and the induced coactions on the first
+    `induced_delta_l/r` or `to_bimodule` call; a job that reads only
+    dimensions and covariance verdicts builds none of them.  The Leibniz
+    rule d(ab) = d(a)b + a d(b) is decided on the pairs (a, c),
+    c ∈ {1} ∪ S, by the derivation form of the generator lemma (module
+    docstring): the pairs on which it holds form a subspace closed under
+    y ↦ ys, which contains 1 iff d(1) = 0.  leibniz_report and
+    surjectivity_report read the actions only on the vectors they use,
+    through drop, lift and m_α, and build no whole action.  Each
+    grading's maps are built once per (A²_α, N_α), each containment once
+    per (Φ, ι_{αβ}, P) and each induced coaction once per (Φ, lift, drop),
+    in the calculus's own OperandMemo (`shared`), so they live as long as
+    the calculus.
 
     N is a sub-bimodule of A², which `to_bimodule` relies on.  The public
     constructor proves it (CodomainViolation otherwise).  The universal
@@ -476,34 +505,61 @@ class Fodc:
                                           delta_l=delta_l, delta_r=delta_r)
 
     def leibniz_report(self) -> VerificationReport:
-        """d(ab) = d(a)b + a d(b) as a matrix identity per grading."""
+        """d(ab) = d(a)b + a d(b) as a matrix identity per grading, decided
+        on the pairs (a, c), c ∈ {1} ∪ S, once h satisfies the axioms (the
+        derivation lemma of the module docstring), and on every pair
+        otherwise or when it fails there; computed once per
+        (d_α, m_α, lift, drop, 1_α, S)."""
         h = self.h
         report = VerificationReport()
         run = checker(report)
         for a in h.group.elements():
-            run(_leibniz, (a,), self.d[a], h.mult[a], self.left[a], self.right[a])
+            run(_leibniz, (a,), self.d[a], h.mult[a], self.lift[a], self.drop[a], h.unit[a],
+                _generators(h, a))
         return report
 
     def surjectivity_report(self) -> VerificationReport:
-        """Every ρ ∈ Γ_α is a combination of a·d(b) over basis pairs."""
+        """Every ρ ∈ Γ_α is a combination of a·d(b) over basis pairs: the
+        rank of drop (m_α⊗I)(I⊗lift d_α), computed once per
+        (d_α, m_α, lift, drop)."""
+        h = self.h
         report = VerificationReport()
         run = checker(report)
-        for a in self.h.group.elements():
-            run(_surjectivity, (a,), self.left[a], self.d[a])
+        for a in h.group.elements():
+            run(_surjectivity, (a,), self.d[a], h.mult[a], self.lift[a], self.drop[a])
         return report
 
 
-def _leibniz(d: Matrix, m: Matrix, left: Matrix, right: Matrix) -> list[Violation]:
+def _times_left(m: Matrix, w: Matrix) -> Matrix:
+    """(m⊗I)(I⊗w): column (i, t) is e_i·w_t in A_α⊗A_α, for columns w_t
+    of A_α⊗A_α; the narrow factor I⊗w first, so nothing as wide as
+    drop·(m⊗I) is built."""
     n = m.rows
-    lhs = d @ m
-    rhs = right.on_leg(d, 1, n, 1) + left.on_leg(d, n, 1, 1)
+    return Matrix.identity(m.field, n).kron(w).on_leg(m, 1, n, 0)
+
+
+def _leibniz(d: Matrix, m: Matrix, lift: Matrix, drop: Matrix, unit: tuple,
+             gens) -> list[Violation]:
+    n = m.rows
+    lifted = lift @ d                # d(e_j) in A_α⊗A_α
+
+    def sides(c):                    # columns (i, t): d(e_i c_t) and d(e_i) c_t + e_i d(c_t)
+        # d(e_i)·c_t is (I⊗m)(lift d(e_i) ⊗ c_t), and e_i·d(c_t) is (m⊗I)(e_i ⊗ lift d(c_t))
+        return (d @ m.on_leg(c, n, 1, 1),
+                drop @ (lifted.kron(c).on_leg(m, n, 1, 0) + _times_left(m, lifted @ c)))
+
+    chosen = None if gens is None else _unit_and_generators(m.field, unit, gens)
+    pair = sides_on_generators(sides, chosen, Matrix.identity(m.field, n))
+    if pair is None:
+        return []
+    lhs, rhs = pair
     return [Violation("leibniz", (), j, "d(ab) ≠ d(a)b + a d(b)")
             for _, j in sorted(differing_blocks(lhs, rhs, (lhs.rows, 1)))]
 
 
-def _surjectivity(left: Matrix, d: Matrix) -> list[Violation]:
+def _surjectivity(d: Matrix, m: Matrix, lift: Matrix, drop: Matrix) -> list[Violation]:
     # column (i, j) is e_i · d(e_j)
-    span = image(left.on_leg(d, d.cols, 1, 1))
+    span = image(drop @ _times_left(m, lift @ d))
     if span.dim == d.rows:
         return []
     return [Violation("surjectivity", (), None, f"span of a·d(b) has dim {span.dim} < {d.rows}")]

@@ -27,6 +27,12 @@ identities that the library decides on the generators of A_α
 and the convolution inverses), each evaluated on every column, the
 round trip's action comparison on every column, and the generators of
 A_α by the closure that row-reduced all of W and W·S at every step.
+The Leibniz rule of a calculus is here as the whole product
+d·m = right·(d⊗I) + left·(I⊗d) and its surjectivity as the span read off
+the whole left action, both through Γ's whole module actions, which the
+library builds only for to_bimodule.  `restricted_line` is F_p[x]/(x^p)
+with x primitive, whose generator x spans no 1: the Leibniz rule at the
+unit is not implied by the rule on its generator there.
 `unshared` copies a structure so that no grading shares a matrix or
 tuple with another, the form in which the library's once-per-operand-
 tuple axiom checks run at every grading.
@@ -36,6 +42,7 @@ Nothing in `hopfpi` imports this module.
 from __future__ import annotations
 
 import itertools
+import math
 from math import isqrt
 from typing import Sequence
 
@@ -54,7 +61,7 @@ from hopfpi.errors import (
     MissingCoaction,
     NotBicovariant,
 )
-from hopfpi.groups import cyclic, group_from_table
+from hopfpi.groups import cyclic, group_from_table, trivial_group
 from hopfpi.hopf import (
     HopfPiCoalgebra,
     VerificationReport,
@@ -1433,6 +1440,51 @@ def bimodule_laws_by_kron(cb: CovariantBimodule) -> VerificationReport:
                 _compare(report, "bicovariance-compatibility", (a, b, c), lhs, rhs,
                          "(Δ^l⊗id)Δ^r ≠ (id⊗Δ^r)Δ^l")
     return report
+
+
+def leibniz_by_whole_products(calc: Fodc) -> VerificationReport:
+    """Fodc.leibniz_report with d_α m_α against right_α·(d_α⊗I) +
+    left_α·(I⊗d_α), the whole module actions of Γ_α, on every pair (a, b),
+    at every grading."""
+    h = calc.h
+    report = VerificationReport()
+    for a in h.group.elements():
+        d, n = calc.d[a], h.n(a)
+        lhs = d @ h.mult[a]
+        rhs = calc.right[a].on_leg(d, 1, n, 1) + calc.left[a].on_leg(d, n, 1, 1)
+        report.extend([Violation("leibniz", (a,), j, "d(ab) ≠ d(a)b + a d(b)")
+                       for _, j in sorted(differing_blocks(lhs, rhs, (lhs.rows, 1)))])
+    return report
+
+
+def surjectivity_by_whole_left(calc: Fodc) -> VerificationReport:
+    """Fodc.surjectivity_report with the span of a·d(b) read off the whole
+    left action, left_α·(I⊗d_α), at every grading."""
+    report = VerificationReport()
+    for a in calc.h.group.elements():
+        d = calc.d[a]
+        span = image(calc.left[a].on_leg(d, d.cols, 1, 1))
+        if span.dim < d.rows:
+            report.extend([Violation("surjectivity", (a,), None,
+                                     f"span of a·d(b) has dim {span.dim} < {d.rows}")])
+    return report
+
+
+def restricted_line(p: int) -> HopfPiCoalgebra:
+    """F_p[x]/(x^p), x primitive (Δx = x⊗1 + 1⊗x, ε(x) = 0, S(x) = −x),
+    over the trivial grading group, basis 1, x, …, x^(p−1).  Its one
+    generator is x, whose right words x, x², … do not span 1."""
+    f = PrimeField(p)
+    one = f.one()
+    mult = Matrix(f, p, p * p, {(i + j, i * p + j): one
+                                for i in range(p) for j in range(p) if i + j < p})
+    comult = Matrix(f, p * p, p, {(j * p + k - j, k): f.from_int(math.comb(k, j))
+                                  for k in range(p) for j in range(k + 1)})
+    counit = Matrix(f, 1, p, {(0, 0): one})
+    antipode = Matrix(f, p, p, {(k, k): f.from_int((-1) ** k) for k in range(p)})
+    return HopfPiCoalgebra(trivial_group(), f, [p], {(0, 0): comult}, counit, [mult],
+                           [unit_vec(f, p, 0)], [antipode], psi=[Matrix.identity(f, p)],
+                           basis_names=[tuple(f"x^{k}" for k in range(p))])
 
 
 # ---------------------------------------------------------------------------

@@ -18,33 +18,48 @@ builds its rebuilt actions only there; each must give the violations of
 the comparison on every column, also against a bimodule rebuilt in
 another frame.  The generators themselves must be those of the closure
 that row-reduces all of W and W·S at every step.
+
+The Leibniz rule of a calculus is decided on the pairs (a, c), c ∈ {1} ∪ S:
+with one entry of d_α bumped, on the universal calculus and the route
+calculi of an ideal and of every named ideal of the fixtures, its report
+must be the whole product's, and so must the rank of surjectivity.  Two
+bumps hold on part of the columns: d(1) = v with v·x = 0 on F_p[x]/(x^p),
+whose generator x spans no 1, and a derivation on the first generator
+only.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfpi.structure as structure_mod
 from hopfpi import (
+    Fodc,
     HopfPiCoalgebra,
     algebra_generators,
+    calculus_from_ideal,
+    calculus_from_ideal_right,
     constant_family,
     cyclic,
     extract_structure,
     group_algebra,
+    load_document,
     reconstruct,
     reconstruction_matches,
+    right_ideal_from_generators,
     taft_hopf_algebra,
     universal_calculus,
     verify_all,
     verify_hopf,
 )
 from hopfpi.hopf import _algebra_laws
-from hopfpi.linalg import Matrix, PrimeField, QQ
+from hopfpi.linalg import Matrix, PrimeField, QQ, kernel, unit_vec
 from hopfpi.structure import (
     ROUNDTRIP,
     _collapse,
@@ -62,8 +77,11 @@ from oracles import (
     characters_by_whole_products,
     convolution_inverses_by_whole_products,
     hopf_laws_by_whole_products,
+    leibniz_by_whole_products,
     reconstruction_matches_by_whole_products,
+    restricted_line,
     s3_group,
+    surjectivity_by_whole_left,
     twisted_f7_z7,
     unshared,
 )
@@ -205,12 +223,12 @@ def test_associativity_on_generators_matches_the_triple_product(field, n, unital
     assert _algebra_laws(m, unit, names, gens) == algebra_laws_by_whole_products(m, unit, names)
 
 
-def _psi_on_first_generator(h: HopfPiCoalgebra) -> Matrix:
-    """A unital Ψ : A → A that is multiplicative on A × {s₁} and not on
-    A × A, s₁ the first generator: Ψ = id + D, with D(c·w) = w for the right
-    words w in s₁ and one basis vector c outside them (c = x on Taft, a
-    permutation outside ⟨s₁⟩ on k[S₃]), and D zero on the other right
-    cosets.  Then D(y·s₁) = D(y)·s₁, so Ψ(y·s₁) = Ψ(y)Ψ(s₁)."""
+def _coset_of_first_generator(h: HopfPiCoalgebra) -> list[tuple]:
+    """(w, k, x) for each right word w = 1, s₁, s₁², … in the first
+    generator s₁ of A_1 (group-like, so each word is a basis vector), with
+    c·w = x e_k for one basis vector c outside the words (c = x on Taft, a
+    permutation outside ⟨s₁⟩ on k[S₃]).  Right multiplication by s₁ maps
+    the coset c·⟨s₁⟩ onto itself, and each other right coset onto itself."""
     f = h.field
     n = h.n(0)
     m = h.mult[0]
@@ -223,13 +241,24 @@ def _psi_on_first_generator(h: HopfPiCoalgebra) -> Matrix:
             break
         words.append(w)
     c = next(i for i in range(n) if i not in words)
-    entries = dict(Matrix.identity(f, n).entries)
+    out = []
     for w in words:
-        cw = m.on_leg(Matrix.column(f, [f.one() if i == w else f.zero() for i in range(n)]),
-                      n, 1, 1).col(c)                       # c·w
+        cw = m.on_leg(Matrix.column(f, unit_vec(f, n, w)), n, 1, 1).col(c)     # c·w
         k, coeff = next((k, x) for k, x in enumerate(cw) if x)
+        out.append((w, k, coeff))
+    return out
+
+
+def _psi_on_first_generator(h: HopfPiCoalgebra) -> Matrix:
+    """A unital Ψ : A → A that is multiplicative on A × {s₁} and not on
+    A × A, s₁ the first generator: Ψ = id + D, with D(c·w) = w for the right
+    words w in s₁, and D zero on the other right cosets.  Then
+    D(y·s₁) = D(y)·s₁, so Ψ(y·s₁) = Ψ(y)Ψ(s₁)."""
+    f = h.field
+    entries = dict(Matrix.identity(f, h.n(0)).entries)
+    for w, k, coeff in _coset_of_first_generator(h):
         entries[(w, k)] = f.add(entries.get((w, k), f.zero()), f.inv(coeff))
-    return Matrix(f, n, n, entries)
+    return Matrix(f, h.n(0), h.n(0), entries)
 
 
 @pytest.mark.parametrize("name", ["Taft/F7", "Taft/F11", "F7[S3]"])
@@ -398,3 +427,160 @@ def test_extraction_builds_the_rebuilt_actions_only_at_one_and_the_generators(na
     points = {1 + len(algebra_generators(h.mult[a], h.unit[a])) for a in h.group.elements()}
     assert {side for side, _ in built} == {"left", "right"}
     assert {k for _, k in built} == points
+
+
+# -- the Leibniz rule and surjectivity of a calculus ---------------------------
+
+LEIBNIZ_CONSTRUCTORS = {**CONSTRUCTORS, "F2[x]/(x^2)": lambda: restricted_line(2),
+                        "F3[x]/(x^3)": lambda: restricted_line(3)}
+LEIBNIZ_NAMES = sorted(LEIBNIZ_CONSTRUCTORS)
+ROUTES = ("universal", "left", "right")
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+LAWFUL_FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("*.json")
+                         if verify_all(load_document(p).hopf).ok)
+
+
+def _square_of_first_generator(h: HopfPiCoalgebra) -> tuple:
+    """(s₁ − ε(s₁)1)², s₁ the first generator of A_1: a vector of ker ε,
+    whose right ideal is proper on every structure here; 0 on A_1 = k,
+    which has no generator."""
+    f = h.field
+    e = h.group.identity
+    n = h.n(e)
+    gens = algebra_generators(h.mult[e], h.unit[e])
+    if not gens:
+        return (f.zero(),) * n
+    s1 = gens[0]
+    eps = h.counit[0, s1]
+    v = Matrix.column(f, [f.sub(x, f.mul(eps, u)) for x, u in zip(unit_vec(f, n, s1), h.unit[e])])
+    return h.mult[e].on_leg(v, n, 1, 1).on_leg(v, 1, 1, 1).col(0)
+
+
+def _on_route(h: HopfPiCoalgebra, route: str, gens) -> Fodc:
+    if route == "universal":
+        return universal_calculus(h)
+    ideal = right_ideal_from_generators(h, gens)
+    return (calculus_from_ideal if route == "left" else calculus_from_ideal_right)(h, ideal)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_structure(name: str) -> HopfPiCoalgebra:
+    return LEIBNIZ_CONSTRUCTORS[name]()
+
+
+@lru_cache(maxsize=None)
+def _calculus(name: str, route: str) -> Fodc:
+    """The calculus of `route`: universal, or of the right ideal of
+    (s₁ − ε(s₁)1)² on the left or the right route."""
+    h = _leibniz_structure(name)
+    return _on_route(h, route, [_square_of_first_generator(h)])
+
+
+def _with_d(calc: Fodc, alpha: int, new: Matrix) -> Fodc:
+    """calc with d_α replaced by `new`; every other map is calc's."""
+    out = copy.copy(calc)
+    d = list(calc.d)
+    d[alpha] = new
+    out.d = d
+    return out
+
+
+def _unit_column(h: HopfPiCoalgebra, alpha: int) -> int:
+    return next(i for i, x in enumerate(h.unit[alpha]) if x)
+
+
+def _assert_leibniz_matches(calc: Fodc) -> list:
+    violations = calc.leibniz_report().violations
+    assert violations == leibniz_by_whole_products(calc).violations
+    assert calc.surjectivity_report().violations == surjectivity_by_whole_left(calc).violations
+    return violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LEIBNIZ_NAMES), st.sampled_from(ROUTES), st.booleans(), st.data())
+def test_leibniz_with_one_entry_of_d_bumped_reports_the_whole_products(name, route, at_unit,
+                                                                      data):
+    """One entry of d_α bumped, in the column of 1_α or in any column, on
+    the universal calculus and on the calculi of an ideal on both routes:
+    leibniz_report gives the violations of d·m against the whole actions,
+    entry for entry, and surjectivity the rank read off the whole left
+    action.  A bump at 1_α makes d(1) ≠ 0, which the rule at (1, 1) sees."""
+    calc = _calculus(name, route)
+    h = calc.h
+    a = data.draw(st.sampled_from(list(h.group.elements())), label="grading")
+    d = calc.d[a]
+    assume(d.rows)                       # Γ_α = 0 on k[ℤ/1] and at R = ker ε
+    r = data.draw(st.integers(0, d.rows - 1), label="row")
+    c = _unit_column(h, a) if at_unit else data.draw(st.integers(0, d.cols - 1), label="column")
+    delta = data.draw(st.integers(1, 6).map(h.field.from_int).filter(bool), label="delta")
+    violations = _assert_leibniz_matches(_with_d(calc, a, _bump(d, r, c, delta)))
+    assert violations or not at_unit
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("name", LEIBNIZ_NAMES)
+def test_lawful_calculi_satisfy_leibniz_as_the_whole_products_do(name, route):
+    calc = _calculus(name, route)
+    assert _assert_leibniz_matches(calc) == []
+    assert calc.surjectivity_report().ok
+
+
+@pytest.mark.parametrize("route", ["left", "right"])
+@pytest.mark.parametrize("fixture", LAWFUL_FIXTURES)
+def test_named_ideal_calculi_report_the_whole_products(fixture, route):
+    """Every named ideal of every lawful fixture, on both routes, unbumped
+    and with d_α bumped at 1_α and at its last entry, at each grading."""
+    doc = load_document(FIXTURE_DIR / fixture)
+    h = doc.hopf
+    for gens in doc.ideal_generators.values():
+        calc = _on_route(h, route, gens)
+        assert _assert_leibniz_matches(calc) == []
+        for a in h.group.elements():
+            d = calc.d[a]
+            if not d.rows:
+                continue
+            one = h.field.one()
+            assert _assert_leibniz_matches(_with_d(calc, a, _bump(d, 0, _unit_column(h, a), one)))
+            _assert_leibniz_matches(_with_d(calc, a, _bump(d, d.rows - 1, d.cols - 1, one)))
+
+
+@pytest.mark.parametrize("name", ["F2[x]/(x^2)", "F3[x]/(x^3)"])
+def test_leibniz_at_the_unit_is_decided_by_the_unit_column(name):
+    """On F_p[x]/(x^p) the words of the generator x do not span 1, so
+    d(1) = v with v·x = 0 keeps the rule on every pair (a, x) and breaks it
+    at (a, 1) only: the unit column must be read."""
+    calc = _calculus(name, "universal")
+    h = calc.h
+    f = h.field
+    x = algebra_generators(h.mult[0], h.unit[0])[0]
+    size = calc.dim(0)
+    times_x = calc.right[0].on_leg(Matrix.column(f, unit_vec(f, h.n(0), x)), size, 1, 1)
+    v = kernel(times_x).basis.row(0)               # v·x = 0, v ≠ 0
+    d = calc.d[0]
+    entries = dict(d.entries)
+    for r, value in enumerate(v):
+        entries[(r, 0)] = f.add(d[r, 0], value)
+    violations = _assert_leibniz_matches(_with_d(calc, 0, Matrix(f, d.rows, d.cols, entries)))
+    assert violations
+
+
+@pytest.mark.parametrize("name", ["Taft/F7", "Taft/F11", "F7[S3]"])
+def test_a_derivation_on_the_first_generator_only_is_reported(name):
+    """d + φ, with φ(c·w) = ρ·w for the right words w in the first
+    generator s₁ and φ zero on the other right cosets, keeps the rule on
+    A × {1, s₁} and breaks it on the second generator: every generator is
+    read, and the violations are the whole product's."""
+    calc = _calculus(name, "universal")
+    h = calc.h
+    f = h.field
+    size, n = calc.dim(0), h.n(0)
+    rho = Matrix.column(f, unit_vec(f, size, 0))
+    entries = dict(calc.d[0].entries)
+    for w, k, coeff in _coset_of_first_generator(h):
+        rho_w = calc.right[0].on_leg(rho, 1, n, 1).on_leg(
+            Matrix.column(f, unit_vec(f, n, w)), 1, 1, 1)
+        for (r, _), value in rho_w.entries.items():
+            entries[(r, k)] = f.add(entries.get((r, k), f.zero()), f.mul(f.inv(coeff), value))
+    violations = _assert_leibniz_matches(
+        _with_d(calc, 0, Matrix(f, size, n, entries)))
+    assert violations

@@ -9,12 +9,15 @@ the same way (HopfPiCoalgebra.shared).  The reports and data must not
 depend on how the components are shared: `oracles.unshared` gives every
 grading its own copies, so everything is computed at every grading, and
 the reports must agree violation for violation and the data matrices
-entry for entry.
+entry for entry.  A calculus job builds no whole module action of Γ_α,
+and a structure job builds each once per distinct quotient.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -45,7 +48,7 @@ from hopfpi import (
     verify_all,
     verify_pi_coalgebra,
 )
-from hopfpi import cli, docio, hopf
+from hopfpi import calculus as calc_mod, cli, docio, hopf
 from hopfpi.docio import Document, document_from_json
 from hopfpi.errors import HopfPiError
 from hopfpi.linalg import Matrix, PrimeField, QQ
@@ -331,3 +334,72 @@ def test_taft_family_structure_fails_at_every_grading():
     h, _ = CALCULUS_FAMILIES["Taft/F7 over Z/2"]()
     data = extract_structure(universal_calculus(h).to_bimodule())
     assert {v.grading[0] for v in data.report.violations} == set(h.group.elements())
+
+
+def _count_whole_actions(monkeypatch) -> tuple[list, Counter]:
+    """Every _Quotient built from here on, and how often each evaluates
+    its whole left and right action, keyed by (side, quotient)."""
+    built, evaluated = [], Counter()
+    init = calc_mod._Quotient.__init__
+
+    def building(q, *args):
+        built.append(q)
+        init(q, *args)
+
+    monkeypatch.setattr(calc_mod._Quotient, "__init__", building)
+    for side in ("left", "right"):
+        real = getattr(calc_mod._Quotient, side).func
+
+        def counted(q, real=real, side=side):
+            evaluated[(side, id(q))] += 1
+            return real(q)
+
+        prop = cached_property(counted)
+        prop.__set_name__(calc_mod._Quotient, side)
+        monkeypatch.setattr(calc_mod._Quotient, side, prop)
+    return built, evaluated
+
+
+@pytest.mark.parametrize("name", sorted(CALCULUS_FAMILIES))
+def test_calculus_jobs_build_no_whole_action(name, monkeypatch):
+    """Leibniz and surjectivity read Γ's actions only on the vectors they
+    use: no calculus job evaluates a whole module action of Γ_α, and a
+    structure job evaluates each once per distinct quotient, for
+    to_bimodule, when the calculus is bicovariant, and none otherwise."""
+    h, ideals = CALCULUS_FAMILIES[name]()
+    doc = Document(name, h, ideals)
+    built, evaluated = _count_whole_actions(monkeypatch)
+    for argv in _jobs(ideals):
+        built.clear()
+        evaluated.clear()
+        _render(doc, argv)
+        # the universal calculus is bicovariant once the axioms hold
+        if argv == ["structure", "--universal"]:
+            assert bool(evaluated) == verify_all(h).ok
+        if argv[0] != "structure" or not evaluated:
+            assert not evaluated, argv
+            continue
+        assert evaluated == Counter({(side, id(q)): 1 for q in built
+                                     for side in ("left", "right")}), argv
+
+
+def test_leibniz_runs_once_per_operand_tuple(monkeypatch):
+    """The six gradings of F₇[ℤ/4] over S₃ read one (d, m, lift, drop, 1,
+    S): _leibniz runs once for the universal calculus and once for each
+    route calculus of an ideal; on the unshared copy, once per grading."""
+    h = constant_family(group_algebra(cyclic(4), PrimeField(7)), s3_group())
+    calls = []
+    real = calc_mod._leibniz
+
+    def counted(*operands):
+        calls.append(operands)
+        return real(*operands)
+
+    monkeypatch.setattr(calc_mod, "_leibniz", counted)
+    for family, per_calculus in ((h, 1), (unshared(h), 6)):
+        ideal = right_ideal_from_generators(family, [(1, 5, 1, 0)])     # (g − 1)²
+        for calc in (universal_calculus(family), calculus_from_ideal(family, ideal),
+                     calculus_from_ideal_right(family, ideal)):
+            calls.clear()
+            assert calc.leibniz_report().ok
+            assert len(calls) == per_calculus
