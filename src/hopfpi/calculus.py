@@ -85,6 +85,8 @@ from .hopf import (
     OperandMemo,
     VerificationReport,
     Violation,
+    _generators,
+    _unit_and_generators,
     algebra_generators,
     checker,
     require_axioms,
@@ -101,7 +103,7 @@ from .linalg import (
     rows_closed_under,
     unit_vec,
 )
-from .structure import CovariantBimodule, _generators, _unit_and_generators
+from .structure import CovariantBimodule
 
 
 # ---------------------------------------------------------------------------

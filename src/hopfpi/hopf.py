@@ -40,16 +40,7 @@ a, b}, which contains 1 by the unit laws: (ab)(cs) = ((ab)c)s =
 (a(bc))s = a((bc)s) = a(b(cs)).  So verify_hopf checks associativity on
 the triples (a, b, s) once both unit laws hold, and Δ_{α,β}, ε, S_α and
 Ψ_α on the pairs (b, s) once every A_α has passed _algebra_laws and the
-map is unital; the structure checks reduce the
-characters and the convolution inverses the same way.
-
-The same holds for module actions.  Let L, L′ : A_α → End(V) be two left
-actions, L(xy) = L(x)L(y) and L(1) = id, and U : V → V′ invertible.  Then
-{x : U L(x) U⁻¹ = L′(x)} is a subspace containing 1, and closed under
-x ↦ xs when s lies in it: U L(xs) U⁻¹ = U L(x) U⁻¹ U L(s) U⁻¹ = L′(x)L′(s)
-= L′(xs).  So two actions conjugate at 1 and on S are conjugate on A_α.
-Right actions, R(xy) = R(y)R(x), give the same with the factors swapped.
-The round trip of the structure checks compares its actions so.
+map is unital; the structure checks reduce the characters the same way.
 
 Each identity that fails on the generators, or whose preconditions
 fail, is computed again on every column, so each violation and witness
@@ -171,6 +162,22 @@ def sides_on_generators(sides, chosen: Matrix | None, whole: Matrix):
         if lhs.entries == rhs.entries:
             return None
     return sides(whole)
+
+
+def _generators(h: HopfPiCoalgebra, alpha: int):
+    """The generators of A_α (algebra_generators, memoised per (m_α, 1_α))
+    when h satisfies every axiom, so that an identity may be decided on
+    them; None, every column, otherwise."""
+    if not verify_all(h).ok:
+        return None
+    return h.shared(algebra_generators, h.mult[alpha], h.unit[alpha])
+
+
+def _unit_and_generators(f: Field, unit: tuple, gens) -> Matrix:
+    """The n_α × (1 + |S|) matrix whose columns are 1_α and e_s, s ∈ gens:
+    the points {1} ∪ S at which an identity is decided."""
+    return Matrix(f, len(unit), 1 + len(gens), {**{(r, 0): x for r, x in enumerate(unit)},
+                                                **{(s, 1 + i): f.one() for i, s in enumerate(gens)}})
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +614,8 @@ def algebra_generators(m: Matrix, unit: tuple) -> tuple[int, ...]:
     """Basis indices S, ascending, whose right words 1·s₁·s₂⋯ span the
     algebra with multiplication m and unit `unit`; h.shared memoises them
     per (m_α, 1_α), for every identity that reads them: the axioms of
-    verify_hopf, the characters, convolution inverses and round trip of the
-    structure checks, and enumeration.
+    verify_hopf, the characters of the structure checks, the Leibniz rule
+    of a calculus, and enumeration.
 
     S is chosen greedily by one closure.  W, the span of the words in the
     generators so far, starts as the span of 1 and grows by W·S until it

@@ -59,16 +59,17 @@ builds it from R.  extract_structure runs the steps and every check in
 order, the round trip last, and keeps a step's data only when its report
 passes.
 
-On a structure that passes verify_all, three identities are decided on
-the generators S of A_α (hopf.algebra_generators, by the lemmas of the
-hopf module): φ(ab) = φ(a)φ(b) on the pairs (a, s), s ∈ S, once φ(1) = I
-holds; the convolution inverses of f at 1 and on S only, once f is a
-character of A_1 (check_convolution_inverses gives the argument); and the
-round trip's two module actions at 1 and on S (reconstruction_matches),
-where the extraction builds its rebuilt actions on those columns only.
-An identity that fails there, or whose preconditions fail, is computed
-again on every column, so each violation and witness is the whole
-product's.
+On a structure that passes verify_all, φ(ab) = φ(a)φ(b) is decided on
+the pairs (a, s), s in the generators S of A_α (hopf.algebra_generators,
+by the lemma of the hopf module), once φ(1) = I holds; when it fails
+there, it is computed again on every column, so each violation and
+witness is the whole product's.  Two identities are not computed where
+identities already in the same report imply them: the convolution
+inverses of f, once h passes verify_all and f is a character of A_1
+(check_convolution_inverses gives the proof), and the module actions of
+the extraction's round trip, which the commutation rule implies
+(extract_structure gives the proof); the round trip compares the
+coactions.
 
 Every step is computed once per distinct tuple of the objects it reads,
 so a family that repeats its components across gradings is extracted
@@ -86,8 +87,7 @@ identity:
                                        pairs (a, s)), the rules F = f*·,
                                        G = ·*g and the left-
                                        multiplication rules of ω and η,
-                                       the convolution inverses of f (at
-                                       1 and on S)
+                                       the convolution inverses of f
     frame-normalisation                f(1) = δ and g(1) = δ
     coaction-matrix-comultiplication   R independent of the complementary
                                        grading, the Δ and S laws of R, the
@@ -96,9 +96,8 @@ identity:
     intertwiner-identity               f = g on A_1 and
                                        Σ_i R_ij (a*f_ih) = Σ_i (g_ji*a) R_hi
     reconstruction-roundtrip           the bimodule rebuilt from (f, R)
-                                       has the actions (at 1 and on S)
-                                       and coactions of the original in
-                                       frame coordinates
+                                       has the actions and coactions of
+                                       the original in frame coordinates
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ from .hopf import (
     OperandMemo,
     VerificationReport,
     Violation,
+    _generators,
     act_on_pairs,
-    algebra_generators,
     checker,
     columns,
     require_axioms,
@@ -413,29 +412,12 @@ def _convolutions(t1: Matrix, d: Matrix, side: str) -> Matrix:
 # violations with each grading that reads the tuple, in loop order.
 
 
-def _generators(h: HopfPiCoalgebra, alpha: int):
-    """The generators of A_α (hopf.algebra_generators, memoised per
-    (m_α, 1_α)) when h satisfies every axiom, so that an identity may be
-    decided on them; None, every column, otherwise.  Public reconstruct
-    reaches the checks before any axiom is required."""
-    if not verify_all(h).ok:
-        return None
-    return h.shared(algebra_generators, h.mult[alpha], h.unit[alpha])
-
-
-def _unit_and_generators(f, unit: tuple, gens) -> Matrix:
-    """The n_α × (1 + |S|) matrix whose columns are 1_α and e_s, s ∈ gens:
-    the points {1} ∪ S at which an identity of module actions or
-    convolutions is decided."""
-    return Matrix(f, len(unit), 1 + len(gens), {**{(r, 0): x for r, x in enumerate(unit)},
-                                                **{(s, 1 + i): f.one() for i, s in enumerate(gens)}})
-
-
 def check_characters(h: HopfPiCoalgebra, funcs, name: str = "f") -> VerificationReport:
     """φ_ij(ab) = Σ_k φ_ik(a) φ_kj(b) and φ_ij(1) = δ_ij on every A_α:
     T_α m_α = Σ_k T_ik ⊗ T_kj and T_α 1_α = vec(I).  On a structure that
     satisfies the axioms, multiplicativity is decided on the pairs (a, s),
-    s a generator of A_α, once φ(1) = I holds."""
+    s a generator of A_α, once φ(1) = I holds; on every column otherwise
+    (public reconstruct reaches this check before any axiom is required)."""
     report = VerificationReport()
     run = checker(report)
     for a in h.group.elements():
@@ -547,74 +529,64 @@ def check_convolution_inverses(h: HopfPiCoalgebra, funcs) -> VerificationReport:
     each side the convolution of re-keyed copies of T_1 and T_1 S_1^{-1},
     rows (i, h), through Δ_{1,1}.
 
-    On a structure that satisfies the axioms, and once f is a character of
-    A_1, both are evaluated at 1 and at the generators S of A_1 only.  With
-    F(a) = (f_ij(a)) and G = F∘S_1^{-1}, Φ(a) = Σ G(a₂)F(a₁) satisfies
-    Φ(bc) = Σ G(c₂)Φ(b)F(c₁), since F is multiplicative, S_1^{-1} anti-
-    multiplicative and Δ_{1,1} multiplicative; so Φ = εI at 1 and on S
-    gives Φ = εI on every right word, and on A_1.  The mirror,
-    Σ F(a₂)G(a₁), satisfies the same with Φ(c) between F(b₂) and G(b₁).
+    On a structure that satisfies the axioms both hold once f is a
+    character of A_1, so nothing is computed.  With F(a) = (f_ij(a)),
+    multiplicative and F(1) = I,
+
+        Σ_j f_ji(a₁) f_hj(S_1^{-1}(a₂)) = F(S_1^{-1}(a₂) a₁)_hi = ε(a) δ_hi,
+        Σ_j f_jh(S_1^{-1}(a₁)) f_ij(a₂) = F(a₂ S_1^{-1}(a₁))_ih = ε(a) δ_ih,
+
+    since S_1^{-1}, anti-multiplicative as S_1 is, takes S_1(a₁)a₂ = ε(a)1
+    to S_1^{-1}(a₂)a₁ = ε(a)1 and a₁S_1(a₂) = ε(a)1 to a₂S_1^{-1}(a₁) =
+    ε(a)1.  Otherwise both sides are computed on every column.
     """
     e = h.group.identity
     gens = _generators(h, e)
-    if gens is not None and _characters("f", funcs[e], h.mult[e], h.unit[e], gens):
-        gens = None
-    return _convolution_inverses_on(h, funcs, gens)
+    implied = gens is not None and not _characters("f", funcs[e], h.mult[e], h.unit[e], gens)
+    return _convolution_inverses_unless(h, funcs, implied)
 
 
-def _convolution_inverses_on(h: HopfPiCoalgebra, funcs, gens) -> VerificationReport:
-    """check_convolution_inverses at 1 and on gens, the generators of A_1,
-    given only once f is known to be a character of A_1; on every column
-    for gens None."""
+def _convolution_inverses_unless(h: HopfPiCoalgebra, funcs, implied: bool) -> VerificationReport:
+    """check_convolution_inverses on every column, or nothing when the
+    identities are `implied` (h lawful and f a character of A_1)."""
     e = h.group.identity
     report = VerificationReport()
-    checker(report)(_convolution_inverses, (e,), funcs[e], h.antipode_inv(e),
-                    h.comult[(e, e)], h.counit, h.unit[e], gens)
+    if not implied:
+        checker(report)(_convolution_inverses, (e,), funcs[e], h.antipode_inv(e),
+                        h.comult[(e, e)], h.counit)
     return report
 
 
-def _convolve(p: Matrix, q: Matrix, d: Matrix, rows) -> Matrix:
+def _convolve(p: Matrix, q: Matrix, d11: Matrix, rows) -> Matrix:
     """Σ_b p_ba * q_cb for stacked functionals p, q on A_1 (rows (b, a) and
-    (c, b)), on the columns of d, the columns of Δ_{1,1} to evaluate on;
-    its rows are (a, c) for rows = (0, 2) and (c, a) for rows = (2, 0)."""
+    (c, b)), through d11 = Δ_{1,1}; its rows are (a, c) for rows = (0, 2)
+    and (c, a) for rows = (2, 0), its columns the basis of A_1."""
     size = isqrt(p.rows)
-    n1, k = q.cols, d.cols
+    n1 = q.cols
     # rows (b, a, y), columns z: Σ_x p_ba(e_x) Δ[(x, y), z], re-keyed to
     # rows (a, z) and columns (b, y), then q_cb(e_y) on (b, y)
-    left = d.on_leg(p, 1, n1, 0).regroup((size, size, n1), (k,), (1, 3), (0, 2))
+    left = d11.on_leg(p, 1, n1, 0).regroup((size, size, n1), (n1,), (1, 3), (0, 2))
     return (left @ q.regroup((size, size), (n1,), (1, 2), (0,))).regroup(
-        (size, k), (size,), rows, (1,))
+        (size, n1), (size,), rows, (1,))
 
 
-def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix, counit: Matrix,
-                          unit: tuple, gens) -> list[Violation]:
-    f = t.field
-    n1 = t.cols
+def _convolution_inverses(t: Matrix, s_inv: Matrix, d11: Matrix,
+                          counit: Matrix) -> list[Violation]:
     size = isqrt(t.rows)
     u = t @ s_inv                                             # row (i, j): f_ij∘S_1^{-1}
-    half = size * size
-
-    def sides(c):
-        # rows (i, h): Σ_j f_ji * (f_hj∘S_1^{-1}), then Σ_j (f_jh∘S_1^{-1}) * f_ij,
-        # each against δ_ih ε
-        d, target = d11 @ c, _vec_identity(f, size).kron(counit @ c)
-        first, second = _convolve(t, u, d, (0, 2)), _convolve(u, t, d, (2, 0))
-        return (Matrix._unchecked(f, 2 * half, c.cols, {**first.entries, **{
-                    (r + half, z): v for (r, z), v in second.entries.items()}}),
-                Matrix._unchecked(f, 2 * half, c.cols, {**target.entries, **{
-                    (r + half, z): v for (r, z), v in target.entries.items()}}))
-
-    chosen = None if gens is None else _unit_and_generators(f, unit, gens)
-    pair = sides_on_generators(sides, chosen, Matrix.identity(f, n1))
-    blocks = {} if pair is None else differing_blocks(*pair, (1, n1))
+    target = _vec_identity(t.field, size).kron(counit)        # row (i, h): δ_ih ε
+    block = (1, t.cols)
+    # rows (i, h): Σ_j f_ji * (f_hj∘S_1^{-1}), then Σ_j (f_jh∘S_1^{-1}) * f_ij
+    first = differing_blocks(_convolve(t, u, d11, (0, 2)), target, block)
+    second = differing_blocks(_convolve(u, t, d11, (2, 0)), target, block)
     out = []
-    for ih in sorted({r % half for r, _ in blocks}):
-        i, hh = divmod(ih, size)
-        if (ih, 0) in blocks:
-            out.append(Violation(FRAME_MULT, (), blocks[(ih, 0)],
+    for ih in sorted(first.keys() | second.keys()):
+        i, hh = divmod(ih[0], size)
+        if ih in first:
+            out.append(Violation(FRAME_MULT, (), first[ih],
                                  f"Σ_j f_j{i} * (f_{hh}j∘S_1^{{-1}}) ≠ δ_{i}{hh} ε"))
-        if (half + ih, 0) in blocks:
-            out.append(Violation(FRAME_MULT, (), blocks[(half + ih, 0)],
+        if ih in second:
+            out.append(Violation(FRAME_MULT, (), second[ih],
                                  f"Σ_j (f_j{hh}∘S_1^{{-1}}) * f_{i}j ≠ δ_{hh}{i} ε"))
     return out
 
@@ -769,13 +741,14 @@ def functionals_f(cb: CovariantBimodule, F) -> tuple[list[Matrix], VerificationR
     omega = [cb.omega(a) for a in h.group.elements()]
     e = h.group.identity
     characters = check_characters(h, funcs, "f")
-    # the convolution inverses' precondition, f a character of A_1, read
-    # off the violations that report stamps with the grading 1
-    gens = None if any(v.grading == (e,) for v in characters.violations) else _generators(h, e)
+    # the convolution inverses are implied once h is lawful and f is a
+    # character of A_1, read off the violations that report stamps with
+    # the grading 1
+    implied = verify_all(h).ok and not any(v.grading == (e,) for v in characters.violations)
     return funcs, (check_commutation_rule(h, F, funcs, "left")
                    .merge(characters)
                    .merge(check_left_multiplication_rule(cb, omega, funcs, "left"))
-                   .merge(_convolution_inverses_on(h, funcs, gens)))
+                   .merge(_convolution_inverses_unless(h, funcs, implied)))
 
 
 def functionals_g(cb: CovariantBimodule, eta) -> tuple[list[Matrix], VerificationReport]:
@@ -962,10 +935,21 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
 
     Each step runs when its inputs exist, so the report covers every
     identity that could be checked; a failed identity is a violation in
-    `report`, and a check whose inputs are missing is in `not_run`.  The
-    last step rebuilds the bimodule from (f, R) and compares it with cb.
+    `report`, and a check whose inputs are missing is in `not_run`.
     Errors that are not identities still raise: a frame on which Γ_α is
     not free, frame sizes that vary across gradings.
+
+    The last step, the round trip, compares the coactions of the bimodule
+    rebuilt from (f, R) with cb's (_roundtrip).  Its actions agree with
+    cb's by the identities that functionals_f has checked.  U, the
+    inverse of the left frame matrix, sends x ω_i to e_i ⊗ x, so
+    U(c·(x ω_i)) = U((cx) ω_i) = e_i ⊗ cx by the module-left-associative
+    law: U·left(c)·(I⊗U⁻¹) is the rebuilt left action.  On the right,
+    (x ω_i) c = x (ω_i c) = Σ_j x F_ij(c) ω_j by module-actions-commute
+    and the definition of F, so U((x ω_i) c) = Σ_j e_j ⊗ x F_ij(c); the
+    rebuilt right action gives Σ_j e_j ⊗ x (f_ij * c), and F_ij = f_ij * ·
+    on every column is the commutation rule, which the round trip needs
+    to have passed.
     """
     h = cb.h
     omega = [cb.omega(a) for a in h.group.elements()]
@@ -1014,16 +998,17 @@ def extract_structure(cb: CovariantBimodule) -> StructureData:
                                                          h.group.elements(), names=("f", "f"))):
         skip("the reconstruction data was rejected", ROUNDTRIP)
     else:
-        # the rebuilt bimodule's laws are a theorem of the axioms, as in
-        # _trusted; its actions are built only where _roundtrip reads them
-        require_axioms(h)
-        e = h.group.identity
-        eye, twist = _rebuilt_factors(h, data.f, data.size)
-        actions = [((_rebuilt_left_on, eye, h.mult[a]),
-                    (_rebuilt_right_on, twist, h.comult[(a, e)], h.mult[a]))
-                   for a in h.group.elements()]
-        holds(_roundtrip(cb, actions, *_rebuilt_coactions(h, data.R, eye)))
+        holds(_roundtrip(cb, data))
     return data
+
+
+def _roundtrip(cb: CovariantBimodule, data: StructureData) -> VerificationReport:
+    """The round trip of extract_structure: Δ^l and Δ^r of the bimodule
+    rebuilt from (f, R), which read R alone, against cb's; the actions
+    agree by the identities that functionals_f has checked (see
+    extract_structure)."""
+    return _coactions_roundtrip(cb, *_rebuilt_coactions(
+        cb.h, data.R, Matrix.identity(cb.h.field, data.size)))
 
 
 def reconstruct(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
@@ -1065,20 +1050,16 @@ def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     Each map is built once per distinct tuple of the objects it reads."""
     grp = h.group
     e = grp.identity
-    eye, twist = _rebuilt_factors(h, funcs, size)
+    # (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2)); twist has rows (j, i),
+    # columns t and entries f_ij(e_t)
+    twist = funcs[e].permute_legs((size, size), (1, 0), 0)
+    eye = Matrix.identity(h.field, size)
     once = OperandMemo()
     left = [once(_rebuilt_left, eye, h.mult[a]) for a in grp.elements()]
     right = [once(_rebuilt_right, twist, h.comult[(a, e)], h.mult[a]) for a in grp.elements()]
     delta_l, delta_r = _rebuilt_coactions(h, R, eye)
     dims = [size * h.n(a) for a in grp.elements()]
     return CovariantBimodule._trusted(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
-
-
-def _rebuilt_factors(h: HopfPiCoalgebra, funcs, size: int) -> tuple:
-    """I on the frame slots, and twist, rows (j, i), columns t, entries
-    f_ij(e_t): (e_i ⊗ x) b = Σ_j e_j ⊗ x b_(1) f_ij(b_(2))."""
-    e = h.group.identity
-    return Matrix.identity(h.field, size), funcs[e].permute_legs((size, size), (1, 0), 0)
 
 
 def _rebuilt_coactions(h: HopfPiCoalgebra, R, eye: Matrix) -> tuple[dict, dict]:
@@ -1091,50 +1072,24 @@ def _rebuilt_coactions(h: HopfPiCoalgebra, R, eye: Matrix) -> tuple[dict, dict]:
             {(a, b): once(_rebuilt_delta_r, R[b], h.comult[(a, b)], h.mult[b]) for a, b in pairs})
 
 
-# The rebuilt actions take their algebra leg already read through a column
-# set c (n_α × k): the left one m_α·(c⊗I), the right one Δ_{α,1}·c.  The
-# whole action is the case c = I.
+def _rebuilt_left(eye: Matrix, m: Matrix) -> Matrix:
+    """(x, e_j ⊗ y) ↦ e_j ⊗ xy."""
+    n = m.rows
+    return eye.kron(m).permute_legs((eye.rows, n, n), (1, 0, 2), 1)
 
 
-def _rebuilt_left(eye: Matrix, mc: Matrix) -> Matrix:
-    """(c_t, e_j ⊗ y) ↦ e_j ⊗ c_t y, columns (t, j, y), from mc = m_α·(c⊗I)."""
-    n = mc.rows
-    return eye.kron(mc).permute_legs((eye.rows, mc.cols // n, n), (1, 0, 2), 1)
-
-
-def _rebuilt_right(twist: Matrix, dc: Matrix, m: Matrix) -> Matrix:
-    """(e_i ⊗ x, c_t) ↦ (e_i ⊗ x) c_t, columns (i, x, t), from dc = Δ_{α,1}·c."""
+def _rebuilt_right(twist: Matrix, d: Matrix, m: Matrix) -> Matrix:
+    """(e_i ⊗ x, b) ↦ (e_i ⊗ x) b, columns (i, x, b), from d = Δ_{α,1}."""
     size = isqrt(twist.rows)
     n = m.rows
-    n1 = dc.rows // n
-    k = dc.cols
+    n1 = d.rows // n
     # the small factors first, so no intermediate is as large as I⊗m_α:
-    # T[(j, y), (i, t)] = Σ_u f_ij(e_u) Δ_{α,1}c[(y, u), t], then m_α on T's
-    # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, t)
-    split = twist @ dc.regroup((n, n1), (k,), (1,), (0, 2))
-    t = split.regroup((size, size), (n, k), (0, 2), (1, 3))
+    # T[(j, y), (i, b)] = Σ_t f_ij(e_t) Δ_{α,1}[(y, t), b], then m_α on T's
+    # y leg, rows (j, z, x), re-keyed to rows (j, z), columns (i, x, b)
+    split = twist @ d.regroup((n, n1), (n,), (1,), (0, 2))
+    t = split.regroup((size, size), (n, n), (0, 2), (1, 3))
     mult = m.regroup((n,), (n, n), (0, 1), (2,))
-    return t.on_leg(mult, size, 1, 0).regroup((size, n, n), (size, k), (0, 1), (3, 2, 4))
-
-
-def _rebuilt_left_on(c: Matrix, eye: Matrix, m: Matrix) -> Matrix:
-    """The rebuilt left action with its algebra leg read through c."""
-    return _rebuilt_left(eye, m.on_leg(c, 1, m.rows, 1))
-
-
-def _rebuilt_right_on(c: Matrix, twist: Matrix, d: Matrix, m: Matrix) -> Matrix:
-    """The rebuilt right action with its algebra leg read through c."""
-    return _rebuilt_right(twist, d @ c, m)
-
-
-def _left_on(c: Matrix, action: Matrix) -> Matrix:
-    """left_α·(c⊗I): a left action with its algebra leg read through c."""
-    return action.on_leg(c, 1, action.rows, 1)
-
-
-def _right_on(c: Matrix, action: Matrix) -> Matrix:
-    """right_α·(I⊗c): a right action with its algebra leg read through c."""
-    return action.on_leg(c, action.rows, 1, 1)
+    return t.on_leg(mult, size, 1, 0).regroup((size, n, n), (size, n), (0, 1), (3, 2, 4))
 
 
 def _rebuilt_delta_l(eye: Matrix, d: Matrix, m_b: Matrix) -> Matrix:
@@ -1158,28 +1113,32 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     coefficients over ω; both sides' structure maps must be conjugate
     under it, bit-exactly.  A violation per grading (pair) for each action
     (coaction), witnessed by the first column on which the sides differ.
-
-    The actions are module actions, so on a structure that satisfies the
-    axioms they are compared at 1 and on the generators S of A_α only
-    (the lemma of the hopf module): {x : U L(x) U⁻¹ = L′(x)} is a subspace
-    that holds 1 by the unit laws and is closed under x ↦ xs, since
-    L(xs) = L(x)L(s) and L′(xs) = L′(x)L′(s); for the right actions
-    R(xs) = R(s)R(x).  Both arguments are CovariantBimodules, whose laws
-    hold (the constructor verifies them, _trusted has them by theorem).
-    An action that differs there is compared again on every column, so
-    each violation and witness is the whole product's.  The coactions are
-    compared whole.
     """
-    actions = [((_left_on, rebuilt.left[a]), (_right_on, rebuilt.right[a]))
-               for a in cb.h.group.elements()]
-    return _roundtrip(cb, actions, rebuilt.delta_l, rebuilt.delta_r)
+    h = cb.h
+    report = VerificationReport()
+    run = checker(report)
+    for a in h.group.elements():
+        frame = cb.omega(a)
+        u, ui = cb.frame_inverse(a, frame), cb.frame_matrix(a, frame)
+        for side, given, action in (("left", cb.left[a], rebuilt.left[a]),
+                                    ("right", cb.right[a], rebuilt.right[a])):
+            run(_action_matches, (a,), side, u, ui, given, action, h.mult[a])
+    return report.merge(_coactions_roundtrip(cb, rebuilt.delta_l, rebuilt.delta_r))
 
 
-def _roundtrip(cb: CovariantBimodule, actions, delta_l, delta_r) -> VerificationReport:
-    """reconstruction_matches against a rebuilt bimodule given by its
-    coactions and, per grading, its left and right actions as (read,
-    *operands): read(c, *operands) is the action with its algebra leg read
-    through c."""
+def _action_matches(side: str, u: Matrix, ui: Matrix, given: Matrix, rebuilt: Matrix,
+                    m: Matrix) -> list[Violation]:
+    """U·given·(I⊗U⁻¹) (side "left") or U·given·(U⁻¹⊗I) (side "right")
+    against the rebuilt action."""
+    n = m.rows
+    legs = (n, 1) if side == "left" else (1, n)
+    return _identity(ROUNDTRIP, u @ given.on_leg(ui, *legs, 1), rebuilt,
+                     f"the {side} action differs from the rebuilt one")
+
+
+def _coactions_roundtrip(cb: CovariantBimodule, delta_l, delta_r) -> VerificationReport:
+    """Δ^l and Δ^r of cb in frame coordinates against a rebuilt bimodule's,
+    per grading pair."""
     h = cb.h
     grp = h.group
     frame = {a: cb.omega(a) for a in grp.elements()}
@@ -1187,37 +1146,12 @@ def _roundtrip(cb: CovariantBimodule, actions, delta_l, delta_r) -> Verification
     report = VerificationReport()
     run = checker(report)
     for a in grp.elements():
-        gens = _generators(h, a)
-        for side, given, reader in zip(("left", "right"), (cb.left[a], cb.right[a]), actions[a]):
-            run(_action_matches, (a,), side, iso[a], cb.frame_matrix(a, frame[a]), given,
-                h.mult[a], h.unit[a], gens, *reader)
-    for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)
             run(_coactions_match, (a, b), iso[a], iso[b], cb.frame_matrix(ab, frame[ab]),
                 cb.delta_l[(a, b)], cb.delta_r[(a, b)], delta_l[(a, b)], delta_r[(a, b)],
                 h.mult[a], h.mult[b])
     return report
-
-
-def _action_matches(side: str, u: Matrix, ui: Matrix, given: Matrix, m: Matrix, unit: tuple,
-                    gens, read, *operands) -> list[Violation]:
-    """U·given·(I⊗U⁻¹) (side "left") or U·given·(U⁻¹⊗I) (side "right")
-    against the rebuilt action, at 1 and on gens when they are given."""
-    f = m.field
-
-    def sides(c):
-        k = c.cols
-        if side == "left":        # columns (t, (i, x)): c_t ρ_(i,x), in frame coordinates
-            conjugated = _left_on(c, given).on_leg(ui, k, 1, 1)
-        else:                     # columns ((i, x), t): ρ_(i,x) c_t
-            conjugated = _right_on(c, given).on_leg(ui, 1, k, 1)
-        return u @ conjugated, read(c, *operands)
-
-    chosen = None if gens is None else _unit_and_generators(f, unit, gens)
-    pair = sides_on_generators(sides, chosen, Matrix.identity(f, m.rows))
-    return [] if pair is None else _identity(ROUNDTRIP, *pair,
-                                             f"the {side} action differs from the rebuilt one")
 
 
 def _coactions_match(iso_a: Matrix, iso_b: Matrix, w: Matrix, delta_l: Matrix, delta_r: Matrix,

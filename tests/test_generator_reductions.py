@@ -3,21 +3,23 @@
 verify_hopf decides associativity on the triples (a, b, s) and the
 multiplicativity of Δ_{α,β}, ε, S_α and Ψ_α on the pairs (b, s), s in the
 generators S of A_α (hopf.algebra_generators); check_characters decides
-φ(ab) = φ(a)φ(b) on the pairs (a, s), and check_convolution_inverses
-evaluates its two identities at 1 and on S.  Each computes the whole
-product when the reduced identity or one of its preconditions fails, so
-every report must equal the one that the whole products of `oracles`
-give, violation for violation: on structures with one entry of m_α,
-Δ_{α,β}, S_α, Ψ_α, ε or of the functionals T_α bumped, on random
-multiplications, unital or not, and on maps Ψ that are multiplicative on
-A × {s₁} but not on A × A.
+φ(ab) = φ(a)φ(b) on the pairs (a, s).  Each computes the whole product
+when the reduced identity or one of its preconditions fails, so every
+report must equal the one that the whole products of `oracles` give,
+violation for violation: on structures with one entry of m_α, Δ_{α,β},
+S_α, Ψ_α, ε or of the functionals T_α bumped, on random multiplications,
+unital or not, and on maps Ψ that are multiplicative on A × {s₁} but not
+on A × A.  check_convolution_inverses computes nothing for a character
+of A_1 on a lawful structure, where its identities are a theorem, and
+must still report what the whole products report.
 
-The round trip of extract_structure and reconstruction_matches compare
-the module actions of two bimodules at 1 and on S too, and the round trip
-builds its rebuilt actions only there; each must give the violations of
-the comparison on every column, also against a bimodule rebuilt in
-another frame.  The generators themselves must be those of the closure
-that row-reduces all of W and W·S at every step.
+The round trip of extract_structure compares only the coactions, the
+actions being implied by the commutation rule; with the whole round trip
+of `oracles` patched in, every extraction must report the same.
+reconstruction_matches compares both actions of any two bimodules on
+every column, also against a bimodule rebuilt in another frame.  The
+generators themselves must be those of the closure that row-reduces all
+of W and W·S at every step.
 
 The Leibniz rule of a calculus is decided on the pairs (a, c), c ∈ {1} ∪ S:
 with one entry of d_α bumped, on the universal calculus and the route
@@ -45,6 +47,7 @@ from hopfpi import (
     algebra_generators,
     calculus_from_ideal,
     calculus_from_ideal_right,
+    check_bicovariant,
     constant_family,
     cyclic,
     extract_structure,
@@ -71,11 +74,11 @@ from hopfpi.structure import (
     functionals_f,
 )
 from oracles import (
-    action_matches_by_whole_products,
     algebra_generators_by_closure,
     algebra_laws_by_whole_products,
     characters_by_whole_products,
     convolution_inverses_by_whole_products,
+    extraction_roundtrip_by_whole_products,
     hopf_laws_by_whole_products,
     leibniz_by_whole_products,
     reconstruction_matches_by_whole_products,
@@ -287,6 +290,24 @@ def test_convolution_inverses_of_a_non_character_are_read_on_every_column():
     assert report.violations
 
 
+def test_convolutions_are_computed_only_where_the_inverses_are_no_theorem(monkeypatch):
+    """On a lawful structure a character's convolution inverses are a
+    theorem: neither check_convolution_inverses nor the extraction
+    convolves.  The non-character of the test above is still convolved."""
+    h = _structure("F7[Z/4]")
+    bim = universal_calculus(h).to_bimodule()
+    funcs = list(_functionals("F7[Z/4]"))
+    calls = []
+    real = structure_mod._convolve
+    monkeypatch.setattr(structure_mod, "_convolve", lambda *args: calls.append(1) or real(*args))
+    assert check_convolution_inverses(h, funcs).ok
+    assert extract_structure(bim).report.ok
+    assert calls == []
+    funcs[0] = _bump(funcs[0], 0, 2, F7.one())
+    assert not check_convolution_inverses(h, funcs).ok
+    assert calls
+
+
 def test_functionals_f_reads_its_character_verdict_for_the_convolution_inverses():
     """The same f reached through functionals_f, with F bumped at
     F_00(g²): its report takes the precondition of the convolution inverses
@@ -324,7 +345,6 @@ def test_generators_are_found_once_per_multiplication_and_unit_in_verify_and_str
         return real(m, unit)
 
     monkeypatch.setattr(hopf_mod, "algebra_generators", counted)
-    monkeypatch.setattr(structure_mod, "algebra_generators", counted)
     for family in (h, copy):
         assert verify_all(family).ok
         assert extract_structure(universal_calculus(family).to_bimodule()).report.ok
@@ -338,6 +358,9 @@ def test_generators_are_found_once_per_multiplication_and_unit_in_verify_and_str
 ROUNDTRIP_NAMES = ["F7[S3]", "F7[S3], unit last", "Taft/F7", "Taft/F11", "F7[Z/4] over S3",
                    "twisted F7[Z/7]"]
 NON_SCALAR_F = ["F7[S3]", "F7[S3], unit last", "Taft/F7", "Taft/F11"]
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+LAWFUL_FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("*.json")
+                         if verify_all(load_document(p).hopf).ok)
 
 
 @lru_cache(maxsize=None)
@@ -376,11 +399,9 @@ def test_roundtrip_against_the_rebuilt_bimodule_matches_the_whole_products(name)
 
 @pytest.mark.parametrize("name", NON_SCALAR_F)
 def test_roundtrip_against_another_frame_reports_the_whole_products_violations(name):
-    """Γ against its own data in another frame: the right actions differ
-    on S, so they are compared again on every column, and every violation
-    and witness is the whole comparison's, entry for entry.  With the unit
-    last, the first differing column of the whole comparison is not the
-    first of the comparison on {1} ∪ S."""
+    """Γ against its own data in another frame: the right actions differ,
+    and every violation and witness is the whole comparison's, entry for
+    entry."""
     bim, _ = _extracted(name)
     rebuilt = _in_another_frame(name)
     report = reconstruction_matches(bim, rebuilt)
@@ -388,45 +409,84 @@ def test_roundtrip_against_another_frame_reports_the_whole_products_violations(n
     assert "the right action differs from the rebuilt one" in {v.detail for v in report.violations}
 
 
-@pytest.mark.parametrize("name", ROUNDTRIP_NAMES)
-def test_extraction_roundtrip_reports_what_the_whole_comparison_reports(name, monkeypatch):
-    """extract_structure with the round trip's action comparison replaced
-    by the one on every column gives the same report.  The round trip runs
-    on each structure; on Taft the η-side checks fail before it (S² ≠ id),
-    and the round trip passes."""
-    h = _structure(name)
-    data = extract_structure(universal_calculus(h).to_bimodule())
-    monkeypatch.setattr(structure_mod, "_action_matches", action_matches_by_whole_products)
-    whole = extract_structure(universal_calculus(CONSTRUCTORS[name]()).to_bimodule()).report
-    assert data.report.violations == whole.violations
-    assert ROUNDTRIP not in data.not_run
-    assert ROUNDTRIP not in {v.check for v in data.report.violations}
+def _bicovariant_calculi(h: HopfPiCoalgebra, ideals) -> list[Fodc]:
+    """The universal calculus and each ideal's calculus on both routes,
+    those that are bicovariant."""
+    calcs = [universal_calculus(h)] + [_on_route(h, route, gens)
+                                       for gens in ideals for route in ("left", "right")]
+    return [calc for calc in calcs if check_bicovariant(calc).ok]
+
+
+def _with_ideals(label: str) -> tuple:
+    """h and the generator lists of its named ideals: a lawful fixture's,
+    or a ROUNDTRIP_NAMES structure with none."""
+    if label in CONSTRUCTORS:
+        return _structure(label), []
+    doc = load_document(FIXTURE_DIR / label)
+    return doc.hopf, list(doc.ideal_generators.values())
+
+
+@pytest.mark.parametrize("label", ROUNDTRIP_NAMES + LAWFUL_FIXTURES)
+def test_extraction_roundtrip_reports_what_the_whole_comparison_reports(label, monkeypatch):
+    """extract_structure with the whole round trip of `oracles` patched in
+    (the bimodule rebuilt from (f, R), both actions and both coactions
+    compared on every column), and the convolution inverses computed on
+    every column, gives the same report: on the universal calculus of each
+    ROUNDTRIP_NAMES structure, Taft among them, and on every lawful
+    fixture's universal calculus and named ideals' calculi on both routes.
+    The round trip runs on each ROUNDTRIP_NAMES structure and passes; on
+    Taft the η-side checks fail before it (S² ≠ id)."""
+    h, ideals = _with_ideals(label)
+    for calc in _bicovariant_calculi(h, ideals):
+        bim = calc.to_bimodule()
+        data = extract_structure(bim)
+        with monkeypatch.context() as patch:
+            patch.setattr(structure_mod, "_roundtrip", extraction_roundtrip_by_whole_products)
+            patch.setattr(structure_mod, "_convolution_inverses_unless",
+                          lambda h, funcs, implied: convolution_inverses_by_whole_products(h, funcs))
+            whole = extract_structure(bim)
+        assert data.report.violations == whole.report.violations
+        assert data.not_run == whole.not_run
+    if label in CONSTRUCTORS:              # its universal calculus alone
+        assert ROUNDTRIP not in data.not_run
+        assert ROUNDTRIP not in {v.check for v in data.report.violations}
+
+
+def test_extraction_roundtrip_reports_a_coaction_bumped_outside_its_laws(monkeypatch):
+    """Γ with one entry of Δ^l_{s,1} bumped and its laws not verified
+    again: f and R are extracted as before, and the round trip reports Δ^l
+    at (s, 1), as the whole round trip does."""
+    h = _structure("F7[Z/4] over S3")
+    bim = universal_calculus(h).to_bimodule()
+    e = h.group.identity
+    s = next(a for a in h.group.elements() if a != e)
+    bad = copy.copy(bim)
+    bad.delta_l = dict(bim.delta_l)
+    d = bim.delta_l[(s, e)]
+    bad.delta_l[(s, e)] = _bump(d, 0, d.cols - 1, F7.one())
+    data = extract_structure(bad)
+    assert data.f is not None and data.R is not None
+    assert [(v.grading, v.detail) for v in data.report.violations if v.check == ROUNDTRIP] == [
+        ((s, e), "Δ^l differs from the rebuilt one")]
+    monkeypatch.setattr(structure_mod, "_roundtrip", extraction_roundtrip_by_whole_products)
+    assert extract_structure(bad).report.violations == data.report.violations
 
 
 @pytest.mark.parametrize("name", ROUNDTRIP_NAMES + ["F7[Z/6]", "Q[Z/5]"])
-def test_extraction_builds_the_rebuilt_actions_only_at_one_and_the_generators(name, monkeypatch):
-    """While the round trip passes, every rebuilt action is built on the
-    columns {1} ∪ S of its algebra leg, never on all of A_α."""
-    h = CONSTRUCTORS[name]()
-    built = []
-    real_left, real_right = structure_mod._rebuilt_left, structure_mod._rebuilt_right
-
-    def left(eye, mc):
-        built.append(("left", mc.cols // mc.rows))
-        return real_left(eye, mc)
-
-    def right(twist, dc, m):
-        built.append(("right", dc.cols))
-        return real_right(twist, dc, m)
-
-    monkeypatch.setattr(structure_mod, "_rebuilt_left", left)
-    monkeypatch.setattr(structure_mod, "_rebuilt_right", right)
-    data = extract_structure(universal_calculus(h).to_bimodule())
+def test_extraction_rebuilds_and_compares_no_action(name, monkeypatch):
+    """The round trip of extract_structure runs and passes, and neither
+    rebuilds an action (_rebuilt_left, _rebuilt_right) nor compares one
+    (_action_matches): the commutation rule implies that the actions
+    agree."""
+    bim = universal_calculus(CONSTRUCTORS[name]()).to_bimodule()
+    called = []
+    for attr in ("_rebuilt_left", "_rebuilt_right", "_action_matches"):
+        monkeypatch.setattr(structure_mod, attr, lambda *args, attr=attr, real=getattr(
+            structure_mod, attr): called.append(attr) or real(*args))
+    data = extract_structure(bim)
     assert ROUNDTRIP not in data.not_run
     assert ROUNDTRIP not in {v.check for v in data.report.violations}
-    points = {1 + len(algebra_generators(h.mult[a], h.unit[a])) for a in h.group.elements()}
-    assert {side for side, _ in built} == {"left", "right"}
-    assert {k for _, k in built} == points
+    assert called == []
 
 
 # -- the Leibniz rule and surjectivity of a calculus ---------------------------
@@ -435,9 +495,6 @@ LEIBNIZ_CONSTRUCTORS = {**CONSTRUCTORS, "F2[x]/(x^2)": lambda: restricted_line(2
                         "F3[x]/(x^3)": lambda: restricted_line(3)}
 LEIBNIZ_NAMES = sorted(LEIBNIZ_CONSTRUCTORS)
 ROUTES = ("universal", "left", "right")
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
-LAWFUL_FIXTURES = sorted(p.name for p in FIXTURE_DIR.glob("*.json")
-                         if verify_all(load_document(p).hopf).ok)
 
 
 def _square_of_first_generator(h: HopfPiCoalgebra) -> tuple:
