@@ -53,7 +53,9 @@ there, and on every pair when it fails there, so each violation is the
 one the whole product gives.  Its sides, and the span of a·d(b) that
 surjectivity_report ranks, read Γ's actions only on the vectors they
 use: a·w and w·c through drop, lift and m_α, the narrow factor (I⊗w or
-w⊗c) first.  Only to_bimodule builds the whole actions of Γ_α.
+w⊗c) first.  to_bimodule hands the bimodule each action as an operator on
+frames (_left_through, _right_through), so no CLI job builds a whole
+action of Γ_α.
 
 Every map a calculus reads is a pure function of the objects it reads,
 built once per distinct tuple of them (an OperandMemo), so gradings that
@@ -69,7 +71,7 @@ ad_α(R) ⊆ R ⊗ A_α for all α.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     CodomainViolation,
@@ -334,9 +336,10 @@ def zero_ideal(h: HopfPiCoalgebra) -> RightIdeal:
 class _Quotient:
     """Γ_α = A²_α/N_α of one grading, built once per (A²_α, N_α): the
     inclusion ι of N_α, the projection P of A_α⊗A_α whose kernel is N_α,
-    and the section (lift) and projection (drop) of Γ_α; d and the two
-    whole module actions, which only to_bimodule reads, on first read
-    (see Fodc)."""
+    the section (lift) and projection (drop) of Γ_α, and its two module
+    actions as operators on frames W of Γ_α (left_of, right_of; see
+    _left_through), which to_bimodule hands to the bimodule; d and the
+    two whole actions, which no CLI job reads, on first read (see Fodc)."""
 
     def __init__(self, square: _Square, kernel: Subspace):
         f = kernel.field
@@ -356,6 +359,8 @@ class _Quotient:
         self.drop = Matrix(f, len(kept), self.proj.rows, {
             (i, p - bisect_left(n_pivots, p)): one for i, (_, p) in enumerate(kept)
         }) @ self.proj
+        self.left_of = partial(_left_through, square.mult, self.lift, self.drop)
+        self.right_of = partial(_right_through, square.mult, self.lift, self.drop)
 
     @cached_property
     def d(self) -> Matrix:
@@ -378,10 +383,12 @@ class Fodc:
     Holds, per grading α: the kernel N_α (ambient coordinates), its
     inclusion ι_α and the projection P_α whose kernel is N_α, and the
     quotient Γ_α with its canonical section (lift) and projection (drop).
-    d_α is built on first read, the two whole module actions on Γ_α by
-    `to_bimodule` alone, and the induced coactions on the first
-    `induced_delta_l/r` or `to_bimodule` call; a job that reads only
-    dimensions and covariance verdicts builds none of them.  The Leibniz
+    d_α is built on first read, the induced coactions on the first
+    `induced_delta_l/r` or `to_bimodule` call, and the two whole module
+    actions `left`/`right` only when read, which no CLI job does:
+    `to_bimodule` passes each action as an operator on frames
+    (_Quotient.left_of, right_of); a job that reads only dimensions and
+    covariance verdicts builds none of them.  The Leibniz
     rule d(ab) = d(a)b + a d(b) is decided on the pairs (a, c),
     c ∈ {1} ∪ S, by the derivation form of the generator lemma (module
     docstring): the pairs on which it holds form a subspace closed under
@@ -503,7 +510,8 @@ class Fodc:
         delta_l, delta_r = _coactions(self, "left"), _coactions(self, "right")
         if delta_l is None and delta_r is None:
             raise NotCovariant("calculus is neither left nor right covariant")
-        return CovariantBimodule._trusted(self.h, self.gamma_dims, self.left, self.right,
+        return CovariantBimodule._trusted(self.h, self.gamma_dims, [q.left_of for q in self._at],
+                                          [q.right_of for q in self._at],
                                           delta_l=delta_l, delta_r=delta_r)
 
     def leibniz_report(self) -> VerificationReport:
@@ -538,6 +546,27 @@ def _times_left(m: Matrix, w: Matrix) -> Matrix:
     drop·(m⊗I) is built."""
     n = m.rows
     return Matrix.identity(m.field, n).kron(w).on_leg(m, 1, n, 0)
+
+
+def _times_right(w: Matrix, m: Matrix) -> Matrix:
+    """(I⊗m)(w⊗I): column (t, i) is w_t·e_i in A_α⊗A_α, the narrow factor
+    w⊗I first."""
+    n = m.rows
+    return w.kron(Matrix.identity(m.field, n)).on_leg(m, n, 1, 0)
+
+
+def _left_through(m: Matrix, lift: Matrix, drop: Matrix, frame: Matrix) -> Matrix:
+    """left_α(I⊗W) = drop·(m⊗I)·(I⊗(lift·W)) for a frame W of Γ_α: column
+    (x, t) is e_x·w_t.  lift·W is formed first, so the widest factor has
+    n_α·k columns for a frame of k vectors, where the whole action has
+    n_α·g_α."""
+    return drop @ _times_left(m, lift @ frame)
+
+
+def _right_through(m: Matrix, lift: Matrix, drop: Matrix, frame: Matrix) -> Matrix:
+    """right_α(W⊗I) = drop·(I⊗m)·((lift·W)⊗I) for a frame W of Γ_α: column
+    (t, x) is w_t·e_x, lift·W first."""
+    return drop @ _times_right(lift @ frame, m)
 
 
 def _leibniz(d: Matrix, m: Matrix, lift: Matrix, drop: Matrix, unit: tuple,

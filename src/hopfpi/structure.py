@@ -103,6 +103,7 @@ identity:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from math import isqrt
 
 from .errors import (
@@ -136,18 +137,26 @@ from .linalg import Matrix, Subspace, differing_blocks, kernel
 class CovariantBimodule:
     """A π-graded bimodule with coaction(s).
 
-    `left`/`right` are the module actions A_α⊗Γ_α → Γ_α and
-    Γ_α⊗A_α → Γ_α; `delta_l` maps Γ_{αβ} → A_α⊗Γ_β and `delta_r` maps
-    Γ_{αβ} → Γ_α⊗A_β (either family may be absent).
+    The module actions A_α⊗Γ_α → Γ_α and Γ_α⊗A_α → Γ_α are held as
+    operators, one per grading and side: `left_of[α]` maps a frame W of
+    Γ_α (a g_α × k matrix, column t the vector w_t) to left_α(I⊗W), column
+    (x, t) = e_x·w_t, and `right_of[α]` maps it to right_α(W⊗I), column
+    (t, x) = w_t·e_x.  The structure theory reads the actions only so,
+    on frames of |I| columns (ω, η and their frame matrices), so a
+    calculus's bimodule never builds a whole action (Fodc.to_bimodule);
+    the whole matrices `left`/`right` are built on first read, through
+    the operators at W = I.  `delta_l` maps Γ_{αβ} → A_α⊗Γ_β and
+    `delta_r` maps Γ_{αβ} → Γ_α⊗A_β (either family may be absent).
 
-    The constructor takes arbitrary maps, so it runs `verify()` and
-    raises VerificationFailed unless every law holds; `_trusted` builds
-    the bimodule of a calculus or of `reconstruct`, whose laws are a theorem.
+    The constructor takes arbitrary whole maps, wraps them as operators
+    (_wrapped) and runs `verify()`, raising VerificationFailed unless
+    every law holds; `_trusted` takes the operators of a bimodule whose
+    laws are a theorem: a calculus's, or the rebuild of `reconstruct`.
     """
 
     def __init__(self, h: HopfPiCoalgebra, dims, left, right,
                  delta_l=None, delta_r=None):
-        self._adopt(h, dims, left, right, delta_l, delta_r)
+        self._adopt(h, dims, *_wrapped(h, left, right), delta_l, delta_r)
         report = self.verify()
         if not report.ok:
             raise VerificationFailed(
@@ -155,9 +164,10 @@ class CovariantBimodule:
                 f"{report.violations[0].render()}", report)
 
     @classmethod
-    def _trusted(cls, h: HopfPiCoalgebra, dims, left, right,
+    def _trusted(cls, h: HopfPiCoalgebra, dims, left_of, right_of,
                  delta_l=None, delta_r=None) -> "CovariantBimodule":
-        """A bimodule whose laws are a theorem, not re-verified.
+        """A bimodule whose laws are a theorem, not re-verified, with its
+        actions given as operators.
 
         For Γ = A²/N of a calculus: on A⊗A the actions multiply the outer
         legs and the coactions Φ^l, Φ^r satisfy every law, compatibility
@@ -168,17 +178,36 @@ class CovariantBimodule:
         """
         require_axioms(h)
         cb = cls.__new__(cls)
-        cb._adopt(h, dims, left, right, delta_l, delta_r)
+        cb._adopt(h, dims, left_of, right_of, delta_l, delta_r)
         return cb
 
-    def _adopt(self, h, dims, left, right, delta_l, delta_r) -> None:
+    def _adopt(self, h, dims, left_of, right_of, delta_l, delta_r) -> None:
         self.h = h
         self.dims = [int(d) for d in dims]
-        self.left = list(left)
-        self.right = list(right)
+        self.left_of = list(left_of)
+        self.right_of = list(right_of)
         self.delta_l = dict(delta_l) if delta_l is not None else None
         self.delta_r = dict(delta_r) if delta_r is not None else None
         self.shared = OperandMemo()    # frames and structure data, by operand tuple
+
+    @cached_property
+    def left(self) -> list[Matrix]:
+        """The whole left actions A_α⊗Γ_α → Γ_α, left_of[α] at W = I, built
+        on first read once per operator.  No CLI job reads them: verify()
+        and the tests do."""
+        return self._whole(self.left_of)
+
+    @cached_property
+    def right(self) -> list[Matrix]:
+        """The whole right actions Γ_α⊗A_α → Γ_α, right_of[α] at W = I,
+        built on first read once per operator."""
+        return self._whole(self.right_of)
+
+    def _whole(self, actions) -> list[Matrix]:
+        f = self.h.field
+        eye = {g: Matrix.identity(f, g) for g in set(self.dims)}
+        once = OperandMemo()
+        return [once(actions[a], eye[self.g(a)]) for a in self.h.group.elements()]
 
     def g(self, alpha: int) -> int:
         return self.dims[alpha]
@@ -288,13 +317,13 @@ class CovariantBimodule:
 
     def frame_matrix(self, alpha: int, frame: Matrix, side: str = "left") -> Matrix:
         """Columns (i, m) ↦ e_m · w_i (side "left") or w_i · e_m (side
-        "right") for a frame W of Γ_α (column i is w_i), as left_α (I⊗W)
-        re-keyed to (i, m) or right_α (W⊗I); square and invertible iff Γ_α
-        is free on the frame from that side.  Built once per (action,
-        frame, m_α)."""
+        "right") for a frame W of Γ_α (column i is w_i), as left_of[α](W) =
+        left_α(I⊗W) re-keyed to (i, m) or right_of[α](W) = right_α(W⊗I);
+        square and invertible iff Γ_α is free on the frame from that side.
+        Built once per (operator, frame, m_α)."""
         if side == "left":
-            return self.shared(_frame_left, self.left[alpha], frame, self.h.mult[alpha])
-        return self.shared(_frame_right, self.right[alpha], frame, self.h.mult[alpha])
+            return self.shared(_frame_left, self.left_of[alpha], frame, self.h.mult[alpha])
+        return self.shared(_frame_right, self.right_of[alpha], frame)
 
     def frame_inverse(self, alpha: int, frame: Matrix) -> Matrix:
         """The inverse of frame_matrix(alpha, frame), ρ ↦ its coefficients
@@ -313,13 +342,32 @@ class CovariantBimodule:
 # never off a frame or a map of Γ_α, either of which may be empty.
 
 
-def _frame_left(left: Matrix, frame: Matrix, m: Matrix) -> Matrix:
+def _frame_left(left_of, frame: Matrix, m: Matrix) -> Matrix:
     n = m.rows
-    return left.on_leg(frame, n, 1, 1).permute_legs((n, frame.cols), (1, 0), 1)
+    return left_of(frame).permute_legs((n, frame.cols), (1, 0), 1)
 
 
-def _frame_right(right: Matrix, frame: Matrix, m: Matrix) -> Matrix:
-    return right.on_leg(frame, 1, m.rows, 1)
+def _frame_right(right_of, frame: Matrix) -> Matrix:
+    return right_of(frame)
+
+
+def _whole_left(left: Matrix, m: Matrix):
+    """The operator W ↦ left(I⊗W) of a whole left action."""
+    return partial(Matrix.on_leg, left, before=m.rows, after=1, axis=1)
+
+
+def _whole_right(right: Matrix, m: Matrix):
+    """The operator W ↦ right(W⊗I) of a whole right action."""
+    return partial(Matrix.on_leg, right, before=1, after=m.rows, axis=1)
+
+
+def _wrapped(h: HopfPiCoalgebra, left, right) -> tuple[list, list]:
+    """The operators of whole actions, given one matrix per grading, each
+    built once per (action, m_α)."""
+    once = OperandMemo()
+    grades = h.group.elements()
+    return ([once(_whole_left, left[a], h.mult[a]) for a in grades],
+            [once(_whole_right, right[a], h.mult[a]) for a in grades])
 
 
 def invariant_subspace_left(cb: CovariantBimodule, alpha: int) -> Subspace:
@@ -827,7 +875,11 @@ def eta_basis(cb: CovariantBimodule, R) -> tuple[list[Matrix], VerificationRepor
     ω_i = Σ_j η_j R_ji, right_α (H_α⊗I) R^α = Ω_α.  On Γ_α free on ω the
     latter makes the |I| vectors η generate Γ_α as a right module, so with
     right invariance they are a basis of the right invariants (Woronowicz
-    1989, Thm 2.3, graded).  H_α is built once per (right_α, Ŝ_α, Ω_α, m_α).
+    1989, Thm 2.3, graded).  Both products are regrouped by associativity
+    so that the action meets a frame: right_α((Ω_α⊗I) Ŝ_α) = right_α(Ω_α⊗I) Ŝ_α
+    and right_α((H_α⊗I) R^α) = right_α(H_α⊗I) R^α, the right frame matrices
+    of ω and η, which the coefficient maps read as well.  H_α is built once
+    per (right frame matrix of Ω_α, Ŝ_α, Ω_α).
     """
     if not cb.bicovariant:
         raise NotBicovariant("η construction needs both coactions")
@@ -840,27 +892,27 @@ def eta_basis(cb: CovariantBimodule, R) -> tuple[list[Matrix], VerificationRepor
     eta = []
     for a in grp.elements():
         omega = cb.omega(a)
-        frame = cb.shared(_eta_frame, cb.right[a], _antipode_R(cb, R, a), omega, h.mult[a])
-        run(_eta_identities, (a,), frame, cb.delta_r[(a, e)], h.unit[e], cb.right[a], R[a], omega,
-            h.mult[a])
+        frame = cb.shared(_eta_frame, cb.frame_matrix(a, omega, "right"), _antipode_R(cb, R, a),
+                          omega)
+        run(_eta_identities, (a,), frame, cb.delta_r[(a, e)], h.unit[e],
+            cb.frame_matrix(a, frame, "right"), R[a], omega)
         eta.append(frame)
     return eta, report
 
 
-def _eta_frame(right: Matrix, shat: Matrix, omega: Matrix, m: Matrix) -> Matrix:
+def _eta_frame(right_omega: Matrix, shat: Matrix, omega: Matrix) -> Matrix:
     # η = ω when R = I⊗1 (a cocommutative A); the ω object then stands for
     # η, so the frame matrices, inverse and coefficient maps built for ω
     # serve η as well
-    frame = right @ shat.on_leg(omega, 1, m.rows, 0)
+    frame = right_omega @ shat
     return omega if frame == omega else frame
 
 
-def _eta_identities(frame: Matrix, delta: Matrix, unit: tuple, right: Matrix, r: Matrix,
-                    omega: Matrix, m: Matrix) -> list[Violation]:
+def _eta_identities(frame: Matrix, delta: Matrix, unit: tuple, right_eta: Matrix, r: Matrix,
+                    omega: Matrix) -> list[Violation]:
     return (_identity(R_COMULT, delta @ frame, frame.kron(Matrix.column(frame.field, unit)),
                       "η_j is not right invariant")
-            + _identity(R_COMULT, right @ r.on_leg(frame, 1, m.rows, 0), omega,
-                        "ω_i ≠ Σ_j η_j R_ji"))
+            + _identity(R_COMULT, right_eta @ r, omega, "ω_i ≠ Σ_j η_j R_ji"))
 
 
 def check_eta_left_coaction(cb: CovariantBimodule, R, eta) -> VerificationReport:
@@ -1059,7 +1111,8 @@ def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     right = [once(_rebuilt_right, twist, h.comult[(a, e)], h.mult[a]) for a in grp.elements()]
     delta_l, delta_r = _rebuilt_coactions(h, R, eye)
     dims = [size * h.n(a) for a in grp.elements()]
-    return CovariantBimodule._trusted(h, dims, left, right, delta_l=delta_l, delta_r=delta_r)
+    return CovariantBimodule._trusted(h, dims, *_wrapped(h, left, right), delta_l=delta_l,
+                                      delta_r=delta_r)
 
 
 def _rebuilt_coactions(h: HopfPiCoalgebra, R, eye: Matrix) -> tuple[dict, dict]:
@@ -1113,6 +1166,8 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     coefficients over ω; both sides' structure maps must be conjugate
     under it, bit-exactly.  A violation per grading (pair) for each action
     (coaction), witnessed by the first column on which the sides differ.
+    cb's actions are read through its operators on U⁻¹, the left frame
+    matrix; the rebuilt bimodule's whole.
     """
     h = cb.h
     report = VerificationReport()
@@ -1120,19 +1175,16 @@ def reconstruction_matches(cb: CovariantBimodule, rebuilt: CovariantBimodule) ->
     for a in h.group.elements():
         frame = cb.omega(a)
         u, ui = cb.frame_inverse(a, frame), cb.frame_matrix(a, frame)
-        for side, given, action in (("left", cb.left[a], rebuilt.left[a]),
-                                    ("right", cb.right[a], rebuilt.right[a])):
-            run(_action_matches, (a,), side, u, ui, given, action, h.mult[a])
+        for side, acting, action in (("left", cb.left_of[a], rebuilt.left[a]),
+                                     ("right", cb.right_of[a], rebuilt.right[a])):
+            run(_action_matches, (a,), side, u, acting, ui, action)
     return report.merge(_coactions_roundtrip(cb, rebuilt.delta_l, rebuilt.delta_r))
 
 
-def _action_matches(side: str, u: Matrix, ui: Matrix, given: Matrix, rebuilt: Matrix,
-                    m: Matrix) -> list[Violation]:
-    """U·given·(I⊗U⁻¹) (side "left") or U·given·(U⁻¹⊗I) (side "right")
-    against the rebuilt action."""
-    n = m.rows
-    legs = (n, 1) if side == "left" else (1, n)
-    return _identity(ROUNDTRIP, u @ given.on_leg(ui, *legs, 1), rebuilt,
+def _action_matches(side: str, u: Matrix, acting, ui: Matrix, rebuilt: Matrix) -> list[Violation]:
+    """U·left(I⊗U⁻¹) (side "left") or U·right(U⁻¹⊗I) (side "right"),
+    `acting` the operator of that action, against the rebuilt action."""
+    return _identity(ROUNDTRIP, u @ acting(ui), rebuilt,
                      f"the {side} action differs from the rebuilt one")
 
 

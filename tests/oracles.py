@@ -1546,32 +1546,65 @@ def algebra_generators_by_closure(m: Matrix, unit) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def action_matches_by_whole_products(side: str, u: Matrix, ui: Matrix, given: Matrix,
-                                     rebuilt: Matrix, m: Matrix) -> list:
-    """U·left·(I⊗U⁻¹) or U·right·(U⁻¹⊗I) against the whole rebuilt
-    action, on every column."""
-    n = m.rows
-    legs = (n, 1) if side == "left" else (1, n)
-    report = VerificationReport()
-    _compare(report, ROUNDTRIP, (), u @ given.on_leg(ui, *legs, 1), rebuilt,
-             f"the {side} action differs from the rebuilt one")
-    return report.violations
+def _dense_columns(m: Matrix) -> dict:
+    """The nonzero columns of m as dense lists, keyed by column index."""
+    out: dict = {}
+    for (r, c), v in m.entries.items():
+        out.setdefault(c, [m.field.zero()] * m.rows)[r] = v
+    return out
+
+
+def action_matches_by_vectors(cb: CovariantBimodule, rebuilt: CovariantBimodule,
+                              alpha: int) -> list:
+    """cb's actions on Γ_α against rebuilt's in ω coordinates, one basis
+    vector at a time: column (x, i, y) of rebuilt's left action against
+    U(e_x·ρ) and column (i, y, x) of its right action against U(ρ·e_x),
+    for ρ = e_y ω_i built once by recombine_left, with cb's whole action
+    applied to the one vector e_x⊗ρ or ρ⊗e_x and U the decomposition over
+    ω (decompose_left, one solve per vector).  A violation per action,
+    witnessed by its first differing column; the library's comparison
+    (structure._action_matches) shares none of these steps."""
+    f = cb.h.field
+    n = cb.h.n(alpha)
+    g = cb.g(alpha)
+    size = cb.omega_space(alpha).dim
+    basis = [unit_vec(f, n, x) for x in range(n)]
+    frame = {(i, y): recombine_left(cb, alpha, [basis[y] if k == i else zero_vec(f, n)
+                                                 for k in range(size)])
+             for i in range(size) for y in range(n)}
+    out = []
+    for side, whole, acted in (("left", cb.left[alpha], rebuilt.left[alpha]),
+                               ("right", cb.right[alpha], rebuilt.right[alpha])):
+        have, want = _dense_columns(whole), _dense_columns(acted)
+        for col in range(acted.cols):
+            if side == "left":
+                x, (i, y) = col // (size * n), divmod(col % (size * n), n)
+            else:
+                (i, y), x = divmod(col // n, n), col % n
+            moved = zero_vec(f, g)
+            for j, c in enumerate(frame[(i, y)]):   # Σ_j ρ_j (e_x·e_j) or Σ_j ρ_j (e_j·e_x)
+                at = x * g + j if side == "left" else j * n + x
+                if c != f.zero() and at in have:
+                    moved = vec_add(f, moved, [f.mul(c, v) for v in have[at]])
+            got = tuple(itertools.chain.from_iterable(decompose_left(cb, alpha, moved)))
+            if got != tuple(want.get(col, zero_vec(f, acted.rows))):
+                out.append(Violation(ROUNDTRIP, (), col,
+                                     f"the {side} action differs from the rebuilt one"))
+                break
+    return out
 
 
 def reconstruction_matches_by_whole_products(cb: CovariantBimodule,
                                              rebuilt: CovariantBimodule) -> VerificationReport:
     """reconstruction_matches with both actions of every grading compared
-    on every column, and no operand tuple shared across gradings."""
+    one basis vector at a time (action_matches_by_vectors), both
+    coactions on every column, and no operand tuple shared across
+    gradings."""
     h = cb.h
     grp = h.group
     report = VerificationReport()
     for a in grp.elements():
-        frame = cb.omega(a)
-        u, ui = cb.frame_inverse(a, frame), cb.frame_matrix(a, frame)
-        for side, given, whole in (("left", cb.left[a], rebuilt.left[a]),
-                                   ("right", cb.right[a], rebuilt.right[a])):
-            report.extend(stamped(action_matches_by_whole_products(
-                side, u, ui, given, whole, h.mult[a]), (a,)))
+        report.extend(stamped(action_matches_by_vectors(cb, rebuilt, a), (a,)))
     for a in grp.elements():
         for b in grp.elements():
             ab = grp.mul(a, b)

@@ -409,6 +409,29 @@ def test_roundtrip_against_another_frame_reports_the_whole_products_violations(n
     assert "the right action differs from the rebuilt one" in {v.detail for v in report.violations}
 
 
+@pytest.mark.parametrize("name", ROUNDTRIP_NAMES)
+def test_roundtrip_reports_a_bumped_rebuilt_action_as_the_reference_does(name):
+    """One entry of the rebuilt left action and one of the rebuilt right
+    action bumped, at the last grading: reconstruction_matches reports
+    each action there, witnessed by the bumped column, and so does the
+    reference that compares the actions one basis vector at a time."""
+    bim, data = _extracted(name)
+    h = _structure(name)
+    last = h.group.order - 1
+    bad = copy.copy(reconstruct(h, data.f, data.R, data.size))
+    bad.left, bad.right = list(bad.left), list(bad.right)
+    bumped = []
+    for side in ("left", "right"):
+        whole = getattr(bad, side)
+        m = whole[last]
+        whole[last] = _bump(m, m.rows // 2, m.cols // 2, h.field.one())
+        bumped.append((ROUNDTRIP, (last,), m.cols // 2,
+                       f"the {side} action differs from the rebuilt one"))
+    report = reconstruction_matches(bim, bad)
+    assert [(v.check, v.grading, v.basis_index, v.detail) for v in report.violations] == bumped
+    assert report.violations == reconstruction_matches_by_whole_products(bim, bad).violations
+
+
 def _bicovariant_calculi(h: HopfPiCoalgebra, ideals) -> list[Fodc]:
     """The universal calculus and each ideal's calculus on both routes,
     those that are bicovariant."""

@@ -28,7 +28,7 @@ from hopfpi import (
 )
 from hopfpi.errors import NotCovariant
 from hopfpi.linalg import Matrix
-from hopfpi.structure import CovariantBimodule
+from hopfpi.structure import CovariantBimodule, _wrapped
 from oracles import bimodule_laws_by_kron, hopf_laws_by_kron, pi_coalgebra_laws_by_kron
 
 FIXTURES = ["kz2_rational.json", "f7_z3.json", "kz2_constant_z2.json",
@@ -82,14 +82,16 @@ def _corruptions(cb):
         for a in range(len(cb.left)):
             actions = {"left": list(cb.left), "right": list(cb.right)}
             actions[family][a] = _bumped(actions[family][a])
-            yield family, CovariantBimodule._trusted(h, cb.dims, actions["left"], actions["right"],
+            yield family, CovariantBimodule._trusted(h, cb.dims, *_wrapped(h, actions["left"],
+                                                                             actions["right"]),
                                                      cb.delta_l, cb.delta_r)
     for family in ("delta_l", "delta_r"):
         for key in getattr(cb, family) or {}:
             maps = dict(getattr(cb, family))
             maps[key] = _bumped(maps[key])
             coactions = {"delta_l": cb.delta_l, "delta_r": cb.delta_r, family: maps}
-            yield family, CovariantBimodule._trusted(h, cb.dims, cb.left, cb.right, **coactions)
+            yield family, CovariantBimodule._trusted(h, cb.dims, cb.left_of, cb.right_of,
+                                                     **coactions)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["taft over F7"])

@@ -9,8 +9,8 @@ the same way (HopfPiCoalgebra.shared).  The reports and data must not
 depend on how the components are shared: `oracles.unshared` gives every
 grading its own copies, so everything is computed at every grading, and
 the reports must agree violation for violation and the data matrices
-entry for entry.  A calculus job builds no whole module action of Γ_α,
-and a structure job builds each once per distinct quotient.
+entry for entry.  No CLI job builds a whole module action of Γ_α: a
+structure job reads the actions through the bimodule's operators.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from hopfpi import calculus as calc_mod, cli, docio, hopf
 from hopfpi.docio import Document, document_from_json
 from hopfpi.errors import HopfPiError
 from hopfpi.linalg import Matrix, PrimeField, QQ
+from hopfpi.structure import CovariantBimodule
 from oracles import (
     hopf_laws_by_kron,
     pi_coalgebra_laws_by_kron,
@@ -336,51 +337,54 @@ def test_taft_family_structure_fails_at_every_grading():
     assert {v.grading[0] for v in data.report.violations} == set(h.group.elements())
 
 
-def _count_whole_actions(monkeypatch) -> tuple[list, Counter]:
-    """Every _Quotient built from here on, and how often each evaluates
-    its whole left and right action, keyed by (side, quotient)."""
-    built, evaluated = [], Counter()
-    init = calc_mod._Quotient.__init__
+def _count_action_reads(monkeypatch) -> Counter:
+    """How often, from here on, a whole module action of Γ_α is evaluated
+    (Fodc.left/right through _Quotient, CovariantBimodule.left/right),
+    keyed by (class, side), and how often a calculus's action operator is
+    applied to a frame, keyed by ("operator", side)."""
+    counts = Counter()
+    for cls in (calc_mod._Quotient, CovariantBimodule):
+        for side in ("left", "right"):
+            real = getattr(cls, side).func
 
-    def building(q, *args):
-        built.append(q)
-        init(q, *args)
+            def counted(obj, real=real, key=(cls.__name__, side)):
+                counts[key] += 1
+                return real(obj)
 
-    monkeypatch.setattr(calc_mod._Quotient, "__init__", building)
+            prop = cached_property(counted)
+            prop.__set_name__(cls, side)
+            monkeypatch.setattr(cls, side, prop)
     for side in ("left", "right"):
-        real = getattr(calc_mod._Quotient, side).func
+        real = getattr(calc_mod, f"_{side}_through")
 
-        def counted(q, real=real, side=side):
-            evaluated[(side, id(q))] += 1
-            return real(q)
+        def applied(*operands, real=real, side=side):
+            counts[("operator", side)] += 1
+            return real(*operands)
 
-        prop = cached_property(counted)
-        prop.__set_name__(calc_mod._Quotient, side)
-        monkeypatch.setattr(calc_mod._Quotient, side, prop)
-    return built, evaluated
+        monkeypatch.setattr(calc_mod, f"_{side}_through", applied)
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(CALCULUS_FAMILIES))
 def test_calculus_jobs_build_no_whole_action(name, monkeypatch):
-    """Leibniz and surjectivity read Γ's actions only on the vectors they
-    use: no calculus job evaluates a whole module action of Γ_α, and a
-    structure job evaluates each once per distinct quotient, for
-    to_bimodule, when the calculus is bicovariant, and none otherwise."""
+    """No CLI job evaluates a whole module action of Γ_α: Leibniz and
+    surjectivity read the actions only on the vectors they use, and a
+    structure job reads them only through the bimodule's operators on
+    frames, which it applies when the calculus is bicovariant (the
+    universal one is once the axioms hold); no other job applies them."""
     h, ideals = CALCULUS_FAMILIES[name]()
     doc = Document(name, h, ideals)
-    built, evaluated = _count_whole_actions(monkeypatch)
+    counts = _count_action_reads(monkeypatch)
     for argv in _jobs(ideals):
-        built.clear()
-        evaluated.clear()
+        counts.clear()
         _render(doc, argv)
-        # the universal calculus is bicovariant once the axioms hold
+        whole = {key: n for key, n in counts.items() if key[0] != "operator"}
+        assert whole == {}, argv
+        applied = counts[("operator", "left")] + counts[("operator", "right")]
         if argv == ["structure", "--universal"]:
-            assert bool(evaluated) == verify_all(h).ok
-        if argv[0] != "structure" or not evaluated:
-            assert not evaluated, argv
-            continue
-        assert evaluated == Counter({(side, id(q)): 1 for q in built
-                                     for side in ("left", "right")}), argv
+            assert bool(applied) == verify_all(h).ok, argv
+        elif argv[0] != "structure":
+            assert applied == 0, argv
 
 
 def test_leibniz_runs_once_per_operand_tuple(monkeypatch):
