@@ -144,19 +144,21 @@ class CovariantBimodule:
     (t, x) = w_t·e_x.  The structure theory reads the actions only so,
     on frames of |I| columns (ω, η and their frame matrices), so a
     calculus's bimodule never builds a whole action (Fodc.to_bimodule);
-    the whole matrices `left`/`right` are built on first read, through
+    its whole matrices `left`/`right` are built on first read, through
     the operators at W = I.  `delta_l` maps Γ_{αβ} → A_α⊗Γ_β and
     `delta_r` maps Γ_{αβ} → Γ_α⊗A_β (either family may be absent).
 
-    The constructor takes arbitrary whole maps, wraps them as operators
-    (_wrapped) and runs `verify()`, raising VerificationFailed unless
-    every law holds; `_trusted` takes the operators of a bimodule whose
-    laws are a theorem: a calculus's, or the rebuild of `reconstruct`.
+    The constructor takes arbitrary whole maps, keeps them as `left`/
+    `right`, wraps them as operators (_wrapped) and runs `verify()`,
+    raising VerificationFailed unless every law holds; `_trusted` takes
+    the operators of a bimodule whose laws are a theorem: a calculus's,
+    or the rebuild of `reconstruct`, which keeps its whole maps too.
     """
 
     def __init__(self, h: HopfPiCoalgebra, dims, left, right,
                  delta_l=None, delta_r=None):
         self._adopt(h, dims, *_wrapped(h, left, right), delta_l, delta_r)
+        self.left, self.right = list(left), list(right)
         report = self.verify()
         if not report.ok:
             raise VerificationFailed(
@@ -1111,8 +1113,10 @@ def _rebuild(h: HopfPiCoalgebra, funcs, R, size: int) -> CovariantBimodule:
     right = [once(_rebuilt_right, twist, h.comult[(a, e)], h.mult[a]) for a in grp.elements()]
     delta_l, delta_r = _rebuilt_coactions(h, R, eye)
     dims = [size * h.n(a) for a in grp.elements()]
-    return CovariantBimodule._trusted(h, dims, *_wrapped(h, left, right), delta_l=delta_l,
-                                      delta_r=delta_r)
+    cb = CovariantBimodule._trusted(h, dims, *_wrapped(h, left, right), delta_l=delta_l,
+                                    delta_r=delta_r)
+    cb.left, cb.right = left, right
+    return cb
 
 
 def _rebuilt_coactions(h: HopfPiCoalgebra, R, eye: Matrix) -> tuple[dict, dict]:
