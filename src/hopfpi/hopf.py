@@ -150,12 +150,12 @@ def sides_on_generators(sides, chosen: Matrix | None, whole: Matrix):
     """The two sides of an identity to read its violations from.
 
     sides(c) is the pair (lhs, rhs) of the identity with its last column
-    leg read through the matrix c.  When `chosen` (the columns of A × S, or
-    of {1} ∪ S) is given and the sides agree on it, the identity holds on
-    every column (the lemma of the module docstring, whose preconditions
-    the caller has checked) and the result is None; otherwise it is
-    sides(whole), on every column, so each violation and witness is the one
-    the whole product gives.
+    leg read through the matrix c.  When `chosen` (the columns of A × S) is
+    given and the sides agree on it, the identity holds on every column
+    (the lemma of the module docstring, whose preconditions the caller has
+    checked) and the result is None; otherwise it is sides(whole), on every
+    column, so each violation and witness is the one the whole product
+    gives.
     """
     if chosen is not None:
         lhs, rhs = sides(chosen)
@@ -171,13 +171,6 @@ def _generators(h: HopfPiCoalgebra, alpha: int):
     if not verify_all(h).ok:
         return None
     return h.shared(algebra_generators, h.mult[alpha], h.unit[alpha])
-
-
-def _unit_and_generators(f: Field, unit: tuple, gens) -> Matrix:
-    """The n_α × (1 + |S|) matrix whose columns are 1_α and e_s, s ∈ gens:
-    the points {1} ∪ S at which an identity is decided."""
-    return Matrix(f, len(unit), 1 + len(gens), {**{(r, 0): x for r, x in enumerate(unit)},
-                                                **{(s, 1 + i): f.one() for i, s in enumerate(gens)}})
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,9 @@ generators of A_α by the closure that row-reduced all of W and W·S at
 every step.
 The Leibniz rule of a calculus is here as the whole product
 d·m = right·(d⊗I) + left·(I⊗d) and its surjectivity as the span read off
-the whole left action, both through Γ's whole module actions, which the
-library builds only for to_bimodule.  `restricted_line` is F_p[x]/(x^p)
-with x primitive, whose generator x spans no 1: the Leibniz rule at the
-unit is not implied by the rule on its generator there.
+the whole left action, both through Γ's whole module actions; the
+library takes both as theorems on a lawful structure.  `restricted_line`
+is F_p[x]/(x^p) with x primitive, whose generator x spans no 1.
 `unshared` copies a structure so that no grading shares a matrix or
 tuple with another, the form in which the library's once-per-operand-
 tuple axiom checks run at every grading.

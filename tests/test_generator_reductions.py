@@ -21,13 +21,14 @@ every column, also against a bimodule rebuilt in another frame.  The
 generators themselves must be those of the closure that row-reduces all
 of W and W·S at every step.
 
-The Leibniz rule of a calculus is decided on the pairs (a, c), c ∈ {1} ∪ S:
-with one entry of d_α bumped, on the universal calculus and the route
-calculi of an ideal and of every named ideal of the fixtures, its report
-must be the whole product's, and so must the rank of surjectivity.  Two
-bumps hold on part of the columns: d(1) = v with v·x = 0 on F_p[x]/(x^p),
-whose generator x spans no 1, and a derivation on the first generator
-only.
+The Leibniz rule and Γ = A·d(A) are theorems on a lawful structure, so
+no lawful calculus computes either: the universal calculus and every
+named ideal's calculi of the lawful fixtures, and the calculi of Taft/F₇
+and F₇[ℤ/4] over S₃.  The whole products must find no violation there
+either.  On the calculus of N = 0 over a structure that fails a unit
+law, the reports must be the whole products', violation for violation:
+with one entry of m_α bumped in the column of 1⊗1, the Leibniz rule
+fails, and with 1_α = 0, surjectivity fails at α.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hopfpi.calculus as calculus_mod
 import hopfpi.structure as structure_mod
 from hopfpi import (
     Fodc,
@@ -47,6 +49,7 @@ from hopfpi import (
     algebra_generators,
     calculus_from_ideal,
     calculus_from_ideal_right,
+    calculus_from_kernels,
     check_bicovariant,
     constant_family,
     cyclic,
@@ -61,8 +64,8 @@ from hopfpi import (
     verify_all,
     verify_hopf,
 )
-from hopfpi.hopf import _algebra_laws
-from hopfpi.linalg import Matrix, PrimeField, QQ, kernel, unit_vec
+from hopfpi.hopf import Violation, _algebra_laws
+from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace, unit_vec
 from hopfpi.structure import (
     ROUNDTRIP,
     _collapse,
@@ -132,17 +135,17 @@ def _bump(m: Matrix, r: int, c: int, delta) -> Matrix:
     return Matrix(f, m.rows, m.cols, entries)
 
 
-def _with(h: HopfPiCoalgebra, kind: str, key, new: Matrix) -> HopfPiCoalgebra:
-    """h with the matrix of `kind` at `key` replaced; every other matrix is
-    shared with h."""
+def _with(h: HopfPiCoalgebra, kind: str, key, new) -> HopfPiCoalgebra:
+    """h with the matrix (or unit tuple) of `kind` at `key` replaced; every
+    other one is shared with h."""
     parts = {"mult": list(h.mult), "comult": dict(h.comult), "antipode": list(h.antipode),
-             "psi": list(h.psi), "counit": h.counit}
+             "psi": list(h.psi), "counit": h.counit, "unit": list(h.unit)}
     if kind == "counit":
         parts["counit"] = new
     else:
         parts[kind][key] = new
     return HopfPiCoalgebra(h.group, h.field, h.dims, parts["comult"], parts["counit"],
-                           parts["mult"], h.unit, parts["antipode"], psi=parts["psi"],
+                           parts["mult"], parts["unit"], parts["antipode"], psi=parts["psi"],
                            basis_names=h.basis_names)
 
 
@@ -556,111 +559,100 @@ def _calculus(name: str, route: str) -> Fodc:
     return _on_route(h, route, [_square_of_first_generator(h)])
 
 
-def _with_d(calc: Fodc, alpha: int, new: Matrix) -> Fodc:
-    """calc with d_α replaced by `new`; every other map is calc's."""
-    out = copy.copy(calc)
-    d = list(calc.d)
-    d[alpha] = new
-    out.d = d
-    return out
-
-
-def _unit_column(h: HopfPiCoalgebra, alpha: int) -> int:
+def _unit_index(h: HopfPiCoalgebra, alpha: int) -> int:
     return next(i for i, x in enumerate(h.unit[alpha]) if x)
 
 
-def _assert_leibniz_matches(calc: Fodc) -> list:
-    violations = calc.leibniz_report().violations
-    assert violations == leibniz_by_whole_products(calc).violations
-    assert calc.surjectivity_report().violations == surjectivity_by_whole_left(calc).violations
-    return violations
+def _zero_calculus(h: HopfPiCoalgebra) -> Fodc:
+    """The calculus of N = 0 through the public constructor, which builds
+    it on a structure that fails an axiom."""
+    return calculus_from_kernels(h, [Subspace.zero_space(h.field, h.n(a) ** 2)
+                                     for a in h.group.elements()])
+
+
+def _assert_reports_match(calc: Fodc) -> tuple[list, list]:
+    """The Leibniz and surjectivity violations, each equal to the whole
+    products' of `oracles`."""
+    leibniz = calc.leibniz_report().violations
+    assert leibniz == leibniz_by_whole_products(calc).violations
+    surjectivity = calc.surjectivity_report().violations
+    assert surjectivity == surjectivity_by_whole_left(calc).violations
+    return leibniz, surjectivity
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(LEIBNIZ_NAMES), st.sampled_from(ROUTES), st.booleans(), st.data())
-def test_leibniz_with_one_entry_of_d_bumped_reports_the_whole_products(name, route, at_unit,
-                                                                      data):
-    """One entry of d_α bumped, in the column of 1_α or in any column, on
-    the universal calculus and on the calculi of an ideal on both routes:
-    leibniz_report gives the violations of d·m against the whole actions,
-    entry for entry, and surjectivity the rank read off the whole left
-    action.  A bump at 1_α makes d(1) ≠ 0, which the rule at (1, 1) sees."""
-    calc = _calculus(name, route)
-    h = calc.h
+@given(st.sampled_from(NAMES), st.data())
+def test_leibniz_with_m_bumped_in_its_unit_column_reports_the_whole_products(name, data):
+    """One entry of m_α bumped by a nonzero scalar in the column of 1_α⊗1_α,
+    so that the unit laws fail, and the calculus of N = 0: the Leibniz
+    rule is no theorem there, and leibniz_report gives the violations of
+    d·m against the whole actions, entry for entry, and at least one;
+    surjectivity gives the rank read off the whole left action."""
+    h = _structure(name)
     a = data.draw(st.sampled_from(list(h.group.elements())), label="grading")
-    d = calc.d[a]
-    assume(d.rows)                       # Γ_α = 0 on k[ℤ/1] and at R = ker ε
-    r = data.draw(st.integers(0, d.rows - 1), label="row")
-    c = _unit_column(h, a) if at_unit else data.draw(st.integers(0, d.cols - 1), label="column")
+    n = h.n(a)
+    assume(n > 1)                        # on k[ℤ/1], d_α = 0 for any m_α
+    u = _unit_index(h, a)
+    r = data.draw(st.integers(0, n - 1), label="row")
     delta = data.draw(st.integers(1, 6).map(h.field.from_int).filter(bool), label="delta")
-    violations = _assert_leibniz_matches(_with_d(calc, a, _bump(d, r, c, delta)))
-    assert violations or not at_unit
+    leibniz, _ = _assert_reports_match(
+        _zero_calculus(_with(h, "mult", a, _bump(h.mult[a], r, u * n + u, delta))))
+    assert leibniz
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(NAMES), st.data())
+def test_surjectivity_with_a_zero_unit_reports_the_whole_left_action(name, data):
+    """1_α = 0 at one grading, and the calculus of N = 0: D_α = 0, so
+    d_α = 0 and the span of a·d(b) is 0, short of Γ_α = ker m_α.
+    surjectivity_report says so at α alone, as the rank read off the whole
+    left action does, and the Leibniz rule holds with d_α = 0."""
+    h = _structure(name)
+    a = data.draw(st.sampled_from(list(h.group.elements())), label="grading")
+    assume(h.n(a) > 1)                   # Γ_α = 0 on k[ℤ/1]
+    calc = _zero_calculus(_with(h, "unit", a, (h.field.zero(),) * h.n(a)))
+    leibniz, surjectivity = _assert_reports_match(calc)
+    assert leibniz == []
+    assert surjectivity == [Violation("surjectivity", (a,), None,
+                                      f"span of a·d(b) has dim 0 < {calc.dim(a)}")]
 
 
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", LEIBNIZ_NAMES)
 def test_lawful_calculi_satisfy_leibniz_as_the_whole_products_do(name, route):
     calc = _calculus(name, route)
-    assert _assert_leibniz_matches(calc) == []
-    assert calc.surjectivity_report().ok
+    assert _assert_reports_match(calc) == ([], [])
+
+
+def _lawful_calculi(label: str) -> list[Fodc]:
+    """The universal calculus and the calculi of each named ideal on both
+    routes of a lawful fixture, or the three calculi of `_calculus`."""
+    if label in CONSTRUCTORS:
+        return [_calculus(label, route) for route in ROUTES]
+    doc = load_document(FIXTURE_DIR / label)
+    return [universal_calculus(doc.hopf)] + [
+        _on_route(doc.hopf, route, gens)
+        for gens in doc.ideal_generators.values() for route in ("left", "right")]
+
+
+@pytest.mark.parametrize("label", LAWFUL_FIXTURES + ["Taft/F7", "F7[Z/4] over S3"])
+def test_lawful_calculi_compute_neither_leibniz_nor_surjectivity(label, monkeypatch):
+    """On a lawful structure the Leibniz rule and Γ = A·d(A) are theorems
+    (the Fodc docstring): their reports are empty and neither is computed."""
+    called = []
+    for check in ("_leibniz", "_surjectivity"):
+        monkeypatch.setattr(calculus_mod, check,
+                            lambda *operands, check=check: called.append(check) or [])
+    for calc in _lawful_calculi(label):
+        assert calc.leibniz_report().ok and calc.surjectivity_report().ok
+    assert called == []
 
 
 @pytest.mark.parametrize("route", ["left", "right"])
 @pytest.mark.parametrize("fixture", LAWFUL_FIXTURES)
 def test_named_ideal_calculi_report_the_whole_products(fixture, route):
-    """Every named ideal of every lawful fixture, on both routes, unbumped
-    and with d_α bumped at 1_α and at its last entry, at each grading."""
+    """Every named ideal of every lawful fixture, on both routes: the
+    whole products find no Leibniz or surjectivity violation either."""
     doc = load_document(FIXTURE_DIR / fixture)
-    h = doc.hopf
     for gens in doc.ideal_generators.values():
-        calc = _on_route(h, route, gens)
-        assert _assert_leibniz_matches(calc) == []
-        for a in h.group.elements():
-            d = calc.d[a]
-            if not d.rows:
-                continue
-            one = h.field.one()
-            assert _assert_leibniz_matches(_with_d(calc, a, _bump(d, 0, _unit_column(h, a), one)))
-            _assert_leibniz_matches(_with_d(calc, a, _bump(d, d.rows - 1, d.cols - 1, one)))
-
-
-@pytest.mark.parametrize("name", ["F2[x]/(x^2)", "F3[x]/(x^3)"])
-def test_leibniz_at_the_unit_is_decided_by_the_unit_column(name):
-    """On F_p[x]/(x^p) the words of the generator x do not span 1, so
-    d(1) = v with v·x = 0 keeps the rule on every pair (a, x) and breaks it
-    at (a, 1) only: the unit column must be read."""
-    calc = _calculus(name, "universal")
-    h = calc.h
-    f = h.field
-    x = algebra_generators(h.mult[0], h.unit[0])[0]
-    size = calc.dim(0)
-    times_x = calc.right[0].on_leg(Matrix.column(f, unit_vec(f, h.n(0), x)), size, 1, 1)
-    v = kernel(times_x).basis.row(0)               # v·x = 0, v ≠ 0
-    d = calc.d[0]
-    entries = dict(d.entries)
-    for r, value in enumerate(v):
-        entries[(r, 0)] = f.add(d[r, 0], value)
-    violations = _assert_leibniz_matches(_with_d(calc, 0, Matrix(f, d.rows, d.cols, entries)))
-    assert violations
-
-
-@pytest.mark.parametrize("name", ["Taft/F7", "Taft/F11", "F7[S3]"])
-def test_a_derivation_on_the_first_generator_only_is_reported(name):
-    """d + φ, with φ(c·w) = ρ·w for the right words w in the first
-    generator s₁ and φ zero on the other right cosets, keeps the rule on
-    A × {1, s₁} and breaks it on the second generator: every generator is
-    read, and the violations are the whole product's."""
-    calc = _calculus(name, "universal")
-    h = calc.h
-    f = h.field
-    size, n = calc.dim(0), h.n(0)
-    rho = Matrix.column(f, unit_vec(f, size, 0))
-    entries = dict(calc.d[0].entries)
-    for w, k, coeff in _coset_of_first_generator(h):
-        rho_w = calc.right[0].on_leg(rho, 1, n, 1).on_leg(
-            Matrix.column(f, unit_vec(f, n, w)), 1, 1, 1)
-        for (r, _), value in rho_w.entries.items():
-            entries[(r, k)] = f.add(entries.get((r, k), f.zero()), f.mul(f.inv(coeff), value))
-    violations = _assert_leibniz_matches(
-        _with_d(calc, 0, Matrix(f, size, n, entries)))
-    assert violations
+        assert _assert_reports_match(_on_route(doc.hopf, route, gens)) == ([], [])

@@ -51,7 +51,7 @@ from hopfpi import (
 from hopfpi import calculus as calc_mod, cli, docio, hopf
 from hopfpi.docio import Document, document_from_json
 from hopfpi.errors import HopfPiError
-from hopfpi.linalg import Matrix, PrimeField, QQ
+from hopfpi.linalg import Matrix, PrimeField, QQ, Subspace
 from hopfpi.structure import CovariantBimodule
 from oracles import (
     hopf_laws_by_kron,
@@ -388,22 +388,32 @@ def test_calculus_jobs_build_no_whole_action(name, monkeypatch):
 
 
 def test_leibniz_runs_once_per_operand_tuple(monkeypatch):
-    """The six gradings of F₇[ℤ/4] over S₃ read one (d, m, lift, drop, 1,
-    S): _leibniz runs once for the universal calculus and once for each
-    route calculus of an ideal; on the unshared copy, once per grading."""
-    h = constant_family(group_algebra(cyclic(4), PrimeField(7)), s3_group())
+    """F₇[ℤ/4] over S₃ with m bumped at 1⊗1, one matrix for all six
+    gradings, fails a unit law, so the Leibniz rule and surjectivity of
+    its calculus of N = 0 (the public constructor, one zero N for every
+    grading) are computed: the six gradings read one (d, m, lift, drop),
+    and each check runs once; on the unshared copy, once per grading."""
+    base = constant_family(group_algebra(cyclic(4), PrimeField(7)), s3_group())
+    m = base.mult[0]
+    entries = dict(m.entries)
+    entries[(1, 0)] = m.field.one()                 # 1·1 = 1 + g
+    bumped = Matrix(m.field, m.rows, m.cols, entries)
+    h = HopfPiCoalgebra(base.group, base.field, base.dims, base.comult, base.counit,
+                        [bumped] * base.group.order, base.unit, base.antipode, psi=base.psi,
+                        basis_names=base.basis_names)
     calls = []
-    real = calc_mod._leibniz
+    for check in ("_leibniz", "_surjectivity"):
+        real = getattr(calc_mod, check)
 
-    def counted(*operands):
-        calls.append(operands)
-        return real(*operands)
+        def counted(*operands, check=check, real=real):
+            calls.append(check)
+            return real(*operands)
 
-    monkeypatch.setattr(calc_mod, "_leibniz", counted)
+        monkeypatch.setattr(calc_mod, check, counted)
     for family, per_calculus in ((h, 1), (unshared(h), 6)):
-        ideal = right_ideal_from_generators(family, [(1, 5, 1, 0)])     # (g − 1)²
-        for calc in (universal_calculus(family), calculus_from_ideal(family, ideal),
-                     calculus_from_ideal_right(family, ideal)):
-            calls.clear()
-            assert calc.leibniz_report().ok
-            assert len(calls) == per_calculus
+        zero = Subspace.zero_space(family.field, family.n(0) ** 2)
+        calc = calc_mod.calculus_from_kernels(family, [zero] * family.group.order)
+        calls.clear()
+        assert not calc.leibniz_report().ok
+        calc.surjectivity_report()
+        assert Counter(calls) == {"_leibniz": per_calculus, "_surjectivity": per_calculus}
